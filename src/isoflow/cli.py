@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, IsoflowError
 from .geometry import (
@@ -52,6 +51,8 @@ from .weights import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     ZeroWeight,
+    gaussian_factor,
+    gaussian_quantile,
     total_weighted_volume,
 )
 
@@ -76,7 +77,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "run": {
         "seed": ("int", 20260816),
-        "threads": ("int", 0),
         "out_dir": ("str", "isoflow_out"),
     },
     "profile": {
@@ -194,7 +194,7 @@ class RunConfig:
         elif name == "quadratic":
             weight = QuadraticWeight(*params)
         elif name == "log_power":
-            weight = LogPowerWeight(int(params[0]))
+            weight = LogPowerWeight(params[0])
         else:
             if len(params) % 2:
                 raise ConfigError(
@@ -208,12 +208,10 @@ class RunConfig:
             raise ConfigError("slab must be two endpoints: a, b")
         return Density(weight, self.value("density", "c"), self.value("density", "dim"), tuple(slab))
 
-    def with_overrides(self, out_dir: str | None = None, threads: int | None = None) -> "RunConfig":
+    def with_overrides(self, out_dir: str | None = None) -> "RunConfig":
         sections = {s: dict(kv) for s, kv in self.sections.items()}
         if out_dir is not None:
             sections["run"]["out_dir"] = out_dir
-        if threads is not None:
-            sections["run"]["threads"] = threads
         return RunConfig(sections)
 
 
@@ -548,8 +546,10 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
     final, trace = minimize(density, optimizer, chord)
     _atomic_write(os.path.join(out_dir, "optimize_trace.csv"), trace_csv(trace))
     _atomic_write(os.path.join(out_dir, "chord.csv"), curve_csv(chord_curve(density, final)))
-    profile = build_profile(density, "perpendicular", grid_size=257)
-    benchmark = float(PchipInterpolator(profile.v, profile.F)(target))
+    # perpendicular profile at the target volume: G(v) = (pi/c)^{(n-1)/2} M e^{-c s^2}
+    # with s the Gaussian quantile of v / V_tot = fraction
+    s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
+    benchmark = v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
     if trace.status != "converged":
@@ -601,20 +601,6 @@ def _command_rngs(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(child) for name, child in zip(COMMANDS, children)}
 
 
-def _resolve_threads(cli_value: int | None, config_value: int) -> int:
-    if cli_value is not None:
-        return cli_value
-    if config_value > 0:
-        return config_value
-    env = os.environ.get("ISOFLOW_THREADS", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ISOFLOW_THREADS must be an integer, got {env!r}") from exc
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="isoflow",
@@ -627,18 +613,13 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to an INI run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides [run] out_dir)")
     parser.add_argument(
-        "--threads", type=int, default=None, help="parallelism budget (overrides config and env)"
-    )
-    parser.add_argument(
         "--expect-bound",
         action="store_true",
         help="treat a failed spectral bound as a violation even for non-concave weights",
     )
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
-        threads = _resolve_threads(args.threads, int(config.value("run", "threads")))
-        config = config.with_overrides(out_dir=args.out, threads=threads)
+        config = load_config(args.config).with_overrides(out_dir=args.out)
         density = config.density()
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)

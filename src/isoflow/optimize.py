@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import erfc
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve, _trapezoid_weights
-from .weights import Density, log_density, log_density_gradient, tail_interval
+from .weights import Density, gaussian_cdf, log_density, log_density_gradient, tail_interval
 
 __all__ = [
     "ChordSpline",
@@ -199,11 +198,6 @@ def weighted_length(density: Density, chord: ChordSpline) -> float:
     return float(np.sum(qw * f * speed))
 
 
-def _gaussian_left_mass(c: float, x) -> np.ndarray:
-    """∫_{−∞}^x e^{−c ξ²} dξ = √(π/c) erfc(−√c x)/2."""
-    return math.sqrt(math.pi / c) * 0.5 * erfc(-math.sqrt(c) * np.asarray(x, dtype=float))
-
-
 def enclosed_area(density: Density, chord: ChordSpline) -> float:
     """V_f(E) for E left of the chord, by the flux form of the area.
 
@@ -214,7 +208,7 @@ def enclosed_area(density: Density, chord: ChordSpline) -> float:
     qw, x, t, _, dt, *_ = _chord_fields(density, chord)
     w = density.weight
     vertical = np.exp(w.value(t) - density.c * t * t)
-    g = _gaussian_left_mass(density.c, x)
+    g = math.sqrt(math.pi / density.c) * gaussian_cdf(density.c, x)
     return float(np.sum(qw * vertical * g * dt))
 
 

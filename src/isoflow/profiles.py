@@ -21,6 +21,10 @@ so concave omega gives F'' <= -2c/F with equality exactly for affine omega.
 Tilted families on the whole space reduce to a 1-D integral with a mixed
 argument omega(nu_t s + g u), g = sqrt(1 - nu_t^2), handled by
 Gauss-Hermite quadrature.
+
+Every grid is solved in one batch: parallel and tilted levels are
+quantiles of weights.CumulativeDensity1D (resolved to about one ulp of s),
+and perpendicular offsets are the closed-form Gaussian quantile.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc
 
 from .errors import ConsistencyError, DomainError, SmoothnessError
 from .weights import (
@@ -40,7 +43,9 @@ from .weights import (
     PiecewiseLinearWeight,
     QuadratureSpec,
     _gaussian_tail_cutoff,
+    gaussian_cdf,
     gaussian_factor,
+    gaussian_quantile,
     integrate_weighted,
 )
 
@@ -134,11 +139,6 @@ def volume_area_parallel(
     return V, A
 
 
-def _gaussian_mass_below(c: float, s: float) -> float:
-    """int_{-inf}^s e^{-c u^2} du, stable in both tails."""
-    return math.sqrt(math.pi / c) * 0.5 * float(erfc(-math.sqrt(c) * s))
-
-
 def volume_area_perpendicular(
     density: Density, s: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[float, float]:
@@ -147,7 +147,7 @@ def volume_area_perpendicular(
         raise DomainError("perpendicular family needs n >= 1")
     gf = gaussian_factor(density.n - 1, density.c)
     M = integrate_weighted(density, spec=spec)
-    V = gf * M * _gaussian_mass_below(density.c, s)
+    V = gf * M * math.sqrt(math.pi / density.c) * float(gaussian_cdf(density.c, s))
     A = gf * M * math.exp(-density.c * s * s)
     return V, A
 
@@ -158,28 +158,6 @@ def _chebyshev_grid(lo: float, hi: float, size: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
 
-def _invert_monotone(value_fn, deriv_fn, lo: float, hi: float, target: float, tol: float) -> float:
-    """Solve value_fn(s) = target on [lo, hi], bisection bracket + Newton."""
-    a, b = lo, hi
-    if value_fn(a) - target > 0.0 or value_fn(b) - target < 0.0:
-        raise ConsistencyError("volume inversion lost its bracket (non-monotone V?)")
-    t = 0.5 * (a + b)
-    for _ in range(200):
-        ft = value_fn(t) - target
-        if abs(ft) <= tol:
-            return t
-        if ft > 0.0:
-            b = t
-        else:
-            a = t
-        d = deriv_fn(t)
-        t_next = t - ft / d if d > 0.0 else 0.5 * (a + b)
-        if not (a <= t_next <= b):
-            t_next = 0.5 * (a + b)
-        t = t_next
-    raise ConsistencyError("volume inversion did not converge in 200 steps")
-
-
 def build_profile(
     density: Density,
     family: str,
@@ -188,9 +166,11 @@ def build_profile(
 ) -> Profile:
     """Profile of the parallel or perpendicular family on a Chebyshev volume grid.
 
-    Volumes span [eps V_tot, (1 - eps) V_tot] with eps = 1e-3; each V(s) = v
-    is solved to |V(s) - v| <= 1e-10 V_tot.  F' and F'' are recorded from
-    the closed forms, so the parallel family needs a C-inf weight.
+    Volumes span [eps V_tot, (1 - eps) V_tot] with eps = 1e-3.  Parallel
+    levels are quantiles of CumulativeDensity1D, resolved to about one ulp;
+    perpendicular offsets are the closed-form Gaussian quantile of
+    q = v / V_tot.  F' and F'' are recorded from the closed forms, so the
+    parallel family needs a C-inf weight.
     """
     if family not in ("parallel", "perpendicular"):
         raise DomainError(f"unknown family {family!r}")
@@ -206,42 +186,24 @@ def build_profile(
             )
         gf = gaussian_factor(n, c)
         cum = CumulativeDensity1D(density, spec=spec)
-        lo, hi = float(cum.breaks[0]), float(cum.breaks[-1])
         v_total = gf * cum.total
-
-        def V_of(s):
-            return gf * cum.mass_below(s)
-
-        def A_of(s):
-            return gf * math.exp(float(w.value(s)) - c * s * s)
-
-    else:
-        if n < 1:
-            raise DomainError("perpendicular family needs n >= 1")
-        gf = gaussian_factor(n - 1, c)
-        M = integrate_weighted(density, spec=spec)
-        amp = gf * M
-        v_total = amp * math.sqrt(math.pi / c)
-        # the lateral coordinate is a pure Gaussian; clip at negligible quantiles
-        half_width = math.sqrt(-math.log(1e-18) / c)
-        lo, hi = -half_width, half_width
-
-        def V_of(s):
-            return amp * _gaussian_mass_below(c, s)
-
-        def A_of(s):
-            return amp * math.exp(-c * s * s)
-
-    v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
-    tol = 1e-11 * v_total
-    s_grid = np.array([_invert_monotone(V_of, A_of, lo, hi, v, tol) for v in v_grid])
-    A_grid = np.array([A_of(s) for s in s_grid])
-    V_grid = np.array([V_of(s) for s in s_grid])
-
-    if family == "parallel":
+        v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
+        s_grid = cum.quantile(v_grid / v_total)
+        V_grid = gf * cum.mass_below(s_grid)
+        A_grid = gf * np.exp(w.value(s_grid) - c * s_grid * s_grid)
         dF = np.asarray(w.deriv(s_grid), dtype=float) - 2.0 * c * s_grid
         ddF = (np.asarray(w.deriv2(s_grid), dtype=float) - 2.0 * c) / A_grid
     else:
+        if n < 1:
+            raise DomainError("perpendicular family needs n >= 1")
+        # the lateral coordinate is a pure Gaussian: V(s) = v_total CDF(s)
+        amp = gaussian_factor(n - 1, c) * integrate_weighted(density, spec=spec)
+        v_total = amp * math.sqrt(math.pi / c)
+        v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
+        q = v_grid / v_total
+        s_grid = gaussian_quantile(c, q, 1.0 - q)
+        V_grid = v_total * gaussian_cdf(c, s_grid)
+        A_grid = amp * np.exp(-c * s_grid * s_grid)
         dF = -2.0 * c * s_grid
         ddF = np.full_like(s_grid, -2.0 * c) / A_grid
 
@@ -361,34 +323,6 @@ def compare_profiles(
     )
 
 
-class _PanelCumulative:
-    """Cumulative integral of a vectorized positive function on [lo, hi]."""
-
-    def __init__(self, fn, lo: float, hi: float, n_panels: int = 1200, order: int = 12):
-        self.fn = fn
-        self.breaks = np.linspace(lo, hi, n_panels + 1)
-        x, wts = np.polynomial.legendre.leggauss(order)
-        mid = 0.5 * (self.breaks[1:] + self.breaks[:-1])
-        half = 0.5 * (self.breaks[1:] - self.breaks[:-1])
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = fn(nodes.ravel()).reshape(nodes.shape)
-        panel = np.sum(vals * (half[:, None] * wts[None, :]), axis=1)
-        self._cum = np.concatenate(([0.0], np.cumsum(panel)))
-        self.total = float(self._cum[-1])
-        self._glx, self._glw = x, wts
-
-    def value(self, t: float) -> float:
-        t = min(max(float(t), self.breaks[0]), self.breaks[-1])
-        j = int(np.searchsorted(self.breaks, t, side="right") - 1)
-        j = min(j, len(self.breaks) - 2)
-        a = self.breaks[j]
-        if t <= a:
-            return float(self._cum[j])
-        mid, half = 0.5 * (a + t), 0.5 * (t - a)
-        nodes = mid + half * self._glx
-        return float(self._cum[j] + half * np.dot(self._glw, self.fn(nodes)))
-
-
 def tilted_profile_wholespace(
     density: Density,
     normal,
@@ -436,14 +370,14 @@ def tilted_profile_wholespace(
         vals = np.exp(w.value(args))
         return np.log(vals @ hw) - 0.5 * math.log(c)
 
-    def dlog_I(tau: float) -> tuple[float, float]:
-        args = tau + shift
+    def dlog_I(tau):
+        args = np.asarray(tau, dtype=float)[..., None] + shift
         phi = np.exp(w.value(args))
         d1 = np.asarray(w.deriv(args), dtype=float)
         d2 = np.asarray(w.deriv2(args), dtype=float)
-        m0 = float(phi @ hw)
-        m1 = float((d1 * phi) @ hw)
-        m2 = float(((d2 + d1 * d1) * phi) @ hw)
+        m0 = phi @ hw
+        m1 = (d1 * phi) @ hw
+        m2 = ((d2 + d1 * d1) * phi) @ hw
         return m1 / m0, m2 / m0 - (m1 / m0) ** 2
 
     gf = gaussian_factor(n - 1, c) if n >= 1 else 1.0
@@ -458,7 +392,7 @@ def tilted_profile_wholespace(
     for right in (True, False):
         ref = max(1.0, 1.0 / math.sqrt(c)) * (1.0 if right else -1.0)
         la = float(log_I(np.asarray(ref * nu_t)))
-        sl = nu_t * dlog_I(ref * nu_t)[0]
+        sl = nu_t * float(dlog_I(ref * nu_t)[0])
         drift = sl if right else -sl
         amp = la - sl * ref if right else la + sl * ref
         cut = _gaussian_tail_cutoff(c, drift, amp + math.log(max(gf, 1e-300)), eps)
@@ -467,27 +401,15 @@ def tilted_profile_wholespace(
         cuts.append(cut if right else -cut)
     hi, lo = cuts
 
-    cum = _PanelCumulative(area_vec, lo, hi)
+    cum = CumulativeDensity1D((area_vec, lo, hi), n_panels=1200)
     v_total = cum.total
-
-    def V_of(s):
-        return cum.value(s)
-
-    def A_of(s):
-        return float(area_vec(np.asarray([s]))[0])
-
     v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
-    tol = 1e-11 * v_total
-    s_grid = np.array([_invert_monotone(V_of, A_of, lo, hi, v, tol) for v in v_grid])
+    s_grid = cum.quantile(v_grid / v_total)
     A_grid = area_vec(s_grid)
-    V_grid = np.array([V_of(s) for s in s_grid])
-
-    dF = np.empty_like(s_grid)
-    ddF = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        l1, l2 = dlog_I(nu_t * s)
-        dF[i] = -2.0 * c * s + nu_t * l1
-        ddF[i] = (-2.0 * c + nu_t * nu_t * l2) / A_grid[i]
+    V_grid = cum.mass_below(s_grid)
+    l1, l2 = dlog_I(nu_t * s_grid)
+    dF = -2.0 * c * s_grid + nu_t * l1
+    ddF = (-2.0 * c + nu_t * nu_t * l2) / A_grid
 
     return Profile(
         family="tilted",

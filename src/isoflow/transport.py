@@ -18,20 +18,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .errors import ConsistencyError, DomainError
 from .geometry import DiscreteCurve, _polyline_weighted_length, curve_weighted_length
 from .weights import (
     CumulativeDensity1D,
     Density,
-    QuadratureSpec,
-    DEFAULT_QUADRATURE,
     ZeroWeight,
     check_concavity,
-    integrate_weighted,
+    gaussian_ccdf,
+    gaussian_cdf,
+    gaussian_quantile,
 )
 
 __all__ = [
@@ -47,26 +47,6 @@ __all__ = [
 ]
 
 QUANTILE_CLIP = 1e-14
-
-
-def _gaussian_cdf(c: float, s) -> np.ndarray:
-    """CDF of the normalized Gaussian α e^{−cs²}, erfc form for both tails."""
-    return 0.5 * erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
-
-
-def _gaussian_ccdf(c: float, s) -> np.ndarray:
-    return 0.5 * erfc(math.sqrt(c) * np.asarray(s, dtype=float))
-
-
-def _gaussian_quantile(c: float, q: float, q_upper: float) -> float:
-    """Inverse Gaussian CDF, using whichever tail avoids cancellation."""
-    if q <= 0.0:
-        return -math.inf
-    if q_upper <= 0.0:
-        return math.inf
-    if q <= 0.5:
-        return float(-erfcinv(2.0 * q) / math.sqrt(c))
-    return float(erfcinv(2.0 * q_upper) / math.sqrt(c))
 
 
 @dataclass(frozen=True)
@@ -122,19 +102,23 @@ class TransportMap:
     def n_nodes(self) -> int:
         return self.s.size
 
+    @cached_property
+    def cumulative(self) -> CumulativeDensity1D:
+        """The target's 1-D measure engine, built once per map."""
+        return CumulativeDensity1D(self.target)
+
 
 def build_transport(
     density: Density,
     s_grid=None,
     grid_size: int = 2001,
     require_concave: bool = True,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> TransportMap:
     """Construct ρ = CDF₂⁻¹ ∘ CDF₁ on a sample grid of the source line.
 
-    CDF₁ is the closed-form Gaussian error function; the target quantile
-    is inverted from panel-accumulated partial masses, bracketed and
-    polished to CDF residual well below 1e−12 of total mass.  ρ′ comes
+    CDF₁ is the closed-form Gaussian error function; the target quantiles
+    come from one batched CumulativeDensity1D.quantile call, resolved to
+    about one ulp, and the engine stays cached on the map.  ρ′ comes
     from the change-of-variables identity, never from differences.
     Source quantiles outside [1e−14, 1−1e−14] are clipped with a warning
     (diagnostic tails, irrelevant at downstream tolerances).
@@ -147,15 +131,15 @@ def build_transport(
                 f"transport source requires a concave weight: {report.detail}"
             )
     if s_grid is None:
-        span = float(erfcinv(2e-13)) / math.sqrt(c)
+        span = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
         s = np.linspace(-span, span, grid_size)
     else:
         s = np.sort(np.asarray(s_grid, dtype=float))
     cum = CumulativeDensity1D(density)
     alpha = 1.0 / math.sqrt(math.pi / c)
     beta = 1.0 / cum.total
-    q = _gaussian_cdf(c, s)
-    q_up = _gaussian_ccdf(c, s)
+    q = gaussian_cdf(c, s)
+    q_up = gaussian_ccdf(c, s)
     clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
     n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
@@ -165,12 +149,11 @@ def build_transport(
         )
         q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
         q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-    rho = np.array([cum.quantile(qi, q_upper=qui) for qi, qui in zip(q, q_up)])
-    rho = np.maximum.accumulate(rho)
+    rho = np.maximum.accumulate(cum.quantile(q, q_up))
     w = density.weight
     drho = alpha * np.exp(-c * s * s) / (beta * np.exp(w.value(rho) - c * rho * rho))
     source = Density(ZeroWeight(), c, density.dim, (-math.inf, math.inf))
-    return TransportMap(
+    tmap = TransportMap(
         source=source,
         target=density,
         s=s,
@@ -180,6 +163,8 @@ def build_transport(
         beta=beta,
         n_clipped=n_clipped,
     )
+    tmap.__dict__["cumulative"] = cum  # seed the cached engine
+    return tmap
 
 
 @dataclass(frozen=True)
@@ -213,16 +198,12 @@ class PushforwardReport:
     residuals: np.ndarray
 
 
-def _inverse_map(tmap: TransportMap, cum: CumulativeDensity1D, d: float) -> float:
-    """ρ⁻¹(d) through the CDF relation, accurate in both tails."""
-    a, b = tmap.target.slab
-    if d <= a:
-        return -math.inf
-    if d >= b:
-        return math.inf
+def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
+    """ρ⁻¹(d) through the CDF relation, accurate in both tails; ∓∞ off (a, b)."""
+    cum = tmap.cumulative
     q = cum.mass_below(d) / cum.total
     q_up = cum.mass_above(d) / cum.total
-    return _gaussian_quantile(tmap.source.c, q, q_up)
+    return gaussian_quantile(tmap.source.c, q, q_up)
 
 
 def pushforward_check(
@@ -237,30 +218,22 @@ def pushforward_check(
     maps the endpoints back through the CDF relation and evaluates the
     closed-form Gaussian mass, so the two routes share no quadrature.
     """
-    cum = CumulativeDensity1D(tmap.target)
+    cum = tmap.cumulative
     a, b = tmap.target.slab
     if intervals is None:
         rng = np.random.default_rng(seed)
         levels = rng.uniform(1e-3, 1.0 - 1e-3, size=(n_intervals, 2))
         levels.sort(axis=1)
-        intervals = np.array(
-            [
-                [cum.quantile(lo), cum.quantile(hi)]
-                for lo, hi in levels
-            ]
-        )
+        intervals = cum.quantile(levels)
     else:
         intervals = np.atleast_2d(np.asarray(intervals, dtype=float))
-    residuals = np.empty(intervals.shape[0])
-    for j, (d1, d2) in enumerate(intervals):
-        if not (d1 <= d2):
-            raise DomainError("interval endpoints must satisfy d1 <= d2")
-        lo, hi = max(d1, a), min(d2, b)
-        mu2 = (cum.mass_below(hi) - cum.mass_below(lo)) / cum.total
-        s1 = _inverse_map(tmap, cum, d1)
-        s2 = _inverse_map(tmap, cum, d2)
-        mu1 = float(_gaussian_cdf(tmap.source.c, s2) - _gaussian_cdf(tmap.source.c, s1))
-        residuals[j] = abs(mu2 - mu1)
+    d1, d2 = intervals[:, 0], intervals[:, 1]
+    if not np.all(d1 <= d2):
+        raise DomainError("interval endpoints must satisfy d1 <= d2")
+    mu2 = cum.mass(np.maximum(d1, a), np.minimum(d2, b)) / cum.total
+    s = _inverse_map(tmap, intervals)
+    c = tmap.source.c
+    residuals = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
     return PushforwardReport(
         max_residual=float(np.max(residuals)) if residuals.size else 0.0,
         intervals=intervals,
@@ -283,8 +256,9 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     The product map T(z,s) = (z, ρ(s)) has surface Jacobian between ρ′
     and 1, so with ρ′ ≤ 1 the weighted perimeter of a curve dominates
     α/β times the Gaussian perimeter of its preimage.  Nodes are pulled
-    back individually through the CDF relation (wall nodes land at the
-    clipped quantile) and joined into a polyline.
+    back in one batch through the CDF relation and the map's cached
+    engine (wall nodes land at the clipped quantile) and joined into a
+    polyline.
     """
     density = tmap.target
     if density.dim != 2:
@@ -295,15 +269,8 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     if np.any(t < a - 1e-9 * scale) or np.any(t > b + 1e-9 * scale):
         raise DomainError("curve exits the slab")
     p_f = curve_weighted_length(density, curve)
-    cum = CumulativeDensity1D(density)
-    c = tmap.source.c
-    clip_span = float(erfcinv(2.0 * QUANTILE_CLIP)) / math.sqrt(c)
-    sigma = np.empty_like(t)
-    for i, ti in enumerate(t):
-        si = _inverse_map(tmap, cum, float(np.clip(ti, a, b)))
-        if not math.isfinite(si):
-            si = math.copysign(clip_span, si)
-        sigma[i] = min(max(si, -clip_span), clip_span)
+    clip_span = float(gaussian_quantile(tmap.source.c, 1.0 - QUANTILE_CLIP, QUANTILE_CLIP))
+    sigma = np.clip(_inverse_map(tmap, np.clip(t, a, b)), -clip_span, clip_span)
     pulled = np.stack([curve.points[:, 0], sigma], axis=-1)
     if curve.closed:
         pulled = np.vstack([pulled, pulled[:1]])

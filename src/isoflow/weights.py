@@ -16,8 +16,11 @@ where omega is a (usually concave) function of t alone.  This module owns
     truncation of unbounded intervals: the cutoff is chosen so that the
     tail mass of a Gaussian-type dominating bound is below a fraction of
     the absolute tolerance,
-  * a panelized Gauss-Legendre cumulative integral used wherever many
-    evaluations of t -> int_a^t e^{omega - c u^2} du are needed.
+  * the package's one 1-D measure engine, CumulativeDensity1D: a panelized
+    Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
+    positive vectorized integrand on a finite interval) with batched
+    masses and quantiles, each quantile resolved to about one ulp of t,
+  * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import erfc, erfcinv
 
-from .errors import DomainError, QuadratureError, SmoothnessError
+from .errors import ConsistencyError, DomainError, QuadratureError, SmoothnessError
 
 __all__ = [
     "Weight1D",
@@ -44,6 +47,9 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureReport",
     "gaussian_factor",
+    "gaussian_cdf",
+    "gaussian_ccdf",
+    "gaussian_quantile",
     "log_density",
     "log_density_gradient",
     "bakry_emery_curvature",
@@ -300,6 +306,27 @@ def gaussian_factor(k: int, c: float) -> float:
     return (math.pi / c) ** (k / 2.0)
 
 
+def gaussian_cdf(c: float, s):
+    """CDF of the normalized Gaussian sqrt(c/pi) e^{-c s^2}, exact in the lower tail."""
+    return 0.5 * erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
+
+
+def gaussian_ccdf(c: float, s):
+    """1 - gaussian_cdf(c, s), exact in the upper tail."""
+    return 0.5 * erfc(math.sqrt(c) * np.asarray(s, dtype=float))
+
+
+def gaussian_quantile(c: float, q, q_upper):
+    """s with gaussian_cdf(c, s) = q, from whichever tail avoids cancellation.
+
+    q_upper = 1 - q is passed separately so upper-tail quantiles keep full
+    relative accuracy; q = 0 and q_upper = 0 give -inf and +inf.
+    """
+    q = np.asarray(q, dtype=float)
+    q_upper = np.asarray(q_upper, dtype=float)
+    return np.where(q <= 0.5, -erfcinv(2.0 * q), erfcinv(2.0 * q_upper)) / math.sqrt(c)
+
+
 def log_density(density: Density, p) -> np.ndarray:
     """psi(p) = omega(t) - c |p|^2 for points p of shape (..., dim)."""
     p = np.asarray(p, dtype=float)
@@ -529,126 +556,155 @@ def _gauss_legendre_panels(breaks: np.ndarray, order: int):
     return nodes, weights
 
 
-class CumulativeDensity1D:
-    """t -> int_a^t e^{omega(u) - c u^2} du on the (truncated) slab.
+# bisection alone closes any bracket narrower than 2^26 to adjacent floats,
+# subnormals included, within this many steps
+_QUANTILE_MAX_STEPS = 1100
 
-    Panelwise Gauss-Legendre with a geometrically graded prefix toward a
-    log-power endpoint at 0.  Partial masses accumulate from the left for
-    the lower tail and from the right for the upper tail, so quantiles
-    stay accurate in both tails.
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """Flat per-point results back in the caller's shape; a float for a scalar."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+class CumulativeDensity1D:
+    """t -> int_lo^t g(u) du for a positive vectorized integrand g.
+
+    ``density`` is either a Density, integrating g = e^{omega(u) - c u^2}
+    over its slab cut to the sound tail interval, or a triple (g, lo, hi)
+    over a finite interval.  Panelwise Gauss-Legendre, with a geometrically
+    graded prefix toward a log-power endpoint at 0.  Partial masses
+    accumulate from the left for the lower tail and from the right for the
+    upper tail, so quantiles stay accurate in both tails.  Every query
+    takes a scalar (and returns a float) or an array of any shape.
     """
 
     def __init__(
         self,
-        density: Density,
+        density,
         n_panels: int = 600,
         order: int = 12,
         spec: QuadratureSpec = DEFAULT_QUADRATURE,
     ):
-        self.density = density
-        lo, hi = tail_interval(density, spec)
+        if isinstance(density, Density):
+            w, c = density.weight, density.c
+            self._fn = lambda t: np.exp(w.value(t) - c * t * t)
+            lo, hi = tail_interval(density, spec)
+            graded = isinstance(w, LogPowerWeight) and lo == 0.0
+        else:
+            self._fn, lo, hi = density
+            graded = False
         breaks = np.linspace(lo, hi, n_panels + 1)
-        if isinstance(density.weight, LogPowerWeight) and lo == 0.0:
+        if graded:
             # geometric grading over the first uniform panel
             first = breaks[1]
-            graded = first * 2.0 ** (-np.arange(40, 0, -1, dtype=float))
-            breaks = np.concatenate(([lo], graded, breaks[1:]))
+            prefix = first * 2.0 ** (-np.arange(40, 0, -1, dtype=float))
+            breaks = np.concatenate(([lo], prefix, breaks[1:]))
         self.breaks = breaks
         self.order = order
         nodes, wts = _gauss_legendre_panels(breaks, order)
-        vals = self._integrand(nodes)
-        panel = np.sum(vals * wts, axis=1)
-        self._panel = panel
+        panel = np.sum(self._fn(nodes) * wts, axis=1)
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
         self._glx, self._glw = np.polynomial.legendre.leggauss(order)
 
-    def _integrand(self, t):
-        w, c = self.density.weight, self.density.c
-        t = np.asarray(t, dtype=float)
-        return np.exp(w.value(t) - c * t * t)
+    def _partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i."""
+        out = np.zeros(a.shape)
+        live = b > a
+        mid = 0.5 * (a[live] + b[live])
+        half = 0.5 * (b[live] - a[live])
+        out[live] = half * (self._fn(mid[:, None] + half[:, None] * self._glx) @ self._glw)
+        return out
 
-    def _partial(self, a: float, b: float) -> float:
-        """GL integral over [a, b], a subinterval of one panel (or a few)."""
-        if b <= a:
-            return 0.0
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        nodes = mid + half * self._glx
-        return float(half * np.dot(self._glw, self._integrand(nodes)))
+    def _locate(self, t):
+        """Flattened t clamped to the breaks, its panel index, and its shape."""
+        shape = np.shape(t)
+        t = np.clip(np.asarray(t, dtype=float).ravel(), self.breaks[0], self.breaks[-1])
+        j = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self.breaks.size - 2)
+        return t, j, shape
 
-    def mass_below(self, t: float) -> float:
+    def mass_below(self, t):
         """int from the left edge to t, accumulated left-to-right."""
-        t = min(max(float(t), self.breaks[0]), self.breaks[-1])
-        j = int(np.searchsorted(self.breaks, t, side="right") - 1)
-        j = min(j, len(self.breaks) - 2)
-        return float(self._cum_left[j]) + self._partial(self.breaks[j], t)
+        t, j, shape = self._locate(t)
+        return _shaped(self._cum_left[j] + self._partial(self.breaks[j], t), shape)
 
-    def mass_above(self, t: float) -> float:
+    def mass_above(self, t):
         """int from t to the right edge, accumulated right-to-left."""
-        t = min(max(float(t), self.breaks[0]), self.breaks[-1])
-        j = int(np.searchsorted(self.breaks, t, side="right") - 1)
-        j = min(j, len(self.breaks) - 2)
-        return float(self._cum_right[j + 1]) + self._partial(t, self.breaks[j + 1])
+        t, j, shape = self._locate(t)
+        return _shaped(self._cum_right[j + 1] + self._partial(t, self.breaks[j + 1]), shape)
 
-    def mass(self, a: float, b: float) -> float:
+    def mass(self, a, b):
         return self.mass_below(b) - self.mass_below(a)
 
-    def quantile(self, q: float, q_upper: float | None = None) -> float:
-        """t with mass_below(t) = q * total.
+    def quantile(self, q, q_upper=None):
+        """t with mass_below(t) = q * total, for scalar or array q.
 
-        When the complementary probability q_upper = 1 - q is known exactly
-        (no cancellation), passing it keeps upper-tail quantiles accurate.
+        Passing the exactly known complement q_upper = 1 - q keeps
+        upper-tail quantiles accurate.  Each target is bracketed inside its
+        panel by the cumulative sums (from the left for q <= 1/2, from the
+        right otherwise), then polished by batched Newton steps with the
+        exact density, bisecting whenever a step leaves the bracket.  The
+        iteration stops on a zero residual, a step of at most one ulp, or a
+        bracket closed to adjacent floats, so the root is resolved to about
+        one ulp of t.  Raises ConsistencyError if the cumulative sums do
+        not bracket a target (a non-positive or non-finite integrand).
         """
+        shape = np.shape(q)
+        q = np.asarray(q, dtype=float).ravel()
         if q_upper is None:
             q_upper = 1.0 - q
-        if not (0.0 <= q <= 1.0):
-            raise DomainError("quantile probability must lie in [0, 1]")
-        lo, hi = float(self.breaks[0]), float(self.breaks[-1])
-        if q <= 0.0:
-            return lo
-        if q_upper <= 0.0:
-            return hi
-        from_left = q <= 0.5
-        if from_left:
-            target = q * self.total
-            fn = lambda t: self.mass_below(t) - target
         else:
-            target = q_upper * self.total
-            fn = lambda t: target - self.mass_above(t)
-        cum = self._cum_left if from_left else self.total - self._cum_right
-        j = int(np.searchsorted(cum, q * self.total, side="right") - 1)
-        j = min(max(j, 0), len(self.breaks) - 2)
-        a, b = float(self.breaks[j]), float(self.breaks[j + 1])
-        fa, fb = fn(a), fn(b)
-        if fa > 0.0 or fb < 0.0:  # guard against searchsorted edge slips
-            a, b = lo, hi
-        # bisection to a short bracket, then Newton with the exact density
-        t = 0.5 * (a + b)
-        for _ in range(80):
-            ft = fn(t)
-            if ft > 0.0:
-                b = t
-            else:
-                a = t
-            t = 0.5 * (a + b)
-            if b - a < 1e-6 * (1.0 + abs(t)):
+            q_upper = np.broadcast_to(np.asarray(q_upper, dtype=float), shape).ravel()
+        if not np.all((q >= 0.0) & (q <= 1.0)):
+            raise DomainError("quantile probability must lie in [0, 1]")
+        t = np.where(q_upper <= 0.0, self.breaks[-1], self.breaks[0])
+        live = np.nonzero((q > 0.0) & (q_upper > 0.0))[0]
+        if live.size:
+            t[live] = self._solve(q[live], q_upper[live])
+        return _shaped(t, shape)
+
+    def _solve(self, q: np.ndarray, q_upper: np.ndarray) -> np.ndarray:
+        # the lower half is solved on the mass below t, the upper half on
+        # the mass above t; r(t) below is increasing in t either way
+        left = q <= 0.5
+        target = np.where(left, q, q_upper) * self.total
+        j_left = np.searchsorted(self._cum_left, target, side="right") - 1
+        j_right = np.searchsorted(-self._cum_right, -target, side="right") - 1
+        j = np.clip(np.where(left, j_left, j_right), 0, self.breaks.size - 2)
+        # mass on the solved side up to panel j, and through it
+        base = np.where(left, self._cum_left[j], self._cum_right[j + 1])
+        through = np.where(left, self._cum_left[j + 1], self._cum_right[j])
+        if not np.all((base <= target) & (target <= through)):
+            raise ConsistencyError(
+                "quantile lost its bracket (non-positive or non-finite density?)"
+            )
+        edge_a, edge_b = self.breaks[j], self.breaks[j + 1]
+        # r(t) = offset + sign * (GL mass between t and the panel's base edge)
+        offset = np.where(left, base - target, target - base)
+        sign = np.where(left, 1.0, -1.0)
+        a, b = edge_a.copy(), edge_b.copy()
+        # start from linear interpolation of the mass across the panel
+        frac = (target - base) / (through - base)
+        t = np.where(left, a + (b - a) * frac, b - (b - a) * frac)
+        k = np.arange(t.size)
+        for _ in range(_QUANTILE_MAX_STEPS):
+            tk = t[k]
+            lk = left[k]
+            f = offset[k] + sign[k] * self._partial(
+                np.where(lk, edge_a[k], tk), np.where(lk, tk, edge_b[k])
+            )
+            a[k] = np.where(f < 0.0, tk, a[k])
+            b[k] = np.where(f > 0.0, tk, b[k])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = f / self._fn(tk)
+            newton = tk - step
+            inside = (a[k] < newton) & (newton < b[k])
+            done = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(tk))) | (
+                b[k] <= np.nextafter(a[k], np.inf)
+            )
+            t[k] = np.where(done, tk, np.where(inside, newton, 0.5 * (a[k] + b[k])))
+            k = k[~done]
+            if not k.size:
                 break
-        for _ in range(60):
-            ft = fn(t)
-            dens = float(self._integrand(t))
-            if dens <= 0.0:
-                break
-            step = ft / dens
-            if abs(step) <= 1e-16 * (1.0 + abs(t)):
-                break
-            t_next = t - step
-            if not (a <= t_next <= b):
-                t_next = 0.5 * (a + b)
-            if ft > 0.0:
-                b = t
-            elif ft < 0.0:
-                a = t
-            t = t_next
-        return float(t)
+        return t

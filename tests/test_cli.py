@@ -51,8 +51,10 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "[density]\nweight = zero\n[turbo]\nx = 1\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, "[density]\nflavor = spicy\n"))
+        # [run] threads was a knob no code path read; it is gone from the schema
+        for text in ("[density]\nflavor = spicy\n", "[run]\nthreads = 2\n"):
+            with pytest.raises(ConfigError):
+                load_config(write_cfg(tmp_path, text))
 
     def test_unparseable_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -81,6 +83,10 @@ class TestLoadConfig:
         )
         density = config.density()
         assert density.weight.value(0.0) == pytest.approx(0.3)
+
+    def test_log_power_exponent_kept_fractional(self, tmp_path):
+        text = "[density]\nweight = log_power\nparams = 2.5\nslab = 0, inf\n"
+        assert load_config(write_cfg(tmp_path, text)).density().weight.m == 2.5
 
     def test_infinite_slab_literals(self, tmp_path):
         config = load_config(write_cfg(tmp_path, "[density]\nweight = zero\nslab = -inf, inf\n"))
@@ -302,22 +308,6 @@ class TestDeterminism:
             assert main(["stability", "--config", GAUSSIAN_CFG, "--out", out]) == 0
             values.append(read_json(out, "stability.json")["metrics"]["vertical_sweep_min"])
         assert values[0] == values[1]
-
-
-class TestThreads:
-    def test_cli_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOFLOW_THREADS", "7")
-        out = str(tmp_path / "out")
-        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", out, "--threads", "3"]) == 0
-        resolved = load_config(os.path.join(out, "resolved.cfg"))
-        assert resolved.value("run", "threads") == 3
-
-    def test_environment_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOFLOW_THREADS", "7")
-        out = str(tmp_path / "out")
-        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", out]) == 0
-        resolved = load_config(os.path.join(out, "resolved.cfg"))
-        assert resolved.value("run", "threads") == 7
 
 
 class TestSubprocessEntry:

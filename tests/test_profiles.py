@@ -165,6 +165,17 @@ class TestBuildProfile:
         assert_allclose(p.v + p.v[::-1], p.v_total, rtol=1e-12)
 
 
+    def test_parallel_reflection_mirrors(self):
+        """t -> -t maps omega = a0 t on (a, b) to -a0 t on (-b, -a): the level
+        cutting volume v becomes minus the level cutting V_tot - v."""
+        for a0, slab in ((0.7, (-1.0, 2.0)), (1.0, (0.0, INF)), (-0.4, (-INF, INF))):
+            p = build_profile(Density(AffineWeight(a0), 0.5, 2, slab), "parallel")
+            mirror = Density(AffineWeight(-a0), 0.5, 2, (-slab[1], -slab[0]))
+            q = build_profile(mirror, "parallel")
+            assert_allclose(q.s, -p.s[::-1], rtol=0.0, atol=1e-12)
+            assert_allclose(q.F, p.F[::-1], rtol=1e-12)
+
+
 class TestCheckProfileOde:
     def test_perpendicular_equality(self):
         d = Density(QuadraticWeight(2.0, -0.3, 0.0), 0.5, 2, (-1.0, 3.0))

@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 from isoflow import (
     AffineWeight,
     ConsistencyError,
+    CumulativeDensity1D,
     Density,
     DomainError,
     LogPowerWeight,
@@ -71,6 +72,14 @@ class TestBuildTransport:
         lhs = m.alpha * np.exp(-0.5 * m.s**2)
         rhs = m.beta * np.exp(w.value(m.rho) - 0.5 * m.rho**2) * m.drho
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * m.alpha
+
+    def test_reflection_mirrors_map(self):
+        """t -> -t (a0 -> -a0, (a, b) -> (-b, -a)) gives rho_-(s) = -rho(-s)."""
+        for a0, slab in ((0.7, (-1.0, 2.0)), (1.0, (0.0, INF)), (-0.4, (-INF, INF))):
+            m = build_transport(Density(AffineWeight(a0), 0.5, 2, slab))
+            mirror = build_transport(Density(AffineWeight(-a0), 0.5, 2, (-slab[1], -slab[0])))
+            assert_allclose(m.s, -m.s[::-1], rtol=0.0, atol=1e-14)
+            assert_allclose(mirror.rho, -m.rho[::-1], rtol=0.0, atol=1e-12)
 
     def test_nonconcave_weight_rejected(self):
         d = Density(QuadraticWeight(-0.3, 0.0, 0.0), 0.5, 2, (-INF, INF))
@@ -199,6 +208,23 @@ class TestPerimeterBound:
             curve = polyline_curve(d, pts)
             worst = min(worst, transported_perimeter_bound(m, curve).slack)
         assert worst >= -1e-6
+
+    def test_engine_built_once_per_map(self, monkeypatch):
+        """build_transport's CumulativeDensity1D serves every later check."""
+        builds = []
+        init = CumulativeDensity1D.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
+        d = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
+        m = build_transport(d)
+        pushforward_check(m)
+        for x0 in np.linspace(-1.0, 1.0, 8):
+            transported_perimeter_bound(m, vertical_segment(d, x0, n=51))
+        assert len(builds) == 1
 
     def test_curve_outside_slab_rejected(self):
         d = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0))

@@ -13,6 +13,7 @@ from scipy.special import erf
 
 from isoflow import (
     AffineWeight,
+    ConsistencyError,
     CumulativeDensity1D,
     Density,
     DomainError,
@@ -330,19 +331,55 @@ class TestCumulativeDensity:
     def test_partial_masses_against_erf(self):
         d = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
         cum = CumulativeDensity1D(d)
-        for t in (-3.0, -0.5, 0.0, 0.7, 2.0):
+        ts = (-3.0, -0.5, 0.0, 0.7, 2.0)
+        for t in ts:
             assert_allclose(
                 cum.mass_below(t),
                 gaussian_mass(0.5, cum.breaks[0], t),
                 rtol=1e-12,
                 atol=1e-15,
             )
+        # a batched query agrees with the scalar ones up to summation order
+        batch = cum.mass_below(np.array([ts, ts[::-1]]))
+        assert batch.shape == (2, len(ts))
+        assert_allclose(batch[0], [cum.mass_below(t) for t in ts], rtol=4e-16, atol=0.0)
+        assert_allclose(batch[1] + cum.mass_above(np.array(ts[::-1])), cum.total, rtol=1e-15)
 
     def test_quantile_roundtrip_and_tails(self):
         d = Density(AffineWeight(1.0, 0.0), 0.5, 2, (-INF, INF))
         cum = CumulativeDensity1D(d)
         for q in (1e-12, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6):
             t = cum.quantile(q, 1.0 - q)
+            assert isinstance(t, float)
             assert_allclose(cum.mass_below(t) / cum.total, q, rtol=1e-9, atol=1e-15)
         # the shifted Gaussian has its median at the drift mean
         assert_allclose(cum.quantile(0.5), 1.0, atol=1e-12)
+        # batched round trip on the 14 sweep densities and a singular
+        # log-power one, both tails; the log-power lower tail lies in the
+        # graded first panel (for m = -0.8, at t ~ 1e-60).  Each side is
+        # checked on the mass it accumulates, to the quadrature's relative
+        # accuracy plus the mass of two ulps of t (roots are resolved to
+        # about one ulp).
+        lower = np.logspace(-12.0, math.log10(0.5), 40)
+        q = np.concatenate([lower, 1.0 - lower[-2::-1]])
+        q_up = np.concatenate([1.0 - lower, lower[-2::-1]])
+        slabs = ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
+        sweep = [
+            (w, slab) for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
+            for slab in slabs
+        ] + [(LogPowerWeight(m), (0.0, b)) for m, b in ((2.0, 1.0), (2.0, INF), (-0.8, INF))]
+        for weight, slab in sweep:
+            d = Density(weight, 0.5, 2, slab)
+            cum = CumulativeDensity1D(d)
+            t = cum.quantile(q, q_up)
+            assert t.shape == q.shape and np.all(np.diff(t) > 0.0)
+            ulp_mass = np.exp(weight.value(t) - 0.5 * t * t) * np.spacing(np.abs(t))
+            got = np.where(q <= 0.5, cum.mass_below(t), cum.mass_above(t))
+            want = np.minimum(q, q_up) * cum.total
+            assert np.all(np.abs(got - want) <= 1e-12 * want + 2.0 * ulp_mass), slab
+
+    def test_lost_bracket_raises(self):
+        with np.errstate(invalid="ignore"):
+            cum = CumulativeDensity1D((np.sqrt, -1.0, 1.0))  # NaN left of 0
+            with pytest.raises(ConsistencyError):
+                cum.quantile(np.array([0.25, 0.75]))
