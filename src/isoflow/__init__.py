@@ -48,6 +48,7 @@ from .optimize import (
     shape_gradient,
     stationarity_report,
     trace_csv,
+    vertical_chord_length,
     weighted_length,
 )
 from .profiles import (

@@ -40,6 +40,7 @@ from .optimize import (
     make_straight_chord,
     minimize,
     trace_csv,
+    vertical_chord_length,
 )
 from .profiles import build_profile, check_profile_ode, compare_profiles, profile_csv
 from .spectrum import build_spectral_problem, poincare_certify, spectral_gap_1d, spectrum_csv
@@ -51,8 +52,6 @@ from .weights import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     ZeroWeight,
-    gaussian_factor,
-    gaussian_quantile,
     total_weighted_volume,
 )
 
@@ -530,8 +529,6 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
     fraction = float(config.value("optimize", "target_fraction"))
     if not (0.0 < fraction < 1.0):
         raise ConfigError("optimize target_fraction must lie in (0, 1)")
-    v_total = total_weighted_volume(density)
-    target = fraction * v_total
     chord = make_straight_chord(
         density,
         x_bottom=float(config.value("optimize", "x_bottom")),
@@ -539,17 +536,14 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
         n_controls=int(config.value("optimize", "n_controls")),
     )
     optimizer = OptimizerConfig(
-        target_area=target,
+        target_area=fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
         gradient_tolerance=float(config.value("optimize", "gradient_tolerance")),
     )
     final, trace = minimize(density, optimizer, chord)
     _atomic_write(os.path.join(out_dir, "optimize_trace.csv"), trace_csv(trace))
     _atomic_write(os.path.join(out_dir, "chord.csv"), curve_csv(chord_curve(density, final)))
-    # perpendicular profile at the target volume: G(v) = (pi/c)^{(n-1)/2} M e^{-c s^2}
-    # with s the Gaussian quantile of v / V_tot = fraction
-    s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
-    benchmark = v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
+    benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
     if trace.status != "converged":

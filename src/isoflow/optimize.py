@@ -16,6 +16,7 @@ perpendicular profile value at the target area.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve, _trapezoid_weights
-from .weights import Density, gaussian_cdf, log_density, log_density_gradient, tail_interval
+from .weights import Density, gaussian_cdf, gaussian_factor, gaussian_quantile, log_density
+from .weights import log_density_gradient, tail_interval, total_weighted_volume
 
 __all__ = [
     "ChordSpline",
@@ -39,29 +41,52 @@ __all__ = [
     "shape_gradient",
     "stationarity_report",
     "trace_csv",
+    "vertical_chord_length",
     "weighted_length",
 ]
 
 _QUAD_SUBPANELS = 12
 _QUAD_ORDER = 16
-_QUAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _quad_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes whose panels are aligned with the m spline
-    knots.  Alignment matters because spline curvature has derivative
-    kinks at the knots; the high panel count matters because the
-    arclength factor (1 + x'²)^{±3/2} has complex branch points that
-    approach the real axis wherever the curve turns steeply."""
-    if m not in _QUAD_CACHE:
+@dataclass(frozen=True)
+class _SplineOperator:
+    """Quadrature nodes and weights and the spline basis B_j at the nodes of m knots."""
+
+    theta: np.ndarray  # quadrature nodes
+    weights: np.ndarray  # quadrature weights
+    value: np.ndarray  # (nodes, m): B_j(θ_i)
+    d1: np.ndarray  # B_j′(θ_i)
+    d2: np.ndarray  # B_j″(θ_i)
+    ends: np.ndarray  # (2, m): B_j′ at θ = 0 and θ = 1
+
+
+_OPERATORS: dict[int, _SplineOperator] = {}
+
+
+def _operator(m: int) -> _SplineOperator:
+    """Spline operators at Gauss-Legendre nodes aligned with the m knots.
+
+    The not-a-knot spline through (knot_j, y_j) is linear in y, so one
+    spline through the identity matrix gives every B_j; a chord's values
+    and θ-derivatives are then matrix products with its controls.  Knot
+    alignment matters because spline curvature has derivative kinks at
+    the knots; the high panel count matters because the arclength factor
+    (1 + x'²)^{±3/2} has complex branch points that approach the real
+    axis wherever the curve turns steeply.  Built once per m.
+    """
+    if m not in _OPERATORS:
         x, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
         edges = np.linspace(0.0, 1.0, (m - 1) * _QUAD_SUBPANELS + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        basis = CubicSpline(np.linspace(0.0, 1.0, m), np.eye(m))
         weights = (half[:, None] * w[None, :]).ravel()
-        _QUAD_CACHE[m] = (theta, weights)
-    return _QUAD_CACHE[m]
+        _OPERATORS[m] = _SplineOperator(
+            theta, weights, basis(theta), basis(theta, 1), basis(theta, 2), basis([0.0, 1.0], 1)
+        )
+    return _OPERATORS[m]
 
 
 def _segments_intersect(p: np.ndarray) -> bool:
@@ -138,14 +163,19 @@ class ChordSpline:
     def knots(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.control_x.size)
 
-    def _splines(self) -> tuple[CubicSpline, CubicSpline]:
-        k = self.knots
-        return CubicSpline(k, self.control_x), CubicSpline(k, self.control_t)
+    @property
+    def controls(self) -> np.ndarray:
+        """(m, 2) array of the (x, t) control values."""
+        return np.column_stack([self.control_x, self.control_t])
 
-    def position(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        sx, st = self._splines()
-        theta = np.asarray(theta, dtype=float)
-        return sx(theta), st(theta)
+    @functools.cached_property
+    def _spline(self) -> CubicSpline:
+        return CubicSpline(self.knots, self.controls)
+
+    def position(self, theta, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(x, t) at arbitrary parameters θ, or their nu-th θ-derivatives."""
+        xt = self._spline(np.asarray(theta, dtype=float), nu)
+        return xt[..., 0], xt[..., 1]
 
     def translated(self, tau: float) -> "ChordSpline":
         return ChordSpline(
@@ -176,20 +206,44 @@ def make_straight_chord(
     )
 
 
+def vertical_chord_length(density: Density, fraction: float) -> float:
+    """Weighted length of the vertical chord left of which lies `fraction`
+    of the mass: the perpendicular profile value V_tot·√(c/π)·e^{−cs²},
+    s the Gaussian quantile of the fraction."""
+    s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
+    v_total = total_weighted_volume(density)
+    return v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
+
+
 def _chord_fields(density: Density, chord: ChordSpline):
     """Spline geometry and density values at the quadrature nodes."""
-    theta, qw = _quad_nodes(chord.n_controls)
-    sx, st = chord._splines()
-    x = sx(theta)
-    t = st(theta)
-    dx, dt = sx(theta, 1), st(theta, 1)
-    d2x, d2t = sx(theta, 2), st(theta, 2)
+    op = _operator(chord.n_controls)
+    (x, t), (dx, dt), (d2x, d2t) = ((b @ chord.controls).T for b in (op.value, op.d1, op.d2))
     speed = np.hypot(dx, dt)
     if np.any(speed <= 1e-12):
         raise GeometryError("chord parametrization degenerates (zero speed)")
     pts = np.stack([x, t], axis=-1)
     f = np.exp(log_density(density, pts))
-    return qw, x, t, dx, dt, d2x, d2t, speed, pts, f
+    return op.weights, x, t, dx, dt, d2x, d2t, speed, pts, f
+
+
+def _f_mean_curvature(density: Density, fields) -> np.ndarray:
+    """H_f = k − ⟨∇ψ, N⟩, k = (x′t″ − t′x″)/|γ′|³, N = (−t′, x′)/|γ′| at the nodes."""
+    _, _, _, dx, dt, d2x, d2t, speed, pts, _ = fields
+    k = (dx * d2t - dt * d2x) / speed**3
+    grad_psi = log_density_gradient(density, pts)
+    return k - (grad_psi[:, 0] * (-dt / speed) + grad_psi[:, 1] * (dx / speed))
+
+
+def _area_kernel(density: Density, fields) -> np.ndarray:
+    """Node weights qw·e^{ω(t)−ct²}·t′·√(π/c) with V_f = Σ kernel · Φ_c(x).
+
+    The horizontal antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ
+    turns the weighted area into the line integral ∫ G t′ dθ along the
+    chord; only x enters Φ_c, so a translation leaves the kernel fixed."""
+    qw, _, t, _, dt, *_ = fields
+    vertical = np.exp(density.weight.value(t) - density.c * t * t)
+    return qw * vertical * dt * math.sqrt(math.pi / density.c)
 
 
 def weighted_length(density: Density, chord: ChordSpline) -> float:
@@ -199,34 +253,10 @@ def weighted_length(density: Density, chord: ChordSpline) -> float:
 
 
 def enclosed_area(density: Density, chord: ChordSpline) -> float:
-    """V_f(E) for E left of the chord, by the flux form of the area.
-
-    The horizontal antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ
-    turns the weighted area into the line integral ∫ G t′ dθ along the
-    chord, exact for any simple chord whether or not it is a graph.
-    """
-    qw, x, t, _, dt, *_ = _chord_fields(density, chord)
-    w = density.weight
-    vertical = np.exp(w.value(t) - density.c * t * t)
-    g = math.sqrt(math.pi / density.c) * gaussian_cdf(density.c, x)
-    return float(np.sum(qw * vertical * g * dt))
-
-
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _basis(m: int) -> np.ndarray:
-    """B_j at the quadrature nodes for the interpolating spline basis."""
-    if m not in _BASIS_CACHE:
-        theta, _ = _quad_nodes(m)
-        k = np.linspace(0.0, 1.0, m)
-        basis = np.empty((m, theta.size))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            basis[j] = CubicSpline(k, e)(theta)
-        _BASIS_CACHE[m] = basis
-    return _BASIS_CACHE[m]
+    """V_f(E) for E left of the chord, by the flux form of the area,
+    exact for any simple chord whether or not it is a graph."""
+    fields = _chord_fields(density, chord)
+    return float(np.sum(_area_kernel(density, fields) * gaussian_cdf(density.c, fields[1])))
 
 
 def shape_gradient(density: Density, chord: ChordSpline):
@@ -241,35 +271,23 @@ def shape_gradient(density: Density, chord: ChordSpline):
     parametric mode the vertical analogue (W = B_j e_t, interior j) is
     returned as well; graph chords return zero vertical gradients.
     """
-    qw, x, t, dx, dt, d2x, d2t, speed, pts, f = _chord_fields(density, chord)
-    k = (dx * d2t - dt * d2x) / speed**3
-    grad_psi = log_density_gradient(density, pts)
-    n_x, n_t = -dt / speed, dx / speed
-    hf = k - (grad_psi[:, 0] * n_x + grad_psi[:, 1] * n_t)
-    basis = _basis(chord.n_controls)
+    fields = _chord_fields(density, chord)
+    qw, _, _, dx, dt, *_, f = fields
+    hf = _f_mean_curvature(density, fields)
+    basis = _operator(chord.n_controls).value.T
     dp_x = basis @ (qw * hf * f * dt)
     dv_x = basis @ (qw * f * dt)
     # wall sliding terms: the endpoint controls move the contact point
     # along the wall, contributing f ⟨T, e_x⟩ with outward sign
-    f_ends = np.exp(log_density(density, np.stack(chord.position([0.0, 1.0]), axis=-1)))
-    sx, st = chord._splines()
-    tang = np.array(
-        [
-            [sx(0.0, 1), st(0.0, 1)],
-            [sx(1.0, 1), st(1.0, 1)],
-        ],
-        dtype=float,
-    )
+    f_ends = np.exp(log_density(density, chord.controls[[0, -1]]))
+    tang = _operator(chord.n_controls).ends @ chord.controls  # γ′(0), γ′(1)
     tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
     dp_x[0] += -f_ends[0] * tang[0, 0]
     dp_x[-1] += f_ends[1] * tang[1, 0]
-    dp_t = np.zeros_like(dp_x)
-    dv_t = np.zeros_like(dv_x)
-    if not chord.graph:
-        dp_t = basis @ (-qw * hf * f * dx)
-        dv_t = basis @ (-qw * f * dx)
-        dp_t[0] = dp_t[-1] = 0.0
-        dv_t[0] = dv_t[-1] = 0.0
+    dp_t, dv_t = np.zeros_like(dp_x), np.zeros_like(dv_x)
+    if not chord.graph:  # interior vertical controls; the end ones stay on the walls
+        dp_t[1:-1] = basis[1:-1] @ (-qw * hf * f * dx)
+        dv_t[1:-1] = basis[1:-1] @ (-qw * f * dx)
     return dp_x, dv_x, dp_t, dv_t
 
 
@@ -280,7 +298,6 @@ class OptimizerConfig:
     target_area: float
     max_iterations: int = 400
     gradient_tolerance: float = 1e-6
-    area_tolerance: float = 1e-10
     armijo_slope: float = 1e-4
     backtrack_factor: float = 0.5
     max_backtracks: int = 40
@@ -313,17 +330,13 @@ class StationarityReport:
 
 
 def stationarity_report(density: Density, chord: ChordSpline) -> StationarityReport:
-    qw, x, t, dx, dt, d2x, d2t, speed, pts, f = _chord_fields(density, chord)
-    k = (dx * d2t - dt * d2x) / speed**3
-    grad_psi = log_density_gradient(density, pts)
-    hf = k - (grad_psi[:, 0] * (-dt / speed) + grad_psi[:, 1] * (dx / speed))
+    fields = _chord_fields(density, chord)
+    qw, *_, speed, _, f = fields
+    hf = _f_mean_curvature(density, fields)
     spread = float(np.max(hf) - np.min(hf))
     mean = float(np.mean(hf))
-    sx, st = chord._splines()
-    angles = []
-    for theta in (0.0, 1.0):
-        tx, tt = float(sx(theta, 1)), float(st(theta, 1))
-        angles.append(math.degrees(abs(math.atan2(abs(tx), abs(tt)))))
+    tangents = _operator(chord.n_controls).ends @ chord.controls
+    angles = [math.degrees(abs(math.atan2(abs(tx), abs(tt)))) for tx, tt in tangents]
     stationary = spread <= 1e-3 * (1.0 + abs(mean)) and max(angles) <= 0.5
     return StationarityReport(
         stationary=stationary,
@@ -339,31 +352,27 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     """Translate horizontally until the enclosed area matches the target.
 
     Translation moves weighted area strictly monotonically, so a bracket
-    always exists; the root is polished by Brent iteration.
+    always exists; the root is polished by Brent iteration.  The area
+    kernel is frozen across the search, so each probe is one Gaussian
+    CDF per node and only the root becomes a new chord.
     """
+    fields = _chord_fields(density, chord)
+    kernel, x = _area_kernel(density, fields), fields[1]
+
     def offset_error(tau: float) -> float:
-        return enclosed_area(density, chord.translated(tau)) - target
+        return float(np.sum(kernel * gaussian_cdf(density.c, x + tau))) - target
 
     err0 = offset_error(0.0)
     if abs(err0) <= 1e-15 * (1.0 + target):
         return chord
-    step = 0.25
-    lo = hi = 0.0
-    if err0 < 0.0:
-        hi = step
-        while offset_error(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e3:
-                raise DomainError("area restoration bracket failed (target too large)")
-        lo = hi / 2.0 if hi > step else 0.0
-    else:
-        lo = -step
-        while offset_error(lo) > 0.0:
-            lo *= 2.0
-            if lo < -1e3:
-                raise DomainError("area restoration bracket failed (target too small)")
-        hi = lo / 2.0 if lo < -step else 0.0
-    tau = brentq(offset_error, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    step = 0.25 if err0 < 0.0 else -0.25
+    while np.sign(offset_error(step)) == np.sign(err0):
+        step *= 2.0
+        if abs(step) > 1e3:
+            too = "large" if step > 0.0 else "small"
+            raise DomainError(f"area restoration bracket failed (target too {too})")
+    inner = step / 2.0 if abs(step) > 0.25 else 0.0
+    tau = brentq(offset_error, min(inner, step), max(inner, step), xtol=1e-14, rtol=8.9e-16)
     return chord.translated(float(tau))
 
 
@@ -428,22 +437,13 @@ def _pack(chord: ChordSpline) -> np.ndarray:
     return np.concatenate([chord.control_x, chord.control_t[1:-1]])
 
 
-def _box_project(chord: ChordSpline, params: np.ndarray) -> np.ndarray:
-    """Clip the vertical control block to the slab (box feasibility)."""
-    if chord.graph:
-        return params
-    out = params.copy()
-    a, b = chord.span
-    out[chord.n_controls:] = np.clip(out[chord.n_controls:], a, b)
-    return out
-
-
 def _unpack(chord: ChordSpline, params: np.ndarray) -> ChordSpline:
+    """Inverse of _pack; the vertical controls are clipped to the slab (box feasibility)."""
     m = chord.n_controls
     if chord.graph:
         return ChordSpline(params.copy(), chord.control_t, chord.span, graph=True)
     ct = chord.control_t.copy()
-    ct[1:-1] = params[m:]
+    ct[1:-1] = np.clip(params[m:], *chord.span)
     return ChordSpline(params[:m].copy(), ct, chord.span, graph=False)
 
 
@@ -493,8 +493,7 @@ def minimize(
     prev_grad = None
     step0 = config.initial_step
     for it in range(config.max_iterations):
-        grads = shape_gradient(density, chord)
-        direction, gnorm = _projected_direction(chord, grads)
+        direction, gnorm = _projected_direction(chord, shape_gradient(density, chord))
         length = weighted_length(density, chord)
         area_err = abs(enclosed_area(density, chord) - config.target_area)
         rows.append((it, length, area_err, gnorm))
@@ -519,7 +518,7 @@ def minimize(
         alpha = step
         for _ in range(config.max_backtracks):
             try:
-                trial = _unpack(chord, _box_project(chord, params + alpha * direction))
+                trial = _unpack(chord, params + alpha * direction)
                 trial = _restore_area(density, trial, config.target_area)
             except (GeometryError, DomainError):
                 alpha *= config.backtrack_factor
@@ -566,17 +565,16 @@ def chord_curve(density: Density, chord: ChordSpline, n: int = 401) -> DiscreteC
     """
     if n < 3:
         raise GeometryError("need at least 3 nodes")
-    sx, st = chord._splines()
     theta_dense = np.linspace(0.0, 1.0, 4097)
-    speed_dense = np.hypot(sx(theta_dense, 1), st(theta_dense, 1))
+    speed_dense = np.hypot(*chord.position(theta_dense, 1))
     s_dense = np.concatenate(
         ([0.0], np.cumsum(0.5 * (speed_dense[1:] + speed_dense[:-1]) * np.diff(theta_dense)))
     )
     theta = np.interp(np.linspace(0.0, s_dense[-1], n), s_dense, theta_dense)
     theta[0], theta[-1] = 0.0, 1.0
-    x, t = sx(theta), st(theta)
-    dx, dt = sx(theta, 1), st(theta, 1)
-    d2x, d2t = sx(theta, 2), st(theta, 2)
+    x, t = chord.position(theta)
+    dx, dt = chord.position(theta, 1)
+    d2x, d2t = chord.position(theta, 2)
     speed = np.hypot(dx, dt)
     a, b = density.slab
     points = np.stack((x, np.clip(t, a, b)), axis=-1)

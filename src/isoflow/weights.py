@@ -285,8 +285,15 @@ class Density:
         lo, hi = self.weight.domain
         if a < lo or b > hi:
             raise ValueError("slab must lie inside the weight domain")
-        if isinstance(self.weight, LogPowerWeight) and a < 0.0:
+        w = self.weight
+        if isinstance(w, LogPowerWeight) and a < 0.0:
             raise ValueError("log-power densities need slab with a >= 0")
+        # integrability: t^m near 0 needs m > -1, an infinite side c + kappa > 0
+        if isinstance(w, LogPowerWeight) and a == 0.0 and w.m <= -1.0:
+            raise DomainError("density is not integrable: log-power m <= -1 at t = 0")
+        infinite = math.isinf(a) or math.isinf(b)
+        if isinstance(w, QuadraticWeight) and infinite and self.c + w.kappa <= 0.0:
+            raise DomainError("density is not integrable: c + kappa <= 0")
 
     @property
     def n(self) -> int:
@@ -416,11 +423,8 @@ def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> 
     w, c = density.weight, density.c
     a, b = density.slab
     if isinstance(w, QuadraticWeight):
-        # exact completion of the square; diagnostics with kappa < 0 stay
-        # integrable only while c + kappa > 0
+        # exact completion of the square; Density guarantees c + kappa > 0
         c_eff = c + w.kappa
-        if c_eff <= 0.0:
-            raise DomainError("density is not integrable: c + kappa <= 0")
         drift, log_amp = (w.a0, w.b0) if right else (-w.a0, w.b0)
         cut = _gaussian_tail_cutoff(c_eff, drift, log_amp, eps)
         cut += pad / math.sqrt(c_eff)
@@ -451,17 +455,18 @@ def tail_interval(
     """Effective finite interval replacing infinite endpoints of the slab.
 
     The discarded tail carries weighted mass below spec.tail_fraction *
-    spec.abs_tol by the dominating-Gaussian bound.
+    spec.abs_tol by the dominating-Gaussian bound.  A slab whose whole
+    mass lies below that bound has no such interval (DomainError).
     """
     a, b = density.slab
     lo = a if lo is None else max(float(lo), a)
     hi = b if hi is None else min(float(hi), b)
     eps = spec.tail_fraction * spec.abs_tol
-    if math.isinf(hi):
-        hi = _one_sided_cutoff(density, True, eps, spec.tail_pad)
-    if math.isinf(lo):
-        lo = _one_sided_cutoff(density, False, eps, spec.tail_pad)
-    return lo, hi
+    cut_a = _one_sided_cutoff(density, False, eps, spec.tail_pad) if math.isinf(a) else a
+    cut_b = _one_sided_cutoff(density, True, eps, spec.tail_pad) if math.isinf(b) else b
+    if cut_a >= cut_b:
+        raise DomainError("slab mass below the tail tolerance")
+    return (cut_a if math.isinf(lo) else lo), (cut_b if math.isinf(hi) else hi)
 
 
 def _graded_points(density: Density, lo: float, hi: float) -> list[float] | None:

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+import isoflow.optimize as opt
 from isoflow.errors import ConfigError, DomainError, GeometryError
 from isoflow.optimize import (
     ChordSpline,
@@ -22,6 +24,7 @@ from isoflow.optimize import (
     shape_gradient,
     stationarity_report,
     trace_csv,
+    vertical_chord_length,
     weighted_length,
 )
 from isoflow.weights import (
@@ -29,6 +32,7 @@ from isoflow.weights import (
     LogPowerWeight,
     QuadraticWeight,
     ZeroWeight,
+    gaussian_quantile,
     total_weighted_volume,
 )
 
@@ -169,6 +173,19 @@ class TestWeightedLength:
             weighted_length(density, graph), rel=1e-13
         )
 
+    @pytest.mark.parametrize("fraction", [0.5, 0.3, 0.07])
+    def test_vertical_chord_length_closed_form(self, fraction):
+        # against the quadrature of the vertical chord at the same area
+        density = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0))
+        v_tot = total_weighted_volume(density)
+        s = float(gaussian_quantile(0.5, fraction, 1.0 - fraction))
+        chord = make_straight_chord(density, s)
+        assert enclosed_area(density, chord) == pytest.approx(fraction * v_tot, rel=1e-12)
+        want = weighted_length(density, chord)
+        assert vertical_chord_length(density, fraction) == pytest.approx(want, rel=1e-12)
+        if fraction == 0.5:
+            assert want == pytest.approx(QUAD_SLAB_MASS, rel=1e-14)
+
 
 class TestEnclosedArea:
     def test_median_vertical_chord_halves_the_mass(self):
@@ -193,13 +210,12 @@ class TestEnclosedArea:
         from scipy.integrate import dblquad
 
         ch = bent_chord()
-        sx, _ = ch._splines()
         want = dblquad(
             lambda x, t: math.exp(-0.5 * (x * x + t * t)),
             0.0,
             1.0,
             lambda t: -12.0,
-            lambda t: float(sx(t)),
+            lambda t: float(ch.position(t)[0]),
         )[0]
         assert enclosed_area(unit_slab(), ch) == pytest.approx(want, rel=1e-8)
 
@@ -291,6 +307,54 @@ class TestShapeGradient:
         _, _, dp_t, dv_t = shape_gradient(unit_slab(), bent_chord())
         assert not np.any(dp_t)
         assert not np.any(dv_t)
+
+
+class TestSplineOperators:
+    @pytest.mark.parametrize("m", [4, 12, 64])
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_fields_match_direct_spline(self, m, graph):
+        # the cached operators are one spline through the identity matrix;
+        # per-chord splines through the controls are the independent oracle.
+        # Errors are scaled by the summed term size 1 + Σ_j |B_ij y_j|, not
+        # by 1 + |value|: t″ of a graph chord is exactly 0 yet at m = 64 a
+        # sum of ±1e4 terms, so both evaluations round at the 1e-11 level.
+        rng = np.random.default_rng(m)
+        density = symmetric_slab()
+        ct = np.linspace(-1.0, 1.0, m)
+        if not graph:
+            ct[1:-1] += rng.uniform(-0.4, 0.4, m - 2) * (2.0 / (m - 1))
+        ch = ChordSpline(0.3 * rng.standard_normal(m), ct, (-1.0, 1.0), graph=graph)
+        _, x, t, dx, dt, d2x, d2t, *_ = opt._chord_fields(density, ch)
+        op = opt._operator(m)
+        ends = op.ends @ ch.controls
+        for got, controls, nu, basis, theta in [
+            (x, ch.control_x, 0, op.value, op.theta), (t, ch.control_t, 0, op.value, op.theta),
+            (dx, ch.control_x, 1, op.d1, op.theta), (dt, ch.control_t, 1, op.d1, op.theta),
+            (d2x, ch.control_x, 2, op.d2, op.theta), (d2t, ch.control_t, 2, op.d2, op.theta),
+            (ends[:, 0], ch.control_x, 1, op.ends, [0.0, 1.0]),
+            (ends[:, 1], ch.control_t, 1, op.ends, [0.0, 1.0]),
+        ]:
+            want = CubicSpline(ch.knots, controls)(theta, nu)
+            scale = 1.0 + np.abs(basis) @ np.abs(controls)
+            assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+    def test_minimize_builds_one_spline(self, monkeypatch):
+        """A graph-chord descent evaluates every chord through the operators."""
+        builds = []
+        real = opt.CubicSpline
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "CubicSpline", counting)
+        monkeypatch.setattr(opt, "_OPERATORS", {}, raising=False)
+        density = symmetric_slab()
+        target = 0.5 * total_weighted_volume(density)
+        _, trace = minimize(density, OptimizerConfig(target_area=target),
+                            make_straight_chord(density, -0.3, 0.4))
+        assert trace.status == "converged"
+        assert len(builds) == 1
 
 
 class TestOptimizerConfig:

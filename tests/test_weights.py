@@ -315,6 +315,39 @@ class TestDensityValidation:
         with pytest.raises(DomainError):
             log_density(d, [0.0, -1.0])
 
+    @pytest.mark.parametrize("m", [-1.0, -1.5, -3.0])
+    def test_non_integrable_log_power_rejected(self, m):
+        # t^m is not integrable at 0 for m <= -1; away from 0 it is
+        for slab in [(0.0, 1.0), (0.0, INF)]:
+            with pytest.raises(DomainError, match="not integrable"):
+                Density(LogPowerWeight(m), 0.5, 2, slab)
+        d = Density(LogPowerWeight(m), 0.5, 2, (0.5, 2.0))
+        assert CumulativeDensity1D(d).total == pytest.approx(integrate_weighted(d), rel=1e-10)
+
+    def test_barely_integrable_log_power_accepted(self):
+        d = Density(LogPowerWeight(-0.99), 0.5, 2, (0.0, 1.0))
+        assert integrate_weighted(d) > 0.0
+
+    @pytest.mark.parametrize("slab", [(-INF, INF), (0.0, INF), (-INF, 0.0)])
+    def test_quadratic_needs_c_plus_kappa_positive_on_infinite_slabs(self, slab):
+        for kappa in (-0.5, -0.8):
+            with pytest.raises(DomainError, match="c \\+ kappa"):
+                Density(QuadraticWeight(kappa, 0.3, 0.0), 0.5, 2, slab)
+        # a bounded slab keeps any kappa integrable
+        d = Density(QuadraticWeight(-0.8, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
+        assert integrate_weighted(d) > 0.0
+
+    def test_slab_mass_below_tail_tolerance_rejected(self):
+        # the whole slab lies beyond the tail cutoff, so truncating its
+        # infinite side leaves no interval (not lo > hi and zero mass)
+        d = Density(QuadraticWeight(1.5498, 2.5101, -0.3587), 3.928, 2, (-INF, -3.2026))
+        with pytest.raises(DomainError, match="tail tolerance"):
+            tail_interval(d)
+        with pytest.raises(DomainError, match="tail tolerance"):
+            integrate_weighted(d)
+        with pytest.raises(DomainError, match="tail tolerance"):
+            CumulativeDensity1D(d)
+
 
 class TestCumulativeDensity:
     def test_total_matches_adaptive_quadrature(self):
