@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import ConsistencyError, DomainError, GeometryError
 from .weights import (
@@ -32,6 +32,7 @@ from .weights import (
 )
 
 __all__ = [
+    "CubicSpline",
     "DiscreteCurve",
     "IndexFormReport",
     "StabilityVerdict",
@@ -424,6 +425,72 @@ def cmc_shoot(
 
 # ---------------------------------------------------------------------------
 # Jacobi identity and index forms
+
+
+class CubicSpline:
+    """C² cubic interpolant through (x_i, y_i), y with any trailing axes.
+
+    bc_type is "not-a-knot" or "periodic" (y[0] == y[-1]).  Built and
+    evaluated step for step as scipy.interpolate.CubicSpline (tridiagonal
+    knot slopes, Hermite coefficients, power sums in the offset from the
+    left knot), so not-a-knot values and derivatives agree bit for bit.
+    """
+
+    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        n, dx = x.size, np.diff(x)
+        periodic = bc_type == "periodic"
+        if (bc_type not in ("not-a-knot", "periodic") or n < 3 + periodic or y.shape[0] != n
+                or np.any(dx <= 0.0) or (periodic and np.any(y[0] != y[-1]))):
+            raise ValueError("need increasing knots, matching values and a known bc_type")
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        ab = np.zeros((3, n))  # diagonals of the slope system
+        ab[1, 1:-1], ab[0, 2:], ab[-1, :-2] = 2 * (dx[:-1] + dx[1:]), dx[:-1], dx[1:]
+        rhs = np.empty_like(y)
+        rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if periodic:  # cyclic system: two banded solves and a rank-one correction
+            ab = ab[:, :-1]
+            ab[1, 0], ab[0, 1] = 2 * (dx[-1] + dx[0]), dx[-1]
+            rhs[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
+            rhs[-2] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
+            corner = np.zeros((n - 2, 1))
+            corner[0], corner[-1] = -dx[0], -dx[-3]
+            both = solve_banded((1, 1), ab[:, :-1], np.hstack((rhs[:-2].reshape(n - 2, -1), corner)),
+                                check_finite=False)
+            s1, s2 = both[:, :-1].reshape(rhs[:-2].shape), both[:, -1].reshape(dxr[:-1].shape)
+            s_m1 = (rhs[-2] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+                2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1])
+            s = np.concatenate((s1 + s_m1 * s2, [s_m1, s1[0] + s_m1 * s2[0]]))
+        else:
+            if n == 3:  # the parabola through three points
+                ab[1, 0] = ab[0, 1] = ab[1, -1] = ab[-1, -2] = 1.0
+                rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
+            else:
+                d0, d1 = x[2] - x[0], x[-1] - x[-3]
+                ab[1, 0], ab[0, 1], ab[1, -1], ab[-1, -2] = dx[1], d0, dx[-2], d1
+                rhs[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+                rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+            s = solve_banded((1, 1), ab, rhs.reshape(n, -1), check_finite=False).reshape(rhs.shape)
+        t = (s[:-1] + s[1:] - 2 * slope) / dxr
+        self.x, self.periodic = x, periodic
+        self.c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
+
+    def __call__(self, x, nu: int = 0) -> np.ndarray:
+        """Values (nu = 0) or nu-th derivatives at x, shaped x.shape + y.shape[1:]."""
+        x, k = np.asarray(x, dtype=float), self.x
+        if self.periodic:
+            x = k[0] + (x - k[0]) % (k[-1] - k[0])
+        i = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        h = (x - k[i]).reshape(x.shape + (1,) * (c0.ndim - x.ndim))
+        if nu == 0:
+            return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
+        if nu == 1:
+            return c2 + c1 * h * 2.0 + c0 * (h * h) * 3.0
+        if nu == 2:
+            return c1 * 2.0 + c0 * h * 6.0
+        raise ValueError("derivative order must be 0, 1 or 2")
 
 
 def _spline_derivatives(curve: DiscreteCurve, u: np.ndarray):

@@ -21,11 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import DiscreteCurve, _trapezoid_weights
+from .geometry import CubicSpline, DiscreteCurve, _trapezoid_weights
 from .weights import Density, gaussian_cdf, gaussian_factor, gaussian_quantile, log_density
 from .weights import log_density_gradient, tail_interval, total_weighted_volume
 
@@ -351,16 +349,17 @@ def stationarity_report(density: Density, chord: ChordSpline) -> StationarityRep
 def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordSpline:
     """Translate horizontally until the enclosed area matches the target.
 
-    Translation moves weighted area strictly monotonically, so a bracket
-    always exists; the root is polished by Brent iteration.  The area
+    A doubling search brackets a sign change of the area error in the
+    offset τ; Newton steps with the exact derivative, bisecting whenever
+    a step leaves the bracket, then resolve the root to 1e-14.  The area
     kernel is frozen across the search, so each probe is one Gaussian
     CDF per node and only the root becomes a new chord.
     """
     fields = _chord_fields(density, chord)
-    kernel, x = _area_kernel(density, fields), fields[1]
+    kernel, x, c = _area_kernel(density, fields), fields[1], density.c
 
     def offset_error(tau: float) -> float:
-        return float(np.sum(kernel * gaussian_cdf(density.c, x + tau))) - target
+        return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
 
     err0 = offset_error(0.0)
     if abs(err0) <= 1e-15 * (1.0 + target):
@@ -372,8 +371,19 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
             too = "large" if step > 0.0 else "small"
             raise DomainError(f"area restoration bracket failed (target too {too})")
     inner = step / 2.0 if abs(step) > 0.25 else 0.0
-    tau = brentq(offset_error, min(inner, step), max(inner, step), xtol=1e-14, rtol=8.9e-16)
-    return chord.translated(float(tau))
+    lo, hi = min(inner, step), max(inner, step)  # error <= 0 at lo, >= 0 at hi
+    tau = inner
+    for _ in range(100):
+        err = offset_error(tau)
+        lo, hi = (tau, hi) if err < 0.0 else (lo, tau)
+        # d/dτ Σ kernel·Φ_c(x + τ) = Σ kernel·√(c/π)·e^{−c(x+τ)²}
+        slope = float(np.sum(kernel * np.exp(-c * (x + tau) ** 2))) * math.sqrt(c / math.pi)
+        newton = tau - err / slope if slope > 0.0 else math.nan
+        nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        if abs(nxt - tau) <= 1e-14 or hi - lo <= 1e-14:
+            return chord.translated(float(nxt))
+        tau = nxt
+    raise DomainError("area restoration did not converge")
 
 
 def _smoothed(

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConsistencyError, DomainError, SmoothnessError
 from .weights import (
@@ -299,6 +298,8 @@ def compare_profiles(
             common = np.asarray(grid, dtype=float)
             if np.any(common < lo) or np.any(common > hi):
                 raise DomainError("comparison grid exceeds the common volume range")
+        from scipy.interpolate import PchipInterpolator  # only unequal grids need it
+
         F = PchipInterpolator(f_profile.v, f_profile.F)(common)
         G = PchipInterpolator(g_profile.v, g_profile.F)(common)
 

@@ -25,11 +25,12 @@ where omega is a (usually concave) function of t alone.  This module owns
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import erfc, erfcinv
 
 from .errors import ConsistencyError, DomainError, QuadratureError, SmoothnessError
@@ -469,15 +470,31 @@ def tail_interval(
     return (cut_a if math.isinf(lo) else lo), (cut_b if math.isinf(hi) else hi)
 
 
-def _graded_points(density: Density, lo: float, hi: float) -> list[float] | None:
-    """Breakpoints grading the mesh toward a log-power endpoint at 0."""
-    if not isinstance(density.weight, LogPowerWeight) or density.weight.m == 0.0:
-        return None
-    if lo > 0.0 or hi <= 0.0:
-        return None
-    span = hi - lo
-    pts = [lo + span * 10.0 ** (-k) for k in range(12, 0, -2)]
-    return [p for p in pts if lo < p < hi]
+# Gauss-Legendre order of the adaptive quadrature's panel rule; every order
+# from 12 up resolves the bundled slabs' masses to rounding in one panel
+_ADAPTIVE_ORDER = 23
+# floor of a panel's error estimate, in units of its magnitude: the rule's rounding
+_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=64)
+def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for (1 + x)^m on [-1, 1] by Golub-Welsch, exact to
+    rounding as m -> -1 (scipy.special.roots_jacobi(23, 0, -0.99) misses
+    the first moment by 2.5e-11 relative)."""
+    k = np.arange(1.0, order)
+    s = 2.0 * k + m
+    diag = np.concatenate(([m / (m + 2.0)], m * m / (s * (s + 2.0))))
+    off = 2.0 * k * (k + m) / s / np.sqrt((s + 1.0) * (s - 1.0))
+    x, v = eigh_tridiagonal(diag, off)
+    return x, 2.0 ** (m + 1.0) / (m + 1.0) * v[0] ** 2
+
+
+def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray:
+    """int_0^{b_i} u^m smooth(u) du by Gauss-Jacobi, exact for the power u^m."""
+    x, w = _jacobi_rule(order, m)
+    half = 0.5 * b
+    return half ** (m + 1.0) * (smooth(half[:, None] * (1.0 + x)) @ w)
 
 
 def integrate_weighted_report(
@@ -487,42 +504,53 @@ def integrate_weighted_report(
     hi: float | None = None,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> QuadratureReport:
-    """Adaptive Gauss-Kronrod quadrature of g(t) e^{omega(t) - c t^2}.
+    """Globally adaptive Gauss-Legendre quadrature of g(t) e^{omega(t) - c t^2}.
 
+    g, when given, is called on arrays of t, so it must be vectorized.
     The interval defaults to the slab and is clipped to it; infinite
-    endpoints are truncated by the sound tail rule.  Raises
-    QuadratureError (carrying the best estimate and its bound) when the
-    requested tolerance is not met.
+    endpoints are truncated by the sound tail rule.  Panels with the
+    largest error estimates |rule - sum of its two halves| (at least
+    their rounding) are bisected until the estimates meet the tolerance;
+    a log-power panel at t = 0 is t^m times a smooth factor, integrated
+    by Gauss-Jacobi.  Raises QuadratureError (carrying the best estimate
+    and its bound) when spec.max_intervals panels do not suffice.
     """
     w, c = density.weight, density.c
     lo_eff, hi_eff = tail_interval(density, spec, lo, hi)
     if lo_eff >= hi_eff:
         return QuadratureReport(0.0, 0.0, (lo_eff, hi_eff))
+    gv = (lambda t: 1.0) if g is None else g
+    m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo_eff == 0.0 else None
+    x, wts = np.polynomial.legendre.leggauss(_ADAPTIVE_ORDER)
 
-    if g is None:
-        def integrand(t):
-            return math.exp(float(w.value(t)) - c * t * t)
-    else:
-        def integrand(t):
-            return g(t) * math.exp(float(w.value(t)) - c * t * t)
+    def rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        t = mid[:, None] + half[:, None] * x
+        out = half * ((gv(t) * np.exp(w.value(t) - c * t * t)) @ wts)
+        if m is not None:
+            at0 = a == 0.0
+            out[at0] = _jacobi_from_zero(m, lambda u: gv(u) * np.exp(-c * u * u), b[at0], _ADAPTIVE_ORDER)
+        return out
 
-    points = _graded_points(density, lo_eff, hi_eff)
-    value, abserr, info, *tail = integrate.quad(
-        integrand,
-        lo_eff,
-        hi_eff,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_intervals,
-        points=points,
-        full_output=True,
-    )
-    bound = abserr + spec.tail_fraction * spec.abs_tol
-    if tail:  # QUADPACK appended a warning message: tolerance not reached
-        raise QuadratureError("weighted quadrature did not converge", value, bound)
-    if bound > max(spec.abs_tol, spec.rel_tol * abs(value)) * 50.0:
-        raise QuadratureError("weighted quadrature error bound too large", value, bound)
-    return QuadratureReport(float(value), float(bound), (lo_eff, hi_eff))
+    tail = spec.tail_fraction * spec.abs_tol
+    a, b = np.array([lo_eff]), np.array([hi_eff])
+    while True:
+        mid = 0.5 * (a + b)
+        left, right = rule(a, mid), rule(mid, b)
+        fine = left + right
+        err = np.maximum(np.abs(rule(a, b) - fine), _ROUNDING * (np.abs(left) + np.abs(right)))
+        value, bound = math.fsum(fine), float(np.sum(err))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        if bound <= tol:
+            return QuadratureReport(value, bound + tail, (lo_eff, hi_eff))
+        if a.size >= spec.max_intervals:
+            raise QuadratureError("weighted quadrature did not converge", value, bound + tail)
+        # bisect the largest estimates until the others sum to within tol
+        rank = np.argsort(-err)
+        k = 1 + int(np.searchsorted(np.cumsum(err[rank]), bound - tol))
+        split = rank[: min(k, spec.max_intervals - a.size)]
+        a = np.concatenate((np.delete(a, split), a[split], mid[split]))
+        b = np.concatenate((np.delete(b, split), mid[split], b[split]))
 
 
 def integrate_weighted(
@@ -552,15 +580,6 @@ def total_weighted_volume(density: Density, spec: QuadratureSpec = DEFAULT_QUADR
 # panelized cumulative integral
 
 
-def _gauss_legendre_panels(breaks: np.ndarray, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes, weights
-
-
 # bisection alone closes any bracket narrower than 2^26 to adjacent floats,
 # subnormals included, within this many steps
 _QUANTILE_MAX_STEPS = 1100
@@ -576,11 +595,12 @@ class CumulativeDensity1D:
 
     ``density`` is either a Density, integrating g = e^{omega(u) - c u^2}
     over its slab cut to the sound tail interval, or a triple (g, lo, hi)
-    over a finite interval.  Panelwise Gauss-Legendre, with a geometrically
-    graded prefix toward a log-power endpoint at 0.  Partial masses
-    accumulate from the left for the lower tail and from the right for the
-    upper tail, so quantiles stay accurate in both tails.  Every query
-    takes a scalar (and returns a float) or an array of any shape.
+    over a finite interval.  Panelwise Gauss-Legendre; at a log-power
+    endpoint 0 the first panel, and partial masses inside it, use the
+    Gauss-Jacobi rule exact for t^m.  Partial masses accumulate from the
+    left for the lower tail and from the right for the upper tail, so
+    quantiles stay accurate in both tails.  Every query takes a scalar
+    (and returns a float) or an array of any shape.
     """
 
     def __init__(
@@ -594,32 +614,32 @@ class CumulativeDensity1D:
             w, c = density.weight, density.c
             self._fn = lambda t: np.exp(w.value(t) - c * t * t)
             lo, hi = tail_interval(density, spec)
-            graded = isinstance(w, LogPowerWeight) and lo == 0.0
+            m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         else:
             self._fn, lo, hi = density
-            graded = False
-        breaks = np.linspace(lo, hi, n_panels + 1)
-        if graded:
-            # geometric grading over the first uniform panel
-            first = breaks[1]
-            prefix = first * 2.0 ** (-np.arange(40, 0, -1, dtype=float))
-            breaks = np.concatenate(([lo], prefix, breaks[1:]))
-        self.breaks = breaks
+            m = None
+        self.breaks = breaks = np.linspace(lo, hi, n_panels + 1)
         self.order = order
-        nodes, wts = _gauss_legendre_panels(breaks, order)
-        panel = np.sum(self._fn(nodes) * wts, axis=1)
+        self._glx, self._glw = x, gw = np.polynomial.legendre.leggauss(order)
+        mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+        panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
+        self._from_zero = None  # int_0^b of a singular integrand, by Gauss-Jacobi
+        if m is not None:
+            self._from_zero = lambda b: _jacobi_from_zero(m, lambda u: np.exp(-c * u * u), b, order)
+            panel[0] = self._from_zero(breaks[1:2])[0]
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
-        self._glx, self._glw = np.polynomial.legendre.leggauss(order)
 
     def _partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i."""
         out = np.zeros(a.shape)
         live = b > a
-        mid = 0.5 * (a[live] + b[live])
-        half = 0.5 * (b[live] - a[live])
+        mid, half = 0.5 * (a[live] + b[live]), 0.5 * (b[live] - a[live])
         out[live] = half * (self._fn(mid[:, None] + half[:, None] * self._glx) @ self._glw)
+        if self._from_zero is not None:
+            first = live & (b <= self.breaks[1])
+            out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
         return out
 
     def _locate(self, t):

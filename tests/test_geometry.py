@@ -352,3 +352,58 @@ class TestCurveCsv:
         assert len(lines) == 6
         row = [float(x) for x in lines[2].split(",")]
         assert row[0] == 0.5 and row[2] == -1.0
+
+
+class TestCubicSpline:
+    """The in-house spline against scipy.interpolate.CubicSpline as oracle."""
+
+    @staticmethod
+    def data(m: int, seed: int):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-2.0, 3.0, m))
+        probes = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 301)])
+        return rng, x, probes
+
+    @pytest.mark.parametrize("m", [4, 12, 64, 201])
+    def test_not_a_knot_equals_scipy_bit_for_bit(self, m):
+        from scipy.interpolate import CubicSpline as Reference
+
+        from isoflow.geometry import CubicSpline
+
+        rng, x, probes = self.data(m, m)
+        for y in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            ours, ref = CubicSpline(x, y), Reference(x, y)
+            for nu in (0, 1, 2):
+                got, want = ours(probes, nu), ref(probes, nu)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (m, nu)
+
+    @pytest.mark.parametrize("m", [4, 12, 64, 201])
+    def test_periodic_agrees_with_scipy(self, m):
+        from scipy.interpolate import CubicSpline as Reference
+        from scipy.interpolate import PPoly
+
+        from isoflow.geometry import CubicSpline
+
+        rng, x, probes = self.data(m, 1000 + m)
+        for y in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            y[-1] = y[0]
+            ours, ref = CubicSpline(x, y, bc_type="periodic"), Reference(x, y, bc_type="periodic")
+            # the sum of |terms| of the power-sum evaluation, at the wrapped probes
+            magnitude = PPoly(np.abs(ref.c), ref.x, extrapolate="periodic")
+            for nu in (0, 1, 2):
+                scale = 1.0 + magnitude(probes, nu)
+                assert np.max(np.abs(ours(probes, nu) - ref(probes, nu)) / scale) <= 1e-12
+
+    def test_rejects_bad_input(self):
+        from isoflow.geometry import CubicSpline
+
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            CubicSpline(x, np.arange(5.0), bc_type="periodic")  # values do not close
+        with pytest.raises(ValueError):
+            CubicSpline(x[::-1], np.zeros(5))
+        with pytest.raises(ValueError):
+            CubicSpline(x, np.zeros(5), bc_type="clamped")
+        with pytest.raises(ValueError):
+            CubicSpline(x, np.zeros(5))(0.5, 3)

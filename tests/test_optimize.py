@@ -371,6 +371,37 @@ class TestOptimizerConfig:
             OptimizerConfig(target_area=1.0, max_iterations=0)
 
 
+class TestRestoreArea:
+    """The Newton root polish, which point-symmetric starts never reach."""
+
+    @staticmethod
+    def chords(density):
+        rng = np.random.default_rng(5)
+        m = 10
+        ct = np.linspace(-1.0, 1.0, m)
+        yield make_straight_chord(density, -0.4, 0.1, n_controls=m)
+        yield ChordSpline(0.15 * rng.standard_normal(m) + 0.3, ct, (-1.0, 1.0))
+        ct[1:-1] += 0.03 * rng.standard_normal(m - 2)
+        yield ChordSpline(0.15 * rng.standard_normal(m) - 0.2, ct, (-1.0, 1.0), graph=False)
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.83])
+    @pytest.mark.parametrize("weight", [ZeroWeight(), QuadraticWeight(1.0, 0.4, 0.0)])
+    def test_restored_area_and_offset_match_brent(self, weight, fraction):
+        from scipy.optimize import brentq
+
+        density = Density(weight, 0.5, 2, (-1.0, 1.0))
+        target = fraction * total_weighted_volume(density)
+        for chord in self.chords(density):
+            err0 = enclosed_area(density, chord) - target
+            assert abs(err0) > 1e-3  # starts off target, so the polish runs
+            restored = opt._restore_area(density, chord, target)
+            assert abs(enclosed_area(density, restored) - target) <= 1e-14 * (1.0 + target)
+            tau = float(np.mean(restored.control_x - chord.control_x))
+            want = brentq(lambda s: enclosed_area(density, chord.translated(s)) - target,
+                          -5.0, 5.0, xtol=1e-15)
+            assert tau == pytest.approx(want, abs=1e-12)
+
+
 class TestMinimize:
     def test_tilted_chord_descends_to_vertical(self):
         density = symmetric_slab()

@@ -220,13 +220,49 @@ class TestIntegrateWeighted:
         full = integrate_weighted(d, lo=-5.0, hi=5.0)
         assert_allclose(full, gaussian_mass(0.5, 0.0, 1.0), rtol=1e-10)
 
+    @pytest.mark.parametrize("m", [-0.99, -0.8, -0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("b", [1.0, INF])
+    def test_singular_log_power_gamma_closed_form(self, m, b):
+        # int_0^b t^m e^{-c t^2} dt = gamma((m+1)/2, c b^2) / (2 c^((m+1)/2)),
+        # the lower incomplete gamma function; both the quadrature and the
+        # cumulative engine integrate the endpoint power t^m exactly
+        from scipy.special import gamma, gammainc
+
+        c, a = 0.5, (m + 1.0) / 2.0
+        exact = gamma(a) * (gammainc(a, c * b * b) if b < INF else 1.0) / (2.0 * c**a)
+        d = Density(LogPowerWeight(m), c, 2, (0.0, b))
+        assert_allclose(integrate_weighted(d), exact, rtol=1e-12)
+        assert_allclose(CumulativeDensity1D(d).total, exact, rtol=1e-12)
+
+    def test_sweep_agrees_with_quadpack(self):
+        # two independent quadratures of the 14 acceptance-sweep masses
+        from scipy.integrate import quad
+
+        sweep = [
+            (w, slab)
+            for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
+            for slab in ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
+        ] + [(LogPowerWeight(2.0), (0.0, 1.0)), (LogPowerWeight(2.0), (0.0, INF))]
+        for weight, slab in sweep:
+            d = Density(weight, 0.5, 2, slab)
+            want = quad(lambda t: math.exp(float(weight.value(t)) - 0.5 * t * t), *slab,
+                        epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            assert_allclose(integrate_weighted(d), want, rtol=1e-12, err_msg=str((weight, slab)))
+
     def test_convergence_failure_carries_estimate(self):
         d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_intervals=1)
         with pytest.raises(QuadratureError) as err:
-            integrate_weighted(d, g=lambda t: math.cos(300.0 * t * t), spec=spec)
+            integrate_weighted(d, g=lambda t: np.cos(300.0 * t * t), spec=spec)
         assert math.isfinite(err.value.estimate)
         assert err.value.error_bound > 0.0
+
+    def test_tolerance_below_rounding_is_not_claimed(self):
+        # no error bound below the rounding of the panel sums is reported
+        d = Density(ZeroWeight(), 2.0, 2, (-1.0, 1.0))
+        with pytest.raises(QuadratureError) as err:
+            integrate_weighted(d, spec=QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300))
+        assert err.value.error_bound >= 1e-16 * err.value.estimate
 
     def test_tail_soundness(self):
         """Widening the cutoff moves the result by less than the error bound."""
@@ -389,7 +425,7 @@ class TestCumulativeDensity:
         assert_allclose(cum.quantile(0.5), 1.0, atol=1e-12)
         # batched round trip on the 14 sweep densities and a singular
         # log-power one, both tails; the log-power lower tail lies in the
-        # graded first panel (for m = -0.8, at t ~ 1e-60).  Each side is
+        # Gauss-Jacobi first panel (for m = -0.8, at t ~ 1e-60).  Each side is
         # checked on the mass it accumulates, to the quadrature's relative
         # accuracy plus the mass of two ulps of t (roots are resolved to
         # about one ulp).
