@@ -172,6 +172,8 @@ class PoincareCertificate:
                       bounded ones.
     concave:          whether the weight passed the concavity check (the
                       bound is only guaranteed in that case).
+    problem:          the pad-1.0 pencil the gap was computed from.
+    eigenvector:      its mean-zero, mass-normalized gap eigenvector.
     """
 
     certified: bool
@@ -181,6 +183,8 @@ class PoincareCertificate:
     truncation_shift: float
     concave: bool
     n_cells: int
+    problem: SpectralProblem
+    eigenvector: np.ndarray
 
 
 def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertificate:
@@ -192,7 +196,7 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
     and the eigenvalue shift is reported.
     """
     problem = build_spectral_problem(density, n_cells=n_cells)
-    lam, _ = spectral_gap_1d(problem)
+    lam, eigenvector = spectral_gap_1d(problem)
     a, b = density.slab
     if math.isinf(a) or math.isinf(b):
         wide = build_spectral_problem(density, n_cells=n_cells, pad=1.25)
@@ -209,6 +213,8 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
         truncation_shift=shift,
         concave=check_concavity(density.weight).concave,
         n_cells=problem.n_cells,
+        problem=problem,
+        eigenvector=eigenvector,
     )
 
 

@@ -300,26 +300,43 @@ def test_criterion_08_stability_dichotomy():
     omega2 = -2.0
     oracle = omega2 * math.exp(0.0 - C * t0 * t0) * math.sqrt(math.pi / C) / (2.0 * C)
     rel = abs(verdict.witness_value - oracle) / abs(oracle)
-    line = vertical_segment(density, 0.0)
-    rng = np.random.default_rng(8)
-    total = float(np.sum(line.weights))
-    sweep_min = INF
-    for _ in range(200):
-        u = rng.standard_normal(line.n_nodes)
-        u -= float(np.sum(u * line.weights)) / total
-        sweep_min = min(sweep_min, index_form(density, line, u).value)
+    # on a vertical line k = 0 and Ric_f(N,N) = 2c, so min I_f(u,u)/||u||^2
+    # over mean-zero u is lambda_1 - 2c of the slab factor; a second
+    # discretization (index_form at the pencil eigenvector on a vertical
+    # segment) must give the same quotient
+    minima = {}
+    cross = 0.0
+    for label, weight, slab in (
+        ("zero", ZeroWeight(), (-1.0, 1.0)),
+        ("concave", QuadraticWeight(1.0, 0.0, 0.0), (-1.0, 1.0)),
+        ("convex", QuadraticWeight(-0.4, 0.0, 0.0), (-5.0, 5.0)),
+    ):
+        line_density = Density(weight, C, 2, slab)
+        cert = poincare_certify(line_density, n_cells=2000)
+        minima[label] = cert.lambda_value - 2.0 * C
+        line = vertical_segment(line_density, 0.0, n=2001)
+        w = np.interp(line.points[:, 1], cert.problem.nodes, cert.eigenvector)
+        w -= float(np.sum(w * line.weights)) / float(np.sum(line.weights))
+        quotient = index_form(line_density, line, w).value / float(np.sum(w * w * line.weights))
+        cross = max(cross, abs(quotient - minima[label]) / abs(minima[label]))
+    index_min = minima["concave"]
     ok = (
         verdict.verdict == "unstable"
         and oracle < 0.0
         and rel <= 1e-4
-        and sweep_min >= -1e-6
+        and index_min >= -1e-6
+        and cross <= 1e-5
+        and minima["convex"] < 0.0
     )
     report(8, "parallel half-space unstable, perpendicular lines stable", ok,
            f"witness {verdict.witness_value:.6f} vs oracle {oracle:.6f} "
-           f"(rel {rel:.2e}), 200-function index min {sweep_min:.3e}")
+           f"(rel {rel:.2e}), vertical index min {index_min:.6f} "
+           f"(convex weight {minima['convex']:.6f}), index_form cross-check {cross:.2e}")
     assert verdict.verdict == "unstable"
     assert rel <= 1e-4
-    assert sweep_min >= -1e-6
+    assert index_min >= -1e-6
+    assert cross <= 1e-5
+    assert minima["convex"] < 0.0
 
 
 def test_criterion_09_jacobi_eigen_identity():

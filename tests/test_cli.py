@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import isoflow
-from isoflow.cli import load_config, main, resolved_config_text
+from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
 from isoflow.errors import ConfigError
+from isoflow.spectrum import SpectralProblem
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
 GAUSSIAN_CFG = str(CONFIG_DIR / "gaussian_slab.cfg")
@@ -51,8 +52,14 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "[density]\nweight = zero\n[turbo]\nx = 1\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # [run] threads was a knob no code path read; it is gone from the schema
-        for text in ("[density]\nflavor = spicy\n", "[run]\nthreads = 2\n"):
+        # [run] threads was a knob no code path read; [stability] line_x and
+        # n_random drove a random sweep the spectral pencil replaced
+        for text in (
+            "[density]\nflavor = spicy\n",
+            "[run]\nthreads = 2\n",
+            "[stability]\nn_random = 200\n",
+            "[stability]\nline_x = 0.0\n",
+        ):
             with pytest.raises(ConfigError):
                 load_config(write_cfg(tmp_path, text))
 
@@ -176,7 +183,7 @@ class TestQuadraticRun:
         assert stability["status"] == "verified"
         assert stability["metrics"]["parallel_verdict"] == "unstable"
         assert stability["metrics"]["witness_index_value"] < -1e-3
-        assert stability["metrics"]["vertical_sweep_min"] >= -1e-6
+        assert stability["metrics"]["vertical_index_min"] >= -1e-6
 
     def test_optimizer_matches_perpendicular_profile(self, quadratic_run):
         _, out = quadratic_run
@@ -285,6 +292,81 @@ class TestSingleCommand:
         record = read_json(out, "jacobi.json")
         assert max(record["metrics"]["max_residuals"]) <= 1e-9
 
+    def test_spectrum_solves_the_pencil_once(self, tmp_path, monkeypatch):
+        built = []
+        check = SpectralProblem.__post_init__
+
+        def counting(self):
+            built.append(self.n_cells)
+            check(self)
+
+        monkeypatch.setattr(SpectralProblem, "__post_init__", counting)
+        assert main(["spectrum", "--config", GAUSSIAN_CFG, "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+
+class TestStability:
+    """The vertical-line check is the exact pencil minimum lambda_1 - 2c."""
+
+    def test_log_power_on_slab_touching_zero(self, tmp_path):
+        # a vertical chord node on t = 0 used to evaluate omega'' at 0
+        cfg = write_cfg(
+            tmp_path,
+            "[density]\nweight = log_power\nparams = 2\nc = 0.5\nslab = 0, 1\n"
+            "[stability]\nt0 = 0.5\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["stability", "--config", cfg, "--out", out]) == 0
+        assert read_json(out, "stability.json")["status"] == "verified"
+
+    def test_whole_line(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = -inf, inf\n")
+        out = str(tmp_path / "out")
+        assert main(["stability", "--config", cfg, "--out", out]) == 0
+        record = read_json(out, "stability.json")
+        assert record["status"] == "verified"
+        assert abs(record["metrics"]["vertical_index_min"]) <= 1e-6
+
+    def test_convex_weight_has_negative_minimum(self, tmp_path, capsys):
+        # omega = 0.4 t^2: the mean-zero u = t already has I_f < 0, which the
+        # random sweep never found (it reported +2038)
+        cfg = write_cfg(
+            tmp_path,
+            "[density]\nweight = quadratic\nparams = -0.4, 0, 0\nc = 0.5\nslab = -5, 5\n",
+        )
+        out = str(tmp_path / "out")
+        assert main(["stability", "--config", cfg, "--out", out]) == 0
+        plain = read_json(out, "stability.json")
+        assert plain["status"] == "verified"
+        assert plain["metrics"]["vertical_index_min"] == pytest.approx(-0.7704, abs=1e-4)
+        assert main(["stability", "--config", cfg, "--out", out, "--expect-bound"]) == 2
+        flagged = read_json(out, "stability.json")
+        assert flagged["status"] == "violated"
+        assert flagged["witness"] == {
+            "location": "vertical line, slab-factor eigenfunction",
+            "value": plain["metrics"]["vertical_index_min"],
+        }
+        capsys.readouterr()
+
+
+class TestSchemaKeysAreRead:
+    def test_every_schema_key_is_read(self, tmp_path, monkeypatch):
+        # a knob no subcommand reads does nothing; resolved.cfg echoes every
+        # key, so reads made while writing it do not count
+        read = set()
+        value = RunConfig.value
+
+        def recording(self, section, key):
+            if sys._getframe(1).f_code.co_name != "resolved_config_text":
+                read.add((section, key))
+            return value(self, section, key)
+
+        monkeypatch.setattr(RunConfig, "value", recording)
+        for name, cfg in (("gauss", GAUSSIAN_CFG), ("quad", QUADRATIC_CFG)):
+            assert main(["all", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        schema = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
+        assert schema - read == set()
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, tmp_path):
@@ -306,7 +388,7 @@ class TestDeterminism:
         for sub in ("a", "b"):
             out = str(tmp_path / sub)
             assert main(["stability", "--config", GAUSSIAN_CFG, "--out", out]) == 0
-            values.append(read_json(out, "stability.json")["metrics"]["vertical_sweep_min"])
+            values.append(read_json(out, "stability.json")["metrics"]["vertical_index_min"])
         assert values[0] == values[1]
 
 
