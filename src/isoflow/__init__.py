@@ -21,7 +21,6 @@ from .geometry import (
     DiscreteCurve,
     IndexFormReport,
     StabilityVerdict,
-    TranslationTestFunction,
     cmc_shoot,
     curve_csv,
     curve_weighted_length,
@@ -31,9 +30,7 @@ from .geometry import (
     jacobi_residual,
     parallel_halfspace_stability,
     polyline_curve,
-    q_form,
     straight_segment,
-    translation_test_function,
     vertical_segment,
 )
 from .optimize import (
@@ -53,7 +50,6 @@ from .optimize import (
 )
 from .profiles import (
     ComparisonVerdict,
-    HalfSpaceCandidate,
     Profile,
     ProfileOdeReport,
     build_profile,
@@ -61,15 +57,12 @@ from .profiles import (
     compare_profiles,
     profile_csv,
     tilted_profile_wholespace,
-    volume_area_parallel,
-    volume_area_perpendicular,
 )
 from .spectrum import (
     PoincareCertificate,
     SpectralProblem,
     build_spectral_problem,
     poincare_certify,
-    rayleigh_quotient,
     spectral_gap_1d,
     spectrum_csv,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from .spectrum import poincare_certify, spectrum_csv
 from .transport import build_transport, check_contraction, pushforward_check, transport_csv
 from .weights import (
     AffineWeight,
+    CumulativeDensity1D,
     Density,
     LogPowerWeight,
     PiecewiseLinearWeight,
@@ -58,7 +60,8 @@ __all__ = [
 
 COMMANDS = ("profile", "transport", "stability", "jacobi", "spectrum", "optimize")
 
-# section -> key -> (kind, default); kinds: int, float, bool, str, floats
+# section -> key -> (kind, default); kinds: int, float, bool, str, floats.
+# A None default is an interior height of the slab, set by load_config.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "density": {
         "weight": ("str", "zero"),
@@ -82,14 +85,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "tolerance": ("float", 1e-6),
     },
     "stability": {
-        "t0": ("float", 0.0),
+        "t0": ("float", None),
         "n_nodes": ("int", 4001),
         "tolerance": ("float", 1e-6),
     },
     "jacobi": {
         "target_hf": ("float", 0.0),
         "start_x": ("float", 1.0),
-        "start_t": ("float", 0.0),
+        "start_t": ("float", None),
         "angle": ("float", 1.0),
         "steps": ("floats", (4e-3, 2e-3, 1e-3)),
         "max_length": ("float", 8.0),
@@ -205,8 +208,18 @@ class RunConfig:
         return RunConfig(sections)
 
 
+def _interior_height(density: Density) -> float:
+    """0.0 when it lies strictly inside the slab, else the slab factor's median."""
+    a, b = density.slab
+    return 0.0 if a < 0.0 < b else float(CumulativeDensity1D(density).quantile(0.5))
+
+
 def load_config(path: str) -> RunConfig:
-    """Parse an INI file against the schema; unknown keys are errors."""
+    """Parse an INI file against the schema; unknown keys are errors.
+
+    Unset heights ([stability] t0, [jacobi] start_t) become the density's
+    _interior_height; an invalid density leaves them None for density() to report.
+    """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -231,6 +244,15 @@ def load_config(path: str) -> RunConfig:
                 )
             else:
                 sections[section][key] = default
+    config = RunConfig(sections)
+    unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
+    if unset:
+        try:
+            height = _interior_height(config.density())
+        except (IsoflowError, ValueError, TypeError):
+            return config
+        for section, key in unset:
+            sections[section][key] = height
     return RunConfig(sections)
 
 
@@ -266,30 +288,23 @@ class VerdictRecord:
             raise ConfigError("a violation verdict must carry a witness")
 
     def to_dict(self) -> dict:
-        record = {
-            "command": self.command,
-            "status": self.status,
-            "metrics": self.metrics,
-            "tolerance": self.tolerance,
-            "wall_time_s": self.wall_time_s,
-        }
+        keys = ("command", "status", "metrics", "tolerance", "wall_time_s")
+        record = {key: getattr(self, key) for key in keys}
         if self.witness is not None:
             record["witness"] = self.witness
         return record
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(out_dir: str, filename: str, text: str) -> None:
+    path = os.path.join(out_dir, filename)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
 
 
-def _write_verdict(out_dir: str, filename: str, record: VerdictRecord) -> None:
-    _atomic_write(
-        os.path.join(out_dir, filename),
-        json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+def _write_json(out_dir: str, filename: str, data: dict) -> None:
+    _atomic_write(out_dir, filename, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
@@ -298,8 +313,8 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_b
     grid_size = int(config.value("profile", "grid_size"))
     parallel = build_profile(density, "parallel", grid_size=grid_size)
     perpendicular = build_profile(density, "perpendicular", grid_size=grid_size)
-    _atomic_write(os.path.join(out_dir, "profile_parallel.csv"), profile_csv(parallel))
-    _atomic_write(os.path.join(out_dir, "profile_perp.csv"), profile_csv(perpendicular))
+    _atomic_write(out_dir, "profile_parallel.csv", profile_csv(parallel))
+    _atomic_write(out_dir, "profile_perp.csv", profile_csv(perpendicular))
     comparison = compare_profiles(parallel, perpendicular, tie_tol=tol)
     tie_band = tol * np.maximum(comparison.f_values, comparison.g_values)
     n_ties = int(np.sum(np.abs(comparison.f_values - comparison.g_values) <= tie_band))
@@ -320,7 +335,7 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_b
                 "location": report.counterexamples[0] if report.counterexamples else math.nan,
                 "value": report.max_defect,
             }
-    record = VerdictRecord(
+    return VerdictRecord(
         command="profile",
         status="verified" if ok else "violated",
         metrics={
@@ -338,8 +353,6 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_b
         wall_time_s=time.perf_counter() - start,
         witness=witness,
     )
-    _write_verdict(out_dir, "compare.json", record)
-    return record
 
 
 def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
@@ -350,7 +363,7 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect
         grid_size=int(config.value("transport", "grid_size")),
         require_concave=bool(config.value("transport", "require_concave")),
     )
-    _atomic_write(os.path.join(out_dir, "transport.csv"), transport_csv(tmap))
+    _atomic_write(out_dir, "transport.csv", transport_csv(tmap))
     contraction = check_contraction(tmap, tol=tol)
     push = pushforward_check(
         tmap,
@@ -363,7 +376,7 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect
         witness = {"location": contraction.max_location, "value": contraction.max_derivative}
     elif not push_ok:
         witness = {"location": "pushforward interval", "value": push.max_residual}
-    record = VerdictRecord(
+    return VerdictRecord(
         command="transport",
         status="verified" if contraction.certified and push_ok else "violated",
         metrics={
@@ -379,8 +392,12 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect
         wall_time_s=time.perf_counter() - start,
         witness=witness,
     )
-    _write_verdict(out_dir, "transport.json", record)
-    return record
+
+
+@functools.lru_cache(maxsize=1)
+def _certificate(density: Density, n_cells: int):
+    """The run's one spectral certificate: stability and spectrum share its pencil."""
+    return poincare_certify(density, n_cells=n_cells)
 
 
 def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
@@ -401,7 +418,7 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect
     # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
     # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c;
     # like the spectral bound it must hold for concave weights
-    certificate = poincare_certify(density, n_cells=int(config.value("spectrum", "n_cells")))
+    certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
     vertical_min = certificate.lambda_value - 2.0 * density.c
     vertical_ok = vertical_min >= -tol or not (certificate.concave or expect_bound)
     ok = witness_consistent and vertical_ok
@@ -410,7 +427,7 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect
         witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
     elif not vertical_ok:
         witness = {"location": "vertical line, slab-factor eigenfunction", "value": vertical_min}
-    record = VerdictRecord(
+    return VerdictRecord(
         command="stability",
         status="verified" if ok else "violated",
         metrics={
@@ -424,8 +441,6 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect
         wall_time_s=time.perf_counter() - start,
         witness=witness,
     )
-    _write_verdict(out_dir, "stability.json", record)
-    return record
 
 
 def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
@@ -453,13 +468,11 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, rng, expect_bo
     min_ratio = float(config.value("jacobi", "min_ratio"))
     exact_floor = 1e-9
     ok = all(r >= min_ratio for r in ratios) or max(residuals) <= exact_floor
-    lines = ["h,max_residual,ratio"]
-    for i, (h, res) in enumerate(zip(steps, residuals)):
-        ratio = "" if i == 0 else repr(float(ratios[i - 1]))
-        lines.append(f"{float(h)!r},{float(res)!r},{ratio}")
-    _atomic_write(os.path.join(out_dir, "jacobi.csv"), "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(out_dir, "jacobi_curve.csv"), curve_csv(finest))
-    record = VerdictRecord(
+    cells = [""] + [repr(float(r)) for r in ratios]
+    rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
+    _atomic_write(out_dir, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
+    _atomic_write(out_dir, "jacobi_curve.csv", curve_csv(finest))
+    return VerdictRecord(
         command="jacobi",
         status="verified" if ok else "violated",
         metrics={
@@ -475,23 +488,18 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, rng, expect_bo
         if ok
         else {"location": f"h={steps[ratios.index(min(ratios)) + 1]}", "value": min(ratios)},
     )
-    _write_verdict(out_dir, "jacobi.json", record)
-    return record
 
 
 def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
-    certificate = poincare_certify(density, n_cells=int(config.value("spectrum", "n_cells")))
-    _atomic_write(
-        os.path.join(out_dir, "spectrum.csv"),
-        spectrum_csv(certificate.problem, certificate.eigenvector),
-    )
+    certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
+    _atomic_write(out_dir, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
     # a concave weight is guaranteed the bound, so failing it is a genuine
     # violation; a non-concave diagnostic weight only violates under
     # --expect-bound, otherwise the computed gap is informational
     must_hold = certificate.concave or expect_bound
     ok = certificate.certified or not must_hold
-    record = VerdictRecord(
+    return VerdictRecord(
         command="spectrum",
         status="verified" if ok else "violated",
         metrics={
@@ -509,8 +517,6 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, rng, expect_
         if ok
         else {"location": "slab factor gap", "value": certificate.lambda_value},
     )
-    _write_verdict(out_dir, "spectrum.json", record)
-    return record
 
 
 def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
@@ -530,8 +536,8 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
         gradient_tolerance=float(config.value("optimize", "gradient_tolerance")),
     )
     final, trace = minimize(density, optimizer, chord)
-    _atomic_write(os.path.join(out_dir, "optimize_trace.csv"), trace_csv(trace))
-    _atomic_write(os.path.join(out_dir, "chord.csv"), curve_csv(chord_curve(density, final)))
+    _atomic_write(out_dir, "optimize_trace.csv", trace_csv(trace))
+    _atomic_write(out_dir, "chord.csv", curve_csv(chord_curve(density, final)))
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
@@ -547,7 +553,7 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
         witness = {"location": "final chord length", "value": report.length}
     elif not ok:
         witness = {"location": "stationarity report", "value": report.hf_spread}
-    record = VerdictRecord(
+    return VerdictRecord(
         command="optimize",
         status="verified" if ok else "violated",
         metrics={
@@ -565,8 +571,6 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
         wall_time_s=time.perf_counter() - start,
         witness=witness,
     )
-    _write_verdict(out_dir, "optimize.json", record)
-    return record
 
 
 _DISPATCH = {
@@ -602,12 +606,13 @@ def main(argv=None) -> int:
         "lambda_1 - 2c as a violation even for non-concave weights",
     )
     args = parser.parse_args(argv)
+    _certificate.cache_clear()
     try:
         config = load_config(args.config).with_overrides(out_dir=args.out)
         density = config.density()
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(os.path.join(out_dir, "resolved.cfg"), resolved_config_text(config))
+        _atomic_write(out_dir, "resolved.cfg", resolved_config_text(config))
         rngs = _command_rngs(int(config.value("run", "seed")))
     except (IsoflowError, ValueError, TypeError) as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
@@ -621,6 +626,7 @@ def main(argv=None) -> int:
     for name in names:
         try:
             record = _DISPATCH[name](density, config, out_dir, rngs[name], args.expect_bound)
+            _write_json(out_dir, "compare.json" if name == "profile" else f"{name}.json", record.to_dict())
         except (IsoflowError, ValueError) as exc:
             print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
             record = VerdictRecord(
@@ -630,7 +636,7 @@ def main(argv=None) -> int:
                 tolerance=math.nan,
                 wall_time_s=0.0,
             )
-            _write_verdict(out_dir, f"{name}_error.json", record)
+            _write_json(out_dir, f"{name}_error.json", record.to_dict())
         except OSError as exc:
             print(f"isoflow: {name}: io error: {exc}", file=sys.stderr)
             return 1
@@ -642,10 +648,7 @@ def main(argv=None) -> int:
             "status": max((r.status for r in records), key=lambda s: _SEVERITY[s]),
             "verdicts": [r.to_dict() for r in records],
         }
-        _atomic_write(
-            os.path.join(out_dir, "summary.json"),
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-        )
+        _write_json(out_dir, "summary.json", summary)
     return max(_SEVERITY[r.status] for r in records)
 
 

@@ -4,10 +4,9 @@ Curves live in the closure of Ω = ℝ×(a,b) ⊂ ℝ² carrying the density
 f = e^ψ with ψ(p) = ω(t) − c|p|².  This module provides the f-mean
 curvature H_f = k − ⟨∇ψ, N⟩, a shooting integrator for curves of
 constant H_f, the translational Jacobi identity L_f⟨η,N⟩ = 2c⟨η,N⟩,
-and the second-variation forms
+and the second-variation form
 
     I_f(u,v) = ∫ u′v′ − (Ric_f(N,N) + k²) u v  da_f
-    Q_f(u,v) = −∫ u L_f(v) da_f − Σ_{endpoints} u (∂v/∂ν) f
 
 whose sign on mean-zero test functions decides weighted stability.
 Slab walls are totally geodesic hyperplanes, so the second fundamental
@@ -20,11 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConsistencyError, DomainError, GeometryError
 from .weights import (
     Density,
+    _csv_table,
+    _float_arrays,
+    _gauss_legendre,
     _gaussian_tail_cutoff,
     bakry_emery_curvature,
     log_density,
@@ -36,7 +37,6 @@ __all__ = [
     "DiscreteCurve",
     "IndexFormReport",
     "StabilityVerdict",
-    "TranslationTestFunction",
     "cmc_shoot",
     "curve_csv",
     "curve_weighted_length",
@@ -46,9 +46,7 @@ __all__ = [
     "jacobi_residual",
     "parallel_halfspace_stability",
     "polyline_curve",
-    "q_form",
     "straight_segment",
-    "translation_test_function",
     "vertical_segment",
 ]
 
@@ -98,14 +96,8 @@ class DiscreteCurve:
     boundary_end: bool = False
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        nrm = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        cur = np.atleast_1d(np.asarray(self.curvature, dtype=float))
-        wts = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "normals", nrm)
-        object.__setattr__(self, "curvature", cur)
-        object.__setattr__(self, "weights", wts)
+        pts, nrm = _float_arrays(self, np.atleast_2d, "points", "normals")
+        cur, wts = _float_arrays(self, np.atleast_1d, "curvature", "weights")
         m = pts.shape[0]
         if m < 3:
             raise GeometryError("curve needs at least 3 nodes")
@@ -144,19 +136,23 @@ class DiscreteCurve:
 
     def tangents(self) -> np.ndarray:
         """Unit tangents in node order, by centered differences."""
-        pts = self.points
-        if self.closed:
-            d = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-        else:
-            d = np.empty_like(pts)
-            d[1:-1] = pts[2:] - pts[:-2]
-            d[0] = pts[1] - pts[0]
-            d[-1] = pts[-1] - pts[-2]
-        return d / np.hypot(d[:, 0], d[:, 1])[:, None]
+        return _unit_tangents(self.points, self.closed)
 
     def weighted_area(self) -> float:
         """A_f(Σ) = ∫_Σ da_f by the stored trapezoidal weights."""
         return float(np.sum(self.weights))
+
+
+def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
+    """Centered differences, one-sided at the ends of an open curve, normalized."""
+    if closed:
+        d = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
+    else:
+        d = np.empty_like(points)
+        d[1:-1] = points[2:] - points[:-2]
+        d[0] = points[1] - points[0]
+        d[-1] = points[-1] - points[-2]
+    return d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
 
 def _trapezoid_weights(density: Density, points: np.ndarray, closed: bool) -> np.ndarray:
@@ -261,15 +257,7 @@ def polyline_curve(
     _require_planar(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_in_slab(density, points)
-    m = points.shape[0]
-    if closed:
-        d = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
-    else:
-        d = np.empty_like(points)
-        d[1:-1] = points[2:] - points[:-2]
-        d[0] = points[1] - points[0]
-        d[-1] = points[-1] - points[-2]
-    tangents = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    tangents = _unit_tangents(points, closed)
     normals = float(orientation) * _rot90(tangents)
     theta = np.unwrap(np.arctan2(tangents[:, 1], tangents[:, 0]))
     s = np.concatenate(([0.0], np.cumsum(_segment_lengths(points, closed=False))))
@@ -297,7 +285,7 @@ def f_mean_curvature(density: Density, curve: DiscreteCurve, i: int | None = Non
 
 
 def _polyline_weighted_length(density: Density, pts: np.ndarray, order: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_legendre(order)
     lam = 0.5 * (x + 1.0)
     p0 = pts[:-1]
     seg = pts[1:] - p0
@@ -377,20 +365,9 @@ def cmc_shoot(
         # fraction is below 1/2, restart it from the previous node so the
         # last segment stays within the [h/2, 2h] spacing contract
         wall = a if nxt[1] <= a else b
-        base = states[-1]
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            tm = _rk4_step(density, target, base, mid * step)[1]
-            if (tm - wall) * (base[1] - wall) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        frac = 0.5 * (lo + hi)
-        if frac < 0.5 and len(states) >= 2:
-            states.pop()
-            base = states[-1]
-            lo, hi = 1.0, 2.0
+
+        def landing(base: np.ndarray, lo: float, hi: float) -> float:
+            """Step fraction in [lo, hi] from base that lands on the wall, by bisection."""
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
                 tm = _rk4_step(density, target, base, mid * step)[1]
@@ -398,7 +375,14 @@ def cmc_shoot(
                     lo = mid
                 else:
                     hi = mid
-            frac = 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+
+        base = states[-1]
+        frac = landing(base, 0.0, 1.0)
+        if frac < 0.5 and len(states) >= 2:
+            states.pop()
+            base = states[-1]
+            frac = landing(base, 1.0, 2.0)
         landed = _rk4_step(density, target, base, frac * step)
         landed[1] = wall
         states.append(landed)
@@ -427,13 +411,58 @@ def cmc_shoot(
 # Jacobi identity and index forms
 
 
+def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system in band storage ab (super-, main and
+    subdiagonal rows) for the columns of the (n, k) array b.
+
+    A line-for-line port of LAPACK dgtsv, Gaussian elimination with
+    partial pivoting, in Python floats: the same operations in the same
+    order, so the result equals scipy.linalg.solve_banded((1, 1), ab, b)
+    bit for bit.  The elimination is recorded once and replayed per column.
+    """
+    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
+    n, steps = len(d), []
+    for i in range(n - 1):
+        swap = abs(d[i]) < abs(dl[i])
+        if not swap:
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+        steps.append((i, fact, swap))
+    if d[-1] == 0.0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    columns = b.T.tolist()
+    for x in columns:
+        for i, fact, swap in steps:
+            if swap:
+                x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
+            else:
+                x[i + 1] = x[i + 1] - fact * x[i]
+        x[-1] = x[-1] / d[-1]
+        x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return np.array(columns).T
+
+
 class CubicSpline:
     """C² cubic interpolant through (x_i, y_i), y with any trailing axes.
 
     bc_type is "not-a-knot" or "periodic" (y[0] == y[-1]).  Built and
     evaluated step for step as scipy.interpolate.CubicSpline (tridiagonal
-    knot slopes, Hermite coefficients, power sums in the offset from the
-    left knot), so not-a-knot values and derivatives agree bit for bit.
+    knot slopes by the dgtsv port _gtsv, Hermite coefficients, power sums
+    in the offset from the left knot), so not-a-knot values and
+    derivatives agree bit for bit.
     """
 
     def __init__(self, x, y, bc_type: str = "not-a-knot"):
@@ -456,8 +485,7 @@ class CubicSpline:
             rhs[-2] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
             corner = np.zeros((n - 2, 1))
             corner[0], corner[-1] = -dx[0], -dx[-3]
-            both = solve_banded((1, 1), ab[:, :-1], np.hstack((rhs[:-2].reshape(n - 2, -1), corner)),
-                                check_finite=False)
+            both = _gtsv(ab[:, :-1], np.hstack((rhs[:-2].reshape(n - 2, -1), corner)))
             s1, s2 = both[:, :-1].reshape(rhs[:-2].shape), both[:, -1].reshape(dxr[:-1].shape)
             s_m1 = (rhs[-2] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
                 2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1])
@@ -471,7 +499,7 @@ class CubicSpline:
                 ab[1, 0], ab[0, 1], ab[1, -1], ab[-1, -2] = dx[1], d0, dx[-2], d1
                 rhs[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
                 rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-            s = solve_banded((1, 1), ab, rhs.reshape(n, -1), check_finite=False).reshape(rhs.shape)
+            s = _gtsv(ab, rhs.reshape(n, -1)).reshape(rhs.shape)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
         self.x, self.periodic = x, periodic
         self.c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
@@ -578,73 +606,6 @@ def index_form(density: Density, curve: DiscreteCurve, u, v=None) -> IndexFormRe
     return IndexFormReport(value=value, quadrature_error=abs(value - coarse) / 3.0, boundary_term=0.0)
 
 
-def q_form(density: Density, curve: DiscreteCurve, u) -> IndexFormReport:
-    """Q_f(u,u) = −∫ u L_f(u) da_f − Σ_{∂Σ} u (∂u/∂ν) f.
-
-    L_f(u) = u″ + ⟨∇ψ, T⟩ u′ + (Ric_f(N,N) + k²) u along the curve, with
-    spline derivatives; ν is the outward conormal (−T at the start node,
-    +T at the end node) and the 0-dimensional boundary measure is f at
-    the endpoint.  Closed curves have no boundary term.  Agrees with
-    index_form up to O(h²) for smooth u, exactly in the limit.
-    """
-    _require_planar(density)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (curve.n_nodes,):
-        raise GeometryError("test function must be sampled at the curve nodes")
-    du, d2u = _spline_derivatives(curve, u)
-    psi_t = _tangential_gradient_log_density(density, curve)
-    ric = bakry_emery_curvature(density, curve.points, curve.normals)
-    lf_u = d2u + psi_t * du + (ric + curve.curvature**2) * u
-    interior = -float(np.sum(u * lf_u * curve.weights))
-    if curve.closed:
-        boundary = 0.0
-    else:
-        f_ends = np.exp(log_density(density, curve.points[[0, -1]]))
-        boundary = -(u[0] * (-du[0]) * f_ends[0] + u[-1] * du[-1] * f_ends[1])
-    coarse_pts = curve.points[::2]
-    coarse_w = _trapezoid_weights(density, coarse_pts, curve.closed)
-    coarse = -float(np.sum((u * lf_u)[::2] * coarse_w))
-    return IndexFormReport(
-        value=interior + boundary,
-        quadrature_error=abs(interior - coarse) / 3.0,
-        boundary_term=boundary,
-    )
-
-
-@dataclass(frozen=True)
-class TranslationTestFunction:
-    """Mean-zero variation u = α + ⟨η, N⟩ induced by a translation η."""
-
-    u: np.ndarray
-    alpha: float
-    degenerate: bool
-
-
-def translation_test_function(density: Density, curve: DiscreteCurve, eta) -> TranslationTestFunction:
-    """u = α + h with h = ⟨η, N⟩ and α = −(∫h da_f)/A_f(Σ).
-
-    The constant α makes ∫ u da_f = 0 exactly, the volume-preserving
-    normal speed of a translated-and-rescaled deformation.  When h ≡ 0
-    (normal everywhere orthogonal to η) the construction degenerates and
-    h itself is returned with the flag set.
-    """
-    _require_planar(density)
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (2,):
-        raise DomainError("eta must be a planar vector")
-    area = curve.weighted_area()
-    if not area > 0.0:
-        raise GeometryError("curve carries no weighted area")
-    h = np.sum(eta * curve.normals, axis=-1)
-    if float(np.max(np.abs(h))) < 1e-14:
-        return TranslationTestFunction(u=h, alpha=0.0, degenerate=True)
-    alpha = -float(np.sum(h * curve.weights)) / area
-    u = alpha + h
-    if abs(float(np.sum(u * curve.weights))) > 1e-10 * area:
-        raise ConsistencyError("translation test function failed to be mean-zero")
-    return TranslationTestFunction(u=u, alpha=alpha, degenerate=False)
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Stability of a boundary-parallel half-space at height t0."""
@@ -681,8 +642,5 @@ def parallel_halfspace_stability(density: Density, t0: float, n: int = 4001) -> 
 
 def curve_csv(curve: DiscreteCurve) -> str:
     """Serialize to CSV with header x,t,Nx,Nt,k (shortest round-trip floats)."""
-    lines = ["x,t,Nx,Nt,k"]
-    for p, nv, k in zip(curve.points, curve.normals, curve.curvature):
-        cells = (float(p[0]), float(p[1]), float(nv[0]), float(nv[1]), float(k))
-        lines.append(",".join(repr(v) for v in cells))
-    return "\n".join(lines) + "\n"
+    (x, t), (nx, nt) = curve.points.T, curve.normals.T
+    return _csv_table("x,t,Nx,Nt,k", x, t, nx, nt, curve.curvature)

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import CubicSpline, DiscreteCurve, _trapezoid_weights
-from .weights import Density, gaussian_cdf, gaussian_factor, gaussian_quantile, log_density
-from .weights import log_density_gradient, tail_interval, total_weighted_volume
+from .weights import Density, _csv_table, _float_arrays, _gauss_legendre, gaussian_cdf
+from .weights import gaussian_factor, gaussian_quantile, log_density, log_density_gradient
+from .weights import tail_interval, total_weighted_volume
 
 __all__ = [
     "ChordSpline",
@@ -74,7 +75,7 @@ def _operator(m: int) -> _SplineOperator:
     axis wherever the curve turns steeply.  Built once per m.
     """
     if m not in _OPERATORS:
-        x, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+        x, w = _gauss_legendre(_QUAD_ORDER)
         edges = np.linspace(0.0, 1.0, (m - 1) * _QUAD_SUBPANELS + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
@@ -125,10 +126,7 @@ class ChordSpline:
     graph: bool = True
 
     def __post_init__(self):
-        cx = np.atleast_1d(np.asarray(self.control_x, dtype=float))
-        ct = np.atleast_1d(np.asarray(self.control_t, dtype=float))
-        object.__setattr__(self, "control_x", cx)
-        object.__setattr__(self, "control_t", ct)
+        cx, ct = _float_arrays(self, np.atleast_1d, "control_x", "control_t")
         object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
         a, b = self.span
         m = cx.size
@@ -556,12 +554,9 @@ def minimize(
 
 def trace_csv(trace: OptimizeTrace) -> str:
     """Serialize to CSV with header iter,length,area_err,grad_norm."""
-    lines = ["iter,length,area_err,grad_norm"]
-    for i, length, aerr, gnorm in zip(
-        trace.iterations, trace.lengths, trace.area_errors, trace.gradient_norms
-    ):
-        lines.append(f"{int(i)},{float(length)!r},{float(aerr)!r},{float(gnorm)!r}")
-    return "\n".join(lines) + "\n"
+    t = trace
+    return _csv_table("iter,length,area_err,grad_norm", t.iterations, t.lengths, t.area_errors,
+                      t.gradient_norms)
 
 
 def chord_curve(density: Density, chord: ChordSpline, n: int = 401) -> DiscreteCurve:

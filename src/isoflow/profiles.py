@@ -41,6 +41,7 @@ from .weights import (
     Density,
     PiecewiseLinearWeight,
     QuadratureSpec,
+    _csv_table,
     _gaussian_tail_cutoff,
     gaussian_cdf,
     gaussian_factor,
@@ -49,12 +50,9 @@ from .weights import (
 )
 
 __all__ = [
-    "HalfSpaceCandidate",
     "Profile",
     "ProfileOdeReport",
     "ComparisonVerdict",
-    "volume_area_parallel",
-    "volume_area_perpendicular",
     "build_profile",
     "check_profile_ode",
     "compare_profiles",
@@ -63,44 +61,6 @@ __all__ = [
 ]
 
 GRID_EPS = 1e-3  # relative volume margin kept clear of the degenerate endpoints
-
-
-@dataclass(frozen=True)
-class HalfSpaceCandidate:
-    """A half-space cut of the slab.
-
-    orientation 'parallel' uses level (boundary {t = level}), orientation
-    'perpendicular' uses axis/offset (boundary {z_axis = offset}), and
-    'tilted' uses a unit normal in R^dim with offset d (boundary
-    {<p, normal> = d}).
-    """
-
-    orientation: str
-    level: float | None = None
-    axis: int | None = None
-    offset: float | None = None
-    normal: tuple[float, ...] | None = None
-
-    def validate(self, density: Density) -> None:
-        if self.orientation == "parallel":
-            a, b = density.slab
-            if self.level is None or not a < self.level < b:
-                raise DomainError("parallel candidate needs a level inside the slab")
-        elif self.orientation == "perpendicular":
-            if density.n < 1:
-                raise DomainError("perpendicular candidate needs n >= 1")
-            if self.axis is None or not 1 <= self.axis <= density.n:
-                raise DomainError("perpendicular axis index must lie in 1..n")
-            if self.offset is None or not math.isfinite(self.offset):
-                raise DomainError("perpendicular candidate needs a finite offset")
-        elif self.orientation == "tilted":
-            if self.normal is None or len(self.normal) != density.dim:
-                raise DomainError("tilted candidate needs a normal with dim components")
-            nrm = math.sqrt(sum(x * x for x in self.normal))
-            if abs(nrm - 1.0) > 1e-9:
-                raise DomainError("tilted normal must be a unit vector")
-        else:
-            raise DomainError(f"unknown orientation {self.orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -122,33 +82,6 @@ class Profile:
             raise ConsistencyError("profile volumes must be strictly increasing")
         if np.any(self.F <= 0.0):
             raise ConsistencyError("profile values must be positive on the open range")
-
-
-def volume_area_parallel(
-    density: Density, s: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
-    """(V, A) of the half-space {t < s} cut parallel to the slab faces."""
-    a, b = density.slab
-    if not a <= s <= b:
-        raise DomainError("parallel level must lie in the closed slab")
-    gf = gaussian_factor(density.n, density.c)
-    V = gf * integrate_weighted(density, lo=a, hi=s, spec=spec)
-    w = density.weight
-    A = gf * math.exp(float(w.value(s)) - density.c * s * s)
-    return V, A
-
-
-def volume_area_perpendicular(
-    density: Density, s: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
-    """(V, A) of the half-space {z_i < s} cut perpendicular to the faces."""
-    if density.n < 1:
-        raise DomainError("perpendicular family needs n >= 1")
-    gf = gaussian_factor(density.n - 1, density.c)
-    M = integrate_weighted(density, spec=spec)
-    V = gf * M * math.sqrt(math.pi / density.c) * float(gaussian_cdf(density.c, s))
-    A = gf * M * math.exp(-density.c * s * s)
-    return V, A
 
 
 def _chebyshev_grid(lo: float, hi: float, size: int) -> np.ndarray:
@@ -427,9 +360,5 @@ def tilted_profile_wholespace(
 
 def profile_csv(profile: Profile) -> str:
     """CSV serialization, shortest round-trip decimals."""
-    lines = ["s,V,A,v,F,dF,ddF"]
-    for row in zip(
-        profile.s, profile.V, profile.A, profile.v, profile.F, profile.dF, profile.ddF
-    ):
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    p = profile
+    return _csv_table("s,V,A,v,F,dF,ddF", p.s, p.V, p.A, p.v, p.F, p.dF, p.ddF)

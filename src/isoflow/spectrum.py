@@ -11,7 +11,13 @@ Gaussian on the whole line.  Discretization is a cell-centered finite
 volume scheme: cell masses lump the measure, face conductances carry
 the Dirichlet energy, and the natural (no-flux) boundary condition is
 automatic.  The constant vector spans the kernel, so the gap is the
-second-smallest eigenvalue of the symmetrized tridiagonal pencil.
+second-smallest eigenvalue of the tridiagonal pencil K u = λ M u.
+
+That eigenvalue is found with numpy alone, by Lanczos on the pencil's
+Neumann Green's operator: on a weighted path graph K u = M v is solved
+by two cumulative sums (face fluxes, then their increments), and the
+largest eigenvalue of that operator on mean-zero functions is 1/λ, well
+separated from 1/λ₂ < 1/λ, so a handful of Krylov steps resolve it.
 """
 
 from __future__ import annotations
@@ -20,17 +26,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConsistencyError, DomainError
-from .weights import Density, _one_sided_cutoff, check_concavity
+from .weights import Density, _csv_table, _float_arrays, _one_sided_cutoff, check_concavity
 
 __all__ = [
     "PoincareCertificate",
     "SpectralProblem",
     "build_spectral_problem",
     "poincare_certify",
-    "rayleigh_quotient",
     "spectral_gap_1d",
     "spectrum_csv",
 ]
@@ -38,6 +42,11 @@ __all__ = [
 # truncation mass level e^{-32}: for the pure Gaussian this places the
 # cut exactly at |t| = 8 / sqrt(2c), eight standard deviations out
 TRUNCATION_EPS = math.exp(-32.0)
+
+# Lanczos stops once the gap Ritz pair's residual is _LANCZOS_TOL of its
+# Ritz value (eigenvector error about that over the relative spectral gap)
+_LANCZOS_TOL = 1e-13
+_LANCZOS_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -59,12 +68,7 @@ class SpectralProblem:
     conductances: np.ndarray
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        w = np.atleast_1d(np.asarray(self.masses, dtype=float))
-        g = np.atleast_1d(np.asarray(self.conductances, dtype=float))
-        object.__setattr__(self, "nodes", t)
-        object.__setattr__(self, "masses", w)
-        object.__setattr__(self, "conductances", g)
+        t, w, g = _float_arrays(self, np.atleast_1d, "nodes", "masses", "conductances")
         if t.size < 16:
             raise DomainError("spectral problem needs at least 16 cells")
         if w.shape != t.shape or g.shape != (t.size - 1,):
@@ -98,10 +102,9 @@ def build_spectral_problem(
     delta = (hi - lo) / n_cells
     centers = lo + (np.arange(n_cells) + 0.5) * delta
     faces = lo + np.arange(1, n_cells) * delta
-    w_fn = density.weight
-    c = density.c
-    masses = np.exp(w_fn.value(centers) - c * centers * centers) * delta
-    conductances = np.exp(w_fn.value(faces) - c * faces * faces) / delta
+    w, c = density.weight, density.c
+    masses = np.exp(w.value(centers) - c * centers * centers) * delta
+    conductances = np.exp(w.value(faces) - c * faces * faces) / delta
     return SpectralProblem(
         density=density,
         interval=(float(lo), float(hi)),
@@ -111,53 +114,62 @@ def build_spectral_problem(
     )
 
 
-def _dirichlet_energy(problem: SpectralProblem, u: np.ndarray) -> float:
-    du = np.diff(u)
-    return float(np.sum(problem.conductances * du * du))
-
-
 def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
     """Smallest nonzero eigenvalue of K u = λ M u with its eigenvector.
 
-    The symmetrized pencil B = M^{−1/2} K M^{−1/2} is tridiagonal; the
-    constant function spans the kernel, so the gap is eigenvalue index 1.
-    The returned eigenvector is mass-normalized and projected to the
-    discrete mean-zero subspace.
+    Lanczos, in the M inner product and with full reorthogonalization, on
+    the Green's operator v ↦ u with K u = M v over mean-zero functions,
+    started from the linear function (which overlaps the monotone gap
+    eigenvector).  Its largest Ritz value is 1/λ.  The face fluxes
+    g_i (u_{i+1} − u_i) = −Σ_{j≤i} w_j v_j are summed from whichever end
+    carries less mass, so tails do not cancel.  The returned eigenvector
+    is mean-zero, mass-normalized and increasing; a run that does not
+    converge raises ConsistencyError with the pencil's conditioning.
     """
-    w = problem.masses
-    g = problem.conductances
-    diag_k = np.zeros_like(w)
-    diag_k[:-1] += g
-    diag_k[1:] += g
-    inv_sqrt = 1.0 / np.sqrt(w)
-    d = diag_k * inv_sqrt * inv_sqrt
-    e = -g * inv_sqrt[:-1] * inv_sqrt[1:]
-    try:
-        vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
-    except Exception as exc:  # propagate with conditioning diagnostics
+    w, g, t = problem.masses, problem.conductances, problem.nodes
+    total = float(np.sum(w))
+    from_left = np.cumsum(w)[:-1] <= 0.5 * total
+
+    def inner(a: np.ndarray, b: np.ndarray):
+        """M inner products of a (or of each of its rows) with b."""
+        return np.sum(a * (w * b), axis=-1)
+
+    def green(v: np.ndarray) -> np.ndarray:
+        f = w * v
+        flux = np.where(from_left, -np.cumsum(f)[:-1], np.cumsum(f[::-1])[-2::-1])
+        u = np.concatenate(([0.0], np.cumsum(flux / g)))
+        return u - float(np.sum(u * w)) / total
+
+    q = t - float(np.sum(t * w)) / total
+    basis = [q / math.sqrt(float(inner(q, q)))]
+    alpha, beta = [], []
+    for _ in range(_LANCZOS_STEPS):
+        z = green(basis[-1])
+        q = np.array(basis)
+        a = 0.0
+        for _ in range(2):  # twice is enough for orthogonality
+            coef = inner(q, z)
+            z -= np.sum(coef[:, None] * q, axis=0)
+            a += float(coef[-1])
+        alpha.append(a)
+        b = math.sqrt(float(inner(z, z)))
+        ritz, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = float(ritz[-1]), vectors[:, -1]
+        residual = b * abs(float(s[-1])) / theta if theta > 0.0 else math.nan
+        if not residual > _LANCZOS_TOL:  # converged, or broken down on nan
+            break
+        beta.append(b)
+        basis.append(z / b)
+    if not residual <= _LANCZOS_TOL:
         raise ConsistencyError(
-            "tridiagonal eigensolver failed "
-            f"(mass range [{w.min():.3e}, {w.max():.3e}], "
-            f"conductance range [{g.min():.3e}, {g.max():.3e}]): {exc}"
-        ) from exc
-    lam = float(vals[1])
-    u = vecs[:, 1] * inv_sqrt
-    u = u - float(np.sum(u * w)) / float(np.sum(w))
-    u = u / math.sqrt(float(np.sum(u * u * w)))
-    return lam, u
-
-
-def rayleigh_quotient(problem: SpectralProblem, u) -> float:
-    """D(u)/‖u‖²_μ after projecting u onto the mean-zero subspace."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != problem.nodes.shape:
-        raise DomainError("test function must be sampled at the cell centers")
-    w = problem.masses
-    u = u - float(np.sum(u * w)) / float(np.sum(w))
-    denom = float(np.sum(u * u * w))
-    if denom <= 1e-28 * float(np.sum(w)):
-        raise DomainError("test function is zero after mean-zero projection")
-    return _dirichlet_energy(problem, u) / denom
+            f"Lanczos gap solve did not converge (relative residual {residual:.3e} "
+            f"after {len(alpha)} steps; mass range [{w.min():.3e}, {w.max():.3e}], "
+            f"conductance range [{g.min():.3e}, {g.max():.3e}])"
+        )
+    u = np.sum(s[:, None] * q, axis=0)
+    u = u - float(np.sum(u * w)) / total
+    u = u / math.sqrt(float(inner(u, u)))
+    return 1.0 / theta, (u if u[-1] >= u[0] else -u)
 
 
 @dataclass(frozen=True)
@@ -223,7 +235,4 @@ def spectrum_csv(problem: SpectralProblem, u1) -> str:
     u1 = np.asarray(u1, dtype=float)
     if u1.shape != problem.nodes.shape:
         raise DomainError("eigenvector must be sampled at the cell centers")
-    lines = ["t,w,u1"]
-    for t, w, u in zip(problem.nodes, problem.masses, u1):
-        lines.append(f"{float(t)!r},{float(w)!r},{float(u)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_table("t,w,u1", problem.nodes, problem.masses, u1)

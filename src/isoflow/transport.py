@@ -23,11 +23,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .geometry import DiscreteCurve, _polyline_weighted_length, curve_weighted_length
+from .geometry import DiscreteCurve, _check_in_slab, _polyline_weighted_length, curve_weighted_length
 from .weights import (
     CumulativeDensity1D,
     Density,
     ZeroWeight,
+    _csv_table,
+    _float_arrays,
     check_concavity,
     gaussian_ccdf,
     gaussian_cdf,
@@ -72,12 +74,7 @@ class TransportMap:
     n_clipped: int = 0
 
     def __post_init__(self):
-        s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        drho = np.atleast_1d(np.asarray(self.drho, dtype=float))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "drho", drho)
+        s, rho, drho = _float_arrays(self, np.atleast_1d, "s", "rho", "drho")
         if s.ndim != 1 or s.shape != rho.shape or s.shape != drho.shape or s.size < 2:
             raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
         if np.any(np.diff(s) <= 0.0):
@@ -263,11 +260,9 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     density = tmap.target
     if density.dim != 2:
         raise DomainError("perimeter bound is restricted to the planar model dim=2")
+    _check_in_slab(density, curve.points)
     a, b = density.slab
     t = curve.points[:, 1]
-    scale = 1.0 + float(np.max(np.abs(t)))
-    if np.any(t < a - 1e-9 * scale) or np.any(t > b + 1e-9 * scale):
-        raise DomainError("curve exits the slab")
     p_f = curve_weighted_length(density, curve)
     clip_span = float(gaussian_quantile(tmap.source.c, 1.0 - QUANTILE_CLIP, QUANTILE_CLIP))
     sigma = np.clip(_inverse_map(tmap, np.clip(t, a, b)), -clip_span, clip_span)
@@ -285,7 +280,4 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
 
 def transport_csv(tmap: TransportMap) -> str:
     """Serialize to CSV with header s,rho,drho (shortest round-trip floats)."""
-    lines = ["s,rho,drho"]
-    for s, r, dr in zip(tmap.s, tmap.rho, tmap.drho):
-        lines.append(f"{float(s)!r},{float(r)!r},{float(dr)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_table("s,rho,drho", tmap.s, tmap.rho, tmap.drho)

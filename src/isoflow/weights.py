@@ -20,7 +20,8 @@ where omega is a (usually concave) function of t alone.  This module owns
     Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
     positive vectorized integrand on a finite interval) with batched
     masses and quantiles, each quantile resolved to about one ulp of t,
-  * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile.
+  * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
+    on a numpy erfc and Wichura's AS241 normal quantile.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import erfc, erfcinv
 
 from .errors import ConsistencyError, DomainError, QuadratureError, SmoothnessError
 
@@ -314,25 +313,119 @@ def gaussian_factor(k: int, c: float) -> float:
     return (math.pi / c) ** (k / 2.0)
 
 
+def _horner(coefficients, x: np.ndarray) -> np.ndarray:
+    """Polynomial with the given coefficients (highest power first) at x."""
+    out = coefficients[0] * x
+    out += coefficients[1]
+    for c in coefficients[2:]:
+        out *= x
+        out += c
+    return out
+
+
+# Both erfc polynomials are Chebyshev interpolants at 80 nodes, computed
+# with mpmath 1.3 at 50 digits, truncated and expanded in powers of their
+# variable: erf(x)/x in z = x^2 on [0, 1/4] (ten terms), and erfcx(a)/t in
+# y = (t - _T_MID)/_T_HALF, t = 3/(3 + a), over a in [0.5, 28] (21 terms).
+# erfc is then within 8 ulp of mpmath on [-6, 26.5] (tests/test_weights.py).
+_ERF_NEAR = (
+    -1.4621341491012844e-07, 1.6371282597755977e-06, -1.4923005626894849e-05, 0.00012055286259121393,
+    -0.0008548326511566567, 0.005223977622024224, -0.026866170645000076, 0.1128379167095487,
+    -0.3761263890318375, 1.1283791670955126,
+)
+_ERFCX_FAR = (
+    -1.2622988005600178e-11, -4.332182216273873e-11, 2.1271171991264907e-10, 4.761451721521797e-10,
+    -2.3761577663560837e-09, -3.37383467276882e-09, 2.4020677408829253e-08, 2.611794612144443e-08,
+    -2.457690926345363e-07, -3.2832957782289095e-07, 2.5927174627813784e-06, 6.345136857499625e-06,
+    -2.4297870490308983e-05, -0.00013774431185290786, -1.7294395098689064e-05, 0.0022900811676417263,
+    0.012626248777086032, 0.04235048607461778, 0.10576546334725044, 0.21060369438281187,
+    0.34484035560925447,
+)
+_T_MID, _T_HALF = 0.4769585253456221, 0.380184331797235
+
+
+def _erfc(x) -> np.ndarray:
+    """Complementary error function, elementwise, for any float array.
+
+    |x| < 1/2: 1 - x P(x^2).  Otherwise e^{-a^2} erfcx(a) with a = |x|
+    capped at 28 (where erfc underflows), e^{-a^2} taken as
+    e^{-h^2} e^{-(a - h)(a + h)} with h = a cut to 26 mantissa bits so
+    that h^2 is exact, and erfc(-a) = 2 - erfc(a).  inf gives 0 and 2,
+    nan gives nan.
+    """
+    x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.ravel()
+    out = 1.0 - x * _horner(_ERF_NEAR, x * x)
+    far = np.abs(x) >= 0.5
+    if far.any():
+        xf = x[far]
+        a = np.minimum(np.abs(xf), 28.0)
+        h = (a.view(np.int64) & ~0x7FFFFFF).view(float)
+        t = 3.0 / (3.0 + a)
+        erfcx = _horner(_ERFCX_FAR, (t - _T_MID) / _T_HALF) * t
+        tail = erfcx * np.exp(-h * h) * np.exp((h - a) * (a + h))
+        out[far] = np.where(xf < 0.0, 2.0 - tail, tail)
+    return out.reshape(shape)[()]
+
+
 def gaussian_cdf(c: float, s):
     """CDF of the normalized Gaussian sqrt(c/pi) e^{-c s^2}, exact in the lower tail."""
-    return 0.5 * erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
+    return 0.5 * _erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
 
 
 def gaussian_ccdf(c: float, s):
     """1 - gaussian_cdf(c, s), exact in the upper tail."""
-    return 0.5 * erfc(math.sqrt(c) * np.asarray(s, dtype=float))
+    return 0.5 * _erfc(math.sqrt(c) * np.asarray(s, dtype=float))
+
+
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard
+# library's statistics.NormalDist: for the central branch and the two tail
+# branches, numerator then denominator, highest power first
+_AS241 = tuple(np.reshape(branch, (2, 8)) for branch in (
+    (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+     13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665,
+     5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+     5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0),
+    (0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+     3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835,
+     1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457, 0.14810397642748008,
+     0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0),
+    (2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784, 0.026532189526576124,
+     0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103,
+     2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133,
+     0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0),
+))
+
+
+def _as241(branch: int, r: np.ndarray) -> np.ndarray:
+    numerator, denominator = _AS241[branch]
+    return _horner(numerator, r) / _horner(denominator, r) if r.size else r
 
 
 def gaussian_quantile(c: float, q, q_upper):
     """s with gaussian_cdf(c, s) = q, from whichever tail avoids cancellation.
 
     q_upper = 1 - q is passed separately so upper-tail quantiles keep full
-    relative accuracy; q = 0 and q_upper = 0 give -inf and +inf.
+    relative accuracy; q = 0 and q_upper = 0 give -inf and +inf.  The
+    standard normal quantile is AS241 (about 1e-16 relative), each of its
+    three branches evaluated on its own elements only.
     """
-    q = np.asarray(q, dtype=float)
-    q_upper = np.asarray(q_upper, dtype=float)
-    return np.where(q <= 0.5, -erfcinv(2.0 * q), erfcinv(2.0 * q_upper)) / math.sqrt(c)
+    q, q_upper = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float))
+    shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
+    lower = q <= 0.5
+    d = np.where(lower, q - 0.5, 0.5 - q_upper)
+    x = np.empty(d.shape)
+    central = np.abs(d) <= 0.425
+    dc = d[central]
+    x[central] = dc * _as241(0, 0.180625 - dc * dc)
+    tail = ~central
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(np.where(lower, q, q_upper)[tail]))
+    v = np.full(r.shape, np.inf)  # r = inf at a zero tail probability
+    near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
+    v[near], v[far] = _as241(1, r[near] - 1.6), _as241(2, r[far] - 5.0)
+    x[tail] = np.where(lower[tail], -v, v)
+    return x.reshape(shape) / math.sqrt(2.0 * c)
 
 
 def log_density(density: Density, p) -> np.ndarray:
@@ -415,7 +508,8 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     y = 2.0 * eps / math.sqrt(math.pi / c_eff) * math.exp(-log_k)
     if y >= 2.0:
         return mu
-    x = float(erfcinv(min(y, 2.0 - 1e-16)))
+    # x = erfcinv(y), the standard normal upper quantile of y/2 over sqrt(2)
+    x = -float(gaussian_quantile(1.0, 0.5 * y, 1.0 - 0.5 * y))
     return mu + x / math.sqrt(c_eff)
 
 
@@ -477,6 +571,15 @@ _ADAPTIVE_ORDER = 23
 _ROUNDING = 8.0 * np.finfo(float).eps
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @functools.lru_cache(maxsize=64)
 def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for (1 + x)^m on [-1, 1] by Golub-Welsch, exact to
@@ -486,7 +589,7 @@ def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2.0 * k + m
     diag = np.concatenate(([m / (m + 2.0)], m * m / (s * (s + 2.0))))
     off = 2.0 * k * (k + m) / s / np.sqrt((s + 1.0) * (s - 1.0))
-    x, v = eigh_tridiagonal(diag, off)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return x, 2.0 ** (m + 1.0) / (m + 1.0) * v[0] ** 2
 
 
@@ -521,7 +624,7 @@ def integrate_weighted_report(
         return QuadratureReport(0.0, 0.0, (lo_eff, hi_eff))
     gv = (lambda t: 1.0) if g is None else g
     m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo_eff == 0.0 else None
-    x, wts = np.polynomial.legendre.leggauss(_ADAPTIVE_ORDER)
+    x, wts = _gauss_legendre(_ADAPTIVE_ORDER)
 
     def rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -585,6 +688,21 @@ def total_weighted_volume(density: Density, spec: QuadratureSpec = DEFAULT_QUADR
 _QUANTILE_MAX_STEPS = 1100
 
 
+def _float_arrays(frozen, atleast, *names: str) -> list[np.ndarray]:
+    """Coerce the named fields of a frozen dataclass to float arrays, at
+    least 1-D or 2-D by ``atleast``, and return them."""
+    arrays = [atleast(np.asarray(getattr(frozen, name), dtype=float)) for name in names]
+    for name, value in zip(names, arrays):
+        object.__setattr__(frozen, name, value)
+    return arrays
+
+
+def _csv_table(header: str, *columns) -> str:
+    """CSV text under the header, every float as its shortest round-trip repr."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def _shaped(values: np.ndarray, shape: tuple):
     """Flat per-point results back in the caller's shape; a float for a scalar."""
     return float(values[0]) if shape == () else values.reshape(shape)
@@ -620,7 +738,7 @@ class CumulativeDensity1D:
             m = None
         self.breaks = breaks = np.linspace(lo, hi, n_panels + 1)
         self.order = order
-        self._glx, self._glw = x, gw = np.polynomial.legendre.leggauss(order)
+        self._glx, self._glw = x, gw = _gauss_legendre(order)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
         panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
         self._from_zero = None  # int_0^b of a singular integrand, by Gauss-Jacobi

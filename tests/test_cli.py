@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -303,6 +304,63 @@ class TestSingleCommand:
         monkeypatch.setattr(SpectralProblem, "__post_init__", counting)
         assert main(["spectrum", "--config", GAUSSIAN_CFG, "--out", str(tmp_path)]) == 0
         assert len(built) == 1
+
+
+class TestOnePencilPerRun:
+    @pytest.mark.parametrize(
+        "text, pencils",
+        [
+            (None, 1),
+            ("[density]\nweight = zero\nc = 0.5\nslab = -inf, inf\n[jacobi]\nmax_length = 0.9\n", 2),
+        ],
+        ids=["gaussian_slab", "zero_on_R"],
+    )
+    def test_stability_and_spectrum_share_the_certificate(self, tmp_path, monkeypatch, text, pencils):
+        # an infinite slab adds the 1.25x wider truncation check, once
+        built = []
+        check = SpectralProblem.__post_init__
+
+        def counting(self):
+            built.append(self.n_cells)
+            check(self)
+
+        monkeypatch.setattr(SpectralProblem, "__post_init__", counting)
+        cfg = GAUSSIAN_CFG if text is None else write_cfg(tmp_path, text)
+        main(["all", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert len(built) == pencils
+        verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
+        assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+
+
+class TestInteriorDefaults:
+    """Unset [stability] t0 and [jacobi] start_t sit strictly inside the slab."""
+
+    @pytest.mark.parametrize(
+        "weight, median",
+        [("weight = zero", 0.6744897501960817), ("weight = log_power\nparams = 2", None)],
+        ids=["zero", "log_power_2"],
+    )
+    def test_half_plane_runs_from_the_slab_median(self, tmp_path, weight, median):
+        from scipy.special import gammaincinv
+
+        # t^2 e^{-t^2/2} on (0, inf) is the chi distribution with 3 degrees of freedom
+        median = math.sqrt(2.0 * gammaincinv(1.5, 0.5)) if median is None else median
+        cfg = write_cfg(
+            tmp_path, f"[density]\n{weight}\nc = 0.5\nslab = 0, inf\n[jacobi]\nmax_length = 0.9\n"
+        )
+        out = str(tmp_path / "out")
+        for command in ("stability", "jacobi"):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+        resolved = load_config(os.path.join(out, "resolved.cfg"))
+        t0 = resolved.value("stability", "t0")
+        assert t0 == resolved.value("jacobi", "start_t")
+        assert t0 == pytest.approx(median, rel=1e-12)
+        assert read_json(out, "stability.json")["metrics"]["t0"] == t0
+
+    def test_zero_inside_the_slab_and_explicit_values_are_kept(self, tmp_path):
+        config = load_config(write_cfg(tmp_path, "[density]\nslab = -0.5, 2\n[stability]\nt0 = 0.25\n"))
+        assert config.value("stability", "t0") == 0.25
+        assert config.value("jacobi", "start_t") == 0.0
 
 
 class TestStability:

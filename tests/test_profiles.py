@@ -24,15 +24,13 @@ from isoflow import (
     ZeroWeight,
 )
 from isoflow.profiles import (
-    HalfSpaceCandidate,
     build_profile,
     check_profile_ode,
     compare_profiles,
     profile_csv,
     tilted_profile_wholespace,
-    volume_area_parallel,
-    volume_area_perpendicular,
 )
+from isoflow.weights import gaussian_cdf, gaussian_factor, integrate_weighted
 
 INF = math.inf
 
@@ -44,6 +42,26 @@ def gaussian_mass(c: float, lo: float, hi: float) -> float:
 
 def profile_at(profile, v: float) -> float:
     return float(PchipInterpolator(profile.v, profile.F)(v))
+
+
+def volume_area_parallel(density, s: float) -> tuple[float, float]:
+    """Oracle: (V, A) of the half-space {t < s}, by adaptive quadrature."""
+    a, b = density.slab
+    if not a <= s <= b:
+        raise DomainError("parallel level must lie in the closed slab")
+    gf = gaussian_factor(density.n, density.c)
+    V = gf * integrate_weighted(density, lo=a, hi=s)
+    return V, gf * math.exp(float(density.weight.value(s)) - density.c * s * s)
+
+
+def volume_area_perpendicular(density, s: float) -> tuple[float, float]:
+    """Oracle: (V, A) of the half-space {z_1 < s}, by quadrature and the Gaussian CDF."""
+    if density.n < 1:
+        raise DomainError("perpendicular family needs n >= 1")
+    gf = gaussian_factor(density.n - 1, density.c)
+    M = integrate_weighted(density)
+    V = gf * M * math.sqrt(math.pi / density.c) * float(gaussian_cdf(density.c, s))
+    return V, gf * M * math.exp(-density.c * s * s)
 
 
 class TestVolumeAreaParallel:
@@ -295,27 +313,6 @@ class TestTiltedProfile:
         report = check_profile_ode(tp, d.c)
         assert report.verdict == "inequality"
         assert report.max_defect <= 1e-8
-
-
-class TestHalfSpaceCandidate:
-    def test_parallel_level_inside_slab(self):
-        d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        HalfSpaceCandidate("parallel", level=0.5).validate(d)
-        with pytest.raises(DomainError):
-            HalfSpaceCandidate("parallel", level=1.5).validate(d)
-
-    def test_perpendicular_axis_range(self):
-        d = Density(ZeroWeight(), 0.5, 3, (0.0, 1.0))
-        HalfSpaceCandidate("perpendicular", axis=2, offset=0.0).validate(d)
-        with pytest.raises(DomainError):
-            HalfSpaceCandidate("perpendicular", axis=3, offset=0.0).validate(d)
-
-    def test_tilted_unit_normal(self):
-        d = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
-        r = math.sqrt(0.5)
-        HalfSpaceCandidate("tilted", normal=(r, r), offset=0.0).validate(d)
-        with pytest.raises(DomainError):
-            HalfSpaceCandidate("tilted", normal=(1.0, 1.0), offset=0.0).validate(d)
 
 
 class TestProfileCsv:

@@ -19,10 +19,11 @@ from isoflow import (
     QuadraticWeight,
     ZeroWeight,
 )
+import isoflow.spectrum as spectrum
 from isoflow.spectrum import (
+    SpectralProblem,
     build_spectral_problem,
     poincare_certify,
-    rayleigh_quotient,
     spectral_gap_1d,
     spectrum_csv,
 )
@@ -32,6 +33,21 @@ INF = math.inf
 # frozen on first verified run: Neumann gap of e^{-t^2/2} dt on (0,1),
 # cell-centered scheme at N=2000 (Richardson limit 10.4402028932)
 SLAB_GAP_N2000 = 10.440200557405529
+
+
+def rayleigh_quotient(problem, u) -> float:
+    """Oracle: D(u)/‖u‖²_μ after projecting u onto the mean-zero subspace,
+    an upper bound on the gap for every u."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != problem.nodes.shape:
+        raise DomainError("test function must be sampled at the cell centers")
+    w = problem.masses
+    u = u - float(np.sum(u * w)) / float(np.sum(w))
+    denom = float(np.sum(u * u * w))
+    if denom <= 1e-28 * float(np.sum(w)):
+        raise DomainError("test function is zero after mean-zero projection")
+    du = np.diff(u)
+    return float(np.sum(problem.conductances * du * du)) / denom
 
 
 def random_concave_piecewise_linear(rng, lo=-1.0, hi=1.0, n_knots=6):
@@ -104,6 +120,74 @@ class TestSpectralGap:
         assert abs(np.sum(u * p.masses)) <= 1e-10
         assert_allclose(np.sum(u * u * p.masses), 1.0, rtol=1e-10)
         assert lam > 0.0
+
+
+def reference_gap(problem):
+    """Gap and increasing mean-zero eigenvector of the symmetrized pencil, by LAPACK."""
+    w, g = problem.masses, problem.conductances
+    diag_k = np.zeros_like(w)
+    diag_k[:-1] += g
+    diag_k[1:] += g
+    inv_sqrt = 1.0 / np.sqrt(w)
+    vals, vecs = eigh_tridiagonal(
+        diag_k * inv_sqrt**2, -g * inv_sqrt[:-1] * inv_sqrt[1:], select="i", select_range=(0, 1)
+    )
+    u = vecs[:, 1] * inv_sqrt
+    u -= np.sum(u * w) / np.sum(w)
+    u /= math.sqrt(np.sum(u * u * w))
+    return vals[1], (u if u[-1] >= u[0] else -u)
+
+
+# the acceptance sweep: four weights on (0,1), (-1,1), (0,inf), R, log-power
+# only where it is defined, at c = 1/2
+SWEEP = [
+    Density(weight, 0.5, 2, slab)
+    for weight in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0, 0.0, 0.0),
+                   LogPowerWeight(2.0))
+    for slab in ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
+    if not (isinstance(weight, LogPowerWeight) and slab[0] < 0.0)
+]
+PIECEWISE = PiecewiseLinearWeight((-1.0, -0.2, 0.5, 1.0), (0.0, 0.6, 0.4, -0.5))
+
+
+class TestLanczosGap:
+    """spectral_gap_1d (Lanczos on the Green's operator) against LAPACK."""
+
+    @pytest.mark.parametrize(
+        "density",
+        SWEEP
+        + [
+            Density(LogPowerWeight(-0.5), 0.5, 2, (0.0, 2.0)),
+            Density(PIECEWISE, 0.5, 2, (-1.0, 1.0)),
+        ],
+        ids=lambda d: f"{type(d.weight).__name__}{d.slab}",
+    )
+    def test_matches_eigh_tridiagonal(self, density):
+        problem = build_spectral_problem(density, n_cells=2000)
+        lam, u = spectral_gap_1d(problem)
+        want, ref = reference_gap(problem)
+        assert type(lam) is float
+        assert_allclose(lam, want, rtol=1e-9)
+        if all(map(math.isfinite, density.slab)):  # LAPACK loses the e^{-32} tails
+            assert np.max(np.abs(u - ref)) <= 1e-9
+
+    def test_small_pencil_is_exhausted_exactly(self):
+        problem = build_spectral_problem(Density(ZeroWeight(), 0.5, 2, (0.0, 1.0)), n_cells=16)
+        assert_allclose(spectral_gap_1d(problem)[0], reference_gap(problem)[0], rtol=1e-13)
+
+    def test_unconverged_run_raises_with_diagnostics(self, monkeypatch):
+        problem = build_spectral_problem(Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF)))
+        monkeypatch.setattr(spectrum, "_LANCZOS_STEPS", 2)
+        with pytest.raises(ConsistencyError, match="did not converge.*mass range"):
+            spectral_gap_1d(problem)
+
+    def test_non_finite_pencil_raises(self):
+        p = build_spectral_problem(Density(ZeroWeight(), 0.5, 2, (0.0, 1.0)), n_cells=64)
+        masses = p.masses.copy()
+        masses[10] = np.nan
+        broken = SpectralProblem(p.density, p.interval, p.nodes, masses, p.conductances)
+        with pytest.raises(ConsistencyError, match="did not converge"):
+            spectral_gap_1d(broken)
 
 
 class TestRayleighQuotient:

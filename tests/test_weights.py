@@ -32,7 +32,15 @@ from isoflow import (
     log_density_gradient,
     normalizers,
 )
-from isoflow.weights import integrate_weighted_report, tail_interval
+from isoflow.weights import (
+    _erfc,
+    _gauss_legendre,
+    gaussian_ccdf,
+    gaussian_cdf,
+    gaussian_quantile,
+    integrate_weighted_report,
+    tail_interval,
+)
 
 INF = math.inf
 
@@ -452,3 +460,70 @@ class TestCumulativeDensity:
             cum = CumulativeDensity1D((np.sqrt, -1.0, 1.0))  # NaN left of 0
             with pytest.raises(ConsistencyError):
                 cum.quantile(np.array([0.25, 0.75]))
+
+
+class TestErfc:
+    """The numpy erfc under gaussian_cdf, against mpmath and scipy."""
+
+    def test_within_eight_ulp_of_mpmath(self):
+        import mpmath as mp
+
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.linspace(-6.0, 26.5, 1301), rng.uniform(-1.0, 1.0, 300),
+                            rng.uniform(0.45, 0.6, 200)])
+        got = _erfc(x)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            exact = mp.erfc(mp.mpf(xi))
+            ulps = abs(mp.mpf(gi) - exact) / math.ulp(float(exact))
+            assert ulps <= 8.0, (xi, float(ulps))
+
+    def test_against_scipy(self):
+        from scipy.special import erfc
+
+        # scipy rounds x^2 inside e^{-x^2}: about 500 ulp off at x = 26
+        x = np.linspace(-6.0, 26.5, 20001)
+        assert_allclose(_erfc(x), erfc(x), rtol=2e-13, atol=0.0)
+        near = np.linspace(-5.0, 5.0, 20001)
+        assert_allclose(_erfc(near), erfc(near), rtol=4e-15, atol=0.0)
+
+    def test_special_values_and_shapes(self):
+        got = _erfc(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 30.0, -30.0]))
+        assert got[0] == 0.0 and got[1] == 2.0 and math.isnan(got[2])
+        assert got[3] == 1.0 and got[4] == 1.0 and got[5] == 0.0 and got[6] == 2.0
+        assert np.ndim(_erfc(0.7)) == 0
+        assert _erfc(np.zeros((3, 2))).shape == (3, 2)
+
+
+class TestGaussianQuantile:
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+    def test_round_trip_in_both_tails(self, c):
+        """Phi(s) = q to 2e-15 (1 + 2c s^2) relative, down to q = 1e-300."""
+        q = 10.0 ** -np.linspace(0.31, 300.0, 600)
+        lower = gaussian_quantile(c, q, 1.0 - q)
+        upper = gaussian_quantile(c, 1.0 - q, q)
+        assert np.array_equal(upper, -lower)
+        bound = 2e-15 * q * (1.0 + 2.0 * c * lower**2)
+        assert np.all(np.abs(gaussian_cdf(c, lower) - q) <= bound)
+        assert np.all(np.abs(gaussian_ccdf(c, upper) - q) <= bound)
+
+    def test_against_scipy(self):
+        from scipy.special import erfcinv
+
+        rng = np.random.default_rng(11)
+        q = np.concatenate([rng.uniform(0.0, 1.0, 5000), 10.0 ** -rng.uniform(0.0, 300.0, 2000)])
+        want = -erfcinv(2.0 * q) / math.sqrt(0.5)
+        assert_allclose(gaussian_quantile(0.5, q, 1.0 - q), want, rtol=2e-15, atol=1e-16)
+
+    def test_endpoints_and_scalars(self):
+        s = gaussian_quantile(0.5, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5])
+        assert s[0] == -INF and s[1] == INF and s[2] == 0.0
+        assert float(gaussian_quantile(0.5, 0.975, 0.025)) == pytest.approx(1.959963984540054)
+
+
+class TestGaussLegendreCache:
+    def test_rule_is_built_once_and_read_only(self):
+        x, w = _gauss_legendre(12)
+        assert _gauss_legendre(12)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        assert_allclose(np.sum(w), 2.0, rtol=1e-15)
+        assert_allclose(x @ (x * w), 2.0 / 3.0, rtol=1e-14)
