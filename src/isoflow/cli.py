@@ -524,18 +524,18 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
     fraction = float(config.value("optimize", "target_fraction"))
     if not (0.0 < fraction < 1.0):
         raise ConfigError("optimize target_fraction must lie in (0, 1)")
-    chord = make_straight_chord(
-        density,
-        x_bottom=float(config.value("optimize", "x_bottom")),
-        x_top=float(config.value("optimize", "x_top")),
-        n_controls=int(config.value("optimize", "n_controls")),
-    )
     optimizer = OptimizerConfig(
         target_area=fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
         gradient_tolerance=float(config.value("optimize", "gradient_tolerance")),
     )
-    final, trace = minimize(density, optimizer, chord)
+    # passed unnamed, so the start chord's cached fields are freed once the descent leaves it
+    final, trace = minimize(density, optimizer, make_straight_chord(
+        density,
+        x_bottom=float(config.value("optimize", "x_bottom")),
+        x_top=float(config.value("optimize", "x_top")),
+        n_controls=int(config.value("optimize", "n_controls")),
+    ))
     _atomic_write(out_dir, "optimize_trace.csv", trace_csv(trace))
     _atomic_write(out_dir, "chord.csv", curve_csv(chord_curve(density, final)))
     benchmark = vertical_chord_length(density, fraction)

@@ -312,19 +312,22 @@ def curve_weighted_length(density: Density, curve: DiscreteCurve, order: int = 1
 # constant f-mean-curvature shooting
 
 
-def _shoot_rhs(density: Density, target: float, state: np.ndarray) -> np.ndarray:
+def _rk4_step(deriv, c2: float, target: float, state: tuple, h: float) -> tuple:
+    """One classical RK4 step of the state (x, t, θ) in Python floats, with
+    θ′ = target + ⟨∇ψ, N(θ)⟩ = target + c2·x·sin θ + (ω′(t) − c2·t)·cos θ,
+    c2 = 2c and deriv = ω′ called once per stage on the scalar t."""
+
+    def rhs(x: float, t: float, theta: float) -> tuple:
+        cos, sin = math.cos(theta), math.sin(theta)
+        return cos, sin, target + (c2 * x * sin + (float(deriv(t)) - c2 * t) * cos)
+
     x, t, theta = state
-    normal = np.array([-math.sin(theta), math.cos(theta)])
-    grad = log_density_gradient(density, np.array([x, t]))
-    return np.array([math.cos(theta), math.sin(theta), target + float(np.dot(grad, normal))])
-
-
-def _rk4_step(density: Density, target: float, state: np.ndarray, h: float) -> np.ndarray:
-    k1 = _shoot_rhs(density, target, state)
-    k2 = _shoot_rhs(density, target, state + 0.5 * h * k1)
-    k3 = _shoot_rhs(density, target, state + 0.5 * h * k2)
-    k4 = _shoot_rhs(density, target, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = rhs(x, t, theta)
+    k2 = rhs(x + 0.5 * h * k1[0], t + 0.5 * h * k1[1], theta + 0.5 * h * k1[2])
+    k3 = rhs(x + 0.5 * h * k2[0], t + 0.5 * h * k2[1], theta + 0.5 * h * k2[2])
+    k4 = rhs(x + h * k3[0], t + h * k3[1], theta + h * k3[2])
+    return tuple(s + h / 6.0 * (p + 2.0 * q + 2.0 * r + u)
+                 for s, p, q, r, u in zip(state, k1, k2, k3, k4))
 
 
 def cmc_shoot(
@@ -354,10 +357,11 @@ def cmc_shoot(
     if n_steps > 5_000_000:
         raise DomainError("step too small for the requested length")
 
-    states = [np.array([x0, t0, float(angle)])]
+    deriv, c2, target = density.weight.deriv, 2.0 * density.c, float(target)
+    states = [(x0, t0, float(angle))]
     hit_wall = False
     for _ in range(n_steps):
-        nxt = _rk4_step(density, target, states[-1], step)
+        nxt = _rk4_step(deriv, c2, target, states[-1], step)
         if a < nxt[1] < b:
             states.append(nxt)
             continue
@@ -366,11 +370,13 @@ def cmc_shoot(
         # last segment stays within the [h/2, 2h] spacing contract
         wall = a if nxt[1] <= a else b
 
-        def landing(base: np.ndarray, lo: float, hi: float) -> float:
+        def landing(base: tuple, lo: float, hi: float) -> float:
             """Step fraction in [lo, hi] from base that lands on the wall, by bisection."""
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                tm = _rk4_step(density, target, base, mid * step)[1]
+                if mid == lo or mid == hi:  # adjacent floats: no probe moves the bracket
+                    break
+                tm = _rk4_step(deriv, c2, target, base, mid * step)[1]
                 if (tm - wall) * (base[1] - wall) > 0.0:
                     lo = mid
                 else:
@@ -383,17 +389,15 @@ def cmc_shoot(
             states.pop()
             base = states[-1]
             frac = landing(base, 1.0, 2.0)
-        landed = _rk4_step(density, target, base, frac * step)
-        landed[1] = wall
-        states.append(landed)
+        landed = _rk4_step(deriv, c2, target, base, frac * step)
+        states.append((landed[0], wall, landed[2]))
         hit_wall = True
         break
 
     if len(states) < 3:
         raise GeometryError("curve left the slab before 3 nodes were laid down")
     arr = np.array(states)
-    points = arr[:, :2]
-    theta = arr[:, 2]
+    points, theta = arr[:, :2], arr[:, 2]
     normals = np.stack((-np.sin(theta), np.cos(theta)), axis=-1)
     grad = log_density_gradient(density, points)
     k = target + np.sum(grad * normals, axis=-1)

@@ -159,10 +159,15 @@ class ChordSpline:
     def knots(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.control_x.size)
 
-    @property
+    @functools.cached_property
     def controls(self) -> np.ndarray:
-        """(m, 2) array of the (x, t) control values."""
-        return np.column_stack([self.control_x, self.control_t])
+        """(m, 2) array of the (x, t) control values, read-only."""
+        return _read_only(np.column_stack([self.control_x, self.control_t]))
+
+    @functools.cached_property
+    def _fields(self) -> dict:
+        """Quadrature-node fields per density, filled by _chord_fields."""
+        return {}
 
     @functools.cached_property
     def _spline(self) -> CubicSpline:
@@ -174,12 +179,7 @@ class ChordSpline:
         return xt[..., 0], xt[..., 1]
 
     def translated(self, tau: float) -> "ChordSpline":
-        return ChordSpline(
-            control_x=self.control_x + tau,
-            control_t=self.control_t,
-            span=self.span,
-            graph=self.graph,
-        )
+        return ChordSpline(self.control_x + tau, self.control_t, self.span, self.graph)
 
 
 def make_straight_chord(
@@ -194,12 +194,7 @@ def make_straight_chord(
     lo, hi = tail_interval(density)
     x_top = x_bottom if x_top is None else x_top
     knots = np.linspace(0.0, 1.0, n_controls)
-    return ChordSpline(
-        control_x=x_bottom + (x_top - x_bottom) * knots,
-        control_t=lo + (hi - lo) * knots,
-        span=(lo, hi),
-        graph=graph,
-    )
+    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, lo + (hi - lo) * knots, (lo, hi), graph)
 
 
 def vertical_chord_length(density: Density, fraction: float) -> float:
@@ -211,14 +206,26 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     return v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _chord_fields(density: Density, chord: ChordSpline):
-    """Spline geometry and density values at the quadrature nodes."""
+    """Spline geometry and density values at the quadrature nodes, computed
+    once per chord and density and kept read-only on the chord."""
+    if density not in chord._fields:
+        chord._fields[density] = tuple(map(_read_only, _evaluate_fields(density, chord)))
+    return chord._fields[density]
+
+
+def _evaluate_fields(density: Density, chord: ChordSpline):
     op = _operator(chord.n_controls)
-    (x, t), (dx, dt), (d2x, d2t) = ((b @ chord.controls).T for b in (op.value, op.d1, op.d2))
+    pts, d1, d2 = (b @ chord.controls for b in (op.value, op.d1, op.d2))
+    (x, t), (dx, dt), (d2x, d2t) = pts.T, d1.T, d2.T
     speed = np.hypot(dx, dt)
     if np.any(speed <= 1e-12):
         raise GeometryError("chord parametrization degenerates (zero speed)")
-    pts = np.stack([x, t], axis=-1)
     f = np.exp(log_density(density, pts))
     return op.weights, x, t, dx, dt, d2x, d2t, speed, pts, f
 
@@ -313,8 +320,10 @@ class StationarityReport:
     """First-order optimality diagnostics of a chord.
 
     A stationary chord has constant f-mean curvature along its length
-    (spread ≤ 1e−3 relative) and meets both walls orthogonally
-    (tangent within 0.5° of vertical).
+    (spread ≤ 1e−3 relative) and meets the walls orthogonally (tangent
+    within 0.5° of vertical).  Only an end on a finite slab wall is held
+    to the angle: on an infinite side the chord ends at the tail cutoff,
+    which is not part of ∂Ω.  Both end angles are recorded.
     """
 
     stationary: bool
@@ -326,22 +335,15 @@ class StationarityReport:
 
 
 def stationarity_report(density: Density, chord: ChordSpline) -> StationarityReport:
-    fields = _chord_fields(density, chord)
-    qw, *_, speed, _, f = fields
-    hf = _f_mean_curvature(density, fields)
+    hf = _f_mean_curvature(density, _chord_fields(density, chord))
     spread = float(np.max(hf) - np.min(hf))
     mean = float(np.mean(hf))
     tangents = _operator(chord.n_controls).ends @ chord.controls
     angles = [math.degrees(abs(math.atan2(abs(tx), abs(tt)))) for tx, tt in tangents]
-    stationary = spread <= 1e-3 * (1.0 + abs(mean)) and max(angles) <= 0.5
-    return StationarityReport(
-        stationary=stationary,
-        hf_mean=mean,
-        hf_spread=spread,
-        angle_bottom_deg=angles[0],
-        angle_top_deg=angles[1],
-        length=float(np.sum(qw * f * speed)),
-    )
+    at_wall = [end == wall for end, wall in zip(chord.span, density.slab)]
+    orthogonal = all(angle <= 0.5 for angle, wall in zip(angles, at_wall) if wall)
+    stationary = spread <= 1e-3 * (1.0 + abs(mean)) and orthogonal
+    return StationarityReport(stationary, mean, spread, *angles, weighted_length(density, chord))
 
 
 def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordSpline:
@@ -542,14 +544,8 @@ def minimize(
             status = "stalled"
             break
     arr = np.array(rows, dtype=float).reshape(-1, 4)
-    return chord, OptimizeTrace(
-        iterations=arr[:, 0].astype(int),
-        lengths=arr[:, 1],
-        area_errors=arr[:, 2],
-        gradient_norms=arr[:, 3],
-        status=status,
-        final=stationarity_report(density, chord),
-    )
+    final = stationarity_report(density, chord)
+    return chord, OptimizeTrace(arr[:, 0].astype(int), *arr[:, 1:].T, status, final)
 
 
 def trace_csv(trace: OptimizeTrace) -> str:

@@ -407,6 +407,22 @@ class TestStability:
         capsys.readouterr()
 
 
+class TestWholeLineRun:
+    def test_all_verified_when_the_chord_ends_at_tail_cutoffs(self, tmp_path):
+        # on R the default tilted straight chord is already optimal; its ends
+        # sit at the tail cutoffs, not on walls, so their 1.58 degree angles
+        # must not fail the stationarity check
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = -inf, inf\n")
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", cfg, "--out", out]) == 0
+        summary = read_json(out, "summary.json")
+        assert [r["command"] for r in summary["verdicts"]] == list(ALL_COMMANDS)
+        assert all(r["status"] == "verified" for r in summary["verdicts"])
+        metrics = read_json(out, "optimize.json")["metrics"]
+        assert metrics["hf_spread"] < 1e-10
+        assert metrics["angle_bottom_deg"] > 1.0 and metrics["angle_top_deg"] > 1.0
+
+
 class TestSchemaKeysAreRead:
     def test_every_schema_key_is_read(self, tmp_path, monkeypatch):
         # a knob no subcommand reads does nothing; resolved.cfg echoes every

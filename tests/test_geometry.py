@@ -20,6 +20,7 @@ from isoflow import (
     SmoothnessError,
     ZeroWeight,
 )
+import isoflow.geometry as geometry
 from isoflow.geometry import (
     DiscreteCurve,
     cmc_shoot,
@@ -35,7 +36,7 @@ from isoflow.geometry import (
     vertical_segment,
 )
 from isoflow.geometry import _spline_derivatives, _tangential_gradient_log_density
-from isoflow.weights import bakry_emery_curvature, log_density
+from isoflow.weights import LogPowerWeight, bakry_emery_curvature, log_density, log_density_gradient
 
 INF = math.inf
 
@@ -74,6 +75,59 @@ def q_form(density, curve, u):
         f_ends = np.exp(log_density(density, curve.points[[0, -1]]))
         boundary = -(u[0] * (-du[0]) * f_ends[0] + u[-1] * du[-1] * f_ends[1])
     return -float(np.sum(u * lf_u * curve.weights)) + boundary, boundary
+
+
+def _shoot_rhs(density, target, state):
+    """Oracle for cmc_shoot's right-hand side: (cos θ, sin θ, target + ⟨∇ψ, N(θ)⟩)
+    assembled from numpy arrays and log_density_gradient."""
+    x, t, theta = state
+    normal = np.array([-math.sin(theta), math.cos(theta)])
+    grad = log_density_gradient(density, np.array([x, t]))
+    return np.array([math.cos(theta), math.sin(theta), target + float(np.dot(grad, normal))])
+
+
+def _array_rk4_step(density, target, state, h):
+    k1 = _shoot_rhs(density, target, state)
+    k2 = _shoot_rhs(density, target, state + 0.5 * h * k1)
+    k3 = _shoot_rhs(density, target, state + 0.5 * h * k2)
+    k4 = _shoot_rhs(density, target, state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_march(advance, slab, start, angle, step, max_length):
+    """cmc_shoot's march with a full 80-probe wall-landing bisection.
+
+    advance(state, h) is one RK4 step of the state (x, t, θ).  Returns the
+    (n, 3) states, whether the last node landed on a wall and whether the
+    landing restarted from the previous node (landing fraction below 1/2).
+    """
+    a, b = slab
+    states = [np.array([start[0], start[1], angle], dtype=float)]
+    for _ in range(int(round(max_length / step))):
+        nxt = np.array(advance(states[-1], step))
+        if a < nxt[1] < b:
+            states.append(nxt)
+            continue
+        wall = a if nxt[1] <= a else b
+
+        def landing(base, lo, hi):
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if (advance(base, mid * step)[1] - wall) * (base[1] - wall) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        frac = landing(states[-1], 0.0, 1.0)
+        restarted = frac < 0.5 and len(states) >= 2
+        if restarted:
+            states.pop()
+            frac = landing(states[-1], 1.0, 2.0)
+        landed = np.array(advance(states[-1], frac * step))
+        landed[1] = wall
+        return np.array(states + [landed]), True, restarted
+    return np.array(states), False, False
 
 
 class TestDiscreteCurve:
@@ -185,6 +239,82 @@ class TestCmcShoot:
     def test_start_outside_slab_rejected(self):
         with pytest.raises(DomainError):
             cmc_shoot(UNIT_SLAB, 0.0, (0.0, 1.5), angle=0.0, step=1e-3, max_length=1.0)
+
+
+class TestFloatShooting:
+    """cmc_shoot's float RK4 against the array-based oracle, and its early-stopping
+    wall-landing bisection against the full 80-probe one."""
+
+    PIECEWISE = PiecewiseLinearWeight((-1.0, 0.0, 1.0), (0.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "weight, slab, target, start, angle, wall",
+        [
+            (ZeroWeight(), (-INF, INF), 0.0, (1.0, 0.0), 1.0, False),
+            (ZeroWeight(), (0.0, 1.0), 0.0, (0.5, 0.5), math.pi / 3, True),
+            (AffineWeight(0.7, 0.0), (-INF, INF), 0.2, (0.3, 0.1), 0.4, False),
+            (AffineWeight(0.7, 0.0), (-1.0, 1.0), 0.0, (0.0, 0.2), -1.2, True),
+            (QuadraticWeight(1.0, 0.3, 0.0), (-1.0, 1.0), -1.0, (0.5, 0.0), 1.3, False),
+            (QuadraticWeight(1.0, 0.3, 0.0), (-1.0, 1.0), 0.0, (0.2, 0.5), math.pi / 2, True),
+            (LogPowerWeight(2.0), (0.0, INF), 0.0, (0.2, 1.0), -1.0, False),
+            (PIECEWISE, (-0.5, 0.5), 0.3, (0.3, 0.1), 2.5, True),  # crosses the knot t = 0
+            (PIECEWISE, (-1.0, 1.0), -0.5, (0.1, -0.3), 0.2, False),
+        ],
+        ids=["zero", "zero-wall", "affine", "affine-wall", "quadratic", "quadratic-wall",
+             "log_power", "piecewise-wall", "piecewise"],
+    )
+    def test_matches_the_array_oracle(self, weight, slab, target, start, angle, wall):
+        density = Density(weight, 0.5, 2, slab)
+        curve = cmc_shoot(density, target, start, angle, step=2e-3, max_length=2.0)
+        ref, landed, _ = reference_march(
+            lambda s, h: _array_rk4_step(density, target, s, h), slab, start, angle, 2e-3, 2.0
+        )
+        assert curve.boundary_end == landed == wall
+        assert curve.points.shape == ref[:, :2].shape
+        # relative error with a unit floor, since coordinates cross zero
+        assert np.max(np.abs(curve.points - ref[:, :2]) / np.maximum(np.abs(ref[:, :2]), 1.0)) <= 1e-13
+        normals = np.stack((-np.sin(ref[:, 2]), np.cos(ref[:, 2])), axis=-1)
+        assert np.max(np.abs(curve.normals - normals)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "step, angle, wall, restarted",
+        [(2e-3, math.pi / 3, 1.0, False), (1e-3, -1.0, 0.0, False),
+         (1e-3, math.pi / 3, 1.0, True), (1e-3, -math.pi / 3, 0.0, True)],
+        ids=["top", "bottom", "top-restart", "bottom-restart"],
+    )
+    def test_landing_equals_80_probe_bisection_bit_for_bit(self, monkeypatch, step, angle, wall,
+                                                          restarted):
+        calls = []
+        real = geometry._rk4_step
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        def advance(state, h):
+            return real(ZeroWeight().deriv, 1.0, 0.0, tuple(map(float, state)), h)
+
+        monkeypatch.setattr(geometry, "_rk4_step", counting)
+        curve = cmc_shoot(UNIT_SLAB, 0.0, (0.5, 0.5), angle, step=step, max_length=5.0)
+        ref, landed, took_restart = reference_march(advance, (0.0, 1.0), (0.5, 0.5), angle, step, 5.0)
+        assert landed and took_restart == restarted
+        assert curve.points[-1, 1] == wall
+        assert np.array_equal(curve.points, ref[:, :2])
+        assert np.array_equal(curve.normals, np.stack((-np.sin(ref[:, 2]), np.cos(ref[:, 2])), -1))
+        # the bracket reaches adjacent floats in about 53 probes, not 80
+        marched = len(ref) - 1 + restarted
+        landings = 1 + restarted
+        assert len(calls) - marched - landings <= 60 * landings
+
+    def test_log_power_stage_below_zero_raises_domain_error(self):
+        density = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
+        with pytest.raises(DomainError):
+            cmc_shoot(density, 0.0, (0.0, 0.01), -math.pi / 2, step=0.05, max_length=1.0)
+
+    def test_piecewise_knot_raises_smoothness_error(self):
+        density = Density(self.PIECEWISE, 0.5, 2, (-1.0, 1.0))
+        with pytest.raises(SmoothnessError):
+            cmc_shoot(density, 0.0, (0.3, 0.0), 1.0, step=1e-3, max_length=1.0)
 
 
 class TestJacobiResidual:

@@ -357,6 +357,47 @@ class TestSplineOperators:
         assert len(builds) == 1
 
 
+class TestFieldsComputedOnce:
+    """Node fields are computed once per chord and density, stored read-only."""
+
+    def test_minimize_computes_each_chords_fields_once(self, monkeypatch):
+        computed = []
+        real = opt._evaluate_fields
+
+        def counting(density, chord):
+            computed.append(chord)  # keeps every chord alive, so ids stay distinct
+            return real(density, chord)
+
+        monkeypatch.setattr(opt, "_evaluate_fields", counting)
+        density = symmetric_slab()
+        target = 0.5 * total_weighted_volume(density)
+        _, trace = minimize(density, OptimizerConfig(target_area=target),
+                            make_straight_chord(density, -0.3, 0.4))
+        assert trace.status == "converged"
+        assert len({id(chord) for chord in computed}) == len(computed)
+        # about two chords per iteration: the trial step and its area restoration
+        assert len(computed) <= 3 * len(trace.iterations)
+
+    def test_cached_arrays_are_read_only(self):
+        chord = bent_chord()
+        fields = opt._chord_fields(unit_slab(), chord)
+        assert opt._chord_fields(unit_slab(), chord) is fields
+        for array in (*fields, chord.controls):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_each_density_gets_its_own_fields(self):
+        flat, tilted = symmetric_slab(), Density(QuadraticWeight(1.0, 0.5), 0.5, 2, (-1.0, 1.0))
+        chord = make_straight_chord(flat, 0.2)
+        fresh = lambda: make_straight_chord(flat, 0.2)  # noqa: E731
+        for density in (flat, tilted, flat):  # one chord, alternating densities
+            assert weighted_length(density, chord) == weighted_length(density, fresh())
+            assert enclosed_area(density, chord) == enclosed_area(density, fresh())
+        flat_length = SYM_SLAB_MASS * math.exp(-0.02)  # e^{-c x^2} at x = 0.2
+        assert weighted_length(flat, chord) == pytest.approx(flat_length, rel=1e-12)
+        assert weighted_length(tilted, chord) < 0.9 * flat_length
+
+
 class TestOptimizerConfig:
     def test_rejects_nonpositive_area(self):
         with pytest.raises(ConfigError):
@@ -505,6 +546,18 @@ class TestStationarityReport:
         assert rep.hf_spread < 1e-10
         assert not rep.stationary
         assert rep.angle_bottom_deg > 10.0
+
+    def test_angles_only_bind_at_finite_walls(self):
+        # the same tilted straight chord on R ends at tail cutoffs, which are
+        # not walls: both angles are recorded, neither fails the check
+        density = Density(ZeroWeight(), 0.5, 2, (-math.inf, math.inf))
+        rep = stationarity_report(density, make_straight_chord(density, -0.5, 0.5))
+        assert rep.hf_spread < 1e-10
+        assert rep.angle_bottom_deg > 1.0 and rep.angle_top_deg > 1.0
+        assert rep.stationary
+        # one finite wall: only the end on it is held to 0.5 degrees
+        half = Density(ZeroWeight(), 0.5, 2, (-1.0, math.inf))
+        assert not stationarity_report(half, make_straight_chord(half, -0.5, 0.5)).stationary
 
     def test_bent_chord_has_varying_curvature(self):
         density = unit_slab()

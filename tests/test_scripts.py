@@ -8,12 +8,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_optimize_demo_converges_with_defaults():
+def run_script(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "optimize_demo.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_optimize_demo_converges_with_defaults():
+    done = run_script("optimize_demo.py")
     assert done.returncode == 0, done.stderr
     assert "status converged" in done.stdout
+
+
+def test_jacobi_convergence_halves_at_second_order():
+    done = run_script("jacobi_convergence.py")
+    assert done.returncode == 0, done.stderr
+    # rows: h, max residual, ratio (absent on the first row), nodes
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    ratios = [float(row[2]) for row in rows if len(row) == 4]
+    assert len(rows) == 3 and len(ratios) == 2
+    assert all(ratio >= 3.5 for ratio in ratios)
+
+
+def test_profile_sweep_runs_with_defaults():
+    done = run_script("profile_sweep.py")
+    assert done.returncode == 0, done.stderr
+    # header, rule, and one row per (weight, slab): 4 + 4 + 4 + 2
+    assert len(done.stdout.splitlines()) == 2 + 14
