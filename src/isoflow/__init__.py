@@ -14,7 +14,6 @@ from .errors import (
     DomainError,
     GeometryError,
     IsoflowError,
-    QuadratureError,
     SmoothnessError,
 )
 from .geometry import (
@@ -85,16 +84,13 @@ from .weights import (
     LogPowerWeight,
     PiecewiseLinearWeight,
     QuadraticWeight,
-    QuadratureSpec,
     Weight1D,
     ZeroWeight,
     bakry_emery_curvature,
     check_concavity,
     gaussian_factor,
-    integrate_weighted,
     log_density,
     log_density_gradient,
-    normalizers,
     tail_interval,
     total_weighted_volume,
 )

@@ -15,21 +15,6 @@ class SmoothnessError(IsoflowError):
     """Operation needs more derivatives than the weight provides."""
 
 
-class QuadratureError(IsoflowError):
-    """Adaptive quadrature failed to converge to the requested tolerance.
-
-    Carries the best available estimate and the estimated error bound so a
-    caller can decide whether the partial answer is still usable.
-    """
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(
-            f"{message} (best estimate {estimate!r}, error bound {error_bound!r})"
-        )
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class GeometryError(IsoflowError):
     """Discrete curve violates a structural precondition."""
 

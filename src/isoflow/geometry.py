@@ -312,14 +312,17 @@ def curve_weighted_length(density: Density, curve: DiscreteCurve, order: int = 1
 # constant f-mean-curvature shooting
 
 
-def _rk4_step(deriv, c2: float, target: float, state: tuple, h: float) -> tuple:
+def _rk4_step(deriv, c2: float, target: float, state: tuple, h: float, domain: tuple) -> tuple:
     """One classical RK4 step of the state (x, t, θ) in Python floats, with
     θ′ = target + ⟨∇ψ, N(θ)⟩ = target + c2·x·sin θ + (ω′(t) − c2·t)·cos θ,
-    c2 = 2c and deriv = ω′ called once per stage on the scalar t."""
+    c2 = 2c and deriv = ω′ called once per stage on the scalar t clamped to
+    the weight's domain, so a step crossing a wall where the domain ends
+    can still be shortened onto it."""
+    lo, hi = domain
 
     def rhs(x: float, t: float, theta: float) -> tuple:
         cos, sin = math.cos(theta), math.sin(theta)
-        return cos, sin, target + (c2 * x * sin + (float(deriv(t)) - c2 * t) * cos)
+        return cos, sin, target + (c2 * x * sin + (float(deriv(min(max(t, lo), hi))) - c2 * t) * cos)
 
     x, t, theta = state
     k1 = rhs(x, t, theta)
@@ -351,17 +354,18 @@ def cmc_shoot(
     x0, t0 = float(start[0]), float(start[1])
     if not (a < t0 < b):
         raise DomainError("shooting must start strictly inside the slab")
-    if step <= 0.0 or max_length <= step:
-        raise DomainError("need 0 < step < max_length")
+    if not (math.isfinite(step) and math.isfinite(max_length) and 0.0 < step < max_length):
+        raise DomainError("need finite 0 < step < max_length")
     n_steps = int(round(max_length / step))
     if n_steps > 5_000_000:
         raise DomainError("step too small for the requested length")
 
     deriv, c2, target = density.weight.deriv, 2.0 * density.c, float(target)
+    domain = density.weight.domain
     states = [(x0, t0, float(angle))]
     hit_wall = False
     for _ in range(n_steps):
-        nxt = _rk4_step(deriv, c2, target, states[-1], step)
+        nxt = _rk4_step(deriv, c2, target, states[-1], step, domain)
         if a < nxt[1] < b:
             states.append(nxt)
             continue
@@ -376,7 +380,7 @@ def cmc_shoot(
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:  # adjacent floats: no probe moves the bracket
                     break
-                tm = _rk4_step(deriv, c2, target, base, mid * step)[1]
+                tm = _rk4_step(deriv, c2, target, base, mid * step, domain)[1]
                 if (tm - wall) * (base[1] - wall) > 0.0:
                     lo = mid
                 else:
@@ -389,7 +393,7 @@ def cmc_shoot(
             states.pop()
             base = states[-1]
             frac = landing(base, 1.0, 2.0)
-        landed = _rk4_step(deriv, c2, target, base, frac * step)
+        landed = _rk4_step(deriv, c2, target, base, frac * step, domain)
         states.append((landed[0], wall, landed[2]))
         hit_wall = True
         break

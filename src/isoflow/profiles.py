@@ -37,16 +37,16 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, SmoothnessError
 from .weights import (
     CumulativeDensity1D,
-    DEFAULT_QUADRATURE,
     Density,
     PiecewiseLinearWeight,
-    QuadratureSpec,
+    _TAIL_MASS,
+    _TAIL_PAD,
     _csv_table,
     _gaussian_tail_cutoff,
     gaussian_cdf,
     gaussian_factor,
     gaussian_quantile,
-    integrate_weighted,
+    total_weighted_volume,
 )
 
 __all__ = [
@@ -94,7 +94,6 @@ def build_profile(
     density: Density,
     family: str,
     grid_size: int = 65,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> Profile:
     """Profile of the parallel or perpendicular family on a Chebyshev volume grid.
 
@@ -117,7 +116,7 @@ def build_profile(
                 "parallel profiles record omega' and omega''; need a C-inf weight"
             )
         gf = gaussian_factor(n, c)
-        cum = CumulativeDensity1D(density, spec=spec)
+        cum = CumulativeDensity1D(density)
         v_total = gf * cum.total
         v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
         s_grid = cum.quantile(v_grid / v_total)
@@ -129,8 +128,8 @@ def build_profile(
         if n < 1:
             raise DomainError("perpendicular family needs n >= 1")
         # the lateral coordinate is a pure Gaussian: V(s) = v_total CDF(s)
-        amp = gaussian_factor(n - 1, c) * integrate_weighted(density, spec=spec)
-        v_total = amp * math.sqrt(math.pi / c)
+        v_total = total_weighted_volume(density)
+        amp = v_total / math.sqrt(math.pi / c)
         v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
         q = v_grid / v_total
         s_grid = gaussian_quantile(c, q, 1.0 - q)
@@ -262,7 +261,6 @@ def tilted_profile_wholespace(
     normal,
     grid_size: int = 65,
     hermite_order: int = 150,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> Profile:
     """Profile of the half-space family {<p, nu> < s} on the whole space.
 
@@ -321,7 +319,6 @@ def tilted_profile_wholespace(
         return gf * np.exp(-c * s * s + log_I(nu_t * s))
 
     # truncation: (log A)(s) = -c s^2 + log I(nu_t s) is concave; tangent rule
-    eps = spec.tail_fraction * spec.abs_tol
     cuts = []
     for right in (True, False):
         ref = max(1.0, 1.0 / math.sqrt(c)) * (1.0 if right else -1.0)
@@ -329,8 +326,8 @@ def tilted_profile_wholespace(
         sl = nu_t * float(dlog_I(ref * nu_t)[0])
         drift = sl if right else -sl
         amp = la - sl * ref if right else la + sl * ref
-        cut = _gaussian_tail_cutoff(c, drift, amp + math.log(max(gf, 1e-300)), eps)
-        cut += spec.tail_pad / math.sqrt(c)
+        cut = _gaussian_tail_cutoff(c, drift, amp + math.log(max(gf, 1e-300)), _TAIL_MASS)
+        cut += _TAIL_PAD / math.sqrt(c)
         cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
         cuts.append(cut if right else -cut)
     hi, lo = cuts

@@ -99,6 +99,8 @@ def build_spectral_problem(
     hi = b if math.isfinite(b) else pad * _one_sided_cutoff(density, True, TRUNCATION_EPS, 0.0)
     if not lo < hi:
         raise DomainError("empty computational interval")
+    if n_cells < 16:
+        raise DomainError("spectral problem needs at least 16 cells")
     delta = (hi - lo) / n_cells
     centers = lo + (np.arange(n_cells) + 0.5) * delta
     faces = lo + np.arange(1, n_cells) * delta

@@ -59,7 +59,7 @@ class TransportMap:
     rho:   ρ(s_i) ∈ [a, b], nondecreasing.
     drho:  ρ′(s_i) ≥ 0 from the change-of-variables identity, not from
            differencing.
-    alpha, beta: normalizers of source and target.
+    alpha, beta: reciprocal masses of source and target.
     n_clipped: grid points whose source quantile fell outside
            [1e−14, 1−1e−14] and were evaluated at the clipped quantile.
     """

@@ -1,4 +1,4 @@
-"""Weight models and weighted quadrature for perturbed Gaussian densities.
+"""Weight models and the slab-mass engine for perturbed Gaussian densities.
 
 The ambient space is the slab Omega = R^n x (a, b) with points p = (z, t),
 t the last coordinate, carrying the density f = e^psi with
@@ -12,14 +12,12 @@ where omega is a (usually concave) function of t alone.  This module owns
   * the Density bundle (weight, Gaussian parameter c, ambient dimension,
     slab) and pointwise data derived from it: psi, its gradient, and the
     Bakry-Emery curvature -omega''(t) <e_t, w>^2 + 2c |w|^2,
-  * weighted 1-D quadrature  int g(t) e^{omega(t) - c t^2} dt  with sound
-    truncation of unbounded intervals: the cutoff is chosen so that the
-    tail mass of a Gaussian-type dominating bound is below a fraction of
-    the absolute tolerance,
   * the package's one 1-D measure engine, CumulativeDensity1D: a panelized
     Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
     positive vectorized integrand on a finite interval) with batched
-    masses and quantiles, each quantile resolved to about one ulp of t,
+    masses and quantiles, each quantile resolved to about one ulp of t.
+    An infinite slab side is truncated soundly: the cutoff is chosen so
+    that the tail mass of a Gaussian-type dominating bound is below 1e-15,
   * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
     on a numpy erfc and Wichura's AS241 normal quantile.
 """
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, QuadratureError, SmoothnessError
+from .errors import ConsistencyError, DomainError, SmoothnessError
 
 __all__ = [
     "Weight1D",
@@ -44,8 +42,6 @@ __all__ = [
     "ConcavityReport",
     "check_concavity",
     "Density",
-    "QuadratureSpec",
-    "QuadratureReport",
     "gaussian_factor",
     "gaussian_cdf",
     "gaussian_ccdf",
@@ -54,9 +50,6 @@ __all__ = [
     "log_density_gradient",
     "bakry_emery_curvature",
     "tail_interval",
-    "integrate_weighted",
-    "integrate_weighted_report",
-    "normalizers",
     "total_weighted_volume",
     "CumulativeDensity1D",
 ]
@@ -462,38 +455,13 @@ def bakry_emery_curvature(density: Density, p, w) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature with sound tails
+# sound truncation of infinite slab sides
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for weighted quadrature.
-
-    tail_fraction: the truncated tail mass bound is tail_fraction * abs_tol.
-    tail_pad: extra cutoff padding, in units of 1/sqrt(c).
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    tail_fraction: float = 0.1
-    tail_pad: float = 2.0
-    max_intervals: int = 200
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.tail_fraction < 1.0:
-            raise ValueError("tail_fraction must be in (0, 1)")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class QuadratureReport:
-    value: float
-    error_bound: float
-    interval: tuple[float, float]
+# a truncated tail carries weighted mass below _TAIL_MASS by the
+# dominating-Gaussian bound, and the cutoff is padded by _TAIL_PAD / sqrt(c)
+_TAIL_MASS = 1e-15
+_TAIL_PAD = 2.0
 
 
 def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float) -> float:
@@ -541,34 +509,19 @@ def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> 
     return cut if right else -cut
 
 
-def tail_interval(
-    density: Density,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> tuple[float, float]:
+def tail_interval(density: Density) -> tuple[float, float]:
     """Effective finite interval replacing infinite endpoints of the slab.
 
-    The discarded tail carries weighted mass below spec.tail_fraction *
-    spec.abs_tol by the dominating-Gaussian bound.  A slab whose whole
-    mass lies below that bound has no such interval (DomainError).
+    The discarded tail carries weighted mass below _TAIL_MASS by the
+    dominating-Gaussian bound.  A slab whose whole mass lies below that
+    bound has no such interval (DomainError).
     """
     a, b = density.slab
-    lo = a if lo is None else max(float(lo), a)
-    hi = b if hi is None else min(float(hi), b)
-    eps = spec.tail_fraction * spec.abs_tol
-    cut_a = _one_sided_cutoff(density, False, eps, spec.tail_pad) if math.isinf(a) else a
-    cut_b = _one_sided_cutoff(density, True, eps, spec.tail_pad) if math.isinf(b) else b
+    cut_a = _one_sided_cutoff(density, False, _TAIL_MASS, _TAIL_PAD) if math.isinf(a) else a
+    cut_b = _one_sided_cutoff(density, True, _TAIL_MASS, _TAIL_PAD) if math.isinf(b) else b
     if cut_a >= cut_b:
         raise DomainError("slab mass below the tail tolerance")
-    return (cut_a if math.isinf(lo) else lo), (cut_b if math.isinf(hi) else hi)
-
-
-# Gauss-Legendre order of the adaptive quadrature's panel rule; every order
-# from 12 up resolves the bundled slabs' masses to rounding in one panel
-_ADAPTIVE_ORDER = 23
-# floor of a panel's error estimate, in units of its magnitude: the rule's rounding
-_ROUNDING = 8.0 * np.finfo(float).eps
+    return cut_a, cut_b
 
 
 @functools.lru_cache(maxsize=None)
@@ -598,85 +551,6 @@ def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray
     x, w = _jacobi_rule(order, m)
     half = 0.5 * b
     return half ** (m + 1.0) * (smooth(half[:, None] * (1.0 + x)) @ w)
-
-
-def integrate_weighted_report(
-    density: Density,
-    g=None,
-    lo: float | None = None,
-    hi: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> QuadratureReport:
-    """Globally adaptive Gauss-Legendre quadrature of g(t) e^{omega(t) - c t^2}.
-
-    g, when given, is called on arrays of t, so it must be vectorized.
-    The interval defaults to the slab and is clipped to it; infinite
-    endpoints are truncated by the sound tail rule.  Panels with the
-    largest error estimates |rule - sum of its two halves| (at least
-    their rounding) are bisected until the estimates meet the tolerance;
-    a log-power panel at t = 0 is t^m times a smooth factor, integrated
-    by Gauss-Jacobi.  Raises QuadratureError (carrying the best estimate
-    and its bound) when spec.max_intervals panels do not suffice.
-    """
-    w, c = density.weight, density.c
-    lo_eff, hi_eff = tail_interval(density, spec, lo, hi)
-    if lo_eff >= hi_eff:
-        return QuadratureReport(0.0, 0.0, (lo_eff, hi_eff))
-    gv = (lambda t: 1.0) if g is None else g
-    m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo_eff == 0.0 else None
-    x, wts = _gauss_legendre(_ADAPTIVE_ORDER)
-
-    def rule(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid[:, None] + half[:, None] * x
-        out = half * ((gv(t) * np.exp(w.value(t) - c * t * t)) @ wts)
-        if m is not None:
-            at0 = a == 0.0
-            out[at0] = _jacobi_from_zero(m, lambda u: gv(u) * np.exp(-c * u * u), b[at0], _ADAPTIVE_ORDER)
-        return out
-
-    tail = spec.tail_fraction * spec.abs_tol
-    a, b = np.array([lo_eff]), np.array([hi_eff])
-    while True:
-        mid = 0.5 * (a + b)
-        left, right = rule(a, mid), rule(mid, b)
-        fine = left + right
-        err = np.maximum(np.abs(rule(a, b) - fine), _ROUNDING * (np.abs(left) + np.abs(right)))
-        value, bound = math.fsum(fine), float(np.sum(err))
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-        if bound <= tol:
-            return QuadratureReport(value, bound + tail, (lo_eff, hi_eff))
-        if a.size >= spec.max_intervals:
-            raise QuadratureError("weighted quadrature did not converge", value, bound + tail)
-        # bisect the largest estimates until the others sum to within tol
-        rank = np.argsort(-err)
-        k = 1 + int(np.searchsorted(np.cumsum(err[rank]), bound - tol))
-        split = rank[: min(k, spec.max_intervals - a.size)]
-        a = np.concatenate((np.delete(a, split), a[split], mid[split]))
-        b = np.concatenate((np.delete(b, split), mid[split], b[split]))
-
-
-def integrate_weighted(
-    density: Density,
-    g=None,
-    lo: float | None = None,
-    hi: float | None = None,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    return integrate_weighted_report(density, g, lo, hi, spec).value
-
-
-def normalizers(density: Density, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
-    """(alpha, beta): reciprocal masses of e^{-c s^2} on R and of
-    e^{omega - c t^2} on the slab."""
-    alpha = 1.0 / gaussian_factor(1, density.c)
-    beta = 1.0 / integrate_weighted(density, spec=spec)
-    return alpha, beta
-
-
-def total_weighted_volume(density: Density, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """V_f(Omega) = (pi/c)^{(dim-1)/2} * integral of e^{omega - c t^2} over the slab."""
-    return gaussian_factor(density.dim - 1, density.c) * integrate_weighted(density, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +595,11 @@ class CumulativeDensity1D:
     (and returns a float) or an array of any shape.
     """
 
-    def __init__(
-        self,
-        density,
-        n_panels: int = 600,
-        order: int = 12,
-        spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    ):
+    def __init__(self, density, n_panels: int = 600, order: int = 12):
         if isinstance(density, Density):
             w, c = density.weight, density.c
             self._fn = lambda t: np.exp(w.value(t) - c * t * t)
-            lo, hi = tail_interval(density, spec)
+            lo, hi = tail_interval(density)
             m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         else:
             self._fn, lo, hi = density
@@ -851,3 +719,8 @@ class CumulativeDensity1D:
             if not k.size:
                 break
         return t
+
+
+def total_weighted_volume(density: Density) -> float:
+    """V_f(Omega) = (pi/c)^{(dim-1)/2} * integral of e^{omega - c t^2} over the slab."""
+    return gaussian_factor(density.dim - 1, density.c) * CumulativeDensity1D(density).total

@@ -488,3 +488,17 @@ class TestSubprocessEntry:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
+        # values that parse but that a command cannot run end in its error record
+        for command, section in (("jacobi", "[jacobi]\nmax_length = inf\n"),
+                                 ("spectrum", "[spectrum]\nn_cells = 0\n")):
+            cfg = write_cfg(tmp_path, "[density]\nweight = zero\nslab = -1, 1\n" + section,
+                            name=f"{command}.cfg")
+            out = tmp_path / command
+            proc = subprocess.run(
+                [sys.executable, "-m", "isoflow", command, "--config", cfg, "--out", str(out)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, command
+            assert "Traceback" not in proc.stderr, command
+            assert read_json(str(out), f"{command}_error.json")["status"] == "error"

@@ -240,6 +240,11 @@ class TestCmcShoot:
         with pytest.raises(DomainError):
             cmc_shoot(UNIT_SLAB, 0.0, (0.0, 1.5), angle=0.0, step=1e-3, max_length=1.0)
 
+    @pytest.mark.parametrize("step, max_length", [(1e-3, INF), (1e-3, math.nan), (math.nan, 1.0)])
+    def test_non_finite_step_or_length_rejected(self, step, max_length):
+        with pytest.raises(DomainError, match="finite"):
+            cmc_shoot(UNIT_SLAB, 0.0, (0.5, 0.5), angle=0.0, step=step, max_length=max_length)
+
 
 class TestFloatShooting:
     """cmc_shoot's float RK4 against the array-based oracle, and its early-stopping
@@ -292,7 +297,7 @@ class TestFloatShooting:
             return real(*args)
 
         def advance(state, h):
-            return real(ZeroWeight().deriv, 1.0, 0.0, tuple(map(float, state)), h)
+            return real(ZeroWeight().deriv, 1.0, 0.0, tuple(map(float, state)), h, ZeroWeight().domain)
 
         monkeypatch.setattr(geometry, "_rk4_step", counting)
         curve = cmc_shoot(UNIT_SLAB, 0.0, (0.5, 0.5), angle, step=step, max_length=5.0)
@@ -310,6 +315,14 @@ class TestFloatShooting:
         density = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
         with pytest.raises(DomainError):
             cmc_shoot(density, 0.0, (0.0, 0.01), -math.pi / 2, step=0.05, max_length=1.0)
+
+    def test_lands_on_a_wall_where_the_weight_domain_ends(self):
+        # the crossing step's RK4 stages probe omega' past the knot span,
+        # where it is read at the span's end, so the shot lands on t = 1
+        density = Density(self.PIECEWISE, 0.5, 2, (-1.0, 1.0))
+        curve = cmc_shoot(density, 0.0, (0.3, 0.1), 1.2, step=2e-3, max_length=2.0)
+        assert curve.boundary_end
+        assert curve.points[-1, 1] == 1.0
 
     def test_piecewise_knot_raises_smoothness_error(self):
         density = Density(self.PIECEWISE, 0.5, 2, (-1.0, 1.0))

@@ -73,8 +73,9 @@ class TestBuildSpectralProblem:
 
     def test_minimum_size(self):
         d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        with pytest.raises(DomainError):
-            build_spectral_problem(d, n_cells=8)
+        for n_cells in (8, 0):  # 0 is rejected before the cell width is divided out
+            with pytest.raises(DomainError, match="16 cells"):
+                build_spectral_problem(d, n_cells=n_cells)
 
 
 class TestSpectralGap:

@@ -1,4 +1,4 @@
-"""Weight variants, pointwise density data, and weighted quadrature."""
+"""Weight variants, pointwise density data, and the slab-mass engine."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erf
 
+from scipy.integrate import quad
+
 from isoflow import (
     AffineWeight,
     ConsistencyError,
@@ -20,17 +22,16 @@ from isoflow import (
     LogPowerWeight,
     PiecewiseLinearWeight,
     QuadraticWeight,
-    QuadratureError,
-    QuadratureSpec,
     SmoothnessError,
     ZeroWeight,
     bakry_emery_curvature,
+    build_transport,
     check_concavity,
     gaussian_factor,
-    integrate_weighted,
     log_density,
     log_density_gradient,
-    normalizers,
+    tail_interval,
+    total_weighted_volume,
 )
 from isoflow.weights import (
     _erfc,
@@ -38,8 +39,6 @@ from isoflow.weights import (
     gaussian_ccdf,
     gaussian_cdf,
     gaussian_quantile,
-    integrate_weighted_report,
-    tail_interval,
 )
 
 INF = math.inf
@@ -49,6 +48,21 @@ def gaussian_mass(c: float, lo: float, hi: float) -> float:
     """Closed-form oracle int_lo^hi e^{-c t^2} dt via the error function."""
     s = math.sqrt(c)
     return math.sqrt(math.pi / c) / 2.0 * (erf(s * hi) - erf(s * lo))
+
+
+def slab_mass(density) -> float:
+    """int e^{omega - c t^2} over the slab by the engine under test: V_f over
+    the Gaussian factor of the dim - 1 lateral coordinates."""
+    return total_weighted_volume(density) / gaussian_factor(density.dim - 1, density.c)
+
+
+def quadpack_mass(density, lo=None, hi=None) -> float:
+    """Independent oracle: int_lo^hi e^{omega - c t^2} dt by QUADPACK,
+    over the slab by default."""
+    a, b = density.slab
+    w, c = density.weight, density.c
+    return quad(lambda t: math.exp(float(w.value(t)) - c * t * t), a if lo is None else lo,
+                b if hi is None else hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
 
 
 class TestLogDensity:
@@ -183,69 +197,63 @@ class TestCheckConcavity:
 
 
 class TestIntegrateWeighted:
+    """Slab masses from total_weighted_volume, against closed forms and QUADPACK."""
+
     def test_gaussian_whole_line(self):
         d = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
-        assert_allclose(integrate_weighted(d), math.sqrt(2 * math.pi), rtol=1e-10)
+        assert_allclose(slab_mass(d), math.sqrt(2 * math.pi), rtol=1e-10)
 
     def test_gaussian_unit_interval_erf_oracle(self):
         d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        assert_allclose(integrate_weighted(d), gaussian_mass(0.5, 0.0, 1.0), rtol=1e-10)
-        assert_allclose(integrate_weighted(d), 0.8556243, rtol=1e-6)
-
-    def test_odd_integrand_vanishes(self):
-        d = Density(ZeroWeight(), 1.3, 2, (-INF, INF))
-        assert abs(integrate_weighted(d, g=lambda t: t)) < 1e-12
+        assert_allclose(slab_mass(d), gaussian_mass(0.5, 0.0, 1.0), rtol=1e-10)
+        assert_allclose(slab_mass(d), 0.8556243, rtol=1e-6)
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0])
     def test_gaussian_moments_closed_form(self, c):
+        # the engine's finite-interval form on t^k e^{-c t^2}, over the
+        # Gaussian's tail interval
         d = Density(ZeroWeight(), c, 2, (-INF, INF))
+        lo, hi = tail_interval(d)
         base = math.sqrt(math.pi / c)
-        assert_allclose(integrate_weighted(d, g=lambda t: t * t), base / (2 * c), rtol=1e-8)
-        assert_allclose(
-            integrate_weighted(d, g=lambda t: t ** 4), 3 * base / (4 * c * c), rtol=1e-8
-        )
+        second = CumulativeDensity1D((lambda t: t * t * np.exp(-c * t * t), lo, hi)).total
+        fourth = CumulativeDensity1D((lambda t: t ** 4 * np.exp(-c * t * t), lo, hi)).total
+        assert_allclose(second, base / (2 * c), rtol=1e-8)
+        assert_allclose(fourth, 3 * base / (4 * c * c), rtol=1e-8)
 
     def test_shifted_gaussian_complete_square(self):
         a0, c = 1.7, 0.6
         d = Density(AffineWeight(a0, 0.0), c, 2, (-INF, INF))
         oracle = math.sqrt(math.pi / c) * math.exp(a0 * a0 / (4 * c))
-        assert_allclose(integrate_weighted(d), oracle, rtol=1e-8)
+        assert_allclose(slab_mass(d), oracle, rtol=1e-8)
 
     def test_log_power_half_line(self):
         # int_0^inf t^2 e^{-t^2/2} dt = sqrt(2 pi) / 2
         d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
-        assert_allclose(integrate_weighted(d), math.sqrt(2 * math.pi) / 2, rtol=1e-9)
+        assert_allclose(slab_mass(d), math.sqrt(2 * math.pi) / 2, rtol=1e-9)
 
     def test_fractional_log_power_gamma_oracle(self):
         # int_0^inf t^m e^{-c t^2} dt = Gamma((m+1)/2) / (2 c^((m+1)/2))
         m, c = 0.5, 0.8
         d = Density(LogPowerWeight(m), c, 2, (0.0, INF))
         oracle = math.gamma((m + 1) / 2) / (2 * c ** ((m + 1) / 2))
-        assert_allclose(integrate_weighted(d), oracle, rtol=1e-9)
-
-    def test_interval_clipped_to_slab(self):
-        d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        full = integrate_weighted(d, lo=-5.0, hi=5.0)
-        assert_allclose(full, gaussian_mass(0.5, 0.0, 1.0), rtol=1e-10)
+        assert_allclose(slab_mass(d), oracle, rtol=1e-9)
 
     @pytest.mark.parametrize("m", [-0.99, -0.8, -0.5, 0.5, 2.0])
     @pytest.mark.parametrize("b", [1.0, INF])
     def test_singular_log_power_gamma_closed_form(self, m, b):
         # int_0^b t^m e^{-c t^2} dt = gamma((m+1)/2, c b^2) / (2 c^((m+1)/2)),
-        # the lower incomplete gamma function; both the quadrature and the
-        # cumulative engine integrate the endpoint power t^m exactly
+        # the lower incomplete gamma function; the engine integrates the
+        # endpoint power t^m exactly
         from scipy.special import gamma, gammainc
 
         c, a = 0.5, (m + 1.0) / 2.0
         exact = gamma(a) * (gammainc(a, c * b * b) if b < INF else 1.0) / (2.0 * c**a)
         d = Density(LogPowerWeight(m), c, 2, (0.0, b))
-        assert_allclose(integrate_weighted(d), exact, rtol=1e-12)
+        assert_allclose(slab_mass(d), exact, rtol=1e-12)
         assert_allclose(CumulativeDensity1D(d).total, exact, rtol=1e-12)
 
     def test_sweep_agrees_with_quadpack(self):
         # two independent quadratures of the 14 acceptance-sweep masses
-        from scipy.integrate import quad
-
         sweep = [
             (w, slab)
             for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
@@ -253,27 +261,11 @@ class TestIntegrateWeighted:
         ] + [(LogPowerWeight(2.0), (0.0, 1.0)), (LogPowerWeight(2.0), (0.0, INF))]
         for weight, slab in sweep:
             d = Density(weight, 0.5, 2, slab)
-            want = quad(lambda t: math.exp(float(weight.value(t)) - 0.5 * t * t), *slab,
-                        epsabs=0.0, epsrel=1e-13, limit=500)[0]
-            assert_allclose(integrate_weighted(d), want, rtol=1e-12, err_msg=str((weight, slab)))
-
-    def test_convergence_failure_carries_estimate(self):
-        d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_intervals=1)
-        with pytest.raises(QuadratureError) as err:
-            integrate_weighted(d, g=lambda t: np.cos(300.0 * t * t), spec=spec)
-        assert math.isfinite(err.value.estimate)
-        assert err.value.error_bound > 0.0
-
-    def test_tolerance_below_rounding_is_not_claimed(self):
-        # no error bound below the rounding of the panel sums is reported
-        d = Density(ZeroWeight(), 2.0, 2, (-1.0, 1.0))
-        with pytest.raises(QuadratureError) as err:
-            integrate_weighted(d, spec=QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300))
-        assert err.value.error_bound >= 1e-16 * err.value.estimate
+            assert_allclose(slab_mass(d), quadpack_mass(d), rtol=1e-12, err_msg=str((weight, slab)))
 
     def test_tail_soundness(self):
-        """Widening the cutoff moves the result by less than the error bound."""
+        """Widening each infinite side's cut by 6/sqrt(c) moves the total by
+        at most 1e-14 of it: the truncated tails are negligible."""
         for weight, slab in [
             (ZeroWeight(), (-INF, INF)),
             (AffineWeight(2.0, 0.0), (-INF, INF)),
@@ -281,32 +273,38 @@ class TestIntegrateWeighted:
             (LogPowerWeight(2.0), (0.0, INF)),
         ]:
             d = Density(weight, 0.5, 2, slab)
-            tight = integrate_weighted_report(d)
-            wide_spec = QuadratureSpec(tail_pad=8.0)
-            wide = integrate_weighted_report(d, spec=wide_spec)
-            assert abs(wide.value - tight.value) <= tight.error_bound
-            lo_t, hi_t = tight.interval
-            lo_w, hi_w = wide.interval
-            assert lo_w <= lo_t and hi_w >= hi_t
+            w, c = d.weight, d.c
+            tight = CumulativeDensity1D(d).total
+            lo, hi = tail_interval(d)
+            pad = 6.0 / math.sqrt(c)
+            lo_w = lo - pad if math.isinf(slab[0]) else lo
+            hi_w = hi + pad if math.isinf(slab[1]) else hi
+            wide = CumulativeDensity1D((lambda t: np.exp(w.value(t) - c * t * t), lo_w, hi_w)).total
+            assert abs(wide - tight) <= 1e-14 * tight, (weight, slab, wide, tight)
 
 
 class TestNormalizers:
+    """alpha and beta of the monotone transport: reciprocal masses of
+    e^{-c s^2} on R and of e^{omega - c t^2} on the slab."""
+
     def test_gaussian_half(self):
         d = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
-        alpha, beta = normalizers(d)
+        tmap = build_transport(d)
+        alpha, beta = tmap.alpha, tmap.beta
         assert_allclose(alpha, 1 / math.sqrt(2 * math.pi), rtol=1e-12)
         assert_allclose(beta, alpha, rtol=1e-10)
 
     def test_gaussian_unit(self):
         d = Density(ZeroWeight(), 1.0, 2, (-INF, INF))
-        alpha, beta = normalizers(d)
+        tmap = build_transport(d)
+        alpha, beta = tmap.alpha, tmap.beta
         assert_allclose(alpha, 1 / math.sqrt(math.pi), rtol=1e-12)
         assert_allclose(alpha, 0.5641896, rtol=1e-6)
         assert_allclose(beta, alpha, rtol=1e-10)
 
     def test_affine_complete_square(self):
         d = Density(AffineWeight(1.0, 0.0), 0.5, 2, (-INF, INF))
-        _, beta = normalizers(d)
+        beta = build_transport(d).beta
         oracle = 1.0 / (math.sqrt(2 * math.pi) * math.exp(0.5))
         assert_allclose(beta, oracle, rtol=1e-9)
         assert_allclose(beta, 0.2419707, rtol=1e-6)
@@ -366,11 +364,15 @@ class TestDensityValidation:
             with pytest.raises(DomainError, match="not integrable"):
                 Density(LogPowerWeight(m), 0.5, 2, slab)
         d = Density(LogPowerWeight(m), 0.5, 2, (0.5, 2.0))
-        assert CumulativeDensity1D(d).total == pytest.approx(integrate_weighted(d), rel=1e-10)
+        assert CumulativeDensity1D(d).total == pytest.approx(quadpack_mass(d), rel=1e-10)
 
     def test_barely_integrable_log_power_accepted(self):
         d = Density(LogPowerWeight(-0.99), 0.5, 2, (0.0, 1.0))
-        assert integrate_weighted(d) > 0.0
+        # QUADPACK's algebraic-endpoint rule (QAWS) takes the factor t^m exactly
+        want = quad(lambda t: math.exp(-0.5 * t * t), 0.0, 1.0, weight="alg", wvar=(-0.99, 0.0),
+                    epsabs=0.0, epsrel=1e-13)[0]
+        assert want > 0.0
+        assert_allclose(slab_mass(d), want, rtol=1e-12)
 
     @pytest.mark.parametrize("slab", [(-INF, INF), (0.0, INF), (-INF, 0.0)])
     def test_quadratic_needs_c_plus_kappa_positive_on_infinite_slabs(self, slab):
@@ -379,7 +381,7 @@ class TestDensityValidation:
                 Density(QuadraticWeight(kappa, 0.3, 0.0), 0.5, 2, slab)
         # a bounded slab keeps any kappa integrable
         d = Density(QuadraticWeight(-0.8, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
-        assert integrate_weighted(d) > 0.0
+        assert quadpack_mass(d) > 0.0
 
     def test_slab_mass_below_tail_tolerance_rejected(self):
         # the whole slab lies beyond the tail cutoff, so truncating its
@@ -388,7 +390,7 @@ class TestDensityValidation:
         with pytest.raises(DomainError, match="tail tolerance"):
             tail_interval(d)
         with pytest.raises(DomainError, match="tail tolerance"):
-            integrate_weighted(d)
+            total_weighted_volume(d)
         with pytest.raises(DomainError, match="tail tolerance"):
             CumulativeDensity1D(d)
 
@@ -403,7 +405,7 @@ class TestCumulativeDensity:
         ]:
             d = Density(weight, 0.5, 2, slab)
             cum = CumulativeDensity1D(d)
-            assert_allclose(cum.total, integrate_weighted(d), rtol=1e-12)
+            assert_allclose(cum.total, quadpack_mass(d), rtol=1e-12)
 
     def test_partial_masses_against_erf(self):
         d = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
