@@ -18,7 +18,6 @@ from .errors import (
 )
 from .geometry import (
     DiscreteCurve,
-    IndexFormReport,
     StabilityVerdict,
     cmc_shoot,
     curve_csv,

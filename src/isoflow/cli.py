@@ -41,7 +41,6 @@ from .spectrum import poincare_certify, spectrum_csv
 from .transport import build_transport, check_contraction, pushforward_check, transport_csv
 from .weights import (
     AffineWeight,
-    CumulativeDensity1D,
     Density,
     LogPowerWeight,
     PiecewiseLinearWeight,
@@ -125,8 +124,6 @@ def _parse_value(kind: str, raw: str, where: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "bool":
             lowered = raw.lower()
             if lowered in ("true", "yes", "1", "on"):
@@ -134,13 +131,17 @@ def _parse_value(kind: str, raw: str, where: str):
             if lowered in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind == "floats":
-            if not raw:
-                return ()
-            return tuple(float(tok) for tok in raw.split(","))
-        return raw
+        if kind == "float":
+            value = float(raw)
+        elif kind == "floats":
+            value = tuple(float(tok) for tok in raw.split(",")) if raw else ()
+        else:
+            return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from exc
+    if np.isnan(value).any():  # inf is a legal setting, nan never is
+        raise ConfigError(f"{where} = {raw!r} is not a number")
+    return value
 
 
 def _format_value(kind: str, value) -> str:
@@ -211,7 +212,7 @@ class RunConfig:
 def _interior_height(density: Density) -> float:
     """0.0 when it lies strictly inside the slab, else the slab factor's median."""
     a, b = density.slab
-    return 0.0 if a < 0.0 < b else float(CumulativeDensity1D(density).quantile(0.5))
+    return 0.0 if a < 0.0 < b else float(density.cumulative.quantile(0.5))
 
 
 def load_config(path: str) -> RunConfig:

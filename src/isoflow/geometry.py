@@ -35,7 +35,6 @@ from .weights import (
 __all__ = [
     "CubicSpline",
     "DiscreteCurve",
-    "IndexFormReport",
     "StabilityVerdict",
     "cmc_shoot",
     "curve_csv",
@@ -188,12 +187,9 @@ def _check_in_slab(density: Density, points: np.ndarray) -> None:
         raise DomainError("curve exits the slab")
 
 
-def straight_segment(density: Density, p0, p1, n: int = 201, orientation: int = 1) -> DiscreteCurve:
-    """Uniformly sampled straight segment with the left normal of travel.
-
-    orientation +1 keeps N = rot90(T) (the enclosed side lies to the
-    left of the direction of travel); −1 flips it.
-    """
+def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
+    """Uniformly sampled straight segment with the left normal of travel,
+    N = rot90(T): the enclosed side lies to the left of the direction of travel."""
     _require_planar(density)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -207,7 +203,7 @@ def straight_segment(density: Density, p0, p1, n: int = 201, orientation: int = 
     if length <= 0.0:
         raise GeometryError("segment endpoints coincide")
     tangent = chord / length
-    normal = float(orientation) * _rot90(tangent)
+    normal = _rot90(tangent)
     flags = _boundary_flags(density, points)
     return DiscreteCurve(
         points=points,
@@ -219,49 +215,38 @@ def straight_segment(density: Density, p0, p1, n: int = 201, orientation: int = 
     )
 
 
-def vertical_segment(density: Density, x0: float, n: int = 201, orientation: int = 1) -> DiscreteCurve:
-    """Vertical chord x = x0 crossing the full slab, N = (−1, 0) for +1."""
+def vertical_segment(density: Density, x0: float, n: int = 201) -> DiscreteCurve:
+    """Vertical chord x = x0 crossing the full slab, N = (−1, 0)."""
     a, b = density.slab
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("vertical chord needs a bounded slab")
-    return straight_segment(density, (x0, a), (x0, b), n=n, orientation=orientation)
+    return straight_segment(density, (x0, a), (x0, b), n=n)
 
 
-def horizontal_segment(
-    density: Density,
-    t0: float,
-    n: int = 2001,
-    half_width: float | None = None,
-    orientation: int = 1,
-) -> DiscreteCurve:
-    """Horizontal line t = t0 truncated where e^{−cx²} is negligible."""
+def horizontal_segment(density: Density, t0: float, n: int = 2001) -> DiscreteCurve:
+    """Horizontal line t = t0 truncated where e^{−cx²} is negligible, N = (0, 1)."""
     a, b = density.slab
     if not (a <= t0 <= b):
         raise DomainError("horizontal line must sit inside the slab")
-    if half_width is None:
-        half_width = _gaussian_tail_cutoff(density.c, 0.0, 0.0, 1e-18)
-    return straight_segment(
-        density, (-half_width, t0), (half_width, t0), n=n, orientation=orientation
-    )
+    half_width = _gaussian_tail_cutoff(density.c, 0.0, 0.0, 1e-18)
+    return straight_segment(density, (-half_width, t0), (half_width, t0), n=n)
 
 
-def polyline_curve(
-    density: Density, points, orientation: int = 1, closed: bool = False
-) -> DiscreteCurve:
+def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCurve:
     """General curve from ordered nodes; normals and curvature by differences.
 
-    Tangents use centered differences, normals are rot90(T) times the
-    orientation, and k = dθ/ds from the unwrapped tangent angle, so both
-    carry O(h²) discretization error.
+    Tangents use centered differences, normals are rot90(T), and
+    k = dθ/ds from the unwrapped tangent angle, so both carry O(h²)
+    discretization error.
     """
     _require_planar(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_in_slab(density, points)
     tangents = _unit_tangents(points, closed)
-    normals = float(orientation) * _rot90(tangents)
+    normals = _rot90(tangents)
     theta = np.unwrap(np.arctan2(tangents[:, 1], tangents[:, 0]))
     s = np.concatenate(([0.0], np.cumsum(_segment_lengths(points, closed=False))))
-    k = np.gradient(theta, s) * float(orientation)
+    k = np.gradient(theta, s)
     flags = (False, False) if closed else _boundary_flags(density, points)
     return DiscreteCurve(
         points=points,
@@ -274,18 +259,16 @@ def polyline_curve(
     )
 
 
-def f_mean_curvature(density: Density, curve: DiscreteCurve, i: int | None = None):
-    """H_f = k − ⟨∇ψ, N⟩ at node i, or at every node when i is None."""
+def f_mean_curvature(density: Density, curve: DiscreteCurve) -> np.ndarray:
+    """H_f = k − ⟨∇ψ, N⟩ at every node."""
     _require_planar(density)
-    if i is None:
-        grad = log_density_gradient(density, curve.points)
-        return curve.curvature - np.sum(grad * curve.normals, axis=-1)
-    grad = log_density_gradient(density, curve.points[i])
-    return float(curve.curvature[i] - np.dot(grad, curve.normals[i]))
+    grad = log_density_gradient(density, curve.points)
+    return curve.curvature - np.sum(grad * curve.normals, axis=-1)
 
 
-def _polyline_weighted_length(density: Density, pts: np.ndarray, order: int) -> float:
-    x, w = _gauss_legendre(order)
+def _polyline_weighted_length(density: Density, pts: np.ndarray) -> float:
+    """∫ f dℓ along the polyline through pts, 12-point Gauss-Legendre per segment."""
+    x, w = _gauss_legendre(12)
     lam = 0.5 * (x + 1.0)
     p0 = pts[:-1]
     seg = pts[1:] - p0
@@ -295,7 +278,7 @@ def _polyline_weighted_length(density: Density, pts: np.ndarray, order: int) -> 
     return float(np.sum(0.5 * ell * (f @ w)))
 
 
-def curve_weighted_length(density: Density, curve: DiscreteCurve, order: int = 12) -> float:
+def curve_weighted_length(density: Density, curve: DiscreteCurve) -> float:
     """P_f of the polyline: per-segment Gauss-Legendre quadrature of f.
 
     Exact for the polyline itself up to the quadrature order, so straight
@@ -305,7 +288,7 @@ def curve_weighted_length(density: Density, curve: DiscreteCurve, order: int = 1
     pts = curve.points
     if curve.closed:
         pts = np.vstack([pts, pts[:1]])
-    return _polyline_weighted_length(density, pts, order)
+    return _polyline_weighted_length(density, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -581,37 +564,21 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     return float(np.max(np.abs(residual)))
 
 
-@dataclass(frozen=True)
-class IndexFormReport:
-    """Value of a second-variation form with its quadrature diagnostics."""
+def index_form(density: Density, curve: DiscreteCurve, u) -> float:
+    """I_f(u,u) = ∫ u′² − (Ric_f(N,N) + k²) u²  da_f.
 
-    value: float
-    quadrature_error: float
-    boundary_term: float
-
-
-def index_form(density: Density, curve: DiscreteCurve, u, v=None) -> IndexFormReport:
-    """I_f(u,v) = ∫ u′v′ − (Ric_f(N,N) + k²) u v  da_f.
-
-    Trapezoidal quadrature in the stored da_f weights; derivatives from
-    cubic splines in arclength.  Slab walls are totally geodesic, so the
-    boundary contribution is identically zero here.  The error estimate
-    is a Richardson difference against the half-resolution grid.
+    Trapezoidal quadrature in the stored da_f weights; u′ from a cubic
+    spline in arclength.  Slab walls are totally geodesic, so the
+    boundary contribution is identically zero here.
     """
     _require_planar(density)
     u = np.asarray(u, dtype=float)
-    v = u if v is None else np.asarray(v, dtype=float)
-    if u.shape != (curve.n_nodes,) or v.shape != (curve.n_nodes,):
+    if u.shape != (curve.n_nodes,):
         raise GeometryError("test functions must be sampled at the curve nodes")
     du, _ = _spline_derivatives(curve, u)
-    dv, _ = (du, None) if v is u else _spline_derivatives(curve, v)
     ric = bakry_emery_curvature(density, curve.points, curve.normals)
-    integrand = du * dv - (ric + curve.curvature**2) * u * v
-    value = float(np.sum(integrand * curve.weights))
-    coarse_pts = curve.points[::2]
-    coarse_w = _trapezoid_weights(density, coarse_pts, curve.closed)
-    coarse = float(np.sum(integrand[::2] * coarse_w))
-    return IndexFormReport(value=value, quadrature_error=abs(value - coarse) / 3.0, boundary_term=0.0)
+    integrand = du * du - (ric + curve.curvature**2) * u * u
+    return float(np.sum(integrand * curve.weights))
 
 
 @dataclass(frozen=True)
@@ -639,7 +606,7 @@ def parallel_halfspace_stability(density: Density, t0: float, n: int = 4001) -> 
         raise DomainError("parallel boundary must sit strictly inside the slab")
     d2 = float(np.asarray(density.weight.deriv2(t0)))
     line = horizontal_segment(density, t0, n=n)
-    witness = index_form(density, line, line.points[:, 0]).value
+    witness = index_form(density, line, line.points[:, 0])
     return StabilityVerdict(
         verdict="stable" if d2 >= 0.0 else "unstable",
         t0=float(t0),

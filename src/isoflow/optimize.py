@@ -47,6 +47,13 @@ __all__ = [
 _QUAD_SUBPANELS = 12
 _QUAD_ORDER = 16
 
+# line search: Armijo sufficient-decrease slope, backtracking factor and
+# budget, and the first iteration's step before Barzilai-Borwein scaling
+_ARMIJO_SLOPE = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 40
+_INITIAL_STEP = 0.5
+
 
 @dataclass(frozen=True)
 class _SplineOperator:
@@ -183,10 +190,9 @@ class ChordSpline:
 
 
 def make_straight_chord(
-    density: Density, x_bottom: float = 0.0, x_top: float | None = None,
-    n_controls: int = 12, graph: bool = True,
+    density: Density, x_bottom: float = 0.0, x_top: float | None = None, n_controls: int = 12
 ) -> ChordSpline:
-    """Straight chord between (x_bottom, a) and (x_top, b); vertical default.
+    """Straight graph chord between (x_bottom, a) and (x_top, b); vertical default.
 
     Infinite slab sides are replaced by the weighted tail cutoff, beyond
     which the discarded mass is negligible at working tolerances.
@@ -194,7 +200,7 @@ def make_straight_chord(
     lo, hi = tail_interval(density)
     x_top = x_bottom if x_top is None else x_top
     knots = np.linspace(0.0, 1.0, n_controls)
-    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, lo + (hi - lo) * knots, (lo, hi), graph)
+    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, lo + (hi - lo) * knots, (lo, hi))
 
 
 def vertical_chord_length(density: Density, fraction: float) -> float:
@@ -301,18 +307,14 @@ class OptimizerConfig:
     target_area: float
     max_iterations: int = 400
     gradient_tolerance: float = 1e-6
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
-    initial_step: float = 0.5
 
     def __post_init__(self):
         if not self.target_area > 0.0:
             raise ConfigError("target area must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ConfigError("backtrack factor must lie in (0, 1)")
-        if self.max_iterations < 1 or self.max_backtracks < 1:
-            raise ConfigError("iteration budgets must be positive")
+        if not self.gradient_tolerance > 0.0:
+            raise ConfigError("gradient tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ConfigError("iteration budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -400,13 +402,13 @@ def _smoothed(
         smooth = _restore_area(density, _resample(trial), config.target_area)
     except (GeometryError, DomainError):
         return trial
-    slack = 0.5 * config.armijo_slope * alpha * gnorm * gnorm
+    slack = 0.5 * _ARMIJO_SLOPE * alpha * gnorm * gnorm
     if weighted_length(density, smooth) <= base_length - slack:
         return smooth
     return trial
 
 
-def _resample(chord: ChordSpline, n_dense: int = 800) -> ChordSpline:
+def _resample(chord: ChordSpline) -> ChordSpline:
     """Redistribute the knots uniformly by arclength.
 
     Control points of a free parametric spline drift tangentially under
@@ -414,7 +416,7 @@ def _resample(chord: ChordSpline, n_dense: int = 800) -> ChordSpline:
     the same geometric curve back onto arclength-uniform knots removes
     the drift without (to interpolation accuracy) changing the shape.
     """
-    theta = np.linspace(0.0, 1.0, n_dense)
+    theta = np.linspace(0.0, 1.0, 800)
     x, t = chord.position(theta)
     seg = np.hypot(np.diff(x), np.diff(t))
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -501,7 +503,6 @@ def minimize(
     status = "max_iterations"
     prev_params = None
     prev_grad = None
-    step0 = config.initial_step
     for it in range(config.max_iterations):
         direction, gnorm = _projected_direction(chord, shape_gradient(density, chord))
         length = weighted_length(density, chord)
@@ -515,10 +516,10 @@ def minimize(
             s = params - prev_params
             y = -direction - prev_grad
             sy = float(np.dot(s, y))
-            step = float(np.dot(s, s)) / sy if sy > 1e-30 else step0
+            step = float(np.dot(s, s)) / sy if sy > 1e-30 else _INITIAL_STEP
             step = min(max(step, 1e-6), 10.0)
         else:
-            step = step0 / max(gnorm, 1.0)
+            step = _INITIAL_STEP / max(gnorm, 1.0)
         # per-step displacement cap: keeps the spline from folding
         a, b = chord.span
         max_move = 0.15 * (b - a) / max(float(np.max(np.abs(direction))), 1e-30)
@@ -526,20 +527,20 @@ def minimize(
         prev_params, prev_grad = params, -direction
         accepted = False
         alpha = step
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _unpack(chord, params + alpha * direction)
                 trial = _restore_area(density, trial, config.target_area)
             except (GeometryError, DomainError):
-                alpha *= config.backtrack_factor
+                alpha *= _BACKTRACK
                 continue
-            if weighted_length(density, trial) <= length - config.armijo_slope * alpha * gnorm * gnorm:
+            if weighted_length(density, trial) <= length - _ARMIJO_SLOPE * alpha * gnorm * gnorm:
                 if not chord.graph:
                     trial = _smoothed(density, config, trial, length, alpha, gnorm)
                 chord = trial
                 accepted = True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= _BACKTRACK
         if not accepted:
             status = "stalled"
             break
@@ -555,8 +556,8 @@ def trace_csv(trace: OptimizeTrace) -> str:
                       t.gradient_norms)
 
 
-def chord_curve(density: Density, chord: ChordSpline, n: int = 401) -> DiscreteCurve:
-    """Resample a spline chord as a discrete curve with analytic fields.
+def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
+    """Resample a spline chord as a 401-node discrete curve with analytic fields.
 
     Nodes sit at uniform arclength, so the spacing contract of
     DiscreteCurve holds for arbitrarily bent chords.  Normals are the
@@ -564,14 +565,12 @@ def chord_curve(density: Density, chord: ChordSpline, n: int = 401) -> DiscreteC
     spline curvature k = (x′t″ − t′x″)/|γ′|³, both evaluated from the
     spline derivatives rather than node differences.
     """
-    if n < 3:
-        raise GeometryError("need at least 3 nodes")
     theta_dense = np.linspace(0.0, 1.0, 4097)
     speed_dense = np.hypot(*chord.position(theta_dense, 1))
     s_dense = np.concatenate(
         ([0.0], np.cumsum(0.5 * (speed_dense[1:] + speed_dense[:-1]) * np.diff(theta_dense)))
     )
-    theta = np.interp(np.linspace(0.0, s_dense[-1], n), s_dense, theta_dense)
+    theta = np.interp(np.linspace(0.0, s_dense[-1], 401), s_dense, theta_dense)
     theta[0], theta[-1] = 0.0, 1.0
     x, t = chord.position(theta)
     dx, dt = chord.position(theta, 1)

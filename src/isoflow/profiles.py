@@ -23,8 +23,9 @@ argument omega(nu_t s + g u), g = sqrt(1 - nu_t^2), handled by
 Gauss-Hermite quadrature.
 
 Every grid is solved in one batch: parallel and tilted levels are
-quantiles of weights.CumulativeDensity1D (resolved to about one ulp of s),
-and perpendicular offsets are the closed-form Gaussian quantile.
+quantiles of weights.CumulativeDensity1D (resolved to about one ulp of s;
+the parallel family reads the density's own engine), and perpendicular
+offsets are the closed-form Gaussian quantile.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .weights import (
     _TAIL_MASS,
     _TAIL_PAD,
     _csv_table,
-    _gaussian_tail_cutoff,
+    _tangent_cutoff,
     gaussian_cdf,
     gaussian_factor,
     gaussian_quantile,
@@ -116,7 +117,7 @@ def build_profile(
                 "parallel profiles record omega' and omega''; need a C-inf weight"
             )
         gf = gaussian_factor(n, c)
-        cum = CumulativeDensity1D(density)
+        cum = density.cumulative
         v_total = gf * cum.total
         v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
         s_grid = cum.quantile(v_grid / v_total)
@@ -198,16 +199,24 @@ class ComparisonVerdict:
     g_values: np.ndarray
 
 
-def compare_profiles(
-    f_profile: Profile,
-    g_profile: Profile,
-    grid: np.ndarray | None = None,
-    tie_tol: float = 1e-8,
-) -> ComparisonVerdict:
+def _hermite(profile: Profile, x: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of F through the profile's own (v, F, dF) at x,
+    dF being the exact dF/dv."""
+    v = profile.v
+    i = np.clip(np.searchsorted(v, x, side="right") - 1, 0, v.size - 2)
+    h = v[i + 1] - v[i]
+    z = (x - v[i]) / h
+    z2, z3 = z * z, z * z * z
+    return ((2.0 * z3 - 3.0 * z2 + 1.0) * profile.F[i] + (z3 - 2.0 * z2 + z) * h * profile.dF[i]
+            + (3.0 * z2 - 2.0 * z3) * profile.F[i + 1] + (z3 - z2) * h * profile.dF[i + 1])
+
+
+def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e-8) -> ComparisonVerdict:
     """Pointwise comparison of two profiles of the same density.
 
-    Profiles sampled on different grids are matched by monotone-cubic
-    interpolation in v.
+    Profiles sampled on different grids are compared on a Chebyshev grid
+    of their common volume range, each through the cubic Hermite
+    interpolant of its own values and exact slopes.
     """
     vf, vg = f_profile.v_total, g_profile.v_total
     if abs(vf - vg) > 1e-8 * max(vf, vg):
@@ -217,23 +226,15 @@ def compare_profiles(
     same_grid = f_profile.v.shape == g_profile.v.shape and np.allclose(
         f_profile.v, g_profile.v, rtol=1e-12, atol=0.0
     )
-    if grid is None and same_grid:
+    if same_grid:
         common = f_profile.v
         F = f_profile.F
         G = g_profile.F
     else:
         lo = max(f_profile.v[0], g_profile.v[0])
         hi = min(f_profile.v[-1], g_profile.v[-1])
-        if grid is None:
-            common = _chebyshev_grid(lo, hi, max(len(f_profile.v), len(g_profile.v)))
-        else:
-            common = np.asarray(grid, dtype=float)
-            if np.any(common < lo) or np.any(common > hi):
-                raise DomainError("comparison grid exceeds the common volume range")
-        from scipy.interpolate import PchipInterpolator  # only unequal grids need it
-
-        F = PchipInterpolator(f_profile.v, f_profile.F)(common)
-        G = PchipInterpolator(g_profile.v, g_profile.F)(common)
+        common = _chebyshev_grid(lo, hi, max(len(f_profile.v), len(g_profile.v)))
+        F, G = _hermite(f_profile, common), _hermite(g_profile, common)
 
     tie_band = tie_tol * np.maximum(F, G)
     margin = F - G
@@ -260,7 +261,6 @@ def tilted_profile_wholespace(
     density: Density,
     normal,
     grid_size: int = 65,
-    hermite_order: int = 150,
 ) -> Profile:
     """Profile of the half-space family {<p, nu> < s} on the whole space.
 
@@ -294,7 +294,7 @@ def tilted_profile_wholespace(
     nu_t = float(nu[-1])
     g = math.sqrt(max(0.0, 1.0 - nu_t * nu_t))
 
-    hx, hw = np.polynomial.hermite.hermgauss(hermite_order)
+    hx, hw = np.polynomial.hermite.hermgauss(150)
     shift = g * hx / math.sqrt(c)  # GH nodes mapped to the u variable
 
     def log_I(tau: np.ndarray) -> np.ndarray:
@@ -318,19 +318,14 @@ def tilted_profile_wholespace(
         s = np.asarray(s, dtype=float)
         return gf * np.exp(-c * s * s + log_I(nu_t * s))
 
-    # truncation: (log A)(s) = -c s^2 + log I(nu_t s) is concave; tangent rule
-    cuts = []
-    for right in (True, False):
+    # truncation: log(gf I(nu_t s)) is concave in s, so the slab's tail rule applies
+    def cutoff(right: bool) -> float:
         ref = max(1.0, 1.0 / math.sqrt(c)) * (1.0 if right else -1.0)
-        la = float(log_I(np.asarray(ref * nu_t)))
-        sl = nu_t * float(dlog_I(ref * nu_t)[0])
-        drift = sl if right else -sl
-        amp = la - sl * ref if right else la + sl * ref
-        cut = _gaussian_tail_cutoff(c, drift, amp + math.log(max(gf, 1e-300)), _TAIL_MASS)
-        cut += _TAIL_PAD / math.sqrt(c)
-        cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
-        cuts.append(cut if right else -cut)
-    hi, lo = cuts
+        value = float(log_I(np.asarray(ref * nu_t))) + math.log(max(gf, 1e-300))
+        slope = nu_t * float(dlog_I(ref * nu_t)[0])
+        return _tangent_cutoff(c, value, slope, ref, right, _TAIL_MASS, _TAIL_PAD)
+
+    lo, hi = cutoff(False), cutoff(True)
 
     cum = CumulativeDensity1D((area_vec, lo, hi), n_panels=1200)
     v_total = cum.total

@@ -18,14 +18,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .geometry import DiscreteCurve, _check_in_slab, _polyline_weighted_length, curve_weighted_length
 from .weights import (
-    CumulativeDensity1D,
     Density,
     ZeroWeight,
     _csv_table,
@@ -99,11 +97,6 @@ class TransportMap:
     def n_nodes(self) -> int:
         return self.s.size
 
-    @cached_property
-    def cumulative(self) -> CumulativeDensity1D:
-        """The target's 1-D measure engine, built once per map."""
-        return CumulativeDensity1D(self.target)
-
 
 def build_transport(
     density: Density,
@@ -114,8 +107,8 @@ def build_transport(
     """Construct ρ = CDF₂⁻¹ ∘ CDF₁ on a sample grid of the source line.
 
     CDF₁ is the closed-form Gaussian error function; the target quantiles
-    come from one batched CumulativeDensity1D.quantile call, resolved to
-    about one ulp, and the engine stays cached on the map.  ρ′ comes
+    come from one batched quantile call on the density's own engine,
+    resolved to about one ulp.  ρ′ comes
     from the change-of-variables identity, never from differences.
     Source quantiles outside [1e−14, 1−1e−14] are clipped with a warning
     (diagnostic tails, irrelevant at downstream tolerances).
@@ -132,7 +125,7 @@ def build_transport(
         s = np.linspace(-span, span, grid_size)
     else:
         s = np.sort(np.asarray(s_grid, dtype=float))
-    cum = CumulativeDensity1D(density)
+    cum = density.cumulative
     alpha = 1.0 / math.sqrt(math.pi / c)
     beta = 1.0 / cum.total
     q = gaussian_cdf(c, s)
@@ -150,7 +143,7 @@ def build_transport(
     w = density.weight
     drho = alpha * np.exp(-c * s * s) / (beta * np.exp(w.value(rho) - c * rho * rho))
     source = Density(ZeroWeight(), c, density.dim, (-math.inf, math.inf))
-    tmap = TransportMap(
+    return TransportMap(
         source=source,
         target=density,
         s=s,
@@ -160,8 +153,6 @@ def build_transport(
         beta=beta,
         n_clipped=n_clipped,
     )
-    tmap.__dict__["cumulative"] = cum  # seed the cached engine
-    return tmap
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,7 @@ class PushforwardReport:
 
 def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
     """ρ⁻¹(d) through the CDF relation, accurate in both tails; ∓∞ off (a, b)."""
-    cum = tmap.cumulative
+    cum = tmap.target.cumulative
     q = cum.mass_below(d) / cum.total
     q_up = cum.mass_above(d) / cum.total
     return gaussian_quantile(tmap.source.c, q, q_up)
@@ -215,7 +206,7 @@ def pushforward_check(
     maps the endpoints back through the CDF relation and evaluates the
     closed-form Gaussian mass, so the two routes share no quadrature.
     """
-    cum = tmap.cumulative
+    cum = tmap.target.cumulative
     a, b = tmap.target.slab
     if intervals is None:
         rng = np.random.default_rng(seed)
@@ -253,7 +244,7 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     The product map T(z,s) = (z, ρ(s)) has surface Jacobian between ρ′
     and 1, so with ρ′ ≤ 1 the weighted perimeter of a curve dominates
     α/β times the Gaussian perimeter of its preimage.  Nodes are pulled
-    back in one batch through the CDF relation and the map's cached
+    back in one batch through the CDF relation and the target's
     engine (wall nodes land at the clipped quantile) and joined into a
     polyline.
     """
@@ -269,7 +260,7 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     pulled = np.stack([curve.points[:, 0], sigma], axis=-1)
     if curve.closed:
         pulled = np.vstack([pulled, pulled[:1]])
-    p_gauss = _polyline_weighted_length(tmap.source, pulled, order=12)
+    p_gauss = _polyline_weighted_length(tmap.source, pulled)
     bound = (tmap.alpha / tmap.beta) * p_gauss
     return PerimeterBoundReport(
         weighted_perimeter=p_f,

@@ -16,8 +16,12 @@ where omega is a (usually concave) function of t alone.  This module owns
     Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
     positive vectorized integrand on a finite interval) with batched
     masses and quantiles, each quantile resolved to about one ulp of t.
-    An infinite slab side is truncated soundly: the cutoff is chosen so
-    that the tail mass of a Gaussian-type dominating bound is below 1e-15,
+    A Density builds its engine once, on first use of Density.cumulative;
+    the parallel profile, the slab mass, the transport map and its checks
+    all read that one engine.  An infinite slab side is truncated soundly
+    by one tail rule: the cutoff is chosen so that the tail mass of a
+    Gaussian-type dominating bound (the tangent of a concave log-integrand,
+    or the exact square for a quadratic weight) is below 1e-15,
   * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
     on a numpy erfc and Wichura's AS241 normal quantile.
 """
@@ -62,7 +66,6 @@ __all__ = [
 class Weight1D:
     """Base interface for the 1-D perturbation omega."""
 
-    smoothness: str = "C-inf"
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def value(self, t):
@@ -188,7 +191,6 @@ class PiecewiseLinearWeight(Weight1D):
             raise ValueError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "smoothness", "C0")
         object.__setattr__(self, "domain", (knots[0], knots[-1]))
 
     def _check_domain(self, t):
@@ -295,6 +297,15 @@ class Density:
 
     def whole_space(self) -> bool:
         return math.isinf(self.slab[0]) and math.isinf(self.slab[1])
+
+    @functools.cached_property
+    def cumulative(self) -> "CumulativeDensity1D":
+        """The slab factor's 1-D measure engine, built once per Density.
+
+        Kept in the instance dict, outside the dataclass fields, so two
+        equal densities compare and hash equal whether or not either has
+        built its engine."""
+        return CumulativeDensity1D(self)
 
 
 def gaussian_factor(k: int, c: float) -> float:
@@ -481,6 +492,23 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     return mu + x / math.sqrt(c_eff)
 
 
+def _tangent_cutoff(
+    c: float, value: float, slope: float, ref: float, right: bool, eps: float, pad: float
+) -> float:
+    """Truncation point past ref for e^{L(t) - c t^2}, L concave with
+    L(ref) = value and L'(ref) = slope, so that L(t) <= value + slope (t - ref)
+    bounds the discarded tail; right picks the side, eps its mass, and the
+    cut is padded by pad / sqrt(c) and kept 1 / sqrt(c) beyond |ref|."""
+    if right:
+        drift, log_amp = slope, value - slope * ref
+    else:
+        # reflect t -> -t: e^{L(-u)} <= e^{value - slope (u + ref)}
+        drift, log_amp = -slope, value + slope * ref
+    cut = _gaussian_tail_cutoff(c, drift, log_amp, eps) + pad / math.sqrt(c)
+    cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
+    return cut if right else -cut
+
+
 def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> float:
     """Truncation point for an infinite slab side, dominating-bound sound."""
     w, c = density.weight, density.c
@@ -488,25 +516,15 @@ def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> 
     if isinstance(w, QuadraticWeight):
         # exact completion of the square; Density guarantees c + kappa > 0
         c_eff = c + w.kappa
-        drift, log_amp = (w.a0, w.b0) if right else (-w.a0, w.b0)
-        cut = _gaussian_tail_cutoff(c_eff, drift, log_amp, eps)
-        cut += pad / math.sqrt(c_eff)
+        drift = w.a0 if right else -w.a0
+        cut = _gaussian_tail_cutoff(c_eff, drift, w.b0, eps) + pad / math.sqrt(c_eff)
+        return cut if right else -cut
+    # concave tangent bound past a reference point inside the slab
+    if right:
+        ref = (a if math.isfinite(a) else 0.0) + max(1.0, 1.0 / math.sqrt(c))
     else:
-        # concave tangent bound omega(t) <= omega(r) + s (t - r) past a
-        # reference point r inside the slab
-        if right:
-            ref = (a if math.isfinite(a) else 0.0) + max(1.0, 1.0 / math.sqrt(c))
-            slope = float(w.deriv(ref))
-            drift, log_amp = slope, float(w.value(ref)) - slope * ref
-        else:
-            ref = (b if math.isfinite(b) else 0.0) - max(1.0, 1.0 / math.sqrt(c))
-            slope = float(w.deriv(ref))
-            # reflect t -> -t: bound e^{omega(-u)} <= e^{omega(r) - s(u + r)}
-            drift, log_amp = -slope, float(w.value(ref)) + slope * ref
-        cut = _gaussian_tail_cutoff(c, drift, log_amp, eps)
-        cut += pad / math.sqrt(c)
-        cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
-    return cut if right else -cut
+        ref = (b if math.isfinite(b) else 0.0) - max(1.0, 1.0 / math.sqrt(c))
+    return _tangent_cutoff(c, float(w.value(ref)), float(w.deriv(ref)), ref, right, eps, pad)
 
 
 def tail_interval(density: Density) -> tuple[float, float]:
@@ -557,6 +575,9 @@ def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray
 # panelized cumulative integral
 
 
+# Gauss-Legendre (and Gauss-Jacobi) points per panel
+_GL_ORDER = 12
+
 # bisection alone closes any bracket narrower than 2^26 to adjacent floats,
 # subnormals included, within this many steps
 _QUANTILE_MAX_STEPS = 1100
@@ -595,7 +616,7 @@ class CumulativeDensity1D:
     (and returns a float) or an array of any shape.
     """
 
-    def __init__(self, density, n_panels: int = 600, order: int = 12):
+    def __init__(self, density, n_panels: int = 600):
         if isinstance(density, Density):
             w, c = density.weight, density.c
             self._fn = lambda t: np.exp(w.value(t) - c * t * t)
@@ -605,13 +626,12 @@ class CumulativeDensity1D:
             self._fn, lo, hi = density
             m = None
         self.breaks = breaks = np.linspace(lo, hi, n_panels + 1)
-        self.order = order
-        self._glx, self._glw = x, gw = _gauss_legendre(order)
+        self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
         panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
         self._from_zero = None  # int_0^b of a singular integrand, by Gauss-Jacobi
         if m is not None:
-            self._from_zero = lambda b: _jacobi_from_zero(m, lambda u: np.exp(-c * u * u), b, order)
+            self._from_zero = lambda b: _jacobi_from_zero(m, lambda u: np.exp(-c * u * u), b, _GL_ORDER)
             panel[0] = self._from_zero(breaks[1:2])[0]
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
@@ -723,4 +743,4 @@ class CumulativeDensity1D:
 
 def total_weighted_volume(density: Density) -> float:
     """V_f(Omega) = (pi/c)^{(dim-1)/2} * integral of e^{omega - c t^2} over the slab."""
-    return gaussian_factor(density.dim - 1, density.c) * CumulativeDensity1D(density).total
+    return gaussian_factor(density.dim - 1, density.c) * density.cumulative.total

@@ -317,7 +317,7 @@ def test_criterion_08_stability_dichotomy():
         line = vertical_segment(line_density, 0.0, n=2001)
         w = np.interp(line.points[:, 1], cert.problem.nodes, cert.eigenvector)
         w -= float(np.sum(w * line.weights)) / float(np.sum(line.weights))
-        quotient = index_form(line_density, line, w).value / float(np.sum(w * w * line.weights))
+        quotient = index_form(line_density, line, w) / float(np.sum(w * w * line.weights))
         cross = max(cross, abs(quotient - minima[label]) / abs(minima[label]))
     index_min = minima["concave"]
     ok = (

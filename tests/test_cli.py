@@ -15,6 +15,7 @@ import isoflow
 from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
 from isoflow.errors import ConfigError
 from isoflow.spectrum import SpectralProblem
+from isoflow.weights import CumulativeDensity1D
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
 GAUSSIAN_CFG = str(CONFIG_DIR / "gaussian_slab.cfg")
@@ -201,6 +202,25 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[density]\nweight = zero\n[optimize]\ngradient_tolerance = nan\n",
+             "[optimize] gradient_tolerance"),
+            ("[density]\nweight = quadratic\nparams = -0.3, 0, 0\n[profile]\ntolerance = nan\n",
+             "[profile] tolerance"),
+            ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, nan\n", "[jacobi] steps"),
+        ],
+        ids=["gradient_tolerance", "profile_tolerance", "jacobi_steps"],
+    )
+    def test_nan_setting_exits_one_at_load(self, tmp_path, capsys, text, key):
+        """A NaN tolerance can never be met (400 idle iterations) or never
+        fail (the parallel ODE check reads 'inequality' on a convex weight)."""
+        out = str(tmp_path / "never")
+        assert main(["all", "--config", write_cfg(tmp_path, text), "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert key in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 1
@@ -330,6 +350,21 @@ class TestOnePencilPerRun:
         assert len(built) == pencils
         verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
         assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+
+
+class TestOneEnginePerRun:
+    def test_all_builds_the_slab_factor_engine_once(self, tmp_path, monkeypatch):
+        """Profiles, transport and the optimizer's target area share Density.cumulative."""
+        builds = []
+        init = CumulativeDensity1D.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
+        assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(tmp_path / "out")]) == 0
+        assert len(builds) == 1
 
 
 class TestInteriorDefaults:

@@ -178,7 +178,6 @@ class TestFMeanCurvature:
         """x = 1 with N = (−1, 0): H_f = 2c⟨p, N⟩ = −1 at every node."""
         vl = vertical_segment(UNIT_SLAB, 1.0, n=101)
         assert_allclose(f_mean_curvature(UNIT_SLAB, vl), -1.0, rtol=1e-14)
-        assert_allclose(f_mean_curvature(UNIT_SLAB, vl, 3), -1.0, rtol=1e-14)
 
     def test_horizontal_line_constant(self):
         """t = t0 with N = (0, 1): H_f = −ω′(t0) + 2c t0, constant."""
@@ -376,7 +375,7 @@ class TestJacobiResidual:
 class TestIndexForm:
     def test_zero_function(self):
         vl = vertical_segment(UNIT_SLAB, 0.5, n=101)
-        assert index_form(UNIT_SLAB, vl, np.zeros(101)).value == 0.0
+        assert index_form(UNIT_SLAB, vl, np.zeros(101)) == 0.0
 
     def test_coordinate_function_witness(self):
         """Horizontal line, ω = −t², c = 1/2, u = x: I_f = ω″(0)·√(2π)/(2c)·(1/(2c))…
@@ -386,13 +385,12 @@ class TestIndexForm:
         """
         hl = horizontal_segment(QUAD_SLAB, 0.0, n=4001)
         rep = index_form(QUAD_SLAB, hl, hl.points[:, 0])
-        assert_allclose(rep.value, -2.0 * math.sqrt(2.0 * math.pi), rtol=1e-12)
-        assert rep.boundary_term == 0.0
+        assert_allclose(rep, -2.0 * math.sqrt(2.0 * math.pi), rtol=1e-12)
 
     def test_gaussian_coordinate_equality(self):
         hl = horizontal_segment(UNIT_SLAB, 0.5, n=4001)
         u = hl.points[:, 0]
-        assert abs(index_form(UNIT_SLAB, hl, u).value) <= 1e-6
+        assert abs(index_form(UNIT_SLAB, hl, u)) <= 1e-6
 
     def test_vertical_line_stability_sweep(self):
         vl = vertical_segment(UNIT_SLAB, 0.3, n=301)
@@ -401,7 +399,7 @@ class TestIndexForm:
         for _ in range(200):
             u = rng.standard_normal(vl.n_nodes)
             u -= np.sum(u * vl.weights) / total
-            assert index_form(UNIT_SLAB, vl, u).value >= -1e-6
+            assert index_form(UNIT_SLAB, vl, u) >= -1e-6
 
     def test_sample_shape_enforced(self):
         vl = vertical_segment(UNIT_SLAB, 0.5, n=101)
@@ -422,7 +420,7 @@ class TestQForm:
         )
         q, boundary = q_form(GAUSS_PLANE, line, u)
         i = index_form(GAUSS_PLANE, line, u)
-        assert abs(q - i.value) <= 1e-4 * (1.0 + abs(i.value))
+        assert abs(q - i) <= 1e-4 * (1.0 + abs(i))
         assert abs(boundary) <= 1e-10
 
     def test_constant_on_closed_curve(self):

@@ -1,11 +1,13 @@
-"""Import guard: a full `isoflow all` run imports numpy and no part of scipy.
+"""Import guard: isoflow runs on numpy alone and imports no part of scipy.
 
 Importing scipy.special or scipy.linalg alone costs more than the rest of a
 cold run, so the runtime computes its Gaussian CDF and quantile (a numpy
-erfc and Wichura's AS241), the spline's tridiagonal solve (a dgtsv port) and
-the spectral gap (Lanczos on the pencil's Green's operator) in numpy.  Only
-the unequal-grid branch of `compare_profiles`, which no command takes,
-imports scipy's PCHIP.
+erfc and Wichura's AS241), the spline's tridiagonal solve (a dgtsv port),
+the spectral gap (Lanczos on the pencil's Green's operator) and the
+unequal-grid profile comparison (a cubic Hermite interpolant through each
+profile's exact slopes) in numpy.  The guard covers a full `isoflow all`
+on both bundled configs and a tilted-vs-perpendicular comparison on
+different volume grids.
 """
 
 import json
@@ -25,8 +27,11 @@ from isoflow.cli import main
 configs = Path(isoflow.__file__).parent / "configs"
 codes = [main(["all", "--config", str(configs / f"{name}.cfg"), "--out", str(Path(sys.argv[1]) / name)])
          for name in ("gaussian_slab", "quadratic_slab")]
+d = isoflow.Density(isoflow.QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-float("inf"), float("inf")))
+tilted = isoflow.tilted_profile_wholespace(d, [0.6, 0.8], grid_size=33)
+cmp = isoflow.compare_profiles(tilted, isoflow.build_profile(d, "perpendicular", grid_size=49))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes, "n_grid": int(cmp.grid.size), "verdict": cmp.verdict, "loaded": loaded}))
 """
 
 
@@ -40,4 +45,6 @@ def test_cli_all_loads_no_heavy_scipy_subpackage(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0, 0]
+    assert report["n_grid"] == 49  # the grids differ, so the profiles were interpolated
+    assert report["verdict"] != "violation"
     assert report["loaded"] == []

@@ -403,9 +403,11 @@ class TestOptimizerConfig:
         with pytest.raises(ConfigError):
             OptimizerConfig(target_area=0.0)
 
-    def test_rejects_bad_backtrack_factor(self):
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
+    def test_rejects_gradient_tolerance_not_positive(self, tolerance):
+        """A descent that can never meet its tolerance would spend every iteration."""
         with pytest.raises(ConfigError):
-            OptimizerConfig(target_area=1.0, backtrack_factor=1.5)
+            OptimizerConfig(target_area=1.0, gradient_tolerance=tolerance)
 
     def test_rejects_empty_budget(self):
         with pytest.raises(ConfigError):

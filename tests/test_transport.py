@@ -22,6 +22,7 @@ from isoflow import (
     ZeroWeight,
 )
 from isoflow.geometry import polyline_curve, straight_segment, vertical_segment
+from isoflow.profiles import build_profile, compare_profiles
 from isoflow.transport import (
     TransportMap,
     build_transport,
@@ -233,6 +234,43 @@ class TestPerimeterBound:
         bad = vertical_segment(wide, 0.0, n=101)
         with pytest.raises(DomainError):
             transported_perimeter_bound(m, bad)
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Record every CumulativeDensity1D construction."""
+    builds = []
+    init = CumulativeDensity1D.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
+    return builds
+
+
+class TestOneEnginePerDensity:
+    def test_a_full_density_check_builds_one_engine(self, engine_builds):
+        """Both profiles, the transport map and its checks read the density's one engine."""
+        d = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
+        compare_profiles(build_profile(d, "parallel", grid_size=33), build_profile(d, "perpendicular", grid_size=33))
+        m = build_transport(d)
+        pushforward_check(m)
+        transported_perimeter_bound(m, vertical_segment(d, 0.2, n=51))
+        pts = np.stack([0.1 * np.sin(np.linspace(-0.9, 0.9, 60)), np.linspace(-0.9, 0.9, 60)], axis=-1)
+        transported_perimeter_bound(m, polyline_curve(d, pts))
+        build_transport(d)  # a second map on the same density reuses the engine
+        assert engine_builds == [d]
+
+    def test_equal_densities_stay_equal_after_one_builds_its_engine(self, engine_builds):
+        d1 = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
+        d2 = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
+        assert d1.cumulative is d1.cumulative
+        assert "cumulative" in vars(d1) and "cumulative" not in vars(d2)
+        assert d1 == d2 and hash(d1) == hash(d2)
+        assert {d1: "built"}[d2] == "built"
+        assert len(engine_builds) == 1
 
 
 class TestTransportCsv:
