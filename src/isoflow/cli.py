@@ -170,6 +170,12 @@ class RunConfig:
         return self.sections[section][key]
 
     def density(self) -> Density:
+        """The [density] section's Density, built once per config, so a run
+        has one slab-factor engine (Density.cumulative)."""
+        return self._density
+
+    @functools.cached_property
+    def _density(self) -> Density:
         name = self.value("density", "weight")
         params = self.value("density", "params")
         if name not in _WEIGHT_ARITY:
@@ -206,7 +212,10 @@ class RunConfig:
         sections = {s: dict(kv) for s, kv in self.sections.items()}
         if out_dir is not None:
             sections["run"]["out_dir"] = out_dir
-        return RunConfig(sections)
+        config = RunConfig(sections)
+        if "_density" in vars(self):  # [density] is unchanged
+            vars(config)["_density"] = self._density
+        return config
 
 
 def _interior_height(density: Density) -> float:
@@ -253,8 +262,8 @@ def load_config(path: str) -> RunConfig:
         except (IsoflowError, ValueError, TypeError):
             return config
         for section, key in unset:
-            sections[section][key] = height
-    return RunConfig(sections)
+            sections[section][key] = height  # config's own sections: it keeps its Density
+    return config
 
 
 def resolved_config_text(config: RunConfig) -> str:

@@ -298,22 +298,29 @@ def curve_weighted_length(density: Density, curve: DiscreteCurve) -> float:
 def _rk4_step(deriv, c2: float, target: float, state: tuple, h: float, domain: tuple) -> tuple:
     """One classical RK4 step of the state (x, t, θ) in Python floats, with
     θ′ = target + ⟨∇ψ, N(θ)⟩ = target + c2·x·sin θ + (ω′(t) − c2·t)·cos θ,
-    c2 = 2c and deriv = ω′ called once per stage on the scalar t clamped to
-    the weight's domain, so a step crossing a wall where the domain ends
-    can still be shortened onto it."""
+    c2 = 2c and deriv = ω′ called once per stage on the scalar t, clamped
+    to the weight's domain when that is bounded, so a step crossing a wall
+    where the domain ends can still be shortened onto it.  The four stages
+    are written out."""
     lo, hi = domain
-
-    def rhs(x: float, t: float, theta: float) -> tuple:
-        cos, sin = math.cos(theta), math.sin(theta)
-        return cos, sin, target + (c2 * x * sin + (float(deriv(min(max(t, lo), hi))) - c2 * t) * cos)
-
-    x, t, theta = state
-    k1 = rhs(x, t, theta)
-    k2 = rhs(x + 0.5 * h * k1[0], t + 0.5 * h * k1[1], theta + 0.5 * h * k1[2])
-    k3 = rhs(x + 0.5 * h * k2[0], t + 0.5 * h * k2[1], theta + 0.5 * h * k2[2])
-    k4 = rhs(x + h * k3[0], t + h * k3[1], theta + h * k3[2])
-    return tuple(s + h / 6.0 * (p + 2.0 * q + 2.0 * r + u)
-                 for s, p, q, r, u in zip(state, k1, k2, k3, k4))
+    slope = deriv if lo == -math.inf and hi == math.inf else lambda s: deriv(min(max(s, lo), hi))
+    x, t, a = state
+    half = 0.5 * h
+    cos1, sin1 = math.cos(a), math.sin(a)
+    k1 = target + (c2 * x * sin1 + (slope(t) - c2 * t) * cos1)
+    x2, t2, a2 = x + half * cos1, t + half * sin1, a + half * k1
+    cos2, sin2 = math.cos(a2), math.sin(a2)
+    k2 = target + (c2 * x2 * sin2 + (slope(t2) - c2 * t2) * cos2)
+    x3, t3, a3 = x + half * cos2, t + half * sin2, a + half * k2
+    cos3, sin3 = math.cos(a3), math.sin(a3)
+    k3 = target + (c2 * x3 * sin3 + (slope(t3) - c2 * t3) * cos3)
+    x4, t4, a4 = x + h * cos3, t + h * sin3, a + h * k3
+    cos4, sin4 = math.cos(a4), math.sin(a4)
+    k4 = target + (c2 * x4 * sin4 + (slope(t4) - c2 * t4) * cos4)
+    sixth = h / 6.0
+    return (x + sixth * (cos1 + 2.0 * cos2 + 2.0 * cos3 + cos4),
+            t + sixth * (sin1 + 2.0 * sin2 + 2.0 * sin3 + sin4),
+            a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 def cmc_shoot(
@@ -530,6 +537,32 @@ def _tangential_gradient_log_density(density: Density, curve: DiscreteCurve) -> 
     return np.sum(grad * curve.tangents(), axis=-1)
 
 
+def _cubic_slope(s: np.ndarray, u: np.ndarray, at: int) -> float:
+    """u′ at s[at] from the cubic through four nodes (s_i, u_i), by Newton's
+    divided differences; third order on any spacing."""
+    first = np.diff(u) / np.diff(s)
+    second = np.diff(first) / (s[2:] - s[:-2])
+    third = (second[1] - second[0]) / (s[3] - s[0])
+    r0, r1, r2 = s[at] - s[:3]
+    return float(first[0] + second[0] * (r0 + r1) + third * (r1 * r2 + r0 * r2 + r0 * r1))
+
+
+def _frenet_derivatives(density: Density, curve: DiscreteCurve, s: np.ndarray, eta: np.ndarray,
+                        node: int, window: slice) -> tuple:
+    """(h′, h″, ⟨∇ψ, T⟩) for h = ⟨η, N⟩ at one node from N′ = −kT: h′ = −k⟨η, T⟩
+    and h″ = −k′⟨η, T⟩ − k²h, T the unit tangent of travel (a quarter turn of
+    the stored normal) and k′ the slope of the cubic through the four nodes
+    of window."""
+    normal, k = curve.normals[node], float(curve.curvature[node])
+    tangent = np.array([normal[1], -normal[0]])
+    if np.dot(tangent, curve.points[node + 1] - curve.points[node - 1]) < 0.0:
+        tangent = -tangent
+    dk = _cubic_slope(s[window], curve.curvature[window], node - window.start)
+    eta_t, h = float(eta @ tangent), float(eta @ normal)
+    psi_t = float(log_density_gradient(density, curve.points[node]) @ tangent)
+    return -k * eta_t, -dk * eta_t - k * k * h, psi_t
+
+
 def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     """Max interior residual of L_f h = 2c h for h = ⟨η, N⟩.
 
@@ -537,7 +570,11 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     factor, which makes h an eigenfunction of the Jacobi operator
     L_f = Δ_{Σ,f} + Ric_f(N,N) + k² with eigenvalue 2c on curves of
     constant f-mean curvature.  Derivatives of h use second-order
-    differences in arclength, so the residual decays like O(h²).
+    differences in arclength, so the residual decays like O(h²).  Next
+    to an end on a wall, where shooting shortens the last segment, those
+    differences and the centered tangent are only O(h) on the uneven
+    spacing; there the derivatives come from the Frenet relation instead
+    (_frenet_derivatives), third order in the spacing.
     """
     _require_planar(density)
     eta = np.asarray(eta, dtype=float)
@@ -558,6 +595,12 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     dh = (h2 - h1) / dr * (dl / (dl + dr)) + (h1 - h0) / dl * (dr / (dl + dr))
     d2h = 2.0 * ((h2 - h1) / dr - (h1 - h0) / dl) / (dl + dr)
     psi_t = _tangential_gradient_log_density(density, curve)[1:-1]
+    n = curve.n_nodes
+    for on_wall, node, window in ((curve.boundary_start, 1, slice(0, 4)),
+                                  (curve.boundary_end, n - 2, slice(n - 4, n))):
+        if on_wall and n >= 4:
+            dh[node - 1], d2h[node - 1], psi_t[node - 1] = _frenet_derivatives(
+                density, curve, s, eta, node, window)
     ric = bakry_emery_curvature(density, curve.points[1:-1], curve.normals[1:-1])
     k = curve.curvature[1:-1]
     residual = d2h + psi_t * dh + (ric + k * k) * h1 - 2.0 * density.c * h1

@@ -16,6 +16,7 @@ perpendicular profile value at the target area.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import CubicSpline, DiscreteCurve, _trapezoid_weights
+from .geometry import CubicSpline, DiscreteCurve, _require_planar, _trapezoid_weights
 from .weights import Density, _csv_table, _float_arrays, _gauss_legendre, gaussian_cdf
-from .weights import gaussian_factor, gaussian_quantile, log_density, log_density_gradient
+from .weights import gaussian_factor, gaussian_quantile, log_density
 from .weights import tail_interval, total_weighted_volume
 
 __all__ = [
@@ -79,7 +80,7 @@ def _operator(m: int) -> _SplineOperator:
     alignment matters because spline curvature has derivative kinks at
     the knots; the high panel count matters because the arclength factor
     (1 + x'²)^{±3/2} has complex branch points that approach the real
-    axis wherever the curve turns steeply.  Built once per m.
+    axis wherever the curve turns steeply.  Built once per m, read-only.
     """
     if m not in _OPERATORS:
         x, w = _gauss_legendre(_QUAD_ORDER)
@@ -89,9 +90,8 @@ def _operator(m: int) -> _SplineOperator:
         theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         basis = CubicSpline(np.linspace(0.0, 1.0, m), np.eye(m))
         weights = (half[:, None] * w[None, :]).ravel()
-        _OPERATORS[m] = _SplineOperator(
-            theta, weights, basis(theta), basis(theta, 1), basis(theta, 2), basis([0.0, 1.0], 1)
-        )
+        _OPERATORS[m] = _SplineOperator(*map(_read_only, (
+            theta, weights, basis(theta), basis(theta, 1), basis(theta, 2), basis([0.0, 1.0], 1))))
     return _OPERATORS[m]
 
 
@@ -177,6 +177,12 @@ class ChordSpline:
         return {}
 
     @functools.cached_property
+    def _vertical_cache(self) -> dict:
+        """Node fields that depend on control_t alone, per density; a chord
+        made by _moved shares its parent's."""
+        return {}
+
+    @functools.cached_property
     def _spline(self) -> CubicSpline:
         return CubicSpline(self.knots, self.controls)
 
@@ -186,7 +192,16 @@ class ChordSpline:
         return xt[..., 0], xt[..., 1]
 
     def translated(self, tau: float) -> "ChordSpline":
-        return ChordSpline(self.control_x + tau, self.control_t, self.span, self.graph)
+        return _moved(self, self.control_x + tau)
+
+
+def _moved(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
+    """The chord with new horizontal controls.  It keeps control_t, so it
+    shares the vertical node fields: every chord of a graph descent, and
+    every translate of a chord, evaluates them once."""
+    moved = ChordSpline(control_x, chord.control_t, chord.span, chord.graph)
+    moved.__dict__["_vertical_cache"] = chord._vertical_cache
+    return moved
 
 
 def make_straight_chord(
@@ -217,55 +232,72 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _chord_fields(density: Density, chord: ChordSpline):
-    """Spline geometry and density values at the quadrature nodes, computed
-    once per chord and density and kept read-only on the chord."""
+# one chord's fields at the quadrature nodes under one density: weights qw,
+# (x, t) and their θ-derivatives, speed |γ′|, f = e^ψ, the area kernel with
+# V_f(E) = Σ kernel·Φ_c(x), and that area itself
+_Fields = collections.namedtuple("_Fields", "qw x t dx dt d2x d2t speed f kernel area")
+
+
+def _chord_fields(density: Density, chord: ChordSpline) -> _Fields:
+    """Spline geometry, density values and enclosed area at the quadrature
+    nodes, computed once per chord and density and kept read-only on the chord."""
     if density not in chord._fields:
-        chord._fields[density] = tuple(map(_read_only, _evaluate_fields(density, chord)))
+        chord._fields[density] = _evaluate_fields(density, chord)
     return chord._fields[density]
 
 
-def _evaluate_fields(density: Density, chord: ChordSpline):
-    op = _operator(chord.n_controls)
-    pts, d1, d2 = (b @ chord.controls for b in (op.value, op.d1, op.d2))
-    (x, t), (dx, dt), (d2x, d2t) = pts.T, d1.T, d2.T
-    speed = np.hypot(dx, dt)
-    if np.any(speed <= 1e-12):
-        raise GeometryError("chord parametrization degenerates (zero speed)")
-    f = np.exp(log_density(density, pts))
-    return op.weights, x, t, dx, dt, d2x, d2t, speed, pts, f
-
-
-def _f_mean_curvature(density: Density, fields) -> np.ndarray:
-    """H_f = k − ⟨∇ψ, N⟩, k = (x′t″ − t′x″)/|γ′|³, N = (−t′, x′)/|γ′| at the nodes."""
-    _, _, _, dx, dt, d2x, d2t, speed, pts, _ = fields
-    k = (dx * d2t - dt * d2x) / speed**3
-    grad_psi = log_density_gradient(density, pts)
-    return k - (grad_psi[:, 0] * (-dt / speed) + grad_psi[:, 1] * (dx / speed))
-
-
-def _area_kernel(density: Density, fields) -> np.ndarray:
-    """Node weights qw·e^{ω(t)−ct²}·t′·√(π/c) with V_f = Σ kernel · Φ_c(x).
+def _vertical_fields(density: Density, qw: np.ndarray, t: np.ndarray, dt: np.ndarray) -> tuple:
+    """(ω(t), t², area kernel) at the nodes, the kernel being the node
+    weights qw·e^{ω(t)−ct²}·t′·√(π/c) with V_f = Σ kernel · Φ_c(x).
 
     The horizontal antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ
     turns the weighted area into the line integral ∫ G t′ dθ along the
     chord; only x enters Φ_c, so a translation leaves the kernel fixed."""
-    qw, _, t, _, dt, *_ = fields
-    vertical = np.exp(density.weight.value(t) - density.c * t * t)
-    return qw * vertical * dt * math.sqrt(math.pi / density.c)
+    omega = density.weight.value(t)
+    kernel = qw * np.exp(omega - density.c * t * t) * dt * math.sqrt(math.pi / density.c)
+    return tuple(map(_read_only, (omega, t * t, kernel)))
+
+
+def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
+    _require_planar(density)
+    op = _operator(chord.n_controls)
+    pts, d1, d2 = (_read_only(b @ chord.controls) for b in (op.value, op.d1, op.d2))
+    (x, t), (dx, dt), (d2x, d2t) = pts.T, d1.T, d2.T  # read-only views
+    speed = np.hypot(dx, dt)
+    if np.any(speed <= 1e-12):
+        raise GeometryError("chord parametrization degenerates (zero speed)")
+    vertical = chord._vertical_cache
+    if density not in vertical:
+        vertical[density] = _vertical_fields(density, op.weights, t, dt)
+    omega, tt, kernel = vertical[density]
+    # e^ψ with |p|² summed as log_density sums it
+    f = np.exp(omega - density.c * (x * x + tt))
+    area = float(np.sum(kernel * gaussian_cdf(density.c, x)))
+    return _Fields(op.weights, x, t, dx, dt, d2x, d2t, _read_only(speed), _read_only(f), kernel, area)
+
+
+def _f_mean_curvature(density: Density, chord: ChordSpline) -> np.ndarray:
+    """H_f = k − ⟨∇ψ, N⟩, k = (x′t″ − t′x″)/|γ′|³, N = (−t′, x′)/|γ′| at the
+    nodes, with ∇ψ = (−2c·x, ω′(t) − 2c·t) as log_density_gradient forms it."""
+    _, x, t, dx, dt, d2x, d2t, speed, *_ = _chord_fields(density, chord)
+    k = (dx * d2t - dt * d2x) / speed**3
+    vertical, key = chord._vertical_cache, (density, "gradient")
+    if key not in vertical:
+        vertical[key] = _read_only(-2.0 * density.c * t + density.weight.deriv(t))
+    grad_t = vertical[key]
+    return k - (-2.0 * density.c * x * (-dt / speed) + grad_t * (dx / speed))
 
 
 def weighted_length(density: Density, chord: ChordSpline) -> float:
     """P_f(chord) = ∫ f dℓ by knot-aligned composite Gauss-Legendre."""
-    qw, *_, speed, _, f = _chord_fields(density, chord)
-    return float(np.sum(qw * f * speed))
+    fields = _chord_fields(density, chord)
+    return float(np.sum(fields.qw * fields.f * fields.speed))
 
 
 def enclosed_area(density: Density, chord: ChordSpline) -> float:
     """V_f(E) for E left of the chord, by the flux form of the area,
     exact for any simple chord whether or not it is a graph."""
-    fields = _chord_fields(density, chord)
-    return float(np.sum(_area_kernel(density, fields) * gaussian_cdf(density.c, fields[1])))
+    return _chord_fields(density, chord).area
 
 
 def shape_gradient(density: Density, chord: ChordSpline):
@@ -281,8 +313,8 @@ def shape_gradient(density: Density, chord: ChordSpline):
     returned as well; graph chords return zero vertical gradients.
     """
     fields = _chord_fields(density, chord)
-    qw, _, _, dx, dt, *_, f = fields
-    hf = _f_mean_curvature(density, fields)
+    qw, dx, dt, f = fields.qw, fields.dx, fields.dt, fields.f
+    hf = _f_mean_curvature(density, chord)
     basis = _operator(chord.n_controls).value.T
     dp_x = basis @ (qw * hf * f * dt)
     dv_x = basis @ (qw * f * dt)
@@ -337,7 +369,7 @@ class StationarityReport:
 
 
 def stationarity_report(density: Density, chord: ChordSpline) -> StationarityReport:
-    hf = _f_mean_curvature(density, _chord_fields(density, chord))
+    hf = _f_mean_curvature(density, chord)
     spread = float(np.max(hf) - np.min(hf))
     mean = float(np.mean(hf))
     tangents = _operator(chord.n_controls).ends @ chord.controls
@@ -355,15 +387,16 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     offset τ; Newton steps with the exact derivative, bisecting whenever
     a step leaves the bracket, then resolve the root to 1e-14.  The area
     kernel is frozen across the search, so each probe is one Gaussian
-    CDF per node and only the root becomes a new chord.
+    CDF per node and only the root becomes a new chord; the chord's own
+    area is the first probe.
     """
     fields = _chord_fields(density, chord)
-    kernel, x, c = _area_kernel(density, fields), fields[1], density.c
+    kernel, x, c = fields.kernel, fields.x, density.c
 
     def offset_error(tau: float) -> float:
         return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
 
-    err0 = offset_error(0.0)
+    err0 = fields.area - target
     if abs(err0) <= 1e-15 * (1.0 + target):
         return chord
     step = 0.25 if err0 < 0.0 else -0.25
@@ -453,7 +486,7 @@ def _unpack(chord: ChordSpline, params: np.ndarray) -> ChordSpline:
     """Inverse of _pack; the vertical controls are clipped to the slab (box feasibility)."""
     m = chord.n_controls
     if chord.graph:
-        return ChordSpline(params.copy(), chord.control_t, chord.span, graph=True)
+        return _moved(chord, params.copy())
     ct = chord.control_t.copy()
     ct[1:-1] = np.clip(params[m:], *chord.span)
     return ChordSpline(params[:m].copy(), ct, chord.span, graph=False)

@@ -28,6 +28,7 @@ where omega is a (usually concave) function of t alone.  This module owns
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -64,7 +65,12 @@ __all__ = [
 
 
 class Weight1D:
-    """Base interface for the 1-D perturbation omega."""
+    """Base interface for the 1-D perturbation omega.
+
+    deriv maps a Python float to a float, by the same IEEE operations and
+    with the same errors as on an array, so the scalar CMC shooting calls
+    it without building arrays.
+    """
 
     domain: tuple[float, float] = (-math.inf, math.inf)
 
@@ -86,6 +92,8 @@ class ZeroWeight(Weight1D):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def deriv(self, t):
+        if isinstance(t, float):
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def deriv2(self, t):
@@ -107,6 +115,8 @@ class AffineWeight(Weight1D):
         return self.a0 * np.asarray(t, dtype=float) + self.b0
 
     def deriv(self, t):
+        if isinstance(t, float):
+            return float(self.a0)
         return np.full_like(np.asarray(t, dtype=float), self.a0)
 
     def deriv2(self, t):
@@ -130,7 +140,9 @@ class QuadraticWeight(Weight1D):
         return -self.kappa * t * t + self.a0 * t + self.b0
 
     def deriv(self, t):
-        return -2.0 * self.kappa * np.asarray(t, dtype=float) + self.a0
+        if not isinstance(t, float):
+            t = np.asarray(t, dtype=float)
+        return -2.0 * self.kappa * t + self.a0
 
     def deriv2(self, t):
         return np.full_like(np.asarray(t, dtype=float), -2.0 * self.kappa)
@@ -157,6 +169,10 @@ class LogPowerWeight(Weight1D):
             return self.m * np.log(t)
 
     def deriv(self, t):
+        if isinstance(t, float):
+            if t <= 0.0:
+                raise DomainError("log-power derivative needs t > 0")
+            return self.m / t
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0.0):
             raise DomainError("log-power derivative needs t > 0")
@@ -208,6 +224,8 @@ class PiecewiseLinearWeight(Weight1D):
         return np.diff(v) / np.diff(k)
 
     def deriv(self, t):
+        if isinstance(t, float):
+            return self._float_deriv(t)
         t = np.asarray(t, dtype=float)
         self._check_domain(t)
         interior = np.asarray(self.knots[1:-1])
@@ -215,6 +233,16 @@ class PiecewiseLinearWeight(Weight1D):
             raise SmoothnessError("piecewise linear weight is not differentiable at a knot")
         idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2)
         return self.slopes()[idx]
+
+    def _float_deriv(self, t: float) -> float:
+        """deriv at a float: the slope of the segment bisect finds, computed
+        as slopes() computes it."""
+        knots, values = self.knots, self.values
+        self._check_domain(t)
+        if t in knots[1:-1]:
+            raise SmoothnessError("piecewise linear weight is not differentiable at a knot")
+        i = min(max(bisect.bisect_right(knots, t) - 1, 0), len(knots) - 2)
+        return (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
 
     def deriv2(self, t):
         raise SmoothnessError("piecewise linear weight has no second derivative")
@@ -437,8 +465,12 @@ def log_density(density: Density, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != density.dim:
         raise DomainError(f"points must have {density.dim} coordinates")
-    t = p[..., -1]
-    return density.weight.value(t) - density.c * np.sum(p * p, axis=-1)
+    # |p|^2 summed coordinate by coordinate, in np.sum's order for a
+    # short axis but without the cost of a reduction over it
+    square = p[..., 0] * p[..., 0]
+    for k in range(1, density.dim):
+        square = square + p[..., k] * p[..., k]
+    return density.weight.value(p[..., -1]) - density.c * square
 
 
 def log_density_gradient(density: Density, p) -> np.ndarray:

@@ -366,6 +366,25 @@ class TestOneEnginePerRun:
         assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(tmp_path / "out")]) == 0
         assert len(builds) == 1
 
+    def test_an_unset_height_reuses_the_run_density(self, tmp_path, monkeypatch):
+        """The slab-factor median that fills an unset height comes from the
+        run's one Density, so its engine is built once, not twice."""
+        builds = []
+        init = CumulativeDensity1D.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
+        cfg = write_cfg(tmp_path, "[density]\nweight = log_power\nparams = 2\nc = 0.5\nslab = 0, inf\n"
+                        "[jacobi]\nmax_length = 0.9\n[optimize]\nmax_iterations = 3\n")
+        main(["all", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert len(builds) == 1
+        verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
+        assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+        assert read_json(str(tmp_path / "out"), "stability.json")["metrics"]["t0"] > 0.0
+
 
 class TestInteriorDefaults:
     """Unset [stability] t0 and [jacobi] start_t sit strictly inside the slab."""
@@ -456,6 +475,19 @@ class TestWholeLineRun:
         metrics = read_json(out, "optimize.json")["metrics"]
         assert metrics["hf_spread"] < 1e-10
         assert metrics["angle_bottom_deg"] > 1.0 and metrics["angle_top_deg"] > 1.0
+
+
+class TestJacobiWallLanding:
+    def test_default_shot_that_lands_on_a_wall_converges(self, tmp_path):
+        # with every other setting default the shot from (1, 0) reaches t = 1
+        # within max_length 8 at every step size, so each curve ends on a wall
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = -1, 1\n")
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", cfg, "--out", out]) == 0
+        record = read_json(out, "jacobi.json")
+        assert record["status"] == "verified"
+        assert len(record["metrics"]["ratios"]) == 2
+        assert min(record["metrics"]["ratios"]) >= 3.5
 
 
 class TestSchemaKeysAreRead:

@@ -361,6 +361,28 @@ class TestJacobiResidual:
             errs.append(jacobi_residual(GAUSS_PLANE, curve, (1.0, 0.0)))
         assert errs[0] / errs[1] >= 3.5
 
+    @pytest.mark.parametrize(
+        "weight, slab, target, start, angle",
+        [
+            (ZeroWeight(), (-1.0, 1.0), 0.0, (1.0, 0.0), 1.0),
+            (QuadraticWeight(1.0, 0.3, 0.0), (-1.0, 1.0), 0.0, (0.2, 0.0), 1.0),
+            (ZeroWeight(), (0.0, 1.0), 0.0, (0.5, 0.5), math.pi / 3),
+            (LogPowerWeight(2.0), (0.0, 2.0), 0.0, (1.0, 1.0), 1.0),
+            (AffineWeight(0.7, 0.0), (-1.0, 1.0), 0.3, (1.0, 0.0), 1.2),
+        ],
+        ids=["zero", "quadratic", "zero-unit-slab", "log_power", "affine"],
+    )
+    def test_second_order_convergence_with_wall_landing(self, weight, slab, target, start, angle):
+        # the shortened last segment changes length with h; the node before it
+        # must not spoil the O(h^2) decay of the maximum residual
+        density = Density(weight, 0.5, 2, slab)
+        errs = []
+        for h in (4e-3, 2e-3, 1e-3):
+            curve = cmc_shoot(density, target, start, angle=angle, step=h, max_length=8.0)
+            assert curve.boundary_end
+            errs.append(jacobi_residual(density, curve, (1.0, 0.0)))
+        assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
     def test_nonconstant_curvature_rejected(self):
         line = straight_segment(QUAD_SLAB, (-0.7, -0.7), (0.7, 0.7), n=301)
         with pytest.raises(ConsistencyError):

@@ -32,6 +32,7 @@ from isoflow.weights import (
     LogPowerWeight,
     QuadraticWeight,
     ZeroWeight,
+    gaussian_cdf,
     gaussian_quantile,
     total_weighted_volume,
 )
@@ -382,7 +383,8 @@ class TestFieldsComputedOnce:
         chord = bent_chord()
         fields = opt._chord_fields(unit_slab(), chord)
         assert opt._chord_fields(unit_slab(), chord) is fields
-        for array in (*fields, chord.controls):
+        assert isinstance(fields.area, float)
+        for array in (*fields[:-1], chord.controls):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -443,6 +445,83 @@ class TestRestoreArea:
             want = brentq(lambda s: enclosed_area(density, chord.translated(s)) - target,
                           -5.0, 5.0, xtol=1e-15)
             assert tau == pytest.approx(want, abs=1e-12)
+
+
+def reference_area_terms(density, chord):
+    """(kernel, x) with V_f(E) = Σ kernel·Φ_c(x), written out from the spline
+    operators: kernel = qw·e^{ω(t)−ct²}·t′·√(π/c) at the quadrature nodes."""
+    op = opt._operator(chord.n_controls)
+    pts, d1 = op.value @ chord.controls, op.d1 @ chord.controls
+    t, c = pts[:, 1], density.c
+    kernel = op.weights * np.exp(density.weight.value(t) - c * t * t) * d1[:, 1] * math.sqrt(math.pi / c)
+    return kernel, pts[:, 0]
+
+
+def reference_area(density, chord):
+    kernel, x = reference_area_terms(density, chord)
+    return float(np.sum(kernel * gaussian_cdf(density.c, x)))
+
+
+def reference_restore(density, chord, target):
+    """The area restoration with every probe, the first included, evaluated
+    as Σ kernel·Φ_c(x + τ) − target.  Returns the chord and the number of
+    Newton steps taken."""
+    kernel, x = reference_area_terms(density, chord)
+    c = density.c
+
+    def offset_error(tau):
+        return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
+
+    err0 = offset_error(0.0)
+    if abs(err0) <= 1e-15 * (1.0 + target):
+        return chord, 0
+    step = 0.25 if err0 < 0.0 else -0.25
+    while np.sign(offset_error(step)) == np.sign(err0):
+        step *= 2.0
+    inner = step / 2.0 if abs(step) > 0.25 else 0.0
+    lo, hi = min(inner, step), max(inner, step)
+    tau = inner
+    for steps in range(1, 101):
+        err = offset_error(tau)
+        lo, hi = (tau, hi) if err < 0.0 else (lo, tau)
+        slope = float(np.sum(kernel * np.exp(-c * (x + tau) ** 2))) * math.sqrt(c / math.pi)
+        newton = tau - err / slope if slope > 0.0 else math.nan
+        nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        if abs(nxt - tau) <= 1e-14 or hi - lo <= 1e-14:
+            return chord.translated(float(nxt)), steps
+        tau = nxt
+    raise AssertionError("reference restoration did not converge")
+
+
+class TestRestorationIterates:
+    """Off-centre descents, whose restorations take Newton steps: each
+    restored chord and its area equal, bit for bit, reference_restore and
+    reference_area."""
+
+    @pytest.mark.parametrize("graph, iterations", [(True, 400), (False, 12)], ids=["graph", "parametric"])
+    def test_restorations_match_the_written_out_area(self, monkeypatch, graph, iterations):
+        density = Density(QuadraticWeight(1.0, 0.4, 0.0), 0.5, 2, (-1.0, 1.0))
+        target = 0.3 * total_weighted_volume(density)
+        start = make_straight_chord(density, -0.3, 0.1)
+        start = ChordSpline(start.control_x, start.control_t, start.span, graph=graph)
+        newton_steps = []
+        real = opt._restore_area
+
+        def checked(density, chord, target):
+            restored = real(density, chord, target)
+            want, steps = reference_restore(density, chord, target)
+            assert np.array_equal(restored.control_x, want.control_x)
+            assert np.array_equal(restored.control_t, want.control_t)
+            assert enclosed_area(density, restored) == reference_area(density, restored)
+            newton_steps.append(steps)
+            return restored
+
+        monkeypatch.setattr(opt, "_restore_area", checked)
+        _, trace = minimize(density, OptimizerConfig(target, max_iterations=iterations), start)
+        assert trace.status == ("converged" if graph else "max_iterations")
+        # the start and every trial step leave the target area
+        assert newton_steps and all(steps > 0 for steps in newton_steps)
+        assert np.max(trace.area_errors) <= 1e-14 * (1.0 + target)
 
 
 class TestMinimize:

@@ -88,6 +88,62 @@ class TestLogDensity:
             assert_allclose(v, expected, rtol=1e-14)
 
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_equals_the_reduction_bit_for_bit(self, dim):
+        d = Density(QuadraticWeight(1.0, 0.3, 0.1), 0.7, dim, (-INF, INF))
+        pts = 3.0 * np.random.default_rng(dim).standard_normal((40, 12, dim))
+        want = d.weight.value(pts[..., -1]) - d.c * np.sum(pts * pts, axis=-1)
+        assert np.array_equal(log_density(d, pts), want)
+
+
+class TestFloatDerivative:
+    """deriv of a Python float is a float with the bits of the array path,
+    and raises where the array path raises."""
+
+    PIECEWISE = PiecewiseLinearWeight((-1.0, -0.2, 0.5, 1.0), (0.0, 0.4, 0.3, -0.6))
+
+    @pytest.mark.parametrize(
+        "weight, points",
+        [
+            (ZeroWeight(), (-3.7, -0.0, 0.0, 1e-300, 2.5, INF, math.nan)),
+            (AffineWeight(0.7, -0.2), (-3.7, 0.0, 2.5, -INF, math.nan)),
+            (AffineWeight(2, 1), (0.3,)),  # integer coefficients
+            (QuadraticWeight(1.3, 0.4, 0.1), (-3.7, -0.0, 0.1, 2.5, 1e300, INF, math.nan)),
+            (LogPowerWeight(2.5), (1e-300, 0.1, 1.0, 7.3, INF, math.nan)),
+            (LogPowerWeight(-0.5), (0.3, 2.0)),
+            (PIECEWISE, (-1.0, -0.7, -0.2 + 1e-16, 0.1, 0.5 - 1e-16, 0.9, 1.0, math.nan)),
+        ],
+        ids=["zero", "affine", "affine-int", "quadratic", "log_power", "log_power-neg", "piecewise"],
+    )
+    def test_float_matches_the_array_path(self, weight, points):
+        for t in points:
+            got = weight.deriv(t)
+            want = weight.deriv(np.array([t]))[0]
+            assert type(got) is float
+            assert np.array_equal(np.array([got]).view(np.uint64), np.array([want]).view(np.uint64)) or (
+                math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize(
+        "weight, t, error",
+        [
+            (LogPowerWeight(2.0), 0.0, DomainError),
+            (LogPowerWeight(2.0), -0.0, DomainError),
+            (LogPowerWeight(2.0), -1e-300, DomainError),
+            (LogPowerWeight(2.0), -INF, DomainError),
+            (PIECEWISE, -1.0 - 2.0**-52, DomainError),
+            (PIECEWISE, 1.0 + 2.0**-52, DomainError),
+            (PIECEWISE, INF, DomainError),
+            (PIECEWISE, -0.2, SmoothnessError),
+            (PIECEWISE, 0.5, SmoothnessError),
+        ],
+    )
+    def test_float_raises_as_the_array_path(self, weight, t, error):
+        with pytest.raises(error):
+            weight.deriv(np.array([t]))
+        with pytest.raises(error):
+            weight.deriv(t)
+
+
 class TestLogDensityGradient:
     def test_affine_cancellation(self):
         d = Density(AffineWeight(1.0, 0.0), 0.5, 2, (-INF, INF))
