@@ -1,9 +1,10 @@
 """Minimize weighted chord length at fixed enclosed weighted area.
 
-Starts from a randomized spline chord in a slab, runs the projected
-descent, and prints the trace tail plus the stationarity report.  The
-final length is compared against the closed-form length of the vertical
-chord enclosing the same area (the perpendicular profile value).
+Starts from a randomized graph spline chord in a slab, runs the modified
+Newton-KKT descent, and prints the first and last iterations of its
+trace plus the stationarity report.  The final length is compared
+against the closed-form length of the vertical chord enclosing the same
+area (the perpendicular profile value).
 """
 
 import argparse
@@ -49,7 +50,7 @@ def main() -> None:
 
     final, trace = minimize(density, OptimizerConfig(target_area=target), chord)
     print(f"status {trace.status} after {len(trace.iterations)} iterations")
-    for i in (*trace.iterations[:3], *trace.iterations[-3:]):
+    for i in sorted({*trace.iterations[:3], *trace.iterations[-3:]}):
         print(
             f"  iter {i:4d}  length {trace.lengths[i]:.12f}  "
             f"grad {trace.gradient_norms[i]:.3e}  area err {trace.area_errors[i]:.2e}"

@@ -557,12 +557,15 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
             f"{len(trace.iterations)} iterations)"
         )
     beaten = report.length < benchmark - 1e-6
-    ok = report.stationary and rel_gap <= 5e-3 and not beaten
-    witness = None
-    if beaten:
-        witness = {"location": "final chord length", "value": report.length}
-    elif not ok:
-        witness = {"location": "stationarity report", "value": report.hf_spread}
+    # a converged chord that is not stationary and does not beat the
+    # benchmark shows only that the descent stopped short, not a violation
+    if not (report.stationary or beaten):
+        raise IsoflowError(
+            f"optimizer converged to a non-stationary chord (hf_spread {report.hf_spread:.3g}, "
+            f"wall angles {report.angle_bottom_deg:.3g} and {report.angle_top_deg:.3g} deg)"
+        )
+    ok = rel_gap <= 5e-3 and not beaten
+    witness = None if ok else {"location": "final chord length", "value": report.length}
     return VerdictRecord(
         command="optimize",
         status="verified" if ok else "violated",

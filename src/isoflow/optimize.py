@@ -1,14 +1,19 @@
 """Constrained chord optimization: weighted length at fixed weighted area.
 
-A chord is a cubic spline crossing the slab from the bottom wall t = a
-to the top wall t = b; the region E is everything to its left inside Ω.
-The optimizer performs projected gradient descent on the spline control
-points, using the first-variation formula for weighted length,
+A chord is a cubic spline graph x(t) crossing the slab from the bottom
+wall t = a to the top wall t = b; the region E is everything to its left
+inside Ω.  The first variation of weighted length,
 
     δP_f = −∫ H_f ⟨W, N⟩ da_f + [f ⟨T, W⟩] at the wall endpoints,
 
-so stationary chords have constant f-mean curvature and meet the walls
-orthogonally.  The area constraint is restored after every trial step
+makes stationary chords those of constant f-mean curvature meeting the
+walls orthogonally.  Length and area are explicit in the node values x
+and x′ of the horizontal controls, so their exact Hessians are a few
+products of the spline operators with node diagonals.  At a vertical
+chord the Lagrangian Hessian restricted to area-preserving variations
+is the index form I_f on the spline space, positive by the
+Bakry-Émery bound λ₁ ≥ 2c; the optimizer takes modified Newton-KKT
+steps on it.  The area constraint is restored after every trial step
 by a horizontal translation, which moves weighted area monotonically.
 The expected minimizer is a vertical chord: its weighted length is the
 perpendicular profile value at the target area.
@@ -49,11 +54,11 @@ _QUAD_SUBPANELS = 12
 _QUAD_ORDER = 16
 
 # line search: Armijo sufficient-decrease slope, backtracking factor and
-# budget, and the first iteration's step before Barzilai-Borwein scaling
+# budget; Newton step: smallest |eigenvalue| kept, relative to the largest
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 40
-_INITIAL_STEP = 0.5
+_EIGEN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,42 +100,20 @@ def _operator(m: int) -> _SplineOperator:
     return _OPERATORS[m]
 
 
-def _segments_intersect(p: np.ndarray) -> bool:
-    """Any non-adjacent pair of polyline segments crossing?  Vectorized."""
-    a = p[:-1]
-    d = np.diff(p, axis=0)
-    n = d.shape[0]
-    if n < 3:
-        return False
-    cross = lambda u, v: u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    denom = cross(d[:, None, :], d[None, :, :])
-    rel = a[None, :, :] - a[:, None, :]
-    s = cross(rel, d[None, :, :])
-    t = cross(rel, d[:, None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = s / denom
-        t = t / denom
-    hit = (s > 1e-12) & (s < 1.0 - 1e-12) & (t > 1e-12) & (t < 1.0 - 1e-12)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    hit &= j > i + 1
-    return bool(np.any(hit))
-
-
 @dataclass(frozen=True)
 class ChordSpline:
     """Cubic-spline chord from the bottom wall to the top wall.
 
     control_x, control_t: control values at uniform parameter knots in
-    [0, 1].  The endpoints are pinned to the walls: t(0) = a, t(1) = b.
-    In graph mode the vertical profile is frozen to the linear ramp and
-    only horizontal controls move, so the curve stays a graph over t.
-    The enclosed region E is the part of the slab left of the curve.
+    [0, 1].  The vertical profile is the linear ramp from t(0) = a to
+    t(1) = b and only the horizontal controls move, so the curve is a
+    graph over t.  The enclosed region E is the part of the slab left of
+    the curve.
     """
 
     control_x: np.ndarray
     control_t: np.ndarray
     span: tuple[float, float]
-    graph: bool = True
 
     def __post_init__(self):
         cx, ct = _float_arrays(self, np.atleast_1d, "control_x", "control_t")
@@ -147,16 +130,9 @@ class ChordSpline:
             raise GeometryError("control abscissas must be finite")
         if abs(ct[0] - a) > 1e-12 * (1.0 + abs(a)) or abs(ct[-1] - b) > 1e-12 * (1.0 + abs(b)):
             raise GeometryError("chord endpoints must sit on the walls")
-        if self.graph:
-            ramp = a + (b - a) * self.knots
-            if np.max(np.abs(ct - ramp)) > 1e-12 * (1.0 + abs(b - a)):
-                raise GeometryError("graph chords must keep the linear vertical ramp")
-        else:
-            if np.any(ct < a - 1e-12) or np.any(ct > b + 1e-12):
-                raise GeometryError("vertical controls must stay inside the slab")
-            pts = np.stack(self.position(np.linspace(0.0, 1.0, 200)), axis=-1)
-            if _segments_intersect(pts):
-                raise GeometryError("chord must be simple (no self-intersections)")
+        ramp = a + (b - a) * self.knots
+        if np.max(np.abs(ct - ramp)) > 1e-12 * (1.0 + abs(b - a)):
+            raise GeometryError("graph chords must keep the linear vertical ramp")
 
     @property
     def n_controls(self) -> int:
@@ -197,9 +173,9 @@ class ChordSpline:
 
 def _moved(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
     """The chord with new horizontal controls.  It keeps control_t, so it
-    shares the vertical node fields: every chord of a graph descent, and
-    every translate of a chord, evaluates them once."""
-    moved = ChordSpline(control_x, chord.control_t, chord.span, chord.graph)
+    shares the vertical node fields: every chord of a descent, and every
+    translate of a chord, evaluates them once."""
+    moved = ChordSpline(control_x, chord.control_t, chord.span)
     moved.__dict__["_vertical_cache"] = chord._vertical_cache
     return moved
 
@@ -295,46 +271,66 @@ def weighted_length(density: Density, chord: ChordSpline) -> float:
 
 
 def enclosed_area(density: Density, chord: ChordSpline) -> float:
-    """V_f(E) for E left of the chord, by the flux form of the area,
-    exact for any simple chord whether or not it is a graph."""
+    """V_f(E) for E left of the chord, by the flux form of the area."""
     return _chord_fields(density, chord).area
 
 
-def shape_gradient(density: Density, chord: ChordSpline):
-    """(dP/dx_j, dV/dx_j[, dP/dt_j, dV/dt_j]) from the first variation.
+def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
+    """(dP/dx_j, dV/dx_j) from the first variation.
 
     Moving control j horizontally deforms the chord by W = B_j e_x, so
 
         dP/dx_j = ∫ H_f B_j f t′ dθ + wall terms f T_x B_j at θ = 0, 1
         dV/dx_j = ∫ B_j f t′ dθ
 
-    with H_f = k − ⟨∇ψ, N⟩ evaluated analytically from the spline.  In
-    parametric mode the vertical analogue (W = B_j e_t, interior j) is
-    returned as well; graph chords return zero vertical gradients.
+    with H_f = k − ⟨∇ψ, N⟩ evaluated analytically from the spline.
     """
     fields = _chord_fields(density, chord)
-    qw, dx, dt, f = fields.qw, fields.dx, fields.dt, fields.f
+    qw, dt, f = fields.qw, fields.dt, fields.f
     hf = _f_mean_curvature(density, chord)
-    basis = _operator(chord.n_controls).value.T
-    dp_x = basis @ (qw * hf * f * dt)
-    dv_x = basis @ (qw * f * dt)
+    op = _operator(chord.n_controls)
+    dp_x = op.value.T @ (qw * hf * f * dt)
+    dv_x = op.value.T @ (qw * f * dt)
     # wall sliding terms: the endpoint controls move the contact point
     # along the wall, contributing f ⟨T, e_x⟩ with outward sign
     f_ends = np.exp(log_density(density, chord.controls[[0, -1]]))
-    tang = _operator(chord.n_controls).ends @ chord.controls  # γ′(0), γ′(1)
+    tang = op.ends @ chord.controls  # γ′(0), γ′(1)
     tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
     dp_x[0] += -f_ends[0] * tang[0, 0]
     dp_x[-1] += f_ends[1] * tang[1, 0]
-    dp_t, dv_t = np.zeros_like(dp_x), np.zeros_like(dv_x)
-    if not chord.graph:  # interior vertical controls; the end ones stay on the walls
-        dp_t[1:-1] = basis[1:-1] @ (-qw * hf * f * dx)
-        dv_t[1:-1] = basis[1:-1] @ (-qw * f * dx)
-    return dp_x, dv_x, dp_t, dv_t
+    return dp_x, dv_x
+
+
+def _second_variation(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Hessians (H_L, H_V) of weighted length and enclosed area in
+    the horizontal controls.
+
+    With x = B c and x′ = B′ c at the nodes, L = Σ qw·f·|γ′| and
+    V = Σ kernel·Φ_c(x), so with f_x = −2cx·f and f_xx = (4c²x² − 2c)·f
+
+        H_L = Bᵀ[qw f_xx |γ′|]B + Bᵀ[qw f_x x′/|γ′|]B′ + B′ᵀ[qw f_x x′/|γ′|]B
+              + B′ᵀ[qw f t′²/|γ′|³]B′
+        H_V = Bᵀ[kernel·φ′(x)]B,   kernel·φ′(x) = −2cx·qw f t′,
+
+    [·] the diagonal of node values and φ = Φ_c′.
+    """
+    fields = _chord_fields(density, chord)
+    x, dx, dt, speed = fields.x, fields.dx, fields.dt, fields.speed
+    c = density.c
+    op = _operator(chord.n_controls)
+    mass = fields.qw * fields.f
+    mass_x = -2.0 * c * x * mass  # qw·f_x
+    cross = op.value.T @ ((mass_x * dx / speed)[:, None] * op.d1)
+    h_length = (op.value.T @ (((4.0 * c * c * x * x - 2.0 * c) * mass * speed)[:, None] * op.value)
+                + cross + cross.T
+                + op.d1.T @ ((mass * dt * dt / speed**3)[:, None] * op.d1))
+    h_area = op.value.T @ ((mass_x * dt)[:, None] * op.value)
+    return h_length, h_area
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected-gradient settings for the fixed-area length descent."""
+    """Settings for the fixed-area Newton-KKT length descent."""
 
     target_area: float
     max_iterations: int = 400
@@ -421,49 +417,6 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     raise DomainError("area restoration did not converge")
 
 
-def _smoothed(
-    density: Density,
-    config: "OptimizerConfig",
-    trial: ChordSpline,
-    base_length: float,
-    alpha: float,
-    gnorm: float,
-) -> ChordSpline:
-    """Arclength-resample an accepted parametric step when that keeps
-    at least half the Armijo decrease; otherwise keep the raw step."""
-    try:
-        smooth = _restore_area(density, _resample(trial), config.target_area)
-    except (GeometryError, DomainError):
-        return trial
-    slack = 0.5 * _ARMIJO_SLOPE * alpha * gnorm * gnorm
-    if weighted_length(density, smooth) <= base_length - slack:
-        return smooth
-    return trial
-
-
-def _resample(chord: ChordSpline) -> ChordSpline:
-    """Redistribute the knots uniformly by arclength.
-
-    Control points of a free parametric spline drift tangentially under
-    gradient descent, which clusters knots and kinks the curve; pulling
-    the same geometric curve back onto arclength-uniform knots removes
-    the drift without (to interpolation accuracy) changing the shape.
-    """
-    theta = np.linspace(0.0, 1.0, 800)
-    x, t = chord.position(theta)
-    seg = np.hypot(np.diff(x), np.diff(t))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] <= 0.0:
-        raise GeometryError("cannot resample a degenerate chord")
-    targets = np.linspace(0.0, s[-1], chord.n_controls)
-    theta_new = np.interp(targets, s, theta)
-    x_new, t_new = chord.position(theta_new)
-    a, b = chord.span
-    t_new = np.clip(t_new, a, b)
-    t_new[0], t_new[-1] = a, b
-    return ChordSpline(x_new, t_new, chord.span, graph=False)
-
-
 @dataclass(frozen=True)
 class OptimizeTrace:
     """Per-iteration history of the constrained descent."""
@@ -476,100 +429,78 @@ class OptimizeTrace:
     final: StationarityReport
 
 
-def _pack(chord: ChordSpline) -> np.ndarray:
-    if chord.graph:
-        return chord.control_x.copy()
-    return np.concatenate([chord.control_x, chord.control_t[1:-1]])
+def _unpack(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
+    """The trial chord with new horizontal controls; one call per
+    line-search trial, which benchmark/tracer.py counts."""
+    return _moved(chord, control_x)
 
 
-def _unpack(chord: ChordSpline, params: np.ndarray) -> ChordSpline:
-    """Inverse of _pack; the vertical controls are clipped to the slab (box feasibility)."""
-    m = chord.n_controls
-    if chord.graph:
-        return _moved(chord, params.copy())
-    ct = chord.control_t.copy()
-    ct[1:-1] = np.clip(params[m:], *chord.span)
-    return ChordSpline(params[:m].copy(), ct, chord.span, graph=False)
-
-
-def _projected_direction(chord: ChordSpline, grads) -> tuple[np.ndarray, float]:
-    """Area-tangential descent direction and its stationarity norm.
-
-    The length gradient is projected off the area gradient, then
-    components that would push a wall-pinned vertical control out of
-    the slab are masked (active box constraints satisfy the first-order
-    conditions, so they do not count toward the gradient norm).
-    """
-    dp_x, dv_x, dp_t, dv_t = grads
-    if chord.graph:
-        gp, gv = dp_x, dv_x
-    else:
-        gp = np.concatenate([dp_x, dp_t[1:-1]])
-        gv = np.concatenate([dv_x, dv_t[1:-1]])
-    gv_norm2 = float(np.dot(gv, gv))
+def _multiplier(gradient: np.ndarray, area_gradient: np.ndarray) -> tuple[float, float]:
+    """Least-squares multiplier μ of the area constraint and the norm of the
+    projected gradient ∇L − μ∇V, the stationarity measure of the descent."""
+    gv_norm2 = float(np.dot(area_gradient, area_gradient))
     if gv_norm2 <= 0.0:
         raise DomainError("area gradient vanished; constraint not controllable")
-    direction = -(gp - (float(np.dot(gp, gv)) / gv_norm2) * gv)
-    if not chord.graph:
-        a, b = chord.span
-        ti = chord.control_t[1:-1]
-        d_t = direction[chord.n_controls:]
-        tol = 1e-12 * (1.0 + abs(b - a))
-        d_t[(ti <= a + tol) & (d_t < 0.0)] = 0.0
-        d_t[(ti >= b - tol) & (d_t > 0.0)] = 0.0
-    return direction, float(np.linalg.norm(direction))
+    mu = float(np.dot(gradient, area_gradient)) / gv_norm2
+    return mu, float(np.linalg.norm(gradient - mu * area_gradient))
+
+
+def _newton_step(hessian: np.ndarray, gradient: np.ndarray, area_gradient: np.ndarray) -> np.ndarray:
+    """Modified Newton-KKT step on the area-tangent space.
+
+    Z spans the complement of ∇V (QR of ∇V); the reduced Hessian ZᵀHZ has
+    its eigenvalues replaced by max(|λ|, 1e-8·|λ_max|), so the step
+    −Z(ZᵀHZ)⁻¹Zᵀ∇L is a descent direction that leaves the area unchanged
+    to first order (Nocedal & Wright, Numerical Optimization, §3.4, ch. 18).
+    """
+    q, _ = np.linalg.qr(area_gradient[:, None], mode="complete")
+    tangent = q[:, 1:]
+    lam, vectors = np.linalg.eigh(tangent.T @ hessian @ tangent)
+    lam = np.maximum(np.abs(lam), _EIGEN_FLOOR * float(np.max(np.abs(lam))))
+    basis = tangent @ vectors
+    return -basis @ ((basis.T @ gradient) / lam)
 
 
 def minimize(
     density: Density, config: OptimizerConfig, chord: ChordSpline
 ) -> tuple[ChordSpline, OptimizeTrace]:
-    """Projected-gradient descent on control points at fixed weighted area.
+    """Modified Newton-KKT descent on the horizontal controls at fixed weighted area.
 
-    Every trial step is followed by a horizontal-translation area
-    restoration, so the constraint holds exactly along the accepted
-    trace.  Steps are Barzilai-Borwein scaled with Armijo backtracking;
-    the run terminates on a small projected gradient, the iteration cap,
-    or a failed line search (stalled).
+    Each step solves the KKT system of H_L − μH_V, the exact Lagrangian
+    Hessian with μ the least-squares multiplier, on the area-tangent
+    space.  Every trial step is capped at a displacement of 0.15·(b − a)
+    and followed by a horizontal-translation area restoration, so the
+    constraint holds exactly along the accepted trace; Armijo backtracking
+    starts from the full step.  The run terminates on a small projected
+    gradient, the iteration cap, or a failed line search (stalled).
     """
     chord = _restore_area(density, chord, config.target_area)
+    a, b = chord.span
     rows = []
     status = "max_iterations"
-    prev_params = None
-    prev_grad = None
     for it in range(config.max_iterations):
-        direction, gnorm = _projected_direction(chord, shape_gradient(density, chord))
+        gradient, area_gradient = shape_gradient(density, chord)
+        mu, gnorm = _multiplier(gradient, area_gradient)
         length = weighted_length(density, chord)
         area_err = abs(enclosed_area(density, chord) - config.target_area)
         rows.append((it, length, area_err, gnorm))
         if gnorm < config.gradient_tolerance:
             status = "converged"
             break
-        params = _pack(chord)
-        if prev_params is not None:
-            s = params - prev_params
-            y = -direction - prev_grad
-            sy = float(np.dot(s, y))
-            step = float(np.dot(s, s)) / sy if sy > 1e-30 else _INITIAL_STEP
-            step = min(max(step, 1e-6), 10.0)
-        else:
-            step = _INITIAL_STEP / max(gnorm, 1.0)
+        h_length, h_area = _second_variation(density, chord)
+        step = _newton_step(h_length - mu * h_area, gradient, area_gradient)
+        slope = float(np.dot(gradient, step))
         # per-step displacement cap: keeps the spline from folding
-        a, b = chord.span
-        max_move = 0.15 * (b - a) / max(float(np.max(np.abs(direction))), 1e-30)
-        step = min(step, max_move)
-        prev_params, prev_grad = params, -direction
+        alpha = min(1.0, 0.15 * (b - a) / max(float(np.max(np.abs(step))), 1e-30))
         accepted = False
-        alpha = step
         for _ in range(_MAX_BACKTRACKS):
             try:
-                trial = _unpack(chord, params + alpha * direction)
+                trial = _unpack(chord, chord.control_x + alpha * step)
                 trial = _restore_area(density, trial, config.target_area)
             except (GeometryError, DomainError):
                 alpha *= _BACKTRACK
                 continue
-            if weighted_length(density, trial) <= length - _ARMIJO_SLOPE * alpha * gnorm * gnorm:
-                if not chord.graph:
-                    trial = _smoothed(density, config, trial, length, alpha, gnorm)
+            if weighted_length(density, trial) <= length + _ARMIJO_SLOPE * alpha * slope:
                 chord = trial
                 accepted = True
                 break

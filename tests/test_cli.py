@@ -167,6 +167,10 @@ class TestGaussianRun:
         jacobi = read_json(out, "jacobi.json")
         assert all(r >= 3.5 for r in jacobi["metrics"]["ratios"])
 
+    def test_optimizer_takes_few_newton_steps(self, gaussian_run):
+        _, out = gaussian_run
+        assert read_json(out, "optimize.json")["metrics"]["iterations"] <= 6
+
     def test_resolved_config_reloads_to_same_values(self, gaussian_run):
         _, out = gaussian_run
         resolved = load_config(os.path.join(out, "resolved.cfg"))
@@ -192,6 +196,32 @@ class TestQuadraticRun:
         record = read_json(out, "optimize.json")
         assert record["status"] == "verified"
         assert record["metrics"]["relative_gap"] <= 5e-3
+        assert record["metrics"]["iterations"] <= 6
+
+
+class TestNonStationaryChord:
+    """A descent that converges on a chord its stationarity report fails,
+    without beating the benchmark, is a run-time error, not a violation:
+    on these slabs the chord's length matches the benchmark, but its tail
+    controls, which carry almost no mass, keep their starting tilt."""
+
+    @pytest.mark.parametrize(
+        "density",
+        ["weight = log_power\nparams = 2\nc = 0.5\nslab = 0, inf\n",
+         "weight = quadratic\nparams = 0.5, 0.2, 0\nc = 0.5\nslab = -inf, inf\n"],
+        ids=["log_power_half_plane", "quadratic_whole_line"],
+    )
+    def test_converged_non_stationary_chord_is_an_error(self, tmp_path, density, capsys):
+        cfg = write_cfg(tmp_path, f"[density]\n{density}")
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", cfg, "--out", out]) == 1
+        verdicts = read_json(out, "summary.json")["verdicts"]
+        assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+        assert all(v["status"] != "violated" for v in verdicts)
+        assert [v["status"] for v in verdicts if v["command"] == "optimize"] == ["error"]
+        message = read_json(out, "optimize_error.json")["metrics"]["message"]
+        assert "non-stationary" in message and "hf_spread" in message
+        assert "hf_spread" in capsys.readouterr().err
 
 
 class TestExitCodes:

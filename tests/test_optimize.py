@@ -2,9 +2,10 @@
 
 Oracles: vertical chords have closed-form weighted length and enclosed
 area; straight tilted chords are checked against adaptive 2-D
-quadrature values frozen below; the analytic shape gradient is checked
-against central finite differences; full descents are checked against
-the perpendicular profile value at the target area.
+quadrature values frozen below; the analytic shape gradient and the
+exact Hessians are checked against central finite differences; full
+descents are checked against the perpendicular profile value at the
+target area.
 """
 
 import math
@@ -57,17 +58,14 @@ def symmetric_slab() -> Density:
     return Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
 
 
-def bent_chord(seed: int = 7, scale: float = 0.2, m: int = 10) -> ChordSpline:
+def bent_chord(seed: int = 7, scale: float = 0.2, m: int = 10, span=(0.0, 1.0)) -> ChordSpline:
     rng = np.random.default_rng(seed)
-    return ChordSpline(
-        scale * rng.standard_normal(m), np.linspace(0.0, 1.0, m), (0.0, 1.0)
-    )
+    return ChordSpline(scale * rng.standard_normal(m), np.linspace(*span, m), span)
 
 
 class TestChordSpline:
     def test_vertical_chord_builds(self):
         ch = make_straight_chord(unit_slab(), 0.3)
-        assert ch.graph
         assert ch.span == (0.0, 1.0)
         x, t = ch.position([0.0, 0.5, 1.0])
         assert np.allclose(x, 0.3)
@@ -75,31 +73,13 @@ class TestChordSpline:
 
     def test_endpoints_must_sit_on_walls(self):
         with pytest.raises(GeometryError, match="walls"):
-            ChordSpline(
-                np.zeros(6), np.linspace(0.1, 1.0, 6), (0.0, 1.0), graph=False
-            )
+            ChordSpline(np.zeros(6), np.linspace(0.1, 1.0, 6), (0.0, 1.0))
 
     def test_graph_mode_requires_linear_ramp(self):
         ct = np.linspace(0.0, 1.0, 6)
         ct[2] += 0.05
         with pytest.raises(GeometryError, match="ramp"):
-            ChordSpline(np.zeros(6), ct, (0.0, 1.0), graph=True)
-
-    def test_vertical_controls_must_stay_inside(self):
-        ct = np.linspace(0.0, 1.0, 6)
-        ct[2] = 1.4
-        with pytest.raises(GeometryError, match="inside"):
-            ChordSpline(np.zeros(6), ct, (0.0, 1.0), graph=False)
-
-    def test_self_intersection_rejected(self):
-        # the curve sweeps right, loops back left across its own path
-        with pytest.raises(GeometryError, match="simple"):
-            ChordSpline(
-                np.array([0.0, 2.0, 2.0, -2.0, -2.0, 0.0]),
-                np.array([0.0, 0.3, 0.7, 0.7, 0.3, 1.0]),
-                (0.0, 1.0),
-                graph=False,
-            )
+            ChordSpline(np.zeros(6), ct, (0.0, 1.0))
 
     def test_infinite_span_rejected(self):
         with pytest.raises(DomainError, match="bounded"):
@@ -164,16 +144,6 @@ class TestWeightedLength:
         got = weighted_length(density, make_straight_chord(density, 0.0, n_controls=4))
         assert 0.0 < got < 2e-6
 
-    def test_parametrization_mode_is_irrelevant(self):
-        density = unit_slab()
-        graph = make_straight_chord(density, -0.2, 0.4)
-        free = ChordSpline(
-            graph.control_x, graph.control_t, graph.span, graph=False
-        )
-        assert weighted_length(density, free) == pytest.approx(
-            weighted_length(density, graph), rel=1e-13
-        )
-
     @pytest.mark.parametrize("fraction", [0.5, 0.3, 0.07])
     def test_vertical_chord_length_closed_form(self, fraction):
         # against the quadrature of the vertical chord at the same area
@@ -225,7 +195,7 @@ class TestEnclosedArea:
         # so the area gradient entries must sum to the translation rate
         density = unit_slab()
         ch = bent_chord(seed=11)
-        _, dv_x, _, _ = shape_gradient(density, ch)
+        _, dv_x = shape_gradient(density, ch)
         h = 1e-6
         fd = (
             enclosed_area(density, ch.translated(h))
@@ -249,7 +219,7 @@ class TestShapeGradient:
         cx = 0.3 * rng.standard_normal(m)
         ct = np.linspace(0.0, 1.0, m)
         ch = ChordSpline(cx, ct, (0.0, 1.0))
-        dp_x, dv_x, _, _ = shape_gradient(density, ch)
+        dp_x, dv_x = shape_gradient(density, ch)
         h = 1e-5
         for j in range(m):
             cxp = cx.copy()
@@ -263,35 +233,12 @@ class TestShapeGradient:
             assert dp_x[j] == pytest.approx(fd_p, rel=1e-4, abs=1e-9)
             assert dv_x[j] == pytest.approx(fd_v, rel=1e-4, abs=1e-9)
 
-    def test_parametric_vertical_gradients_match_finite_differences(self):
-        density = unit_slab()
-        rng = np.random.default_rng(7)
-        m = 10
-        cx = 0.2 * rng.standard_normal(m)
-        ct = np.linspace(0.0, 1.0, m)
-        ct[1:-1] += 0.03 * rng.standard_normal(m - 2)
-        ch = ChordSpline(cx, ct, (0.0, 1.0), graph=False)
-        _, _, dp_t, dv_t = shape_gradient(density, ch)
-        assert dp_t[0] == dp_t[-1] == 0.0
-        h = 1e-5
-        for j in range(1, m - 1):
-            ctp = ct.copy()
-            ctm = ct.copy()
-            ctp[j] += h
-            ctm[j] -= h
-            chp = ChordSpline(cx, ctp, (0.0, 1.0), graph=False)
-            chm = ChordSpline(cx, ctm, (0.0, 1.0), graph=False)
-            fd_p = (weighted_length(density, chp) - weighted_length(density, chm)) / (2 * h)
-            fd_v = (enclosed_area(density, chp) - enclosed_area(density, chm)) / (2 * h)
-            assert dp_t[j] == pytest.approx(fd_p, rel=1e-4, abs=1e-9)
-            assert dv_t[j] == pytest.approx(fd_v, rel=1e-4, abs=1e-9)
-
     def test_wall_sliding_term_at_endpoints(self):
         # the endpoint controls carry an extra conormal term; finite
         # differences see it automatically, so agreement there validates it
         density = symmetric_slab()
         ch = make_straight_chord(density, -0.4, 0.6)
-        dp_x, _, _, _ = shape_gradient(density, ch)
+        dp_x, _ = shape_gradient(density, ch)
         h = 1e-5
         for j in (0, ch.n_controls - 1):
             cxp = ch.control_x.copy()
@@ -304,28 +251,122 @@ class TestShapeGradient:
             ) / (2 * h)
             assert dp_x[j] == pytest.approx(fd, rel=1e-4)
 
-    def test_graph_mode_reports_no_vertical_gradients(self):
-        _, _, dp_t, dv_t = shape_gradient(unit_slab(), bent_chord())
-        assert not np.any(dp_t)
-        assert not np.any(dv_t)
+
+HESSIAN_DENSITIES = [
+    Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0)),
+    Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)),
+    Density(LogPowerWeight(2), 0.5, 2, (0.0, math.inf)),
+]
+
+
+class TestSecondVariation:
+    """The exact Hessians that the Newton-KKT step is built from."""
+
+    @pytest.mark.parametrize("density", HESSIAN_DENSITIES, ids=["gaussian", "quadratic", "log_power_half"])
+    def test_hessians_match_second_differences(self, density):
+        chord = bent_chord(seed=3, scale=0.3, span=make_straight_chord(density).span)
+        h_length, h_area = opt._second_variation(density, chord)
+        m, h = chord.n_controls, 1e-4
+        assert np.allclose(h_length, h_length.T, rtol=0.0, atol=1e-14 * np.max(np.abs(h_length)))
+        for measure, hessian in ((weighted_length, h_length), (enclosed_area, h_area)):
+            def value(*moves):
+                control_x = chord.control_x.copy()
+                for j, sign in moves:
+                    control_x[j] += sign * h
+                return measure(density, ChordSpline(control_x, chord.control_t, chord.span))
+
+            fd = np.array([[(value((i, 1), (j, 1)) - value((i, 1), (j, -1))
+                             - value((i, -1), (j, 1)) + value((i, -1), (j, -1))) / (4.0 * h * h)
+                            for j in range(m)] for i in range(m)])
+            assert np.max(np.abs(fd - hessian)) <= 1e-5 * np.max(np.abs(hessian))
+
+    @pytest.mark.parametrize("density", HESSIAN_DENSITIES, ids=["gaussian", "quadratic", "log_power_half"])
+    def test_direct_gradient_matches_the_first_variation(self, density):
+        # L = Σ qw·f·|γ′| differentiated node by node, against the integrated-by-
+        # parts form ∫ H_f B_j f t′ dθ plus the wall terms
+        chord = bent_chord(seed=5, scale=0.3, span=make_straight_chord(density).span)
+        fields = opt._chord_fields(density, chord)
+        op = opt._operator(chord.n_controls)
+        mass = fields.qw * fields.f
+        direct = (op.value.T @ (-2.0 * density.c * fields.x * mass * fields.speed)
+                  + op.d1.T @ (mass * fields.dx / fields.speed))
+        dp_x, _ = shape_gradient(density, chord)
+        assert np.max(np.abs(direct - dp_x)) <= 1e-12 * np.max(np.abs(dp_x))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.6])
+    @pytest.mark.parametrize("density", [
+        Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0)),
+        Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)),
+        Density(QuadraticWeight(1.0, 0.3, 0.0), 2.0, 2, (-0.5, 1.5)),
+    ], ids=["gaussian", "quadratic", "tilted_c2"])
+    def test_vertical_chord_hessian_is_the_positive_index_form(self, density, shift):
+        # at x = s the tangent-space Lagrangian Hessian is the index form
+        # I_f(u,u) = ∫ u_t² f dt − 2c ∫ u² f dt on the spline space; Bakry-Emery
+        # makes it positive, and its least Ritz value on area-preserving
+        # variations is the slab factor's gap λ₁ − 2c
+        from scipy.linalg import eigh
+
+        from isoflow.spectrum import poincare_certify
+
+        chord = make_straight_chord(density, shift)
+        gradient, area_gradient = shape_gradient(density, chord)
+        mu, gnorm = opt._multiplier(gradient, area_gradient)
+        assert mu == pytest.approx(-2.0 * density.c * shift, abs=1e-12)
+        assert gnorm < 1e-12
+        h_length, h_area = opt._second_variation(density, chord)
+        tangent = np.linalg.qr(area_gradient[:, None], mode="complete")[0][:, 1:]
+        reduced = tangent.T @ (h_length - mu * h_area) @ tangent
+        fields = opt._chord_fields(density, chord)
+        op = opt._operator(chord.n_controls)
+        mass = fields.qw * fields.f
+        stiffness = op.d1.T @ ((mass / fields.dt)[:, None] * op.d1)
+        gram = op.value.T @ ((mass * fields.dt)[:, None] * op.value)
+        index = tangent.T @ (stiffness - 2.0 * density.c * gram) @ tangent
+        assert np.max(np.abs(reduced - index)) <= 1e-12 * np.max(np.abs(reduced))
+        assert np.min(np.linalg.eigvalsh(reduced)) > 0.0
+        ritz = eigh(index, tangent.T @ gram @ tangent, eigvals_only=True)[0]
+        gap = poincare_certify(density).lambda_value - 2.0 * density.c
+        assert gap > 0.0
+        assert ritz == pytest.approx(gap, rel=1e-4)
+
+    def test_newton_step_is_a_tangent_descent_direction(self):
+        # modified Newton: |λ| replaces an indefinite reduced Hessian's
+        # eigenvalues, so the step still descends, and it keeps the area to
+        # first order; with a positive definite Hessian it is the KKT solution
+        rng = np.random.default_rng(4)
+        m = 8
+        gradient, area_gradient = rng.standard_normal(m), rng.uniform(0.5, 1.0, m)
+        root = rng.standard_normal((m, m))
+        positive, indefinite = root @ root.T + np.eye(m), root + root.T
+        assert np.min(np.linalg.eigvalsh(indefinite)) < 0.0 < np.max(np.linalg.eigvalsh(indefinite))
+        for hessian in (positive, indefinite):
+            step = opt._newton_step(hessian, gradient, area_gradient)
+            assert abs(float(np.dot(step, area_gradient))) <= 1e-12 * np.linalg.norm(step)
+            assert float(np.dot(step, gradient)) < 0.0
+        kkt = np.block([[positive, area_gradient[:, None]], [area_gradient[None, :], np.zeros((1, 1))]])
+        want = np.linalg.solve(kkt, np.concatenate([-gradient, [0.0]]))[:m]
+        assert np.allclose(opt._newton_step(positive, gradient, area_gradient), want, rtol=1e-10, atol=1e-12)
 
 
 class TestSplineOperators:
     @pytest.mark.parametrize("m", [4, 12, 64])
-    @pytest.mark.parametrize("graph", [True, False])
-    def test_fields_match_direct_spline(self, m, graph):
+    @pytest.mark.parametrize("translated", [True, False])
+    def test_fields_match_direct_spline(self, m, translated):
         # the cached operators are one spline through the identity matrix;
         # per-chord splines through the controls are the independent oracle.
         # Errors are scaled by the summed term size 1 + Σ_j |B_ij y_j|, not
         # by 1 + |value|: t″ of a graph chord is exactly 0 yet at m = 64 a
         # sum of ±1e4 terms, so both evaluations round at the 1e-11 level.
+        # A translate reads its vertical fields from its parent's cache, so
+        # its area kernel must equal the one written out from its own nodes.
         rng = np.random.default_rng(m)
         density = symmetric_slab()
-        ct = np.linspace(-1.0, 1.0, m)
-        if not graph:
-            ct[1:-1] += rng.uniform(-0.4, 0.4, m - 2) * (2.0 / (m - 1))
-        ch = ChordSpline(0.3 * rng.standard_normal(m), ct, (-1.0, 1.0), graph=graph)
-        _, x, t, dx, dt, d2x, d2t, *_ = opt._chord_fields(density, ch)
+        ch = ChordSpline(0.3 * rng.standard_normal(m), np.linspace(-1.0, 1.0, m), (-1.0, 1.0))
+        if translated:
+            opt._chord_fields(density, ch)
+            ch = ch.translated(0.37)
+        _, x, t, dx, dt, d2x, d2t, _, _, kernel, _ = opt._chord_fields(density, ch)
+        assert np.array_equal(kernel, reference_area_terms(density, ch)[0])
         op = opt._operator(m)
         ends = op.ends @ ch.controls
         for got, controls, nu, basis, theta in [
@@ -426,8 +467,7 @@ class TestRestoreArea:
         ct = np.linspace(-1.0, 1.0, m)
         yield make_straight_chord(density, -0.4, 0.1, n_controls=m)
         yield ChordSpline(0.15 * rng.standard_normal(m) + 0.3, ct, (-1.0, 1.0))
-        ct[1:-1] += 0.03 * rng.standard_normal(m - 2)
-        yield ChordSpline(0.15 * rng.standard_normal(m) - 0.2, ct, (-1.0, 1.0), graph=False)
+        yield ChordSpline(0.4 * rng.standard_normal(m) - 0.2, ct, (-1.0, 1.0))
 
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.83])
     @pytest.mark.parametrize("weight", [ZeroWeight(), QuadraticWeight(1.0, 0.4, 0.0)])
@@ -498,12 +538,10 @@ class TestRestorationIterates:
     restored chord and its area equal, bit for bit, reference_restore and
     reference_area."""
 
-    @pytest.mark.parametrize("graph, iterations", [(True, 400), (False, 12)], ids=["graph", "parametric"])
-    def test_restorations_match_the_written_out_area(self, monkeypatch, graph, iterations):
+    def test_restorations_match_the_written_out_area(self, monkeypatch):
         density = Density(QuadraticWeight(1.0, 0.4, 0.0), 0.5, 2, (-1.0, 1.0))
         target = 0.3 * total_weighted_volume(density)
         start = make_straight_chord(density, -0.3, 0.1)
-        start = ChordSpline(start.control_x, start.control_t, start.span, graph=graph)
         newton_steps = []
         real = opt._restore_area
 
@@ -517,8 +555,8 @@ class TestRestorationIterates:
             return restored
 
         monkeypatch.setattr(opt, "_restore_area", checked)
-        _, trace = minimize(density, OptimizerConfig(target, max_iterations=iterations), start)
-        assert trace.status == ("converged" if graph else "max_iterations")
+        _, trace = minimize(density, OptimizerConfig(target), start)
+        assert trace.status == "converged"
         # the start and every trial step leave the target area
         assert newton_steps and all(steps > 0 for steps in newton_steps)
         assert np.max(trace.area_errors) <= 1e-14 * (1.0 + target)
@@ -567,30 +605,9 @@ class TestMinimize:
         )
         _, trace = minimize(density, OptimizerConfig(target_area=v_tot / 2.0), init)
         assert trace.status == "converged"
+        assert trace.final.stationary
+        assert len(trace.iterations) <= 20
         assert trace.final.length == pytest.approx(SYM_SLAB_MASS, rel=5e-3)
-
-    def test_parametric_escape_beats_the_horizontal_candidate(self):
-        # concave quadratic weight: the flat candidate at mid-height is
-        # unstable, so a chord hugging it must escape and do better
-        density = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0))
-        v_tot = total_weighted_volume(density)
-        flat_candidate_length = math.sqrt(2.0 * math.pi)
-        m, span = 12, 2.0
-        ct = np.concatenate(
-            [[-1.0, -0.15, -0.05], np.linspace(-0.02, 0.02, m - 6), [0.05, 0.15, 1.0]]
-        )
-        cx = np.concatenate(
-            [[-span, -span, -span], np.linspace(-span, span, m - 6), [span, span, span]]
-        )
-        init = ChordSpline(cx, ct, (-1.0, 1.0), graph=False)
-        start_length = weighted_length(density, init)
-        assert start_length > 0.9 * flat_candidate_length
-        _, trace = minimize(
-            density, OptimizerConfig(target_area=v_tot / 2.0, max_iterations=800), init
-        )
-        assert trace.final.length < flat_candidate_length
-        assert trace.final.length == pytest.approx(QUAD_SLAB_MASS, rel=1e-2)
-        assert np.all(np.diff(trace.lengths) <= 1e-12)
 
     def test_off_median_target_matches_profile(self):
         # target area away from the median: compare against the
