@@ -44,9 +44,7 @@ def main() -> None:
     ends = rng.uniform(-0.5, 0.5, 2)
     control_x = np.linspace(ends[0], ends[1], args.controls)
     control_x[1:-1] += rng.normal(0.0, args.noise, args.controls - 2)
-    chord = ChordSpline(
-        control_x, np.linspace(args.slab[0], args.slab[1], args.controls), tuple(args.slab)
-    )
+    chord = ChordSpline(control_x, tuple(args.slab))
 
     final, trace = minimize(density, OptimizerConfig(target_area=target), chord)
     print(f"status {trace.status} after {len(trace.iterations)} iterations")

@@ -547,15 +547,15 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_
         n_controls=int(config.value("optimize", "n_controls")),
     ))
     _atomic_write(out_dir, "optimize_trace.csv", trace_csv(trace))
-    _atomic_write(out_dir, "chord.csv", curve_csv(chord_curve(density, final)))
-    benchmark = vertical_chord_length(density, fraction)
-    report = trace.final
-    rel_gap = abs(report.length - benchmark) / benchmark
     if trace.status != "converged":
         raise IsoflowError(
             f"optimizer did not converge (status {trace.status!r} after "
             f"{len(trace.iterations)} iterations)"
         )
+    _atomic_write(out_dir, "chord.csv", curve_csv(chord_curve(density, final)))
+    benchmark = vertical_chord_length(density, fraction)
+    report = trace.final
+    rel_gap = abs(report.length - benchmark) / benchmark
     beaten = report.length < benchmark - 1e-6
     # a converged chord that is not stationary and does not beat the
     # benchmark shows only that the descent stopped short, not a violation

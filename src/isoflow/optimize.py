@@ -1,8 +1,9 @@
 """Constrained chord optimization: weighted length at fixed weighted area.
 
 A chord is a cubic spline graph x(t) crossing the slab from the bottom
-wall t = a to the top wall t = b; the region E is everything to its left
-inside Ω.  The first variation of weighted length,
+wall t = a to the top wall t = b, its height the fixed ramp
+t = a + (b − a)θ in the spline parameter; the region E is everything to
+its left inside Ω.  The first variation of weighted length,
 
     δP_f = −∫ H_f ⟨W, N⟩ da_f + [f ⟨T, W⟩] at the wall endpoints,
 
@@ -102,37 +103,27 @@ def _operator(m: int) -> _SplineOperator:
 
 @dataclass(frozen=True)
 class ChordSpline:
-    """Cubic-spline chord from the bottom wall to the top wall.
+    """Cubic-spline graph chord x(t) from the bottom wall to the top wall.
 
-    control_x, control_t: control values at uniform parameter knots in
-    [0, 1].  The vertical profile is the linear ramp from t(0) = a to
-    t(1) = b and only the horizontal controls move, so the curve is a
-    graph over t.  The enclosed region E is the part of the slab left of
-    the curve.
+    control_x: abscissas at uniform parameter knots in [0, 1].  The
+    height is the linear ramp t = a + (b − a)θ over span = (a, b), so
+    t′ = b − a, t″ = 0 and only the abscissas move.  The enclosed
+    region E is the part of the slab left of the curve.
     """
 
     control_x: np.ndarray
-    control_t: np.ndarray
     span: tuple[float, float]
 
     def __post_init__(self):
-        cx, ct = _float_arrays(self, np.atleast_1d, "control_x", "control_t")
+        (cx,) = _float_arrays(self, np.atleast_1d, "control_x")
         object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
         a, b = self.span
-        m = cx.size
-        if m < 4 or m > 64:
+        if cx.size < 4 or cx.size > 64:
             raise GeometryError("chord needs between 4 and 64 control points")
-        if ct.shape != cx.shape:
-            raise GeometryError("control arrays must have equal length")
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise DomainError("chord span must be a bounded interval")
         if not np.all(np.isfinite(cx)):
             raise GeometryError("control abscissas must be finite")
-        if abs(ct[0] - a) > 1e-12 * (1.0 + abs(a)) or abs(ct[-1] - b) > 1e-12 * (1.0 + abs(b)):
-            raise GeometryError("chord endpoints must sit on the walls")
-        ramp = a + (b - a) * self.knots
-        if np.max(np.abs(ct - ramp)) > 1e-12 * (1.0 + abs(b - a)):
-            raise GeometryError("graph chords must keep the linear vertical ramp")
 
     @property
     def n_controls(self) -> int:
@@ -143,41 +134,23 @@ class ChordSpline:
         return np.linspace(0.0, 1.0, self.control_x.size)
 
     @functools.cached_property
-    def controls(self) -> np.ndarray:
-        """(m, 2) array of the (x, t) control values, read-only."""
-        return _read_only(np.column_stack([self.control_x, self.control_t]))
-
-    @functools.cached_property
     def _fields(self) -> dict:
         """Quadrature-node fields per density, filled by _chord_fields."""
         return {}
 
     @functools.cached_property
-    def _vertical_cache(self) -> dict:
-        """Node fields that depend on control_t alone, per density; a chord
-        made by _moved shares its parent's."""
-        return {}
-
-    @functools.cached_property
     def _spline(self) -> CubicSpline:
-        return CubicSpline(self.knots, self.controls)
+        return CubicSpline(self.knots, self.control_x)
 
     def position(self, theta, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(x, t) at arbitrary parameters θ, or their nu-th θ-derivatives."""
-        xt = self._spline(np.asarray(theta, dtype=float), nu)
-        return xt[..., 0], xt[..., 1]
+        theta = np.asarray(theta, dtype=float)
+        a, b = self.span
+        t = a + (b - a) * theta if nu == 0 else np.full_like(theta, b - a if nu == 1 else 0.0)
+        return self._spline(theta, nu), t
 
     def translated(self, tau: float) -> "ChordSpline":
-        return _moved(self, self.control_x + tau)
-
-
-def _moved(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
-    """The chord with new horizontal controls.  It keeps control_t, so it
-    shares the vertical node fields: every chord of a descent, and every
-    translate of a chord, evaluates them once."""
-    moved = ChordSpline(control_x, chord.control_t, chord.span)
-    moved.__dict__["_vertical_cache"] = chord._vertical_cache
-    return moved
+        return ChordSpline(self.control_x + tau, self.span)
 
 
 def make_straight_chord(
@@ -191,7 +164,7 @@ def make_straight_chord(
     lo, hi = tail_interval(density)
     x_top = x_bottom if x_top is None else x_top
     knots = np.linspace(0.0, 1.0, n_controls)
-    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, lo + (hi - lo) * knots, (lo, hi))
+    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, (lo, hi))
 
 
 def vertical_chord_length(density: Density, fraction: float) -> float:
@@ -209,9 +182,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 # one chord's fields at the quadrature nodes under one density: weights qw,
-# (x, t) and their θ-derivatives, speed |γ′|, f = e^ψ, the area kernel with
-# V_f(E) = Σ kernel·Φ_c(x), and that area itself
-_Fields = collections.namedtuple("_Fields", "qw x t dx dt d2x d2t speed f kernel area")
+# x and its θ-derivatives, the ramp t and its constant slope dt = b − a,
+# speed |γ′|, f = e^ψ, the area kernel with V_f(E) = Σ kernel·Φ_c(x), and
+# that area itself
+_Fields = collections.namedtuple("_Fields", "qw x t dx dt d2x speed f kernel area")
 
 
 def _chord_fields(density: Density, chord: ChordSpline) -> _Fields:
@@ -222,46 +196,30 @@ def _chord_fields(density: Density, chord: ChordSpline) -> _Fields:
     return chord._fields[density]
 
 
-def _vertical_fields(density: Density, qw: np.ndarray, t: np.ndarray, dt: np.ndarray) -> tuple:
-    """(ω(t), t², area kernel) at the nodes, the kernel being the node
-    weights qw·e^{ω(t)−ct²}·t′·√(π/c) with V_f = Σ kernel · Φ_c(x).
-
-    The horizontal antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ
-    turns the weighted area into the line integral ∫ G t′ dθ along the
-    chord; only x enters Φ_c, so a translation leaves the kernel fixed."""
-    omega = density.weight.value(t)
-    kernel = qw * np.exp(omega - density.c * t * t) * dt * math.sqrt(math.pi / density.c)
-    return tuple(map(_read_only, (omega, t * t, kernel)))
-
-
 def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
+    """The area kernel is qw·e^{ω(t)−ct²}·t′·√(π/c): the horizontal
+    antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ turns the
+    weighted area into the line integral ∫ G t′ dθ along the chord, and
+    only x enters Φ_c, so a translation leaves the kernel fixed."""
     _require_planar(density)
     op = _operator(chord.n_controls)
-    pts, d1, d2 = (_read_only(b @ chord.controls) for b in (op.value, op.d1, op.d2))
-    (x, t), (dx, dt), (d2x, d2t) = pts.T, d1.T, d2.T  # read-only views
-    speed = np.hypot(dx, dt)
-    if np.any(speed <= 1e-12):
-        raise GeometryError("chord parametrization degenerates (zero speed)")
-    vertical = chord._vertical_cache
-    if density not in vertical:
-        vertical[density] = _vertical_fields(density, op.weights, t, dt)
-    omega, tt, kernel = vertical[density]
+    x, dx, d2x = (_read_only(basis @ chord.control_x) for basis in (op.value, op.d1, op.d2))
+    (a, b), c = chord.span, density.c
+    t, dt = _read_only(a + (b - a) * op.theta), b - a
+    omega = density.weight.value(t)
+    kernel = _read_only(op.weights * np.exp(omega - c * t * t) * dt * math.sqrt(math.pi / c))
     # e^ψ with |p|² summed as log_density sums it
-    f = np.exp(omega - density.c * (x * x + tt))
-    area = float(np.sum(kernel * gaussian_cdf(density.c, x)))
-    return _Fields(op.weights, x, t, dx, dt, d2x, d2t, _read_only(speed), _read_only(f), kernel, area)
+    f = _read_only(np.exp(omega - c * (x * x + t * t)))
+    area = float(np.sum(kernel * gaussian_cdf(c, x)))
+    return _Fields(op.weights, x, t, dx, dt, d2x, _read_only(np.hypot(dx, dt)), f, kernel, area)
 
 
 def _f_mean_curvature(density: Density, chord: ChordSpline) -> np.ndarray:
-    """H_f = k − ⟨∇ψ, N⟩, k = (x′t″ − t′x″)/|γ′|³, N = (−t′, x′)/|γ′| at the
-    nodes, with ∇ψ = (−2c·x, ω′(t) − 2c·t) as log_density_gradient forms it."""
-    _, x, t, dx, dt, d2x, d2t, speed, *_ = _chord_fields(density, chord)
-    k = (dx * d2t - dt * d2x) / speed**3
-    vertical, key = chord._vertical_cache, (density, "gradient")
-    if key not in vertical:
-        vertical[key] = _read_only(-2.0 * density.c * t + density.weight.deriv(t))
-    grad_t = vertical[key]
-    return k - (-2.0 * density.c * x * (-dt / speed) + grad_t * (dx / speed))
+    """H_f = k − ⟨∇ψ, N⟩, k = −t′x″/|γ′|³, N = (−t′, x′)/|γ′| at the nodes,
+    with ∇ψ = (−2c·x, ω′(t) − 2c·t) as log_density_gradient forms it."""
+    _, x, t, dx, dt, d2x, speed, *_ = _chord_fields(density, chord)
+    grad_t = density.weight.deriv(t) - 2.0 * density.c * t
+    return -dt * d2x / speed**3 - (-2.0 * density.c * x * (-dt / speed) + grad_t * (dx / speed))
 
 
 def weighted_length(density: Density, chord: ChordSpline) -> float:
@@ -293,11 +251,11 @@ def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np
     dv_x = op.value.T @ (qw * f * dt)
     # wall sliding terms: the endpoint controls move the contact point
     # along the wall, contributing f ⟨T, e_x⟩ with outward sign
-    f_ends = np.exp(log_density(density, chord.controls[[0, -1]]))
-    tang = op.ends @ chord.controls  # γ′(0), γ′(1)
-    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
-    dp_x[0] += -f_ends[0] * tang[0, 0]
-    dp_x[-1] += f_ends[1] * tang[1, 0]
+    f_ends = np.exp(log_density(density, np.column_stack((chord.control_x[[0, -1]], chord.span))))
+    slopes = op.ends @ chord.control_x  # x′(0), x′(1)
+    tang_x = slopes / np.hypot(slopes, dt)
+    dp_x[0] -= f_ends[0] * tang_x[0]
+    dp_x[-1] += f_ends[1] * tang_x[1]
     return dp_x, dv_x
 
 
@@ -368,8 +326,9 @@ def stationarity_report(density: Density, chord: ChordSpline) -> StationarityRep
     hf = _f_mean_curvature(density, chord)
     spread = float(np.max(hf) - np.min(hf))
     mean = float(np.mean(hf))
-    tangents = _operator(chord.n_controls).ends @ chord.controls
-    angles = [math.degrees(abs(math.atan2(abs(tx), abs(tt)))) for tx, tt in tangents]
+    a, b = chord.span
+    slopes = _operator(chord.n_controls).ends @ chord.control_x
+    angles = [math.degrees(math.atan2(abs(slope), b - a)) for slope in slopes]
     at_wall = [end == wall for end, wall in zip(chord.span, density.slab)]
     orthogonal = all(angle <= 0.5 for angle, wall in zip(angles, at_wall) if wall)
     stationary = spread <= 1e-3 * (1.0 + abs(mean)) and orthogonal
@@ -432,7 +391,7 @@ class OptimizeTrace:
 def _unpack(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
     """The trial chord with new horizontal controls; one call per
     line-search trial, which benchmark/tracer.py counts."""
-    return _moved(chord, control_x)
+    return ChordSpline(control_x, chord.span)
 
 
 def _multiplier(gradient: np.ndarray, area_gradient: np.ndarray) -> tuple[float, float]:
@@ -526,8 +485,8 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     Nodes sit at uniform arclength, so the spacing contract of
     DiscreteCurve holds for arbitrarily bent chords.  Normals are the
     left normal N = (−t′, x′)/|γ′| and the curvature is the exact
-    spline curvature k = (x′t″ − t′x″)/|γ′|³, both evaluated from the
-    spline derivatives rather than node differences.
+    spline curvature k = −t′x″/|γ′|³, both evaluated from the spline
+    derivatives rather than node differences.
     """
     theta_dense = np.linspace(0.0, 1.0, 4097)
     speed_dense = np.hypot(*chord.position(theta_dense, 1))
@@ -538,12 +497,12 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     theta[0], theta[-1] = 0.0, 1.0
     x, t = chord.position(theta)
     dx, dt = chord.position(theta, 1)
-    d2x, d2t = chord.position(theta, 2)
+    d2x, _ = chord.position(theta, 2)
     speed = np.hypot(dx, dt)
     a, b = density.slab
     points = np.stack((x, np.clip(t, a, b)), axis=-1)
     normals = np.stack((-dt / speed, dx / speed), axis=-1)
-    curvature = (dx * d2t - dt * d2x) / speed**3
+    curvature = -dt * d2x / speed**3
     return DiscreteCurve(
         points=points,
         normals=normals,

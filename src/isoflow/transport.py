@@ -16,7 +16,6 @@ least β/α, the mechanism behind the perpendicular comparison bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +109,8 @@ def build_transport(
     come from one batched quantile call on the density's own engine,
     resolved to about one ulp.  ρ′ comes
     from the change-of-variables identity, never from differences.
-    Source quantiles outside [1e−14, 1−1e−14] are clipped with a warning
-    (diagnostic tails, irrelevant at downstream tolerances).
+    Source quantiles outside [1e−14, 1−1e−14] are clipped and counted in
+    n_clipped (diagnostic tails, irrelevant at downstream tolerances).
     """
     c = density.c
     if require_concave:
@@ -133,10 +132,6 @@ def build_transport(
     clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
     n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
-        warnings.warn(
-            f"{n_clipped} grid points beyond the 1e-14 quantile cutoff were clipped",
-            stacklevel=2,
-        )
         q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
         q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
     rho = np.maximum.accumulate(cum.quantile(q, q_up))

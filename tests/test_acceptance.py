@@ -372,7 +372,7 @@ def test_criterion_10_optimizer_benchmark():
         ends = rng.uniform(-0.6, 0.6, 2)
         control_x = np.linspace(ends[0], ends[1], m)
         control_x[1:-1] += rng.normal(0.0, 0.15, m - 2)
-        chord = ChordSpline(control_x, np.linspace(-1.0, 1.0, m), (-1.0, 1.0))
+        chord = ChordSpline(control_x, (-1.0, 1.0))
         config = OptimizerConfig(target_area=target)
         final, trace = minimize(density, config, chord)
         assert trace.status == "converged"
@@ -411,9 +411,7 @@ def test_criterion_11_differential_self_consistency():
             scale = np.maximum(np.abs(grad[:, axis]), 1.0)
             worst_psi = max(worst_psi, float(np.max(np.abs(fd - grad[:, axis]) / scale)))
     density = Density(ZeroWeight(), C, 2, (-1.0, 1.0))
-    chord = ChordSpline(
-        0.2 * rng.standard_normal(8), np.linspace(-1.0, 1.0, 8), (-1.0, 1.0)
-    )
+    chord = ChordSpline(0.2 * rng.standard_normal(8), (-1.0, 1.0))
     dp, dv = shape_gradient(density, chord)
     from isoflow import enclosed_area, weighted_length
 
@@ -424,8 +422,8 @@ def test_criterion_11_differential_self_consistency():
         minus = np.array(chord.control_x)
         plus[j] += step
         minus[j] -= step
-        up = ChordSpline(plus, chord.control_t, chord.span)
-        down = ChordSpline(minus, chord.control_t, chord.span)
+        up = ChordSpline(plus, chord.span)
+        down = ChordSpline(minus, chord.span)
         fd_p = (weighted_length(density, up) - weighted_length(density, down)) / (2.0 * step)
         fd_v = (enclosed_area(density, up) - enclosed_area(density, down)) / (2.0 * step)
         scale_p = max(abs(dp[j]), 1e-2)

@@ -224,6 +224,23 @@ class TestNonStationaryChord:
         assert "hf_spread" in capsys.readouterr().err
 
 
+class TestUnconvergedDescent:
+    def test_the_error_names_the_descent_status(self, tmp_path, capsys):
+        """The convex counterexample ω = 0.2t² on ℝ: the descent reaches the
+        parallel cut's length but its projected gradient stays above the
+        tolerance.  The record names that status, not a failure to resample
+        the unconverged chord, and only the trace is written."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\n"
+                                  "slab = -inf, inf\n[transport]\nrequire_concave = false\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out), "--expect-bound"]) == 1
+        message = read_json(out, "optimize_error.json")["metrics"]["message"]
+        assert "'stalled'" in message or "'max_iterations'" in message
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "optimize_trace.csv").exists()
+        assert not (out / "chord.csv").exists()
+
+
 class TestExitCodes:
     def test_malformed_slab_exits_one_without_outputs(self, tmp_path, capsys):
         out = str(tmp_path / "never")

@@ -60,7 +60,7 @@ def symmetric_slab() -> Density:
 
 def bent_chord(seed: int = 7, scale: float = 0.2, m: int = 10, span=(0.0, 1.0)) -> ChordSpline:
     rng = np.random.default_rng(seed)
-    return ChordSpline(scale * rng.standard_normal(m), np.linspace(*span, m), span)
+    return ChordSpline(scale * rng.standard_normal(m), span)
 
 
 class TestChordSpline:
@@ -71,35 +71,25 @@ class TestChordSpline:
         assert np.allclose(x, 0.3)
         assert np.allclose(t, [0.0, 0.5, 1.0])
 
-    def test_endpoints_must_sit_on_walls(self):
-        with pytest.raises(GeometryError, match="walls"):
-            ChordSpline(np.zeros(6), np.linspace(0.1, 1.0, 6), (0.0, 1.0))
-
-    def test_graph_mode_requires_linear_ramp(self):
-        ct = np.linspace(0.0, 1.0, 6)
-        ct[2] += 0.05
-        with pytest.raises(GeometryError, match="ramp"):
-            ChordSpline(np.zeros(6), ct, (0.0, 1.0))
-
     def test_infinite_span_rejected(self):
         with pytest.raises(DomainError, match="bounded"):
-            ChordSpline(np.zeros(6), np.linspace(0.0, 1.0, 6), (0.0, math.inf))
+            ChordSpline(np.zeros(6), (0.0, math.inf))
 
     def test_nonfinite_controls_rejected(self):
         cx = np.zeros(6)
         cx[3] = math.nan
         with pytest.raises(GeometryError, match="finite"):
-            ChordSpline(cx, np.linspace(0.0, 1.0, 6), (0.0, 1.0))
+            ChordSpline(cx, (0.0, 1.0))
 
     def test_too_few_controls_rejected(self):
         with pytest.raises(GeometryError, match="control"):
-            ChordSpline(np.zeros(3), np.linspace(0.0, 1.0, 3), (0.0, 1.0))
+            ChordSpline(np.zeros(3), (0.0, 1.0))
 
     def test_translation_shifts_abscissas(self):
         ch = bent_chord()
         shifted = ch.translated(0.7)
         assert np.allclose(shifted.control_x, ch.control_x + 0.7)
-        assert np.array_equal(shifted.control_t, ch.control_t)
+        assert shifted.span == ch.span
 
     def test_infinite_slab_truncated_by_tail_rule(self):
         density = Density(QuadraticWeight(2.0, 0.0, 0.0), 0.5, 2, (0.0, math.inf))
@@ -217,8 +207,7 @@ class TestShapeGradient:
         rng = np.random.default_rng(seed)
         m = 10
         cx = 0.3 * rng.standard_normal(m)
-        ct = np.linspace(0.0, 1.0, m)
-        ch = ChordSpline(cx, ct, (0.0, 1.0))
+        ch = ChordSpline(cx, (0.0, 1.0))
         dp_x, dv_x = shape_gradient(density, ch)
         h = 1e-5
         for j in range(m):
@@ -226,8 +215,8 @@ class TestShapeGradient:
             cxm = cx.copy()
             cxp[j] += h
             cxm[j] -= h
-            chp = ChordSpline(cxp, ct, (0.0, 1.0))
-            chm = ChordSpline(cxm, ct, (0.0, 1.0))
+            chp = ChordSpline(cxp, (0.0, 1.0))
+            chm = ChordSpline(cxm, (0.0, 1.0))
             fd_p = (weighted_length(density, chp) - weighted_length(density, chm)) / (2 * h)
             fd_v = (enclosed_area(density, chp) - enclosed_area(density, chm)) / (2 * h)
             assert dp_x[j] == pytest.approx(fd_p, rel=1e-4, abs=1e-9)
@@ -246,8 +235,8 @@ class TestShapeGradient:
             cxp[j] += h
             cxm[j] -= h
             fd = (
-                weighted_length(density, ChordSpline(cxp, ch.control_t, ch.span))
-                - weighted_length(density, ChordSpline(cxm, ch.control_t, ch.span))
+                weighted_length(density, ChordSpline(cxp, ch.span))
+                - weighted_length(density, ChordSpline(cxm, ch.span))
             ) / (2 * h)
             assert dp_x[j] == pytest.approx(fd, rel=1e-4)
 
@@ -273,7 +262,7 @@ class TestSecondVariation:
                 control_x = chord.control_x.copy()
                 for j, sign in moves:
                     control_x[j] += sign * h
-                return measure(density, ChordSpline(control_x, chord.control_t, chord.span))
+                return measure(density, ChordSpline(control_x, chord.span))
 
             fd = np.array([[(value((i, 1), (j, 1)) - value((i, 1), (j, -1))
                              - value((i, -1), (j, 1)) + value((i, -1), (j, -1))) / (4.0 * h * h)
@@ -353,32 +342,64 @@ class TestSplineOperators:
     @pytest.mark.parametrize("translated", [True, False])
     def test_fields_match_direct_spline(self, m, translated):
         # the cached operators are one spline through the identity matrix;
-        # per-chord splines through the controls are the independent oracle.
-        # Errors are scaled by the summed term size 1 + Σ_j |B_ij y_j|, not
-        # by 1 + |value|: t″ of a graph chord is exactly 0 yet at m = 64 a
-        # sum of ±1e4 terms, so both evaluations round at the 1e-11 level.
-        # A translate reads its vertical fields from its parent's cache, so
-        # its area kernel must equal the one written out from its own nodes.
+        # per-chord splines through the controls and through the ramp
+        # heights are the independent oracle.  Errors are scaled by the
+        # summed term size 1 + Σ_j |B_ij y_j|, not by 1 + |value|: at m = 64
+        # a node value is a sum of ±1e4 terms, so both evaluations round at
+        # the 1e-11 level.  A translate's area kernel must equal the one
+        # written out from its own nodes.
         rng = np.random.default_rng(m)
         density = symmetric_slab()
-        ch = ChordSpline(0.3 * rng.standard_normal(m), np.linspace(-1.0, 1.0, m), (-1.0, 1.0))
+        ch = ChordSpline(0.3 * rng.standard_normal(m), (-1.0, 1.0))
         if translated:
             opt._chord_fields(density, ch)
             ch = ch.translated(0.37)
-        _, x, t, dx, dt, d2x, d2t, _, _, kernel, _ = opt._chord_fields(density, ch)
+        _, x, t, dx, dt, d2x, _, _, kernel, _ = opt._chord_fields(density, ch)
         assert np.array_equal(kernel, reference_area_terms(density, ch)[0])
         op = opt._operator(m)
-        ends = op.ends @ ch.controls
+        ramp = np.linspace(-1.0, 1.0, m)
         for got, controls, nu, basis, theta in [
-            (x, ch.control_x, 0, op.value, op.theta), (t, ch.control_t, 0, op.value, op.theta),
-            (dx, ch.control_x, 1, op.d1, op.theta), (dt, ch.control_t, 1, op.d1, op.theta),
-            (d2x, ch.control_x, 2, op.d2, op.theta), (d2t, ch.control_t, 2, op.d2, op.theta),
-            (ends[:, 0], ch.control_x, 1, op.ends, [0.0, 1.0]),
-            (ends[:, 1], ch.control_t, 1, op.ends, [0.0, 1.0]),
+            (x, ch.control_x, 0, op.value, op.theta), (t, ramp, 0, op.value, op.theta),
+            (dx, ch.control_x, 1, op.d1, op.theta), (dt, ramp, 1, op.d1, op.theta),
+            (d2x, ch.control_x, 2, op.d2, op.theta),
+            (op.ends @ ch.control_x, ch.control_x, 1, op.ends, [0.0, 1.0]),
         ]:
             want = CubicSpline(ch.knots, controls)(theta, nu)
             scale = 1.0 + np.abs(basis) @ np.abs(controls)
             assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("m", [4, 12, 64])
+    @pytest.mark.parametrize("density", HESSIAN_DENSITIES[1:], ids=["quadratic", "log_power_half"])
+    def test_fields_match_the_two_column_product(self, density, m):
+        # oracle: the chord as the (x, t) spline through its abscissas and its
+        # ramp heights, each field a product of the operators with both control
+        # columns.  A product rounds at ε times its summed term size
+        # 1 + Σ_j |B_ij y_j|; a field formed from products is held to those
+        # errors carried through its first-order sensitivities.
+        rng = np.random.default_rng(m)
+        a, b = make_straight_chord(density).span
+        chord = ChordSpline(0.3 * rng.standard_normal(m), (a, b))
+        op = opt._operator(m)
+        controls = np.column_stack([chord.control_x, a + (b - a) * chord.knots])
+        bases = (op.value, op.d1, op.d2, op.ends)
+        (x, t), (dx, dt), (d2x, d2t), ends = ((basis @ controls).T for basis in bases)
+        (sx, st), (sdx, sdt), (sd2x, sd2t), s_ends = ((1.0 + np.abs(basis) @ np.abs(controls)).T
+                                                      for basis in bases)
+        c, omega = density.c, density.weight.value(t)
+        f = np.exp(omega - c * (x * x + t * t))
+        kernel = op.weights * np.exp(omega - c * t * t) * dt * math.sqrt(math.pi / c)
+        log_t = np.abs(density.weight.deriv(t) - 2.0 * c * t)  # |∂ log f/∂t|
+        kernel_scale = np.abs(kernel) * (1.0 + log_t * st + sdt / dt)
+        got = opt._chord_fields(density, chord)
+        for new, old, scale in [
+            (got.x, x, sx), (got.t, t, st), (got.dx, dx, sdx), (got.dt, dt, sdt), (got.d2x, d2x, sd2x),
+            (0.0, d2t, sd2t), (got.speed, np.hypot(dx, dt), sdx + sdt),
+            (got.f, f, f * (1.0 + 2.0 * c * np.abs(x) * sx + log_t * st)),
+            (got.kernel, kernel, kernel_scale),
+            (got.area, np.sum(kernel * gaussian_cdf(c, x)), np.sum(kernel_scale + np.abs(kernel) * sx)),
+            (op.ends @ chord.control_x, ends[0], s_ends[0]), (b - a, ends[1], s_ends[1]),
+        ]:
+            assert np.max(np.abs(new - old) / scale) <= 1e-13
 
     def test_minimize_builds_one_spline(self, monkeypatch):
         """A graph-chord descent evaluates every chord through the operators."""
@@ -424,8 +445,9 @@ class TestFieldsComputedOnce:
         chord = bent_chord()
         fields = opt._chord_fields(unit_slab(), chord)
         assert opt._chord_fields(unit_slab(), chord) is fields
-        assert isinstance(fields.area, float)
-        for array in (*fields[:-1], chord.controls):
+        assert isinstance(fields.dt, float) and isinstance(fields.area, float)
+        for array in (fields.qw, fields.x, fields.t, fields.dx, fields.d2x, fields.speed, fields.f,
+                      fields.kernel):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -464,10 +486,9 @@ class TestRestoreArea:
     def chords(density):
         rng = np.random.default_rng(5)
         m = 10
-        ct = np.linspace(-1.0, 1.0, m)
         yield make_straight_chord(density, -0.4, 0.1, n_controls=m)
-        yield ChordSpline(0.15 * rng.standard_normal(m) + 0.3, ct, (-1.0, 1.0))
-        yield ChordSpline(0.4 * rng.standard_normal(m) - 0.2, ct, (-1.0, 1.0))
+        yield ChordSpline(0.15 * rng.standard_normal(m) + 0.3, (-1.0, 1.0))
+        yield ChordSpline(0.4 * rng.standard_normal(m) - 0.2, (-1.0, 1.0))
 
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.83])
     @pytest.mark.parametrize("weight", [ZeroWeight(), QuadraticWeight(1.0, 0.4, 0.0)])
@@ -489,12 +510,13 @@ class TestRestoreArea:
 
 def reference_area_terms(density, chord):
     """(kernel, x) with V_f(E) = Σ kernel·Φ_c(x), written out from the spline
-    operators: kernel = qw·e^{ω(t)−ct²}·t′·√(π/c) at the quadrature nodes."""
+    operators and the ramp t = a + (b − a)θ: kernel = qw·e^{ω(t)−ct²}·t′·√(π/c)
+    at the quadrature nodes."""
     op = opt._operator(chord.n_controls)
-    pts, d1 = op.value @ chord.controls, op.d1 @ chord.controls
-    t, c = pts[:, 1], density.c
-    kernel = op.weights * np.exp(density.weight.value(t) - c * t * t) * d1[:, 1] * math.sqrt(math.pi / c)
-    return kernel, pts[:, 0]
+    (a, b), c = chord.span, density.c
+    t = a + (b - a) * op.theta
+    kernel = op.weights * np.exp(density.weight.value(t) - c * t * t) * (b - a) * math.sqrt(math.pi / c)
+    return kernel, op.value @ chord.control_x
 
 
 def reference_area(density, chord):
@@ -549,7 +571,7 @@ class TestRestorationIterates:
             restored = real(density, chord, target)
             want, steps = reference_restore(density, chord, target)
             assert np.array_equal(restored.control_x, want.control_x)
-            assert np.array_equal(restored.control_t, want.control_t)
+            assert restored.span == want.span
             assert enclosed_area(density, restored) == reference_area(density, restored)
             newton_steps.append(steps)
             return restored
@@ -600,9 +622,7 @@ class TestMinimize:
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
         rng = np.random.default_rng(seed)
-        init = ChordSpline(
-            0.6 * rng.standard_normal(12), np.linspace(-1.0, 1.0, 12), (-1.0, 1.0)
-        )
+        init = ChordSpline(0.6 * rng.standard_normal(12), (-1.0, 1.0))
         _, trace = minimize(density, OptimizerConfig(target_area=v_tot / 2.0), init)
         assert trace.status == "converged"
         assert trace.final.stationary
