@@ -7,8 +7,8 @@ a strict contract: 0 every verdict verified, 2 at least one violation
 (malformed config, IO failure, or a run that did not finish).  Malformed
 input never produces a traceback.
 
-Determinism: a single 64-bit seed in the config is split per
-subcommand, and every CSV cell is written as the shortest round-trip
+Determinism: [run] seed seeds the pushforward intervals, the run's only
+random draw, and every CSV cell is written as the shortest round-trip
 decimal, so identical configs give byte-identical CSV outputs.
 """
 
@@ -56,8 +56,6 @@ __all__ = [
     "resolved_config_text",
     "main",
 ]
-
-COMMANDS = ("profile", "transport", "stability", "jacobi", "spectrum", "optimize")
 
 # section -> key -> (kind, default); kinds: int, float, bool, str, floats.
 # A None default is an interior height of the slab, set by load_config.
@@ -125,19 +123,14 @@ def _parse_value(kind: str, raw: str, where: str):
         if kind == "int":
             return int(raw)
         if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "float":
             value = float(raw)
         elif kind == "floats":
             value = tuple(float(tok) for tok in raw.split(",")) if raw else ()
         else:
             return raw
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from exc
     if np.isnan(value).any():  # inf is a legal setting, nan never is
         raise ConfigError(f"{where} = {raw!r} is not a number")
@@ -254,6 +247,8 @@ def load_config(path: str) -> RunConfig:
                 )
             else:
                 sections[section][key] = default
+    if sections["run"]["seed"] < 0:
+        raise ConfigError(f"[run] seed = {sections['run']['seed']} must be non-negative")
     config = RunConfig(sections)
     unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
     if unset:
@@ -317,7 +312,7 @@ def _write_json(out_dir: str, filename: str, data: dict) -> None:
     _atomic_write(out_dir, filename, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     tol = float(config.value("profile", "tolerance"))
     grid_size = int(config.value("profile", "grid_size"))
@@ -365,7 +360,7 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, rng, expect_b
     )
 
 
-def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     tol = float(config.value("transport", "tolerance"))
     tmap = build_transport(
@@ -378,7 +373,7 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, rng, expect
     push = pushforward_check(
         tmap,
         n_intervals=int(config.value("transport", "n_intervals")),
-        seed=int(rng.integers(2**63)),
+        seed=int(config.value("run", "seed")),
     )
     push_ok = push.max_residual <= 1e-8
     witness = None
@@ -410,7 +405,7 @@ def _certificate(density: Density, n_cells: int):
     return poincare_certify(density, n_cells=n_cells)
 
 
-def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     tol = float(config.value("stability", "tolerance"))
     verdict = parallel_halfspace_stability(
@@ -453,7 +448,7 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, rng, expect
     )
 
 
-def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     target = float(config.value("jacobi", "target_hf"))
     origin = (
@@ -500,7 +495,7 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, rng, expect_bo
     )
 
 
-def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
     _atomic_write(out_dir, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
@@ -529,7 +524,7 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, rng, expect_
     )
 
 
-def cmd_optimize(density: Density, config: RunConfig, out_dir: str, rng, expect_bound: bool) -> VerdictRecord:
+def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     start = time.perf_counter()
     fraction = float(config.value("optimize", "target_fraction"))
     if not (0.0 < fraction < 1.0):
@@ -596,11 +591,6 @@ _DISPATCH = {
 }
 
 
-def _command_rngs(seed: int) -> dict[str, np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(len(COMMANDS))
-    return {name: np.random.default_rng(child) for name, child in zip(COMMANDS, children)}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="isoflow",
@@ -609,7 +599,7 @@ def main(argv=None) -> int:
             "of Gaussian measures on slabs"
         ),
     )
-    parser.add_argument("command", choices=COMMANDS + ("all",))
+    parser.add_argument("command", choices=(*_DISPATCH, "all"))
     parser.add_argument("--config", required=True, help="path to an INI run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides [run] out_dir)")
     parser.add_argument(
@@ -626,7 +616,6 @@ def main(argv=None) -> int:
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
         _atomic_write(out_dir, "resolved.cfg", resolved_config_text(config))
-        rngs = _command_rngs(int(config.value("run", "seed")))
     except (IsoflowError, ValueError, TypeError) as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 1
@@ -634,11 +623,11 @@ def main(argv=None) -> int:
         print(f"isoflow: io error: {exc}", file=sys.stderr)
         return 1
 
-    names = COMMANDS if args.command == "all" else (args.command,)
+    names = tuple(_DISPATCH) if args.command == "all" else (args.command,)
     records: list[VerdictRecord] = []
     for name in names:
         try:
-            record = _DISPATCH[name](density, config, out_dir, rngs[name], args.expect_bound)
+            record = _DISPATCH[name](density, config, out_dir, args.expect_bound)
             _write_json(out_dir, "compare.json" if name == "profile" else f"{name}.json", record.to_dict())
         except (IsoflowError, ValueError) as exc:
             print(f"isoflow: {name}: error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -624,8 +625,7 @@ def index_form(density: Density, curve: DiscreteCurve, u) -> float:
     return float(np.sum(integrand * curve.weights))
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     """Stability of a boundary-parallel half-space at height t0."""
 
     verdict: str

@@ -26,12 +26,13 @@ import collections
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import CubicSpline, DiscreteCurve, _require_planar, _trapezoid_weights
-from .weights import Density, _csv_table, _float_arrays, _gauss_legendre, gaussian_cdf
+from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, gaussian_quantile, log_density
 from .weights import tail_interval, total_weighted_volume
 
@@ -62,8 +63,7 @@ _MAX_BACKTRACKS = 40
 _EIGEN_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class _SplineOperator:
+class _SplineOperator(NamedTuple):
     """Quadrature nodes and weights and the spline basis B_j at the nodes of m knots."""
 
     theta: np.ndarray  # quadrature nodes
@@ -105,17 +105,18 @@ def _operator(m: int) -> _SplineOperator:
 class ChordSpline:
     """Cubic-spline graph chord x(t) from the bottom wall to the top wall.
 
-    control_x: abscissas at uniform parameter knots in [0, 1].  The
-    height is the linear ramp t = a + (b − a)θ over span = (a, b), so
-    t′ = b − a, t″ = 0 and only the abscissas move.  The enclosed
-    region E is the part of the slab left of the curve.
+    control_x: abscissas at uniform parameter knots in [0, 1], kept as a
+    read-only copy.  The height is the linear ramp t = a + (b − a)θ over
+    span = (a, b), so t′ = b − a, t″ = 0 and only the abscissas move.
+    The enclosed region E is the part of the slab left of the curve.
     """
 
     control_x: np.ndarray
     span: tuple[float, float]
 
     def __post_init__(self):
-        (cx,) = _float_arrays(self, np.atleast_1d, "control_x")
+        cx = _read_only(np.array(self.control_x, dtype=float, ndmin=1))
+        object.__setattr__(self, "control_x", cx)
         object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
         a, b = self.span
         if cx.size < 4 or cx.size > 64:
@@ -174,11 +175,6 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
     v_total = total_weighted_volume(density)
     return v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 # one chord's fields at the quadrature nodes under one density: weights qw,
@@ -303,8 +299,7 @@ class OptimizerConfig:
             raise ConfigError("iteration budget must be positive")
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(NamedTuple):
     """First-order optimality diagnostics of a chord.
 
     A stationary chord has constant f-mean curvature along its length
@@ -376,8 +371,7 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     raise DomainError("area restoration did not converge")
 
 
-@dataclass(frozen=True)
-class OptimizeTrace:
+class OptimizeTrace(NamedTuple):
     """Per-iteration history of the constrained descent."""
 
     iterations: np.ndarray

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +153,7 @@ def build_profile(
     )
 
 
-@dataclass(frozen=True)
-class ProfileOdeReport:
+class ProfileOdeReport(NamedTuple):
     """Residuals of F'' + 2c/F over the profile grid.
 
     defect is the rescaled residual F''F + 2c, whose closed form is
@@ -186,8 +186,7 @@ def check_profile_ode(profile: Profile, c: float, tol: float = 1e-8) -> ProfileO
     )
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
+class ComparisonVerdict(NamedTuple):
     """F vs G on a common volume grid; ties within tie_tol * max(F, G)."""
 
     verdict: str  # 'strict' | 'ge_with_ties' | 'violation'

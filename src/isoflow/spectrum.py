@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,8 +175,7 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
     return 1.0 / theta, (u if u[-1] >= u[0] else -u)
 
 
-@dataclass(frozen=True)
-class PoincareCertificate:
+class PoincareCertificate(NamedTuple):
     """Verdict on the spectral bound λ ≥ 2c for a vertical hyperplane.
 
     lambda_value:     computed gap of the 1-D slab factor.

@@ -16,7 +16,9 @@ least β/α, the mechanism behind the perpendicular comparison bound.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +152,7 @@ def build_transport(
     )
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """Node-wise certificate of the 1-Lipschitz property ρ′ ≤ 1."""
 
     certified: bool
@@ -172,8 +173,7 @@ def check_contraction(tmap: TransportMap, tol: float = 1e-6) -> ContractionRepor
     )
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
+class PushforwardReport(NamedTuple):
     """Mass-preservation residuals |μ₂(D) − μ₁(ρ⁻¹(D))| over intervals."""
 
     max_residual: float
@@ -200,12 +200,17 @@ def pushforward_check(
     The left side integrates the target density directly; the right side
     maps the endpoints back through the CDF relation and evaluates the
     closed-form Gaussian mass, so the two routes share no quadrature.
+    Sampled mass levels are random.Random(seed).uniform draws, built on the
+    random() sequence Python keeps per seed; a negative seed is rejected,
+    as Random would take |seed|.
     """
+    if seed < 0:
+        raise ValueError(f"pushforward seed must be non-negative, got {seed}")
     cum = tmap.target.cumulative
     a, b = tmap.target.slab
     if intervals is None:
-        rng = np.random.default_rng(seed)
-        levels = rng.uniform(1e-3, 1.0 - 1e-3, size=(n_intervals, 2))
+        draw = random.Random(seed).uniform
+        levels = np.array([draw(1e-3, 1.0 - 1e-3) for _ in range(2 * n_intervals)]).reshape(-1, 2)
         levels.sort(axis=1)
         intervals = cum.quantile(levels)
     else:
@@ -224,8 +229,7 @@ def pushforward_check(
     )
 
 
-@dataclass(frozen=True)
-class PerimeterBoundReport:
+class PerimeterBoundReport(NamedTuple):
     """Weighted perimeter against the transported Gaussian lower bound."""
 
     weighted_perimeter: float
@@ -244,12 +248,10 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     polyline.
     """
     density = tmap.target
-    if density.dim != 2:
-        raise DomainError("perimeter bound is restricted to the planar model dim=2")
+    p_f = curve_weighted_length(density, curve)  # a DomainError unless dim = 2
     _check_in_slab(density, curve.points)
     a, b = density.slab
     t = curve.points[:, 1]
-    p_f = curve_weighted_length(density, curve)
     clip_span = float(gaussian_quantile(tmap.source.c, 1.0 - QUANTILE_CLIP, QUANTILE_CLIP))
     sigma = np.clip(_inverse_map(tmap, np.clip(t, a, b)), -clip_span, clip_span)
     pulled = np.stack([curve.points[:, 0], sigma], axis=-1)

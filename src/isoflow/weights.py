@@ -32,6 +32,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,8 +249,7 @@ class PiecewiseLinearWeight(Weight1D):
         raise SmoothnessError("piecewise linear weight has no second derivative")
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
+class ConcavityReport(NamedTuple):
     concave: bool
     detail: str
 
@@ -574,13 +574,29 @@ def tail_interval(density: Density) -> tuple[float, float]:
     return cut_a, cut_b
 
 
+# the positive nodes, then their weights, of np.polynomial.legendre.leggauss (symmetric rules)
+_GL_HALVES = {
+    12: (0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
+         0.9041172563704748, 0.9815606342467192, 0.2491470458134027, 0.2334925365383546,
+         0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141),
+    16: (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+         0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+         0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    """Read-only np.polynomial.legendre.leggauss(order) for a tabulated order (else KeyError)."""
+    nodes, weights = np.reshape(_GL_HALVES[order], (2, -1))
+    x, w = np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+    return _read_only(x), _read_only(w)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @functools.lru_cache(maxsize=64)

@@ -268,6 +268,17 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert key in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_at_load(self, tmp_path, capsys):
+        """random.Random would silently seed with |seed|, so a negative
+        seed is refused before any command runs."""
+        out = str(tmp_path / "never")
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n")
+        with pytest.raises(ConfigError, match=r"\[run\] seed"):
+            load_config(cfg)
+        assert main(["all", "--config", cfg, "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert "[run] seed" in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 1
@@ -570,6 +581,16 @@ class TestDeterminism:
             with open(os.path.join(out_b, name), "rb") as fb:
                 blob_b = fb.read()
             assert blob_a == blob_b, name
+        # every JSON record too, the seeded pushforward residual included,
+        # once the wall times are dropped
+        records = sorted(n for n in os.listdir(out_a) if n.endswith(".json"))
+        assert "transport.json" in records and "summary.json" in records
+        for name in records:
+            a, b = read_json(out_a, name), read_json(out_b, name)
+            for record in (a, b):
+                for verdict in record.get("verdicts", [record]):
+                    del verdict["wall_time_s"]
+            assert a == b, name
 
     def test_stability_sweep_metric_reproduces(self, tmp_path):
         values = []

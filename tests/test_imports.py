@@ -8,6 +8,12 @@ unequal-grid profile comparison (a cubic Hermite interpolant through each
 profile's exact slopes) in numpy.  The guard covers a full `isoflow all`
 on both bundled configs and a tilted-vs-perpendicular comparison on
 different volume grids.
+
+A cold `isoflow all` also loads neither numpy.random nor numpy.polynomial:
+its one random draw (the pushforward intervals) uses the standard
+library's random.Random, and its Gauss-Legendre rules are tabulated.  Only
+the tilted whole-space profile loads numpy.polynomial, for hermgauss, so
+that check reads sys.modules before the tilted profile is built.
 """
 
 import json
@@ -27,11 +33,13 @@ from isoflow.cli import main
 configs = Path(isoflow.__file__).parent / "configs"
 codes = [main(["all", "--config", str(configs / f"{name}.cfg"), "--out", str(Path(sys.argv[1]) / name)])
          for name in ("gaussian_slab", "quadratic_slab")]
+numpy_extras = sorted(m for m in sys.modules if m.startswith(("numpy.random", "numpy.polynomial")))
 d = isoflow.Density(isoflow.QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-float("inf"), float("inf")))
 tilted = isoflow.tilted_profile_wholespace(d, [0.6, 0.8], grid_size=33)
 cmp = isoflow.compare_profiles(tilted, isoflow.build_profile(d, "perpendicular", grid_size=49))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "n_grid": int(cmp.grid.size), "verdict": cmp.verdict, "loaded": loaded}))
+print(json.dumps({"codes": codes, "n_grid": int(cmp.grid.size), "verdict": cmp.verdict, "loaded": loaded,
+                  "numpy_extras": numpy_extras}))
 """
 
 
@@ -48,3 +56,4 @@ def test_cli_all_loads_no_heavy_scipy_subpackage(tmp_path):
     assert report["n_grid"] == 49  # the grids differ, so the profiles were interpolated
     assert report["verdict"] != "violation"
     assert report["loaded"] == []
+    assert report["numpy_extras"] == []

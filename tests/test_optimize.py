@@ -85,6 +85,21 @@ class TestChordSpline:
         with pytest.raises(GeometryError, match="control"):
             ChordSpline(np.zeros(3), (0.0, 1.0))
 
+    def test_chord_owns_its_abscissas(self):
+        # the chord memoizes its fields, so a caller's later write to the
+        # array it passed in must change neither the controls nor the length
+        density = Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
+        cx = np.zeros(6)
+        ch = ChordSpline(cx, (-1.0, 1.0))
+        before = weighted_length(density, ch)
+        cx += 1.0
+        assert np.all(ch.control_x == 0.0)
+        assert weighted_length(density, ch) == before
+        assert weighted_length(density, ChordSpline(ch.control_x, ch.span)) == before
+        assert not ch.control_x.flags.writeable
+        with pytest.raises(ValueError):
+            ch.control_x[0] = 1.0
+
     def test_translation_shifts_abscissas(self):
         ch = bent_chord()
         shifted = ch.translated(0.7)

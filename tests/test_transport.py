@@ -175,6 +175,30 @@ class TestPushforwardCheck:
         with pytest.raises(DomainError):
             pushforward_check(m, intervals=[[1.0, -1.0]])
 
+    def test_seeded_intervals_reproduce(self):
+        m = build_transport(Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)))
+        first = pushforward_check(m, n_intervals=50, seed=20260816).intervals
+        again = pushforward_check(m, n_intervals=50, seed=20260816).intervals
+        other = pushforward_check(m, n_intervals=50, seed=20260817).intervals
+        assert first.shape == (50, 2)
+        assert first.tobytes() == again.tobytes()
+        assert not np.array_equal(first, other)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
+    def test_seeded_levels_are_sorted_and_inside_the_margin(self, seed):
+        d = Density(LogPowerWeight(1.0), 0.5, 2, (0.0, INF))
+        m = build_transport(d)
+        intervals = pushforward_check(m, n_intervals=40, seed=seed).intervals
+        assert np.all(intervals[:, 0] <= intervals[:, 1])
+        cum = d.cumulative
+        levels = cum.mass_below(intervals) / cum.total
+        assert np.all(levels >= 1e-3) and np.all(levels <= 1.0 - 1e-3)
+
+    def test_negative_seed_rejected(self):
+        m = build_transport(GAUSS_LINE)
+        with pytest.raises(ValueError, match="non-negative"):
+            pushforward_check(m, n_intervals=5, seed=-1)
+
 
 class TestPerimeterBound:
     def test_vertical_chord_is_equality(self):
@@ -190,6 +214,12 @@ class TestPerimeterBound:
         m = build_transport(d)
         hz = straight_segment(d, (-1.0, 0.2), (1.0, 0.2), n=401)
         assert transported_perimeter_bound(m, hz).slack > 1e-3
+
+    def test_non_planar_target_rejected(self):
+        d3 = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 3, (-1.0, 1.0))
+        line = vertical_segment(Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0)), 0.4)
+        with pytest.raises(DomainError, match="planar"):
+            transported_perimeter_bound(build_transport(d3), line)
 
     def test_identity_map_zero_slack_any_curve(self):
         m = build_transport(GAUSS_LINE)

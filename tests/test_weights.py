@@ -585,3 +585,16 @@ class TestGaussLegendreCache:
         assert not x.flags.writeable and not w.flags.writeable
         assert_allclose(np.sum(w), 2.0, rtol=1e-15)
         assert_allclose(x @ (x * w), 2.0 / 3.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("order", [12, 16])
+    def test_tabulated_rule_is_leggauss_bit_for_bit(self, order):
+        x, w = _gauss_legendre(order)
+        want_x, want_w = np.polynomial.legendre.leggauss(order)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        assert not x.flags.writeable and not w.flags.writeable
+        again = _gauss_legendre(order)
+        assert again[0] is x and again[1] is w
+
+    def test_untabulated_order_raises(self):
+        with pytest.raises(KeyError):
+            _gauss_legendre(13)
