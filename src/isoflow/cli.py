@@ -249,6 +249,8 @@ def load_config(path: str) -> RunConfig:
                 sections[section][key] = default
     if sections["run"]["seed"] < 0:
         raise ConfigError(f"[run] seed = {sections['run']['seed']} must be non-negative")
+    if sections["transport"]["n_intervals"] < 1:
+        raise ConfigError(f"[transport] n_intervals = {sections['transport']['n_intervals']} must be >= 1")
     config = RunConfig(sections)
     unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
     if unset:

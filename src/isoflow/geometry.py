@@ -105,24 +105,24 @@ class DiscreteCurve:
             raise GeometryError("points and normals must have shape (m, 2)")
         if cur.shape != (m,) or wts.shape != (m,):
             raise GeometryError("curvature and weights must have shape (m,)")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(nrm))):
+        if not (np.isfinite(pts).all() and np.isfinite(nrm).all()):
             raise GeometryError("curve data must be finite")
         norms = np.hypot(nrm[:, 0], nrm[:, 1])
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.abs(norms - 1.0).max() > 1e-9:
             raise GeometryError("normals must be unit vectors")
         ell = _segment_lengths(pts, self.closed)
-        if np.any(ell <= 0.0):
+        if (ell <= 0.0).any():
             raise GeometryError("consecutive nodes must be distinct")
-        nominal = float(np.mean(ell))
-        if np.max(ell) > 2.2 * nominal or np.min(ell) < nominal / 2.2:
+        nominal = float(ell.mean())
+        if ell.max() > 2.2 * nominal or ell.min() < nominal / 2.2:
             raise GeometryError("arclength spacing drifts beyond [h/2, 2h]")
         # normals orthogonal to the discrete tangent up to O(h²)
         chord = pts[2:] - pts[:-2]
         chord = chord / np.hypot(chord[:, 0], chord[:, 1])[:, None]
-        skew = np.abs(np.sum(chord * nrm[1:-1], axis=-1))
-        if skew.size and np.max(skew) > 0.05:
+        skew = np.abs((chord * nrm[1:-1]).sum(axis=-1))
+        if skew.size and skew.max() > 0.05:
             raise GeometryError("normals are not orthogonal to the curve")
-        if np.any(wts < 0.0) or not np.sum(wts) > 0.0:
+        if (wts < 0.0).any() or not wts.sum() > 0.0:
             raise GeometryError("da_f weights must be nonnegative with positive mass")
 
     @property
@@ -183,8 +183,8 @@ def _boundary_flags(density: Density, points: np.ndarray) -> tuple[bool, bool]:
 def _check_in_slab(density: Density, points: np.ndarray) -> None:
     a, b = density.slab
     t = points[:, 1]
-    scale = 1.0 + np.max(np.abs(t))
-    if np.any(t < a - _BOUNDARY_TOL * scale) or np.any(t > b + _BOUNDARY_TOL * scale):
+    scale = 1.0 + np.abs(t).max()
+    if (t < a - _BOUNDARY_TOL * scale).any() or (t > b + _BOUNDARY_TOL * scale).any():
         raise DomainError("curve exits the slab")
 
 
@@ -274,9 +274,11 @@ def _polyline_weighted_length(density: Density, pts: np.ndarray) -> float:
     p0 = pts[:-1]
     seg = pts[1:] - p0
     ell = np.hypot(seg[:, 0], seg[:, 1])
-    nodes = p0[:, None, :] + lam[None, :, None] * seg[:, None, :]
-    f = np.exp(log_density(density, nodes))
-    return float(np.sum(0.5 * ell * (f @ w)))
+    # the (m - 1, 12) nodes per axis, and psi = omega(t) - c (x^2 + t^2), by
+    # log_density's operations
+    px, pt = p0[:, :1] + lam * seg[:, :1], p0[:, 1:] + lam * seg[:, 1:]
+    f = np.exp(density.weight.value(pt) - density.c * (px * px + pt * pt))
+    return float((0.5 * ell * (f @ w)).sum())
 
 
 def curve_weighted_length(density: Density, curve: DiscreteCurve) -> float:

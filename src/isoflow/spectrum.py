@@ -135,42 +135,41 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
 
     def inner(a: np.ndarray, b: np.ndarray):
         """M inner products of a (or of each of its rows) with b."""
-        return np.sum(a * (w * b), axis=-1)
+        return (a * (w * b)).sum(axis=-1)
 
     def green(v: np.ndarray) -> np.ndarray:
         f = w * v
-        flux = np.where(from_left, -np.cumsum(f)[:-1], np.cumsum(f[::-1])[-2::-1])
-        u = np.concatenate(([0.0], np.cumsum(flux / g)))
-        return u - float(np.sum(u * w)) / total
+        flux = np.where(from_left, -f.cumsum()[:-1], f[::-1].cumsum()[-2::-1])
+        u = np.concatenate(([0.0], (flux / g).cumsum()))
+        return u - float((u * w).sum()) / total
 
-    q = t - float(np.sum(t * w)) / total
-    basis = [q / math.sqrt(float(inner(q, q)))]
-    alpha, beta = [], []
-    for _ in range(_LANCZOS_STEPS):
-        z = green(basis[-1])
-        q = np.array(basis)
-        a = 0.0
+    q = t - float((t * w).sum()) / total
+    # the Lanczos vectors by row, and the tridiagonal matrix of the recurrence
+    basis, tri = np.empty((_LANCZOS_STEPS + 1, t.size)), np.zeros((_LANCZOS_STEPS + 1,) * 2)
+    basis[0] = q / math.sqrt(float(inner(q, q)))
+    for k in range(_LANCZOS_STEPS):
+        z = green(basis[k])
+        q = basis[: k + 1]
         for _ in range(2):  # twice is enough for orthogonality
             coef = inner(q, z)
-            z -= np.sum(coef[:, None] * q, axis=0)
-            a += float(coef[-1])
-        alpha.append(a)
+            z -= (coef[:, None] * q).sum(axis=0)
+            tri[k, k] += float(coef[-1])
         b = math.sqrt(float(inner(z, z)))
-        ritz, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        ritz, vectors = np.linalg.eigh(tri[: k + 1, : k + 1])
         theta, s = float(ritz[-1]), vectors[:, -1]
         residual = b * abs(float(s[-1])) / theta if theta > 0.0 else math.nan
         if not residual > _LANCZOS_TOL:  # converged, or broken down on nan
             break
-        beta.append(b)
-        basis.append(z / b)
+        tri[k, k + 1] = tri[k + 1, k] = b
+        basis[k + 1] = z / b
     if not residual <= _LANCZOS_TOL:
         raise ConsistencyError(
             f"Lanczos gap solve did not converge (relative residual {residual:.3e} "
-            f"after {len(alpha)} steps; mass range [{w.min():.3e}, {w.max():.3e}], "
+            f"after {k + 1} steps; mass range [{w.min():.3e}, {w.max():.3e}], "
             f"conductance range [{g.min():.3e}, {g.max():.3e}])"
         )
-    u = np.sum(s[:, None] * q, axis=0)
-    u = u - float(np.sum(u * w)) / total
+    u = (s[:, None] * q).sum(axis=0)
+    u = u - float((u * w).sum()) / total
     u = u / math.sqrt(float(inner(u, u)))
     return 1.0 / theta, (u if u[-1] >= u[0] else -u)
 

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 QUANTILE_CLIP = 1e-14
+# gaussian_quantile(1/2, 1 - p, p), the standard normal quantile by AS241, at
+# p = QUANTILE_CLIP and at the default grid's 1e-13; over sqrt(2c) for any c
+_Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ def build_transport(
                 f"transport source requires a concave weight: {report.detail}"
             )
     if s_grid is None:
-        span = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
+        span = _Z_GRID / math.sqrt(2.0 * c)
         s = np.linspace(-span, span, grid_size)
     else:
         s = np.sort(np.asarray(s_grid, dtype=float))
@@ -183,10 +186,7 @@ class PushforwardReport(NamedTuple):
 
 def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
     """ρ⁻¹(d) through the CDF relation, accurate in both tails; ∓∞ off (a, b)."""
-    cum = tmap.target.cumulative
-    q = cum.mass_below(d) / cum.total
-    q_up = cum.mass_above(d) / cum.total
-    return gaussian_quantile(tmap.source.c, q, q_up)
+    return gaussian_quantile(tmap.source.c, *tmap.target.cumulative.cdf_sides(d))
 
 
 def pushforward_check(
@@ -215,6 +215,8 @@ def pushforward_check(
         intervals = cum.quantile(levels)
     else:
         intervals = np.atleast_2d(np.asarray(intervals, dtype=float))
+    if not intervals.size:  # a residual over no interval checks nothing
+        raise DomainError("pushforward check needs at least one interval")
     d1, d2 = intervals[:, 0], intervals[:, 1]
     if not np.all(d1 <= d2):
         raise DomainError("interval endpoints must satisfy d1 <= d2")
@@ -223,7 +225,7 @@ def pushforward_check(
     c = tmap.source.c
     residuals = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
     return PushforwardReport(
-        max_residual=float(np.max(residuals)) if residuals.size else 0.0,
+        max_residual=float(residuals.max()),
         intervals=intervals,
         residuals=residuals,
     )
@@ -252,7 +254,7 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     _check_in_slab(density, curve.points)
     a, b = density.slab
     t = curve.points[:, 1]
-    clip_span = float(gaussian_quantile(tmap.source.c, 1.0 - QUANTILE_CLIP, QUANTILE_CLIP))
+    clip_span = _Z_CLIP / math.sqrt(2.0 * tmap.source.c)
     sigma = np.clip(_inverse_map(tmap, np.clip(t, a, b)), -clip_span, clip_span)
     pulled = np.stack([curve.points[:, 0], sigma], axis=-1)
     if curve.closed:

@@ -440,10 +440,13 @@ def gaussian_quantile(c: float, q, q_upper):
     q_upper = 1 - q is passed separately so upper-tail quantiles keep full
     relative accuracy; q = 0 and q_upper = 0 give -inf and +inf.  The
     standard normal quantile is AS241 (about 1e-16 relative), each of its
-    three branches evaluated on its own elements only.
+    three branches evaluated on its own elements only.  A probability that
+    is nan or outside [0, 1] raises DomainError.
     """
     q, q_upper = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float))
     shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
+    if not ((q >= 0.0) & (q <= 1.0) & (q_upper >= 0.0) & (q_upper <= 1.0)).all():
+        raise DomainError("gaussian quantile probabilities must lie in [0, 1]")
     lower = q <= 0.5
     d = np.where(lower, q - 0.5, 0.5 - q_upper)
     x = np.empty(d.shape)
@@ -685,21 +688,33 @@ class CumulativeDensity1D:
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
 
-    def _partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i."""
+    def _partial(self, a: np.ndarray, b: np.ndarray, need=None) -> np.ndarray:
+        """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
+        Given a mask ``need``, only needed rows are exact: the integrand is
+        evaluated on them alone, each kept in its row of the full product, as a
+        matrix-vector product may round its last rows differently."""
         out = np.zeros(a.shape)
         live = b > a
         mid, half = 0.5 * (a[live] + b[live]), 0.5 * (b[live] - a[live])
-        out[live] = half * (self._fn(mid[:, None] + half[:, None] * self._glx) @ self._glw)
+        if need is None:
+            f = self._fn(mid[:, None] + half[:, None] * self._glx)
+        else:
+            f, rows = np.zeros((mid.size, _GL_ORDER)), need[live]
+            f[rows] = self._fn(mid[rows][:, None] + half[rows][:, None] * self._glx)
+        out[live] = half * (f @ self._glw)
         if self._from_zero is not None:
             first = live & (b <= self.breaks[1])
             out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
         return out
 
     def _locate(self, t):
-        """Flattened t clamped to the breaks, its panel index, and its shape."""
+        """Flattened t clamped to the breaks, its panel index, and its shape;
+        nan raises DomainError (+-inf clamps to an edge)."""
         shape = np.shape(t)
-        t = np.clip(np.asarray(t, dtype=float).ravel(), self.breaks[0], self.breaks[-1])
+        t = np.asarray(t, dtype=float).ravel()
+        if np.isnan(t).any():
+            raise DomainError("mass abscissa is nan")
+        t = np.clip(t, self.breaks[0], self.breaks[-1])
         j = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self.breaks.size - 2)
         return t, j, shape
 
@@ -715,6 +730,18 @@ class CumulativeDensity1D:
 
     def mass(self, a, b):
         return self.mass_below(b) - self.mass_below(a)
+
+    def cdf_sides(self, t):
+        """(mass_below(t), mass_above(t)) / total, bit for bit where
+        gaussian_quantile reads them: q where q <= 1/2, q_up elsewhere, so
+        only the median panel integrates both sides.  Unread entries are 1.0."""
+        t, j, shape = self._locate(t)
+        total, below, above = self.total, self._cum_left[j], self._cum_right[j + 1]
+        left = below / total <= 0.5  # q > 1/2 elsewhere, as the panel only adds mass
+        q = np.where(left, (below + self._partial(self.breaks[j], t, left)) / total, 1.0)
+        up = q > 0.5
+        q_up = np.where(up, (above + self._partial(t, self.breaks[j + 1], up)) / total, 1.0)
+        return _shaped(q, shape), _shaped(q_up, shape)
 
     def quantile(self, q, q_upper=None):
         """t with mass_below(t) = q * total, for scalar or array q.

@@ -279,6 +279,18 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert "[run] seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_intervals", [0, -3])
+    def test_no_pushforward_interval_exits_one_at_load(self, tmp_path, capsys, n_intervals):
+        """With no interval the transport verdict read verified and a
+        pushforward residual of 0.0."""
+        out = str(tmp_path / "never")
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[transport]\nn_intervals = {n_intervals}\n")
+        with pytest.raises(ConfigError, match=r"\[transport\] n_intervals"):
+            load_config(cfg)
+        assert main(["transport", "--config", cfg, "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert "[transport] n_intervals" in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 1

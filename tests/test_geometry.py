@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from isoflow import (
@@ -36,7 +37,13 @@ from isoflow.geometry import (
     vertical_segment,
 )
 from isoflow.geometry import _spline_derivatives, _tangential_gradient_log_density
-from isoflow.weights import LogPowerWeight, bakry_emery_curvature, log_density, log_density_gradient
+from isoflow.weights import (
+    LogPowerWeight,
+    _gauss_legendre,
+    bakry_emery_curvature,
+    log_density,
+    log_density_gradient,
+)
 
 INF = math.inf
 
@@ -489,7 +496,51 @@ class TestParallelHalfspaceStability:
             parallel_halfspace_stability(UNIT_SLAB, 1.0)
 
 
+def graph_curve(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:
+    """Random graph x = g(t) through 6 knots, resampled at uniform arclength."""
+    pad = 0.025 * (hi - lo)
+    knots_t = np.linspace(lo + pad, hi - pad, 6)
+    spline = CubicSpline(knots_t, rng.uniform(-1.5, 1.5, 6))
+    dense_t = np.linspace(knots_t[0], knots_t[-1], 2000)
+    pts = np.stack([spline(dense_t), dense_t], axis=-1)
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    su = np.linspace(0.0, s[-1], n_nodes)
+    return np.stack([np.interp(su, s, pts[:, 0]), np.interp(su, s, pts[:, 1])], axis=-1)
+
+
+def stacked_weighted_length(density, pts: np.ndarray) -> float:
+    """Oracle for _polyline_weighted_length: the (m - 1, 12, 2) quadrature
+    nodes sent through log_density, as the per-axis code replaced."""
+    x, w = _gauss_legendre(12)
+    lam = 0.5 * (x + 1.0)
+    p0 = pts[:-1]
+    seg = pts[1:] - p0
+    ell = np.hypot(seg[:, 0], seg[:, 1])
+    nodes = p0[:, None, :] + lam[None, :, None] * seg[:, None, :]
+    f = np.exp(log_density(density, nodes))
+    return float(np.sum(0.5 * ell * (f @ w)))
+
+
 class TestCurveWeightedLength:
+    @pytest.mark.parametrize("weight, slab", [
+        (ZeroWeight(), (-1.0, 1.0)),
+        (AffineWeight(1.0, 0.2), (0.0, INF)),
+        (QuadraticWeight(1.0, 0.3, 0.1), (-INF, INF)),
+        (LogPowerWeight(2.0), (0.0, 1.0)),
+        (PiecewiseLinearWeight((-1.0, -0.2, 0.5, 1.0), (0.0, 0.4, 0.1, -0.5)), (-1.0, 1.0)),
+    ])
+    def test_per_axis_nodes_match_the_stacked_oracle_bit_for_bit(self, weight, slab):
+        rng = np.random.default_rng(1501)
+        lo, hi = (s if math.isfinite(s) else 2.0 * math.copysign(1.0, s) for s in slab)
+        for c in (0.25, 0.5, 2.0):
+            d = Density(weight, c, 2, slab)
+            for _ in range(4):
+                pts = graph_curve(rng, lo, hi)
+                got = geometry._polyline_weighted_length(d, pts)
+                assert got == stacked_weighted_length(d, pts)
+                closed = np.vstack([pts, pts[:1]])
+                assert geometry._polyline_weighted_length(d, closed) == stacked_weighted_length(d, closed)
+
     def test_vertical_chord_oracle(self):
         vl = vertical_segment(UNIT_SLAB, 0.4, n=51)
         oracle = math.exp(-0.5 * 0.16) * gaussian_mass(0.5, 0.0, 1.0)

@@ -23,6 +23,7 @@ from isoflow import (
     ZeroWeight,
 )
 from isoflow.geometry import polyline_curve, straight_segment, vertical_segment
+import isoflow.transport as transport
 from isoflow.profiles import build_profile, compare_profiles
 from isoflow.transport import (
     TransportMap,
@@ -32,6 +33,7 @@ from isoflow.transport import (
     transport_csv,
     transported_perimeter_bound,
 )
+from isoflow.weights import gaussian_quantile
 
 INF = math.inf
 
@@ -194,6 +196,17 @@ class TestPushforwardCheck:
         levels = cum.mass_below(intervals) / cum.total
         assert np.all(levels >= 1e-3) and np.all(levels <= 1.0 - 1e-3)
 
+    @pytest.mark.parametrize("n_intervals", [0, -3])
+    def test_no_interval_raises(self, n_intervals):
+        """Over no interval the check read max_residual 0.0, a pass that
+        could not fail."""
+        m = build_transport(Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0)))
+        with pytest.raises(DomainError, match="at least one interval"):
+            pushforward_check(m, n_intervals=n_intervals)
+        for empty in (np.empty((0, 2)), []):
+            with pytest.raises(DomainError, match="at least one interval"):
+                pushforward_check(m, intervals=empty)
+
     def test_negative_seed_rejected(self):
         m = build_transport(GAUSS_LINE)
         with pytest.raises(ValueError, match="non-negative"):
@@ -259,6 +272,59 @@ class TestPerimeterBound:
         for x0 in np.linspace(-1.0, 1.0, 8):
             transported_perimeter_bound(m, vertical_segment(d, x0, n=51))
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("weight, slab", [
+        (QuadraticWeight(1.0, 0.3, 0.0), (-1.0, 1.0)),
+        (AffineWeight(1.0, 0.0), (-INF, INF)),
+        (LogPowerWeight(2.0), (0.0, INF)),
+    ])
+    def test_one_cdf_side_per_node(self, weight, slab, monkeypatch):
+        """At most 12 integrand points per node, plus 12 per node in the
+        median panel, and no scalar gaussian_quantile call: the two full
+        passes evaluated up to 24 per node."""
+        d = Density(weight, 0.5, 2, slab)
+        m = build_transport(d)
+        cum = d.cumulative
+        points, scalar_calls = [], []
+        fn, quantile = cum._fn, transport.gaussian_quantile
+
+        def counting_fn(t):
+            points.append(np.size(t))
+            return fn(t)
+
+        def watched_quantile(c, q, q_upper):
+            if np.ndim(q) == 0:
+                scalar_calls.append(q)
+            return quantile(c, q, q_upper)
+
+        monkeypatch.setattr(cum, "_fn", counting_fn)
+        monkeypatch.setattr(transport, "gaussian_quantile", watched_quantile)
+        a, b = slab
+        lo, hi = max(a, -2.0), min(b, 2.0)
+        knots_t = np.linspace(lo + 0.025 * (hi - lo), hi - 0.025 * (hi - lo), 6)
+        sp = CubicSpline(knots_t, np.random.default_rng(1503).uniform(-1.5, 1.5, 6))
+        dense_t = np.linspace(knots_t[0], knots_t[-1], 2000)
+        curves = [polyline_curve(d, resample_by_arclength(np.stack([sp(dense_t), dense_t], axis=-1), 301))]
+        if math.isfinite(a) and math.isfinite(b):
+            curves.append(vertical_segment(d, 0.3, n=401))
+        breaks = cum.breaks
+        j = int(np.searchsorted(breaks, cum.quantile(0.5), side="right")) - 1
+        for curve in curves:
+            points.clear()
+            transported_perimeter_bound(m, curve)
+            t = np.clip(curve.points[:, 1], breaks[0], breaks[-1])
+            in_median_panel = np.count_nonzero((breaks[j] <= t) & (t < breaks[j + 1]))
+            assert 0 < sum(points) <= 12 * curve.n_nodes + 12 * in_median_panel
+        assert scalar_calls == []
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+    def test_span_constants_are_the_scalar_quantiles(self, c):
+        clip = float(gaussian_quantile(c, 1.0 - transport.QUANTILE_CLIP, transport.QUANTILE_CLIP))
+        assert transport._Z_CLIP / math.sqrt(2.0 * c) == clip
+        grid = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
+        assert transport._Z_GRID / math.sqrt(2.0 * c) == grid
+        s = build_transport(Density(QuadraticWeight(1.0, 0.3, 0.0), c, 2, (-1.0, 1.0))).s
+        assert s[0] == -grid and s[-1] == grid
 
     def test_curve_outside_slab_rejected(self):
         d = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0))

@@ -520,6 +520,78 @@ class TestCumulativeDensity:
                 cum.quantile(np.array([0.25, 0.75]))
 
 
+def two_pass_sides(cum, t):
+    """Oracle for CumulativeDensity1D.cdf_sides: both CDF sides in full, as
+    the transport pull-back computed them before."""
+    return cum.mass_below(t) / cum.total, cum.mass_above(t) / cum.total
+
+
+# the 14 acceptance-sweep densities; log-power 2 on (0, inf) has a
+# Gauss-Jacobi first panel
+SIDE_DENSITIES = [
+    (w, slab) for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
+    for slab in ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
+] + [(LogPowerWeight(2.0), (0.0, 1.0)), (LogPowerWeight(2.0), (0.0, INF))]
+
+
+def probe_heights(cum, rng) -> np.ndarray:
+    """Heights in every panel, across the median panel, in the first panel
+    and in the clamped tails, in random order."""
+    breaks = cum.breaks
+    every_panel = breaks[:-1] + rng.uniform(0.0, 1.0, breaks.size - 1) * np.diff(breaks)
+    median = cum.quantile(0.5)
+    j = int(np.searchsorted(breaks, median, side="right")) - 1
+    median_panel = np.concatenate([np.linspace(breaks[j], breaks[j + 1], 61), [median],
+                                   np.nextafter(median, [-INF, INF])])
+    first_panel = breaks[0] + (breaks[1] - breaks[0]) * np.logspace(-12.0, 0.0, 25)
+    tails = [-INF, breaks[0] - 1.0, breaks[0], breaks[-1], breaks[-1] + 1.0, INF]
+    return rng.permutation(np.concatenate([every_panel, median_panel, first_panel, tails]))
+
+
+class TestCdfSides:
+    """The pull-back's one-sided CDF against both full sides, bit for bit."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_read_side_matches_both_full_passes(self, weight, slab):
+        rng = np.random.default_rng(1502)
+        for c in (0.5, 2.0):
+            cum = CumulativeDensity1D(Density(weight, c, 2, slab))
+            heights = probe_heights(cum, rng)
+            # whole batches, and chunks that put rows at other places in the product
+            cuts = np.cumsum(rng.integers(1, 40, heights.size))
+            for t in [heights, heights.reshape(-1, 1), *np.split(heights, cuts[cuts < heights.size])]:
+                q, q_up = cum.cdf_sides(t)
+                old_q, old_up = two_pass_sides(cum, t)
+                assert q.shape == t.shape and q_up.shape == t.shape
+                read = old_q <= 0.5
+                assert np.array_equal(q <= 0.5, read)
+                assert np.where(read, q, q_up).tobytes() == np.where(read, old_q, old_up).tobytes()
+                # an unread side of the full passes may pass 1 by an ulp
+                old_s = gaussian_quantile(c, np.minimum(old_q, 1.0), np.minimum(old_up, 1.0))
+                assert gaussian_quantile(c, q, q_up).tobytes() == old_s.tobytes()
+
+    def test_scalar_heights_give_floats(self):
+        cum = CumulativeDensity1D(Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF)))
+        for t in (0.0, 1e-3, float(cum.quantile(0.5)), 3.0, INF):
+            q, q_up = cum.cdf_sides(t)
+            assert isinstance(q, float) and isinstance(q_up, float)
+            old_q, old_up = two_pass_sides(cum, t)
+            assert (q, q_up)[q > 0.5] == (old_q, old_up)[old_q > 0.5]
+
+    def test_nan_height_raises_and_infinities_clamp(self):
+        """nan was clipped into the last panel: mass_below(nan) read 1.32595
+        of a total 1.32670, mass_above(nan) 0.0 and mass(0, nan) 0.6626."""
+        cum = CumulativeDensity1D(Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)))
+        queries = (cum.mass_below, cum.mass_above, cum.cdf_sides, lambda t: cum.mass(0.0, t))
+        for query in queries:
+            for t in (math.nan, np.array([0.0, math.nan])):
+                with pytest.raises(DomainError, match="nan"):
+                    query(t)
+        assert cum.mass_below(-INF) == 0.0 and cum.mass_above(INF) == 0.0
+        assert cum.mass_below(INF) == cum.mass_below(1.0)
+        assert cum.cdf_sides(-INF)[0] == 0.0 and cum.cdf_sides(INF)[1] == 0.0
+
+
 class TestErfc:
     """The numpy erfc under gaussian_cdf, against mpmath and scipy."""
 
@@ -571,6 +643,15 @@ class TestGaussianQuantile:
         q = np.concatenate([rng.uniform(0.0, 1.0, 5000), 10.0 ** -rng.uniform(0.0, 300.0, 2000)])
         want = -erfcinv(2.0 * q) / math.sqrt(0.5)
         assert_allclose(gaussian_quantile(0.5, q, 1.0 - q), want, rtol=2e-15, atol=1e-16)
+
+    @pytest.mark.parametrize("q, q_upper", [
+        (math.nan, math.nan), (1.5, -0.5), (-1e-300, 1.0), (0.3, math.nan),
+        ([0.2, 1.0000000000000002], [0.8, 0.0]),
+    ])
+    def test_nan_or_out_of_range_probability_raises(self, q, q_upper):
+        """(nan, nan) read +inf, and (1.5, -0.5) +inf with a RuntimeWarning."""
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            gaussian_quantile(0.5, q, q_upper)
 
     def test_endpoints_and_scalars(self):
         s = gaussian_quantile(0.5, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5])
