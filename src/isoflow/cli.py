@@ -1,11 +1,12 @@
 """Batch front-end: INI config in, CSV tables and JSON verdicts out.
 
-Each subcommand drives one computational module and emits a verdict
-record; `all` runs every subcommand and aggregates.  Exit codes follow
-a strict contract: 0 every verdict verified, 2 at least one violation
-(a quantitative claim failed with a witness), 1 operational error
-(malformed config, IO failure, or a run that did not finish).  Malformed
-input never produces a traceback.
+Each subcommand drives one computational module, writes its CSV tables
+and returns its outcome; one stage runner times it and writes its verdict
+record, errors included; `all` runs every subcommand and aggregates.  Exit
+codes follow a strict contract: 0 every verdict verified, 2 at least one
+violation (a quantitative claim failed with a witness), 1 operational
+error (malformed config, IO failure, or a run that did not finish).
+Malformed input never produces a traceback.
 
 Determinism: [run] seed seeds the pushforward intervals, the run's only
 random draw, and every CSV cell is written as the shortest round-trip
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import functools
 import json
 import math
@@ -108,12 +110,19 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
 }
 
-_WEIGHT_ARITY = {
-    "zero": (0, 0),
-    "affine": (1, 2),
-    "quadratic": (1, 3),
-    "log_power": (1, 1),
-    "piecewise_linear": (4, 64),
+def _piecewise_linear(*params: float) -> PiecewiseLinearWeight:
+    if len(params) % 2:
+        raise ConfigError("piecewise_linear params must be knot/value pairs: t0, w0, t1, w1, ...")
+    return PiecewiseLinearWeight(params[0::2], params[1::2])
+
+
+# weight name -> (constructor taking the flat params, min and max param count)
+_WEIGHTS = {
+    "zero": (ZeroWeight, 0, 0),
+    "affine": (AffineWeight, 1, 2),
+    "quadratic": (QuadraticWeight, 1, 3),
+    "log_power": (LogPowerWeight, 1, 1),
+    "piecewise_linear": (_piecewise_linear, 4, 64),
 }
 
 
@@ -171,31 +180,14 @@ class RunConfig:
     def _density(self) -> Density:
         name = self.value("density", "weight")
         params = self.value("density", "params")
-        if name not in _WEIGHT_ARITY:
-            raise ConfigError(
-                f"unknown weight {name!r}; choose one of {sorted(_WEIGHT_ARITY)}"
-            )
-        lo, hi = _WEIGHT_ARITY[name]
+        if name not in _WEIGHTS:
+            raise ConfigError(f"unknown weight {name!r}; choose one of {sorted(_WEIGHTS)}")
+        make, lo, hi = _WEIGHTS[name]
         if not (lo <= len(params) <= hi):
             raise ConfigError(
                 f"weight {name!r} takes between {lo} and {hi} parameters, got {len(params)}"
             )
-        if name == "zero":
-            weight = ZeroWeight()
-        elif name == "affine":
-            weight = AffineWeight(*params)
-        elif name == "quadratic":
-            weight = QuadraticWeight(*params)
-        elif name == "log_power":
-            weight = LogPowerWeight(params[0])
-        else:
-            if len(params) % 2:
-                raise ConfigError(
-                    "piecewise_linear params must be knot/value pairs: t0, w0, t1, w1, ..."
-                )
-            knots = params[0::2]
-            values = params[1::2]
-            weight = PiecewiseLinearWeight(knots, values)
+        weight = make(*params)
         slab = self.value("density", "slab")
         if len(slab) != 2:
             raise ConfigError("slab must be two endpoints: a, b")
@@ -284,7 +276,7 @@ class VerdictRecord:
     command: str
     status: str
     metrics: dict[str, object]
-    tolerance: float
+    tolerance: float | None
     wall_time_s: float
     witness: dict[str, object] | None = None
 
@@ -295,11 +287,10 @@ class VerdictRecord:
             raise ConfigError("a violation verdict must carry a witness")
 
     def to_dict(self) -> dict:
-        keys = ("command", "status", "metrics", "tolerance", "wall_time_s")
-        record = {key: getattr(self, key) for key in keys}
-        if self.witness is not None:
-            record["witness"] = self.witness
-        return record
+        return {key: v for key, v in vars(self).items() if key != "witness" or v is not None}
+
+
+_Outcome = tuple[bool, dict, float, dict | None]  # a command's ok, metrics, tolerance, witness
 
 
 def _atomic_write(out_dir: str, filename: str, text: str) -> None:
@@ -310,12 +301,28 @@ def _atomic_write(out_dir: str, filename: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _remove(out_dir: str, filename: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, filename))
+
+
+def _finite(value):
+    """value with every non-finite float replaced by None, so JSON stays RFC 8259."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _write_json(out_dir: str, filename: str, data: dict) -> None:
-    _atomic_write(out_dir, filename, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite(data), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(out_dir, filename, text + "\n")
 
 
-def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     tol = float(config.value("profile", "tolerance"))
     grid_size = int(config.value("profile", "grid_size"))
     parallel = build_profile(density, "parallel", grid_size=grid_size)
@@ -339,31 +346,24 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound:
         else:
             report = ode_perp if ode_perp.verdict == "violation" else ode_par
             witness = {
-                "location": report.counterexamples[0] if report.counterexamples else math.nan,
+                "location": report.counterexamples[0] if report.counterexamples else None,
                 "value": report.max_defect,
             }
-    return VerdictRecord(
-        command="profile",
-        status="verified" if ok else "violated",
-        metrics={
-            "comparison": comparison.verdict,
-            "strict": comparison.verdict == "strict",
-            "min_margin": comparison.min_margin,
-            "n_ties": n_ties,
-            "n_grid": int(comparison.grid.size),
-            "parallel_ode": ode_par.verdict,
-            "parallel_max_defect": ode_par.max_defect,
-            "perpendicular_ode": ode_perp.verdict,
-            "perpendicular_max_defect": ode_perp.max_defect,
-        },
-        tolerance=tol,
-        wall_time_s=time.perf_counter() - start,
-        witness=witness,
-    )
+    metrics = {
+        "comparison": comparison.verdict,
+        "strict": comparison.verdict == "strict",
+        "min_margin": comparison.min_margin,
+        "n_ties": n_ties,
+        "n_grid": int(comparison.grid.size),
+        "parallel_ode": ode_par.verdict,
+        "parallel_max_defect": ode_par.max_defect,
+        "perpendicular_ode": ode_perp.verdict,
+        "perpendicular_max_defect": ode_perp.max_defect,
+    }
+    return ok, metrics, tol, witness
 
 
-def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     tol = float(config.value("transport", "tolerance"))
     tmap = build_transport(
         density,
@@ -383,22 +383,16 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_boun
         witness = {"location": contraction.max_location, "value": contraction.max_derivative}
     elif not push_ok:
         witness = {"location": "pushforward interval", "value": push.max_residual}
-    return VerdictRecord(
-        command="transport",
-        status="verified" if contraction.certified and push_ok else "violated",
-        metrics={
-            "max_derivative": contraction.max_derivative,
-            "max_location": contraction.max_location,
-            "contraction_certified": contraction.certified,
-            "pushforward_max_residual": push.max_residual,
-            "n_clipped": tmap.n_clipped,
-            "alpha": tmap.alpha,
-            "beta": tmap.beta,
-        },
-        tolerance=tol,
-        wall_time_s=time.perf_counter() - start,
-        witness=witness,
-    )
+    metrics = {
+        "max_derivative": contraction.max_derivative,
+        "max_location": contraction.max_location,
+        "contraction_certified": contraction.certified,
+        "pushforward_max_residual": push.max_residual,
+        "n_clipped": tmap.n_clipped,
+        "alpha": tmap.alpha,
+        "beta": tmap.beta,
+    }
+    return witness is None, metrics, tol, witness
 
 
 @functools.lru_cache(maxsize=1)
@@ -407,8 +401,7 @@ def _certificate(density: Density, n_cells: int):
     return poincare_certify(density, n_cells=n_cells)
 
 
-def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     tol = float(config.value("stability", "tolerance"))
     verdict = parallel_halfspace_stability(
         density,
@@ -428,46 +421,33 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_boun
     certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
     vertical_min = certificate.lambda_value - 2.0 * density.c
     vertical_ok = vertical_min >= -tol or not (certificate.concave or expect_bound)
-    ok = witness_consistent and vertical_ok
     witness = None
     if not witness_consistent:
         witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
     elif not vertical_ok:
         witness = {"location": "vertical line, slab-factor eigenfunction", "value": vertical_min}
-    return VerdictRecord(
-        command="stability",
-        status="verified" if ok else "violated",
-        metrics={
-            "parallel_verdict": verdict.verdict,
-            "t0": verdict.t0,
-            "weight_second_derivative": verdict.weight_second_derivative,
-            "witness_index_value": verdict.witness_value,
-            "vertical_index_min": vertical_min,
-        },
-        tolerance=tol,
-        wall_time_s=time.perf_counter() - start,
-        witness=witness,
-    )
+    metrics = {
+        "parallel_verdict": verdict.verdict,
+        "t0": verdict.t0,
+        "weight_second_derivative": verdict.weight_second_derivative,
+        "witness_index_value": verdict.witness_value,
+        "vertical_index_min": vertical_min,
+    }
+    return witness is None, metrics, tol, witness
 
 
-def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     target = float(config.value("jacobi", "target_hf"))
-    origin = (
-        float(config.value("jacobi", "start_x")),
-        float(config.value("jacobi", "start_t")),
-    )
+    origin = (float(config.value("jacobi", "start_x")), float(config.value("jacobi", "start_t")))
     angle = float(config.value("jacobi", "angle"))
     max_length = float(config.value("jacobi", "max_length"))
     steps = sorted(config.value("jacobi", "steps"), reverse=True)
     if len(steps) < 2:
         raise ConfigError("jacobi needs at least two step sizes for a convergence study")
     residuals = []
-    finest = None
     for h in steps:
-        curve = cmc_shoot(density, target, origin, angle, step=h, max_length=max_length)
-        residuals.append(jacobi_residual(density, curve, (1.0, 0.0)))
-        finest = curve
+        finest = cmc_shoot(density, target, origin, angle, step=h, max_length=max_length)
+        residuals.append(jacobi_residual(density, finest, (1.0, 0.0)))
     ratios = [
         math.inf if residuals[i] == 0.0 else residuals[i - 1] / residuals[i]
         for i in range(1, len(residuals))
@@ -479,26 +459,19 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: 
     rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
     _atomic_write(out_dir, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
     _atomic_write(out_dir, "jacobi_curve.csv", curve_csv(finest))
-    return VerdictRecord(
-        command="jacobi",
-        status="verified" if ok else "violated",
-        metrics={
-            "target_hf": target,
-            "steps": list(map(float, steps)),
-            "max_residuals": list(map(float, residuals)),
-            "ratios": list(map(float, ratios)),
-            "n_nodes_finest": finest.n_nodes,
-        },
-        tolerance=min_ratio,
-        wall_time_s=time.perf_counter() - start,
-        witness=None
-        if ok
-        else {"location": f"h={steps[ratios.index(min(ratios)) + 1]}", "value": min(ratios)},
-    )
+    metrics = {
+        "target_hf": target,
+        "steps": list(map(float, steps)),
+        "max_residuals": list(map(float, residuals)),
+        "ratios": list(map(float, ratios)),
+        "n_nodes_finest": finest.n_nodes,
+    }
+    worst = min(ratios)
+    witness = None if ok else {"location": f"h={steps[ratios.index(worst) + 1]}", "value": worst}
+    return ok, metrics, min_ratio, witness
 
 
-def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
     _atomic_write(out_dir, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
     # a concave weight is guaranteed the bound, so failing it is a genuine
@@ -506,28 +479,21 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound
     # --expect-bound, otherwise the computed gap is informational
     must_hold = certificate.concave or expect_bound
     ok = certificate.certified or not must_hold
-    return VerdictRecord(
-        command="spectrum",
-        status="verified" if ok else "violated",
-        metrics={
-            "lambda": certificate.lambda_value,
-            "hyperplane_gap": certificate.hyperplane_gap,
-            "bound": certificate.bound,
-            "certified": certificate.certified,
-            "concave": certificate.concave,
-            "truncation_shift": certificate.truncation_shift,
-            "n_cells": certificate.n_cells,
-        },
-        tolerance=certificate.bound,
-        wall_time_s=time.perf_counter() - start,
-        witness=None
-        if ok
-        else {"location": "slab factor gap", "value": certificate.lambda_value},
-    )
+    metrics = {
+        "lambda": certificate.lambda_value,
+        "hyperplane_gap": certificate.hyperplane_gap,
+        "bound": certificate.bound,
+        "certified": certificate.certified,
+        "concave": certificate.concave,
+        "truncation_shift": certificate.truncation_shift,
+        "n_cells": certificate.n_cells,
+    }
+    witness = None if ok else {"location": "slab factor gap", "value": certificate.lambda_value}
+    return ok, metrics, certificate.bound, witness
 
 
-def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
-    start = time.perf_counter()
+def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+    _remove(out_dir, "chord.csv")  # a run that ends before the chord is resampled leaves none
     fraction = float(config.value("optimize", "target_fraction"))
     if not (0.0 < fraction < 1.0):
         raise ConfigError("optimize target_fraction must lie in (0, 1)")
@@ -562,25 +528,19 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound
             f"wall angles {report.angle_bottom_deg:.3g} and {report.angle_top_deg:.3g} deg)"
         )
     ok = rel_gap <= 5e-3 and not beaten
+    metrics = {
+        "final_length": report.length,
+        "benchmark": benchmark,
+        "relative_gap": rel_gap,
+        "iterations": int(len(trace.iterations)),
+        "hf_spread": report.hf_spread,
+        "angle_bottom_deg": report.angle_bottom_deg,
+        "angle_top_deg": report.angle_top_deg,
+        "area_error_max": float(np.max(trace.area_errors)),
+        "status": trace.status,
+    }
     witness = None if ok else {"location": "final chord length", "value": report.length}
-    return VerdictRecord(
-        command="optimize",
-        status="verified" if ok else "violated",
-        metrics={
-            "final_length": report.length,
-            "benchmark": benchmark,
-            "relative_gap": rel_gap,
-            "iterations": int(len(trace.iterations)),
-            "hf_spread": report.hf_spread,
-            "angle_bottom_deg": report.angle_bottom_deg,
-            "angle_top_deg": report.angle_top_deg,
-            "area_error_max": float(np.max(trace.area_errors)),
-            "status": trace.status,
-        },
-        tolerance=5e-3,
-        wall_time_s=time.perf_counter() - start,
-        witness=witness,
-    )
+    return ok, metrics, 5e-3, witness
 
 
 _DISPATCH = {
@@ -591,6 +551,25 @@ _DISPATCH = {
     "spectrum": cmd_spectrum,
     "optimize": cmd_optimize,
 }
+
+
+def _run_stage(name: str, density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
+    """Time one command and write its record, the command's own error
+    included; a record replaces the stage's other record file from an
+    earlier run.  An OSError propagates."""
+    start = time.perf_counter()
+    try:
+        ok, metrics, tolerance, witness = _DISPATCH[name](density, config, out_dir, expect_bound)
+        status = "verified" if ok else "violated"
+    except (IsoflowError, ValueError) as exc:
+        status, metrics, tolerance, witness = "error", {"message": str(exc)}, None, None
+        print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
+    record = VerdictRecord(name, status, metrics, tolerance, time.perf_counter() - start, witness)
+    done, failed = "compare.json" if name == "profile" else f"{name}.json", f"{name}_error.json"
+    written, stale = (failed, done) if status == "error" else (done, failed)
+    _write_json(out_dir, written, record.to_dict())
+    _remove(out_dir, stale)
+    return record
 
 
 def main(argv=None) -> int:
@@ -629,23 +608,9 @@ def main(argv=None) -> int:
     records: list[VerdictRecord] = []
     for name in names:
         try:
-            record = _DISPATCH[name](density, config, out_dir, args.expect_bound)
-            _write_json(out_dir, "compare.json" if name == "profile" else f"{name}.json", record.to_dict())
-        except (IsoflowError, ValueError) as exc:
-            print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
-            record = VerdictRecord(
-                command=name,
-                status="error",
-                metrics={"message": str(exc)},
-                tolerance=math.nan,
-                wall_time_s=0.0,
-            )
-            _write_json(out_dir, f"{name}_error.json", record.to_dict())
+            records.append(_run_stage(name, density, config, out_dir, args.expect_bound))
         except OSError as exc:
             print(f"isoflow: {name}: io error: {exc}", file=sys.stderr)
-            return 1
-        records.append(record)
-        if args.command != "all" and record.status == "error":
             return 1
     if args.command == "all":
         summary = {

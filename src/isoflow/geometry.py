@@ -138,10 +138,6 @@ class DiscreteCurve:
         """Unit tangents in node order, by centered differences."""
         return _unit_tangents(self.points, self.closed)
 
-    def weighted_area(self) -> float:
-        """A_f(Σ) = ∫_Σ da_f by the stored trapezoidal weights."""
-        return float(np.sum(self.weights))
-
 
 def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
     """Centered differences, one-sided at the ends of an open curve, normalized."""

@@ -275,7 +275,7 @@ def tilted_profile_wholespace(
     log-concavity, matching the parallel/perpendicular closed forms at
     nu_t = 1 / nu_t = 0.
     """
-    if not density.whole_space():
+    if not (math.isinf(density.slab[0]) and math.isinf(density.slab[1])):
         raise DomainError("tilted families are defined on the whole space only")
     w = density.weight
     if isinstance(w, PiecewiseLinearWeight):

@@ -323,9 +323,6 @@ class Density:
         """Codimension-one count: the slab is R^n x (a, b)."""
         return self.dim - 1
 
-    def whole_space(self) -> bool:
-        return math.isinf(self.slab[0]) and math.isinf(self.slab[1])
-
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
         """The slab factor's 1-D measure engine, built once per Density.

@@ -30,9 +30,21 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def read_json(out_dir, name):
+    """Strict: NaN and Infinity are rejected, so every record read checks its validity."""
     with open(os.path.join(out_dir, name)) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant)
+
+
+def record_file(verdict):
+    """The file name a verdict's record is written under."""
+    if verdict["status"] == "error":
+        return f"{verdict['command']}_error.json"
+    return "compare.json" if verdict["command"] == "profile" else f"{verdict['command']}.json"
 
 
 class TestLoadConfig:
@@ -224,6 +236,54 @@ class TestNonStationaryChord:
         assert "hf_spread" in capsys.readouterr().err
 
 
+# the convex counterexample ω = 0.2t² on ℝ: its descent stalls, an error
+CONVEX_DENSITY = ("[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\nslab = -inf, inf\n"
+                  "[transport]\nrequire_concave = false\n")
+
+
+@pytest.fixture(scope="module")
+def convex_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("convex")
+    out = str(root / "out")
+    code = main(["all", "--config", write_cfg(root, CONVEX_DENSITY), "--out", out, "--expect-bound"])
+    return code, out
+
+
+class TestRunRecords:
+    def test_every_verdict_reports_its_wall_time(self, convex_run):
+        """The optimize error ran hundreds of descent steps; its record read 0.0."""
+        code, out = convex_run
+        assert code == 2
+        verdicts = read_json(out, "summary.json")["verdicts"]
+        assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+        assert [v["status"] for v in verdicts if v["command"] == "optimize"] == ["error"]
+        assert all(v["wall_time_s"] > 0.0 for v in verdicts)
+        assert read_json(out, "optimize_error.json")["wall_time_s"] == verdicts[-1]["wall_time_s"]
+
+    def test_an_error_record_has_a_null_tolerance(self, convex_run):
+        _, out = convex_run
+        record = read_json(out, "optimize_error.json")
+        assert record["status"] == "error"
+        assert "tolerance" in record and record["tolerance"] is None
+
+    @pytest.mark.parametrize("error_last", [True, False], ids=["verified_then_error", "error_then_verified"])
+    def test_a_reused_directory_describes_only_its_last_run(self, tmp_path, error_last, capsys):
+        """Each stage keeps one record file, and chord.csv only from a converged descent."""
+        runs = [GAUSSIAN_CFG, write_cfg(tmp_path, CONVEX_DENSITY)]
+        if not error_last:
+            runs.reverse()
+        out = tmp_path / "out"
+        for cfg in runs:
+            main(["all", "--config", cfg, "--out", str(out)])
+        verdicts = read_json(out, "summary.json")["verdicts"]
+        optimize = [v["status"] for v in verdicts if v["command"] == "optimize"]
+        assert optimize == (["error"] if error_last else ["verified"])
+        records = {p.name for p in out.glob("*.json")}
+        assert records == {"summary.json"} | {record_file(v) for v in verdicts}
+        assert (out / "chord.csv").exists() == (not error_last)
+        capsys.readouterr()
+
+
 class TestUnconvergedDescent:
     def test_the_error_names_the_descent_status(self, tmp_path, capsys):
         """The convex counterexample ω = 0.2t² on ℝ: the descent reaches the
@@ -378,10 +438,13 @@ class TestSingleCommand:
             "[jacobi]\ntarget_hf = -0.5\nstart_x = 0.5\nstart_t = 0.0\n"
             "angle = 1.5707963267948966\nsteps = 0.004, 0.002\nmax_length = 0.9\n",
         )
-        out = str(tmp_path / "out")
-        assert main(["jacobi", "--config", cfg, "--out", out]) == 0
+        out = tmp_path / "out"
+        assert main(["jacobi", "--config", cfg, "--out", str(out)]) == 0
         record = read_json(out, "jacobi.json")
         assert max(record["metrics"]["max_residuals"]) <= 1e-9
+        # zero residuals at both steps: the ratio is inf, null in the strict JSON
+        assert record["metrics"]["ratios"] == [None]
+        assert (out / "jacobi.csv").read_text().splitlines()[-1] == "0.002,0.0,inf"
 
     def test_spectrum_solves_the_pencil_once(self, tmp_path, monkeypatch):
         built = []
