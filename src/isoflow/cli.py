@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -301,11 +302,6 @@ def _atomic_write(out_dir: str, filename: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _remove(out_dir: str, filename: str) -> None:
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, filename))
-
-
 def _finite(value):
     """value with every non-finite float replaced by None, so JSON stays RFC 8259."""
     if isinstance(value, float):
@@ -493,7 +489,6 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound
 
 
 def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
-    _remove(out_dir, "chord.csv")  # a run that ends before the chord is resampled leaves none
     fraction = float(config.value("optimize", "target_fraction"))
     if not (0.0 < fraction < 1.0):
         raise ConfigError("optimize target_fraction must lie in (0, 1)")
@@ -543,32 +538,31 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound
     return ok, metrics, 5e-3, witness
 
 
-_DISPATCH = {
-    "profile": cmd_profile,
-    "transport": cmd_transport,
-    "stability": cmd_stability,
-    "jacobi": cmd_jacobi,
-    "spectrum": cmd_spectrum,
-    "optimize": cmd_optimize,
+# each stage's command, and every file it may write: record, error record, CSVs
+_STAGES = {
+    "profile": (cmd_profile,
+                ("compare.json", "profile_error.json", "profile_parallel.csv", "profile_perp.csv")),
+    "transport": (cmd_transport, ("transport.json", "transport_error.json", "transport.csv")),
+    "stability": (cmd_stability, ("stability.json", "stability_error.json")),
+    "jacobi": (cmd_jacobi, ("jacobi.json", "jacobi_error.json", "jacobi.csv", "jacobi_curve.csv")),
+    "spectrum": (cmd_spectrum, ("spectrum.json", "spectrum_error.json", "spectrum.csv")),
+    "optimize": (cmd_optimize, ("optimize.json", "optimize_error.json", "optimize_trace.csv", "chord.csv")),
 }
 
 
 def _run_stage(name: str, density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
     """Time one command and write its record, the command's own error
-    included; a record replaces the stage's other record file from an
-    earlier run.  An OSError propagates."""
+    included.  An OSError propagates."""
+    command, (done, failed, *_) = _STAGES[name]
     start = time.perf_counter()
     try:
-        ok, metrics, tolerance, witness = _DISPATCH[name](density, config, out_dir, expect_bound)
+        ok, metrics, tolerance, witness = command(density, config, out_dir, expect_bound)
         status = "verified" if ok else "violated"
     except (IsoflowError, ValueError) as exc:
         status, metrics, tolerance, witness = "error", {"message": str(exc)}, None, None
         print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
     record = VerdictRecord(name, status, metrics, tolerance, time.perf_counter() - start, witness)
-    done, failed = "compare.json" if name == "profile" else f"{name}.json", f"{name}_error.json"
-    written, stale = (failed, done) if status == "error" else (done, failed)
-    _write_json(out_dir, written, record.to_dict())
-    _remove(out_dir, stale)
+    _write_json(out_dir, failed if status == "error" else done, record.to_dict())
     return record
 
 
@@ -580,7 +574,7 @@ def main(argv=None) -> int:
             "of Gaussian measures on slabs"
         ),
     )
-    parser.add_argument("command", choices=(*_DISPATCH, "all"))
+    parser.add_argument("command", choices=(*_STAGES, "all"))
     parser.add_argument("--config", required=True, help="path to an INI run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides [run] out_dir)")
     parser.add_argument(
@@ -591,12 +585,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     _certificate.cache_clear()
+    names = tuple(_STAGES) if args.command == "all" else (args.command,)
     try:
         config = load_config(args.config).with_overrides(out_dir=args.out)
         density = config.density()
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(out_dir, "resolved.cfg", resolved_config_text(config))
+        resolved = resolved_config_text(config)
+        # a directory describes one configuration: another one clears every file isoflow
+        # names, a rerun of the same one those of its stages, and the summary either way
+        earlier = os.path.join(out_dir, "resolved.cfg")
+        same = os.path.isfile(earlier) and Path(earlier).read_text(encoding="utf-8") == resolved
+        stale = names if same else tuple(_STAGES)
+        for filename in ("summary.json", *(f for name in stale for f in _STAGES[name][1])):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, filename))
+        _atomic_write(out_dir, "resolved.cfg", resolved)
     except (IsoflowError, ValueError, TypeError) as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 1
@@ -604,7 +608,6 @@ def main(argv=None) -> int:
         print(f"isoflow: io error: {exc}", file=sys.stderr)
         return 1
 
-    names = tuple(_DISPATCH) if args.command == "all" else (args.command,)
     records: list[VerdictRecord] = []
     for name in names:
         try:

@@ -151,8 +151,10 @@ def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
     return d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
 
-def _trapezoid_weights(density: Density, points: np.ndarray, closed: bool) -> np.ndarray:
-    ell = _segment_lengths(points, closed)
+def _trapezoid_weights(density: Density, points: np.ndarray, closed: bool, ell=None) -> np.ndarray:
+    """Half the adjacent segment lengths times f at the nodes; ell, when
+    given, is _segment_lengths(points, closed)."""
+    ell = _segment_lengths(points, closed) if ell is None else ell
     m = points.shape[0]
     w = np.zeros(m)
     if closed:
@@ -162,6 +164,22 @@ def _trapezoid_weights(density: Density, points: np.ndarray, closed: bool) -> np
         w[:-1] += 0.5 * ell
         w[1:] += 0.5 * ell
     return w * np.exp(log_density(density, points))
+
+
+def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """np.gradient(theta, s) by its own operations: second-order differences
+    inside (the uniform formula when every step of s is equal), one-sided at the ends."""
+    ds = np.diff(s)
+    k = np.empty(theta.shape)
+    if (ds == ds[0]).all():
+        k[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * ds[0])
+    else:
+        h1, h2 = ds[:-1], ds[1:]
+        k[1:-1] = (-h2 / (h1 * (h1 + h2)) * theta[:-2] + (h2 - h1) / (h1 * h2) * theta[1:-1]
+                   + h1 / (h2 * (h1 + h2)) * theta[2:])
+    k[0] = (theta[1] - theta[0]) / ds[0]
+    k[-1] = (theta[-1] - theta[-2]) / ds[-1]
+    return k
 
 
 def _boundary_flags(density: Density, points: np.ndarray) -> tuple[bool, bool]:
@@ -238,18 +256,24 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     """
     _require_planar(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[0] < 3:
+        raise GeometryError("curve needs at least 3 nodes")
     _check_in_slab(density, points)
     tangents = _unit_tangents(points, closed)
     normals = _rot90(tangents)
-    theta = np.unwrap(np.arctan2(tangents[:, 1], tangents[:, 0]))
-    s = np.concatenate(([0.0], np.cumsum(_segment_lengths(points, closed=False))))
-    k = np.gradient(theta, s)
+    theta = np.arctan2(tangents[:, 1], tangents[:, 0])
+    if (np.abs(np.diff(theta)) < math.pi).all():
+        theta[1:] += 0.0  # np.unwrap's bits, signed zeros included, when nothing wraps
+    else:
+        theta = np.unwrap(theta)
+    ell = _segment_lengths(points, closed)
+    s = np.concatenate(([0.0], np.cumsum(ell[: points.shape[0] - 1])))
     flags = (False, False) if closed else _boundary_flags(density, points)
     return DiscreteCurve(
         points=points,
         normals=normals,
-        curvature=k,
-        weights=_trapezoid_weights(density, points, closed),
+        curvature=_slope(theta, s),
+        weights=_trapezoid_weights(density, points, closed, ell),
         closed=closed,
         boundary_start=flags[0],
         boundary_end=flags[1],

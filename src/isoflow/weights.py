@@ -632,9 +632,10 @@ _QUANTILE_MAX_STEPS = 1100
 
 
 def _float_arrays(frozen, atleast, *names: str) -> list[np.ndarray]:
-    """Coerce the named fields of a frozen dataclass to float arrays, at
-    least 1-D or 2-D by ``atleast``, and return them."""
-    arrays = [atleast(np.asarray(getattr(frozen, name), dtype=float)) for name in names]
+    """Store read-only float copies of the named fields of a frozen
+    dataclass, at least 1-D or 2-D by ``atleast``, and return them: the
+    instance owns its arrays, and a caller's later writes cannot reach them."""
+    arrays = [_read_only(atleast(np.array(getattr(frozen, name), dtype=float))) for name in names]
     for name, value in zip(names, arrays):
         object.__setattr__(frozen, name, value)
     return arrays
@@ -678,29 +679,35 @@ class CumulativeDensity1D:
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
         panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
         self._from_zero = None  # int_0^b of a singular integrand, by Gauss-Jacobi
+        self._power = None if m is None else m + 1.0  # the first panel's mass grows like t^power
         if m is not None:
             self._from_zero = lambda b: _jacobi_from_zero(m, lambda u: np.exp(-c * u * u), b, _GL_ORDER)
             panel[0] = self._from_zero(breaks[1:2])[0]
+        self._at_breaks = self._fn(breaks)  # the quantile start's Hermite slopes
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
 
     def _partial(self, a: np.ndarray, b: np.ndarray, need=None) -> np.ndarray:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
-        Given a mask ``need``, only needed rows are exact: the integrand is
-        evaluated on them alone, each kept in its row of the full product, as a
-        matrix-vector product may round its last rows differently."""
-        out = np.zeros(a.shape)
+        Given a mask ``need``, only needed rows are exact.  The integrand is
+        evaluated on needed rows alone, and never on the Gauss-Jacobi rows of a
+        log-power first panel; each row keeps its place in the full product,
+        as a matrix-vector product may round a row by its position."""
         live = b > a
-        mid, half = 0.5 * (a[live] + b[live]), 0.5 * (b[live] - a[live])
+        first = None if self._from_zero is None else live & (b <= self.breaks[1])
+        if first is not None and first.any():
+            need = ~first if need is None else need & ~first
+        rows = slice(None) if live.all() else live  # a view, not a gather, when every row is live
+        mid, half = 0.5 * (a[rows] + b[rows]), 0.5 * (b[rows] - a[rows])
         if need is None:
             f = self._fn(mid[:, None] + half[:, None] * self._glx)
         else:
-            f, rows = np.zeros((mid.size, _GL_ORDER)), need[live]
-            f[rows] = self._fn(mid[rows][:, None] + half[rows][:, None] * self._glx)
-        out[live] = half * (f @ self._glw)
-        if self._from_zero is not None:
-            first = live & (b <= self.breaks[1])
+            f, needed = np.zeros((mid.size, _GL_ORDER)), need[rows]
+            f[needed] = self._fn(mid[needed][:, None] + half[needed][:, None] * self._glx)
+        out = np.zeros(a.shape)
+        out[rows] = half * (f @ self._glw)
+        if first is not None and first.any():
             out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
         return out
 
@@ -746,8 +753,8 @@ class CumulativeDensity1D:
         Passing the exactly known complement q_upper = 1 - q keeps
         upper-tail quantiles accurate.  Each target is bracketed inside its
         panel by the cumulative sums (from the left for q <= 1/2, from the
-        right otherwise), then polished by batched Newton steps with the
-        exact density, bisecting whenever a step leaves the bracket.  The
+        right otherwise), started from the panel's mass law, then polished by
+        batched Newton steps, bisecting whenever a step leaves the bracket.  The
         iteration stops on a zero residual, a step of at most one ulp, or a
         bracket closed to adjacent floats, so the root is resolved to about
         one ulp of t.  Raises ConsistencyError if the cumulative sums do
@@ -786,31 +793,54 @@ class CumulativeDensity1D:
         # r(t) = offset + sign * (GL mass between t and the panel's base edge)
         offset = np.where(left, base - target, target - base)
         sign = np.where(left, 1.0, -1.0)
-        a, b = edge_a.copy(), edge_b.copy()
-        # start from linear interpolation of the mass across the panel
-        frac = (target - base) / (through - base)
-        t = np.where(left, a + (b - a) * frac, b - (b - a) * frac)
-        k = np.arange(t.size)
+        depth = self._start(j, left, target - base, through - base)
+        width = edge_b - edge_a
+        t = np.where(left, edge_a + width * depth, edge_b - width * depth)
+        # the bracket, and the rows still iterating: whole arrays until a row
+        # is done, then only the rows left, by their places k in the output
+        a, b, out, k = edge_a, edge_b, np.empty(t.size), np.arange(t.size)
         for _ in range(_QUANTILE_MAX_STEPS):
-            tk = t[k]
-            lk = left[k]
-            f = offset[k] + sign[k] * self._partial(
-                np.where(lk, edge_a[k], tk), np.where(lk, tk, edge_b[k])
-            )
-            a[k] = np.where(f < 0.0, tk, a[k])
-            b[k] = np.where(f > 0.0, tk, b[k])
+            f = offset + sign * self._partial(np.where(left, edge_a, t), np.where(left, t, edge_b))
+            a = np.where(f < 0.0, t, a)
+            b = np.where(f > 0.0, t, b)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = f / self._fn(tk)
-            newton = tk - step
-            inside = (a[k] < newton) & (newton < b[k])
-            done = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(tk))) | (
-                b[k] <= np.nextafter(a[k], np.inf)
+                step = f / self._fn(t)
+            newton = t - step
+            done = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(t))) | (
+                b <= np.nextafter(a, np.inf)
             )
-            t[k] = np.where(done, tk, np.where(inside, newton, 0.5 * (a[k] + b[k])))
-            k = k[~done]
-            if not k.size:
-                break
-        return t
+            if done.any():
+                out[k[done]] = t[done]
+                keep = ~done
+                k, newton, a, b, edge_a, edge_b, offset, sign, left = (
+                    x[keep] for x in (k, newton, a, b, edge_a, edge_b, offset, sign, left)
+                )
+                if not k.size:
+                    return out
+            t = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+        out[k] = t
+        return out
+
+    def _start(self, j: np.ndarray, left: np.ndarray, y: np.ndarray, mass: np.ndarray) -> np.ndarray:
+        """First iterate for the mass y of panel j (of total ``mass``) from the
+        solved side, as a fraction of the panel width from that side: three
+        Newton steps from the linear start on the panel's cubic Hermite mass
+        law (its mass and the integrand at its breaks), the t^(m+1) law in a
+        log-power first panel, and the linear start where neither lands inside."""
+        frac, scale = y / mass, (self.breaks[j + 1] - self.breaks[j]) / mass
+        g_a, g_b = self._at_breaks[j], self._at_breaks[j + 1]
+        # the law's slopes at the solved side and at the far side, in units of
+        # the panel's width and mass: frac = ((c3 u + c2) u + d0) u
+        d0, d1 = scale * np.where(left, g_a, g_b), scale * np.where(left, g_b, g_a)
+        c3, c2 = d0 + d1 - 2.0, 3.0 - 2.0 * d0 - d1
+        u = frac
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(3):
+                u = u - (((c3 * u + c2) * u + d0) * u - frac) / ((3.0 * c3 * u + 2.0 * c2) * u + d0)
+            if self._power is not None:
+                below = np.where(left, frac, 1.0 - frac) ** (1.0 / self._power)
+                u = np.where(j == 0, np.where(left, below, 1.0 - below), u)
+        return np.where((u >= 0.0) & (u <= 1.0), u, frac)
 
 
 def total_weighted_volume(density: Density) -> float:

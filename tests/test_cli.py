@@ -284,6 +284,22 @@ class TestRunRecords:
         capsys.readouterr()
 
 
+    def test_a_run_of_another_configuration_clears_the_directory(self, tmp_path, capsys):
+        """`all` on gaussian_slab, then a failing `profile` of a piecewise
+        density into the same directory: the first run's CSVs, its other
+        records and a summary whose profile read `verified` stayed next to
+        the piecewise run's resolved.cfg.  Files isoflow does not name stay."""
+        out = tmp_path / "out"
+        assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        cfg = write_cfg(tmp_path, "[density]\nweight = piecewise_linear\nparams = -1, 0, 0, 0.3, 1, 0\n")
+        assert main(["profile", "--config", cfg, "--out", str(out)]) == 1
+        assert {p.name for p in out.iterdir()} == {"resolved.cfg", "profile_error.json", "notes.txt"}
+        assert read_json(out, "profile_error.json")["status"] == "error"
+        assert load_config(str(out / "resolved.cfg")).value("density", "weight") == "piecewise_linear"
+        capsys.readouterr()
+
+
 class TestUnconvergedDescent:
     def test_the_error_names_the_descent_status(self, tmp_path, capsys):
         """The convex counterexample ω = 0.2t² on ℝ: the descent reaches the

@@ -639,3 +639,92 @@ class TestCubicSpline:
             CubicSpline(x, np.zeros(5), bc_type="clamped")
         with pytest.raises(ValueError):
             CubicSpline(x, np.zeros(5))(0.5, 3)
+
+
+def _graph_points(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:
+    """A random graph x = g(t) through 6 knots, resampled at uniform arclength."""
+    pad = 0.025 * (hi - lo)
+    knots_t = np.linspace(lo + pad, hi - pad, 6)
+    sp = CubicSpline(knots_t, rng.uniform(-1.5, 1.5, 6))
+    dense_t = np.linspace(knots_t[0], knots_t[-1], 2000)
+    pts = np.stack([sp(dense_t), dense_t], axis=-1)
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+    su = np.linspace(0.0, s[-1], n_nodes)
+    return np.stack([np.interp(su, s, pts[:, 0]), np.interp(su, s, pts[:, 1])], axis=-1)
+
+
+def _reference_curvature_and_weights(density, points, closed):
+    """polyline_curve's curvature and weights by np.unwrap, np.gradient and
+    separate passes over the segment lengths, as they were first written."""
+    tangents = geometry._unit_tangents(points, closed)
+    theta = np.unwrap(np.arctan2(tangents[:, 1], tangents[:, 0]))
+    d = np.diff(points, axis=0)
+    open_ell = np.hypot(d[:, 0], d[:, 1])
+    k = np.gradient(theta, np.concatenate(([0.0], np.cumsum(open_ell))))
+    w = np.zeros(points.shape[0])
+    if closed:
+        gap = points[0] - points[-1]
+        ell = np.append(open_ell, math.hypot(gap[0], gap[1]))
+        w += 0.5 * ell
+        w += 0.5 * np.roll(ell, 1)
+    else:
+        w[:-1] += 0.5 * open_ell
+        w[1:] += 0.5 * open_ell
+    return k, w * np.exp(log_density(density, points))
+
+
+class TestPolylineCurveBits:
+    """polyline_curve skips np.unwrap when no angle step reaches pi and
+    takes np.gradient's formula directly; every bit stays."""
+
+    def _assert_bits(self, density, points, closed=False):
+        curve = polyline_curve(density, points, closed=closed)
+        k, w = _reference_curvature_and_weights(density, np.asarray(points, dtype=float), closed)
+        assert curve.curvature.tobytes() == k.tobytes()
+        assert curve.weights.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("slab", [(0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF)])
+    def test_random_graphs(self, slab):
+        density = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, slab)
+        a, b = slab
+        lo, hi = (a if math.isfinite(a) else -2.0), (b if math.isfinite(b) else 2.0)
+        rng = np.random.default_rng(1811)
+        for _ in range(8):
+            self._assert_bits(density, _graph_points(rng, lo, hi))
+
+    def test_closed_circle_wraps_past_pi(self):
+        th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        points = np.stack([0.3 + 0.5 * np.cos(th), 0.5 * np.sin(th)], axis=-1)
+        tangents = geometry._unit_tangents(points, True)
+        assert np.abs(np.diff(np.arctan2(tangents[:, 1], tangents[:, 0]))).max() > np.pi
+        self._assert_bits(QUAD_SLAB, points, closed=True)
+
+    def test_open_spiral(self):
+        # theta at equal steps of 0.1 theta + 0.025 theta^2, about equal arclength
+        th = (np.sqrt(0.01 + 0.1 * np.linspace(0.0, 2.5, 400)) - 0.1) / 0.05
+        r = 0.1 + 0.05 * th
+        self._assert_bits(GAUSS_PLANE, np.stack([r * np.cos(th), r * np.sin(th)], axis=-1))
+
+    def test_equal_steps_take_the_uniform_formula(self):
+        # steps of exactly 0.15625 in three directions (3-4-5 triangles), so
+        # np.gradient sees equal arclength steps and takes its uniform formula
+        steps = np.array([[0.15625, 0.0], [0.125, 0.09375], [0.09375, 0.125], [0.125, -0.09375]])
+        points = np.cumsum(np.vstack([[0.0, 0.0], steps[[0, 1, 2, 1, 0, 3, 0, 0, 1]]]), axis=0)
+        assert np.all(np.hypot(*np.diff(points, axis=0).T) == 0.15625)
+        self._assert_bits(GAUSS_PLANE, points)
+
+
+class TestCurveOwnsItsArrays:
+    def test_a_callers_array_cannot_move_the_curve(self):
+        """The curve kept the caller's points: shifting them moved its
+        weighted length from 1.3382 to 3.3e-6 under unchanged weights."""
+        th = np.linspace(-0.8, 0.8, 51)
+        pts = np.stack([1.2 * np.cos(th) - 1.0, 1.2 * np.sin(th)], axis=-1)
+        curve = polyline_curve(QUAD_SLAB, pts)
+        length, points = curve_weighted_length(QUAD_SLAB, curve), curve.points.copy()
+        pts[:, 0] += 5.0
+        assert np.array_equal(curve.points, points)
+        assert curve_weighted_length(QUAD_SLAB, curve) == length
+        for name in ("points", "normals", "curvature", "weights"):
+            with pytest.raises(ValueError):
+                getattr(curve, name)[0] = 0.0

@@ -290,3 +290,46 @@ class TestSpectrumCsv:
         assert len(lines) == 17
         row = [float(x) for x in lines[1].split(",")]
         assert_allclose(row[0], p.nodes[0], rtol=0, atol=0)
+
+
+# the acceptance sweep at c = 1/2: every weight on every slab where it is defined
+SWEEP = tuple(
+    Density(weight, 0.5, 2, slab)
+    for weight, slabs in (
+        (ZeroWeight(), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
+        (AffineWeight(1.0, 0.0), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
+        (QuadraticWeight(1.0, 0.0, 0.0), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
+        (LogPowerWeight(2.0), ((0.0, 1.0), (0.0, INF))),
+    )
+    for slab in slabs
+)
+
+
+class TestLanczosWork:
+    def test_step_counts_on_the_sweep_pencils(self, monkeypatch):
+        """One Ritz solve per Lanczos step, on the 21 pencils poincare_certify
+        builds for the sweep (infinite slabs at pad 1 and 1.25)."""
+        steps, eigh = [], np.linalg.eigh
+
+        def counting_eigh(a):
+            steps[-1] += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for density in SWEEP:
+            infinite = not all(math.isfinite(v) for v in density.slab)
+            for pad in (1.0, 1.25) if infinite else (1.0,):
+                steps.append(0)
+                spectral_gap_1d(build_spectral_problem(density, n_cells=2000, pad=pad))
+        assert steps == [9, 7, 13, 13, 6, 4, 9, 9, 12, 12, 6, 4, 9, 8, 13, 13, 6, 4, 10, 12, 12]
+
+    def test_the_problem_owns_its_arrays(self):
+        p = build_spectral_problem(SWEEP[0], n_cells=64)
+        nodes = p.nodes.copy()
+        masses = np.array(p.masses)
+        q = SpectralProblem(p.density, p.interval, nodes, masses, p.conductances)
+        nodes[0], masses[0] = -9.0, -1.0
+        assert q.nodes[0] == p.nodes[0] and q.masses[0] == p.masses[0]
+        for name in ("nodes", "masses", "conductances"):
+            with pytest.raises(ValueError):
+                getattr(q, name)[0] = 1.0

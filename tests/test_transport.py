@@ -113,6 +113,20 @@ class TestBuildTransport:
             )
 
 
+    def test_the_map_owns_its_arrays(self):
+        s = np.linspace(-1.0, 1.0, 9)
+        rho, drho = s.copy(), np.ones(9)
+        alpha = 1.0 / math.sqrt(2.0 * math.pi)
+        m = TransportMap(source=GAUSS_LINE, target=GAUSS_LINE, s=s, rho=rho, drho=drho,
+                         alpha=alpha, beta=alpha)
+        s += 1.0
+        rho[0] = -5.0
+        assert np.array_equal(m.s, m.rho) and m.rho[0] == -1.0
+        for name in ("s", "rho", "drho"):
+            with pytest.raises(ValueError):
+                getattr(m, name)[0] = 0.0
+
+
 class TestCheckContraction:
     def test_identity_map_max_exactly_one(self):
         rep = check_contraction(build_transport(GAUSS_LINE))

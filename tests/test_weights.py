@@ -25,6 +25,7 @@ from isoflow import (
     SmoothnessError,
     ZeroWeight,
     bakry_emery_curvature,
+    build_profile,
     build_transport,
     check_concavity,
     gaussian_factor,
@@ -590,6 +591,75 @@ class TestCdfSides:
         assert cum.mass_below(-INF) == 0.0 and cum.mass_above(INF) == 0.0
         assert cum.mass_below(INF) == cum.mass_below(1.0)
         assert cum.cdf_sides(-INF)[0] == 0.0 and cum.cdf_sides(INF)[1] == 0.0
+
+
+class TestQuantileWork:
+    """Quantiles start from each panel's mass law; the stop rule is unchanged."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_residual_changes_sign_within_two_ulps(self, weight, slab, monkeypatch):
+        """At build_transport's levels and the parallel profile's 257
+        Chebyshev levels, the residual on the solved side (mass below t for
+        q <= 1/2, mass above t otherwise) changes sign within 2 ulps of every
+        returned t, the worst the solver gave before its starts changed."""
+        d = Density(weight, 0.5, 2, slab)
+        cum = d.cumulative
+        calls, quantile = [], cum.quantile
+
+        def recording(q, q_upper=None):
+            t = quantile(q, q_upper)
+            q = np.asarray(q, dtype=float)
+            calls.append((q, 1.0 - q if q_upper is None else np.asarray(q_upper, dtype=float), t))
+            return t
+
+        monkeypatch.setattr(cum, "quantile", recording)
+        build_transport(d)
+        build_profile(d, "parallel", grid_size=257)
+        assert [t.size for _, _, t in calls] == [2001, 257]
+        for q, q_up, t in calls:
+            left = q <= 0.5
+            target = np.where(left, q, q_up) * cum.total
+
+            def residual(x):
+                return np.where(left, cum.mass_below(x) - target, target - cum.mass_above(x))
+
+            lo, hi, bracketed = t, t, np.zeros(t.size, dtype=bool)
+            for _ in range(3):
+                bracketed |= (residual(lo) <= 0.0) & (residual(hi) >= 0.0)
+                lo, hi = np.nextafter(lo, -INF), np.nextafter(hi, INF)
+            assert bracketed.all(), t[~bracketed]
+
+    def test_transport_quantiles_take_few_passes(self, monkeypatch):
+        """Integrand rows per pass, counted on _partial: from a linear start
+        quadratic (-1, 1) took 5,356 rows for its 2,001 levels, and log-power 2
+        on (0, inf) 19 passes, its first panel's mass growing like t^3."""
+        passes = {}
+        for name, weight, slab in (("quadratic", QuadraticWeight(1.0), (-1.0, 1.0)),
+                                   ("log_power", LogPowerWeight(2.0), (0.0, INF))):
+            d = Density(weight, 0.5, 2, slab)
+            cum, rows = d.cumulative, passes.setdefault(name, [])
+            partial = cum._partial
+            monkeypatch.setattr(cum, "_partial", lambda a, b, need=None, rows=rows, partial=partial:
+                                (rows.append(a.size), partial(a, b, need))[1])
+            build_transport(d)
+        assert passes["quadratic"][0] == 2001 and sum(passes["quadratic"]) <= 2 * 2001
+        assert passes["log_power"][0] == 2001 and len(passes["log_power"]) <= 4
+
+    def test_no_legendre_integrand_on_jacobi_rows(self, monkeypatch):
+        """A log-power first panel integrates by Gauss-Jacobi alone: 12
+        Gauss-Legendre points per row in that panel were evaluated and then
+        overwritten."""
+        cum = CumulativeDensity1D(Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF)))
+        points, fn = [], cum._fn
+        monkeypatch.setattr(cum, "_fn", lambda t: (points.append(np.size(t)), fn(t))[1])
+        h = cum.breaks[1]
+        first, later = h * np.linspace(0.05, 0.95, 10), h * np.linspace(1.5, 39.5, 7)
+        t = np.concatenate([first, later])
+        for query in (cum.mass_below, cum.mass_above, lambda t: cum.cdf_sides(t)[0]):
+            points.clear()
+            got = query(t)
+            assert sum(points) == 12 * later.size
+            assert np.all(got[:10] > 0.0)
 
 
 class TestErfc:
