@@ -244,6 +244,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"[run] seed = {sections['run']['seed']} must be non-negative")
     if sections["transport"]["n_intervals"] < 1:
         raise ConfigError(f"[transport] n_intervals = {sections['transport']['n_intervals']} must be >= 1")
+    steps = sections["jacobi"]["steps"]
+    if len(steps) < 2 or len(set(steps)) < len(steps):
+        raise ConfigError(f"[jacobi] steps = {steps} must be at least two distinct step sizes")
     config = RunConfig(sections)
     unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
     if unset:
@@ -438,8 +441,6 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: 
     angle = float(config.value("jacobi", "angle"))
     max_length = float(config.value("jacobi", "max_length"))
     steps = sorted(config.value("jacobi", "steps"), reverse=True)
-    if len(steps) < 2:
-        raise ConfigError("jacobi needs at least two step sizes for a convergence study")
     residuals = []
     for h in steps:
         finest = cmc_shoot(density, target, origin, angle, step=h, max_length=max_length)

@@ -74,15 +74,13 @@ def _segment_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Polyline with unit normals, curvature, and da_f node weights.
+    """Polyline with unit normals and curvature; geometry only, no density.
 
     points:    (m, 2) ordered nodes (x_i, t_i).
     normals:   (m, 2) unit normals, consistently oriented toward the
                enclosed side E.
     curvature: (m,) signed curvature k_i with respect to the stored
                normal (k = dθ/ds when N is the left normal).
-    weights:   (m,) trapezoidal da_f quadrature weights, i.e. half the
-               adjacent segment lengths times f(p_i).
     closed:    the last node connects back to the first.
     boundary_start / boundary_end: endpoint sits on a slab wall.
     """
@@ -90,21 +88,20 @@ class DiscreteCurve:
     points: np.ndarray
     normals: np.ndarray
     curvature: np.ndarray
-    weights: np.ndarray
     closed: bool = False
     boundary_start: bool = False
     boundary_end: bool = False
 
     def __post_init__(self):
         pts, nrm = _float_arrays(self, np.atleast_2d, "points", "normals")
-        cur, wts = _float_arrays(self, np.atleast_1d, "curvature", "weights")
+        (cur,) = _float_arrays(self, np.atleast_1d, "curvature")
         m = pts.shape[0]
         if m < 3:
             raise GeometryError("curve needs at least 3 nodes")
         if pts.shape != (m, 2) or nrm.shape != (m, 2):
             raise GeometryError("points and normals must have shape (m, 2)")
-        if cur.shape != (m,) or wts.shape != (m,):
-            raise GeometryError("curvature and weights must have shape (m,)")
+        if cur.shape != (m,):
+            raise GeometryError("curvature must have shape (m,)")
         if not (np.isfinite(pts).all() and np.isfinite(nrm).all()):
             raise GeometryError("curve data must be finite")
         norms = np.hypot(nrm[:, 0], nrm[:, 1])
@@ -122,8 +119,6 @@ class DiscreteCurve:
         skew = np.abs((chord * nrm[1:-1]).sum(axis=-1))
         if skew.size and skew.max() > 0.05:
             raise GeometryError("normals are not orthogonal to the curve")
-        if (wts < 0.0).any() or not wts.sum() > 0.0:
-            raise GeometryError("da_f weights must be nonnegative with positive mass")
 
     @property
     def n_nodes(self) -> int:
@@ -151,19 +146,16 @@ def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
     return d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
 
-def _trapezoid_weights(density: Density, points: np.ndarray, closed: bool, ell=None) -> np.ndarray:
-    """Half the adjacent segment lengths times f at the nodes; ell, when
-    given, is _segment_lengths(points, closed)."""
-    ell = _segment_lengths(points, closed) if ell is None else ell
-    m = points.shape[0]
-    w = np.zeros(m)
-    if closed:
-        w += 0.5 * ell
-        w += 0.5 * np.roll(ell, 1)
-    else:
-        w[:-1] += 0.5 * ell
-        w[1:] += 0.5 * ell
-    return w * np.exp(log_density(density, points))
+def _trapezoid_weights(density: Density, curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoidal da_f measure of the curve under density: node masses,
+    f at each node times half its adjacent segment lengths, and segment
+    conductances ½(f_i + f_{i+1})/ℓ_i, the closing segment of a closed
+    curve included."""
+    f = np.exp(log_density(density, curve.points))
+    ell = _segment_lengths(curve.points, curve.closed)
+    half, f_next = 0.5 * ell, np.roll(f, -1)[: ell.size]
+    mass = half + np.roll(half, 1) if curve.closed else np.append(half, 0.0) + np.insert(half, 0, 0.0)
+    return mass * f, 0.5 * (f[: ell.size] + f_next) / ell
 
 
 def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -224,7 +216,6 @@ def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
         points=points,
         normals=np.tile(normal, (n, 1)),
         curvature=np.zeros(n),
-        weights=_trapezoid_weights(density, points, closed=False),
         boundary_start=flags[0],
         boundary_end=flags[1],
     )
@@ -252,7 +243,8 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
 
     Tangents use centered differences, normals are rot90(T), and
     k = dθ/ds from the unwrapped tangent angle, so both carry O(h²)
-    discretization error.
+    discretization error; on a closed curve the seam nodes take the
+    same stencils across the closing segment.
     """
     _require_planar(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -262,18 +254,21 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     tangents = _unit_tangents(points, closed)
     normals = _rot90(tangents)
     theta = np.arctan2(tangents[:, 1], tangents[:, 0])
+    ell = _segment_lengths(points, closed)
+    s = np.concatenate(([0.0], np.cumsum(ell[: points.shape[0] - 1])))
+    if closed:  # continue θ and s one node across the closing segment
+        theta = np.concatenate((theta[-1:], theta, theta[:1]))
+        s = np.concatenate(([-ell[-1]], s, [s[-1] + ell[-1]]))
     if (np.abs(np.diff(theta)) < math.pi).all():
         theta[1:] += 0.0  # np.unwrap's bits, signed zeros included, when nothing wraps
     else:
         theta = np.unwrap(theta)
-    ell = _segment_lengths(points, closed)
-    s = np.concatenate(([0.0], np.cumsum(ell[: points.shape[0] - 1])))
+    k = _slope(theta, s)[1:-1] if closed else _slope(theta, s)
     flags = (False, False) if closed else _boundary_flags(density, points)
     return DiscreteCurve(
         points=points,
         normals=normals,
-        curvature=_slope(theta, s),
-        weights=_trapezoid_weights(density, points, closed, ell),
+        curvature=k,
         closed=closed,
         boundary_start=flags[0],
         boundary_end=flags[1],
@@ -422,7 +417,6 @@ def cmc_shoot(
         points=points,
         normals=normals,
         curvature=k,
-        weights=_trapezoid_weights(density, points, closed=False),
         boundary_start=False,
         boundary_end=hit_wall,
     )
@@ -479,57 +473,39 @@ def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CubicSpline:
     """C² cubic interpolant through (x_i, y_i), y with any trailing axes.
 
-    bc_type is "not-a-knot" or "periodic" (y[0] == y[-1]).  Built and
-    evaluated step for step as scipy.interpolate.CubicSpline (tridiagonal
-    knot slopes by the dgtsv port _gtsv, Hermite coefficients, power sums
-    in the offset from the left knot), so not-a-knot values and
-    derivatives agree bit for bit.
+    Not-a-knot end conditions.  Built and evaluated step for step as
+    scipy.interpolate.CubicSpline (tridiagonal knot slopes by the dgtsv
+    port _gtsv, Hermite coefficients, power sums in the offset from the
+    left knot), so values and derivatives agree bit for bit.
     """
 
-    def __init__(self, x, y, bc_type: str = "not-a-knot"):
+    def __init__(self, x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         n, dx = x.size, np.diff(x)
-        periodic = bc_type == "periodic"
-        if (bc_type not in ("not-a-knot", "periodic") or n < 3 + periodic or y.shape[0] != n
-                or np.any(dx <= 0.0) or (periodic and np.any(y[0] != y[-1]))):
-            raise ValueError("need increasing knots, matching values and a known bc_type")
+        if n < 3 or y.shape[0] != n or np.any(dx <= 0.0):
+            raise ValueError("need at least 3 increasing knots and matching values")
         dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
         slope = np.diff(y, axis=0) / dxr
         ab = np.zeros((3, n))  # diagonals of the slope system
         ab[1, 1:-1], ab[0, 2:], ab[-1, :-2] = 2 * (dx[:-1] + dx[1:]), dx[:-1], dx[1:]
         rhs = np.empty_like(y)
         rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if periodic:  # cyclic system: two banded solves and a rank-one correction
-            ab = ab[:, :-1]
-            ab[1, 0], ab[0, 1] = 2 * (dx[-1] + dx[0]), dx[-1]
-            rhs[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
-            rhs[-2] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
-            corner = np.zeros((n - 2, 1))
-            corner[0], corner[-1] = -dx[0], -dx[-3]
-            both = _gtsv(ab[:, :-1], np.hstack((rhs[:-2].reshape(n - 2, -1), corner)))
-            s1, s2 = both[:, :-1].reshape(rhs[:-2].shape), both[:, -1].reshape(dxr[:-1].shape)
-            s_m1 = (rhs[-2] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
-                2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1])
-            s = np.concatenate((s1 + s_m1 * s2, [s_m1, s1[0] + s_m1 * s2[0]]))
+        if n == 3:  # the parabola through three points
+            ab[1, 0] = ab[0, 1] = ab[1, -1] = ab[-1, -2] = 1.0
+            rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
         else:
-            if n == 3:  # the parabola through three points
-                ab[1, 0] = ab[0, 1] = ab[1, -1] = ab[-1, -2] = 1.0
-                rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
-            else:
-                d0, d1 = x[2] - x[0], x[-1] - x[-3]
-                ab[1, 0], ab[0, 1], ab[1, -1], ab[-1, -2] = dx[1], d0, dx[-2], d1
-                rhs[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-                rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-            s = _gtsv(ab, rhs.reshape(n, -1)).reshape(rhs.shape)
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            ab[1, 0], ab[0, 1], ab[1, -1], ab[-1, -2] = dx[1], d0, dx[-2], d1
+            rhs[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+            rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        s = _gtsv(ab, rhs.reshape(n, -1)).reshape(rhs.shape)
         t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        self.x, self.periodic = x, periodic
+        self.x = x
         self.c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
 
     def __call__(self, x, nu: int = 0) -> np.ndarray:
         """Values (nu = 0) or nu-th derivatives at x, shaped x.shape + y.shape[1:]."""
         x, k = np.asarray(x, dtype=float), self.x
-        if self.periodic:
-            x = k[0] + (x - k[0]) % (k[-1] - k[0])
         i = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
         c0, c1, c2, c3 = (c[i] for c in self.c)
         h = (x - k[i]).reshape(x.shape + (1,) * (c0.ndim - x.ndim))
@@ -540,19 +516,6 @@ class CubicSpline:
         if nu == 2:
             return c1 * 2.0 + c0 * h * 6.0
         raise ValueError("derivative order must be 0, 1 or 2")
-
-
-def _spline_derivatives(curve: DiscreteCurve, u: np.ndarray):
-    """(u′, u″) at the nodes from a cubic spline in arclength."""
-    s = curve.arclength()
-    if curve.closed:
-        gap = curve.points[0] - curve.points[-1]
-        s_ext = np.append(s, s[-1] + math.hypot(gap[0], gap[1]))
-        u_ext = np.append(u, u[0])
-        sp = CubicSpline(s_ext, u_ext, bc_type="periodic")
-    else:
-        sp = CubicSpline(s, u)
-    return sp(s, 1), sp(s, 2)
 
 
 def _tangential_gradient_log_density(density: Density, curve: DiscreteCurve) -> np.ndarray:
@@ -633,18 +596,21 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
 def index_form(density: Density, curve: DiscreteCurve, u) -> float:
     """I_f(u,u) = ∫ u′² − (Ric_f(N,N) + k²) u²  da_f.
 
-    Trapezoidal quadrature in the stored da_f weights; u′ from a cubic
-    spline in arclength.  Slab walls are totally geodesic, so the
-    boundary contribution is identically zero here.
+    The measure da_f is density's (_trapezoid_weights): the Dirichlet part
+    is Σ (Δu)²/ℓ · ½(f_i + f_{i+1}) over the segments, and the potential
+    part is trapezoidal in the node masses.  Only constants annul the
+    Dirichlet part, as with the spectral pencil's conductances; centered
+    differences would nearly annul an alternating u.  Slab walls are
+    totally geodesic, so the boundary contribution is identically zero.
     """
     _require_planar(density)
     u = np.asarray(u, dtype=float)
     if u.shape != (curve.n_nodes,):
         raise GeometryError("test functions must be sampled at the curve nodes")
-    du, _ = _spline_derivatives(curve, u)
+    mass, conductance = _trapezoid_weights(density, curve)
+    du = np.diff(u, append=u[:1]) if curve.closed else np.diff(u)
     ric = bakry_emery_curvature(density, curve.points, curve.normals)
-    integrand = du * du - (ric + curve.curvature**2) * u * u
-    return float(np.sum(integrand * curve.weights))
+    return float(np.sum(du * du * conductance) - np.sum((ric + curve.curvature**2) * u * u * mass))
 
 
 class StabilityVerdict(NamedTuple):

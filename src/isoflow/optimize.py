@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import CubicSpline, DiscreteCurve, _require_planar, _trapezoid_weights
+from .geometry import CubicSpline, DiscreteCurve, _require_planar
 from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, gaussian_quantile, log_density
 from .weights import tail_interval, total_weighted_volume
@@ -501,7 +501,6 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
         points=points,
         normals=normals,
         curvature=curvature,
-        weights=_trapezoid_weights(density, points, closed=False),
         boundary_start=True,
         boundary_end=True,
     )

@@ -50,6 +50,7 @@ from isoflow import (
     transported_perimeter_bound,
     vertical_segment,
 )
+from isoflow.geometry import _trapezoid_weights
 from isoflow.optimize import OptimizerConfig
 
 INF = math.inf
@@ -316,8 +317,9 @@ def test_criterion_08_stability_dichotomy():
         minima[label] = cert.lambda_value - 2.0 * C
         line = vertical_segment(line_density, 0.0, n=2001)
         w = np.interp(line.points[:, 1], cert.problem.nodes, cert.eigenvector)
-        w -= float(np.sum(w * line.weights)) / float(np.sum(line.weights))
-        quotient = index_form(line_density, line, w) / float(np.sum(w * w * line.weights))
+        mass, _ = _trapezoid_weights(line_density, line)
+        w -= float(np.sum(w * mass)) / float(np.sum(mass))
+        quotient = index_form(line_density, line, w) / float(np.sum(w * w * mass))
         cross = max(cross, abs(quotient - minima[label]) / abs(minima[label]))
     index_min = minima["concave"]
     ok = (

@@ -367,6 +367,19 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert "[transport] n_intervals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004"])
+    def test_too_few_or_repeated_jacobi_steps_exit_one_at_load(self, tmp_path, capsys, steps):
+        """Repeated steps ran jacobi, wrote ratio 1.0 and exited 2 with a
+        violation witnessed at h=0.002: a config slip read as a refuted
+        O(h²) claim."""
+        out = str(tmp_path / "never")
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[jacobi]\nsteps = {steps}\n")
+        with pytest.raises(ConfigError, match=r"\[jacobi\] steps"):
+            load_config(cfg)
+        assert main(["jacobi", "--config", cfg, "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert "[jacobi] steps" in capsys.readouterr().err
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 1
