@@ -245,8 +245,8 @@ def load_config(path: str) -> RunConfig:
     if sections["transport"]["n_intervals"] < 1:
         raise ConfigError(f"[transport] n_intervals = {sections['transport']['n_intervals']} must be >= 1")
     steps = sections["jacobi"]["steps"]
-    if len(steps) < 2 or len(set(steps)) < len(steps):
-        raise ConfigError(f"[jacobi] steps = {steps} must be at least two distinct step sizes")
+    if len(steps) < 2 or len(set(steps)) < len(steps) or not all(0.0 < h < math.inf for h in steps):
+        raise ConfigError(f"[jacobi] steps = {steps} must be at least two distinct finite step sizes > 0")
     config = RunConfig(sections)
     unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
     if unset:

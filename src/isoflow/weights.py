@@ -16,6 +16,8 @@ where omega is a (usually concave) function of t alone.  This module owns
     Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
     positive vectorized integrand on a finite interval) with batched
     masses and quantiles, each quantile resolved to about one ulp of t.
+    Every Gauss rule is summed in node order, so a height gets the same
+    mass, CDF side and quantile alone or in any batch.
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
@@ -612,11 +614,19 @@ def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 ** (m + 1.0) / (m + 1.0) * v[0] ** 2
 
 
+def _node_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w_k f[k] over the nodes of a nodes-major (order, rows) array, a running
+    sum in node order by elementwise ufuncs: no row's bits depend on the others."""
+    terms = f * w[:, None]
+    for k in range(1, len(w)):
+        terms[0] += terms[k]
+    return terms[0]
+
+
 def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray:
     """int_0^{b_i} u^m smooth(u) du by Gauss-Jacobi, exact for the power u^m."""
-    x, w = _jacobi_rule(order, m)
-    half = 0.5 * b
-    return half ** (m + 1.0) * (smooth(half[:, None] * (1.0 + x)) @ w)
+    (x, w), half = _jacobi_rule(order, m), 0.5 * b
+    return half ** (m + 1.0) * _node_sum(smooth((1.0 + x)[:, None] * half), w)
 
 
 # ---------------------------------------------------------------------------
@@ -688,27 +698,19 @@ class CumulativeDensity1D:
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
 
-    def _partial(self, a: np.ndarray, b: np.ndarray, need=None) -> np.ndarray:
+    def _partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
-        Given a mask ``need``, only needed rows are exact.  The integrand is
-        evaluated on needed rows alone, and never on the Gauss-Jacobi rows of a
-        log-power first panel; each row keeps its place in the full product,
-        as a matrix-vector product may round a row by its position."""
-        live = b > a
-        first = None if self._from_zero is None else live & (b <= self.breaks[1])
-        if first is not None and first.any():
-            need = ~first if need is None else need & ~first
-        rows = slice(None) if live.all() else live  # a view, not a gather, when every row is live
-        mid, half = 0.5 * (a[rows] + b[rows]), 0.5 * (b[rows] - a[rows])
-        if need is None:
-            f = self._fn(mid[:, None] + half[:, None] * self._glx)
-        else:
-            f, needed = np.zeros((mid.size, _GL_ORDER)), need[rows]
-            f[needed] = self._fn(mid[needed][:, None] + half[needed][:, None] * self._glx)
-        out = np.zeros(a.shape)
-        out[rows] = half * (f @ self._glw)
-        if first is not None and first.any():
-            out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
+        Rows in a log-power first panel integrate by Gauss-Jacobi alone.  Each
+        rule is summed in node order, so a row's bits do not depend on the batch."""
+        out, live = np.zeros(a.shape), b > a
+        if self._from_zero is not None:
+            first = live & (b <= self.breaks[1])
+            if first.any():
+                out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
+                live &= ~first
+        a, b = a[live], b[live]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        out[live] = half * _node_sum(self._fn(mid + half * self._glx[:, None]), self._glw)
         return out
 
     def _locate(self, t):
@@ -737,21 +739,22 @@ class CumulativeDensity1D:
 
     def cdf_sides(self, t):
         """(mass_below(t), mass_above(t)) / total, bit for bit where
-        gaussian_quantile reads them: q where q <= 1/2, q_up elsewhere, so
-        only the median panel integrates both sides.  Unread entries are 1.0."""
+        gaussian_quantile reads them (q where q <= 1/2, q_up elsewhere), each
+        side integrated on its readers alone.  Unread entries are 1.0."""
         t, j, shape = self._locate(t)
-        total, below, above = self.total, self._cum_left[j], self._cum_right[j + 1]
-        left = below / total <= 0.5  # q > 1/2 elsewhere, as the panel only adds mass
-        q = np.where(left, (below + self._partial(self.breaks[j], t, left)) / total, 1.0)
-        up = q > 0.5
-        q_up = np.where(up, (above + self._partial(t, self.breaks[j + 1], up)) / total, 1.0)
+        total, q, q_up = self.total, np.ones(t.size), np.ones(t.size)
+        i = np.nonzero(self._cum_left[j] / total <= 0.5)[0]  # elsewhere q > 1/2: panels add mass
+        q[i] = (self._cum_left[j[i]] + self._partial(self.breaks[j[i]], t[i])) / total
+        i = np.nonzero(q > 0.5)[0]
+        q_up[i] = (self._cum_right[j[i] + 1] + self._partial(t[i], self.breaks[j[i] + 1])) / total
         return _shaped(q, shape), _shaped(q_up, shape)
 
     def quantile(self, q, q_upper=None):
         """t with mass_below(t) = q * total, for scalar or array q.
 
         Passing the exactly known complement q_upper = 1 - q keeps
-        upper-tail quantiles accurate.  Each target is bracketed inside its
+        upper-tail quantiles accurate; a q or q_upper that is nan or outside
+        [0, 1] raises DomainError.  Each target is bracketed inside its
         panel by the cumulative sums (from the left for q <= 1/2, from the
         right otherwise), started from the panel's mass law, then polished by
         batched Newton steps, bisecting whenever a step leaves the bracket.  The
@@ -762,12 +765,9 @@ class CumulativeDensity1D:
         """
         shape = np.shape(q)
         q = np.asarray(q, dtype=float).ravel()
-        if q_upper is None:
-            q_upper = 1.0 - q
-        else:
-            q_upper = np.broadcast_to(np.asarray(q_upper, dtype=float), shape).ravel()
-        if not np.all((q >= 0.0) & (q <= 1.0)):
-            raise DomainError("quantile probability must lie in [0, 1]")
+        q_upper = 1.0 - q if q_upper is None else np.broadcast_to(q_upper, shape).astype(float).ravel()
+        if not np.all((q >= 0.0) & (q <= 1.0) & (q_upper >= 0.0) & (q_upper <= 1.0)):
+            raise DomainError("quantile probabilities must lie in [0, 1]")
         t = np.where(q_upper <= 0.0, self.breaks[-1], self.breaks[0])
         live = np.nonzero((q > 0.0) & (q_upper > 0.0))[0]
         if live.size:

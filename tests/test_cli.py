@@ -367,11 +367,13 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert "[transport] n_intervals" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004"])
+    @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004",
+                                       "0.004, 0", "0.004, -0.002", "0.004, inf"])
     def test_too_few_or_repeated_jacobi_steps_exit_one_at_load(self, tmp_path, capsys, steps):
         """Repeated steps ran jacobi, wrote ratio 1.0 and exited 2 with a
         violation witnessed at h=0.002: a config slip read as a refuted
-        O(h²) claim."""
+        O(h²) claim.  A zero, negative or infinite step wrote resolved.cfg
+        and jacobi_error.json before exiting 1."""
         out = str(tmp_path / "never")
         cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[jacobi]\nsteps = {steps}\n")
         with pytest.raises(ConfigError, match=r"\[jacobi\] steps"):

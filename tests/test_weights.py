@@ -475,10 +475,10 @@ class TestCumulativeDensity:
                 rtol=1e-12,
                 atol=1e-15,
             )
-        # a batched query agrees with the scalar ones up to summation order
+        # a batched query gives the scalar ones' bits
         batch = cum.mass_below(np.array([ts, ts[::-1]]))
         assert batch.shape == (2, len(ts))
-        assert_allclose(batch[0], [cum.mass_below(t) for t in ts], rtol=4e-16, atol=0.0)
+        assert batch[0].tobytes() == np.array([cum.mass_below(t) for t in ts]).tobytes()
         assert_allclose(batch[1] + cum.mass_above(np.array(ts[::-1])), cum.total, rtol=1e-15)
 
     def test_quantile_roundtrip_and_tails(self):
@@ -520,6 +520,16 @@ class TestCumulativeDensity:
             with pytest.raises(ConsistencyError):
                 cum.quantile(np.array([0.25, 0.75]))
 
+    def test_bad_quantile_complement_raises(self):
+        """Only q was checked: quantile(0.3, nan) gave the slab edge -1.0,
+        quantile(0.7, -0.1) the edge 1.0, and quantile(0.7, 1.5) a
+        ConsistencyError that blamed the density."""
+        cum = CumulativeDensity1D(Density(QuadraticWeight(1.0), 0.5, 2, (-1.0, 1.0)))
+        for q, q_up in ((0.3, math.nan), (0.7, -0.1), (0.7, 1.5),
+                        (np.array([0.3, 0.7]), np.array([0.7, math.nan]))):
+            with pytest.raises(DomainError, match=r"\[0, 1\]"):
+                cum.quantile(q, q_up)
+
 
 def two_pass_sides(cum, t):
     """Oracle for CumulativeDensity1D.cdf_sides: both CDF sides in full, as
@@ -558,7 +568,7 @@ class TestCdfSides:
         for c in (0.5, 2.0):
             cum = CumulativeDensity1D(Density(weight, c, 2, slab))
             heights = probe_heights(cum, rng)
-            # whole batches, and chunks that put rows at other places in the product
+            # whole batches, and chunks that give each call other rows
             cuts = np.cumsum(rng.integers(1, 40, heights.size))
             for t in [heights, heights.reshape(-1, 1), *np.split(heights, cuts[cuts < heights.size])]:
                 q, q_up = cum.cdf_sides(t)
@@ -591,6 +601,53 @@ class TestCdfSides:
         assert cum.mass_below(-INF) == 0.0 and cum.mass_above(INF) == 0.0
         assert cum.mass_below(INF) == cum.mass_below(1.0)
         assert cum.cdf_sides(-INF)[0] == 0.0 and cum.cdf_sides(INF)[1] == 0.0
+
+
+def five_forms(query, x, rng) -> list[np.ndarray]:
+    """query's per-entry results over the entries x[i] as (len(x), outputs)
+    arrays: scalar calls, the whole batch, the batch reversed, an (n, 1)
+    column and random chunks.  query returns a tuple of arrays (or floats)."""
+    n = len(x)
+    cuts = np.cumsum(rng.integers(1, 40, n))
+
+    def flat(values):
+        return np.stack([np.ravel(v) for v in values], axis=1)
+
+    return [
+        np.array([query(xi) for xi in x]),
+        flat(query(x)),
+        flat(query(x[::-1]))[::-1],
+        flat(query(x.reshape(n, 1, *x.shape[1:]))),
+        np.concatenate([flat(query(chunk)) for chunk in np.split(x, cuts[cuts < n])]),
+    ]
+
+
+class TestBatchIndependence:
+    """A height gets the same mass, CDF sides and quantile, bit for bit,
+    whether it is queried alone or in any batch.  A matrix-vector product
+    rounded a row by its place in the call: for the zero weight on R at
+    c = 1/2, 8 of 301 uniform heights' masses below and 7 of 301 uniform
+    levels' quantiles differed between scalar and batched queries."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_scalar_batch_reversed_column_and_chunks_agree(self, weight, slab):
+        rng = np.random.default_rng(2020)
+        for c in (0.5, 2.0):
+            cum = CumulativeDensity1D(Density(weight, c, 2, slab))
+            heights = probe_heights(cum, rng)[:200]
+            lower = np.concatenate([rng.uniform(0.0, 0.5, 70), np.logspace(-14.0, -1.0, 30)])
+            levels = rng.permutation(np.concatenate([np.stack([lower, 1.0 - lower], axis=1),
+                                                     np.stack([1.0 - lower, lower], axis=1)]))
+            queries = (
+                (lambda t: (cum.mass_below(t),), heights),
+                (lambda t: (cum.mass_above(t),), heights),
+                (cum.cdf_sides, heights),
+                (lambda p: (cum.quantile(p[..., 0], p[..., 1]),), levels),
+            )
+            for query, x in queries:
+                scalar, *batched = five_forms(query, x, rng)
+                for got in batched:
+                    assert got.tobytes() == scalar.tobytes()
 
 
 class TestQuantileWork:
@@ -639,8 +696,8 @@ class TestQuantileWork:
             d = Density(weight, 0.5, 2, slab)
             cum, rows = d.cumulative, passes.setdefault(name, [])
             partial = cum._partial
-            monkeypatch.setattr(cum, "_partial", lambda a, b, need=None, rows=rows, partial=partial:
-                                (rows.append(a.size), partial(a, b, need))[1])
+            monkeypatch.setattr(cum, "_partial", lambda a, b, rows=rows, partial=partial:
+                                (rows.append(a.size), partial(a, b))[1])
             build_transport(d)
         assert passes["quadratic"][0] == 2001 and sum(passes["quadratic"]) <= 2 * 2001
         assert passes["log_power"][0] == 2001 and len(passes["log_power"]) <= 4
