@@ -1,10 +1,11 @@
 """Isoperimetric structure of log-concave perturbations of Gaussian densities.
 
 Numerical companions to the half-space isoperimetric problem for densities
-e^{omega(t) - c |p|^2} on slabs R^n x (a, b): profile construction and ODE
-verification, parallel-vs-perpendicular comparison, 1-D monotone transport
-with contraction certificates, stability and index-form diagnostics,
-spectral-gap certification, and a weighted-length chord optimizer.
+e^{omega(t) - c |p|^2} on the planar slab R x (a, b): profile construction
+and ODE verification, parallel-vs-perpendicular comparison, 1-D monotone
+transport with contraction certificates, stability and index-form
+diagnostics, spectral-gap certification, and a weighted-length chord
+optimizer.  Why the model is planar: see isoflow.weights.
 """
 
 from .cli import RunConfig, VerdictRecord, load_config, main, resolved_config_text
@@ -54,7 +55,6 @@ from .profiles import (
     check_profile_ode,
     compare_profiles,
     profile_csv,
-    tilted_profile_wholespace,
 )
 from .spectrum import (
     PoincareCertificate,

@@ -67,7 +67,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "weight": ("str", "zero"),
         "params": ("floats", ()),
         "c": ("float", 0.5),
-        "dim": ("int", 2),
         "slab": ("floats", (-1.0, 1.0)),
     },
     "run": {
@@ -110,6 +109,31 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "gradient_tolerance": ("float", 1e-6),
     },
 }
+
+
+_TOLERANCE = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+
+# (section, key) -> (test, requirement) of every setting with a range the
+# commands need, checked at load so that a bad setting writes nothing: a
+# negative or infinite tolerance makes a check that cannot fail
+_LIMITS = {
+    ("run", "seed"): (lambda v: v >= 0, "must be non-negative"),
+    ("profile", "grid_size"): (lambda v: v >= 3, "must be >= 3"),
+    ("profile", "tolerance"): _TOLERANCE,
+    ("transport", "grid_size"): (lambda v: v >= 2, "must be >= 2"),
+    ("transport", "n_intervals"): (lambda v: v >= 1, "must be >= 1"),
+    ("transport", "tolerance"): _TOLERANCE,
+    ("stability", "n_nodes"): (lambda v: v >= 3, "must be >= 3"),
+    ("stability", "tolerance"): _TOLERANCE,
+    ("jacobi", "steps"): (lambda h: len(h) >= 2 and len(set(h)) == len(h) and all(0.0 < x < math.inf for x in h),
+                          "must be at least two distinct finite step sizes > 0"),
+    ("spectrum", "n_cells"): (lambda v: v >= 16, "must be >= 16"),
+    ("optimize", "target_fraction"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("optimize", "n_controls"): (lambda v: 4 <= v <= 64, "must lie in [4, 64]"),
+    ("optimize", "max_iterations"): (lambda v: v >= 1, "must be >= 1"),
+    ("optimize", "gradient_tolerance"): (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+}
+
 
 def _piecewise_linear(*params: float) -> PiecewiseLinearWeight:
     if len(params) % 2:
@@ -192,7 +216,7 @@ class RunConfig:
         slab = self.value("density", "slab")
         if len(slab) != 2:
             raise ConfigError("slab must be two endpoints: a, b")
-        return Density(weight, self.value("density", "c"), self.value("density", "dim"), tuple(slab))
+        return Density(weight, self.value("density", "c"), 2, tuple(slab))
 
     def with_overrides(self, out_dir: str | None = None) -> "RunConfig":
         sections = {s: dict(kv) for s, kv in self.sections.items()}
@@ -211,7 +235,8 @@ def _interior_height(density: Density) -> float:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse an INI file against the schema; unknown keys are errors.
+    """Parse an INI file against the schema; unknown keys and settings
+    outside their _LIMITS are errors.
 
     Unset heights ([stability] t0, [jacobi] start_t) become the density's
     _interior_height; an invalid density leaves them None for density() to report.
@@ -240,13 +265,9 @@ def load_config(path: str) -> RunConfig:
                 )
             else:
                 sections[section][key] = default
-    if sections["run"]["seed"] < 0:
-        raise ConfigError(f"[run] seed = {sections['run']['seed']} must be non-negative")
-    if sections["transport"]["n_intervals"] < 1:
-        raise ConfigError(f"[transport] n_intervals = {sections['transport']['n_intervals']} must be >= 1")
-    steps = sections["jacobi"]["steps"]
-    if len(steps) < 2 or len(set(steps)) < len(steps) or not all(0.0 < h < math.inf for h in steps):
-        raise ConfigError(f"[jacobi] steps = {steps} must be at least two distinct finite step sizes > 0")
+    for (section, key), (test, requirement) in _LIMITS.items():
+        if not test(sections[section][key]):
+            raise ConfigError(f"[{section}] {key} = {sections[section][key]} {requirement}")
     config = RunConfig(sections)
     unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
     if unset:
@@ -491,8 +512,6 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound
 
 def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
     fraction = float(config.value("optimize", "target_fraction"))
-    if not (0.0 < fraction < 1.0):
-        raise ConfigError("optimize target_fraction must lie in (0, 1)")
     optimizer = OptimizerConfig(
         target_area=fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),

@@ -53,11 +53,6 @@ __all__ = [
 _BOUNDARY_TOL = 1e-9
 
 
-def _require_planar(density: Density) -> None:
-    if density.dim != 2:
-        raise DomainError("curve geometry is restricted to the planar model dim=2")
-
-
 def _rot90(v: np.ndarray) -> np.ndarray:
     """Counterclockwise quarter turn, (x, t) ↦ (−t, x)."""
     return np.stack((-v[..., 1], v[..., 0]), axis=-1)
@@ -197,7 +192,6 @@ def _check_in_slab(density: Density, points: np.ndarray) -> None:
 def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
     """Uniformly sampled straight segment with the left normal of travel,
     N = rot90(T): the enclosed side lies to the left of the direction of travel."""
-    _require_planar(density)
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if n < 3:
@@ -246,7 +240,6 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     discretization error; on a closed curve the seam nodes take the
     same stencils across the closing segment.
     """
-    _require_planar(density)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 3:
         raise GeometryError("curve needs at least 3 nodes")
@@ -277,7 +270,6 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
 
 def f_mean_curvature(density: Density, curve: DiscreteCurve) -> np.ndarray:
     """H_f = k − ⟨∇ψ, N⟩ at every node."""
-    _require_planar(density)
     grad = log_density_gradient(density, curve.points)
     return curve.curvature - np.sum(grad * curve.normals, axis=-1)
 
@@ -302,7 +294,6 @@ def curve_weighted_length(density: Density, curve: DiscreteCurve) -> float:
     Exact for the polyline itself up to the quadrature order, so straight
     chords incur no discretization error beyond the GL remainder.
     """
-    _require_planar(density)
     pts = curve.points
     if curve.closed:
         pts = np.vstack([pts, pts[:1]])
@@ -357,7 +348,6 @@ def cmc_shoot(
     wall, in which case the final step is shortened by bisection to land
     on the wall and the endpoint is flagged.
     """
-    _require_planar(density)
     a, b = density.slab
     x0, t0 = float(start[0]), float(start[1])
     if not (a < t0 < b):
@@ -562,7 +552,6 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     spacing; there the derivatives come from the Frenet relation instead
     (_frenet_derivatives), third order in the spacing.
     """
-    _require_planar(density)
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (2,) or abs(math.hypot(eta[0], eta[1]) - 1.0) > 1e-12 or abs(eta[1]) > 1e-12:
         raise DomainError("eta must be a horizontal unit vector")
@@ -603,7 +592,6 @@ def index_form(density: Density, curve: DiscreteCurve, u) -> float:
     differences would nearly annul an alternating u.  Slab walls are
     totally geodesic, so the boundary contribution is identically zero.
     """
-    _require_planar(density)
     u = np.asarray(u, dtype=float)
     if u.shape != (curve.n_nodes,):
         raise GeometryError("test functions must be sampled at the curve nodes")
@@ -631,7 +619,6 @@ def parallel_halfspace_stability(density: Density, t0: float, n: int = 4001) -> 
     the Gaussian Poincaré part of the form vanishes identically on
     coordinate functions, leaving the pure ω″ moment.
     """
-    _require_planar(density)
     a, b = density.slab
     if not (a < t0 < b):
         raise DomainError("parallel boundary must sit strictly inside the slab")

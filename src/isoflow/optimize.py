@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import CubicSpline, DiscreteCurve, _require_planar
+from .geometry import CubicSpline, DiscreteCurve
 from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, gaussian_quantile, log_density
 from .weights import tail_interval, total_weighted_volume
@@ -197,7 +197,6 @@ def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
     antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ turns the
     weighted area into the line integral ∫ G t′ dθ along the chord, and
     only x enters Φ_c, so a translation leaves the kernel fixed."""
-    _require_planar(density)
     op = _operator(chord.n_controls)
     x, dx, d2x = (_read_only(basis @ chord.control_x) for basis in (op.value, op.d1, op.d2))
     (a, b), c = chord.span, density.c

@@ -142,7 +142,7 @@ def build_transport(
     rho = np.maximum.accumulate(cum.quantile(q, q_up))
     w = density.weight
     drho = alpha * np.exp(-c * s * s) / (beta * np.exp(w.value(rho) - c * rho * rho))
-    source = Density(ZeroWeight(), c, density.dim, (-math.inf, math.inf))
+    source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
     return TransportMap(
         source=source,
         target=density,
@@ -250,7 +250,7 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     polyline.
     """
     density = tmap.target
-    p_f = curve_weighted_length(density, curve)  # a DomainError unless dim = 2
+    p_f = curve_weighted_length(density, curve)
     _check_in_slab(density, curve.points)
     a, b = density.slab
     t = curve.points[:, 1]

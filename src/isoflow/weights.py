@@ -1,16 +1,19 @@
 """Weight models and the slab-mass engine for perturbed Gaussian densities.
 
-The ambient space is the slab Omega = R^n x (a, b) with points p = (z, t),
-t the last coordinate, carrying the density f = e^psi with
+The ambient space is the planar slab Omega = R x (a, b) with points
+p = (x, t), carrying the density f = e^psi with
 
     psi(p) = omega(t) - c |p|^2,   c > 0,
 
-where omega is a (usually concave) function of t alone.  This module owns
+where omega is a (usually concave) function of t alone.  The model is
+planar because every set the checks compare is a half-space or a chord
+cylinder, a planar set times R^(n-1): on such a set the lateral Gaussian
+factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
 
   * the weight variants omega (zero, affine, quadratic, log-power,
     piecewise linear) with their derivative and concavity structure,
-  * the Density bundle (weight, Gaussian parameter c, ambient dimension,
-    slab) and pointwise data derived from it: psi, its gradient, and the
+  * the Density bundle (weight, Gaussian parameter c, slab) and
+    pointwise data derived from it: psi, its gradient, and the
     Bakry-Emery curvature -omega''(t) <e_t, w>^2 + 2c |w|^2,
   * the package's one 1-D measure engine, CumulativeDensity1D: a panelized
     Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
@@ -33,7 +36,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -290,19 +293,20 @@ def check_concavity(weight: Weight1D) -> ConcavityReport:
 
 @dataclass(frozen=True)
 class Density:
-    """f = e^{omega(t) - c |p|^2} on the slab R^(dim-1) x (a, b)."""
+    """f = e^{omega(t) - c |p|^2} on the planar slab R x (a, b).  The third
+    argument, the dimension, must be 2 and is not stored; it stays only
+    because benchmark/inproc.py passes it."""
 
     weight: Weight1D
     c: float
-    dim: int
+    dim: InitVar[int]
     slab: tuple[float, float]
 
-    def __post_init__(self):
+    def __post_init__(self, dim):
+        if dim != 2:
+            raise ValueError(f"the model is planar: dim must be 2, got {dim!r}")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError("need c > 0")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError("ambient dimension must be an integer >= 1")
-        object.__setattr__(self, "dim", int(self.dim))
         a, b = (float(self.slab[0]), float(self.slab[1]))
         if not a < b:
             raise ValueError("slab endpoints must satisfy a < b")
@@ -319,11 +323,6 @@ class Density:
         infinite = math.isinf(a) or math.isinf(b)
         if isinstance(w, QuadraticWeight) and infinite and self.c + w.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
-
-    @property
-    def n(self) -> int:
-        """Codimension-one count: the slab is R^n x (a, b)."""
-        return self.dim - 1
 
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
@@ -463,23 +462,20 @@ def gaussian_quantile(c: float, q, q_upper):
 
 
 def log_density(density: Density, p) -> np.ndarray:
-    """psi(p) = omega(t) - c |p|^2 for points p of shape (..., dim)."""
+    """psi(p) = omega(t) - c |p|^2 for points p of shape (..., 2)."""
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != density.dim:
-        raise DomainError(f"points must have {density.dim} coordinates")
-    # |p|^2 summed coordinate by coordinate, in np.sum's order for a
-    # short axis but without the cost of a reduction over it
-    square = p[..., 0] * p[..., 0]
-    for k in range(1, density.dim):
-        square = square + p[..., k] * p[..., k]
+    if p.shape[-1] != 2:
+        raise DomainError("points must have 2 coordinates")
+    # |p|^2 in np.sum's order for a short axis, without a reduction over it
+    square = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1]
     return density.weight.value(p[..., -1]) - density.c * square
 
 
 def log_density_gradient(density: Density, p) -> np.ndarray:
     """grad psi = omega'(t) e_t - 2c p."""
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != density.dim:
-        raise DomainError(f"points must have {density.dim} coordinates")
+    if p.shape[-1] != 2:
+        raise DomainError("points must have 2 coordinates")
     g = -2.0 * density.c * p
     g[..., -1] += density.weight.deriv(p[..., -1])
     return g
@@ -492,8 +488,8 @@ def bakry_emery_curvature(density: Density, p, w) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     w = np.asarray(w, dtype=float)
-    if p.shape[-1] != density.dim or w.shape[-1] != density.dim:
-        raise DomainError(f"points and directions must have {density.dim} coordinates")
+    if p.shape[-1] != 2 or w.shape[-1] != 2:
+        raise DomainError("points and directions must have 2 coordinates")
     d2 = density.weight.deriv2(p[..., -1])
     wt = w[..., -1]
     return -d2 * wt * wt + 2.0 * density.c * np.sum(w * w, axis=-1)
@@ -526,25 +522,10 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     return mu + x / math.sqrt(c_eff)
 
 
-def _tangent_cutoff(
-    c: float, value: float, slope: float, ref: float, right: bool, eps: float, pad: float
-) -> float:
-    """Truncation point past ref for e^{L(t) - c t^2}, L concave with
-    L(ref) = value and L'(ref) = slope, so that L(t) <= value + slope (t - ref)
-    bounds the discarded tail; right picks the side, eps its mass, and the
-    cut is padded by pad / sqrt(c) and kept 1 / sqrt(c) beyond |ref|."""
-    if right:
-        drift, log_amp = slope, value - slope * ref
-    else:
-        # reflect t -> -t: e^{L(-u)} <= e^{value - slope (u + ref)}
-        drift, log_amp = -slope, value + slope * ref
-    cut = _gaussian_tail_cutoff(c, drift, log_amp, eps) + pad / math.sqrt(c)
-    cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
-    return cut if right else -cut
-
-
 def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> float:
-    """Truncation point for an infinite slab side, dominating-bound sound."""
+    """Truncation point for an infinite slab side, dominating-bound sound:
+    the tail beyond it carries mass below eps, and the cut is padded by
+    pad / sqrt(c)."""
     w, c = density.weight, density.c
     a, b = density.slab
     if isinstance(w, QuadraticWeight):
@@ -553,12 +534,15 @@ def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> 
         drift = w.a0 if right else -w.a0
         cut = _gaussian_tail_cutoff(c_eff, drift, w.b0, eps) + pad / math.sqrt(c_eff)
         return cut if right else -cut
-    # concave tangent bound past a reference point inside the slab
-    if right:
-        ref = (a if math.isfinite(a) else 0.0) + max(1.0, 1.0 / math.sqrt(c))
-    else:
-        ref = (b if math.isfinite(b) else 0.0) - max(1.0, 1.0 / math.sqrt(c))
-    return _tangent_cutoff(c, float(w.value(ref)), float(w.deriv(ref)), ref, right, eps, pad)
+    # concave tangent bound at a point ref inside the slab, omega(t) <=
+    # omega(ref) + omega'(ref) (t - ref), reflected by t -> -t on the left;
+    # the cut is kept 1 / sqrt(c) beyond |ref|
+    reach = max(1.0, 1.0 / math.sqrt(c))
+    ref = (a if math.isfinite(a) else 0.0) + reach if right else (b if math.isfinite(b) else 0.0) - reach
+    drift = float(w.deriv(ref)) if right else -float(w.deriv(ref))
+    cut = _gaussian_tail_cutoff(c, drift, float(w.value(ref)) - drift * ref, eps) + pad / math.sqrt(c)
+    cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
+    return cut if right else -cut
 
 
 def tail_interval(density: Density) -> tuple[float, float]:
@@ -633,8 +617,9 @@ def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray
 # panelized cumulative integral
 
 
-# Gauss-Legendre (and Gauss-Jacobi) points per panel
+# Gauss-Legendre (and Gauss-Jacobi) points per panel, and panels per engine
 _GL_ORDER = 12
+_N_PANELS = 600
 
 # bisection alone closes any bracket narrower than 2^26 to adjacent floats,
 # subnormals included, within this many steps
@@ -675,7 +660,7 @@ class CumulativeDensity1D:
     (and returns a float) or an array of any shape.
     """
 
-    def __init__(self, density, n_panels: int = 600):
+    def __init__(self, density):
         if isinstance(density, Density):
             w, c = density.weight, density.c
             self._fn = lambda t: np.exp(w.value(t) - c * t * t)
@@ -684,7 +669,7 @@ class CumulativeDensity1D:
         else:
             self._fn, lo, hi = density
             m = None
-        self.breaks = breaks = np.linspace(lo, hi, n_panels + 1)
+        self.breaks = breaks = np.linspace(lo, hi, _N_PANELS + 1)
         self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
         panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
@@ -844,5 +829,5 @@ class CumulativeDensity1D:
 
 
 def total_weighted_volume(density: Density) -> float:
-    """V_f(Omega) = (pi/c)^{(dim-1)/2} * integral of e^{omega - c t^2} over the slab."""
-    return gaussian_factor(density.dim - 1, density.c) * density.cumulative.total
+    """V_f(Omega) = (pi/c)^{1/2} * integral of e^{omega - c t^2} over the slab."""
+    return gaussian_factor(1, density.c) * density.cumulative.total

@@ -45,7 +45,6 @@ from isoflow import (
     shape_gradient,
     spectral_gap_1d,
     stationarity_report,
-    tilted_profile_wholespace,
     total_weighted_volume,
     transported_perimeter_bound,
     vertical_segment,
@@ -155,22 +154,18 @@ def test_criterion_03_profile_comparison():
         proper = math.isfinite(slab[0]) and math.isfinite(slab[1])
         if not affine and proper:
             assert cmp.verdict == "strict", name
-    # affine weights on the whole space: all three half-space families agree
+    # affine weights on the whole space: parallel and perpendicular agree
     sup_gap = 0.0
     for name, density, affine, slab in SWEEP:
         if not affine or math.isfinite(slab[0]) or math.isfinite(slab[1]):
             continue
         perp = profile_for(name, density, "perpendicular")
         par = profile_for(name, density, "parallel")
-        tilted = tilted_profile_wholespace(
-            density, (math.sqrt(0.5), math.sqrt(0.5)), grid_size=GRID
-        )
-        for other in (par, tilted):
-            cmp = compare_profiles(other, perp, tie_tol=1e-8)
-            sup_gap = max(sup_gap, float(np.max(np.abs(cmp.f_values - cmp.g_values))))
+        cmp = compare_profiles(par, perp, tie_tol=1e-8)
+        sup_gap = max(sup_gap, float(np.max(np.abs(cmp.f_values - cmp.g_values))))
     ok = min_margin >= -1e-8 and sup_gap <= 1e-8
     report(3, "F >= G - 1e-8, strict off-affine, affine whole-space F == G", ok,
-           f"min margin {min_margin:.3e}, affine three-family gap {sup_gap:.3e}")
+           f"min margin {min_margin:.3e}, affine parallel-perpendicular gap {sup_gap:.3e}")
     assert min_margin >= -1e-8
     assert sup_gap <= 1e-8
 

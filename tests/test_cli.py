@@ -52,7 +52,7 @@ class TestLoadConfig:
         for path in (GAUSSIAN_CFG, QUADRATIC_CFG):
             config = load_config(path)
             density = config.density()
-            assert density.dim == 2
+            assert density.c == 0.5
             assert density.slab == (-1.0, 1.0)
 
     def test_defaults_fill_missing_sections(self, tmp_path):
@@ -67,9 +67,11 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         # [run] threads was a knob no code path read; [stability] line_x and
-        # n_random drove a random sweep the spectral pencil replaced
+        # n_random drove a random sweep the spectral pencil replaced; [density]
+        # dim named a dimension every curve check refused unless it was 2
         for text in (
             "[density]\nflavor = spicy\n",
+            "[density]\ndim = 2\n",
             "[run]\nthreads = 2\n",
             "[stability]\nn_random = 200\n",
             "[stability]\nline_x = 0.0\n",
@@ -127,9 +129,28 @@ def gaussian_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def quadratic_run(tmp_path_factory):
+def quadratic_record(tmp_path_factory):
+    """The exit code, the output directory and every (section, key) read
+    through RunConfig.value.  resolved.cfg echoes every key, so reads made
+    while writing it do not count."""
     out = str(tmp_path_factory.mktemp("quad"))
-    code = main(["all", "--config", QUADRATIC_CFG, "--out", out])
+    read = set()
+    value = RunConfig.value
+
+    def recording(self, section, key):
+        if sys._getframe(1).f_code.co_name != "resolved_config_text":
+            read.add((section, key))
+        return value(self, section, key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunConfig, "value", recording)
+        code = main(["all", "--config", QUADRATIC_CFG, "--out", out])
+    return code, out, read
+
+
+@pytest.fixture(scope="module")
+def quadratic_run(quadratic_record):
+    code, out, _ = quadratic_record
     return code, out
 
 
@@ -381,6 +402,42 @@ class TestExitCodes:
         assert main(["jacobi", "--config", cfg, "--out", out]) == 1
         assert not os.path.exists(out)
         assert "[jacobi] steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("profile", "grid_size", "2"),
+            ("transport", "grid_size", "1"),
+            ("stability", "n_nodes", "2"),
+            ("spectrum", "n_cells", "15"),
+            ("optimize", "n_controls", "3"),
+            ("optimize", "n_controls", "65"),
+            ("optimize", "max_iterations", "0"),
+            ("optimize", "target_fraction", "0"),
+            ("optimize", "target_fraction", "1"),
+            ("profile", "tolerance", "inf"),
+            ("profile", "tolerance", "-1e-8"),
+            ("transport", "tolerance", "inf"),
+            ("transport", "tolerance", "-1e-6"),
+            ("stability", "tolerance", "inf"),
+            ("stability", "tolerance", "-1e-6"),
+            ("optimize", "gradient_tolerance", "0"),
+            ("optimize", "gradient_tolerance", "-1e-6"),
+            ("optimize", "gradient_tolerance", "inf"),
+        ],
+    )
+    def test_unusable_setting_exits_one_at_load(self, tmp_path, capsys, section, key, value):
+        """Each size or fraction here ended in a stage error after 14-16
+        files were written, and a negative or infinite tolerance made a
+        check that cannot fail (omega = 0.3 t^2 read verified with
+        [profile] tolerance = inf)."""
+        out = str(tmp_path / "never")
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_config(cfg)
+        assert main(["all", "--config", cfg, "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert f"[{section}] {key}" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -655,22 +712,12 @@ class TestJacobiWallLanding:
 
 
 class TestSchemaKeysAreRead:
-    def test_every_schema_key_is_read(self, tmp_path, monkeypatch):
-        # a knob no subcommand reads does nothing; resolved.cfg echoes every
-        # key, so reads made while writing it do not count
-        read = set()
-        value = RunConfig.value
-
-        def recording(self, section, key):
-            if sys._getframe(1).f_code.co_name != "resolved_config_text":
-                read.add((section, key))
-            return value(self, section, key)
-
-        monkeypatch.setattr(RunConfig, "value", recording)
-        for name, cfg in (("gauss", GAUSSIAN_CFG), ("quad", QUADRATIC_CFG)):
-            assert main(["all", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-        schema = {(section, key) for section, keys in _SCHEMA.items() for key in keys}
-        assert schema - read == set()
+    def test_every_schema_key_is_read(self, quadratic_record):
+        """A knob no command reads does nothing: one `all` run reads every
+        schema key, and nothing else."""
+        code, _, read = quadratic_record
+        assert code == 0
+        assert read == {(section, key) for section, keys in _SCHEMA.items() for key in keys}
 
 
 class TestDeterminism:
@@ -729,17 +776,15 @@ class TestSubprocessEntry:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
-        # values that parse but that a command cannot run end in its error record
-        for command, section in (("jacobi", "[jacobi]\nmax_length = inf\n"),
-                                 ("spectrum", "[spectrum]\nn_cells = 0\n")):
-            cfg = write_cfg(tmp_path, "[density]\nweight = zero\nslab = -1, 1\n" + section,
-                            name=f"{command}.cfg")
-            out = tmp_path / command
-            proc = subprocess.run(
-                [sys.executable, "-m", "isoflow", command, "--config", cfg, "--out", str(out)],
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 1, command
-            assert "Traceback" not in proc.stderr, command
-            assert read_json(str(out), f"{command}_error.json")["status"] == "error"
+        # a value that parses but that a command cannot run ends in its error record
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nslab = -1, 1\n[jacobi]\nmax_length = inf\n",
+                        name="jacobi.cfg")
+        out = tmp_path / "jacobi"
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoflow", "jacobi", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert read_json(str(out), "jacobi_error.json")["status"] == "error"

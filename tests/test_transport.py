@@ -242,12 +242,6 @@ class TestPerimeterBound:
         hz = straight_segment(d, (-1.0, 0.2), (1.0, 0.2), n=401)
         assert transported_perimeter_bound(m, hz).slack > 1e-3
 
-    def test_non_planar_target_rejected(self):
-        d3 = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 3, (-1.0, 1.0))
-        line = vertical_segment(Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0)), 0.4)
-        with pytest.raises(DomainError, match="planar"):
-            transported_perimeter_bound(build_transport(d3), line)
-
     def test_identity_map_zero_slack_any_curve(self):
         m = build_transport(GAUSS_LINE)
         th = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
