@@ -8,7 +8,7 @@ diagnostics, spectral-gap certification, and a weighted-length chord
 optimizer.  Why the model is planar: see isoflow.weights.
 """
 
-from .cli import RunConfig, VerdictRecord, load_config, main, resolved_config_text
+from .cli import RunConfig, load_config, main, resolved_config_text
 from .errors import (
     ConfigError,
     ConsistencyError,

@@ -54,7 +54,6 @@ from .weights import (
 
 __all__ = [
     "RunConfig",
-    "VerdictRecord",
     "load_config",
     "resolved_config_text",
     "main",
@@ -111,11 +110,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 }
 
 
-_TOLERANCE = (lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+_TOLERANCE = (lambda v: v >= 0.0, "must be >= 0")
 
 # (section, key) -> (test, requirement) of every setting with a range the
 # commands need, checked at load so that a bad setting writes nothing: a
-# negative or infinite tolerance makes a check that cannot fail
+# negative tolerance, or a min_ratio that ratios of non-decaying residuals
+# meet, makes a check that cannot fail
 _LIMITS = {
     ("run", "seed"): (lambda v: v >= 0, "must be non-negative"),
     ("profile", "grid_size"): (lambda v: v >= 3, "must be >= 3"),
@@ -125,13 +125,14 @@ _LIMITS = {
     ("transport", "tolerance"): _TOLERANCE,
     ("stability", "n_nodes"): (lambda v: v >= 3, "must be >= 3"),
     ("stability", "tolerance"): _TOLERANCE,
-    ("jacobi", "steps"): (lambda h: len(h) >= 2 and len(set(h)) == len(h) and all(0.0 < x < math.inf for x in h),
-                          "must be at least two distinct finite step sizes > 0"),
+    ("jacobi", "steps"): (lambda h: len(h) >= 2 and len(set(h)) == len(h) and min(h) > 0.0,
+                          "must be at least two distinct step sizes > 0"),
+    ("jacobi", "min_ratio"): (lambda v: v > 1.0, "must be > 1"),
     ("spectrum", "n_cells"): (lambda v: v >= 16, "must be >= 16"),
     ("optimize", "target_fraction"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("optimize", "n_controls"): (lambda v: 4 <= v <= 64, "must lie in [4, 64]"),
     ("optimize", "max_iterations"): (lambda v: v >= 1, "must be >= 1"),
-    ("optimize", "gradient_tolerance"): (lambda v: 0.0 < v < math.inf, "must be finite and > 0"),
+    ("optimize", "gradient_tolerance"): (lambda v: v > 0.0, "must be > 0"),
 }
 
 
@@ -151,8 +152,8 @@ _WEIGHTS = {
 }
 
 
-def _parse_value(kind: str, raw: str, where: str):
-    raw = raw.strip()
+def _parse_value(kind: str, raw: str, section: str, key: str):
+    raw, where = raw.strip(), f"[{section}] {key}"
     try:
         if kind == "int":
             return int(raw)
@@ -166,8 +167,10 @@ def _parse_value(kind: str, raw: str, where: str):
             return raw
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind}") from exc
-    if np.isnan(value).any():  # inf is a legal setting, nan never is
-        raise ConfigError(f"{where} = {raw!r} is not a number")
+    # a slab endpoint may be infinite; no setting may be nan
+    bad = np.isnan(value) if (section, key) == ("density", "slab") else ~np.isfinite(value)
+    if bad.any():
+        raise ConfigError(f"{where} = {raw!r} is not a finite number")
     return value
 
 
@@ -183,7 +186,8 @@ def _format_value(kind: str, value) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings: every schema key has a value."""
+    """A resolved run: every schema key has a value, and the objects its
+    stages share are built from them once, on first use."""
 
     sections: dict[str, dict[str, object]] = field(default_factory=dict)
 
@@ -196,17 +200,14 @@ class RunConfig:
     def value(self, section: str, key: str):
         return self.sections[section][key]
 
-    def density(self) -> Density:
-        """The [density] section's Density, built once per config, so a run
-        has one slab-factor engine (Density.cumulative)."""
-        return self._density
-
     @functools.cached_property
-    def _density(self) -> Density:
+    def density(self) -> Density:
+        """The [density] section's Density: the run's one slab-factor engine
+        (Density.cumulative)."""
         name = self.value("density", "weight")
         params = self.value("density", "params")
         if name not in _WEIGHTS:
-            raise ConfigError(f"unknown weight {name!r}; choose one of {sorted(_WEIGHTS)}")
+            raise ConfigError(f"[density] weight = {name!r} is unknown; choose one of {sorted(_WEIGHTS)}")
         make, lo, hi = _WEIGHTS[name]
         if not (lo <= len(params) <= hi):
             raise ConfigError(
@@ -218,28 +219,19 @@ class RunConfig:
             raise ConfigError("slab must be two endpoints: a, b")
         return Density(weight, self.value("density", "c"), 2, tuple(slab))
 
-    def with_overrides(self, out_dir: str | None = None) -> "RunConfig":
-        sections = {s: dict(kv) for s, kv in self.sections.items()}
-        if out_dir is not None:
-            sections["run"]["out_dir"] = out_dir
-        config = RunConfig(sections)
-        if "_density" in vars(self):  # [density] is unchanged
-            vars(config)["_density"] = self._density
-        return config
+    @functools.cached_property
+    def certificate(self):
+        """The run's one spectral certificate: stability and spectrum share its pencil."""
+        return poincare_certify(self.density, n_cells=int(self.value("spectrum", "n_cells")))
 
 
-def _interior_height(density: Density) -> float:
-    """0.0 when it lies strictly inside the slab, else the slab factor's median."""
-    a, b = density.slab
-    return 0.0 if a < 0.0 < b else float(density.cumulative.quantile(0.5))
+def load_config(path: str, out_dir: str | None = None) -> RunConfig:
+    """Parse an INI file against the schema and build its density; unknown
+    keys, settings outside their _LIMITS, an invalid density and a height
+    outside the slab are errors.  out_dir, when given, overrides [run] out_dir.
 
-
-def load_config(path: str) -> RunConfig:
-    """Parse an INI file against the schema; unknown keys and settings
-    outside their _LIMITS are errors.
-
-    Unset heights ([stability] t0, [jacobi] start_t) become the density's
-    _interior_height; an invalid density leaves them None for density() to report.
+    Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
+    strictly inside the slab, else the slab factor's median.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:
@@ -260,21 +252,25 @@ def load_config(path: str) -> RunConfig:
         sections[section] = {}
         for key, (kind, default) in keys.items():
             if parser.has_option(section, key):
-                sections[section][key] = _parse_value(
-                    kind, parser.get(section, key), f"[{section}] {key}"
-                )
+                sections[section][key] = _parse_value(kind, parser.get(section, key), section, key)
             else:
                 sections[section][key] = default
     for (section, key), (test, requirement) in _LIMITS.items():
         if not test(sections[section][key]):
             raise ConfigError(f"[{section}] {key} = {sections[section][key]} {requirement}")
+    if out_dir is not None:
+        sections["run"]["out_dir"] = out_dir
     config = RunConfig(sections)
-    unset = [(s, key) for s, keys in sections.items() for key, v in keys.items() if v is None]
+    a, b = config.density.slab
+    unset = []
+    for section, key in (("stability", "t0"), ("jacobi", "start_t")):
+        height = sections[section][key]
+        if height is None:
+            unset.append((section, key))
+        elif not a < height < b:
+            raise ConfigError(f"[{section}] {key} = {height} must lie strictly inside the slab ({a}, {b})")
     if unset:
-        try:
-            height = _interior_height(config.density())
-        except (IsoflowError, ValueError, TypeError):
-            return config
+        height = 0.0 if a < 0.0 < b else float(config.density.cumulative.quantile(0.5))
         for section, key in unset:
             sections[section][key] = height  # config's own sections: it keeps its Density
     return config
@@ -294,32 +290,11 @@ def resolved_config_text(config: RunConfig) -> str:
 _SEVERITY = {"verified": 0, "error": 1, "violated": 2}
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
-    """Outcome of one subcommand: status, metrics, and a witness when violated."""
-
-    command: str
-    status: str
-    metrics: dict[str, object]
-    tolerance: float | None
-    wall_time_s: float
-    witness: dict[str, object] | None = None
-
-    def __post_init__(self):
-        if self.status not in _SEVERITY:
-            raise ConfigError(f"invalid verdict status {self.status!r}")
-        if self.status == "violated" and not self.witness:
-            raise ConfigError("a violation verdict must carry a witness")
-
-    def to_dict(self) -> dict:
-        return {key: v for key, v in vars(self).items() if key != "witness" or v is not None}
-
-
 _Outcome = tuple[bool, dict, float, dict | None]  # a command's ok, metrics, tolerance, witness
 
 
-def _atomic_write(out_dir: str, filename: str, text: str) -> None:
-    path = os.path.join(out_dir, filename)
+def _atomic_write(config: RunConfig, filename: str, text: str) -> None:
+    path = os.path.join(config.value("run", "out_dir"), filename)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -337,18 +312,19 @@ def _finite(value):
     return value
 
 
-def _write_json(out_dir: str, filename: str, data: dict) -> None:
+def _write_json(config: RunConfig, filename: str, data: dict) -> None:
     text = json.dumps(_finite(data), indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(out_dir, filename, text + "\n")
+    _atomic_write(config, filename, text + "\n")
 
 
-def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+def cmd_profile(config: RunConfig, expect_bound: bool) -> _Outcome:
+    density = config.density
     tol = float(config.value("profile", "tolerance"))
     grid_size = int(config.value("profile", "grid_size"))
     parallel = build_profile(density, "parallel", grid_size=grid_size)
     perpendicular = build_profile(density, "perpendicular", grid_size=grid_size)
-    _atomic_write(out_dir, "profile_parallel.csv", profile_csv(parallel))
-    _atomic_write(out_dir, "profile_perp.csv", profile_csv(perpendicular))
+    _atomic_write(config, "profile_parallel.csv", profile_csv(parallel))
+    _atomic_write(config, "profile_perp.csv", profile_csv(perpendicular))
     comparison = compare_profiles(parallel, perpendicular, tie_tol=tol)
     tie_band = tol * np.maximum(comparison.f_values, comparison.g_values)
     n_ties = int(np.sum(np.abs(comparison.f_values - comparison.g_values) <= tie_band))
@@ -383,14 +359,14 @@ def cmd_profile(density: Density, config: RunConfig, out_dir: str, expect_bound:
     return ok, metrics, tol, witness
 
 
-def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+def cmd_transport(config: RunConfig, expect_bound: bool) -> _Outcome:
     tol = float(config.value("transport", "tolerance"))
     tmap = build_transport(
-        density,
+        config.density,
         grid_size=int(config.value("transport", "grid_size")),
         require_concave=bool(config.value("transport", "require_concave")),
     )
-    _atomic_write(out_dir, "transport.csv", transport_csv(tmap))
+    _atomic_write(config, "transport.csv", transport_csv(tmap))
     contraction = check_contraction(tmap, tol=tol)
     push = pushforward_check(
         tmap,
@@ -415,13 +391,8 @@ def cmd_transport(density: Density, config: RunConfig, out_dir: str, expect_boun
     return witness is None, metrics, tol, witness
 
 
-@functools.lru_cache(maxsize=1)
-def _certificate(density: Density, n_cells: int):
-    """The run's one spectral certificate: stability and spectrum share its pencil."""
-    return poincare_certify(density, n_cells=n_cells)
-
-
-def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+def cmd_stability(config: RunConfig, expect_bound: bool) -> _Outcome:
+    density = config.density
     tol = float(config.value("stability", "tolerance"))
     verdict = parallel_halfspace_stability(
         density,
@@ -438,7 +409,7 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_boun
     # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
     # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c;
     # like the spectral bound it must hold for concave weights
-    certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
+    certificate = config.certificate
     vertical_min = certificate.lambda_value - 2.0 * density.c
     vertical_ok = vertical_min >= -tol or not (certificate.concave or expect_bound)
     witness = None
@@ -456,7 +427,8 @@ def cmd_stability(density: Density, config: RunConfig, out_dir: str, expect_boun
     return witness is None, metrics, tol, witness
 
 
-def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+def cmd_jacobi(config: RunConfig, expect_bound: bool) -> _Outcome:
+    density = config.density
     target = float(config.value("jacobi", "target_hf"))
     origin = (float(config.value("jacobi", "start_x")), float(config.value("jacobi", "start_t")))
     angle = float(config.value("jacobi", "angle"))
@@ -475,8 +447,8 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: 
     ok = all(r >= min_ratio for r in ratios) or max(residuals) <= exact_floor
     cells = [""] + [repr(float(r)) for r in ratios]
     rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
-    _atomic_write(out_dir, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
-    _atomic_write(out_dir, "jacobi_curve.csv", curve_csv(finest))
+    _atomic_write(config, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
+    _atomic_write(config, "jacobi_curve.csv", curve_csv(finest))
     metrics = {
         "target_hf": target,
         "steps": list(map(float, steps)),
@@ -489,9 +461,9 @@ def cmd_jacobi(density: Density, config: RunConfig, out_dir: str, expect_bound: 
     return ok, metrics, min_ratio, witness
 
 
-def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
-    certificate = _certificate(density, int(config.value("spectrum", "n_cells")))
-    _atomic_write(out_dir, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
+def cmd_spectrum(config: RunConfig, expect_bound: bool) -> _Outcome:
+    certificate = config.certificate
+    _atomic_write(config, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
     # a concave weight is guaranteed the bound, so failing it is a genuine
     # violation; a non-concave diagnostic weight only violates under
     # --expect-bound, otherwise the computed gap is informational
@@ -510,7 +482,8 @@ def cmd_spectrum(density: Density, config: RunConfig, out_dir: str, expect_bound
     return ok, metrics, certificate.bound, witness
 
 
-def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> _Outcome:
+def cmd_optimize(config: RunConfig, expect_bound: bool) -> _Outcome:
+    density = config.density
     fraction = float(config.value("optimize", "target_fraction"))
     optimizer = OptimizerConfig(
         target_area=fraction * total_weighted_volume(density),
@@ -524,13 +497,13 @@ def cmd_optimize(density: Density, config: RunConfig, out_dir: str, expect_bound
         x_top=float(config.value("optimize", "x_top")),
         n_controls=int(config.value("optimize", "n_controls")),
     ))
-    _atomic_write(out_dir, "optimize_trace.csv", trace_csv(trace))
+    _atomic_write(config, "optimize_trace.csv", trace_csv(trace))
     if trace.status != "converged":
         raise IsoflowError(
             f"optimizer did not converge (status {trace.status!r} after "
             f"{len(trace.iterations)} iterations)"
         )
-    _atomic_write(out_dir, "chord.csv", curve_csv(chord_curve(density, final)))
+    _atomic_write(config, "chord.csv", curve_csv(chord_curve(density, final)))
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
@@ -570,19 +543,24 @@ _STAGES = {
 }
 
 
-def _run_stage(name: str, density: Density, config: RunConfig, out_dir: str, expect_bound: bool) -> VerdictRecord:
+def _run_stage(name: str, config: RunConfig, expect_bound: bool) -> dict:
     """Time one command and write its record, the command's own error
     included.  An OSError propagates."""
     command, (done, failed, *_) = _STAGES[name]
     start = time.perf_counter()
     try:
-        ok, metrics, tolerance, witness = command(density, config, out_dir, expect_bound)
+        ok, metrics, tolerance, witness = command(config, expect_bound)
         status = "verified" if ok else "violated"
     except (IsoflowError, ValueError) as exc:
         status, metrics, tolerance, witness = "error", {"message": str(exc)}, None, None
         print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
-    record = VerdictRecord(name, status, metrics, tolerance, time.perf_counter() - start, witness)
-    _write_json(out_dir, failed if status == "error" else done, record.to_dict())
+    if status == "violated" and not witness:
+        raise IsoflowError(f"{name}: a violation verdict must carry a witness")
+    record = {"command": name, "status": status, "metrics": metrics, "tolerance": tolerance,
+              "wall_time_s": time.perf_counter() - start}
+    if witness is not None:
+        record["witness"] = witness
+    _write_json(config, failed if status == "error" else done, record)
     return record
 
 
@@ -604,11 +582,9 @@ def main(argv=None) -> int:
         "lambda_1 - 2c as a violation even for non-concave weights",
     )
     args = parser.parse_args(argv)
-    _certificate.cache_clear()
     names = tuple(_STAGES) if args.command == "all" else (args.command,)
     try:
-        config = load_config(args.config).with_overrides(out_dir=args.out)
-        density = config.density()
+        config = load_config(args.config, out_dir=args.out)
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
         resolved = resolved_config_text(config)
@@ -620,7 +596,7 @@ def main(argv=None) -> int:
         for filename in ("summary.json", *(f for name in stale for f in _STAGES[name][1])):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, filename))
-        _atomic_write(out_dir, "resolved.cfg", resolved)
+        _atomic_write(config, "resolved.cfg", resolved)
     except (IsoflowError, ValueError, TypeError) as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 1
@@ -628,20 +604,20 @@ def main(argv=None) -> int:
         print(f"isoflow: io error: {exc}", file=sys.stderr)
         return 1
 
-    records: list[VerdictRecord] = []
+    records = []
     for name in names:
         try:
-            records.append(_run_stage(name, density, config, out_dir, args.expect_bound))
+            records.append(_run_stage(name, config, args.expect_bound))
         except OSError as exc:
             print(f"isoflow: {name}: io error: {exc}", file=sys.stderr)
             return 1
     if args.command == "all":
         summary = {
-            "status": max((r.status for r in records), key=lambda s: _SEVERITY[s]),
-            "verdicts": [r.to_dict() for r in records],
+            "status": max((r["status"] for r in records), key=lambda s: _SEVERITY[s]),
+            "verdicts": records,
         }
-        _write_json(out_dir, "summary.json", summary)
-    return max(_SEVERITY[r.status] for r in records)
+        _write_json(config, "summary.json", summary)
+    return max(_SEVERITY[r["status"]] for r in records)
 
 
 if __name__ == "__main__":

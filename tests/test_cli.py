@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import isoflow
+from isoflow import cli
 from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
-from isoflow.errors import ConfigError
-from isoflow.spectrum import SpectralProblem
+from isoflow.errors import ConfigError, IsoflowError
+from isoflow.spectrum import SpectralProblem, poincare_certify
 from isoflow.weights import CumulativeDensity1D
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
@@ -51,7 +52,7 @@ class TestLoadConfig:
     def test_bundled_configs_parse(self):
         for path in (GAUSSIAN_CFG, QUADRATIC_CFG):
             config = load_config(path)
-            density = config.density()
+            density = config.density
             assert density.c == 0.5
             assert density.slab == (-1.0, 1.0)
 
@@ -88,14 +89,12 @@ class TestLoadConfig:
             load_config(str(tmp_path / "absent.cfg"))
 
     def test_unknown_weight_rejected(self, tmp_path):
-        config = load_config(write_cfg(tmp_path, "[density]\nweight = cubic\n"))
         with pytest.raises(ConfigError):
-            config.density()
+            load_config(write_cfg(tmp_path, "[density]\nweight = cubic\n"))
 
     def test_wrong_arity_rejected(self, tmp_path):
-        config = load_config(write_cfg(tmp_path, "[density]\nweight = affine\nparams = 1, 2, 3\n"))
         with pytest.raises(ConfigError):
-            config.density()
+            load_config(write_cfg(tmp_path, "[density]\nweight = affine\nparams = 1, 2, 3\n"))
 
     def test_piecewise_weight_built_from_flat_pairs(self, tmp_path):
         config = load_config(
@@ -104,16 +103,16 @@ class TestLoadConfig:
                 "[density]\nweight = piecewise_linear\nparams = -1, 0, 0, 0.3, 1, 0\n",
             )
         )
-        density = config.density()
+        density = config.density
         assert density.weight.value(0.0) == pytest.approx(0.3)
 
     def test_log_power_exponent_kept_fractional(self, tmp_path):
         text = "[density]\nweight = log_power\nparams = 2.5\nslab = 0, inf\n"
-        assert load_config(write_cfg(tmp_path, text)).density().weight.m == 2.5
+        assert load_config(write_cfg(tmp_path, text)).density.weight.m == 2.5
 
     def test_infinite_slab_literals(self, tmp_path):
         config = load_config(write_cfg(tmp_path, "[density]\nweight = zero\nslab = -inf, inf\n"))
-        assert config.density().slab == (-float("inf"), float("inf"))
+        assert config.density.slab == (-float("inf"), float("inf"))
 
     def test_resolved_text_roundtrip(self, tmp_path):
         config = load_config(QUADRATIC_CFG)
@@ -207,7 +206,7 @@ class TestGaussianRun:
     def test_resolved_config_reloads_to_same_values(self, gaussian_run):
         _, out = gaussian_run
         resolved = load_config(os.path.join(out, "resolved.cfg"))
-        original = load_config(GAUSSIAN_CFG).with_overrides(out_dir=out)
+        original = load_config(GAUSSIAN_CFG, out_dir=out)
         assert resolved == original
 
 
@@ -424,15 +423,30 @@ class TestExitCodes:
             ("optimize", "gradient_tolerance", "0"),
             ("optimize", "gradient_tolerance", "-1e-6"),
             ("optimize", "gradient_tolerance", "inf"),
+            ("optimize", "x_bottom", "inf"),
+            ("jacobi", "angle", "inf"),
+            ("jacobi", "target_hf", "inf"),
+            ("jacobi", "start_x", "inf"),
+            ("jacobi", "max_length", "inf"),
+            ("density", "params", "-inf"),
+            ("density", "slab", "-1, nan"),
+            ("density", "weight", "cubic"),
+            ("stability", "t0", "1.0"),
+            ("stability", "t0", "3"),
+            ("jacobi", "start_t", "-2"),
+            ("jacobi", "min_ratio", "1.0"),
+            ("jacobi", "min_ratio", "0"),
         ],
     )
     def test_unusable_setting_exits_one_at_load(self, tmp_path, capsys, section, key, value):
-        """Each size or fraction here ended in a stage error after 14-16
-        files were written, and a negative or infinite tolerance made a
-        check that cannot fail (omega = 0.3 t^2 read verified with
-        [profile] tolerance = inf)."""
+        """Most of these ended in a stage error after 14-16 files were
+        written: each size, fraction, infinite setting, and height on or
+        outside a wall of the slab.  A negative or infinite tolerance made a check that cannot
+        fail (omega = 0.3 t^2 read verified with [profile] tolerance = inf),
+        and so did a min_ratio <= 1: with steps 0.004, 0.0039 the residual
+        ratio is 1.05, violated at the default 3.5, verified at 1.0."""
         out = str(tmp_path / "never")
-        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[{section}]\n{key} = {value}\n")
+        cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")  # the zero weight by default
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
             load_config(cfg)
         assert main(["all", "--config", cfg, "--out", out]) == 1
@@ -571,6 +585,32 @@ class TestOnePencilPerRun:
         assert len(built) == pencils
         verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
         assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+
+
+class TestRunContext:
+    """The resolved RunConfig carries the run: its density and certificate
+    belong to it, and the runner checks every record it writes."""
+
+    def test_a_violation_without_a_witness_raises(self, tmp_path, monkeypatch):
+        config = load_config(GAUSSIAN_CFG, out_dir=str(tmp_path))
+        def unwitnessed(config, expect_bound):
+            return False, {}, 0.0, None
+
+        monkeypatch.setitem(cli._STAGES, "spectrum", (unwitnessed, cli._STAGES["spectrum"][1]))
+        with pytest.raises(IsoflowError, match="witness"):
+            cli._run_stage("spectrum", config, False)
+        assert not (tmp_path / "spectrum.json").exists()
+
+    def test_each_run_certifies_its_own_density(self, tmp_path):
+        lambdas = []
+        for cfg in (GAUSSIAN_CFG, QUADRATIC_CFG):
+            out = str(tmp_path / Path(cfg).stem)
+            assert main(["all", "--config", cfg, "--out", out]) == 0
+            config = load_config(cfg)
+            fresh = poincare_certify(config.density, n_cells=config.value("spectrum", "n_cells"))
+            lambdas.append(read_json(out, "spectrum.json")["metrics"]["lambda"])
+            assert lambdas[-1] == fresh.lambda_value
+        assert lambdas[0] != lambdas[1]
 
 
 class TestOneEnginePerRun:
@@ -776,9 +816,9 @@ class TestSubprocessEntry:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error" in proc.stderr
-        # a value that parses but that a command cannot run ends in its error record
-        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nslab = -1, 1\n[jacobi]\nmax_length = inf\n",
-                        name="jacobi.cfg")
+        # a shot that leaves the slab at once ends in the command's error record
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nslab = -1, 1\n[jacobi]\nstart_t = 0.999\n"
+                        "angle = 1.5707963267948966\n", name="jacobi.cfg")
         out = tmp_path / "jacobi"
         proc = subprocess.run(
             [sys.executable, "-m", "isoflow", "jacobi", "--config", cfg, "--out", str(out)],
@@ -788,3 +828,4 @@ class TestSubprocessEntry:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert read_json(str(out), "jacobi_error.json")["status"] == "error"
+        assert "curve left the slab before 3 nodes were laid down" in proc.stderr

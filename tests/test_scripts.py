@@ -1,4 +1,4 @@
-"""Smoke tests for the study scripts under scripts/."""
+"""Smoke tests for the study scripts under scripts/ and the README's Python example."""
 
 import os
 import subprocess
@@ -8,13 +8,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name)],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def run_script(name: str) -> subprocess.CompletedProcess:
+    return run_python(str(ROOT / "scripts" / name))
 
 
 def test_optimize_demo_converges_with_defaults():
@@ -38,3 +42,14 @@ def test_profile_sweep_runs_with_defaults():
     assert done.returncode == 0, done.stderr
     # header, rule, and one row per (weight, slab): 4 + 4 + 4 + 2
     assert len(done.stdout.splitlines()) == 2 + 14
+
+
+def test_readme_python_example_prints_what_it_says():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends in a comment that gives its output
+    expected = [line.split("#", 1)[1].strip().replace("'", "")
+                for line in block.splitlines() if line.startswith("print(")]
+    done = run_python("-c", block)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected
