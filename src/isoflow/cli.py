@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IsoflowError
+from .errors import ConfigError, DomainError, IsoflowError
 from .geometry import curve_csv, cmc_shoot, jacobi_residual, parallel_halfspace_stability
 from .optimize import (
     OptimizerConfig,
@@ -203,7 +203,8 @@ class RunConfig:
     @functools.cached_property
     def density(self) -> Density:
         """The [density] section's Density: the run's one slab-factor engine
-        (Density.cumulative)."""
+        (Density.cumulative).  A weight or density that refuses its
+        settings raises ConfigError."""
         name = self.value("density", "weight")
         params = self.value("density", "params")
         if name not in _WEIGHTS:
@@ -213,11 +214,13 @@ class RunConfig:
             raise ConfigError(
                 f"weight {name!r} takes between {lo} and {hi} parameters, got {len(params)}"
             )
-        weight = make(*params)
         slab = self.value("density", "slab")
         if len(slab) != 2:
             raise ConfigError("slab must be two endpoints: a, b")
-        return Density(weight, self.value("density", "c"), 2, tuple(slab))
+        try:
+            return Density(make(*params), self.value("density", "c"), 2, tuple(slab))
+        except (ValueError, DomainError) as exc:
+            raise ConfigError(f"[density] {exc}") from exc
 
     @functools.cached_property
     def certificate(self):
@@ -237,7 +240,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from exc
@@ -597,7 +600,7 @@ def main(argv=None) -> int:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, filename))
         _atomic_write(config, "resolved.cfg", resolved)
-    except (IsoflowError, ValueError, TypeError) as exc:
+    except IsoflowError as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

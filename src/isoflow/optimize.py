@@ -164,6 +164,8 @@ def make_straight_chord(
     """
     lo, hi = tail_interval(density)
     x_top = x_bottom if x_top is None else x_top
+    if not (math.isfinite(x_bottom) and math.isfinite(x_top)):  # before the ramp, where inf * 0 warns
+        raise GeometryError("control abscissas must be finite")
     knots = np.linspace(0.0, 1.0, n_controls)
     return ChordSpline(x_bottom + (x_top - x_bottom) * knots, (lo, hi))
 

@@ -30,7 +30,6 @@ from .weights import (
     _csv_table,
     _float_arrays,
     check_concavity,
-    gaussian_ccdf,
     gaussian_cdf,
     gaussian_quantile,
 )
@@ -132,8 +131,7 @@ def build_transport(
     cum = density.cumulative
     alpha = 1.0 / math.sqrt(math.pi / c)
     beta = 1.0 / cum.total
-    q = gaussian_cdf(c, s)
-    q_up = gaussian_ccdf(c, s)
+    q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and, bit for bit, gaussian_ccdf(c, s)
     clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
     n_clipped = int(np.count_nonzero(clipped))
     if n_clipped:
@@ -220,10 +218,9 @@ def pushforward_check(
     d1, d2 = intervals[:, 0], intervals[:, 1]
     if not np.all(d1 <= d2):
         raise DomainError("interval endpoints must satisfy d1 <= d2")
-    mu2 = cum.mass(np.maximum(d1, a), np.minimum(d2, b)) / cum.total
-    s = _inverse_map(tmap, intervals)
-    c = tmap.source.c
-    residuals = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
+    below = cum.mass_below(np.stack((np.maximum(d1, a), np.minimum(d2, b))))
+    mu1 = gaussian_cdf(tmap.source.c, _inverse_map(tmap, intervals))
+    residuals = np.abs((below[1] - below[0]) / cum.total - (mu1[:, 1] - mu1[:, 0]))
     return PushforwardReport(
         max_residual=float(residuals.max()),
         intervals=intervals,
@@ -249,16 +246,14 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     engine (wall nodes land at the clipped quantile) and joined into a
     polyline.
     """
-    density = tmap.target
+    density, points, n = tmap.target, curve.points, curve.n_nodes
     p_f = curve_weighted_length(density, curve)
-    _check_in_slab(density, curve.points)
-    a, b = density.slab
-    t = curve.points[:, 1]
+    _check_in_slab(density, points)
     clip_span = _Z_CLIP / math.sqrt(2.0 * tmap.source.c)
-    sigma = np.clip(_inverse_map(tmap, np.clip(t, a, b)), -clip_span, clip_span)
-    pulled = np.stack([curve.points[:, 0], sigma], axis=-1)
-    if curve.closed:
-        pulled = np.vstack([pulled, pulled[:1]])
+    pulled = np.empty((n + curve.closed, 2))  # a closed curve repeats its first node
+    pulled[:n, 0] = points[:, 0]
+    np.clip(_inverse_map(tmap, points[:, 1]), -clip_span, clip_span, out=pulled[:n, 1])
+    pulled[n:] = pulled[:1]
     p_gauss = _polyline_weighted_length(tmap.source, pulled)
     bound = (tmap.alpha / tmap.beta) * p_gauss
     return PerimeterBoundReport(

@@ -20,7 +20,10 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     positive vectorized integrand on a finite interval) with batched
     masses and quantiles, each quantile resolved to about one ulp of t.
     Every Gauss rule is summed in node order, so a height gets the same
-    mass, CDF side and quantile alone or in any batch.
+    mass, CDF side and quantile alone or in any batch, and merging two
+    batches into one call is exact.  The engine evaluates each batch in
+    place, in the array Weight1D.value returns: value gives a new array,
+    sharing no memory with its argument, that the caller may overwrite.
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
@@ -81,6 +84,8 @@ class Weight1D:
     domain: tuple[float, float] = (-math.inf, math.inf)
 
     def value(self, t):
+        """omega at the float array t, as a new array that shares no memory
+        with t: the caller may overwrite it."""
         raise NotImplementedError
 
     def deriv(self, t):
@@ -600,11 +605,12 @@ def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _node_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_k w_k f[k] over the nodes of a nodes-major (order, rows) array, a running
-    sum in node order by elementwise ufuncs: no row's bits depend on the others."""
-    terms = f * w[:, None]
+    sum in node order by elementwise ufuncs: no row's bits depend on the others.
+    The sum accumulates into f."""
+    f *= w[:, None]
     for k in range(1, len(w)):
-        terms[0] += terms[k]
-    return terms[0]
+        f[0] += f[k]
+    return f[0]
 
 
 def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray:
@@ -663,7 +669,14 @@ class CumulativeDensity1D:
     def __init__(self, density):
         if isinstance(density, Density):
             w, c = density.weight, density.c
-            self._fn = lambda t: np.exp(w.value(t) - c * t * t)
+
+            def integrand(t):  # e^{omega(t) - c t^2}, in the array w.value returns
+                f, square = w.value(t), c * t
+                square *= t
+                f -= square
+                return np.exp(f, out=f)
+
+            self._fn = integrand
             lo, hi = tail_interval(density)
             m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         else:
@@ -682,6 +695,8 @@ class CumulativeDensity1D:
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
+        # the median panel, the last whose lower side starts at most half way
+        self._median_panel = int(np.count_nonzero(self._cum_left / self.total <= 0.5)) - 1
 
     def _partial(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
@@ -694,8 +709,10 @@ class CumulativeDensity1D:
                 out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
                 live &= ~first
         a, b = a[live], b[live]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        out[live] = half * _node_sum(self._fn(mid + half * self._glx[:, None]), self._glw)
+        half = 0.5 * (b - a)
+        t = self._glx[:, None] * half  # the (order, rows) Gauss nodes, built in place
+        t += 0.5 * (a + b)
+        out[live] = half * _node_sum(self._fn(t), self._glw)
         return out
 
     def _locate(self, t):
@@ -724,14 +741,21 @@ class CumulativeDensity1D:
 
     def cdf_sides(self, t):
         """(mass_below(t), mass_above(t)) / total, bit for bit where
-        gaussian_quantile reads them (q where q <= 1/2, q_up elsewhere), each
-        side integrated on its readers alone.  Unread entries are 1.0."""
+        gaussian_quantile reads them (q where q <= 1/2, q_up elsewhere), both
+        sides from one batch of partial masses: the lower side up to the
+        median panel, the upper side from it on.  Unread entries are 1.0."""
         t, j, shape = self._locate(t)
-        total, q, q_up = self.total, np.ones(t.size), np.ones(t.size)
-        i = np.nonzero(self._cum_left[j] / total <= 0.5)[0]  # elsewhere q > 1/2: panels add mass
-        q[i] = (self._cum_left[j[i]] + self._partial(self.breaks[j[i]], t[i])) / total
-        i = np.nonzero(q > 0.5)[0]
-        q_up[i] = (self._cum_right[j[i] + 1] + self._partial(t[i], self.breaks[j[i] + 1])) / total
+        total, left, right, breaks = self.total, self._cum_left, self._cum_right, self.breaks
+        low, up = j <= self._median_panel, j >= self._median_panel
+        j_low, j_up = j[low], j[up]
+        mass = self._partial(np.concatenate((breaks[j_low], t[up])), np.concatenate((t[low], breaks[j_up + 1])))
+        q, q_up = np.ones(t.size), np.ones(t.size)
+        q[low] = (left[j_low] + mass[: j_low.size]) / total
+        q_up[up] = (right[j_up + 1] + mass[j_low.size :]) / total
+        late = (q > 0.5) & ~up  # q rounded past 1/2 below the median panel
+        if late.any():
+            q_up[late] = (right[j[late] + 1] + self._partial(t[late], breaks[j[late] + 1])) / total
+        q_up[q <= 0.5] = 1.0
         return _shaped(q, shape), _shaped(q_up, shape)
 
     def quantile(self, q, q_upper=None):
@@ -778,8 +802,8 @@ class CumulativeDensity1D:
         # r(t) = offset + sign * (GL mass between t and the panel's base edge)
         offset = np.where(left, base - target, target - base)
         sign = np.where(left, 1.0, -1.0)
-        depth = self._start(j, left, target - base, through - base)
         width = edge_b - edge_a
+        depth = self._start(j, left, target - base, through - base, width)
         t = np.where(left, edge_a + width * depth, edge_b - width * depth)
         # the bracket, and the rows still iterating: whole arrays until a row
         # is done, then only the rows left, by their places k in the output
@@ -806,22 +830,24 @@ class CumulativeDensity1D:
         out[k] = t
         return out
 
-    def _start(self, j: np.ndarray, left: np.ndarray, y: np.ndarray, mass: np.ndarray) -> np.ndarray:
-        """First iterate for the mass y of panel j (of total ``mass``) from the
-        solved side, as a fraction of the panel width from that side: three
-        Newton steps from the linear start on the panel's cubic Hermite mass
-        law (its mass and the integrand at its breaks), the t^(m+1) law in a
-        log-power first panel, and the linear start where neither lands inside."""
-        frac, scale = y / mass, (self.breaks[j + 1] - self.breaks[j]) / mass
+    def _start(self, j: np.ndarray, left: np.ndarray, y: np.ndarray, mass: np.ndarray,
+               width: np.ndarray) -> np.ndarray:
+        """First iterate for the mass y of panel j (of total ``mass`` over
+        ``width``) from the solved side, as a fraction of the width from that
+        side: three Newton steps from the linear start on the panel's cubic
+        Hermite mass law (its mass and the integrand at its breaks), the
+        t^(m+1) law in a log-power first panel, and the linear start where
+        neither lands inside."""
+        frac, scale = y / mass, width / mass
         g_a, g_b = self._at_breaks[j], self._at_breaks[j + 1]
         # the law's slopes at the solved side and at the far side, in units of
         # the panel's width and mass: frac = ((c3 u + c2) u + d0) u
         d0, d1 = scale * np.where(left, g_a, g_b), scale * np.where(left, g_b, g_a)
         c3, c2 = d0 + d1 - 2.0, 3.0 - 2.0 * d0 - d1
-        u = frac
+        u, c3_slope, c2_slope = frac, 3.0 * c3, 2.0 * c2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(3):
-                u = u - (((c3 * u + c2) * u + d0) * u - frac) / ((3.0 * c3 * u + 2.0 * c2) * u + d0)
+                u = u - (((c3 * u + c2) * u + d0) * u - frac) / ((c3_slope * u + c2_slope) * u + d0)
             if self._power is not None:
                 below = np.where(left, frac, 1.0 - frac) ** (1.0 / self._power)
                 u = np.where(j == 0, np.where(left, below, 1.0 - below), u)

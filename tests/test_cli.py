@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isoflow
@@ -96,6 +98,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, "[density]\nweight = affine\nparams = 1, 2, 3\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[density]\nslab = 1, -1\n", "slab endpoints must satisfy a < b"),
+        ("[density]\nweight = piecewise_linear\nparams = 1, 0, 0, 0\n", "knots must be strictly increasing"),
+        ("[density]\nweight = log_power\nparams = -1\nslab = 0, 1\n", "density is not integrable"),
+    ], ids=["slab", "knots", "integrability"])
+    def test_invalid_density_raises_config_error(self, tmp_path, capsys, text, message):
+        """The weight's and the Density's own ValueError, and the DomainError
+        of a density that cannot be normalized, left load_config unwrapped."""
+        cfg = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"^\[density\] {message}"):
+            load_config(cfg)
+        out = str(tmp_path / "never")
+        assert main(["all", "--config", cfg, "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert f"[density] {message}" in capsys.readouterr().err
+
+    def test_undecodable_config_raises_config_error(self, tmp_path, capsys):
+        """A config that is not UTF-8 raised UnicodeDecodeError, a ValueError."""
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[density]\nweight = zero\n; \xe9t\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
+        assert main(["all", "--config", str(path), "--out", str(tmp_path / "never")]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+
     def test_piecewise_weight_built_from_flat_pairs(self, tmp_path):
         config = load_config(
             write_cfg(
@@ -151,6 +178,53 @@ def quadratic_record(tmp_path_factory):
 def quadratic_run(quadratic_record):
     code, out, _ = quadratic_record
     return code, out
+
+
+# sha256 of every CSV `isoflow all` writes for each bundled config, recorded
+# with numpy 2.4.6: spectrum.csv passes through BLAS products, whose last bits
+# another numpy build may move
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_CSV_SHA256 = {
+    "gaussian": {
+        "chord.csv": "40c3a89c185e3869cab46c80bded7b0060208cb3cae5757733214e948bc5364e",
+        "jacobi.csv": "495eea3c631527fb1817fbec4886bb5d20d3fb158dc603da3104aa5bdad0a402",
+        "jacobi_curve.csv": "1bfc576dbe98cb94a7ecacbba14fd5a63a25453d9f9fb813ef8b14ca07e8fe37",
+        "optimize_trace.csv": "69b9f25634f5ac1ccb7e4c4a99ef4d9b15b0a7e66301f0605b0367e4f193333d",
+        "profile_parallel.csv": "8901e38966bfa5831a58484a036542af699673ec8c45bc302d9f89bd634a9ed7",
+        "profile_perp.csv": "5df770e52de16a0a6105106fc95e3dba2a69179f0a38d4a564a47273a671eb2e",
+        "spectrum.csv": "cf1414aa9e907970092b80c567e246701534e1ed39889bd790707426f5ae30d4",
+        "transport.csv": "15e3b3bf613b6d10e760ae6522e578c1ed0bfa0d357c5ede8123397d04aede21",
+    },
+    "quadratic": {
+        "chord.csv": "8bef1e96a3c36f02d35bbd6eda41b82872f4592160949af2c10315e527c639a4",
+        "jacobi.csv": "839263c10f77f4cb01cd588c5062c314396da94f43d38787b9f4c3e750982b2f",
+        "jacobi_curve.csv": "04fb30eb18759daf9c4d3bf0586cd2d4e4c94d2e939b49f558bdb8da07261cc7",
+        "optimize_trace.csv": "06fa3b9ae560be387647005b4ac90f016ee16f29fd8dce4ef92bdeffdceda626",
+        "profile_parallel.csv": "d8001fd39161787b99f6ac54fc6749eb25972ad18f122b34a06c29a860c9d6a0",
+        "profile_perp.csv": "57e761d38fb316dfcc9583978ff145cce0584d6d08c934c5e25d79e4f015b63c",
+        "spectrum.csv": "f1fd66a8ee4fa13a5107c0787adca30ef318d2dd41f75e1d23cdd4c2f46fc077",
+        "transport.csv": "39cd0bebd96e126c99fbe2032b5b60806131e7fbebbf09ebfd4eee24e4b7f6ff",
+    },
+}
+
+
+def csv_digests(out_dir) -> dict:
+    return {name: hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir)) if name.endswith(".csv")}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"CSV digests were recorded with numpy {GOLDEN_NUMPY}, and spectrum.csv "
+                    "passes through BLAS products")
+class TestGoldenCsvDigests:
+    """Byte-identical CSVs as a check that can fail: a change that moves
+    any output bit of either bundled config moves a digest."""
+
+    def test_gaussian_config(self, gaussian_run):
+        assert csv_digests(gaussian_run[1]) == GOLDEN_CSV_SHA256["gaussian"]
+
+    def test_quadratic_config(self, quadratic_record):
+        assert csv_digests(quadratic_record[1]) == GOLDEN_CSV_SHA256["quadratic"]
 
 
 class TestGaussianRun:

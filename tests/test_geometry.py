@@ -178,6 +178,29 @@ class TestDiscreteCurve:
                 curvature=np.zeros(7),
             )
 
+    @pytest.mark.parametrize("tilt, rejected", [(0.0499, False), (0.0501, True)])
+    def test_skew_limit_is_five_hundredths_of_the_chord(self, tilt, rejected):
+        """|chord·N| against 0.05 |chord|, on chords of length 0.2 that are
+        not normalized first."""
+        pts = np.stack([np.linspace(0, 1, 11), np.full(11, 0.5)], axis=-1)
+        normals = np.tile([tilt, math.sqrt(1.0 - tilt * tilt)], (11, 1))
+        if rejected:
+            with pytest.raises(GeometryError, match="orthogonal"):
+                DiscreteCurve(points=pts, normals=normals, curvature=np.zeros(11))
+        else:
+            DiscreteCurve(points=pts, normals=normals, curvature=np.zeros(11))
+
+    @pytest.mark.parametrize("overshoot, rejected", [(0.9e-9, False), (1.1e-9, True)])
+    def test_slab_exit_tolerance_scales_with_the_highest_node(self, overshoot, rejected):
+        """A node may pass a wall by 1e-9 (1 + max |t|), here about 2e-9."""
+        t = np.linspace(-1.0, 1.0 + 2.0 * overshoot, 21)
+        pts = np.stack([0.1 * t, t], axis=-1)
+        if rejected:
+            with pytest.raises(DomainError, match="exits the slab"):
+                polyline_curve(QUAD_SLAB, pts)
+        else:
+            assert polyline_curve(QUAD_SLAB, pts).n_nodes == 21
+
     def test_weighted_area_matches_line_integral(self):
         vl = vertical_segment(UNIT_SLAB, 0.7, n=801)
         oracle = math.exp(-0.5 * 0.49) * gaussian_mass(0.5, 0.0, 1.0)
@@ -578,6 +601,12 @@ class TestCurveWeightedLength:
                 assert got == stacked_weighted_length(d, pts)
                 closed = np.vstack([pts, pts[:1]])
                 assert geometry._polyline_weighted_length(d, closed) == stacked_weighted_length(d, closed)
+
+    def test_nodes_are_left_unwritten(self):
+        pts = graph_curve(np.random.default_rng(2404), -1.0, 1.0)
+        before = pts.copy()
+        geometry._polyline_weighted_length(QUAD_SLAB, pts)
+        assert pts.tobytes() == before.tobytes()
 
     def test_vertical_chord_oracle(self):
         vl = vertical_segment(UNIT_SLAB, 0.4, n=51)

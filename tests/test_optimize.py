@@ -9,6 +9,7 @@ target area.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ class TestChordSpline:
         cx[3] = math.nan
         with pytest.raises(GeometryError, match="finite"):
             ChordSpline(cx, (0.0, 1.0))
+
+    @pytest.mark.parametrize("ends", [(12.0, math.inf), (math.inf, None), (0.0, -math.inf), (math.nan, 0.0)])
+    def test_nonfinite_straight_chord_refused_without_a_warning(self, ends):
+        """(12, inf) printed "RuntimeWarning: invalid value encountered in
+        multiply" from the ramp's arithmetic before this same error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="control abscissas must be finite"):
+                make_straight_chord(unit_slab(), *ends)
 
     def test_too_few_controls_rejected(self):
         with pytest.raises(GeometryError, match="control"):

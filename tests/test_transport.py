@@ -22,7 +22,13 @@ from isoflow import (
     QuadraticWeight,
     ZeroWeight,
 )
-from isoflow.geometry import polyline_curve, straight_segment, vertical_segment
+from isoflow.geometry import (
+    _polyline_weighted_length,
+    curve_weighted_length,
+    polyline_curve,
+    straight_segment,
+    vertical_segment,
+)
 import isoflow.transport as transport
 from isoflow.profiles import build_profile, compare_profiles
 from isoflow.transport import (
@@ -33,7 +39,8 @@ from isoflow.transport import (
     transport_csv,
     transported_perimeter_bound,
 )
-from isoflow.weights import gaussian_quantile
+from isoflow.weights import gaussian_cdf, gaussian_quantile
+from test_weights import SIDE_DENSITIES
 
 INF = math.inf
 
@@ -288,8 +295,9 @@ class TestPerimeterBound:
     ])
     def test_one_cdf_side_per_node(self, weight, slab, monkeypatch):
         """At most 12 integrand points per node, plus 12 per node in the
-        median panel, and no scalar gaussian_quantile call: the two full
-        passes evaluated up to 24 per node."""
+        median panel, in one integrand call, and no scalar gaussian_quantile
+        call: the two full passes evaluated up to 24 per node, and the
+        lower and upper sides took a call each."""
         d = Density(weight, 0.5, 2, slab)
         m = build_transport(d)
         cum = d.cumulative
@@ -323,6 +331,7 @@ class TestPerimeterBound:
             t = np.clip(curve.points[:, 1], breaks[0], breaks[-1])
             in_median_panel = np.count_nonzero((breaks[j] <= t) & (t < breaks[j + 1]))
             assert 0 < sum(points) <= 12 * curve.n_nodes + 12 * in_median_panel
+            assert len(points) == 1
         assert scalar_calls == []
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
@@ -378,6 +387,73 @@ class TestOneEnginePerDensity:
         assert d1 == d2 and hash(d1) == hash(d2)
         assert {d1: "built"}[d2] == "built"
         assert len(engine_builds) == 1
+
+
+def parent_slack(tmap, curve) -> float:
+    """Oracle for transported_perimeter_bound: the pull-back clipped to the
+    slab first, stacked, and closed by vstack, as the bound did before it
+    wrote one preallocated polyline."""
+    density = tmap.target
+    p_f = curve_weighted_length(density, curve)
+    a, b = density.slab
+    clip_span = transport._Z_CLIP / math.sqrt(2.0 * tmap.source.c)
+    sigma = np.clip(transport._inverse_map(tmap, np.clip(curve.points[:, 1], a, b)), -clip_span, clip_span)
+    pulled = np.stack([curve.points[:, 0], sigma], axis=-1)
+    if curve.closed:
+        pulled = np.vstack([pulled, pulled[:1]])
+    return p_f - (tmap.alpha / tmap.beta) * _polyline_weighted_length(tmap.source, pulled)
+
+
+def sweep_curves(density, rng) -> list:
+    """Three random graph curves, a straight line from wall to wall that
+    passes each finite wall within _check_in_slab's tolerance, and a
+    closed curve."""
+    a, b = density.slab
+    lo, hi = max(a, -2.0), min(b, 2.0)
+    curves = []
+    for _ in range(3):
+        knots_t = np.linspace(lo + 0.025 * (hi - lo), hi - 0.025 * (hi - lo), 6)
+        sp = CubicSpline(knots_t, rng.uniform(-1.5, 1.5, 6))
+        dense_t = np.linspace(knots_t[0], knots_t[-1], 2000)
+        curves.append(polyline_curve(density, resample_by_arclength(np.stack([sp(dense_t), dense_t], axis=-1), 301)))
+    margin = 5e-10 * (1.0 + max(abs(lo), abs(hi)))
+    t = np.linspace(lo - margin if math.isfinite(a) else lo, hi + margin if math.isfinite(b) else hi, 101)
+    curves.append(polyline_curve(density, np.stack([0.3 * t, t], axis=-1)))
+    th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+    mid, r = 0.5 * (lo + hi), 0.4 * (hi - lo)
+    curves.append(polyline_curve(density, np.stack([r * np.cos(th), mid + r * np.sin(th)], axis=-1), closed=True))
+    return curves
+
+
+class TestOneCallPerBatch:
+    """The pushforward's one mass_below and one gaussian_cdf call, and the
+    bound's pull-back, against reference copies of the formulas they
+    replaced, bit for bit over the 14 sweep densities at c = 1/2 and 2."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_pushforward_residuals(self, weight, slab):
+        rng = np.random.default_rng(2405)
+        a, b = slab
+        for c in (0.5, 2.0):
+            d = Density(weight, c, 2, slab)
+            m, cum = build_transport(d), d.cumulative
+            given = np.sort(rng.uniform(max(a, -4.0), min(b, 4.0), (50, 2)), axis=1)
+            given[0] = slab
+            for rep in (pushforward_check(m, intervals=given), pushforward_check(m, n_intervals=50, seed=7)):
+                d1, d2 = rep.intervals[:, 0], rep.intervals[:, 1]
+                mu2 = cum.mass(np.maximum(d1, a), np.minimum(d2, b)) / cum.total
+                s = transport._inverse_map(m, rep.intervals)
+                want = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
+                assert rep.residuals.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_perimeter_bound_slack(self, weight, slab):
+        rng = np.random.default_rng(2406)
+        for c in (0.5, 2.0):
+            d = Density(weight, c, 2, slab)
+            m = build_transport(d)
+            for curve in sweep_curves(d, rng):
+                assert transported_perimeter_bound(m, curve).slack == parent_slack(m, curve)
 
 
 class TestTransportCsv:

@@ -551,15 +551,24 @@ SIDE_DENSITIES = [
 ] + [(LogPowerWeight(2.0), (0.0, 1.0)), (LogPowerWeight(2.0), (0.0, INF))]
 
 
+def floats_below(x: float, n: int) -> np.ndarray:
+    """The n floats just below x, nearest first."""
+    below = [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -INF))
+    return np.array(below[1:])
+
+
 def probe_heights(cum, rng) -> np.ndarray:
-    """Heights in every panel, across the median panel, in the first panel
-    and in the clamped tails, in random order."""
+    """Heights in every panel, across the median panel and just below it, in
+    the first panel and in the clamped tails, in random order.  For the zero
+    weight on (-1, 1) at c = 1/2 the median sits on a break."""
     breaks = cum.breaks
     every_panel = breaks[:-1] + rng.uniform(0.0, 1.0, breaks.size - 1) * np.diff(breaks)
     median = cum.quantile(0.5)
     j = int(np.searchsorted(breaks, median, side="right")) - 1
     median_panel = np.concatenate([np.linspace(breaks[j], breaks[j + 1], 61), [median],
-                                   np.nextafter(median, [-INF, INF])])
+                                   np.nextafter(median, [-INF, INF]), floats_below(breaks[j], 64)])
     first_panel = breaks[0] + (breaks[1] - breaks[0]) * np.logspace(-12.0, 0.0, 25)
     tails = [-INF, breaks[0] - 1.0, breaks[0], breaks[-1], breaks[-1] + 1.0, INF]
     return rng.permutation(np.concatenate([every_panel, median_panel, first_panel, tails]))
@@ -586,6 +595,18 @@ class TestCdfSides:
                 # an unread side of the full passes may pass 1 by an ulp
                 old_s = gaussian_quantile(c, np.minimum(old_q, 1.0), np.minimum(old_up, 1.0))
                 assert gaussian_quantile(c, q, q_up).tobytes() == old_s.tobytes()
+
+    def test_lower_side_past_half_in_the_panel_below_a_median_break(self):
+        """Here the median sits on break 300 and the lower side of each of
+        the 64 floats below it rounds past 1/2, so those rows read their
+        upper side although their panel ends on the median."""
+        cum = CumulativeDensity1D(Density(ZeroWeight(), 4.256626920547794, 2, (-3.0, 3.0)))
+        assert cum._cum_left[300] / cum.total == 0.5
+        t = floats_below(cum.breaks[300], 64)
+        q, q_up = cum.cdf_sides(t)
+        old_q, old_up = two_pass_sides(cum, t)
+        assert np.all(old_q > 0.5)
+        assert q.tobytes() == old_q.tobytes() and q_up.tobytes() == old_up.tobytes()
 
     def test_scalar_heights_give_floats(self):
         cum = CumulativeDensity1D(Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF)))
@@ -654,6 +675,44 @@ class TestBatchIndependence:
                 scalar, *batched = five_forms(query, x, rng)
                 for got in batched:
                     assert got.tobytes() == scalar.tobytes()
+
+
+class TestArgumentsStayUnwritten:
+    """The engine evaluates each batch in place, in arrays it owns."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_no_query_writes_to_its_arguments(self, weight, slab):
+        cum = CumulativeDensity1D(Density(weight, 0.5, 2, slab))
+        rng = np.random.default_rng(2403)
+        t = probe_heights(cum, rng)
+        inside = np.clip(t, cum.breaks[0], cum.breaks[-1])
+        edge = cum.breaks[np.minimum(np.searchsorted(cum.breaks, inside, side="right") - 1, cum.breaks.size - 2)]
+        q = rng.uniform(0.0, 1.0, 300)
+        queries = [
+            (cum._partial, edge, inside),
+            (cum._partial, inside, edge),
+            (cum.mass_below, t),
+            (cum.mass_above, t.reshape(-1, 1)),
+            (cum.cdf_sides, t),
+            (cum.quantile, q),
+            (cum.quantile, q, 1.0 - q),
+        ]
+        for query, *args in queries:
+            before = [arg.copy() for arg in args]
+            query(*args)
+            assert all(arg.tobytes() == old.tobytes() for arg, old in zip(args, before))
+
+    @pytest.mark.parametrize("weight", [
+        ZeroWeight(), AffineWeight(1.0, 0.2), QuadraticWeight(1.0, 0.3, 0.1), LogPowerWeight(2.0),
+        LogPowerWeight(0.0), PiecewiseLinearWeight((0.0, 0.5, 1.0), (0.0, 0.4, 0.1)),
+    ])
+    def test_value_is_a_fresh_writable_array(self, weight):
+        """The engine overwrites what value returns."""
+        t = np.linspace(0.05, 0.95, 24)
+        for arg in (t, t.reshape(12, 2), t.reshape(2, 12).T, t[::2]):
+            out = weight.value(arg)
+            assert isinstance(out, np.ndarray) and out.shape == arg.shape
+            assert out.flags.writeable and not np.shares_memory(out, arg)
 
 
 class TestQuantileWork:
