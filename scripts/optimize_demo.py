@@ -14,7 +14,6 @@ import numpy as np
 from isoflow import (
     ChordSpline,
     Density,
-    OptimizerConfig,
     QuadraticWeight,
     ZeroWeight,
     minimize,
@@ -46,7 +45,7 @@ def main() -> None:
     control_x[1:-1] += rng.normal(0.0, args.noise, args.controls - 2)
     chord = ChordSpline(control_x, tuple(args.slab))
 
-    final, trace = minimize(density, OptimizerConfig(target_area=target), chord)
+    final, trace = minimize(density, chord, target)
     print(f"status {trace.status} after {len(trace.iterations)} iterations")
     for i in sorted({*trace.iterations[:3], *trace.iterations[-3:]}):
         print(

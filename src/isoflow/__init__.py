@@ -8,90 +8,18 @@ diagnostics, spectral-gap certification, and a weighted-length chord
 optimizer.  Why the model is planar: see isoflow.weights.
 """
 
-from .cli import RunConfig, load_config, main, resolved_config_text
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DomainError,
-    GeometryError,
-    IsoflowError,
-    SmoothnessError,
-)
-from .geometry import (
-    DiscreteCurve,
-    StabilityVerdict,
-    cmc_shoot,
-    curve_csv,
-    curve_weighted_length,
-    f_mean_curvature,
-    horizontal_segment,
-    index_form,
-    jacobi_residual,
-    parallel_halfspace_stability,
-    polyline_curve,
-    straight_segment,
-    vertical_segment,
-)
-from .optimize import (
-    ChordSpline,
-    OptimizeTrace,
-    OptimizerConfig,
-    StationarityReport,
-    chord_curve,
-    enclosed_area,
-    make_straight_chord,
-    minimize,
-    shape_gradient,
-    stationarity_report,
-    trace_csv,
-    vertical_chord_length,
-    weighted_length,
-)
-from .profiles import (
-    ComparisonVerdict,
-    Profile,
-    ProfileOdeReport,
-    build_profile,
-    check_profile_ode,
-    compare_profiles,
-    profile_csv,
-)
-from .spectrum import (
-    PoincareCertificate,
-    SpectralProblem,
-    build_spectral_problem,
-    poincare_certify,
-    spectral_gap_1d,
-    spectrum_csv,
-)
-from .transport import (
-    ContractionReport,
-    PerimeterBoundReport,
-    PushforwardReport,
-    TransportMap,
-    build_transport,
-    check_contraction,
-    pushforward_check,
-    transport_csv,
-    transported_perimeter_bound,
-)
-from .weights import (
-    AffineWeight,
-    ConcavityReport,
-    CumulativeDensity1D,
-    Density,
-    LogPowerWeight,
-    PiecewiseLinearWeight,
-    QuadraticWeight,
-    Weight1D,
-    ZeroWeight,
-    bakry_emery_curvature,
-    check_concavity,
-    gaussian_factor,
-    log_density,
-    log_density_gradient,
-    tail_interval,
-    total_weighted_volume,
-)
+from .cli import *
+from .errors import *
+from .geometry import *
+from .optimize import *
+from .profiles import *
+from .spectrum import *
+from .transport import *
+from .weights import *
+
+# each module's __all__ is its public API and the package's is their union, as
+# in asyncio; every star import above also binds its submodule's name here
+__all__ = (cli.__all__ + errors.__all__ + geometry.__all__ + optimize.__all__ + profiles.__all__
+           + spectrum.__all__ + transport.__all__ + weights.__all__)
 
 __version__ = "0.1.0"

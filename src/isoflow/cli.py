@@ -31,14 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, IsoflowError
 from .geometry import curve_csv, cmc_shoot, jacobi_residual, parallel_halfspace_stability
-from .optimize import (
-    OptimizerConfig,
-    chord_curve,
-    make_straight_chord,
-    minimize,
-    trace_csv,
-    vertical_chord_length,
-)
+from .optimize import chord_curve, make_straight_chord, minimize, trace_csv, vertical_chord_length
 from .profiles import build_profile, check_profile_ode, compare_profiles, profile_csv
 from .spectrum import poincare_certify, spectrum_csv
 from .transport import build_transport, check_contraction, pushforward_check, transport_csv
@@ -71,6 +64,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "run": {
         "seed": ("int", 20260816),
         "out_dir": ("str", "isoflow_out"),
+        "expect_bound": ("bool", False),
     },
     "profile": {
         "grid_size": ("int", 257),
@@ -228,10 +222,11 @@ class RunConfig:
         return poincare_certify(self.density, n_cells=int(self.value("spectrum", "n_cells")))
 
 
-def load_config(path: str, out_dir: str | None = None) -> RunConfig:
+def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
     """Parse an INI file against the schema and build its density; unknown
     keys, settings outside their _LIMITS, an invalid density and a height
-    outside the slab are errors.  out_dir, when given, overrides [run] out_dir.
+    outside the slab are errors.  out_dir, when given, overrides [run]
+    out_dir; expect_bound, when true, sets [run] expect_bound.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
     strictly inside the slab, else the slab factor's median.
@@ -263,6 +258,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
             raise ConfigError(f"[{section}] {key} = {sections[section][key]} {requirement}")
     if out_dir is not None:
         sections["run"]["out_dir"] = out_dir
+    if expect_bound:
+        sections["run"]["expect_bound"] = True
     config = RunConfig(sections)
     a, b = config.density.slab
     unset = []
@@ -293,7 +290,8 @@ def resolved_config_text(config: RunConfig) -> str:
 _SEVERITY = {"verified": 0, "error": 1, "violated": 2}
 
 
-_Outcome = tuple[bool, dict, float, dict | None]  # a command's ok, metrics, tolerance, witness
+# a command's metrics, tolerance and witness: verified exactly when the witness is None
+_Outcome = tuple[dict, float, dict | None]
 
 
 def _atomic_write(config: RunConfig, filename: str, text: str) -> None:
@@ -320,7 +318,7 @@ def _write_json(config: RunConfig, filename: str, data: dict) -> None:
     _atomic_write(config, filename, text + "\n")
 
 
-def cmd_profile(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_profile(config: RunConfig) -> _Outcome:
     density = config.density
     tol = float(config.value("profile", "tolerance"))
     grid_size = int(config.value("profile", "grid_size"))
@@ -359,10 +357,10 @@ def cmd_profile(config: RunConfig, expect_bound: bool) -> _Outcome:
         "perpendicular_ode": ode_perp.verdict,
         "perpendicular_max_defect": ode_perp.max_defect,
     }
-    return ok, metrics, tol, witness
+    return metrics, tol, witness
 
 
-def cmd_transport(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_transport(config: RunConfig) -> _Outcome:
     tol = float(config.value("transport", "tolerance"))
     tmap = build_transport(
         config.density,
@@ -391,10 +389,10 @@ def cmd_transport(config: RunConfig, expect_bound: bool) -> _Outcome:
         "alpha": tmap.alpha,
         "beta": tmap.beta,
     }
-    return witness is None, metrics, tol, witness
+    return metrics, tol, witness
 
 
-def cmd_stability(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_stability(config: RunConfig) -> _Outcome:
     density = config.density
     tol = float(config.value("stability", "tolerance"))
     verdict = parallel_halfspace_stability(
@@ -412,9 +410,9 @@ def cmd_stability(config: RunConfig, expect_bound: bool) -> _Outcome:
     # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
     # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c;
     # like the spectral bound it must hold for concave weights
-    certificate = config.certificate
-    vertical_min = certificate.lambda_value - 2.0 * density.c
-    vertical_ok = vertical_min >= -tol or not (certificate.concave or expect_bound)
+    must_hold = bool(config.value("run", "expect_bound")) or config.certificate.concave
+    vertical_min = config.certificate.lambda_value - 2.0 * density.c
+    vertical_ok = vertical_min >= -tol or not must_hold
     witness = None
     if not witness_consistent:
         witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
@@ -427,10 +425,10 @@ def cmd_stability(config: RunConfig, expect_bound: bool) -> _Outcome:
         "witness_index_value": verdict.witness_value,
         "vertical_index_min": vertical_min,
     }
-    return witness is None, metrics, tol, witness
+    return metrics, tol, witness
 
 
-def cmd_jacobi(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_jacobi(config: RunConfig) -> _Outcome:
     density = config.density
     target = float(config.value("jacobi", "target_hf"))
     origin = (float(config.value("jacobi", "start_x")), float(config.value("jacobi", "start_t")))
@@ -461,16 +459,16 @@ def cmd_jacobi(config: RunConfig, expect_bound: bool) -> _Outcome:
     }
     worst = min(ratios)
     witness = None if ok else {"location": f"h={steps[ratios.index(worst) + 1]}", "value": worst}
-    return ok, metrics, min_ratio, witness
+    return metrics, min_ratio, witness
 
 
-def cmd_spectrum(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_spectrum(config: RunConfig) -> _Outcome:
     certificate = config.certificate
     _atomic_write(config, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
     # a concave weight is guaranteed the bound, so failing it is a genuine
     # violation; a non-concave diagnostic weight only violates under
-    # --expect-bound, otherwise the computed gap is informational
-    must_hold = certificate.concave or expect_bound
+    # [run] expect_bound, otherwise the computed gap is informational
+    must_hold = bool(config.value("run", "expect_bound")) or certificate.concave
     ok = certificate.certified or not must_hold
     metrics = {
         "lambda": certificate.lambda_value,
@@ -482,24 +480,25 @@ def cmd_spectrum(config: RunConfig, expect_bound: bool) -> _Outcome:
         "n_cells": certificate.n_cells,
     }
     witness = None if ok else {"location": "slab factor gap", "value": certificate.lambda_value}
-    return ok, metrics, certificate.bound, witness
+    return metrics, certificate.bound, witness
 
 
-def cmd_optimize(config: RunConfig, expect_bound: bool) -> _Outcome:
+def cmd_optimize(config: RunConfig) -> _Outcome:
     density = config.density
     fraction = float(config.value("optimize", "target_fraction"))
-    optimizer = OptimizerConfig(
-        target_area=fraction * total_weighted_volume(density),
+    # passed unnamed, so the start chord's cached fields are freed once the descent leaves it
+    final, trace = minimize(
+        density,
+        make_straight_chord(
+            density,
+            x_bottom=float(config.value("optimize", "x_bottom")),
+            x_top=float(config.value("optimize", "x_top")),
+            n_controls=int(config.value("optimize", "n_controls")),
+        ),
+        fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
         gradient_tolerance=float(config.value("optimize", "gradient_tolerance")),
     )
-    # passed unnamed, so the start chord's cached fields are freed once the descent leaves it
-    final, trace = minimize(density, optimizer, make_straight_chord(
-        density,
-        x_bottom=float(config.value("optimize", "x_bottom")),
-        x_top=float(config.value("optimize", "x_top")),
-        n_controls=int(config.value("optimize", "n_controls")),
-    ))
     _atomic_write(config, "optimize_trace.csv", trace_csv(trace))
     if trace.status != "converged":
         raise IsoflowError(
@@ -531,7 +530,7 @@ def cmd_optimize(config: RunConfig, expect_bound: bool) -> _Outcome:
         "status": trace.status,
     }
     witness = None if ok else {"location": "final chord length", "value": report.length}
-    return ok, metrics, 5e-3, witness
+    return metrics, 5e-3, witness
 
 
 # each stage's command, and every file it may write: record, error record, CSVs
@@ -546,19 +545,17 @@ _STAGES = {
 }
 
 
-def _run_stage(name: str, config: RunConfig, expect_bound: bool) -> dict:
+def _run_stage(name: str, config: RunConfig) -> dict:
     """Time one command and write its record, the command's own error
     included.  An OSError propagates."""
     command, (done, failed, *_) = _STAGES[name]
     start = time.perf_counter()
     try:
-        ok, metrics, tolerance, witness = command(config, expect_bound)
-        status = "verified" if ok else "violated"
+        metrics, tolerance, witness = command(config)
+        status = "verified" if witness is None else "violated"
     except (IsoflowError, ValueError) as exc:
         status, metrics, tolerance, witness = "error", {"message": str(exc)}, None, None
         print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
-    if status == "violated" and not witness:
-        raise IsoflowError(f"{name}: a violation verdict must carry a witness")
     record = {"command": name, "status": status, "metrics": metrics, "tolerance": tolerance,
               "wall_time_s": time.perf_counter() - start}
     if witness is not None:
@@ -581,13 +578,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--expect-bound",
         action="store_true",
-        help="treat a failed spectral bound or a negative vertical-line index minimum "
-        "lambda_1 - 2c as a violation even for non-concave weights",
+        help="set [run] expect_bound: treat a failed spectral bound or a negative "
+        "vertical-line index minimum lambda_1 - 2c as a violation even for non-concave weights",
     )
     args = parser.parse_args(argv)
     names = tuple(_STAGES) if args.command == "all" else (args.command,)
     try:
-        config = load_config(args.config, out_dir=args.out)
+        config = load_config(args.config, out_dir=args.out, expect_bound=args.expect_bound)
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
         resolved = resolved_config_text(config)
@@ -610,7 +607,7 @@ def main(argv=None) -> int:
     records = []
     for name in names:
         try:
-            records.append(_run_stage(name, config, args.expect_bound))
+            records.append(_run_stage(name, config))
         except OSError as exc:
             print(f"isoflow: {name}: io error: {exc}", file=sys.stderr)
             return 1

@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "IsoflowError",
+    "DomainError",
+    "SmoothnessError",
+    "GeometryError",
+    "ConsistencyError",
+    "ConfigError",
+]
+
 
 class IsoflowError(Exception):
     """Base class for all package-specific failures."""

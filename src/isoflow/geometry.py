@@ -187,6 +187,9 @@ def _boundary_flags(density: Density, points: np.ndarray) -> tuple[bool, bool]:
 def _check_in_slab(density: Density, points: np.ndarray) -> None:
     a, b = density.slab
     lowest, highest = points[:, 1].min(), points[:, 1].max()
+    # a non-finite height lies in no slab, but would pass the scaled test below
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise DomainError("curve exits the slab")
     scale = 1.0 + max(abs(lowest), abs(highest))
     if lowest < a - _BOUNDARY_TOL * scale or highest > b + _BOUNDARY_TOL * scale:
         raise DomainError("curve exits the slab")

@@ -39,7 +39,6 @@ from .weights import tail_interval, total_weighted_volume
 __all__ = [
     "ChordSpline",
     "OptimizeTrace",
-    "OptimizerConfig",
     "StationarityReport",
     "chord_curve",
     "enclosed_area",
@@ -283,23 +282,6 @@ def _second_variation(density: Density, chord: ChordSpline) -> tuple[np.ndarray,
     return h_length, h_area
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings for the fixed-area Newton-KKT length descent."""
-
-    target_area: float
-    max_iterations: int = 400
-    gradient_tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if not self.target_area > 0.0:
-            raise ConfigError("target area must be positive")
-        if not self.gradient_tolerance > 0.0:
-            raise ConfigError("gradient tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ConfigError("iteration budget must be positive")
-
-
 class StationarityReport(NamedTuple):
     """First-order optimality diagnostics of a chord.
 
@@ -416,7 +398,8 @@ def _newton_step(hessian: np.ndarray, gradient: np.ndarray, area_gradient: np.nd
 
 
 def minimize(
-    density: Density, config: OptimizerConfig, chord: ChordSpline
+    density: Density, chord: ChordSpline, target_area: float, max_iterations: int = 400,
+    gradient_tolerance: float = 1e-6,
 ) -> tuple[ChordSpline, OptimizeTrace]:
     """Modified Newton-KKT descent on the horizontal controls at fixed weighted area.
 
@@ -428,17 +411,23 @@ def minimize(
     starts from the full step.  The run terminates on a small projected
     gradient, the iteration cap, or a failed line search (stalled).
     """
-    chord = _restore_area(density, chord, config.target_area)
+    if not target_area > 0.0:
+        raise ConfigError("target area must be positive")
+    if not gradient_tolerance > 0.0:
+        raise ConfigError("gradient tolerance must be positive")
+    if max_iterations < 1:
+        raise ConfigError("iteration budget must be positive")
+    chord = _restore_area(density, chord, target_area)
     a, b = chord.span
     rows = []
     status = "max_iterations"
-    for it in range(config.max_iterations):
+    for it in range(max_iterations):
         gradient, area_gradient = shape_gradient(density, chord)
         mu, gnorm = _multiplier(gradient, area_gradient)
         length = weighted_length(density, chord)
-        area_err = abs(enclosed_area(density, chord) - config.target_area)
+        area_err = abs(enclosed_area(density, chord) - target_area)
         rows.append((it, length, area_err, gnorm))
-        if gnorm < config.gradient_tolerance:
+        if gnorm < gradient_tolerance:
             status = "converged"
             break
         h_length, h_area = _second_variation(density, chord)
@@ -450,7 +439,7 @@ def minimize(
         for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _unpack(chord, chord.control_x + alpha * step)
-                trial = _restore_area(density, trial, config.target_area)
+                trial = _restore_area(density, trial, target_area)
             except (GeometryError, DomainError):
                 alpha *= _BACKTRACK
                 continue

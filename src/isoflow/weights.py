@@ -320,8 +320,6 @@ class Density:
         if a < lo or b > hi:
             raise ValueError("slab must lie inside the weight domain")
         w = self.weight
-        if isinstance(w, LogPowerWeight) and a < 0.0:
-            raise ValueError("log-power densities need slab with a >= 0")
         # integrability: t^m near 0 needs m > -1, an infinite side c + kappa > 0
         if isinstance(w, LogPowerWeight) and a == 0.0 and w.m <= -1.0:
             raise DomainError("density is not integrable: log-power m <= -1 at t = 0")
@@ -544,8 +542,9 @@ def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> 
     # the cut is kept 1 / sqrt(c) beyond |ref|
     reach = max(1.0, 1.0 / math.sqrt(c))
     ref = (a if math.isfinite(a) else 0.0) + reach if right else (b if math.isfinite(b) else 0.0) - reach
-    drift = float(w.deriv(ref)) if right else -float(w.deriv(ref))
-    cut = _gaussian_tail_cutoff(c, drift, float(w.value(ref)) - drift * ref, eps) + pad / math.sqrt(c)
+    slope = float(w.deriv(ref))
+    drift = slope if right else -slope
+    cut = _gaussian_tail_cutoff(c, drift, float(w.value(ref)) - slope * ref, eps) + pad / math.sqrt(c)
     cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
     return cut if right else -cut
 

@@ -50,7 +50,6 @@ from isoflow import (
     vertical_segment,
 )
 from isoflow.geometry import _trapezoid_weights
-from isoflow.optimize import OptimizerConfig
 
 INF = math.inf
 C = 0.5
@@ -370,8 +369,7 @@ def test_criterion_10_optimizer_benchmark():
         control_x = np.linspace(ends[0], ends[1], m)
         control_x[1:-1] += rng.normal(0.0, 0.15, m - 2)
         chord = ChordSpline(control_x, (-1.0, 1.0))
-        config = OptimizerConfig(target_area=target)
-        final, trace = minimize(density, config, chord)
+        final, trace = minimize(density, chord, target)
         assert trace.status == "converged"
         assert trace.final.stationary
         assert np.all(np.diff(trace.lengths) <= 0.0)

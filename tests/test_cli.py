@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import isoflow
-from isoflow import cli
 from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
-from isoflow.errors import ConfigError, IsoflowError
+from isoflow.errors import ConfigError
 from isoflow.spectrum import SpectralProblem, poincare_certify
 from isoflow.weights import CumulativeDensity1D
 
@@ -146,6 +145,16 @@ class TestLoadConfig:
         echoed = write_cfg(tmp_path, resolved_config_text(config), "resolved.cfg")
         assert load_config(echoed) == config
 
+    @pytest.mark.parametrize("in_file", [None, "false", "true"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_the_flag_sets_expect_bound(self, tmp_path, in_file, flag):
+        """--expect-bound sets [run] expect_bound; without it the file's value holds."""
+        text = "[density]\nweight = zero\n" + (f"[run]\nexpect_bound = {in_file}\n" if in_file else "")
+        config = load_config(write_cfg(tmp_path, text), expect_bound=flag)
+        assert config.value("run", "expect_bound") is (flag or in_file == "true")
+        echoed = write_cfg(tmp_path, resolved_config_text(config), "resolved.cfg")
+        assert load_config(echoed) == config
+
 
 @pytest.fixture(scope="module")
 def gaussian_run(tmp_path_factory):
@@ -208,14 +217,53 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+# sha256 of every JSON record of the same runs, taken over
+# json.dumps(record, sort_keys=True) with each wall_time_s dropped, so that a
+# moved value, a changed key or a flipped sign of zero moves a digest
+GOLDEN_JSON_SHA256 = {
+    "gaussian": {
+        "compare.json": "634874ba7e4127b93782d167bd08fa941a0fb2f75d8b73f55f8d6bc9d4b1cf3e",
+        "jacobi.json": "765c06a980a4f3ba35cc4883ec9b6c08e6d9435e87125f24f80ae11b2b854428",
+        "optimize.json": "bb315c23f1242af83d317be5da1a90cdd93bd88ae16cba9ac154c2d040aa6468",
+        "spectrum.json": "7bad504b999813a132f1cecb75bd4c9bb770079e22974aed51ffd3836c294dde",
+        "stability.json": "f479dc1828c2a9622a0add99fb6615fb812e39acea1c15f1fcea0313685601fa",
+        "summary.json": "4de59cd222fdfbe57e731d57db50eebdb5aaf68f6124f83b69620286dbe47cee",
+        "transport.json": "8c76e0ce670fcc527be287341266ce52ee9d2c9d0e834d5748b0e653ae657ef5",
+    },
+    "quadratic": {
+        "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
+        "jacobi.json": "3b4453170dcefad1b38fdb69d310bbb5eb76ff30f568655a03f2906ac8f88148",
+        "optimize.json": "6343fd49214369308c572eea1f6881136611f84df024fbba16ebcbc68cb91aaf",
+        "spectrum.json": "1396972dcbd02cf74d90572fdb38f0240b138163224db9a1fe4e1ebc6ca85d1d",
+        "stability.json": "f8214f7d3ac3920a907c75bbb1474ca6c5c74ffae84b7abfc5d5cb92454bf857",
+        "summary.json": "ef98fcef19e97a9bb8e3923df79737d44c3d6c91571469ecf8444f326d0599d8",
+        "transport.json": "5c5da745cab1e20f58b6a6f41b78cfdc0b2f3cd8b25a0f0b3e660b537c681ab0",
+    },
+}
+
+golden_numpy = pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"digests were recorded with numpy {GOLDEN_NUMPY}, and spectrum.csv and the "
+    "spectral records pass through BLAS products")
+
+
 def csv_digests(out_dir) -> dict:
     return {name: hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(out_dir)) if name.endswith(".csv")}
 
 
-@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
-                    reason=f"CSV digests were recorded with numpy {GOLDEN_NUMPY}, and spectrum.csv "
-                    "passes through BLAS products")
+def json_digests(out_dir) -> dict:
+    digests = {}
+    for name in sorted(n for n in os.listdir(out_dir) if n.endswith(".json")):
+        record = read_json(out_dir, name)
+        for verdict in record.get("verdicts", [record]):
+            del verdict["wall_time_s"]
+        text = json.dumps(record, sort_keys=True)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+@golden_numpy
 class TestGoldenCsvDigests:
     """Byte-identical CSVs as a check that can fail: a change that moves
     any output bit of either bundled config moves a digest."""
@@ -225,6 +273,18 @@ class TestGoldenCsvDigests:
 
     def test_quadratic_config(self, quadratic_record):
         assert csv_digests(quadratic_record[1]) == GOLDEN_CSV_SHA256["quadratic"]
+
+
+@golden_numpy
+class TestGoldenJsonDigests:
+    """Every verdict record and summary.json of either bundled config,
+    apart from its wall times, as recorded at the same commit as the CSVs."""
+
+    def test_gaussian_config(self, gaussian_run):
+        assert json_digests(gaussian_run[1]) == GOLDEN_JSON_SHA256["gaussian"]
+
+    def test_quadratic_config(self, quadratic_record):
+        assert json_digests(quadratic_record[1]) == GOLDEN_JSON_SHA256["quadratic"]
 
 
 class TestGaussianRun:
@@ -391,6 +451,22 @@ class TestRunRecords:
         assert {p.name for p in out.iterdir()} == {"resolved.cfg", "profile_error.json", "notes.txt"}
         assert read_json(out, "profile_error.json")["status"] == "error"
         assert load_config(str(out / "resolved.cfg")).value("density", "weight") == "piecewise_linear"
+        capsys.readouterr()
+
+    def test_expect_bound_is_part_of_the_configuration(self, tmp_path, capsys):
+        """`all` without --expect-bound, then `spectrum` with it: the flag was
+        not in resolved.cfg, so the directory looked unchanged and kept a
+        stability.json that read `verified`, which the flag makes `violated`."""
+        cfg = write_cfg(tmp_path, CONVEX_DENSITY)
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 2
+        assert read_json(out, "stability.json")["status"] == "verified"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--expect-bound"]) == 2
+        assert {p.name for p in out.iterdir()} == {"resolved.cfg", "spectrum.json", "spectrum.csv"}
+        assert read_json(out, "spectrum.json")["status"] == "violated"
+        assert "\nexpect_bound = true\n" in (out / "resolved.cfg").read_text()
+        assert load_config(str(out / "resolved.cfg")).value("run", "expect_bound") is True
+        assert main(["stability", "--config", str(out / "resolved.cfg"), "--out", str(out)]) == 2
         capsys.readouterr()
 
 
@@ -663,17 +739,7 @@ class TestOnePencilPerRun:
 
 class TestRunContext:
     """The resolved RunConfig carries the run: its density and certificate
-    belong to it, and the runner checks every record it writes."""
-
-    def test_a_violation_without_a_witness_raises(self, tmp_path, monkeypatch):
-        config = load_config(GAUSSIAN_CFG, out_dir=str(tmp_path))
-        def unwitnessed(config, expect_bound):
-            return False, {}, 0.0, None
-
-        monkeypatch.setitem(cli._STAGES, "spectrum", (unwitnessed, cli._STAGES["spectrum"][1]))
-        with pytest.raises(IsoflowError, match="witness"):
-            cli._run_stage("spectrum", config, False)
-        assert not (tmp_path / "spectrum.json").exists()
+    belong to it."""
 
     def test_each_run_certifies_its_own_density(self, tmp_path):
         lambdas = []

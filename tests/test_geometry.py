@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestDiscreteCurve:
                 polyline_curve(QUAD_SLAB, pts)
         else:
             assert polyline_curve(QUAD_SLAB, pts).n_nodes == 21
+
+    @pytest.mark.parametrize("height", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slab", [QUAD_SLAB, GAUSS_PLANE], ids=["slab", "plane"])
+    def test_a_nonfinite_height_exits_the_slab(self, height, slab):
+        """Refused before any arithmetic: no warning, and the slab's error."""
+        pts = np.stack([np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)], axis=-1)
+        pts[2, 1] = height
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="exits the slab"):
+                polyline_curve(slab, pts)
 
     def test_weighted_area_matches_line_integral(self):
         vl = vertical_segment(UNIT_SLAB, 0.7, n=801)

@@ -19,7 +19,6 @@ import isoflow.optimize as opt
 from isoflow.errors import ConfigError, DomainError, GeometryError
 from isoflow.optimize import (
     ChordSpline,
-    OptimizerConfig,
     enclosed_area,
     make_straight_chord,
     minimize,
@@ -439,8 +438,7 @@ class TestSplineOperators:
         monkeypatch.setattr(opt, "_OPERATORS", {}, raising=False)
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
-        _, trace = minimize(density, OptimizerConfig(target_area=target),
-                            make_straight_chord(density, -0.3, 0.4))
+        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
         assert trace.status == "converged"
         assert len(builds) == 1
 
@@ -459,8 +457,7 @@ class TestFieldsComputedOnce:
         monkeypatch.setattr(opt, "_evaluate_fields", counting)
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
-        _, trace = minimize(density, OptimizerConfig(target_area=target),
-                            make_straight_chord(density, -0.3, 0.4))
+        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
         assert trace.status == "converged"
         assert len({id(chord) for chord in computed}) == len(computed)
         # about two chords per iteration: the trial step and its area restoration
@@ -488,20 +485,26 @@ class TestFieldsComputedOnce:
         assert weighted_length(tilted, chord) < 0.9 * flat_length
 
 
-class TestOptimizerConfig:
-    def test_rejects_nonpositive_area(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(target_area=0.0)
+class TestMinimizeArguments:
+    @staticmethod
+    def descend(**settings):
+        density = symmetric_slab()
+        return minimize(density, make_straight_chord(density, 0.0), **settings)
+
+    @pytest.mark.parametrize("area", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_area(self, area):
+        with pytest.raises(ConfigError, match="target area must be positive"):
+            self.descend(target_area=area)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
     def test_rejects_gradient_tolerance_not_positive(self, tolerance):
         """A descent that can never meet its tolerance would spend every iteration."""
-        with pytest.raises(ConfigError):
-            OptimizerConfig(target_area=1.0, gradient_tolerance=tolerance)
+        with pytest.raises(ConfigError, match="gradient tolerance must be positive"):
+            self.descend(target_area=1.0, gradient_tolerance=tolerance)
 
     def test_rejects_empty_budget(self):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(target_area=1.0, max_iterations=0)
+        with pytest.raises(ConfigError, match="iteration budget must be positive"):
+            self.descend(target_area=1.0, max_iterations=0)
 
 
 class TestRestoreArea:
@@ -602,7 +605,7 @@ class TestRestorationIterates:
             return restored
 
         monkeypatch.setattr(opt, "_restore_area", checked)
-        _, trace = minimize(density, OptimizerConfig(target), start)
+        _, trace = minimize(density, start, target)
         assert trace.status == "converged"
         # the start and every trial step leave the target area
         assert newton_steps and all(steps > 0 for steps in newton_steps)
@@ -615,7 +618,7 @@ class TestMinimize:
         v_tot = total_weighted_volume(density)
         shift = math.tan(math.radians(30.0))
         init = make_straight_chord(density, -shift, shift)
-        final, trace = minimize(density, OptimizerConfig(target_area=v_tot / 2.0), init)
+        final, trace = minimize(density, init, v_tot / 2.0)
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(SYM_SLAB_MASS, rel=5e-3)
         assert trace.final.stationary
@@ -625,11 +628,7 @@ class TestMinimize:
     def test_vertical_chord_is_immediately_stationary(self):
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
-        _, trace = minimize(
-            density,
-            OptimizerConfig(target_area=v_tot / 2.0),
-            make_straight_chord(density, 0.0),
-        )
+        _, trace = minimize(density, make_straight_chord(density, 0.0), v_tot / 2.0)
         assert trace.status == "converged"
         assert len(trace.iterations) == 1
         assert trace.gradient_norms[0] < 1e-8
@@ -638,7 +637,7 @@ class TestMinimize:
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
         init = make_straight_chord(density, -0.8, 0.5)
-        _, trace = minimize(density, OptimizerConfig(target_area=0.4 * v_tot), init)
+        _, trace = minimize(density, init, 0.4 * v_tot)
         assert np.all(np.diff(trace.lengths) <= 1e-12)
         assert np.max(trace.area_errors) <= 1e-8 * v_tot
 
@@ -648,7 +647,7 @@ class TestMinimize:
         v_tot = total_weighted_volume(density)
         rng = np.random.default_rng(seed)
         init = ChordSpline(0.6 * rng.standard_normal(12), (-1.0, 1.0))
-        _, trace = minimize(density, OptimizerConfig(target_area=v_tot / 2.0), init)
+        _, trace = minimize(density, init, v_tot / 2.0)
         assert trace.status == "converged"
         assert trace.final.stationary
         assert len(trace.iterations) <= 20
@@ -666,7 +665,7 @@ class TestMinimize:
         s_star = -erfcinv(2.0 * frac) / math.sqrt(0.5)
         want = math.exp(-0.5 * s_star * s_star) * SYM_SLAB_MASS
         init = make_straight_chord(density, -1.2, 0.1)
-        _, trace = minimize(density, OptimizerConfig(target_area=frac * v_tot), init)
+        _, trace = minimize(density, init, frac * v_tot)
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(want, rel=5e-3)
 
@@ -713,11 +712,7 @@ class TestTraceCsv:
     def test_round_trip(self):
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
-        _, trace = minimize(
-            density,
-            OptimizerConfig(target_area=v_tot / 2.0),
-            make_straight_chord(density, -0.3, 0.3),
-        )
+        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3), v_tot / 2.0)
         text = trace_csv(trace)
         lines = text.strip().split("\n")
         assert lines[0] == "iter,length,area_err,grad_norm"

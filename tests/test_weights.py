@@ -37,6 +37,7 @@ from isoflow import (
 from isoflow.weights import (
     _erfc,
     _gauss_legendre,
+    _one_sided_cutoff,
     gaussian_ccdf,
     gaussian_cdf,
     gaussian_quantile,
@@ -337,6 +338,24 @@ class TestIntegrateWeighted:
             hi_w = hi + pad if math.isinf(slab[1]) else hi
             wide = CumulativeDensity1D((lambda t: np.exp(w.value(t) - c * t * t), lo_w, hi_w)).total
             assert abs(wide - tight) <= 1e-14 * tight, (weight, slab, wide, tight)
+
+    @pytest.mark.parametrize("eps", [1e-15, math.exp(-32.0)], ids=["tail_mass", "spectral"])
+    @pytest.mark.parametrize("a0, b0", [(0.7, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.3), (-2.0, 0.0)])
+    def test_each_tangent_tail_carries_at_most_eps(self, a0, b0, eps):
+        """The tangent bound is exact for an affine weight, so each side's
+        cut leaves a tail of at most eps, by the closed form
+            int_T^inf e^{b0 + a0 t - c t^2} dt
+                = e^{b0 + a0^2/(4c)} sqrt(pi/c)/2 erfc(sqrt(c) (T - a0/(2c))),
+        reflected on the left.  The left side's tail was 7 to 286 eps."""
+        import mpmath as mp
+
+        c = 0.5
+        d = Density(AffineWeight(a0, b0), c, 2, (-INF, INF))
+        mu, scale = a0 / (2.0 * c), mp.e ** (b0 + a0 * a0 / (4.0 * c)) * mp.sqrt(mp.pi / c) / 2
+        for right in (True, False):
+            cut = _one_sided_cutoff(d, right, eps, 0.0)
+            tail = scale * mp.erfc(mp.sqrt(c) * ((cut - mu) if right else (mu - cut)))
+            assert tail <= eps * (1.0 + 1e-9), (right, float(tail / eps))
 
 
 class TestNormalizers:
