@@ -34,7 +34,6 @@ from .weights import (
 )
 
 __all__ = [
-    "CubicSpline",
     "DiscreteCurve",
     "StabilityVerdict",
     "cmc_shoot",
@@ -190,6 +189,8 @@ def _check_in_slab(density: Density, points: np.ndarray) -> None:
     # a non-finite height lies in no slab, but would pass the scaled test below
     if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise DomainError("curve exits the slab")
+    if not np.isfinite(points[:, 0]).all():  # refused before the callers' arithmetic warns
+        raise GeometryError("curve data must be finite")
     scale = 1.0 + max(abs(lowest), abs(highest))
     if lowest < a - _BOUNDARY_TOL * scale or highest > b + _BOUNDARY_TOL * scale:
         raise DomainError("curve exits the slab")
@@ -202,9 +203,10 @@ def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
     p1 = np.asarray(p1, dtype=float)
     if n < 3:
         raise GeometryError("need at least 3 nodes")
+    # the ends bound every node to rounding, and are checked before inf - inf can warn
+    _check_in_slab(density, np.stack((p0, p1)))
     lam = np.linspace(0.0, 1.0, n)
     points = p0 + lam[:, None] * (p1 - p0)
-    _check_in_slab(density, points)
     chord = p1 - p0
     length = math.hypot(chord[0], chord[1])
     if length <= 0.0:
@@ -250,10 +252,12 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     if points.shape[0] < 3:
         raise GeometryError("curve needs at least 3 nodes")
     _check_in_slab(density, points)
+    ell = _segment_lengths(points, closed)
+    if ell.min() <= 0.0:  # before the tangents, where 0/0 warns
+        raise GeometryError("consecutive nodes must be distinct")
     tangents = _unit_tangents(points, closed)
     normals = _rot90(tangents)
     theta = np.arctan2(tangents[:, 1], tangents[:, 0])
-    ell = _segment_lengths(points, closed)
     s = np.concatenate(([0.0], np.cumsum(ell[: points.shape[0] - 1])))
     if closed:  # continue θ and s one node across the closing segment
         theta = np.concatenate((theta[-1:], theta, theta[:1]))
@@ -426,98 +430,6 @@ def cmc_shoot(
 
 # ---------------------------------------------------------------------------
 # Jacobi identity and index forms
-
-
-def _gtsv(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system in band storage ab (super-, main and
-    subdiagonal rows) for the columns of the (n, k) array b.
-
-    A line-for-line port of LAPACK dgtsv, Gaussian elimination with
-    partial pivoting, in Python floats: the same operations in the same
-    order, so the result equals scipy.linalg.solve_banded((1, 1), ab, b)
-    bit for bit.  The elimination is recorded once and replayed per column.
-    """
-    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
-    n, steps = len(d), []
-    for i in range(n - 1):
-        swap = abs(d[i]) < abs(dl[i])
-        if not swap:
-            if d[i] == 0.0:
-                raise np.linalg.LinAlgError("singular tridiagonal system")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-        steps.append((i, fact, swap))
-    if d[-1] == 0.0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    columns = b.T.tolist()
-    for x in columns:
-        for i, fact, swap in steps:
-            if swap:
-                x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
-            else:
-                x[i + 1] = x[i + 1] - fact * x[i]
-        x[-1] = x[-1] / d[-1]
-        x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
-        for i in range(n - 3, -1, -1):
-            x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
-    return np.array(columns).T
-
-
-class CubicSpline:
-    """C² cubic interpolant through (x_i, y_i), y with any trailing axes.
-
-    Not-a-knot end conditions.  Built and evaluated step for step as
-    scipy.interpolate.CubicSpline (tridiagonal knot slopes by the dgtsv
-    port _gtsv, Hermite coefficients, power sums in the offset from the
-    left knot), so values and derivatives agree bit for bit.
-    """
-
-    def __init__(self, x, y):
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        n, dx = x.size, np.diff(x)
-        if n < 3 or y.shape[0] != n or np.any(dx <= 0.0):
-            raise ValueError("need at least 3 increasing knots and matching values")
-        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dxr
-        ab = np.zeros((3, n))  # diagonals of the slope system
-        ab[1, 1:-1], ab[0, 2:], ab[-1, :-2] = 2 * (dx[:-1] + dx[1:]), dx[:-1], dx[1:]
-        rhs = np.empty_like(y)
-        rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        if n == 3:  # the parabola through three points
-            ab[1, 0] = ab[0, 1] = ab[1, -1] = ab[-1, -2] = 1.0
-            rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
-        else:
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            ab[1, 0], ab[0, 1], ab[1, -1], ab[-1, -2] = dx[1], d0, dx[-2], d1
-            rhs[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
-            rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-        s = _gtsv(ab, rhs.reshape(n, -1)).reshape(rhs.shape)
-        t = (s[:-1] + s[1:] - 2 * slope) / dxr
-        self.x = x
-        self.c = (t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])
-
-    def __call__(self, x, nu: int = 0) -> np.ndarray:
-        """Values (nu = 0) or nu-th derivatives at x, shaped x.shape + y.shape[1:]."""
-        x, k = np.asarray(x, dtype=float), self.x
-        i = np.clip(np.searchsorted(k, x, side="right") - 1, 0, k.size - 2)
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        h = (x - k[i]).reshape(x.shape + (1,) * (c0.ndim - x.ndim))
-        if nu == 0:
-            return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
-        if nu == 1:
-            return c2 + c1 * h * 2.0 + c0 * (h * h) * 3.0
-        if nu == 2:
-            return c1 * 2.0 + c0 * h * 6.0
-        raise ValueError("derivative order must be 0, 1 or 2")
 
 
 def _tangential_gradient_log_density(density: Density, curve: DiscreteCurve) -> np.ndarray:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import CubicSpline, DiscreteCurve
+from .geometry import DiscreteCurve
 from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, gaussian_quantile, log_density
 from .weights import tail_interval, total_weighted_volume
@@ -62,6 +62,43 @@ _MAX_BACKTRACKS = 40
 _EIGEN_FLOOR = 1e-8
 
 
+def _not_a_knot(m: int) -> np.ndarray:
+    """Power-form coefficients (c0, c1, c2, c3), shape (4, m − 1, m), of the
+    not-a-knot cubic spline basis on m uniform knots of [0, 1]: from knot i,
+    B_j = c3 + c2·h + c1·h² + c0·h³ in the offset h.  The knot slopes s of
+    every B_j come from one dense solve: s_{i−1} + 4s_i + s_{i+1} =
+    3(δ_{i−1} + δ_i) inside, δ the interval slopes, and at each end the row
+    that makes the third derivative continuous across the second knot."""
+    h, eye = 1.0 / (m - 1), np.eye(m)
+    delta = np.diff(eye, axis=0) / h
+    system = 4.0 * eye + np.eye(m, k=1) + np.eye(m, k=-1)
+    system[0, :2] = system[-1, :-3:-1] = 1.0, 2.0
+    rhs = np.empty((m, m))
+    rhs[1:-1] = 3.0 * (delta[:-1] + delta[1:])
+    rhs[0], rhs[-1] = 0.5 * (5.0 * delta[0] + delta[1]), 0.5 * (delta[-2] + 5.0 * delta[-1])
+    s = np.linalg.solve(system, rhs)
+    cubic = (s[:-1] + s[1:] - 2.0 * delta) / h
+    return np.stack((cubic / h, (delta - s[:-1]) / h - cubic, s[:-1], eye[:-1]))
+
+
+def _evaluate_spline(coefficients: np.ndarray, theta, nu: int) -> np.ndarray:
+    """Values (nu = 0) or nu-th θ-derivatives at θ of the spline with the
+    power-form coefficients of _not_a_knot, shaped θ.shape + the
+    coefficients' trailing axes."""
+    theta = np.asarray(theta, dtype=float)
+    knots = np.linspace(0.0, 1.0, coefficients.shape[1] + 1)
+    i = np.clip(np.searchsorted(knots, theta, side="right") - 1, 0, knots.size - 2)
+    c0, c1, c2, c3 = coefficients.take(i, axis=1)
+    h = (theta - knots[i]).reshape(theta.shape + (1,) * (c0.ndim - theta.ndim))
+    if nu == 0:
+        return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
+    if nu == 1:
+        return c2 + c1 * h * 2.0 + c0 * (h * h) * 3.0
+    if nu == 2:
+        return c1 * 2.0 + c0 * h * 6.0
+    raise ValueError("derivative order must be 0, 1 or 2")
+
+
 class _SplineOperator(NamedTuple):
     """Quadrature nodes and weights and the spline basis B_j at the nodes of m knots."""
 
@@ -71,6 +108,7 @@ class _SplineOperator(NamedTuple):
     d1: np.ndarray  # B_j′(θ_i)
     d2: np.ndarray  # B_j″(θ_i)
     ends: np.ndarray  # (2, m): B_j′ at θ = 0 and θ = 1
+    coefficients: np.ndarray  # (4, m − 1, m): the basis in power form, from _not_a_knot
 
 
 _OPERATORS: dict[int, _SplineOperator] = {}
@@ -80,8 +118,8 @@ def _operator(m: int) -> _SplineOperator:
     """Spline operators at Gauss-Legendre nodes aligned with the m knots.
 
     The not-a-knot spline through (knot_j, y_j) is linear in y, so one
-    spline through the identity matrix gives every B_j; a chord's values
-    and θ-derivatives are then matrix products with its controls.  Knot
+    basis (_not_a_knot) gives every B_j; a chord's values and
+    θ-derivatives are then matrix products with its controls.  Knot
     alignment matters because spline curvature has derivative kinks at
     the knots; the high panel count matters because the arclength factor
     (1 + x'²)^{±3/2} has complex branch points that approach the real
@@ -93,10 +131,11 @@ def _operator(m: int) -> _SplineOperator:
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        basis = CubicSpline(np.linspace(0.0, 1.0, m), np.eye(m))
         weights = (half[:, None] * w[None, :]).ravel()
-        _OPERATORS[m] = _SplineOperator(*map(_read_only, (
-            theta, weights, basis(theta), basis(theta, 1), basis(theta, 2), basis([0.0, 1.0], 1))))
+        coefficients = _not_a_knot(m)
+        fields = [_evaluate_spline(coefficients, theta, nu) for nu in (0, 1, 2)]
+        ends = _evaluate_spline(coefficients, [0.0, 1.0], 1)
+        _OPERATORS[m] = _SplineOperator(*map(_read_only, (theta, weights, *fields, ends, coefficients)))
     return _OPERATORS[m]
 
 
@@ -139,15 +178,16 @@ class ChordSpline:
         return {}
 
     @functools.cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.knots, self.control_x)
+    def _coefficients(self) -> np.ndarray:
+        """x(θ) in power form: the basis coefficients times the controls."""
+        return _operator(self.n_controls).coefficients @ self.control_x
 
     def position(self, theta, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(x, t) at arbitrary parameters θ, or their nu-th θ-derivatives."""
         theta = np.asarray(theta, dtype=float)
         a, b = self.span
         t = a + (b - a) * theta if nu == 0 else np.full_like(theta, b - a if nu == 1 else 0.0)
-        return self._spline(theta, nu), t
+        return _evaluate_spline(self._coefficients, theta, nu), t
 
     def translated(self, tau: float) -> "ChordSpline":
         return ChordSpline(self.control_x + tau, self.span)

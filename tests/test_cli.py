@@ -195,20 +195,20 @@ def quadratic_run(quadratic_record):
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_CSV_SHA256 = {
     "gaussian": {
-        "chord.csv": "40c3a89c185e3869cab46c80bded7b0060208cb3cae5757733214e948bc5364e",
+        "chord.csv": "d0c0de66921e69bc52da59a2b598c1eb97ef40a579a109c2385e11c84f06d0e9",
         "jacobi.csv": "495eea3c631527fb1817fbec4886bb5d20d3fb158dc603da3104aa5bdad0a402",
         "jacobi_curve.csv": "1bfc576dbe98cb94a7ecacbba14fd5a63a25453d9f9fb813ef8b14ca07e8fe37",
-        "optimize_trace.csv": "69b9f25634f5ac1ccb7e4c4a99ef4d9b15b0a7e66301f0605b0367e4f193333d",
+        "optimize_trace.csv": "c507f526bdf1dfa158e458d9f89d35dcd1ab8fc107d07bf04f316d4d46b3900e",
         "profile_parallel.csv": "8901e38966bfa5831a58484a036542af699673ec8c45bc302d9f89bd634a9ed7",
         "profile_perp.csv": "5df770e52de16a0a6105106fc95e3dba2a69179f0a38d4a564a47273a671eb2e",
         "spectrum.csv": "cf1414aa9e907970092b80c567e246701534e1ed39889bd790707426f5ae30d4",
         "transport.csv": "15e3b3bf613b6d10e760ae6522e578c1ed0bfa0d357c5ede8123397d04aede21",
     },
     "quadratic": {
-        "chord.csv": "8bef1e96a3c36f02d35bbd6eda41b82872f4592160949af2c10315e527c639a4",
+        "chord.csv": "422b5c72ad4497bbc2b37ebeb968b445ab40ceafd5f73e9edc6794b855ef3d43",
         "jacobi.csv": "839263c10f77f4cb01cd588c5062c314396da94f43d38787b9f4c3e750982b2f",
         "jacobi_curve.csv": "04fb30eb18759daf9c4d3bf0586cd2d4e4c94d2e939b49f558bdb8da07261cc7",
-        "optimize_trace.csv": "06fa3b9ae560be387647005b4ac90f016ee16f29fd8dce4ef92bdeffdceda626",
+        "optimize_trace.csv": "4726869db1fa7e763fd619a98bedb911730c500d781f72667f49feca1b1bcea0",
         "profile_parallel.csv": "d8001fd39161787b99f6ac54fc6749eb25972ad18f122b34a06c29a860c9d6a0",
         "profile_perp.csv": "57e761d38fb316dfcc9583978ff145cce0584d6d08c934c5e25d79e4f015b63c",
         "spectrum.csv": "f1fd66a8ee4fa13a5107c0787adca30ef318d2dd41f75e1d23cdd4c2f46fc077",
@@ -224,19 +224,19 @@ GOLDEN_JSON_SHA256 = {
     "gaussian": {
         "compare.json": "634874ba7e4127b93782d167bd08fa941a0fb2f75d8b73f55f8d6bc9d4b1cf3e",
         "jacobi.json": "765c06a980a4f3ba35cc4883ec9b6c08e6d9435e87125f24f80ae11b2b854428",
-        "optimize.json": "bb315c23f1242af83d317be5da1a90cdd93bd88ae16cba9ac154c2d040aa6468",
+        "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
         "spectrum.json": "7bad504b999813a132f1cecb75bd4c9bb770079e22974aed51ffd3836c294dde",
         "stability.json": "f479dc1828c2a9622a0add99fb6615fb812e39acea1c15f1fcea0313685601fa",
-        "summary.json": "4de59cd222fdfbe57e731d57db50eebdb5aaf68f6124f83b69620286dbe47cee",
+        "summary.json": "8d979c5a50eb3800c6b62bce89b185641ced223c40e9cc300c8e5552b32307a9",
         "transport.json": "8c76e0ce670fcc527be287341266ce52ee9d2c9d0e834d5748b0e653ae657ef5",
     },
     "quadratic": {
         "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
         "jacobi.json": "3b4453170dcefad1b38fdb69d310bbb5eb76ff30f568655a03f2906ac8f88148",
-        "optimize.json": "6343fd49214369308c572eea1f6881136611f84df024fbba16ebcbc68cb91aaf",
+        "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
         "spectrum.json": "1396972dcbd02cf74d90572fdb38f0240b138163224db9a1fe4e1ebc6ca85d1d",
         "stability.json": "f8214f7d3ac3920a907c75bbb1474ca6c5c74ffae84b7abfc5d5cb92454bf857",
-        "summary.json": "ef98fcef19e97a9bb8e3923df79737d44c3d6c91571469ecf8444f326d0599d8",
+        "summary.json": "f65d6b3cc7b016e0cc487c09e01b06c0f102714dbdef5431645cab1ed0d36a83",
         "transport.json": "5c5da745cab1e20f58b6a6f41b78cfdc0b2f3cd8b25a0f0b3e660b537c681ab0",
     },
 }

@@ -213,6 +213,47 @@ class TestDiscreteCurve:
             with pytest.raises(DomainError, match="exits the slab"):
                 polyline_curve(slab, pts)
 
+    @pytest.mark.parametrize("abscissa", [math.inf, -math.inf])
+    @pytest.mark.parametrize("slab", [QUAD_SLAB, GAUSS_PLANE], ids=["slab", "plane"])
+    def test_a_nonfinite_abscissa_is_not_curve_data(self, abscissa, slab):
+        pts = np.stack([np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)], axis=-1)
+        pts[2, 0] = abscissa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="curve data must be finite"):
+                polyline_curve(slab, pts)
+
+    @pytest.mark.parametrize("node", [0, 2, 3])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_a_repeated_node_is_named(self, node, closed):
+        """A zero-length first, interior or last segment."""
+        pts = np.stack([np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 0.5, 5)], axis=-1)
+        pts[node + 1] = pts[node]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="consecutive nodes must be distinct"):
+                polyline_curve(QUAD_SLAB, pts, closed=closed)
+
+    @pytest.mark.parametrize("end, error, message", [
+        ((1.0, INF), DomainError, "exits the slab"),
+        ((1.0, -INF), DomainError, "exits the slab"),
+        ((INF, 0.5), GeometryError, "curve data must be finite"),
+    ])
+    def test_a_nonfinite_segment_end_is_refused_before_interpolation(self, end, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                straight_segment(QUAD_SLAB, (0.0, 0.0), end)
+            with pytest.raises(error, match=message):
+                straight_segment(QUAD_SLAB, end, (0.0, 0.0))
+
+    @pytest.mark.parametrize("x0", [INF, -INF])
+    def test_a_vertical_chord_at_infinity_is_refused_without_warning(self, x0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="curve data must be finite"):
+                vertical_segment(UNIT_SLAB, x0)
+
     def test_weighted_area_matches_line_integral(self):
         vl = vertical_segment(UNIT_SLAB, 0.7, n=801)
         oracle = math.exp(-0.5 * 0.49) * gaussian_mass(0.5, 0.0, 1.0)
@@ -640,63 +681,6 @@ class TestCurveCsv:
         assert len(lines) == 6
         row = [float(x) for x in lines[2].split(",")]
         assert row[0] == 0.5 and row[2] == -1.0
-
-
-class TestCubicSpline:
-    """The in-house spline against scipy.interpolate.CubicSpline as oracle."""
-
-    @staticmethod
-    def data(m: int, seed: int):
-        rng = np.random.default_rng(seed)
-        x = np.sort(rng.uniform(-2.0, 3.0, m))
-        probes = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 301)])
-        return rng, x, probes
-
-    @pytest.mark.parametrize("m", [4, 12, 64, 201])
-    def test_not_a_knot_equals_scipy_bit_for_bit(self, m):
-        from scipy.interpolate import CubicSpline as Reference
-
-        from isoflow.geometry import CubicSpline
-
-        rng, x, probes = self.data(m, m)
-        for y in (rng.standard_normal(m), rng.standard_normal((m, 3))):
-            ours, ref = CubicSpline(x, y), Reference(x, y)
-            for nu in (0, 1, 2):
-                got, want = ours(probes, nu), ref(probes, nu)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want), (m, nu)
-
-    @pytest.mark.parametrize("n", [12, 201, 4001])
-    def test_tridiagonal_solve_equals_solve_banded_bit_for_bit(self, n):
-        from scipy.linalg import solve_banded
-
-        from isoflow.geometry import _gtsv
-
-        rng = np.random.default_rng(n)
-        for dominant in (True, False):  # no row interchanges, and many
-            ab = rng.standard_normal((3, n))
-            if dominant:
-                ab[1] = 4.0 + np.abs(ab[1])
-            for k in (1, 3):
-                b = rng.standard_normal((n, k))
-                want = solve_banded((1, 1), ab, b, check_finite=False)
-                assert np.array_equal(_gtsv(ab, b), want), (n, dominant, k)
-
-    def test_singular_tridiagonal_system_rejected(self):
-        from isoflow.geometry import _gtsv
-
-        ab = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            _gtsv(ab, np.ones((3, 1)))
-
-    def test_rejects_bad_input(self):
-        from isoflow.geometry import CubicSpline
-
-        x = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            CubicSpline(x[::-1], np.zeros(5))
-        with pytest.raises(ValueError):
-            CubicSpline(x, np.zeros(5))(0.5, 3)
 
 
 def _graph_points(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:

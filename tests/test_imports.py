@@ -2,8 +2,9 @@
 
 Importing scipy.special or scipy.linalg alone costs more than the rest of a
 cold run, so the runtime computes its Gaussian CDF and quantile (a numpy
-erfc and Wichura's AS241), the spline's tridiagonal solve (a dgtsv port)
-and the spectral gap (Lanczos on the pencil's Green's operator) in numpy.
+erfc and Wichura's AS241), the chords' spline basis (one dense slope
+solve per control count) and the spectral gap (Lanczos on the pencil's
+Green's operator) in numpy.
 
 isoflow also loads neither numpy.random nor numpy.polynomial: its one
 random draw (the pushforward intervals) uses the standard library's

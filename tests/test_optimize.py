@@ -426,21 +426,67 @@ class TestSplineOperators:
             assert np.max(np.abs(new - old) / scale) <= 1e-13
 
     def test_minimize_builds_one_spline(self, monkeypatch):
-        """A graph-chord descent evaluates every chord through the operators."""
+        """A graph-chord descent and the resampling of its result solve for
+        the basis once; another control count solves once more."""
         builds = []
-        real = opt.CubicSpline
+        real = opt._not_a_knot
 
-        def counting(*args, **kwargs):
-            builds.append(1)
-            return real(*args, **kwargs)
+        def counting(m):
+            builds.append(m)
+            return real(m)
 
-        monkeypatch.setattr(opt, "CubicSpline", counting)
-        monkeypatch.setattr(opt, "_OPERATORS", {}, raising=False)
+        monkeypatch.setattr(opt, "_not_a_knot", counting)
+        monkeypatch.setattr(opt, "_OPERATORS", {})
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
-        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
+        chord, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
         assert trace.status == "converged"
-        assert len(builds) == 1
+        opt.chord_curve(density, chord)
+        assert builds == [12]
+        other = make_straight_chord(density, -0.3, 0.4, n_controls=6)
+        other.position(np.linspace(0.0, 1.0, 7), 2)
+        weighted_length(density, other)
+        assert builds == [12, 6]
+
+
+class TestNotAKnotBasis:
+    """The one spline basis of the chords on m uniform knots: B_j, B_j′ and
+    B_j″ at the quadrature nodes and at probes, and B_j′ at the ends.  A
+    combination Σ_j B_j y_j rounds at ε times its summed term size
+    1 + Σ_j |B_j y_j|, which bounds every error below at 1e-13."""
+
+    @staticmethod
+    def bases(m: int):
+        """(θ, ν, the (θ, m) matrix of B_j^(ν)): B, B′, B″ over the
+        quadrature nodes, the knots and uniform probes, and B′ at θ = 0, 1."""
+        op = opt._operator(m)
+        probes = np.concatenate([np.linspace(0.0, 1.0, m), np.linspace(0.0, 1.0, 301)])
+        theta = np.concatenate([op.theta, probes])
+        for nu, field in enumerate((op.value, op.d1, op.d2)):
+            yield theta, nu, np.vstack([field, opt._evaluate_spline(op.coefficients, probes, nu)])
+        yield np.array([0.0, 1.0]), 1, op.ends
+
+    @pytest.mark.parametrize("m", [4, 12, 64])
+    @pytest.mark.parametrize("power", [(1.0,), (0.0, 1.0), (0.3, -1.7, 2.9, -4.1)],
+                             ids=["one", "theta", "cubic"])
+    def test_reproduces_cubics(self, m, power):
+        """Σ_j B_j ≡ 1 and Σ_j B_j θ_j ≡ θ, with their derivatives, and any cubic."""
+        p = np.polynomial.Polynomial(power)
+        y = p(np.linspace(0.0, 1.0, m))
+        for theta, nu, basis in self.bases(m):
+            scale = 1.0 + np.abs(basis) @ np.abs(y)
+            assert np.max(np.abs(basis @ y - p.deriv(nu)(theta)) / scale) <= 1e-13, nu
+
+    @pytest.mark.parametrize("m", [4, 12, 64])
+    def test_matches_scipy_within_rounding(self, m):
+        reference = CubicSpline(np.linspace(0.0, 1.0, m), np.eye(m))
+        for theta, nu, basis in self.bases(m):
+            scale = 1.0 + np.abs(basis).sum(axis=1, keepdims=True)
+            assert np.max(np.abs(basis - reference(theta, nu)) / scale) <= 1e-13, nu
+
+    def test_rejects_a_third_derivative(self):
+        with pytest.raises(ValueError, match="derivative order"):
+            bent_chord().position([0.5], 3)
 
 
 class TestFieldsComputedOnce:
