@@ -52,9 +52,14 @@ __all__ = [
     "main",
 ]
 
-# section -> key -> (kind, default); kinds: int, float, bool, str, floats.
-# A None default is an interior height of the slab, set by load_config.
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
+_TOLERANCE = (lambda v: v >= 0.0, "must be >= 0")
+
+# section -> key -> (kind, default[, (test, requirement)]); kinds: int, float,
+# bool, str, floats.  A None default is an interior height of the slab, set
+# by load_config.  A range the commands need is checked as its key is read,
+# so a bad setting writes nothing: a negative tolerance, or a min_ratio that
+# ratios of non-decaying residuals meet, makes a check that cannot fail.
+_SCHEMA: dict[str, dict[str, tuple]] = {
     "density": {
         "weight": ("str", "zero"),
         "params": ("floats", ()),
@@ -62,71 +67,47 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "slab": ("floats", (-1.0, 1.0)),
     },
     "run": {
-        "seed": ("int", 20260816),
+        "seed": ("int", 20260816, (lambda v: v >= 0, "must be non-negative")),
         "out_dir": ("str", "isoflow_out"),
         "expect_bound": ("bool", False),
     },
     "profile": {
-        "grid_size": ("int", 257),
-        "tolerance": ("float", 1e-8),
+        "grid_size": ("int", 257, (lambda v: v >= 3, "must be >= 3")),
+        "tolerance": ("float", 1e-8, _TOLERANCE),
     },
     "transport": {
-        "grid_size": ("int", 2001),
-        "n_intervals": ("int", 50),
+        "grid_size": ("int", 2001, (lambda v: v >= 2, "must be >= 2")),
+        "n_intervals": ("int", 50, (lambda v: v >= 1, "must be >= 1")),
         "require_concave": ("bool", True),
-        "tolerance": ("float", 1e-6),
+        "tolerance": ("float", 1e-6, _TOLERANCE),
     },
     "stability": {
         "t0": ("float", None),
-        "n_nodes": ("int", 4001),
-        "tolerance": ("float", 1e-6),
+        "n_nodes": ("int", 4001, (lambda v: v >= 3, "must be >= 3")),
+        "tolerance": ("float", 1e-6, _TOLERANCE),
     },
     "jacobi": {
         "target_hf": ("float", 0.0),
         "start_x": ("float", 1.0),
         "start_t": ("float", None),
         "angle": ("float", 1.0),
-        "steps": ("floats", (4e-3, 2e-3, 1e-3)),
+        "steps": ("floats", (4e-3, 2e-3, 1e-3),
+                  (lambda h: len(h) >= 2 and len(set(h)) == len(h) and min(h) > 0.0,
+                   "must be at least two distinct step sizes > 0")),
         "max_length": ("float", 8.0),
-        "min_ratio": ("float", 3.5),
+        "min_ratio": ("float", 3.5, (lambda v: v > 1.0, "must be > 1")),
     },
     "spectrum": {
-        "n_cells": ("int", 2000),
+        "n_cells": ("int", 2000, (lambda v: v >= 16, "must be >= 16")),
     },
     "optimize": {
-        "target_fraction": ("float", 0.5),
-        "n_controls": ("int", 12),
+        "target_fraction": ("float", 0.5, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+        "n_controls": ("int", 12, (lambda v: 4 <= v <= 64, "must lie in [4, 64]")),
         "x_bottom": ("float", -0.3),
         "x_top": ("float", 0.3),
-        "max_iterations": ("int", 400),
-        "gradient_tolerance": ("float", 1e-6),
+        "max_iterations": ("int", 400, (lambda v: v >= 1, "must be >= 1")),
+        "gradient_tolerance": ("float", 1e-6, (lambda v: v > 0.0, "must be > 0")),
     },
-}
-
-
-_TOLERANCE = (lambda v: v >= 0.0, "must be >= 0")
-
-# (section, key) -> (test, requirement) of every setting with a range the
-# commands need, checked at load so that a bad setting writes nothing: a
-# negative tolerance, or a min_ratio that ratios of non-decaying residuals
-# meet, makes a check that cannot fail
-_LIMITS = {
-    ("run", "seed"): (lambda v: v >= 0, "must be non-negative"),
-    ("profile", "grid_size"): (lambda v: v >= 3, "must be >= 3"),
-    ("profile", "tolerance"): _TOLERANCE,
-    ("transport", "grid_size"): (lambda v: v >= 2, "must be >= 2"),
-    ("transport", "n_intervals"): (lambda v: v >= 1, "must be >= 1"),
-    ("transport", "tolerance"): _TOLERANCE,
-    ("stability", "n_nodes"): (lambda v: v >= 3, "must be >= 3"),
-    ("stability", "tolerance"): _TOLERANCE,
-    ("jacobi", "steps"): (lambda h: len(h) >= 2 and len(set(h)) == len(h) and min(h) > 0.0,
-                          "must be at least two distinct step sizes > 0"),
-    ("jacobi", "min_ratio"): (lambda v: v > 1.0, "must be > 1"),
-    ("spectrum", "n_cells"): (lambda v: v >= 16, "must be >= 16"),
-    ("optimize", "target_fraction"): (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    ("optimize", "n_controls"): (lambda v: 4 <= v <= 64, "must lie in [4, 64]"),
-    ("optimize", "max_iterations"): (lambda v: v >= 1, "must be >= 1"),
-    ("optimize", "gradient_tolerance"): (lambda v: v > 0.0, "must be > 0"),
 }
 
 
@@ -224,9 +205,10 @@ class RunConfig:
 
 def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
     """Parse an INI file against the schema and build its density; unknown
-    keys, settings outside their _LIMITS, an invalid density and a height
-    outside the slab are errors.  out_dir, when given, overrides [run]
-    out_dir; expect_bound, when true, sets [run] expect_bound.
+    keys, a setting outside its schema row's range (the first in schema
+    order is named), an invalid density and a height outside the slab are
+    errors.  out_dir, when given, overrides [run] out_dir; expect_bound,
+    when true, sets [run] expect_bound.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
     strictly inside the slab, else the slab factor's median.
@@ -248,14 +230,15 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     for section, keys in _SCHEMA.items():
         sections[section] = {}
-        for key, (kind, default) in keys.items():
+        for key, (kind, default, *limit) in keys.items():
             if parser.has_option(section, key):
-                sections[section][key] = _parse_value(kind, parser.get(section, key), section, key)
+                value = _parse_value(kind, parser.get(section, key), section, key)
             else:
-                sections[section][key] = default
-    for (section, key), (test, requirement) in _LIMITS.items():
-        if not test(sections[section][key]):
-            raise ConfigError(f"[{section}] {key} = {sections[section][key]} {requirement}")
+                value = default
+            for test, requirement in limit:
+                if not test(value):
+                    raise ConfigError(f"[{section}] {key} = {value} {requirement}")
+            sections[section][key] = value
     if out_dir is not None:
         sections["run"]["out_dir"] = out_dir
     if expect_bound:
@@ -281,7 +264,7 @@ def resolved_config_text(config: RunConfig) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (kind, _) in keys.items():
+        for key, (kind, *_) in keys.items():
             lines.append(f"{key} = {_format_value(kind, config.value(section, key))}")
         lines.append("")
     return "\n".join(lines)
@@ -295,11 +278,18 @@ _Outcome = tuple[dict, float, dict | None]
 
 
 def _atomic_write(config: RunConfig, filename: str, text: str) -> None:
+    """Write the file whole or not at all: a failed write or rename removes
+    its temporary file and re-raises."""
     path = os.path.join(config.value("run", "out_dir"), filename)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _finite(value):

@@ -289,16 +289,11 @@ def _polyline_weighted_length(density: Density, pts: np.ndarray) -> float:
     p0 = pts[:-1]
     seg = pts[1:] - p0
     ell = np.hypot(seg[:, 0], seg[:, 1])
-    # the (12, m - 1) nodes per axis, then psi = omega(t) - c (x^2 + t^2) by
-    # log_density's operations, each step in place and along the segments
+    # the (12, m - 1) nodes per axis, each built in place along the segments
     px, pt = _SEGMENT_LAM[:, None] * seg[:, 0], _SEGMENT_LAM[:, None] * seg[:, 1]
     px += p0[:, 0]
     pt += p0[:, 1]
-    f = density.weight.value(pt)
-    px *= px
-    px += pt * pt
-    px *= density.c
-    f -= px
+    f = density.psi(px, pt)
     np.exp(f, out=f)
     # each segment's rule as the matrix-vector product of the (m - 1, 12) layout
     return float((0.5 * ell * (f.T.copy() @ _SEGMENT_GL)).sum())

@@ -31,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import DiscreteCurve
+from .geometry import DiscreteCurve, _boundary_flags
 from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
-from .weights import gaussian_factor, gaussian_quantile, log_density
+from .weights import gaussian_factor, gaussian_quantile, log_density, log_density_gradient
 from .weights import tail_interval, total_weighted_volume
 
 __all__ = [
@@ -215,7 +215,7 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     s the Gaussian quantile of the fraction."""
     s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
     v_total = total_weighted_volume(density)
-    return v_total / gaussian_factor(1, density.c) * math.exp(-density.c * s * s)
+    return v_total / gaussian_factor(density.c) * math.exp(-density.c * s * s)
 
 
 # one chord's fields at the quadrature nodes under one density: weights qw,
@@ -242,20 +242,17 @@ def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
     x, dx, d2x = (_read_only(basis @ chord.control_x) for basis in (op.value, op.d1, op.d2))
     (a, b), c = chord.span, density.c
     t, dt = _read_only(a + (b - a) * op.theta), b - a
-    omega = density.weight.value(t)
-    kernel = _read_only(op.weights * np.exp(omega - c * t * t) * dt * math.sqrt(math.pi / c))
-    # e^ψ with |p|² summed as log_density sums it
-    f = _read_only(np.exp(omega - c * (x * x + t * t)))
+    kernel = _read_only(op.weights * density.slab_factor(t) * dt * gaussian_factor(c))
+    f = _read_only(np.exp(density.psi(x, t)))
     area = float(np.sum(kernel * gaussian_cdf(c, x)))
     return _Fields(op.weights, x, t, dx, dt, d2x, _read_only(np.hypot(dx, dt)), f, kernel, area)
 
 
 def _f_mean_curvature(density: Density, chord: ChordSpline) -> np.ndarray:
-    """H_f = k − ⟨∇ψ, N⟩, k = −t′x″/|γ′|³, N = (−t′, x′)/|γ′| at the nodes,
-    with ∇ψ = (−2c·x, ω′(t) − 2c·t) as log_density_gradient forms it."""
+    """H_f = k − ⟨∇ψ, N⟩, k = −t′x″/|γ′|³, N = (−t′, x′)/|γ′| at the nodes."""
     _, x, t, dx, dt, d2x, speed, *_ = _chord_fields(density, chord)
-    grad_t = density.weight.deriv(t) - 2.0 * density.c * t
-    return -dt * d2x / speed**3 - (-2.0 * density.c * x * (-dt / speed) + grad_t * (dx / speed))
+    grad_x, grad_t = log_density_gradient(density, np.stack((x, t), axis=-1)).T
+    return -dt * d2x / speed**3 - (grad_x * (-dt / speed) + grad_t * (dx / speed))
 
 
 def weighted_length(density: Density, chord: ChordSpline) -> float:
@@ -527,10 +524,11 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     points = np.stack((x, np.clip(t, a, b)), axis=-1)
     normals = np.stack((-dt / speed, dx / speed), axis=-1)
     curvature = -dt * d2x / speed**3
+    flags = _boundary_flags(density, points)
     return DiscreteCurve(
         points=points,
         normals=normals,
         curvature=curvature,
-        boundary_start=True,
-        boundary_end=True,
+        boundary_start=flags[0],
+        boundary_end=flags[1],
     )

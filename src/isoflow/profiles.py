@@ -110,15 +110,15 @@ def build_profile(
     v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
 
     if family == "parallel":
-        gf, cum = gaussian_factor(1, c), density.cumulative
+        gf, cum = gaussian_factor(c), density.cumulative
         s_grid = cum.quantile(v_grid / v_total)
         V_grid = gf * cum.mass_below(s_grid)
-        A_grid = gf * np.exp(w.value(s_grid) - c * s_grid * s_grid)
+        A_grid = gf * density.slab_factor(s_grid)
         dF = np.asarray(w.deriv(s_grid), dtype=float) - 2.0 * c * s_grid
         ddF = (np.asarray(w.deriv2(s_grid), dtype=float) - 2.0 * c) / A_grid
     else:
         # the lateral coordinate is a pure Gaussian: V(s) = v_total CDF(s)
-        amp = v_total / math.sqrt(math.pi / c)
+        amp = v_total / gaussian_factor(c)
         q = v_grid / v_total
         s_grid = gaussian_quantile(c, q, 1.0 - q)
         V_grid = v_total * gaussian_cdf(c, s_grid)

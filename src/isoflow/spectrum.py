@@ -108,9 +108,7 @@ def build_spectral_problem(
     delta = (hi - lo) / n_cells
     # the cell centers, then the faces, through one evaluation of e^{ω − ct²}
     t = lo + np.concatenate((np.arange(n_cells) + 0.5, np.arange(1, n_cells))) * delta
-    f = density.weight.value(t)
-    f -= (density.c * t) * t
-    np.exp(f, out=f)
+    f = density.slab_factor(t)
     return SpectralProblem(
         density=density,
         interval=(float(lo), float(hi)),

@@ -31,6 +31,7 @@ from .weights import (
     _float_arrays,
     check_concavity,
     gaussian_cdf,
+    gaussian_factor,
     gaussian_quantile,
 )
 
@@ -87,9 +88,8 @@ class TransportMap:
         a, b = self.target.slab
         if np.any(rho < a) or np.any(rho > b):
             raise ConsistencyError("transport values must stay inside the target slab")
-        lhs = self.alpha * np.exp(-self.source.c * s * s)
-        w = self.target.weight
-        rhs = self.beta * np.exp(w.value(rho) - self.target.c * rho * rho) * drho
+        lhs = self.alpha * self.source.slab_factor(s)
+        rhs = self.beta * self.target.slab_factor(rho) * drho
         residual = float(np.max(np.abs(lhs - rhs)))
         if residual > 1e-8 * self.alpha:
             raise ConsistencyError(
@@ -129,7 +129,7 @@ def build_transport(
     else:
         s = np.sort(np.asarray(s_grid, dtype=float))
     cum = density.cumulative
-    alpha = 1.0 / math.sqrt(math.pi / c)
+    alpha = 1.0 / gaussian_factor(c)
     beta = 1.0 / cum.total
     q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and, bit for bit, gaussian_ccdf(c, s)
     clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
@@ -138,9 +138,8 @@ def build_transport(
         q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
         q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
     rho = np.maximum.accumulate(cum.quantile(q, q_up))
-    w = density.weight
-    drho = alpha * np.exp(-c * s * s) / (beta * np.exp(w.value(rho) - c * rho * rho))
     source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
+    drho = alpha * source.slab_factor(s) / (beta * density.slab_factor(rho))
     return TransportMap(
         source=source,
         target=density,

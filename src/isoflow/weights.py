@@ -12,18 +12,18 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
 
   * the weight variants omega (zero, affine, quadratic, log-power,
     piecewise linear) with their derivative and concavity structure,
-  * the Density bundle (weight, Gaussian parameter c, slab) and
-    pointwise data derived from it: psi, its gradient, and the
-    Bakry-Emery curvature -omega''(t) <e_t, w>^2 + 2c |w|^2,
+  * the Density bundle (weight, Gaussian parameter c, slab), the one home
+    of the density's formula: psi = omega(t) - c (x^2 + t^2) and the slab
+    factor e^{omega(t) - c t^2}, both computed in the new array
+    Weight1D.value returns (Density is the one caller that overwrites it);
+    psi at points, its gradient, the Bakry-Emery curvature
+    -omega''(t) <e_t, w>^2 + 2c |w|^2, and gaussian_factor(c) = sqrt(pi/c),
   * the package's one 1-D measure engine, CumulativeDensity1D: a panelized
-    Gauss-Legendre cumulative integral of e^{omega - c u^2} (or of any
-    positive vectorized integrand on a finite interval) with batched
-    masses and quantiles, each quantile resolved to about one ulp of t.
-    Every Gauss rule is summed in node order, so a height gets the same
-    mass, CDF side and quantile alone or in any batch, and merging two
-    batches into one call is exact.  The engine evaluates each batch in
-    place, in the array Weight1D.value returns: value gives a new array,
-    sharing no memory with its argument, that the caller may overwrite.
+    Gauss-Legendre cumulative integral of a Density's slab factor with
+    batched masses and quantiles, each quantile resolved to about one ulp
+    of t.  Every Gauss rule is summed in node order, so a height gets the
+    same mass, CDF side and quantile alone or in any batch, and merging
+    two batches into one call is exact.
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
@@ -336,14 +336,29 @@ class Density:
         built its engine."""
         return CumulativeDensity1D(self)
 
+    def slab_factor(self, t: np.ndarray) -> np.ndarray:
+        """e^{omega(t) - c t^2} at the float array t, computed in the array
+        weight.value returns."""
+        f, square = self.weight.value(t), self.c * t
+        square *= t
+        f -= square
+        return np.exp(f, out=f)
 
-def gaussian_factor(k: int, c: float) -> float:
-    """(pi/c)^(k/2), the mass of e^{-c|z|^2} over R^k."""
-    if int(k) != k or k < 0:
-        raise ValueError("need an integer k >= 0")
+    def psi(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """psi = omega(t) - c (x x + t t) at the points (x, t) of two float
+        arrays of one shape, computed in the array weight.value returns."""
+        f, square = self.weight.value(t), x * x
+        square += t * t
+        square *= self.c
+        f -= square
+        return f
+
+
+def gaussian_factor(c: float) -> float:
+    """sqrt(pi/c), the mass of e^{-c x^2} over R."""
     if not c > 0.0:
         raise ValueError("need c > 0")
-    return (math.pi / c) ** (k / 2.0)
+    return math.sqrt(math.pi / c)
 
 
 def _horner(coefficients, x: np.ndarray) -> np.ndarray:
@@ -469,9 +484,7 @@ def log_density(density: Density, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 2:
         raise DomainError("points must have 2 coordinates")
-    # |p|^2 in np.sum's order for a short axis, without a reduction over it
-    square = p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1]
-    return density.weight.value(p[..., -1]) - density.c * square
+    return density.psi(p[..., 0], p[..., 1])
 
 
 def log_density_gradient(density: Density, p) -> np.ndarray:
@@ -517,7 +530,7 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     # mass of the dominating Gaussian beyond T:
     #   K sqrt(pi/c_eff)/2 * erfc(sqrt(c_eff) (T - mu)),  K = e^{log_amp + drift^2/(4 c_eff)}
     log_k = log_amp + drift * drift / (4.0 * c_eff)
-    y = 2.0 * eps / math.sqrt(math.pi / c_eff) * math.exp(-log_k)
+    y = 2.0 * eps / gaussian_factor(c_eff) * math.exp(-log_k)
     if y >= 2.0:
         return mu
     # x = erfcinv(y), the standard normal upper quantile of y/2 over sqrt(2)
@@ -653,34 +666,21 @@ def _shaped(values: np.ndarray, shape: tuple):
 
 
 class CumulativeDensity1D:
-    """t -> int_lo^t g(u) du for a positive vectorized integrand g.
+    """t -> int_lo^t e^{omega(u) - c u^2} du, the density's slab factor
+    (Density.slab_factor) over its slab cut to the sound tail interval.
 
-    ``density`` is either a Density, integrating g = e^{omega(u) - c u^2}
-    over its slab cut to the sound tail interval, or a triple (g, lo, hi)
-    over a finite interval.  Panelwise Gauss-Legendre; at a log-power
-    endpoint 0 the first panel, and partial masses inside it, use the
-    Gauss-Jacobi rule exact for t^m.  Partial masses accumulate from the
-    left for the lower tail and from the right for the upper tail, so
-    quantiles stay accurate in both tails.  Every query takes a scalar
-    (and returns a float) or an array of any shape.
+    Panelwise Gauss-Legendre; at a log-power endpoint 0 the first panel,
+    and partial masses inside it, use the Gauss-Jacobi rule exact for t^m.
+    Partial masses accumulate from the left for the lower tail and from
+    the right for the upper tail, so quantiles stay accurate in both
+    tails.  Every query takes a scalar (and returns a float) or an array
+    of any shape.
     """
 
-    def __init__(self, density):
-        if isinstance(density, Density):
-            w, c = density.weight, density.c
-
-            def integrand(t):  # e^{omega(t) - c t^2}, in the array w.value returns
-                f, square = w.value(t), c * t
-                square *= t
-                f -= square
-                return np.exp(f, out=f)
-
-            self._fn = integrand
-            lo, hi = tail_interval(density)
-            m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
-        else:
-            self._fn, lo, hi = density
-            m = None
+    def __init__(self, density: Density):
+        w, c, self._fn = density.weight, density.c, density.slab_factor
+        lo, hi = tail_interval(density)
+        m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         self.breaks = breaks = np.linspace(lo, hi, _N_PANELS + 1)
         self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
@@ -855,4 +855,4 @@ class CumulativeDensity1D:
 
 def total_weighted_volume(density: Density) -> float:
     """V_f(Omega) = (pi/c)^{1/2} * integral of e^{omega - c t^2} over the slab."""
-    return gaussian_factor(1, density.c) * density.cumulative.total
+    return gaussian_factor(density.c) * density.cumulative.total

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import isoflow
+import isoflow.cli as cli
 from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
 from isoflow.errors import ConfigError
 from isoflow.spectrum import SpectralProblem, poincare_certify
@@ -525,6 +528,13 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert "[run] seed" in capsys.readouterr().err
 
+    def test_the_first_bad_setting_in_schema_order_is_named(self, tmp_path):
+        """A setting's range is checked as its key is read, so a negative
+        seed is named before an unparsable [spectrum] n_cells."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n[spectrum]\nn_cells = many\n")
+        with pytest.raises(ConfigError, match=r"\[run\] seed = -1 must be non-negative"):
+            load_config(cfg)
+
     @pytest.mark.parametrize("n_intervals", [0, -3])
     def test_no_pushforward_interval_exits_one_at_load(self, tmp_path, capsys, n_intervals):
         """With no interval the transport verdict read verified and a
@@ -651,6 +661,32 @@ class TestExitCodes:
         statuses = {r["command"]: r["status"] for r in summary["verdicts"]}
         assert statuses["spectrum"] == "violated"
         capsys.readouterr()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys, step):
+        """A full disk left resolved.cfg.tmp.<pid> in the output directory."""
+
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullFile(io.FileIO):
+            write = full_disk
+
+        def opener(path, mode="r", **kwargs):
+            if "w" not in mode:
+                return open(path, mode, **kwargs)
+            return io.TextIOWrapper(io.BufferedWriter(FullFile(path, "w")), **kwargs)
+
+        if step == "write":
+            monkeypatch.setattr(cli, "open", opener, raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "replace", full_disk)
+        out = tmp_path / "out"
+        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", str(out)]) == 1
+        assert "io error" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestSingleCommand:

@@ -766,3 +766,17 @@ class TestTraceCsv:
         assert len(rows) == len(trace.iterations)
         assert float(rows[-1][1]) == trace.lengths[-1]
         assert int(rows[0][0]) == 0
+
+
+class TestChordCurve:
+    @pytest.mark.parametrize("weight, slab, flags", [
+        (ZeroWeight(), (-1.0, 1.0), (True, True)),
+        (LogPowerWeight(2.0), (0.0, math.inf), (True, False)),
+        (ZeroWeight(), (-math.inf, math.inf), (False, False)),
+    ])
+    def test_only_ends_on_a_finite_wall_are_flagged(self, weight, slab, flags):
+        """Both ends were flagged as on a wall, also an end at the tail
+        cutoff of an infinite side, which is not part of the boundary."""
+        density = Density(weight, 0.5, 2, slab)
+        curve = opt.chord_curve(density, make_straight_chord(density, -0.3, 0.3))
+        assert (curve.boundary_start, curve.boundary_end) == flags

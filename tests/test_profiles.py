@@ -56,7 +56,7 @@ def volume_area_parallel(density, s: float) -> tuple[float, float]:
     a, b = density.slab
     if not a <= s <= b:
         raise DomainError("parallel level must lie in the closed slab")
-    gf = gaussian_factor(1, density.c)
+    gf = gaussian_factor(density.c)
     V = gf * slab_factor_mass(density, a, s)
     return V, gf * math.exp(float(density.weight.value(s)) - density.c * s * s)
 

@@ -23,6 +23,7 @@ from isoflow import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     SmoothnessError,
+    Weight1D,
     ZeroWeight,
     bakry_emery_curvature,
     build_profile,
@@ -34,6 +35,7 @@ from isoflow import (
     tail_interval,
     total_weighted_volume,
 )
+from isoflow.spectrum import build_spectral_problem
 from isoflow.weights import (
     _erfc,
     _gauss_legendre,
@@ -55,7 +57,7 @@ def gaussian_mass(c: float, lo: float, hi: float) -> float:
 def slab_mass(density) -> float:
     """int e^{omega - c t^2} over the slab by the engine under test: V_f over
     the Gaussian factor of the lateral coordinate."""
-    return total_weighted_volume(density) / gaussian_factor(1, density.c)
+    return total_weighted_volume(density) / gaussian_factor(density.c)
 
 
 def quadpack_mass(density, lo=None, hi=None) -> float:
@@ -267,15 +269,18 @@ class TestIntegrateWeighted:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0])
     def test_gaussian_moments_closed_form(self, c):
-        # the engine's finite-interval form on t^k e^{-c t^2}, over the
-        # Gaussian's tail interval
+        # t^k e^{-c t^2} over the Gaussian's tail interval, by a 600-panel
+        # 12-point Gauss-Legendre rule of the test's own
         d = Density(ZeroWeight(), c, 2, (-INF, INF))
         lo, hi = tail_interval(d)
+        x, w = np.polynomial.legendre.leggauss(12)
+        breaks = np.linspace(lo, hi, 601)
+        half = 0.5 * np.diff(breaks)[:, None]
+        t = 0.5 * (breaks[1:] + breaks[:-1])[:, None] + half * x
+        gauss = half * w * np.exp(-c * t * t)
         base = math.sqrt(math.pi / c)
-        second = CumulativeDensity1D((lambda t: t * t * np.exp(-c * t * t), lo, hi)).total
-        fourth = CumulativeDensity1D((lambda t: t ** 4 * np.exp(-c * t * t), lo, hi)).total
-        assert_allclose(second, base / (2 * c), rtol=1e-8)
-        assert_allclose(fourth, 3 * base / (4 * c * c), rtol=1e-8)
+        assert_allclose(np.sum(t * t * gauss), base / (2 * c), rtol=1e-8)
+        assert_allclose(np.sum(t**4 * gauss), 3 * base / (4 * c * c), rtol=1e-8)
 
     def test_shifted_gaussian_complete_square(self):
         a0, c = 1.7, 0.6
@@ -330,13 +335,13 @@ class TestIntegrateWeighted:
             (LogPowerWeight(2.0), (0.0, INF)),
         ]:
             d = Density(weight, 0.5, 2, slab)
-            w, c = d.weight, d.c
             tight = CumulativeDensity1D(d).total
             lo, hi = tail_interval(d)
-            pad = 6.0 / math.sqrt(c)
+            pad = 6.0 / math.sqrt(d.c)
             lo_w = lo - pad if math.isinf(slab[0]) else lo
             hi_w = hi + pad if math.isinf(slab[1]) else hi
-            wide = CumulativeDensity1D((lambda t: np.exp(w.value(t) - c * t * t), lo_w, hi_w)).total
+            # the engine on the finite slab of the widened cut integrates all of it
+            wide = CumulativeDensity1D(Density(weight, d.c, 2, (lo_w, hi_w))).total
             assert abs(wide - tight) <= 1e-14 * tight, (weight, slab, wide, tight)
 
     @pytest.mark.parametrize("eps", [1e-15, math.exp(-32.0)], ids=["tail_mass", "spectral"])
@@ -386,21 +391,8 @@ class TestNormalizers:
 
 
 class TestGaussianFactor:
-    def test_empty_product(self):
-        assert gaussian_factor(0, 3.7) == 1.0
-
-    def test_identity_case(self):
-        assert_allclose(gaussian_factor(2, math.pi), 1.0, rtol=1e-15)
-
     def test_one_dimensional(self):
-        assert_allclose(gaussian_factor(1, 0.5), math.sqrt(2 * math.pi), rtol=1e-14)
-
-    @settings(deadline=None, max_examples=40)
-    @given(k=st.integers(0, 6), c=st.floats(0.05, 10.0))
-    def test_product_structure(self, k, c):
-        assert_allclose(
-            gaussian_factor(k, c), gaussian_factor(1, c) ** k, rtol=1e-12
-        )
+        assert_allclose(gaussian_factor(0.5), math.sqrt(2 * math.pi), rtol=1e-14)
 
 
 class TestDensityValidation:
@@ -540,10 +532,13 @@ class TestCumulativeDensity:
             assert np.all(np.abs(got - want) <= 1e-12 * want + 2.0 * ulp_mass), slab
 
     def test_lost_bracket_raises(self):
-        with np.errstate(invalid="ignore"):
-            cum = CumulativeDensity1D((np.sqrt, -1.0, 1.0))  # NaN left of 0
-            with pytest.raises(ConsistencyError):
-                cum.quantile(np.array([0.25, 0.75]))
+        class NanLeftOfZero(Weight1D):
+            def value(self, t):
+                return np.where(t < 0.0, np.nan, 0.0)
+
+        cum = CumulativeDensity1D(Density(NanLeftOfZero(), 0.5, 2, (-1.0, 1.0)))
+        with pytest.raises(ConsistencyError):
+            cum.quantile(np.array([0.25, 0.75]))
 
     def test_bad_quantile_complement_raises(self):
         """Only q was checked: quantile(0.3, nan) gave the slab edge -1.0,
@@ -568,6 +563,29 @@ SIDE_DENSITIES = [
     (w, slab) for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
     for slab in ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
 ] + [(LogPowerWeight(2.0), (0.0, 1.0)), (LogPowerWeight(2.0), (0.0, INF))]
+
+
+class TestOneDensityFormula:
+    """The engine, the spectral pencil, the parallel profile and log_density
+    each read the density's formula from Density.slab_factor and
+    Density.psi, bit for bit."""
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_every_reader_takes_the_density_formula(self, weight, slab):
+        rng = np.random.default_rng(2701)
+        for c in (0.5, 2.0):
+            d = Density(weight, c, 2, slab)
+            cum = d.cumulative
+            assert cum._at_breaks.tobytes() == d.slab_factor(cum.breaks).tobytes()
+            pencil = build_spectral_problem(d, n_cells=200)
+            lo, hi = pencil.interval
+            want = d.slab_factor(pencil.nodes) * ((hi - lo) / 200)
+            assert pencil.masses.tobytes() == want.tobytes()
+            profile = build_profile(d, "parallel", grid_size=33)
+            want = gaussian_factor(c) * d.slab_factor(profile.s)
+            assert profile.A.tobytes() == want.tobytes()
+            p = np.stack((rng.uniform(-3.0, 3.0, 100), rng.uniform(*cum.breaks[[0, -1]], 100)), axis=-1)
+            assert log_density(d, p).tobytes() == d.psi(p[:, 0], p[:, 1]).tobytes()
 
 
 def floats_below(x: float, n: int) -> np.ndarray:
