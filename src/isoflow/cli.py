@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from .weights import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     ZeroWeight,
+    _Value,
     total_weighted_volume,
 )
 
@@ -159,18 +159,19 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Value):
     """A resolved run: every schema key has a value, and the objects its
-    stages share are built from them once, on first use."""
+    stages share are built from them once, on first use.  Two runs compare
+    equal when their sections do."""
 
-    sections: dict[str, dict[str, object]] = field(default_factory=dict)
+    _params = ("sections",)
 
-    def __post_init__(self):
+    def __init__(self, sections: dict[str, dict[str, object]] | None = None):
         for section, keys in _SCHEMA.items():
-            got = self.sections.get(section)
+            got = (sections or {}).get(section)
             if got is None or set(got) != set(keys):
                 raise ConfigError(f"section [{section}] is incomplete")
+        vars(self)["sections"] = sections
 
     def value(self, section: str, key: str):
         return self.sections[section][key]
@@ -606,7 +607,11 @@ def main(argv=None) -> int:
             "status": max((r["status"] for r in records), key=lambda s: _SEVERITY[s]),
             "verdicts": records,
         }
-        _write_json(config, "summary.json", summary)
+        try:
+            _write_json(config, "summary.json", summary)
+        except OSError as exc:
+            print(f"isoflow: io error: {exc}", file=sys.stderr)
+            return 1
     return max(_SEVERITY[r["status"]] for r in records)
 
 

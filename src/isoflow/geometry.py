@@ -16,7 +16,6 @@ form terms on ∂Σ vanish identically here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from .weights import (
     Density,
     _csv_table,
     _float_arrays,
+    _Frozen,
     _gauss_legendre,
     _gaussian_tail_cutoff,
     bakry_emery_curvature,
@@ -69,8 +69,7 @@ def _segment_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
     return ell
 
 
-@dataclass(frozen=True)
-class DiscreteCurve:
+class DiscreteCurve(_Frozen):
     """Polyline with unit normals and curvature; geometry only, no density.
 
     points:    (m, 2) ordered nodes (x_i, t_i).
@@ -82,16 +81,11 @@ class DiscreteCurve:
     boundary_start / boundary_end: endpoint sits on a slab wall.
     """
 
-    points: np.ndarray
-    normals: np.ndarray
-    curvature: np.ndarray
-    closed: bool = False
-    boundary_start: bool = False
-    boundary_end: bool = False
-
-    def __post_init__(self):
-        pts, nrm = _float_arrays(self, np.atleast_2d, "points", "normals")
-        (cur,) = _float_arrays(self, np.atleast_1d, "curvature")
+    def __init__(self, points, normals, curvature, closed: bool = False,
+                 boundary_start: bool = False, boundary_end: bool = False):
+        pts, nrm = _float_arrays(self, np.atleast_2d, points=points, normals=normals)
+        (cur,) = _float_arrays(self, np.atleast_1d, curvature=curvature)
+        vars(self).update(closed=closed, boundary_start=boundary_start, boundary_end=boundary_end)
         m = pts.shape[0]
         if m < 3:
             raise GeometryError("curve needs at least 3 nodes")
@@ -104,7 +98,7 @@ class DiscreteCurve:
         norms = np.hypot(nrm[:, 0], nrm[:, 1])
         if np.abs(norms - 1.0).max() > 1e-9:
             raise GeometryError("normals must be unit vectors")
-        ell = _segment_lengths(pts, self.closed)
+        ell = _segment_lengths(pts, closed)
         shortest, longest = ell.min(), ell.max()
         if shortest <= 0.0:
             raise GeometryError("consecutive nodes must be distinct")

@@ -25,14 +25,13 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve, _boundary_flags
-from .weights import Density, _csv_table, _gauss_legendre, _read_only, gaussian_cdf
+from .weights import Density, _csv_table, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, gaussian_quantile, log_density, log_density_gradient
 from .weights import tail_interval, total_weighted_volume
 
@@ -139,8 +138,7 @@ def _operator(m: int) -> _SplineOperator:
     return _OPERATORS[m]
 
 
-@dataclass(frozen=True)
-class ChordSpline:
+class ChordSpline(_Frozen):
     """Cubic-spline graph chord x(t) from the bottom wall to the top wall.
 
     control_x: abscissas at uniform parameter knots in [0, 1], kept as a
@@ -149,14 +147,14 @@ class ChordSpline:
     The enclosed region E is the part of the slab left of the curve.
     """
 
-    control_x: np.ndarray
-    span: tuple[float, float]
+    def __init__(self, control_x, span: tuple[float, float]):
+        cx = _read_only(np.array(control_x, dtype=float, ndmin=1))
+        vars(self).update(control_x=cx, span=(float(span[0]), float(span[1])))
+        self.__post_init__()
 
     def __post_init__(self):
-        cx = _read_only(np.array(self.control_x, dtype=float, ndmin=1))
-        object.__setattr__(self, "control_x", cx)
-        object.__setattr__(self, "span", (float(self.span[0]), float(self.span[1])))
-        a, b = self.span
+        """The controls' and span's checks, the validation step of __init__."""
+        cx, (a, b) = self.control_x, self.span
         if cx.size < 4 or cx.size > 64:
             raise GeometryError("chord needs between 4 and 64 control points")
         if not (math.isfinite(a) and math.isfinite(b) and a < b):

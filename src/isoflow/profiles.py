@@ -30,7 +30,6 @@ ulp of s), and perpendicular offsets are the closed-form Gaussian quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ from .weights import (
     Density,
     PiecewiseLinearWeight,
     _csv_table,
+    _Frozen,
     gaussian_cdf,
     gaussian_factor,
     gaussian_quantile,
@@ -59,25 +59,16 @@ __all__ = [
 GRID_EPS = 1e-3  # relative volume margin kept clear of the degenerate endpoints
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Frozen):
     """Sampled profile F(v) = A(V^{-1}(v)) of a half-space family."""
 
-    family: str
-    s: np.ndarray
-    V: np.ndarray
-    A: np.ndarray
-    v: np.ndarray
-    F: np.ndarray
-    dF: np.ndarray
-    ddF: np.ndarray
-    v_total: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.V) <= 0.0):
+    def __init__(self, family: str, s: np.ndarray, V: np.ndarray, A: np.ndarray, v: np.ndarray,
+                 F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, v_total: float):
+        if np.any(np.diff(V) <= 0.0):
             raise ConsistencyError("profile volumes must be strictly increasing")
-        if np.any(self.F <= 0.0):
+        if np.any(F <= 0.0):
             raise ConsistencyError("profile values must be positive on the open range")
+        vars(self).update(family=family, s=s, V=V, A=A, v=v, F=F, dF=dF, ddF=ddF, v_total=v_total)
 
 
 def _chebyshev_grid(lo: float, hi: float, size: int) -> np.ndarray:

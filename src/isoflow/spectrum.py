@@ -26,13 +26,12 @@ order moves λ (≤ 7e-16 relative on the sweep), never the step count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .weights import Density, _csv_table, _float_arrays, _one_sided_cutoff, check_concavity
+from .weights import Density, _csv_table, _float_arrays, _Frozen, _one_sided_cutoff, check_concavity
 
 __all__ = [
     "PoincareCertificate",
@@ -53,8 +52,7 @@ _LANCZOS_TOL = 1e-13
 _LANCZOS_STEPS = 60
 
 
-@dataclass(frozen=True)
-class SpectralProblem:
+class SpectralProblem(_Frozen):
     """Discrete weighted eigenproblem on an interval, natural BC.
 
     nodes:        cell centers t_i, strictly increasing.
@@ -65,14 +63,14 @@ class SpectralProblem:
     interval:     the (possibly truncated) computational interval.
     """
 
-    density: Density
-    interval: tuple[float, float]
-    nodes: np.ndarray
-    masses: np.ndarray
-    conductances: np.ndarray
+    def __init__(self, density: Density, interval: tuple[float, float], nodes, masses, conductances):
+        _float_arrays(self, np.atleast_1d, nodes=nodes, masses=masses, conductances=conductances)
+        vars(self).update(density=density, interval=interval)
+        self.__post_init__()
 
     def __post_init__(self):
-        t, w, g = _float_arrays(self, np.atleast_1d, "nodes", "masses", "conductances")
+        """The arrays' checks, the validation step of __init__."""
+        t, w, g = self.nodes, self.masses, self.conductances
         if t.size < 16:
             raise DomainError("spectral problem needs at least 16 cells")
         if w.shape != t.shape or g.shape != (t.size - 1,):

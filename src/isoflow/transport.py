@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .weights import (
     ZeroWeight,
     _csv_table,
     _float_arrays,
+    _Frozen,
     check_concavity,
     gaussian_cdf,
     gaussian_factor,
@@ -53,8 +53,7 @@ QUANTILE_CLIP = 1e-14
 _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
-@dataclass(frozen=True)
-class TransportMap:
+class TransportMap(_Frozen):
     """Sampled monotone rearrangement with its closed-form derivative.
 
     s:     strictly increasing sample grid in the source line.
@@ -66,17 +65,10 @@ class TransportMap:
            [1e−14, 1−1e−14] and were evaluated at the clipped quantile.
     """
 
-    source: Density
-    target: Density
-    s: np.ndarray
-    rho: np.ndarray
-    drho: np.ndarray
-    alpha: float
-    beta: float
-    n_clipped: int = 0
-
-    def __post_init__(self):
-        s, rho, drho = _float_arrays(self, np.atleast_1d, "s", "rho", "drho")
+    def __init__(self, source: Density, target: Density, s, rho, drho, alpha: float, beta: float,
+                 n_clipped: int = 0):
+        s, rho, drho = _float_arrays(self, np.atleast_1d, s=s, rho=rho, drho=drho)
+        vars(self).update(source=source, target=target, alpha=alpha, beta=beta, n_clipped=n_clipped)
         if s.ndim != 1 or s.shape != rho.shape or s.shape != drho.shape or s.size < 2:
             raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
         if np.any(np.diff(s) <= 0.0):

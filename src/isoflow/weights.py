@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +68,36 @@ __all__ = [
 ]
 
 
+class _Frozen:
+    """An immutable record.  Its __init__ writes the fields through
+    self.__dict__, where functools.cached_property also writes; assigning
+    or deleting an attribute raises AttributeError.  It compares and
+    hashes by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """A _Frozen record that compares and hashes on the fields _params names."""
+
+    _params: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._params)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 # ---------------------------------------------------------------------------
 # weight variants
 
@@ -95,8 +124,7 @@ class Weight1D:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ZeroWeight(Weight1D):
+class ZeroWeight(Weight1D, _Value):
     """omega = 0, the unperturbed Gaussian."""
 
     def value(self, t):
@@ -111,16 +139,15 @@ class ZeroWeight(Weight1D):
         return np.zeros_like(np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class AffineWeight(Weight1D):
+class AffineWeight(Weight1D, _Value):
     """omega(t) = a0 t + b0."""
 
-    a0: float
-    b0: float = 0.0
+    _params = ("a0", "b0")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a0) and math.isfinite(self.b0)):
+    def __init__(self, a0: float, b0: float = 0.0):
+        if not (math.isfinite(a0) and math.isfinite(b0)):
             raise ValueError("affine coefficients must be finite")
+        vars(self).update(a0=a0, b0=b0)
 
     def value(self, t):
         return self.a0 * np.asarray(t, dtype=float) + self.b0
@@ -134,17 +161,15 @@ class AffineWeight(Weight1D):
         return np.zeros_like(np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
-class QuadraticWeight(Weight1D):
+class QuadraticWeight(Weight1D, _Value):
     """omega(t) = -kappa t^2 + a0 t + b0, concave iff kappa >= 0."""
 
-    kappa: float
-    a0: float = 0.0
-    b0: float = 0.0
+    _params = ("kappa", "a0", "b0")
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.kappa, self.a0, self.b0)):
+    def __init__(self, kappa: float, a0: float = 0.0, b0: float = 0.0):
+        if not all(math.isfinite(v) for v in (kappa, a0, b0)):
             raise ValueError("quadratic coefficients must be finite")
+        vars(self).update(kappa=kappa, a0=a0, b0=b0)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -159,16 +184,16 @@ class QuadraticWeight(Weight1D):
         return np.full_like(np.asarray(t, dtype=float), -2.0 * self.kappa)
 
 
-@dataclass(frozen=True)
-class LogPowerWeight(Weight1D):
+class LogPowerWeight(Weight1D, _Value):
     """omega(t) = m log t on (0, inf), concave iff m >= 0."""
 
-    m: float
+    _params = ("m",)
+    domain = (0.0, math.inf)
 
-    def __post_init__(self):
-        if not math.isfinite(self.m):
+    def __init__(self, m: float):
+        if not math.isfinite(m):
             raise ValueError("log-power exponent must be finite")
-        object.__setattr__(self, "domain", (0.0, math.inf))
+        vars(self)["m"] = m
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -196,29 +221,25 @@ class LogPowerWeight(Weight1D):
         return -self.m / (t * t)
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearWeight(Weight1D):
+class PiecewiseLinearWeight(Weight1D, _Value):
     """Piecewise linear omega through (knots[i], values[i]); class C0 only.
 
     The derivative is the segment slope away from knots; probing it at a
     knot raises SmoothnessError, as does any request for omega''.
     """
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
+    _params = ("knots", "values")
 
-    def __post_init__(self):
-        knots = tuple(float(k) for k in self.knots)
-        values = tuple(float(v) for v in self.values)
+    def __init__(self, knots, values):
+        knots = tuple(float(k) for k in knots)
+        values = tuple(float(v) for v in values)
         if len(knots) != len(values) or len(knots) < 2:
             raise ValueError("need matching knots/values with at least 2 knots")
         if not all(math.isfinite(v) for v in knots + values):
             raise ValueError("knots and values must be finite")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise ValueError("knots must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "domain", (knots[0], knots[-1]))
+        vars(self).update(knots=knots, values=values, domain=(knots[0], knots[-1]))
 
     def _check_domain(self, t):
         if np.any(t < self.knots[0]) or np.any(t > self.knots[-1]):
@@ -296,44 +317,39 @@ def check_concavity(weight: Weight1D) -> ConcavityReport:
 # density bundle
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(_Value):
     """f = e^{omega(t) - c |p|^2} on the planar slab R x (a, b).  The third
     argument, the dimension, must be 2 and is not stored; it stays only
     because benchmark/inproc.py passes it."""
 
-    weight: Weight1D
-    c: float
-    dim: InitVar[int]
-    slab: tuple[float, float]
+    _params = ("weight", "c", "slab")
 
-    def __post_init__(self, dim):
+    def __init__(self, weight: Weight1D, c: float, dim: int, slab: tuple[float, float]):
         if dim != 2:
             raise ValueError(f"the model is planar: dim must be 2, got {dim!r}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if not (math.isfinite(c) and c > 0.0):
             raise ValueError("need c > 0")
-        a, b = (float(self.slab[0]), float(self.slab[1]))
+        a, b = (float(slab[0]), float(slab[1]))
         if not a < b:
             raise ValueError("slab endpoints must satisfy a < b")
-        object.__setattr__(self, "slab", (a, b))
-        lo, hi = self.weight.domain
+        lo, hi = weight.domain
         if a < lo or b > hi:
             raise ValueError("slab must lie inside the weight domain")
-        w = self.weight
         # integrability: t^m near 0 needs m > -1, an infinite side c + kappa > 0
-        if isinstance(w, LogPowerWeight) and a == 0.0 and w.m <= -1.0:
+        if isinstance(weight, LogPowerWeight) and a == 0.0 and weight.m <= -1.0:
             raise DomainError("density is not integrable: log-power m <= -1 at t = 0")
         infinite = math.isinf(a) or math.isinf(b)
-        if isinstance(w, QuadraticWeight) and infinite and self.c + w.kappa <= 0.0:
+        if isinstance(weight, QuadraticWeight) and infinite and c + weight.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
+        vars(self).update(weight=weight, c=c, slab=(a, b))
 
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
         """The slab factor's 1-D measure engine, built once per Density.
 
-        Kept in the instance dict, outside the dataclass fields, so two
-        equal densities compare and hash equal whether or not either has
-        built its engine."""
+        Kept in the instance dict apart from the compared parameters, so
+        two equal densities compare and hash equal whether or not either
+        has built its engine."""
         return CumulativeDensity1D(self)
 
     def slab_factor(self, t: np.ndarray) -> np.ndarray:
@@ -644,13 +660,12 @@ _N_PANELS = 600
 _QUANTILE_MAX_STEPS = 1100
 
 
-def _float_arrays(frozen, atleast, *names: str) -> list[np.ndarray]:
-    """Store read-only float copies of the named fields of a frozen
-    dataclass, at least 1-D or 2-D by ``atleast``, and return them: the
-    instance owns its arrays, and a caller's later writes cannot reach them."""
-    arrays = [_read_only(atleast(np.array(getattr(frozen, name), dtype=float))) for name in names]
-    for name, value in zip(names, arrays):
-        object.__setattr__(frozen, name, value)
+def _float_arrays(record: _Frozen, atleast, **fields) -> list[np.ndarray]:
+    """Store read-only float copies of the given arrays as the record's
+    fields, at least 1-D or 2-D by ``atleast``, and return them: the record
+    owns its arrays, and a caller's later writes cannot reach them."""
+    arrays = [_read_only(atleast(np.array(value, dtype=float))) for value in fields.values()]
+    vars(record).update(zip(fields, arrays))
     return arrays
 
 

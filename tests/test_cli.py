@@ -688,6 +688,23 @@ class TestAtomicWrite:
         assert "io error" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_a_failed_summary_write_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        """A full disk at summary.json escaped main as a traceback."""
+        write = cli._atomic_write
+
+        def full_at_summary(config, filename, text):
+            if filename == "summary.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(config, filename, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", full_at_summary)
+        out = tmp_path / "out"
+        assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(out)]) == 1
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert capsys.readouterr().err == f"isoflow: io error: {full}\n"
+        assert not (out / "summary.json").exists()
+        assert (out / "optimize.json").exists()
+
 
 class TestSingleCommand:
     def test_affine_whole_space_ties_everywhere(self, tmp_path):

@@ -8,7 +8,9 @@ Green's operator) in numpy.
 
 isoflow also loads neither numpy.random nor numpy.polynomial: its one
 random draw (the pushforward intervals) uses the standard library's
-random.Random, and its Gauss-Legendre rules are tabulated.
+random.Random, and its Gauss-Legendre rules are tabulated.  Nor does it
+load dataclasses: a frozen dataclass generates its methods by exec when
+its module is imported, so isoflow's records are plain immutable classes.
 
 The guard imports every isoflow module and runs a full `isoflow all` on
 both bundled configs, then reads sys.modules.
@@ -36,7 +38,8 @@ codes = [main(["all", "--config", str(configs / f"{name}.cfg"), "--out", str(Pat
          for name in ("gaussian_slab", "quadratic_slab")]
 numpy_extras = sorted(m for m in sys.modules if m.startswith(("numpy.random", "numpy.polynomial")))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"modules": modules, "codes": codes, "loaded": loaded, "numpy_extras": numpy_extras}))
+print(json.dumps({"modules": modules, "codes": codes, "loaded": loaded, "numpy_extras": numpy_extras,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -53,3 +56,4 @@ def test_cli_all_loads_no_heavy_scipy_subpackage(tmp_path):
     assert report["codes"] == [0, 0]
     assert report["loaded"] == []
     assert report["numpy_extras"] == []
+    assert report["dataclasses"] is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.special import erf
 
 from scipy.integrate import quad
 
+import isoflow
 from isoflow import (
     AffineWeight,
     ConsistencyError,
@@ -30,10 +32,13 @@ from isoflow import (
     build_transport,
     check_concavity,
     gaussian_factor,
+    load_config,
     log_density,
     log_density_gradient,
+    make_straight_chord,
     tail_interval,
     total_weighted_volume,
+    vertical_segment,
 )
 from isoflow.spectrum import build_spectral_problem
 from isoflow.weights import (
@@ -467,6 +472,90 @@ class TestDensityValidation:
             total_weighted_volume(d)
         with pytest.raises(DomainError, match="tail tolerance"):
             CumulativeDensity1D(d)
+
+
+# one instance's parameters per weight kind, on a domain holding the slab (0.25, 1)
+WEIGHT_PARAMS = [
+    (ZeroWeight, ()),
+    (AffineWeight, (0.7, 0.1)),
+    (QuadraticWeight, (0.5, 0.2, 0.1)),
+    (LogPowerWeight, (2.0,)),
+    (PiecewiseLinearWeight, ((-1.0, 0.0, 1.0), (0.0, 1.0, 0.5))),
+]
+RECORD_SLAB = (0.25, 1.0)
+WEIGHT_IDS = [cls.__name__ for cls, _ in WEIGHT_PARAMS]
+RECORDS = WEIGHT_IDS + ["Density", "TransportMap", "DiscreteCurve", "Profile", "SpectralProblem",
+                        "ChordSpline", "RunConfig"]
+
+
+def bumped(value):
+    """value moved by 1/4, in its last entry when it is a tuple."""
+    if isinstance(value, tuple):
+        return value[:-1] + (value[-1] + 0.25,)
+    return value + 0.25
+
+
+@pytest.fixture(scope="module")
+def records() -> dict:
+    """One instance of each of the package's twelve immutable records."""
+    d = Density(QuadraticWeight(0.5, 0.2), 0.5, 2, RECORD_SLAB)
+    built = {cls.__name__: cls(*params) for cls, params in WEIGHT_PARAMS}
+    built.update(
+        Density=d,
+        TransportMap=build_transport(d, grid_size=33),
+        DiscreteCurve=vertical_segment(d, 0.2, n=11),
+        Profile=build_profile(d, "parallel", grid_size=9),
+        SpectralProblem=build_spectral_problem(d, n_cells=16),
+        ChordSpline=make_straight_chord(d),
+        RunConfig=load_config(str(Path(isoflow.__file__).parent / "configs" / "gaussian_slab.cfg")),
+    )
+    assert all(type(record).__name__ == name for name, record in built.items())
+    return built
+
+
+class TestRecordContract:
+    """Equal weights and densities compare and hash equal, and no record
+    can be changed once built."""
+
+    @pytest.mark.parametrize("cls, params", WEIGHT_PARAMS, ids=WEIGHT_IDS)
+    @pytest.mark.parametrize("built", [False, True], ids=["lazy", "built"])
+    def test_equal_parameters_compare_and_hash_equal(self, cls, params, built):
+        w1, w2 = cls(*params), cls(*params)
+        assert w1 == w2 and hash(w1) == hash(w2)
+        d1, d2 = Density(w1, 0.5, 2, RECORD_SLAB), Density(w2, 0.5, 2, list(RECORD_SLAB))
+        if built:
+            assert d1.cumulative.total > 0.0
+        assert d1 == d2 and hash(d1) == hash(d2)
+        assert {d1: "first"}[d2] == "first"
+
+    @pytest.mark.parametrize("cls, params", WEIGHT_PARAMS, ids=WEIGHT_IDS)
+    def test_one_parameter_apart_differ(self, cls, params):
+        w = cls(*params)
+        for i in range(len(params)):
+            other = cls(*params[:i], bumped(params[i]), *params[i + 1 :])
+            assert w != other and not w == other
+            assert Density(w, 0.5, 2, RECORD_SLAB) != Density(other, 0.5, 2, RECORD_SLAB)
+        d = Density(w, 0.5, 2, RECORD_SLAB)
+        assert d != Density(w, 0.75, 2, RECORD_SLAB)
+        assert d != Density(w, 0.5, 2, (0.25, 0.75))
+        assert (w == ZeroWeight()) == (cls is ZeroWeight)
+
+    def test_piecewise_lists_equal_tuples(self):
+        from_lists = PiecewiseLinearWeight([-1, 0, 1], [0, 1, 0.5])
+        from_tuples = PiecewiseLinearWeight((-1.0, 0.0, 1.0), (0.0, 1.0, 0.5))
+        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+        assert from_lists.knots == (-1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_set_or_deleted(self, records, name):
+        record = records[name]
+        fields = list(vars(record))  # ZeroWeight has none
+        for attribute in (*fields, "added"):
+            with pytest.raises(AttributeError):
+                setattr(record, attribute, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(record, attribute)
+        assert list(vars(record)) == fields
 
 
 class TestCumulativeDensity:
