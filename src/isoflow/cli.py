@@ -318,8 +318,6 @@ def cmd_profile(config: RunConfig) -> _Outcome:
     _atomic_write(config, "profile_parallel.csv", profile_csv(parallel))
     _atomic_write(config, "profile_perp.csv", profile_csv(perpendicular))
     comparison = compare_profiles(parallel, perpendicular, tie_tol=tol)
-    tie_band = tol * np.maximum(comparison.f_values, comparison.g_values)
-    n_ties = int(np.sum(np.abs(comparison.f_values - comparison.g_values) <= tie_band))
     ode_par = check_profile_ode(parallel, density.c, tol=tol)
     ode_perp = check_profile_ode(perpendicular, density.c, tol=tol)
     ok = (
@@ -341,7 +339,7 @@ def cmd_profile(config: RunConfig) -> _Outcome:
         "comparison": comparison.verdict,
         "strict": comparison.verdict == "strict",
         "min_margin": comparison.min_margin,
-        "n_ties": n_ties,
+        "n_ties": comparison.n_ties,
         "n_grid": int(comparison.grid.size),
         "parallel_ode": ode_par.verdict,
         "parallel_max_defect": ode_par.max_defect,
@@ -579,10 +577,10 @@ def main(argv=None) -> int:
         out_dir = str(config.value("run", "out_dir"))
         os.makedirs(out_dir, exist_ok=True)
         resolved = resolved_config_text(config)
-        # a directory describes one configuration: another one clears every file isoflow
-        # names, a rerun of the same one those of its stages, and the summary either way
+        # a directory describes one configuration: a rerun clears its stages' files and the
+        # summary, any other resolved.cfg bytes (undecodable too) every file isoflow names
         earlier = os.path.join(out_dir, "resolved.cfg")
-        same = os.path.isfile(earlier) and Path(earlier).read_text(encoding="utf-8") == resolved
+        same = os.path.isfile(earlier) and Path(earlier).read_bytes() == resolved.encode("utf-8")
         stale = names if same else tuple(_STAGES)
         for filename in ("summary.json", *(f for name in stale for f in _STAGES[name][1])):
             with contextlib.suppress(FileNotFoundError):

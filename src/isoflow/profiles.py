@@ -168,7 +168,8 @@ class ComparisonVerdict(NamedTuple):
 
     verdict: str  # 'strict' | 'ge_with_ties' | 'violation'
     min_margin: float
-    ties: tuple[float, ...]
+    ties: tuple[float, ...]  # the first 32 of n_ties
+    n_ties: int
     violations: tuple[float, ...]
     grid: np.ndarray
     f_values: np.ndarray
@@ -204,6 +205,7 @@ def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e
         verdict=verdict,
         min_margin=float(np.min(margin)),
         ties=tuple(float(v) for v in ties[:32]),
+        n_ties=int(ties.size),
         violations=tuple(float(v) for v in violations[:32]),
         grid=common,
         f_values=np.asarray(F, dtype=float),

@@ -29,6 +29,7 @@ from .weights import (
     _csv_table,
     _float_arrays,
     _Frozen,
+    _read_only,
     check_concavity,
     gaussian_cdf,
     gaussian_factor,
@@ -54,43 +55,43 @@ _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
 class TransportMap(_Frozen):
-    """Sampled monotone rearrangement with its closed-form derivative.
+    """Monotone rearrangement ρ = CDF₂⁻¹ ∘ CDF₁ of the Gaussian onto target,
+    sampled on a strictly increasing grid s of the source line.
 
-    s:     strictly increasing sample grid in the source line.
-    rho:   ρ(s_i) ∈ [a, b], nondecreasing.
-    drho:  ρ′(s_i) ≥ 0 from the change-of-variables identity, not from
-           differencing.
+    The map keeps a read-only copy of s and derives everything else from
+    target and s:
+    source: the Gaussian line e^{−cs²} on ℝ, with the target's c.
     alpha, beta: reciprocal masses of source and target.
+    rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form, then one batched quantile
+           call on the target's engine, resolved to about one ulp and made
+           nondecreasing by a running maximum.
+    drho:  ρ′(s_i) from the change-of-variables identity, never from
+           differences.
     n_clipped: grid points whose source quantile fell outside
-           [1e−14, 1−1e−14] and were evaluated at the clipped quantile.
+           [1e−14, 1−1e−14] and were evaluated at the clipped quantile
+           (diagnostic tails, irrelevant at downstream tolerances).
     """
 
-    def __init__(self, source: Density, target: Density, s, rho, drho, alpha: float, beta: float,
-                 n_clipped: int = 0):
-        s, rho, drho = _float_arrays(self, np.atleast_1d, s=s, rho=rho, drho=drho)
-        vars(self).update(source=source, target=target, alpha=alpha, beta=beta, n_clipped=n_clipped)
-        if s.ndim != 1 or s.shape != rho.shape or s.shape != drho.shape or s.size < 2:
+    def __init__(self, target: Density, s):
+        (s,) = _float_arrays(self, np.atleast_1d, s=s)
+        if s.ndim != 1 or s.size < 2:
             raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
         if np.any(np.diff(s) <= 0.0):
             raise ConsistencyError("sample grid must be strictly increasing")
-        if np.any(np.diff(rho) < 0.0):
-            raise ConsistencyError("transport values must be nondecreasing")
-        if np.any(drho < 0.0):
-            raise ConsistencyError("transport derivative must be nonnegative")
-        a, b = self.target.slab
-        if np.any(rho < a) or np.any(rho > b):
-            raise ConsistencyError("transport values must stay inside the target slab")
-        lhs = self.alpha * self.source.slab_factor(s)
-        rhs = self.beta * self.target.slab_factor(rho) * drho
-        residual = float(np.max(np.abs(lhs - rhs)))
-        if residual > 1e-8 * self.alpha:
-            raise ConsistencyError(
-                f"derivative identity residual {residual:.3e} exceeds 1e-8 alpha"
-            )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.s.size
+        c, cum = target.c, target.cumulative
+        source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
+        alpha = 1.0 / gaussian_factor(c)
+        beta = 1.0 / cum.total
+        q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and, bit for bit, gaussian_ccdf(c, s)
+        clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
+        n_clipped = int(np.count_nonzero(clipped))
+        if n_clipped:
+            q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
+            q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
+        rho = np.maximum.accumulate(cum.quantile(q, q_up))
+        drho = alpha * source.slab_factor(s) / (beta * target.slab_factor(rho))
+        vars(self).update(source=source, target=target, rho=_read_only(rho), drho=_read_only(drho),
+                          alpha=alpha, beta=beta, n_clipped=n_clipped)
 
 
 def build_transport(
@@ -99,16 +100,10 @@ def build_transport(
     grid_size: int = 2001,
     require_concave: bool = True,
 ) -> TransportMap:
-    """Construct ρ = CDF₂⁻¹ ∘ CDF₁ on a sample grid of the source line.
-
-    CDF₁ is the closed-form Gaussian error function; the target quantiles
-    come from one batched quantile call on the density's own engine,
-    resolved to about one ulp.  ρ′ comes
-    from the change-of-variables identity, never from differences.
-    Source quantiles outside [1e−14, 1−1e−14] are clipped and counted in
-    n_clipped (diagnostic tails, irrelevant at downstream tolerances).
+    """The TransportMap onto density, on s_grid sorted or by default on
+    grid_size points spanning source quantiles 1e−13 to 1 − 1e−13; a
+    non-concave weight is refused unless require_concave is false.
     """
-    c = density.c
     if require_concave:
         report = check_concavity(density.weight)
         if not report.concave:
@@ -116,32 +111,11 @@ def build_transport(
                 f"transport source requires a concave weight: {report.detail}"
             )
     if s_grid is None:
-        span = _Z_GRID / math.sqrt(2.0 * c)
+        span = _Z_GRID / math.sqrt(2.0 * density.c)
         s = np.linspace(-span, span, grid_size)
     else:
         s = np.sort(np.asarray(s_grid, dtype=float))
-    cum = density.cumulative
-    alpha = 1.0 / gaussian_factor(c)
-    beta = 1.0 / cum.total
-    q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and, bit for bit, gaussian_ccdf(c, s)
-    clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
-    n_clipped = int(np.count_nonzero(clipped))
-    if n_clipped:
-        q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-        q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-    rho = np.maximum.accumulate(cum.quantile(q, q_up))
-    source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
-    drho = alpha * source.slab_factor(s) / (beta * density.slab_factor(rho))
-    return TransportMap(
-        source=source,
-        target=density,
-        s=s,
-        rho=rho,
-        drho=drho,
-        alpha=alpha,
-        beta=beta,
-        n_clipped=n_clipped,
-    )
+    return TransportMap(density, s)
 
 
 class ContractionReport(NamedTuple):
@@ -150,7 +124,6 @@ class ContractionReport(NamedTuple):
     certified: bool
     max_derivative: float
     max_location: float
-    tolerance: float
 
 
 def check_contraction(tmap: TransportMap, tol: float = 1e-6) -> ContractionReport:
@@ -161,7 +134,6 @@ def check_contraction(tmap: TransportMap, tol: float = 1e-6) -> ContractionRepor
         certified=worst <= 1.0 + tol,
         max_derivative=worst,
         max_location=float(tmap.s[i]),
-        tolerance=tol,
     )
 
 

@@ -456,6 +456,21 @@ class TestRunRecords:
         assert load_config(str(out / "resolved.cfg")).value("density", "weight") == "piecewise_linear"
         capsys.readouterr()
 
+    def test_an_undecodable_resolved_cfg_is_another_configuration(self, tmp_path, capsys):
+        """A leftover resolved.cfg that is not UTF-8 raised UnicodeDecodeError
+        out of main.  It now counts as another configuration."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "resolved.cfg").write_bytes(b"\xff\xfe\x00bad")
+        for name in ("transport.json", "summary.json", "notes.txt"):
+            (out / name).write_text("{}\n")
+        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", str(out)]) == 0
+        files = {p.name for p in out.iterdir()}
+        assert files == {"resolved.cfg", "profile_parallel.csv", "profile_perp.csv", "compare.json", "notes.txt"}
+        assert (out / "resolved.cfg").read_text(encoding="utf-8") == resolved_config_text(
+            load_config(GAUSSIAN_CFG, out_dir=str(out)))
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_expect_bound_is_part_of_the_configuration(self, tmp_path, capsys):
         """`all` without --expect-bound, then `spectrum` with it: the flag was
         not in resolved.cfg, so the directory looked unchanged and kept a

@@ -229,6 +229,7 @@ class TestCompareProfiles:
         cmp = compare_profiles(p, p)
         assert cmp.verdict == "ge_with_ties"
         assert len(cmp.ties) >= min(32, len(p.v))
+        assert cmp.n_ties == len(p.v) > len(cmp.ties) == 32
 
     def test_affine_whole_space_families_agree(self):
         d = Density(AffineWeight(1.0, 0.0), 0.5, 2, (-INF, INF))

@@ -106,32 +106,31 @@ class TestBuildTransport:
         assert m.n_clipped > 0
         assert np.all(np.isfinite(m.rho))
 
-    def test_hand_built_map_must_satisfy_identity(self):
-        s = np.linspace(-1.0, 1.0, 9)
-        with pytest.raises(ConsistencyError):
-            TransportMap(
-                source=GAUSS_LINE,
-                target=GAUSS_LINE,
-                s=s,
-                rho=s.copy(),
-                drho=np.full(9, 2.0),
-                alpha=1.0 / math.sqrt(2.0 * math.pi),
-                beta=1.0 / math.sqrt(2.0 * math.pi),
-            )
-
-
     def test_the_map_owns_its_arrays(self):
         s = np.linspace(-1.0, 1.0, 9)
-        rho, drho = s.copy(), np.ones(9)
-        alpha = 1.0 / math.sqrt(2.0 * math.pi)
-        m = TransportMap(source=GAUSS_LINE, target=GAUSS_LINE, s=s, rho=rho, drho=drho,
-                         alpha=alpha, beta=alpha)
+        m = TransportMap(GAUSS_LINE, s)
         s += 1.0
-        rho[0] = -5.0
-        assert np.array_equal(m.s, m.rho) and m.rho[0] == -1.0
+        assert m.s[0] == -1.0 and np.max(np.abs(m.rho - m.s)) <= 1e-12
         for name in ("s", "rho", "drho"):
             with pytest.raises(ValueError):
                 getattr(m, name)[0] = 0.0
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.5], "1-D of equal length >= 2"),
+        ([-1.0, 0.0, 0.0, 1.0], "strictly increasing"),
+        ([1.0, 0.0, -1.0], "strictly increasing"),
+    ], ids=["one_point", "repeated", "decreasing"])
+    def test_the_map_refuses_an_unusable_grid(self, grid, message):
+        with pytest.raises(ConsistencyError, match=message):
+            TransportMap(GAUSS_LINE, grid)
+
+    def test_build_transport_is_the_map_on_the_sorted_grid(self):
+        d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
+        g = np.random.default_rng(7).normal(0.0, 3.0, 41)
+        built, direct = build_transport(d, s_grid=g), TransportMap(d, np.sort(g))
+        for name in ("s", "rho", "drho", "alpha", "beta", "n_clipped"):
+            assert np.array_equal(getattr(built, name), getattr(direct, name)), name
+        assert built.target is direct.target and built.source == direct.source
 
 
 class TestCheckContraction:
