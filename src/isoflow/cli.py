@@ -52,13 +52,19 @@ __all__ = [
     "main",
 ]
 
-_TOLERANCE = (lambda v: v >= 0.0, "must be >= 0")
+# the checks' own grids and thresholds; the last four are echoed as their records' tolerance
+_PROFILE_GRID = 257
+_PROFILE_TOLERANCE = 1e-8
+_TRANSPORT_TOLERANCE = 1e-6
+_STABILITY_TOLERANCE = 1e-6
+_JACOBI_MIN_RATIO = 3.5
 
 # section -> key -> (kind, default[, (test, requirement)]); kinds: int, float,
-# bool, str, floats.  A None default is an interior height of the slab, set
-# by load_config.  A range the commands need is checked as its key is read,
-# so a bad setting writes nothing: a negative tolerance, or a min_ratio that
-# ratios of non-decaying residuals meet, makes a check that cannot fail.
+# bool, str, floats.  A key says what is checked, never how hard: a config
+# that set a check's grid or threshold could make it unable to fail.  A None
+# default is an interior height of the slab, set by load_config.  A range
+# the commands need is checked as its key is read, so a bad setting writes
+# nothing.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "density": {
         "weight": ("str", "zero"),
@@ -71,20 +77,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "out_dir": ("str", "isoflow_out"),
         "expect_bound": ("bool", False),
     },
-    "profile": {
-        "grid_size": ("int", 257, (lambda v: v >= 3, "must be >= 3")),
-        "tolerance": ("float", 1e-8, _TOLERANCE),
-    },
     "transport": {
-        "grid_size": ("int", 2001, (lambda v: v >= 2, "must be >= 2")),
-        "n_intervals": ("int", 50, (lambda v: v >= 1, "must be >= 1")),
         "require_concave": ("bool", True),
-        "tolerance": ("float", 1e-6, _TOLERANCE),
     },
     "stability": {
         "t0": ("float", None),
-        "n_nodes": ("int", 4001, (lambda v: v >= 3, "must be >= 3")),
-        "tolerance": ("float", 1e-6, _TOLERANCE),
     },
     "jacobi": {
         "target_hf": ("float", 0.0),
@@ -95,10 +92,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
                   (lambda h: len(h) >= 2 and len(set(h)) == len(h) and min(h) > 0.0,
                    "must be at least two distinct step sizes > 0")),
         "max_length": ("float", 8.0),
-        "min_ratio": ("float", 3.5, (lambda v: v > 1.0, "must be > 1")),
-    },
-    "spectrum": {
-        "n_cells": ("int", 2000, (lambda v: v >= 16, "must be >= 16")),
     },
     "optimize": {
         "target_fraction": ("float", 0.5, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
@@ -106,7 +99,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "x_bottom": ("float", -0.3),
         "x_top": ("float", 0.3),
         "max_iterations": ("int", 400, (lambda v: v >= 1, "must be >= 1")),
-        "gradient_tolerance": ("float", 1e-6, (lambda v: v > 0.0, "must be > 0")),
     },
 }
 
@@ -201,15 +193,16 @@ class RunConfig(_Value):
     @functools.cached_property
     def certificate(self):
         """The run's one spectral certificate: stability and spectrum share its pencil."""
-        return poincare_certify(self.density, n_cells=int(self.value("spectrum", "n_cells")))
+        return poincare_certify(self.density)
 
 
 def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
     """Parse an INI file against the schema and build its density; unknown
-    keys, a setting outside its schema row's range (the first in schema
-    order is named), an invalid density and a height outside the slab are
-    errors.  out_dir, when given, overrides [run] out_dir; expect_bound,
-    when true, sets [run] expect_bound.
+    sections and keys (a check's grid or threshold among them), a setting
+    outside its schema row's range (the first in schema order is named), an
+    out_dir that is not UTF-8, an invalid density and a height outside the
+    slab are errors.  out_dir, when given, overrides [run] out_dir;
+    expect_bound, when true, sets [run] expect_bound.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
     strictly inside the slab, else the slab factor's median.
@@ -244,6 +237,10 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
         sections["run"]["out_dir"] = out_dir
     if expect_bound:
         sections["run"]["expect_bound"] = True
+    try:
+        sections["run"]["out_dir"].encode("utf-8")  # resolved.cfg echoes it as UTF-8
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"[run] out_dir = {sections['run']['out_dir']!r} is not valid UTF-8") from exc
     config = RunConfig(sections)
     a, b = config.density.slab
     unset = []
@@ -311,15 +308,13 @@ def _write_json(config: RunConfig, filename: str, data: dict) -> None:
 
 def cmd_profile(config: RunConfig) -> _Outcome:
     density = config.density
-    tol = float(config.value("profile", "tolerance"))
-    grid_size = int(config.value("profile", "grid_size"))
-    parallel = build_profile(density, "parallel", grid_size=grid_size)
-    perpendicular = build_profile(density, "perpendicular", grid_size=grid_size)
+    parallel = build_profile(density, "parallel", grid_size=_PROFILE_GRID)
+    perpendicular = build_profile(density, "perpendicular", grid_size=_PROFILE_GRID)
     _atomic_write(config, "profile_parallel.csv", profile_csv(parallel))
     _atomic_write(config, "profile_perp.csv", profile_csv(perpendicular))
-    comparison = compare_profiles(parallel, perpendicular, tie_tol=tol)
-    ode_par = check_profile_ode(parallel, density.c, tol=tol)
-    ode_perp = check_profile_ode(perpendicular, density.c, tol=tol)
+    comparison = compare_profiles(parallel, perpendicular, tie_tol=_PROFILE_TOLERANCE)
+    ode_par = check_profile_ode(parallel, density.c, tol=_PROFILE_TOLERANCE)
+    ode_perp = check_profile_ode(perpendicular, density.c, tol=_PROFILE_TOLERANCE)
     ok = (
         comparison.verdict in ("strict", "ge_with_ties")
         and ode_perp.verdict == "equality"
@@ -346,23 +341,16 @@ def cmd_profile(config: RunConfig) -> _Outcome:
         "perpendicular_ode": ode_perp.verdict,
         "perpendicular_max_defect": ode_perp.max_defect,
     }
-    return metrics, tol, witness
+    return metrics, _PROFILE_TOLERANCE, witness
 
 
 def cmd_transport(config: RunConfig) -> _Outcome:
-    tol = float(config.value("transport", "tolerance"))
     tmap = build_transport(
-        config.density,
-        grid_size=int(config.value("transport", "grid_size")),
-        require_concave=bool(config.value("transport", "require_concave")),
+        config.density, require_concave=bool(config.value("transport", "require_concave"))
     )
     _atomic_write(config, "transport.csv", transport_csv(tmap))
-    contraction = check_contraction(tmap, tol=tol)
-    push = pushforward_check(
-        tmap,
-        n_intervals=int(config.value("transport", "n_intervals")),
-        seed=int(config.value("run", "seed")),
-    )
+    contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
+    push = pushforward_check(tmap, seed=int(config.value("run", "seed")))
     push_ok = push.max_residual <= 1e-8
     witness = None
     if not contraction.certified:
@@ -378,30 +366,25 @@ def cmd_transport(config: RunConfig) -> _Outcome:
         "alpha": tmap.alpha,
         "beta": tmap.beta,
     }
-    return metrics, tol, witness
+    return metrics, _TRANSPORT_TOLERANCE, witness
 
 
 def cmd_stability(config: RunConfig) -> _Outcome:
     density = config.density
-    tol = float(config.value("stability", "tolerance"))
-    verdict = parallel_halfspace_stability(
-        density,
-        float(config.value("stability", "t0")),
-        n=int(config.value("stability", "n_nodes")),
-    )
+    verdict = parallel_halfspace_stability(density, float(config.value("stability", "t0")))
     # the dichotomy is internally consistent when the witness index value
     # has the sign the second derivative of the weight predicts
     witness_consistent = (
-        verdict.witness_value < -tol
+        verdict.witness_value < -_STABILITY_TOLERANCE
         if verdict.verdict == "unstable"
-        else verdict.witness_value >= -tol
+        else verdict.witness_value >= -_STABILITY_TOLERANCE
     )
     # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
     # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c;
     # like the spectral bound it must hold for concave weights
     must_hold = bool(config.value("run", "expect_bound")) or config.certificate.concave
     vertical_min = config.certificate.lambda_value - 2.0 * density.c
-    vertical_ok = vertical_min >= -tol or not must_hold
+    vertical_ok = vertical_min >= -_STABILITY_TOLERANCE or not must_hold
     witness = None
     if not witness_consistent:
         witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
@@ -414,7 +397,7 @@ def cmd_stability(config: RunConfig) -> _Outcome:
         "witness_index_value": verdict.witness_value,
         "vertical_index_min": vertical_min,
     }
-    return metrics, tol, witness
+    return metrics, _STABILITY_TOLERANCE, witness
 
 
 def cmd_jacobi(config: RunConfig) -> _Outcome:
@@ -432,9 +415,8 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
         math.inf if residuals[i] == 0.0 else residuals[i - 1] / residuals[i]
         for i in range(1, len(residuals))
     ]
-    min_ratio = float(config.value("jacobi", "min_ratio"))
     exact_floor = 1e-9
-    ok = all(r >= min_ratio for r in ratios) or max(residuals) <= exact_floor
+    ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= exact_floor
     cells = [""] + [repr(float(r)) for r in ratios]
     rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
     _atomic_write(config, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
@@ -448,7 +430,7 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
     }
     worst = min(ratios)
     witness = None if ok else {"location": f"h={steps[ratios.index(worst) + 1]}", "value": worst}
-    return metrics, min_ratio, witness
+    return metrics, _JACOBI_MIN_RATIO, witness
 
 
 def cmd_spectrum(config: RunConfig) -> _Outcome:
@@ -486,7 +468,6 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
         ),
         fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
-        gradient_tolerance=float(config.value("optimize", "gradient_tolerance")),
     )
     _atomic_write(config, "optimize_trace.csv", trace_csv(trace))
     if trace.status != "converged":

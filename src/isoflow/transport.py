@@ -74,6 +74,8 @@ class TransportMap(_Frozen):
 
     def __init__(self, target: Density, s):
         (s,) = _float_arrays(self, np.atleast_1d, s=s)
+        if not np.all(np.isfinite(s)):
+            raise ConsistencyError("sample grid must be finite")
         if s.ndim != 1 or s.size < 2:
             raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
         if np.any(np.diff(s) <= 0.0):
@@ -82,7 +84,7 @@ class TransportMap(_Frozen):
         source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
-        q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and, bit for bit, gaussian_ccdf(c, s)
+        q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and 1 - CDF, each exact in its own tail
         clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
         n_clipped = int(np.count_nonzero(clipped))
         if n_clipped:

@@ -57,7 +57,6 @@ __all__ = [
     "Density",
     "gaussian_factor",
     "gaussian_cdf",
-    "gaussian_ccdf",
     "gaussian_quantile",
     "log_density",
     "log_density_gradient",
@@ -435,11 +434,6 @@ def _erfc(x) -> np.ndarray:
 def gaussian_cdf(c: float, s):
     """CDF of the normalized Gaussian sqrt(c/pi) e^{-c s^2}, exact in the lower tail."""
     return 0.5 * _erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
-
-
-def gaussian_ccdf(c: float, s):
-    """1 - gaussian_cdf(c, s), exact in the upper tail."""
-    return 0.5 * _erfc(math.sqrt(c) * np.asarray(s, dtype=float))
 
 
 # Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard

@@ -63,7 +63,7 @@ class TestLoadConfig:
     def test_defaults_fill_missing_sections(self, tmp_path):
         config = load_config(write_cfg(tmp_path, "[density]\nweight = zero\n"))
         assert config.value("run", "seed") == 20260816
-        assert config.value("transport", "grid_size") == 2001
+        assert config.value("transport", "require_concave") is True
         assert config.value("jacobi", "steps") == (0.004, 0.002, 0.001)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -73,13 +73,24 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path):
         # [run] threads was a knob no code path read; [stability] line_x and
         # n_random drove a random sweep the spectral pencil replaced; [density]
-        # dim named a dimension every curve check refused unless it was 2
+        # dim named a dimension every curve check refused unless it was 2; the
+        # rest set a check's own grid or threshold, which no run varied
         for text in (
             "[density]\nflavor = spicy\n",
             "[density]\ndim = 2\n",
             "[run]\nthreads = 2\n",
             "[stability]\nn_random = 200\n",
             "[stability]\nline_x = 0.0\n",
+            "[profile]\ngrid_size = 257\n",
+            "[profile]\ntolerance = 1e-8\n",
+            "[transport]\ngrid_size = 2001\n",
+            "[transport]\nn_intervals = 50\n",
+            "[transport]\ntolerance = 1e-6\n",
+            "[stability]\nn_nodes = 4001\n",
+            "[stability]\ntolerance = 1e-6\n",
+            "[jacobi]\nmin_ratio = 3.5\n",
+            "[spectrum]\nn_cells = 2000\n",
+            "[optimize]\ngradient_tolerance = 1e-6\n",
         ):
             with pytest.raises(ConfigError):
                 load_config(write_cfg(tmp_path, text))
@@ -124,6 +135,17 @@ class TestLoadConfig:
             load_config(str(path))
         assert main(["all", "--config", str(path), "--out", str(tmp_path / "never")]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_an_out_dir_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        """A byte that is not UTF-8 reaches argv as a surrogate escape: the run
+        created the directory, raised UnicodeEncodeError writing resolved.cfg
+        and left its temporary file behind."""
+        out = str(tmp_path / "x") + os.fsdecode(b"\xff") + "y"
+        with pytest.raises(ConfigError, match=r"\[run\] out_dir .* is not valid UTF-8"):
+            load_config(GAUSSIAN_CFG, out_dir=out)
+        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", out]) == 1
+        assert os.listdir(tmp_path) == []
+        assert "out_dir" in capsys.readouterr().err
 
     def test_piecewise_weight_built_from_flat_pairs(self, tmp_path):
         config = load_config(
@@ -301,6 +323,15 @@ class TestGaussianRun:
         assert summary["status"] == "verified"
         assert [r["command"] for r in summary["verdicts"]] == list(ALL_COMMANDS)
         assert all(r["status"] == "verified" for r in summary["verdicts"])
+
+    @pytest.mark.parametrize("command, threshold", [
+        ("profile", 1e-8), ("transport", 1e-6), ("stability", 1e-6), ("jacobi", 3.5),
+    ])
+    def test_a_record_echoes_its_fixed_threshold(self, gaussian_run, command, threshold):
+        """No config sets a check's threshold, so every run's record names the same one."""
+        _, out = gaussian_run
+        verdicts = read_json(out, "summary.json")["verdicts"]
+        assert [v["tolerance"] for v in verdicts if v["command"] == command] == [threshold]
 
     def test_expected_files_present(self, gaussian_run):
         _, out = gaussian_run
@@ -505,6 +536,11 @@ class TestUnconvergedDescent:
         assert not (out / "chord.csv").exists()
 
 
+# the convex omega = 0.2 t^2 on R, checked by transport and stability
+CONVEX_LINE = ("[density]\nweight = quadratic\nparams = -0.2, 0, 0\nslab = -inf, inf\n"
+               "[transport]\nrequire_concave = false\n")
+
+
 class TestExitCodes:
     def test_malformed_slab_exits_one_without_outputs(self, tmp_path, capsys):
         out = str(tmp_path / "never")
@@ -516,17 +552,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text, key",
         [
-            ("[density]\nweight = zero\n[optimize]\ngradient_tolerance = nan\n",
-             "[optimize] gradient_tolerance"),
-            ("[density]\nweight = quadratic\nparams = -0.3, 0, 0\n[profile]\ntolerance = nan\n",
-             "[profile] tolerance"),
             ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, nan\n", "[jacobi] steps"),
+            ("[density]\nweight = zero\nc = nan\n", "[density] c"),
+            ("[density]\nweight = quadratic\nparams = -0.3, nan, 0\n", "[density] params"),
+            ("[density]\nweight = zero\n[stability]\nt0 = nan\n", "[stability] t0"),
+            ("[density]\nweight = zero\n[jacobi]\ntarget_hf = nan\n", "[jacobi] target_hf"),
+            ("[density]\nweight = zero\n[jacobi]\nangle = nan\n", "[jacobi] angle"),
+            ("[density]\nweight = zero\n[jacobi]\nstart_x = nan\n", "[jacobi] start_x"),
+            ("[density]\nweight = zero\n[jacobi]\nstart_t = nan\n", "[jacobi] start_t"),
+            ("[density]\nweight = zero\n[jacobi]\nmax_length = nan\n", "[jacobi] max_length"),
+            ("[density]\nweight = zero\n[optimize]\ntarget_fraction = nan\n",
+             "[optimize] target_fraction"),
+            ("[density]\nweight = zero\n[optimize]\nx_bottom = nan\n", "[optimize] x_bottom"),
+            ("[density]\nweight = zero\n[optimize]\nx_top = nan\n", "[optimize] x_top"),
         ],
-        ids=["gradient_tolerance", "profile_tolerance", "jacobi_steps"],
+        ids=["jacobi_steps", "density_c", "density_params", "stability_t0", "jacobi_target_hf",
+             "jacobi_angle", "jacobi_start_x", "jacobi_start_t", "jacobi_max_length", "optimize_target_fraction",
+             "optimize_x_bottom", "optimize_x_top"],
     )
     def test_nan_setting_exits_one_at_load(self, tmp_path, capsys, text, key):
-        """A NaN tolerance can never be met (400 idle iterations) or never
-        fail (the parallel ODE check reads 'inequality' on a convex weight)."""
+        """No setting may be NaN: the run exits 1 at load, names the key and writes nothing."""
         out = str(tmp_path / "never")
         assert main(["all", "--config", write_cfg(tmp_path, text), "--out", out]) == 1
         assert not os.path.exists(out)
@@ -545,22 +590,10 @@ class TestExitCodes:
 
     def test_the_first_bad_setting_in_schema_order_is_named(self, tmp_path):
         """A setting's range is checked as its key is read, so a negative
-        seed is named before an unparsable [spectrum] n_cells."""
-        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n[spectrum]\nn_cells = many\n")
+        seed is named before an unparsable [optimize] n_controls."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n[optimize]\nn_controls = many\n")
         with pytest.raises(ConfigError, match=r"\[run\] seed = -1 must be non-negative"):
             load_config(cfg)
-
-    @pytest.mark.parametrize("n_intervals", [0, -3])
-    def test_no_pushforward_interval_exits_one_at_load(self, tmp_path, capsys, n_intervals):
-        """With no interval the transport verdict read verified and a
-        pushforward residual of 0.0."""
-        out = str(tmp_path / "never")
-        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[transport]\nn_intervals = {n_intervals}\n")
-        with pytest.raises(ConfigError, match=r"\[transport\] n_intervals"):
-            load_config(cfg)
-        assert main(["transport", "--config", cfg, "--out", out]) == 1
-        assert not os.path.exists(out)
-        assert "[transport] n_intervals" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004",
                                        "0.004, 0", "0.004, -0.002", "0.004, inf"])
@@ -580,24 +613,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("profile", "grid_size", "2"),
-            ("transport", "grid_size", "1"),
-            ("stability", "n_nodes", "2"),
-            ("spectrum", "n_cells", "15"),
             ("optimize", "n_controls", "3"),
             ("optimize", "n_controls", "65"),
             ("optimize", "max_iterations", "0"),
             ("optimize", "target_fraction", "0"),
             ("optimize", "target_fraction", "1"),
-            ("profile", "tolerance", "inf"),
-            ("profile", "tolerance", "-1e-8"),
-            ("transport", "tolerance", "inf"),
-            ("transport", "tolerance", "-1e-6"),
-            ("stability", "tolerance", "inf"),
-            ("stability", "tolerance", "-1e-6"),
-            ("optimize", "gradient_tolerance", "0"),
-            ("optimize", "gradient_tolerance", "-1e-6"),
-            ("optimize", "gradient_tolerance", "inf"),
             ("optimize", "x_bottom", "inf"),
             ("jacobi", "angle", "inf"),
             ("jacobi", "target_hf", "inf"),
@@ -609,17 +629,12 @@ class TestExitCodes:
             ("stability", "t0", "1.0"),
             ("stability", "t0", "3"),
             ("jacobi", "start_t", "-2"),
-            ("jacobi", "min_ratio", "1.0"),
-            ("jacobi", "min_ratio", "0"),
         ],
     )
     def test_unusable_setting_exits_one_at_load(self, tmp_path, capsys, section, key, value):
         """Most of these ended in a stage error after 14-16 files were
         written: each size, fraction, infinite setting, and height on or
-        outside a wall of the slab.  A negative or infinite tolerance made a check that cannot
-        fail (omega = 0.3 t^2 read verified with [profile] tolerance = inf),
-        and so did a min_ratio <= 1: with steps 0.004, 0.0039 the residual
-        ratio is 1.05, violated at the default 3.5, verified at 1.0."""
+        outside a wall of the slab."""
         out = str(tmp_path / "never")
         cfg = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")  # the zero weight by default
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
@@ -627,6 +642,30 @@ class TestExitCodes:
         assert main(["all", "--config", cfg, "--out", out]) == 1
         assert not os.path.exists(out)
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, loosened, command, flags, named", [
+        ("[density]\nweight = quadratic\nparams = -0.3, 0, 0\n", "[profile]\ntolerance = 1e300\n",
+         "profile", [], "section [profile]"),
+        (CONVEX_LINE, "tolerance = 1e300\n",
+         "transport", ["--expect-bound"], "'tolerance' in section [transport]"),
+        (CONVEX_LINE, "[stability]\ntolerance = 1e300\n",
+         "stability", ["--expect-bound"], "'tolerance' in section [stability]"),
+        ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, 0.0039\n", "min_ratio = 1.01\n",
+         "jacobi", [], "'min_ratio' in section [jacobi]"),
+    ], ids=["profile", "transport", "stability", "jacobi"])
+    def test_a_config_cannot_loosen_a_check(self, tmp_path, capsys, check, loosened, command, flags,
+                                            named):
+        """Each check fails on its density: omega = 0.3 t^2 on the slab; the
+        convex omega = 0.2 t^2 on R, with rho' 1.29 and vertical index minimum
+        -0.4; residual ratio 1.05 between steps 0.004 and 0.0039.  Each
+        loosened setting read verified and exited 0."""
+        out = str(tmp_path / "out")
+        assert main([command, "--config", write_cfg(tmp_path, check), "--out", out, *flags]) == 2
+        never = str(tmp_path / "never")
+        cfg = write_cfg(tmp_path, check + loosened, name="loosened.cfg")
+        assert main([command, "--config", cfg, "--out", never, *flags]) == 1
+        assert not os.path.exists(never)
+        assert named in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -815,7 +854,7 @@ class TestRunContext:
             out = str(tmp_path / Path(cfg).stem)
             assert main(["all", "--config", cfg, "--out", out]) == 0
             config = load_config(cfg)
-            fresh = poincare_certify(config.density, n_cells=config.value("spectrum", "n_cells"))
+            fresh = poincare_certify(config.density)
             lambdas.append(read_json(out, "spectrum.json")["metrics"]["lambda"])
             assert lambdas[-1] == fresh.lambda_value
         assert lambdas[0] != lambdas[1]

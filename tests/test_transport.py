@@ -124,6 +124,16 @@ class TestBuildTransport:
         with pytest.raises(ConsistencyError, match=message):
             TransportMap(GAUSS_LINE, grid)
 
+    @pytest.mark.parametrize("grid", [[0.0, INF], [-INF, 0.0], [0.0, math.nan, 1.0]],
+                             ids=["inf", "minus_inf", "nan"])
+    def test_a_non_finite_grid_is_refused(self, grid):
+        """[0, inf] gave a map, and [0, nan, 1] a DomainError that did not
+        name the grid."""
+        with pytest.raises(ConsistencyError, match="sample grid must be finite"):
+            TransportMap(GAUSS_LINE, grid)
+        with pytest.raises(ConsistencyError, match="sample grid must be finite"):
+            build_transport(GAUSS_LINE, s_grid=grid)
+
     def test_build_transport_is_the_map_on_the_sorted_grid(self):
         d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
         g = np.random.default_rng(7).normal(0.0, 3.0, 41)
