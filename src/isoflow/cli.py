@@ -52,8 +52,10 @@ __all__ = [
     "main",
 ]
 
-# the checks' own grids and thresholds; the last four are echoed as their records' tolerance
+# the checks' own grids and thresholds; the last four are echoed as their
+# records' tolerance, and spectrum's is _STABILITY_TOLERANCE * min(1, 2c)
 _PROFILE_GRID = 257
+_PUSHFORWARD_TOLERANCE = 1e-8
 _PROFILE_TOLERANCE = 1e-8
 _TRANSPORT_TOLERANCE = 1e-6
 _STABILITY_TOLERANCE = 1e-6
@@ -152,8 +154,8 @@ def _format_value(kind: str, value) -> str:
 
 
 class RunConfig(_Value):
-    """A resolved run: every schema key has a value, and the objects its
-    stages share are built from them once, on first use.  Two runs compare
+    """A resolved run: every schema key has a value, and the density its
+    stages share is built from them once, on first use.  Two runs compare
     equal when their sections do."""
 
     _params = ("sections",)
@@ -189,11 +191,6 @@ class RunConfig(_Value):
             return Density(make(*params), self.value("density", "c"), 2, tuple(slab))
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"[density] {exc}") from exc
-
-    @functools.cached_property
-    def certificate(self):
-        """The run's one spectral certificate: stability and spectrum share its pencil."""
-        return poincare_certify(self.density)
 
 
 def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
@@ -351,7 +348,7 @@ def cmd_transport(config: RunConfig) -> _Outcome:
     _atomic_write(config, "transport.csv", transport_csv(tmap))
     contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
     push = pushforward_check(tmap, seed=int(config.value("run", "seed")))
-    push_ok = push.max_residual <= 1e-8
+    push_ok = push.max_residual <= _PUSHFORWARD_TOLERANCE
     witness = None
     if not contraction.certified:
         witness = {"location": contraction.max_location, "value": contraction.max_derivative}
@@ -370,8 +367,7 @@ def cmd_transport(config: RunConfig) -> _Outcome:
 
 
 def cmd_stability(config: RunConfig) -> _Outcome:
-    density = config.density
-    verdict = parallel_halfspace_stability(density, float(config.value("stability", "t0")))
+    verdict = parallel_halfspace_stability(config.density, float(config.value("stability", "t0")))
     # the dichotomy is internally consistent when the witness index value
     # has the sign the second derivative of the weight predicts
     witness_consistent = (
@@ -379,23 +375,14 @@ def cmd_stability(config: RunConfig) -> _Outcome:
         if verdict.verdict == "unstable"
         else verdict.witness_value >= -_STABILITY_TOLERANCE
     )
-    # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
-    # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c;
-    # like the spectral bound it must hold for concave weights
-    must_hold = bool(config.value("run", "expect_bound")) or config.certificate.concave
-    vertical_min = config.certificate.lambda_value - 2.0 * density.c
-    vertical_ok = vertical_min >= -_STABILITY_TOLERANCE or not must_hold
     witness = None
     if not witness_consistent:
         witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
-    elif not vertical_ok:
-        witness = {"location": "vertical line, slab-factor eigenfunction", "value": vertical_min}
     metrics = {
         "parallel_verdict": verdict.verdict,
         "t0": verdict.t0,
         "weight_second_derivative": verdict.weight_second_derivative,
         "witness_index_value": verdict.witness_value,
-        "vertical_index_min": vertical_min,
     }
     return metrics, _STABILITY_TOLERANCE, witness
 
@@ -434,24 +421,30 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
 
 
 def cmd_spectrum(config: RunConfig) -> _Outcome:
-    certificate = config.certificate
+    certificate = poincare_certify(config.density)
     _atomic_write(config, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
-    # a concave weight is guaranteed the bound, so failing it is a genuine
-    # violation; a non-concave diagnostic weight only violates under
-    # [run] expect_bound, otherwise the computed gap is informational
+    # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
+    # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c.
+    # Bakry-Emery guarantees it for a concave weight, so failing it is a
+    # genuine violation; a non-concave diagnostic weight only violates
+    # under [run] expect_bound, otherwise the computed gap is informational
+    lam, two_c = certificate.lambda_value, 2.0 * config.density.c
+    vertical_min = lam - two_c
+    tolerance = _STABILITY_TOLERANCE * min(1.0, two_c)
     must_hold = bool(config.value("run", "expect_bound")) or certificate.concave
-    ok = certificate.certified or not must_hold
+    ok = vertical_min >= -tolerance or not must_hold
     metrics = {
-        "lambda": certificate.lambda_value,
-        "hyperplane_gap": certificate.hyperplane_gap,
-        "bound": certificate.bound,
-        "certified": certificate.certified,
+        "lambda": lam,
+        "hyperplane_gap": min(two_c, lam),  # each Gaussian factor's gap is exactly 2c
+        "vertical_index_min": vertical_min,
         "concave": certificate.concave,
         "truncation_shift": certificate.truncation_shift,
-        "n_cells": certificate.n_cells,
+        "n_cells": certificate.problem.n_cells,
     }
-    witness = None if ok else {"location": "slab factor gap", "value": certificate.lambda_value}
-    return metrics, certificate.bound, witness
+    witness = None
+    if not ok:
+        witness = {"location": "vertical line, slab-factor eigenfunction", "value": vertical_min}
+    return metrics, tolerance, witness
 
 
 def cmd_optimize(config: RunConfig) -> _Outcome:
@@ -548,8 +541,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--expect-bound",
         action="store_true",
-        help="set [run] expect_bound: treat a failed spectral bound or a negative "
-        "vertical-line index minimum lambda_1 - 2c as a violation even for non-concave weights",
+        help="set [run] expect_bound: treat a negative vertical-line index minimum "
+        "lambda_1 - 2c as a violation even for non-concave weights",
     )
     args = parser.parse_args(argv)
     names = tuple(_STAGES) if args.command == "all" else (args.command,)

@@ -31,8 +31,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve, _boundary_flags
+from .profiles import _perpendicular_lines
 from .weights import Density, _csv_table, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
-from .weights import gaussian_factor, gaussian_quantile, log_density, log_density_gradient
+from .weights import gaussian_factor, log_density, log_density_gradient
 from .weights import tail_interval, total_weighted_volume
 
 __all__ = [
@@ -211,9 +212,7 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     """Weighted length of the vertical chord left of which lies `fraction`
     of the mass: the perpendicular profile value V_tot·√(c/π)·e^{−cs²},
     s the Gaussian quantile of the fraction."""
-    s = float(gaussian_quantile(density.c, fraction, 1.0 - fraction))
-    v_total = total_weighted_volume(density)
-    return v_total / gaussian_factor(density.c) * math.exp(-density.c * s * s)
+    return float(_perpendicular_lines(density.c, total_weighted_volume(density), fraction)[1])
 
 
 # one chord's fields at the quadrature nodes under one density: weights qw,

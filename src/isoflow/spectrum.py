@@ -172,12 +172,10 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
 
 
 class PoincareCertificate(NamedTuple):
-    """Verdict on the spectral bound λ ≥ 2c for a vertical hyperplane.
+    """The slab factor's spectral gap, the one number the Bakry-Émery
+    bound λ ≥ 2c is about; the verdict on it is the spectrum stage's.
 
     lambda_value:     computed gap of the 1-D slab factor.
-    hyperplane_gap:   min(2c, lambda_value), the gap of the full product
-                      (each Gaussian factor contributes exactly 2c).
-    bound:            the certified threshold 2c (1 − 5e−3).
     truncation_shift: |λ(1.25 × cutoff) − λ| for infinite slabs, 0.0 for
                       bounded ones.
     concave:          whether the weight passed the concavity check (the
@@ -186,24 +184,21 @@ class PoincareCertificate(NamedTuple):
     eigenvector:      its mean-zero, mass-normalized gap eigenvector.
     """
 
-    certified: bool
     lambda_value: float
-    hyperplane_gap: float
-    bound: float
     truncation_shift: float
     concave: bool
-    n_cells: int
     problem: SpectralProblem
     eigenvector: np.ndarray
 
 
 def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertificate:
-    """Certify λ ≥ 2c (1 − 5e−3) for the slab factor of the density.
+    """The slab-factor gap of the density, with the evidence a verdict on
+    λ ≥ 2c reads.
 
-    Runs for any weight; concavity guarantees the bound, and the verdict
-    on a non-concave diagnostic weight simply reports the computed gap.
-    Infinite slabs are recomputed at 1.25 times the truncation cutoff
-    and the eigenvalue shift is reported.
+    Runs for any weight; concavity guarantees the bound, and the gap of a
+    non-concave diagnostic weight is reported as computed.  Infinite
+    slabs are recomputed at 1.25 times the truncation cutoff and the
+    eigenvalue shift is reported.
     """
     problem = build_spectral_problem(density, n_cells=n_cells)
     lam, eigenvector = spectral_gap_1d(problem)
@@ -214,15 +209,10 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
         shift = abs(lam_wide - lam)
     else:
         shift = 0.0
-    bound = 2.0 * density.c * (1.0 - 5e-3)
     return PoincareCertificate(
-        certified=lam >= bound,
         lambda_value=lam,
-        hyperplane_gap=min(2.0 * density.c, lam),
-        bound=bound,
         truncation_shift=shift,
         concave=check_concavity(density.weight).concave,
-        n_cells=problem.n_cells,
         problem=problem,
         eigenvector=eigenvector,
     )

@@ -19,7 +19,7 @@ import isoflow
 import isoflow.cli as cli
 from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
 from isoflow.errors import ConfigError
-from isoflow.spectrum import SpectralProblem, poincare_certify
+from isoflow.spectrum import SpectralProblem, poincare_certify, spectral_gap_1d
 from isoflow.weights import CumulativeDensity1D
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
@@ -250,18 +250,18 @@ GOLDEN_JSON_SHA256 = {
         "compare.json": "634874ba7e4127b93782d167bd08fa941a0fb2f75d8b73f55f8d6bc9d4b1cf3e",
         "jacobi.json": "765c06a980a4f3ba35cc4883ec9b6c08e6d9435e87125f24f80ae11b2b854428",
         "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
-        "spectrum.json": "7bad504b999813a132f1cecb75bd4c9bb770079e22974aed51ffd3836c294dde",
-        "stability.json": "f479dc1828c2a9622a0add99fb6615fb812e39acea1c15f1fcea0313685601fa",
-        "summary.json": "8d979c5a50eb3800c6b62bce89b185641ced223c40e9cc300c8e5552b32307a9",
+        "spectrum.json": "5d6e8242c87bf645007b3d0df403240aec3593bcccf3de6c494e214ddf2e2b0e",
+        "stability.json": "7ac3e75ff568236ac163da259d0ea2c33451908bf5207e17399d8335e2913831",
+        "summary.json": "59a5ded9e96ba95df01d129b15c5b21120073e3bc2623c3b8982159a49d5a194",
         "transport.json": "8c76e0ce670fcc527be287341266ce52ee9d2c9d0e834d5748b0e653ae657ef5",
     },
     "quadratic": {
         "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
         "jacobi.json": "3b4453170dcefad1b38fdb69d310bbb5eb76ff30f568655a03f2906ac8f88148",
         "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
-        "spectrum.json": "1396972dcbd02cf74d90572fdb38f0240b138163224db9a1fe4e1ebc6ca85d1d",
-        "stability.json": "f8214f7d3ac3920a907c75bbb1474ca6c5c74ffae84b7abfc5d5cb92454bf857",
-        "summary.json": "f65d6b3cc7b016e0cc487c09e01b06c0f102714dbdef5431645cab1ed0d36a83",
+        "spectrum.json": "d38ae8c33c66368d88adc0930be6cef023195323c439388bb45ddb27c2803cd6",
+        "stability.json": "5dc91ccdaa5d8f8edb3b3c20ed3359a799efb9f5105605a85c4b761737061c98",
+        "summary.json": "ee40ce589b326956fbcea5e282b743507fe4b99c075d9556c147d15647e93e7b",
         "transport.json": "5c5da745cab1e20f58b6a6f41b78cfdc0b2f3cd8b25a0f0b3e660b537c681ab0",
     },
 }
@@ -326,6 +326,7 @@ class TestGaussianRun:
 
     @pytest.mark.parametrize("command, threshold", [
         ("profile", 1e-8), ("transport", 1e-6), ("stability", 1e-6), ("jacobi", 3.5),
+        ("spectrum", 1e-6),
     ])
     def test_a_record_echoes_its_fixed_threshold(self, gaussian_run, command, threshold):
         """No config sets a check's threshold, so every run's record names the same one."""
@@ -389,7 +390,7 @@ class TestQuadraticRun:
         assert stability["status"] == "verified"
         assert stability["metrics"]["parallel_verdict"] == "unstable"
         assert stability["metrics"]["witness_index_value"] < -1e-3
-        assert stability["metrics"]["vertical_index_min"] >= -1e-6
+        assert read_json(out, "spectrum.json")["metrics"]["vertical_index_min"] >= -1e-6
 
     def test_optimizer_matches_perpendicular_profile(self, quadratic_run):
         _, out = quadratic_run
@@ -504,18 +505,18 @@ class TestRunRecords:
 
     def test_expect_bound_is_part_of_the_configuration(self, tmp_path, capsys):
         """`all` without --expect-bound, then `spectrum` with it: the flag was
-        not in resolved.cfg, so the directory looked unchanged and kept a
-        stability.json that read `verified`, which the flag makes `violated`."""
+        not in resolved.cfg, so the directory looked unchanged and kept the
+        other stages' records, written without the flag."""
         cfg = write_cfg(tmp_path, CONVEX_DENSITY)
         out = tmp_path / "out"
         assert main(["all", "--config", cfg, "--out", str(out)]) == 2
-        assert read_json(out, "stability.json")["status"] == "verified"
+        assert read_json(out, "spectrum.json")["status"] == "verified"
         assert main(["spectrum", "--config", cfg, "--out", str(out), "--expect-bound"]) == 2
         assert {p.name for p in out.iterdir()} == {"resolved.cfg", "spectrum.json", "spectrum.csv"}
         assert read_json(out, "spectrum.json")["status"] == "violated"
         assert "\nexpect_bound = true\n" in (out / "resolved.cfg").read_text()
         assert load_config(str(out / "resolved.cfg")).value("run", "expect_bound") is True
-        assert main(["stability", "--config", str(out / "resolved.cfg"), "--out", str(out)]) == 2
+        assert main(["spectrum", "--config", str(out / "resolved.cfg"), "--out", str(out)]) == 2
         capsys.readouterr()
 
 
@@ -648,11 +649,11 @@ class TestExitCodes:
          "profile", [], "section [profile]"),
         (CONVEX_LINE, "tolerance = 1e300\n",
          "transport", ["--expect-bound"], "'tolerance' in section [transport]"),
-        (CONVEX_LINE, "[stability]\ntolerance = 1e300\n",
-         "stability", ["--expect-bound"], "'tolerance' in section [stability]"),
+        (CONVEX_LINE, "[spectrum]\ntolerance = 1e300\n",
+         "spectrum", ["--expect-bound"], "section [spectrum]"),
         ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, 0.0039\n", "min_ratio = 1.01\n",
          "jacobi", [], "'min_ratio' in section [jacobi]"),
-    ], ids=["profile", "transport", "stability", "jacobi"])
+    ], ids=["profile", "transport", "spectrum", "jacobi"])
     def test_a_config_cannot_loosen_a_check(self, tmp_path, capsys, check, loosened, command, flags,
                                             named):
         """Each check fails on its density: omega = 0.3 t^2 on the slab; the
@@ -693,13 +694,14 @@ class TestExitCodes:
         assert main(["spectrum", "--config", cfg, "--out", out]) == 0
         plain = read_json(out, "spectrum.json")
         assert plain["status"] == "verified"
-        assert not plain["metrics"]["certified"]
+        assert plain["metrics"]["vertical_index_min"] < -plain["tolerance"]
         assert main(["spectrum", "--config", cfg, "--out", out, "--expect-bound"]) == 2
         flagged = read_json(out, "spectrum.json")
         assert flagged["status"] == "violated"
-        assert flagged["witness"]["value"] == pytest.approx(
-            plain["metrics"]["lambda"], rel=1e-12
-        )
+        assert flagged["witness"] == {
+            "location": "vertical line, slab-factor eigenfunction",
+            "value": plain["metrics"]["vertical_index_min"],
+        }
         capsys.readouterr()
 
     def test_violation_dominates_in_summary(self, tmp_path, capsys):
@@ -827,8 +829,9 @@ class TestOnePencilPerRun:
         ],
         ids=["gaussian_slab", "zero_on_R"],
     )
-    def test_stability_and_spectrum_share_the_certificate(self, tmp_path, monkeypatch, text, pencils):
-        # an infinite slab adds the 1.25x wider truncation check, once
+    def test_only_spectrum_solves_the_pencil(self, tmp_path, monkeypatch, text, pencils):
+        # an infinite slab adds the 1.25x wider truncation check, once;
+        # stability judges the parallel half-space alone and solves none
         built = []
         check = SpectralProblem.__post_init__
 
@@ -842,11 +845,13 @@ class TestOnePencilPerRun:
         assert len(built) == pencils
         verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
         assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "alone")]) == 0
+        assert len(built) == pencils
 
 
 class TestRunContext:
-    """The resolved RunConfig carries the run: its density and certificate
-    belong to it."""
+    """The resolved RunConfig carries the run: its density belongs to it,
+    and spectrum certifies that density."""
 
     def test_each_run_certifies_its_own_density(self, tmp_path):
         lambdas = []
@@ -926,7 +931,8 @@ class TestInteriorDefaults:
 
 
 class TestStability:
-    """The vertical-line check is the exact pencil minimum lambda_1 - 2c."""
+    """stability judges the parallel half-space; spectrum judges vertical
+    lines by the exact pencil minimum lambda_1 - 2c."""
 
     def test_log_power_on_slab_touching_zero(self, tmp_path):
         # a vertical chord node on t = 0 used to evaluate omega'' at 0
@@ -936,14 +942,15 @@ class TestStability:
             "[stability]\nt0 = 0.5\n",
         )
         out = str(tmp_path / "out")
-        assert main(["stability", "--config", cfg, "--out", out]) == 0
-        assert read_json(out, "stability.json")["status"] == "verified"
+        for command in ("stability", "spectrum"):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            assert read_json(out, f"{command}.json")["status"] == "verified"
 
     def test_whole_line(self, tmp_path):
         cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = -inf, inf\n")
         out = str(tmp_path / "out")
-        assert main(["stability", "--config", cfg, "--out", out]) == 0
-        record = read_json(out, "stability.json")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        record = read_json(out, "spectrum.json")
         assert record["status"] == "verified"
         assert abs(record["metrics"]["vertical_index_min"]) <= 1e-6
 
@@ -955,18 +962,54 @@ class TestStability:
             "[density]\nweight = quadratic\nparams = -0.4, 0, 0\nc = 0.5\nslab = -5, 5\n",
         )
         out = str(tmp_path / "out")
-        assert main(["stability", "--config", cfg, "--out", out]) == 0
-        plain = read_json(out, "stability.json")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        plain = read_json(out, "spectrum.json")
         assert plain["status"] == "verified"
         assert plain["metrics"]["vertical_index_min"] == pytest.approx(-0.7704, abs=1e-4)
-        assert main(["stability", "--config", cfg, "--out", out, "--expect-bound"]) == 2
-        flagged = read_json(out, "stability.json")
+        assert main(["spectrum", "--config", cfg, "--out", out, "--expect-bound"]) == 2
+        flagged = read_json(out, "spectrum.json")
         assert flagged["status"] == "violated"
         assert flagged["witness"] == {
             "location": "vertical line, slab-factor eigenfunction",
             "value": plain["metrics"]["vertical_index_min"],
         }
         capsys.readouterr()
+
+
+class TestOneOwnerOfTheVerticalLine:
+    """spectrum alone judges lambda_1 - 2c >= -tolerance on vertical lines.
+    stability used to judge the same number with a slack of 1e-6 and
+    spectrum with 2c * 5e-3, so the two verdicts could disagree."""
+
+    def test_a_nearly_gaussian_convex_weight_fails_spectrum_alone(self, tmp_path, capsys):
+        # kappa = -0.002 flattens c = 1/2 to 0.498: lambda_1 = 0.996, 2c = 1.
+        # spectrum read verified against 2c (1 - 5e-3) = 0.995, stability violated
+        cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = -0.002, 0, 0\nc = 0.5\n"
+                        "slab = -inf, inf\n[transport]\nrequire_concave = false\n")
+        out = str(tmp_path / "out")
+        assert main(["spectrum", "--config", cfg, "--out", out, "--expect-bound"]) == 2
+        record = read_json(out, "spectrum.json")
+        assert record["status"] == "violated"
+        assert record["witness"]["value"] == pytest.approx(-0.004, abs=1e-6)
+        assert main(["stability", "--config", cfg, "--out", out, "--expect-bound"]) == 0
+        assert read_json(out, "stability.json")["status"] == "verified"
+        capsys.readouterr()
+
+    def test_a_gap_just_below_2c_violates_on_a_concave_weight(self, tmp_path, monkeypatch):
+        """A planted gap of 2c - 2e-6 on the bundled Gaussian slab: the
+        concave weight needs no flag, and only spectrum reads the gap."""
+        def planted(problem):
+            _, eigenvector = spectral_gap_1d(problem)
+            return 2.0 * problem.density.c - 2e-6, eigenvector
+
+        monkeypatch.setattr("isoflow.spectrum.spectral_gap_1d", planted)
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", GAUSSIAN_CFG, "--out", out]) == 2
+        statuses = {v["command"]: v["status"] for v in read_json(out, "summary.json")["verdicts"]}
+        assert statuses == {**dict.fromkeys(ALL_COMMANDS, "verified"), "spectrum": "violated"}
+        record = read_json(out, "spectrum.json")
+        assert record["witness"]["value"] == pytest.approx(-2e-6, rel=1e-9)
+        assert record["metrics"]["hyperplane_gap"] == record["metrics"]["lambda"]
 
 
 class TestWholeLineRun:
@@ -1032,12 +1075,12 @@ class TestDeterminism:
                     del verdict["wall_time_s"]
             assert a == b, name
 
-    def test_stability_sweep_metric_reproduces(self, tmp_path):
+    def test_vertical_index_minimum_reproduces(self, tmp_path):
         values = []
         for sub in ("a", "b"):
             out = str(tmp_path / sub)
-            assert main(["stability", "--config", GAUSSIAN_CFG, "--out", out]) == 0
-            values.append(read_json(out, "stability.json")["metrics"]["vertical_index_min"])
+            assert main(["spectrum", "--config", GAUSSIAN_CFG, "--out", out]) == 0
+            values.append(read_json(out, "spectrum.json")["metrics"]["vertical_index_min"])
         assert values[0] == values[1]
 
 
