@@ -8,9 +8,9 @@ violation (a quantitative claim failed with a witness), 1 operational
 error (malformed config, IO failure, or a run that did not finish).
 Malformed input never produces a traceback.
 
-Determinism: [run] seed seeds the pushforward intervals, the run's only
-random draw, and every CSV cell is written as the shortest round-trip
-decimal, so identical configs give byte-identical CSV outputs.
+Determinism: no stage draws a random number, and every CSV cell is
+written as the shortest round-trip decimal, so identical configs give
+byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -52,14 +52,17 @@ __all__ = [
     "main",
 ]
 
-# the checks' own grids and thresholds; the last four are echoed as their
-# records' tolerance, and spectrum's is _STABILITY_TOLERANCE * min(1, 2c)
+# the checks' own grids and thresholds, the last five echoed as records' tolerance (spectrum
+# echoes _STABILITY_TOLERANCE * min(1, 2c)); transport also records _PUSHFORWARD_TOLERANCE
 _PROFILE_GRID = 257
-_PUSHFORWARD_TOLERANCE = 1e-8
+_PUSHFORWARD_TOLERANCE = 1e-13
+_JACOBI_EXACT_FLOOR = 1e-9
+_OPTIMIZE_BEATEN_MARGIN = 1e-6
 _PROFILE_TOLERANCE = 1e-8
 _TRANSPORT_TOLERANCE = 1e-6
 _STABILITY_TOLERANCE = 1e-6
 _JACOBI_MIN_RATIO = 3.5
+_OPTIMIZE_RELATIVE_GAP = 5e-3
 
 # section -> key -> (kind, default[, (test, requirement)]); kinds: int, float,
 # bool, str, floats.  A key says what is checked, never how hard: a config
@@ -75,7 +78,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "slab": ("floats", (-1.0, 1.0)),
     },
     "run": {
-        "seed": ("int", 20260816, (lambda v: v >= 0, "must be non-negative")),
         "out_dir": ("str", "isoflow_out"),
         "expect_bound": ("bool", False),
     },
@@ -342,23 +344,22 @@ def cmd_profile(config: RunConfig) -> _Outcome:
 
 
 def cmd_transport(config: RunConfig) -> _Outcome:
-    tmap = build_transport(
-        config.density, require_concave=bool(config.value("transport", "require_concave"))
-    )
+    require_concave = bool(config.value("transport", "require_concave"))
+    tmap = build_transport(config.density, require_concave=require_concave)
     _atomic_write(config, "transport.csv", transport_csv(tmap))
     contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
-    push = pushforward_check(tmap, seed=int(config.value("run", "seed")))
-    push_ok = push.max_residual <= _PUSHFORWARD_TOLERANCE
+    push = pushforward_check(tmap)
     witness = None
     if not contraction.certified:
         witness = {"location": contraction.max_location, "value": contraction.max_derivative}
-    elif not push_ok:
-        witness = {"location": "pushforward interval", "value": push.max_residual}
+    elif not push.max_residual <= _PUSHFORWARD_TOLERANCE:  # nan fails too
+        witness = {"location": push.max_location, "value": push.max_residual}
     metrics = {
         "max_derivative": contraction.max_derivative,
         "max_location": contraction.max_location,
         "contraction_certified": contraction.certified,
         "pushforward_max_residual": push.max_residual,
+        "pushforward_tolerance": _PUSHFORWARD_TOLERANCE,
         "n_clipped": tmap.n_clipped,
         "alpha": tmap.alpha,
         "beta": tmap.beta,
@@ -402,8 +403,7 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
         math.inf if residuals[i] == 0.0 else residuals[i - 1] / residuals[i]
         for i in range(1, len(residuals))
     ]
-    exact_floor = 1e-9
-    ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= exact_floor
+    ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= _JACOBI_EXACT_FLOOR
     cells = [""] + [repr(float(r)) for r in ratios]
     rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
     _atomic_write(config, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
@@ -472,7 +472,7 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
-    beaten = report.length < benchmark - 1e-6
+    beaten = report.length < benchmark - _OPTIMIZE_BEATEN_MARGIN
     # a converged chord that is not stationary and does not beat the
     # benchmark shows only that the descent stopped short, not a violation
     if not (report.stationary or beaten):
@@ -480,7 +480,7 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
             f"optimizer converged to a non-stationary chord (hf_spread {report.hf_spread:.3g}, "
             f"wall angles {report.angle_bottom_deg:.3g} and {report.angle_top_deg:.3g} deg)"
         )
-    ok = rel_gap <= 5e-3 and not beaten
+    ok = rel_gap <= _OPTIMIZE_RELATIVE_GAP and not beaten
     metrics = {
         "final_length": report.length,
         "benchmark": benchmark,
@@ -493,7 +493,7 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
         "status": trace.status,
     }
     witness = None if ok else {"location": "final chord length", "value": report.length}
-    return metrics, 5e-3, witness
+    return metrics, _OPTIMIZE_RELATIVE_GAP, witness
 
 
 # each stage's command, and every file it may write: record, error record, CSVs

@@ -121,20 +121,30 @@ class DiscreteCurve(_Frozen):
         return np.concatenate(([0.0], np.cumsum(ell)))
 
     def tangents(self) -> np.ndarray:
-        """Unit tangents in node order, by centered differences."""
+        """Unit tangents in node order, by centered differences, one-sided at open ends."""
         return _unit_tangents(self.points, self.closed)
 
 
 def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
-    """Centered differences, one-sided at the ends of an open curve, normalized."""
+    """Centered differences, one-sided over chord length at open ends (_end_slopes), normalized."""
+    d = np.empty_like(points)
+    d[1:-1] = points[2:] - points[:-2]
     if closed:
-        d = np.roll(points, -1, axis=0) - np.roll(points, 1, axis=0)
-    else:
-        d = np.empty_like(points)
-        d[1:-1] = points[2:] - points[:-2]
-        d[0] = points[1] - points[0]
-        d[-1] = points[-1] - points[-2]
+        d[0], d[-1] = points[1] - points[-1], points[0] - points[-2]
+    else:  # in Python floats: a few scalars, where numpy's per-call cost dominates
+        x, y = points[[0, 1, 2, -3, -2, -1]].T.tolist()
+        h = [math.hypot(x[i + 1] - x[i], y[i + 1] - y[i]) for i in (0, 1, 3, 4)]
+        d[0], d[-1] = zip(_end_slopes(x, h), _end_slopes(y, h))
     return d / np.hypot(d[:, 0], d[:, 1])[:, None]
+
+
+def _end_slopes(f, ds) -> tuple:
+    """np.gradient's edge_order=2 end values over unequal steps ds, read from the ends of f and ds."""
+    h1, h2, g1, g2 = ds[0], ds[1], ds[-2], ds[-1]
+    return (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * f[0] + (h1 + h2) / (h1 * h2) * f[1]
+            - h1 / (h2 * (h1 + h2)) * f[2],
+            g2 / (g1 * (g1 + g2)) * f[-3] - (g2 + g1) / (g1 * g2) * f[-2]
+            + (2.0 * g2 + g1) / (g2 * (g1 + g2)) * f[-1])
 
 
 def _trapezoid_weights(density: Density, curve: DiscreteCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -150,18 +160,20 @@ def _trapezoid_weights(density: Density, curve: DiscreteCurve) -> tuple[np.ndarr
 
 
 def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """np.gradient(theta, s) by its own operations: second-order differences
-    inside (the uniform formula when every step of s is equal), one-sided at the ends."""
+    """np.gradient(theta, s, edge_order=2) by its own operations: second-order
+    differences inside and one-sided at the ends, the uniform formulas when
+    every step of s is equal."""
     ds = np.diff(s)
     k = np.empty(theta.shape)
     if (ds == ds[0]).all():
         k[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * ds[0])
+        k[0] = -1.5 / ds[0] * theta[0] + 2.0 / ds[0] * theta[1] - 0.5 / ds[0] * theta[2]
+        k[-1] = 0.5 / ds[0] * theta[-3] - 2.0 / ds[0] * theta[-2] + 1.5 / ds[0] * theta[-1]
     else:
         h1, h2 = ds[:-1], ds[1:]
         k[1:-1] = (-h2 / (h1 * (h1 + h2)) * theta[:-2] + (h2 - h1) / (h1 * h2) * theta[1:-1]
                    + h1 / (h2 * (h1 + h2)) * theta[2:])
-    k[0] = (theta[1] - theta[0]) / ds[0]
-    k[-1] = (theta[-1] - theta[-2]) / ds[-1]
+        k[0], k[-1] = _end_slopes(theta, ds)
     return k
 
 
@@ -237,10 +249,11 @@ def horizontal_segment(density: Density, t0: float, n: int = 2001) -> DiscreteCu
 def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCurve:
     """General curve from ordered nodes; normals and curvature by differences.
 
-    Tangents use centered differences, normals are rot90(T), and
-    k = dθ/ds from the unwrapped tangent angle, so both carry O(h²)
-    discretization error; on a closed curve the seam nodes take the
-    same stencils across the closing segment.
+    Tangents use centered differences, normals are rot90(T), and k = dθ/ds
+    from the unwrapped tangent angle, one-sided at the ends of an open
+    curve; every stencil is second order, so both carry O(h²) error, and on
+    a closed curve the seam nodes take the centered stencils across the
+    closing segment.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 3:

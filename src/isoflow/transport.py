@@ -16,7 +16,6 @@ least β/α, the mechanism behind the perpendicular comparison bound.
 from __future__ import annotations
 
 import math
-import random
 from typing import NamedTuple
 
 import numpy as np
@@ -140,11 +139,10 @@ def check_contraction(tmap: TransportMap, tol: float = 1e-6) -> ContractionRepor
 
 
 class PushforwardReport(NamedTuple):
-    """Mass-preservation residuals |μ₂(D) − μ₁(ρ⁻¹(D))| over intervals."""
+    """The largest mass residual, at a node s_i or an interval's lower end d1."""
 
     max_residual: float
-    intervals: np.ndarray
-    residuals: np.ndarray
+    max_location: float
 
 
 def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
@@ -152,45 +150,33 @@ def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
     return gaussian_quantile(tmap.source.c, *tmap.target.cumulative.cdf_sides(d))
 
 
-def pushforward_check(
-    tmap: TransportMap,
-    intervals=None,
-    n_intervals: int = 50,
-    seed: int = 0,
-) -> PushforwardReport:
-    """Verify μ₂(D) = μ₁(ρ⁻¹(D)) on sampled intervals D ⊆ (a, b).
-
-    The left side integrates the target density directly; the right side
-    maps the endpoints back through the CDF relation and evaluates the
-    closed-form Gaussian mass, so the two routes share no quadrature.
-    Sampled mass levels are random.Random(seed).uniform draws, built on the
-    random() sequence Python keeps per seed; a negative seed is rejected,
-    as Random would take |seed|.
-    """
-    if seed < 0:
-        raise ValueError(f"pushforward seed must be non-negative, got {seed}")
-    cum = tmap.target.cumulative
-    a, b = tmap.target.slab
+def pushforward_check(tmap: TransportMap, intervals=None) -> PushforwardReport:
+    """Verify that ρ pushes μ₁ forward onto μ₂, by default at the map's own
+    nodes: ρ sends (−∞, s_i] to (a, ρ_i], so r_i = |F(ρ_i) − Φ(s_i)|, each
+    CDF read on its tail side, and r_i = ∞ at a node outside [a, b].
+    Explicit intervals D = (d1, d2) compare the target's mass μ₂(D) with
+    μ₁(ρ⁻¹(D)), the ends pulled back through the CDF relation: that route
+    never reads ρ, so it checks the engine against Φ⁻¹, not the map."""
+    cum, (a, b) = tmap.target.cumulative, tmap.target.slab
     if intervals is None:
-        draw = random.Random(seed).uniform
-        levels = np.array([draw(1e-3, 1.0 - 1e-3) for _ in range(2 * n_intervals)]).reshape(-1, 2)
-        levels.sort(axis=1)
-        intervals = cum.quantile(levels)
+        s = locations = tmap.s
+        inside = (tmap.rho >= a) & (tmap.rho <= b)
+        q, q_up = cum.cdf_sides(np.where(inside, tmap.rho, a))
+        phi, phi_up = gaussian_cdf(tmap.source.c, np.stack((s, -s)))
+        residuals = np.where(inside, np.abs(np.where(q <= 0.5, q - phi, q_up - phi_up)), math.inf)
     else:
         intervals = np.atleast_2d(np.asarray(intervals, dtype=float))
-    if not intervals.size:  # a residual over no interval checks nothing
-        raise DomainError("pushforward check needs at least one interval")
-    d1, d2 = intervals[:, 0], intervals[:, 1]
-    if not np.all(d1 <= d2):
-        raise DomainError("interval endpoints must satisfy d1 <= d2")
-    below = cum.mass_below(np.stack((np.maximum(d1, a), np.minimum(d2, b))))
-    mu1 = gaussian_cdf(tmap.source.c, _inverse_map(tmap, intervals))
-    residuals = np.abs((below[1] - below[0]) / cum.total - (mu1[:, 1] - mu1[:, 0]))
-    return PushforwardReport(
-        max_residual=float(residuals.max()),
-        intervals=intervals,
-        residuals=residuals,
-    )
+        if not intervals.size:  # a residual over no interval checks nothing
+            raise DomainError("pushforward check needs at least one interval")
+        d1, d2 = intervals[:, 0], intervals[:, 1]
+        if not np.all(d1 <= d2):
+            raise DomainError("interval endpoints must satisfy d1 <= d2")
+        below = cum.mass_below(np.stack((np.maximum(d1, a), np.minimum(d2, b))))
+        mu1 = gaussian_cdf(tmap.source.c, _inverse_map(tmap, intervals))
+        residuals = np.abs((below[1] - below[0]) / cum.total - (mu1[:, 1] - mu1[:, 0]))
+        locations = d1
+    i = int(np.argmax(residuals))
+    return PushforwardReport(max_residual=float(residuals[i]), max_location=float(locations[i]))
 
 
 class PerimeterBoundReport(NamedTuple):

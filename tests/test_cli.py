@@ -62,7 +62,7 @@ class TestLoadConfig:
 
     def test_defaults_fill_missing_sections(self, tmp_path):
         config = load_config(write_cfg(tmp_path, "[density]\nweight = zero\n"))
-        assert config.value("run", "seed") == 20260816
+        assert config.value("run", "expect_bound") is False
         assert config.value("transport", "require_concave") is True
         assert config.value("jacobi", "steps") == (0.004, 0.002, 0.001)
 
@@ -71,7 +71,8 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, "[density]\nweight = zero\n[turbo]\nx = 1\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
-        # [run] threads was a knob no code path read; [stability] line_x and
+        # [run] threads was a knob no code path read; [run] seed drew the
+        # pushforward intervals the node check replaced; [stability] line_x and
         # n_random drove a random sweep the spectral pencil replaced; [density]
         # dim named a dimension every curve check refused unless it was 2; the
         # rest set a check's own grid or threshold, which no run varied
@@ -79,6 +80,7 @@ class TestLoadConfig:
             "[density]\nflavor = spicy\n",
             "[density]\ndim = 2\n",
             "[run]\nthreads = 2\n",
+            "[run]\nseed = 1\n",
             "[stability]\nn_random = 200\n",
             "[stability]\nline_x = 0.0\n",
             "[profile]\ngrid_size = 257\n",
@@ -252,8 +254,8 @@ GOLDEN_JSON_SHA256 = {
         "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
         "spectrum.json": "5d6e8242c87bf645007b3d0df403240aec3593bcccf3de6c494e214ddf2e2b0e",
         "stability.json": "7ac3e75ff568236ac163da259d0ea2c33451908bf5207e17399d8335e2913831",
-        "summary.json": "59a5ded9e96ba95df01d129b15c5b21120073e3bc2623c3b8982159a49d5a194",
-        "transport.json": "8c76e0ce670fcc527be287341266ce52ee9d2c9d0e834d5748b0e653ae657ef5",
+        "summary.json": "1b76644dadf2049574c70acc9f5e87081782668d6ec42c7600268a9c96bf2f4e",
+        "transport.json": "ce530472669e6f38232d75e80b0d186c14bcb1422d0f38ddf607da01ccfec50b",
     },
     "quadratic": {
         "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
@@ -261,8 +263,8 @@ GOLDEN_JSON_SHA256 = {
         "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
         "spectrum.json": "d38ae8c33c66368d88adc0930be6cef023195323c439388bb45ddb27c2803cd6",
         "stability.json": "5dc91ccdaa5d8f8edb3b3c20ed3359a799efb9f5105605a85c4b761737061c98",
-        "summary.json": "ee40ce589b326956fbcea5e282b743507fe4b99c075d9556c147d15647e93e7b",
-        "transport.json": "5c5da745cab1e20f58b6a6f41b78cfdc0b2f3cd8b25a0f0b3e660b537c681ab0",
+        "summary.json": "4ef5c256de34ef73279e81a861a9f971994357016cdf8825fae027c60fdf553b",
+        "transport.json": "f3ccdf47b5c907f8dcae3d8c62776e437f461fd2d6a4b84736986b2ab1661261",
     },
 }
 
@@ -326,7 +328,7 @@ class TestGaussianRun:
 
     @pytest.mark.parametrize("command, threshold", [
         ("profile", 1e-8), ("transport", 1e-6), ("stability", 1e-6), ("jacobi", 3.5),
-        ("spectrum", 1e-6),
+        ("spectrum", 1e-6), ("optimize", 5e-3),
     ])
     def test_a_record_echoes_its_fixed_threshold(self, gaussian_run, command, threshold):
         """No config sets a check's threshold, so every run's record names the same one."""
@@ -362,6 +364,8 @@ class TestGaussianRun:
         assert compare["metrics"]["comparison"] == "strict"
         transport = read_json(out, "transport.json")
         assert transport["metrics"]["max_derivative"] <= 1.0 + 1e-6
+        assert transport["metrics"]["pushforward_max_residual"] <= 1e-13
+        assert transport["metrics"]["pushforward_tolerance"] == 1e-13
 
     def test_jacobi_second_order(self, gaussian_run):
         _, out = gaussian_run
@@ -578,22 +582,11 @@ class TestExitCodes:
         assert not os.path.exists(out)
         assert key in capsys.readouterr().err
 
-    def test_negative_seed_exits_one_at_load(self, tmp_path, capsys):
-        """random.Random would silently seed with |seed|, so a negative
-        seed is refused before any command runs."""
-        out = str(tmp_path / "never")
-        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n")
-        with pytest.raises(ConfigError, match=r"\[run\] seed"):
-            load_config(cfg)
-        assert main(["all", "--config", cfg, "--out", out]) == 1
-        assert not os.path.exists(out)
-        assert "[run] seed" in capsys.readouterr().err
-
     def test_the_first_bad_setting_in_schema_order_is_named(self, tmp_path):
-        """A setting's range is checked as its key is read, so a negative
-        seed is named before an unparsable [optimize] n_controls."""
-        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[run]\nseed = -1\n[optimize]\nn_controls = many\n")
-        with pytest.raises(ConfigError, match=r"\[run\] seed = -1 must be non-negative"):
+        """A setting's range is checked as its key is read, so a single
+        jacobi step is named before an unparsable [optimize] n_controls."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[jacobi]\nsteps = 0.002\n[optimize]\nn_controls = many\n")
+        with pytest.raises(ConfigError, match=r"\[jacobi\] steps = \(0\.002,\) must be at least two"):
             load_config(cfg)
 
     @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004",
@@ -1012,6 +1005,25 @@ class TestOneOwnerOfTheVerticalLine:
         assert record["metrics"]["hyperplane_gap"] == record["metrics"]["lambda"]
 
 
+class TestTransportReadsItsMap:
+    @pytest.mark.parametrize("cfg", [GAUSSIAN_CFG, QUADRATIC_CFG], ids=["gaussian", "quadratic"])
+    def test_a_scaled_engine_quantile_violates_transport_alone(self, tmp_path, monkeypatch, cfg):
+        """An engine quantile 1e-6 too large moves the map rho and nothing
+        the other stages judge.  The random pushforward intervals never
+        read rho, so both configs exited 0 with every verdict verified."""
+        quantile = CumulativeDensity1D.quantile
+        monkeypatch.setattr(CumulativeDensity1D, "quantile",
+                            lambda self, *args: quantile(self, *args) * (1.0 + 1e-6))
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", cfg, "--out", out]) == 2
+        statuses = {v["command"]: v["status"] for v in read_json(out, "summary.json")["verdicts"]}
+        assert statuses == {**dict.fromkeys(ALL_COMMANDS, "verified"), "transport": "violated"}
+        record = read_json(out, "transport.json")
+        assert record["metrics"]["contraction_certified"] is True
+        s = np.loadtxt(os.path.join(out, "transport.csv"), delimiter=",", skiprows=1)[:, 0]
+        assert record["witness"]["location"] in s
+
+
 class TestWholeLineRun:
     def test_all_verified_when_the_chord_ends_at_tail_cutoffs(self, tmp_path):
         # on R the default tilted straight chord is already optimal; its ends
@@ -1064,8 +1076,8 @@ class TestDeterminism:
             with open(os.path.join(out_b, name), "rb") as fb:
                 blob_b = fb.read()
             assert blob_a == blob_b, name
-        # every JSON record too, the seeded pushforward residual included,
-        # once the wall times are dropped
+        # every JSON record too, the pushforward residual included, once
+        # the wall times are dropped
         records = sorted(n for n in os.listdir(out_a) if n.endswith(".json"))
         assert "transport.json" in records and "summary.json" in records
         for name in records:

@@ -696,19 +696,19 @@ def _graph_points(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:
 
 
 def _reference_curvature(points, closed):
-    """polyline_curve's curvature by np.unwrap and np.gradient, as first
-    written; a closed curve is unwrapped and differenced periodically, one
-    node past each end of the seam."""
+    """polyline_curve's curvature by np.unwrap and np.gradient with
+    second-order ends; a closed curve is unwrapped and differenced
+    periodically, one node past each end of the seam."""
     tangents = geometry._unit_tangents(points, closed)
     theta = np.arctan2(tangents[:, 1], tangents[:, 0])
     d = np.diff(points, axis=0)
     open_ell = np.hypot(d[:, 0], d[:, 1])
     s = np.concatenate(([0.0], np.cumsum(open_ell)))
     if not closed:
-        return np.gradient(np.unwrap(theta), s)
+        return np.gradient(np.unwrap(theta), s, edge_order=2)
     gap = math.hypot(*(points[0] - points[-1]))
     theta = np.unwrap(np.concatenate((theta[-1:], theta, theta[:1])))
-    return np.gradient(theta, np.concatenate(([-gap], s, [s[-1] + gap])))[1:-1]
+    return np.gradient(theta, np.concatenate(([-gap], s, [s[-1] + gap])), edge_order=2)[1:-1]
 
 
 class TestPolylineCurveBits:
@@ -763,6 +763,48 @@ class TestPolylineCurveBits:
         points = np.cumsum(np.vstack([[0.0, 0.0], steps[[0, 1, 2, 1, 0, 3, 0, 0, 1]]]), axis=0)
         assert np.all(np.hypot(*np.diff(points, axis=0).T) == 0.15625)
         self._assert_bits(GAUSS_PLANE, points)
+
+
+class TestOpenEndsAreSecondOrder:
+    def test_half_circle_through_the_wall(self):
+        """A unit half-circle on the zero weight meets the wall t = 0 at both
+        ends.  One-sided first differences read curvature 0.5 and 0.75 at the
+        first two nodes (and the last two) at every resolution; second-order
+        ends read 0.99992 and 0.99998 at 200 segments, and the largest error
+        falls fourfold per doubling."""
+        density = Density(ZeroWeight(), 0.5, 2, (0.0, INF))
+        errors = []
+        for n in (200, 400, 800):
+            th = np.linspace(0.0, np.pi, n + 1)
+            k = polyline_curve(density, np.stack([np.cos(th), np.sin(th)], axis=-1)).curvature
+            errors.append(np.abs(k - 1.0).max())
+            if n == 200:
+                assert_allclose(k[:2], [0.99992, 0.99998], atol=5e-6)
+                assert_allclose(k[-2:], [0.99998, 0.99992], atol=5e-6)
+        assert errors[0] < 1e-4
+        assert 3.9 < errors[0] / errors[1] < 4.1 and 3.9 < errors[1] / errors[2] < 4.1
+
+    def test_half_circle_index_quotient_converges_at_second_order(self):
+        """u = <e_x, N> minus its da_f-mean gives Q(u,u)/int u^2 = -2c exactly
+        on the half-circle; with first-order ends it read -0.98377, -0.99188
+        and -0.99594 at 200, 400 and 800 segments, an O(h) error."""
+        density = Density(ZeroWeight(), 0.5, 2, (0.0, INF))
+        errors = []
+        for n in (200, 400, 800):
+            th = np.linspace(0.0, np.pi, n + 1)
+            curve = polyline_curve(density, np.stack([np.cos(th), np.sin(th)], axis=-1))
+            mass, _ = _trapezoid_weights(density, curve)
+            u = curve.normals[:, 0] - np.sum(mass * curve.normals[:, 0]) / np.sum(mass)
+            errors.append(abs(index_form(density, curve, u) / np.sum(mass * u * u) + 1.0))
+        assert errors[0] < 2e-5
+        assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
+
+    def test_a_hairpin_or_uneven_end_keeps_a_unit_tangent(self):
+        """The end slope over chord length cannot vanish on distinct nodes,
+        where the index stencil 4 p1 - 3 p0 - p2 does for p2 = 4 p1 - 3 p0."""
+        for points in ([[0.0, 0.0], [0.0, 0.1], [0.0, 0.4]], [[0.0, 0.0], [0.0, 0.3], [0.0, 0.1]]):
+            tangents = geometry._unit_tangents(np.array(points), False)
+            assert_allclose(np.hypot(tangents[:, 0], tangents[:, 1]), 1.0, rtol=1e-15)
 
 
 class TestCurveOwnsItsArrays:

@@ -6,9 +6,8 @@ erfc and Wichura's AS241), the chords' spline basis (one dense slope
 solve per control count) and the spectral gap (Lanczos on the pencil's
 Green's operator) in numpy.
 
-isoflow also loads neither numpy.random nor numpy.polynomial: its one
-random draw (the pushforward intervals) uses the standard library's
-random.Random, and its Gauss-Legendre rules are tabulated.  Nor does it
+isoflow also loads neither numpy.random nor numpy.polynomial: it draws
+no random number, and its Gauss-Legendre rules are tabulated.  Nor does it
 load dataclasses: a frozen dataclass generates its methods by exec when
 its module is imported, so isoflow's records are plain immutable classes.
 
@@ -65,8 +64,6 @@ def test_cli_all_loads_no_heavy_scipy_subpackage(tmp_path):
 # NamedTuple fields that no program reads yet, each with the ROADMAP item
 # whose check will read it
 AWAITING_A_READER = {
-    ("PushforwardReport", "intervals"): "item 13, the transport verdict that checks the map it writes",
-    ("PushforwardReport", "residuals"): "item 13, the transport verdict that checks the map it writes",
     ("PerimeterBoundReport", "weighted_perimeter"): "item 3, the transport theorem as a verdict",
     ("PerimeterBoundReport", "gaussian_bound"): "item 3, the transport theorem as a verdict",
 }

@@ -195,52 +195,65 @@ class TestPushforwardCheck:
         rep = pushforward_check(m, intervals=[[-INF if False else -8.0, 0.0]])
         assert rep.max_residual <= 1e-10
 
-    def test_random_intervals_small_residual(self):
+    def test_the_map_s_own_nodes_small_residual(self):
         d = Density(LogPowerWeight(1.0), 0.5, 2, (0.0, INF))
         m = build_transport(d)
-        rep = pushforward_check(m, n_intervals=50, seed=3)
-        assert rep.residuals.shape == (50,)
-        assert rep.max_residual <= 1e-8
+        rep = pushforward_check(m)
+        assert rep.max_residual <= 1e-13
+        assert rep.max_location in m.s
 
     def test_reversed_interval_rejected(self):
         m = build_transport(GAUSS_LINE)
         with pytest.raises(DomainError):
             pushforward_check(m, intervals=[[1.0, -1.0]])
 
-    def test_seeded_intervals_reproduce(self):
-        m = build_transport(Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)))
-        first = pushforward_check(m, n_intervals=50, seed=20260816).intervals
-        again = pushforward_check(m, n_intervals=50, seed=20260816).intervals
-        other = pushforward_check(m, n_intervals=50, seed=20260817).intervals
-        assert first.shape == (50, 2)
-        assert first.tobytes() == again.tobytes()
-        assert not np.array_equal(first, other)
-
-    @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
-    def test_seeded_levels_are_sorted_and_inside_the_margin(self, seed):
-        d = Density(LogPowerWeight(1.0), 0.5, 2, (0.0, INF))
-        m = build_transport(d)
-        intervals = pushforward_check(m, n_intervals=40, seed=seed).intervals
-        assert np.all(intervals[:, 0] <= intervals[:, 1])
-        cum = d.cumulative
-        levels = cum.mass_below(intervals) / cum.total
-        assert np.all(levels >= 1e-3) and np.all(levels <= 1.0 - 1e-3)
-
-    @pytest.mark.parametrize("n_intervals", [0, -3])
-    def test_no_interval_raises(self, n_intervals):
+    def test_no_interval_raises(self):
         """Over no interval the check read max_residual 0.0, a pass that
         could not fail."""
         m = build_transport(Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0)))
-        with pytest.raises(DomainError, match="at least one interval"):
-            pushforward_check(m, n_intervals=n_intervals)
         for empty in (np.empty((0, 2)), []):
             with pytest.raises(DomainError, match="at least one interval"):
                 pushforward_check(m, intervals=empty)
 
-    def test_negative_seed_rejected(self):
-        m = build_transport(GAUSS_LINE)
-        with pytest.raises(ValueError, match="non-negative"):
-            pushforward_check(m, n_intervals=5, seed=-1)
+    @pytest.mark.parametrize("weight, slab", [
+        (LogPowerWeight(2.0), (0.0, INF)),
+        (AffineWeight(0.7, 0.0), (-INF, INF)),
+        (QuadraticWeight(0.5, 0.2, 0.0), (-INF, 0.0)),
+        (QuadraticWeight(1.0, 0.0, 0.0), (-1.0, 1.0)),
+    ])
+    def test_a_scaled_engine_quantile_fails(self, weight, slab, monkeypatch):
+        """An engine quantile 1e-9 too large moves rho by 1e-9 relative.
+        The contraction still certifies and the 50 random intervals read
+        at most 1.3e-15; the node residual reads at least 4e-10 where the map
+        stays in the slab, and infinity on (-1, 1), where it leaves it.
+        Explicit intervals never read rho, so they cannot see the fault."""
+        quantile = CumulativeDensity1D.quantile
+        monkeypatch.setattr(CumulativeDensity1D, "quantile",
+                            lambda self, *args: quantile(self, *args) * (1.0 + 1e-9))
+        m = build_transport(Density(weight, 0.5, 2, slab))
+        assert check_contraction(m).certified
+        rep = pushforward_check(m)
+        assert rep.max_residual > 4e-10
+        assert rep.max_location in m.s
+        a, b = slab
+        assert math.isinf(rep.max_residual) == bool(np.any((m.rho < a) | (m.rho > b)))
+        given = np.array([[max(a, -1.0), min(b, 1.0)], [max(a, -0.5), min(b, 0.5)]])
+        assert pushforward_check(m, intervals=given).max_residual <= 1e-13
+
+    def test_a_node_outside_the_slab_fails(self, monkeypatch):
+        """The last node alone is moved 1e-12 past the wall b = 1."""
+        quantile = CumulativeDensity1D.quantile
+
+        def past_the_wall(self, *args):
+            t = quantile(self, *args)
+            t[-1] = 1.0 + 1e-12
+            return t
+
+        monkeypatch.setattr(CumulativeDensity1D, "quantile", past_the_wall)
+        m = build_transport(Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0)))
+        rep = pushforward_check(m)
+        assert rep.max_residual == INF
+        assert rep.max_location == m.s[-1]
 
 
 class TestPerimeterBound:
@@ -435,9 +448,10 @@ def sweep_curves(density, rng) -> list:
 
 
 class TestOneCallPerBatch:
-    """The pushforward's one mass_below and one gaussian_cdf call, and the
-    bound's pull-back, against reference copies of the formulas they
-    replaced, bit for bit over the 14 sweep densities at c = 1/2 and 2."""
+    """The pushforward's batched calls on explicit intervals and on the
+    map's nodes, and the bound's pull-back, against reference copies of
+    the formulas they replaced, bit for bit over the 14 sweep densities at
+    c = 1/2 and 2."""
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_pushforward_residuals(self, weight, slab):
@@ -448,12 +462,16 @@ class TestOneCallPerBatch:
             m, cum = build_transport(d), d.cumulative
             given = np.sort(rng.uniform(max(a, -4.0), min(b, 4.0), (50, 2)), axis=1)
             given[0] = slab
-            for rep in (pushforward_check(m, intervals=given), pushforward_check(m, n_intervals=50, seed=7)):
-                d1, d2 = rep.intervals[:, 0], rep.intervals[:, 1]
-                mu2 = cum.mass(np.maximum(d1, a), np.minimum(d2, b)) / cum.total
-                s = transport._inverse_map(m, rep.intervals)
-                want = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
-                assert rep.residuals.tobytes() == want.tobytes()
+            rep = pushforward_check(m, intervals=given)
+            d1, d2 = given[:, 0], given[:, 1]
+            mu2 = cum.mass(np.maximum(d1, a), np.minimum(d2, b)) / cum.total
+            s = transport._inverse_map(m, given)
+            want = np.abs(mu2 - (gaussian_cdf(c, s[:, 1]) - gaussian_cdf(c, s[:, 0])))
+            assert rep == (want.max(), d1[np.argmax(want)])
+            # the map's nodes, each side of F read from its own tail
+            q, q_up = cum.mass_below(m.rho) / cum.total, cum.mass_above(m.rho) / cum.total
+            want = np.where(q <= 0.5, np.abs(q - gaussian_cdf(c, m.s)), np.abs(q_up - gaussian_cdf(c, -m.s)))
+            assert pushforward_check(m) == (want.max(), m.s[np.argmax(want)])
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_perimeter_bound_slack(self, weight, slab):
