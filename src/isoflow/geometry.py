@@ -104,7 +104,7 @@ class DiscreteCurve(_Frozen):
             raise GeometryError("consecutive nodes must be distinct")
         nominal = float(ell.mean())
         if longest > 2.2 * nominal or shortest < nominal / 2.2:
-            raise GeometryError("arclength spacing drifts beyond [h/2, 2h]")
+            raise GeometryError("arclength spacing drifts beyond [h/2.2, 2.2h]")
         # normals orthogonal to the discrete tangent up to O(h²): |chord·N| <= 0.05 |chord|
         chord = pts[2:] - pts[:-2]
         skew = np.abs(chord[:, 0] * nrm[1:-1, 0] + chord[:, 1] * nrm[1:-1, 1])
@@ -387,7 +387,7 @@ def cmc_shoot(
             continue
         # shorten the final step to land on the wall; if the landing
         # fraction is below 1/2, restart it from the previous node so the
-        # last segment stays within the [h/2, 2h] spacing contract
+        # last segment stays within the [h/2.2, 2.2h] spacing contract
         wall = a if nxt[1] <= a else b
 
         def landing(base: tuple, lo: float, hi: float) -> float:

@@ -167,10 +167,6 @@ class ChordSpline(_Frozen):
     def n_controls(self) -> int:
         return self.control_x.size
 
-    @property
-    def knots(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.control_x.size)
-
     @functools.cached_property
     def _fields(self) -> dict:
         """Quadrature-node fields per density, filled by _chord_fields."""

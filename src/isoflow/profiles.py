@@ -70,13 +70,13 @@ def _perpendicular_lines(c: float, v_total: float, q):
 class Profile(_Frozen):
     """Sampled profile F(v) = A(V^{-1}(v)) of a half-space family."""
 
-    def __init__(self, family: str, s: np.ndarray, V: np.ndarray, A: np.ndarray, v: np.ndarray,
+    def __init__(self, s: np.ndarray, V: np.ndarray, A: np.ndarray, v: np.ndarray,
                  F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, v_total: float):
         if np.any(np.diff(V) <= 0.0):
             raise ConsistencyError("profile volumes must be strictly increasing")
         if np.any(F <= 0.0):
             raise ConsistencyError("profile values must be positive on the open range")
-        vars(self).update(family=family, s=s, V=V, A=A, v=v, F=F, dF=dF, ddF=ddF, v_total=v_total)
+        vars(self).update(s=s, V=V, A=A, v=v, F=F, dF=dF, ddF=ddF, v_total=v_total)
 
 
 def _chebyshev_grid(lo: float, hi: float, size: int) -> np.ndarray:
@@ -122,7 +122,6 @@ def build_profile(
         ddF = np.full_like(s_grid, -2.0 * c) / A_grid
 
     return Profile(
-        family=family,
         s=s_grid,
         V=V_grid,
         A=A_grid,

@@ -42,10 +42,6 @@ __all__ = [
     "spectrum_csv",
 ]
 
-# truncation mass level e^{-32}: for the pure Gaussian this places the
-# cut exactly at |t| = 8 / sqrt(2c), eight standard deviations out
-TRUNCATION_EPS = math.exp(-32.0)
-
 # Lanczos stops once the gap Ritz pair's residual is _LANCZOS_TOL of its
 # Ritz value (eigenvector error about that over the relative spectral gap)
 _LANCZOS_TOL = 1e-13
@@ -60,12 +56,10 @@ class SpectralProblem(_Frozen):
     conductances: face values g_j = e^{ω−ct²}(face_j)/Δ between cells
                   j and j+1, carrying the Dirichlet form
                   D(u) = Σ g_j (u_{j+1} − u_j)².
-    interval:     the (possibly truncated) computational interval.
     """
 
-    def __init__(self, density: Density, interval: tuple[float, float], nodes, masses, conductances):
+    def __init__(self, nodes, masses, conductances):
         _float_arrays(self, np.atleast_1d, nodes=nodes, masses=masses, conductances=conductances)
-        vars(self).update(density=density, interval=interval)
         self.__post_init__()
 
     def __post_init__(self):
@@ -90,17 +84,17 @@ def build_spectral_problem(
 ) -> SpectralProblem:
     """Assemble the cell-centered problem on the (truncated) slab factor.
 
-    Infinite slab sides are cut where the dominating-Gaussian tail mass
-    drops below e^{−32}; pad stretches the cut (used for truncation
-    sensitivity checks).  Cell centers never touch the interval
-    endpoints, so weights that vanish there (log-power at 0) still
-    produce strictly positive masses.
+    Infinite slab sides are cut by the engine's tail rule unpadded, each
+    beyond a point inside the slab; pad stretches the cut interval away
+    from the slab's finite end (from 0 on R), for truncation sensitivity.
+    Cell centers never touch the interval endpoints, so weights that
+    vanish there (log-power at 0) still produce strictly positive masses.
     """
     a, b = density.slab
-    lo = a if math.isfinite(a) else pad * _one_sided_cutoff(density, False, TRUNCATION_EPS, 0.0)
-    hi = b if math.isfinite(b) else pad * _one_sided_cutoff(density, True, TRUNCATION_EPS, 0.0)
-    if not lo < hi:
-        raise DomainError("empty computational interval")
+    lo = a if math.isfinite(a) else _one_sided_cutoff(density, False, 0.0)
+    hi = b if math.isfinite(b) else _one_sided_cutoff(density, True, 0.0)
+    anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
+    lo, hi = anchor + pad * (lo - anchor), anchor + pad * (hi - anchor)
     if n_cells < 16:
         raise DomainError("spectral problem needs at least 16 cells")
     delta = (hi - lo) / n_cells
@@ -108,8 +102,6 @@ def build_spectral_problem(
     t = lo + np.concatenate((np.arange(n_cells) + 0.5, np.arange(1, n_cells))) * delta
     f = density.slab_factor(t)
     return SpectralProblem(
-        density=density,
-        interval=(float(lo), float(hi)),
         nodes=t[:n_cells],
         masses=f[:n_cells] * delta,
         conductances=f[n_cells:] / delta,
@@ -176,8 +168,9 @@ class PoincareCertificate(NamedTuple):
     bound λ ≥ 2c is about; the verdict on it is the spectrum stage's.
 
     lambda_value:     computed gap of the 1-D slab factor.
-    truncation_shift: |λ(1.25 × cutoff) − λ| for infinite slabs, 0.0 for
-                      bounded ones.
+    truncation_shift: |λ(pad 1.25) − λ| for infinite slabs, the truncated
+                      interval stretched 1.25 times (build_spectral_problem);
+                      0.0 for bounded ones.
     concave:          whether the weight passed the concavity check (the
                       bound is only guaranteed in that case).
     problem:          the pad-1.0 pencil the gap was computed from.
@@ -197,8 +190,8 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
 
     Runs for any weight; concavity guarantees the bound, and the gap of a
     non-concave diagnostic weight is reported as computed.  Infinite
-    slabs are recomputed at 1.25 times the truncation cutoff and the
-    eigenvalue shift is reported.
+    slabs are recomputed on the truncated interval stretched 1.25 times
+    and the eigenvalue shift is reported.
     """
     problem = build_spectral_problem(density, n_cells=n_cells)
     lam, eigenvector = spectral_gap_1d(problem)

@@ -27,9 +27,10 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
-    by one tail rule: the cutoff is chosen so that the tail mass of a
-    Gaussian-type dominating bound (the tangent of a concave log-integrand,
-    or the exact square for a quadratic weight) is below 1e-15,
+    by one tail rule, shared with the spectral pencil: beyond a cut inside
+    the slab a Gaussian-type dominating bound (the exact square of a
+    quadratic weight, else a tangent or constant) has mass below 1e-15.
+    A finite slab too wide for the engine's panels is refused,
   * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
     on a numpy erfc and Wichura's AS241 normal quantile.
 """
@@ -337,8 +338,14 @@ class Density(_Value):
         # integrability: t^m near 0 needs m > -1, an infinite side c + kappa > 0
         if isinstance(weight, LogPowerWeight) and a == 0.0 and weight.m <= -1.0:
             raise DomainError("density is not integrable: log-power m <= -1 at t = 0")
-        infinite = math.isinf(a) or math.isinf(b)
-        if isinstance(weight, QuadraticWeight) and infinite and c + weight.kappa <= 0.0:
+        quadratic = isinstance(weight, QuadraticWeight)
+        if math.isfinite(a) and math.isfinite(b):
+            # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
+            c_eff = c + max(weight.kappa, 0.0) if quadratic else c
+            if (b - a) / _N_PANELS > 4.0 / math.sqrt(2.0 * c_eff):
+                raise DomainError(f"slab ({a!r}, {b!r}) is too wide for the engine: each of its {_N_PANELS} "
+                                  "panels would span over 4 Gaussian widths; make a far side infinite")
+        elif quadratic and c + weight.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
         vars(self).update(weight=weight, c=c, slab=(a, b))
 
@@ -525,8 +532,9 @@ def bakry_emery_curvature(density: Density, p, w) -> np.ndarray:
 # sound truncation of infinite slab sides
 
 
-# a truncated tail carries weighted mass below _TAIL_MASS by the
-# dominating-Gaussian bound, and the cutoff is padded by _TAIL_PAD / sqrt(c)
+# a truncated tail carries weighted mass below _TAIL_MASS by the dominating-
+# Gaussian bound; the engine pads its cut by _TAIL_PAD / sqrt(c_eff), the
+# spectral pencil by nothing
 _TAIL_MASS = 1e-15
 _TAIL_PAD = 2.0
 
@@ -548,43 +556,42 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     return mu + x / math.sqrt(c_eff)
 
 
-def _one_sided_cutoff(density: Density, right: bool, eps: float, pad: float) -> float:
-    """Truncation point for an infinite slab side, dominating-bound sound:
-    the tail beyond it carries mass below eps, and the cut is padded by
-    pad / sqrt(c)."""
-    w, c = density.weight, density.c
-    a, b = density.slab
-    if isinstance(w, QuadraticWeight):
-        # exact completion of the square; Density guarantees c + kappa > 0
-        c_eff = c + w.kappa
-        drift = w.a0 if right else -w.a0
-        cut = _gaussian_tail_cutoff(c_eff, drift, w.b0, eps) + pad / math.sqrt(c_eff)
-        return cut if right else -cut
-    # concave tangent bound at a point ref inside the slab, omega(t) <=
-    # omega(ref) + omega'(ref) (t - ref), reflected by t -> -t on the left;
-    # the cut is kept 1 / sqrt(c) beyond |ref|
-    reach = max(1.0, 1.0 / math.sqrt(c))
-    ref = (a if math.isfinite(a) else 0.0) + reach if right else (b if math.isfinite(b) else 0.0) - reach
-    slope = float(w.deriv(ref))
-    drift = slope if right else -slope
-    cut = _gaussian_tail_cutoff(c, drift, float(w.value(ref)) - slope * ref, eps) + pad / math.sqrt(c)
-    cut = max(cut, abs(ref) + 1.0 / math.sqrt(c))
-    return cut if right else -cut
+def _one_sided_cutoff(density: Density, right: bool, pad: float) -> float:
+    """Truncation point for an infinite slab side: the tail beyond it
+    carries mass below _TAIL_MASS, and it is padded by pad / sqrt(c_eff).
+
+    In u = t (right side) or u = -t (left side) the log slab factor is
+    bounded past a reference point u_ref by amp + slope u - c_eff u^2:
+    exactly, by (c + kappa, a0, b0), for a quadratic weight; by the tangent
+    at u_ref for any other concave weight; and by omega(u_ref), slope 0,
+    for a log-power m < 0, which is convex and decreasing.  u_ref lies
+    max(1, 1/sqrt(c_eff)) inside the slab's other end (or 0), and the cut
+    at least 1/sqrt(c_eff) beyond u_ref, so it never reaches that end.
+    """
+    w, c, sign = density.weight, density.c, 1.0 if right else -1.0
+    quadratic = isinstance(w, QuadraticWeight)
+    c_eff = c + w.kappa if quadratic else c  # Density guarantees c + kappa > 0
+    root = math.sqrt(c_eff)
+    end = density.slab[0 if right else 1]
+    u_ref = (sign * end if math.isfinite(end) else 0.0) + max(1.0, 1.0 / root)
+    if quadratic:
+        slope, amp = sign * w.a0, w.b0
+    else:
+        ref = sign * u_ref
+        slope = 0.0 if isinstance(w, LogPowerWeight) and w.m < 0.0 else sign * float(w.deriv(ref))
+        amp = float(w.value(ref)) - slope * u_ref
+    cut = _gaussian_tail_cutoff(c_eff, slope, amp, _TAIL_MASS) + pad / root
+    return sign * max(cut, u_ref + 1.0 / root)
 
 
 def tail_interval(density: Density) -> tuple[float, float]:
-    """Effective finite interval replacing infinite endpoints of the slab.
-
-    The discarded tail carries weighted mass below _TAIL_MASS by the
-    dominating-Gaussian bound.  A slab whose whole mass lies below that
-    bound has no such interval (DomainError).
-    """
+    """The slab with each infinite side cut by _one_sided_cutoff at pad
+    _TAIL_PAD: the discarded tail carries weighted mass below _TAIL_MASS by
+    the dominating-Gaussian bound.  Each cut lies past a point inside the
+    slab, so the interval is never empty."""
     a, b = density.slab
-    cut_a = _one_sided_cutoff(density, False, _TAIL_MASS, _TAIL_PAD) if math.isinf(a) else a
-    cut_b = _one_sided_cutoff(density, True, _TAIL_MASS, _TAIL_PAD) if math.isinf(b) else b
-    if cut_a >= cut_b:
-        raise DomainError("slab mass below the tail tolerance")
-    return cut_a, cut_b
+    return (_one_sided_cutoff(density, False, _TAIL_PAD) if math.isinf(a) else a,
+            _one_sided_cutoff(density, True, _TAIL_PAD) if math.isinf(b) else b)
 
 
 # the positive nodes, then their weights, of np.polynomial.legendre.leggauss (symmetric rules)
@@ -703,6 +710,8 @@ class CumulativeDensity1D:
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
         self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
+        if self.total in (0.0, math.inf):
+            raise DomainError(f"slab mass {self.total!r}: e^(omega - c t^2) under- or overflows on the slab")
         # the median panel, the last whose lower side starts at most half way
         self._median_panel = int(np.count_nonzero(self._cum_left / self.total <= 0.5)) - 1
 

@@ -991,9 +991,11 @@ class TestOneOwnerOfTheVerticalLine:
     def test_a_gap_just_below_2c_violates_on_a_concave_weight(self, tmp_path, monkeypatch):
         """A planted gap of 2c - 2e-6 on the bundled Gaussian slab: the
         concave weight needs no flag, and only spectrum reads the gap."""
+        c = load_config(GAUSSIAN_CFG).density.c
+
         def planted(problem):
             _, eigenvector = spectral_gap_1d(problem)
-            return 2.0 * problem.density.c - 2e-6, eigenvector
+            return 2.0 * c - 2e-6, eigenvector
 
         monkeypatch.setattr("isoflow.spectrum.spectral_gap_1d", planted)
         out = str(tmp_path / "out")
@@ -1038,6 +1040,64 @@ class TestWholeLineRun:
         metrics = read_json(out, "optimize.json")["metrics"]
         assert metrics["hf_spread"] < 1e-10
         assert metrics["angle_bottom_deg"] > 1.0 and metrics["angle_top_deg"] > 1.0
+
+
+def far_quadratic_cfg(tmp_path, a: str) -> str:
+    """omega = -t^2, c = 1/2 on (a, inf): all of the slab lies beyond the
+    exact square's Gaussian cutoff (6.24) when a >= 6."""
+    return write_cfg(tmp_path, f"[density]\nweight = quadratic\nparams = 1, 0, 0\nc = 0.5\nslab = {a}, inf\n")
+
+
+class TestOneTailRule:
+    @pytest.mark.parametrize("a", ["5", "6", "7"])
+    def test_spectrum_verifies_on_a_far_one_sided_slab(self, tmp_path, a):
+        """The pencil's cut lies inside the slab: (5, inf) and (6, inf) ended
+        spectrum in error ("empty computational interval"), and (7, inf) was
+        refused at load."""
+        out = str(tmp_path / "out")
+        assert main(["spectrum", "--config", far_quadratic_cfg(tmp_path, a), "--out", out]) == 0
+        record = read_json(out, "spectrum.json")
+        assert record["status"] == "verified"
+        assert record["metrics"]["lambda"] > 1.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: stability gates its witness at an absolute "
+                       "-1e-6, below any index form value on a far slab")
+    @pytest.mark.parametrize("a", ["5", "7"])
+    def test_stability_on_a_far_slab_reads_its_exact_witness(self, tmp_path, a):
+        """The witness equals its closed form omega''(t0) e^{omega(t0) - c t0^2}
+        sqrt(pi/c) / (2c), -1.3e-16 at t0 = 5.045 on (5, inf), and is judged
+        unstable; the absolute tolerance reads it as violated."""
+        out = str(tmp_path / "out")
+        code = main(["stability", "--config", far_quadratic_cfg(tmp_path, a), "--out", out])
+        record = read_json(out, "stability.json")
+        t0, c = record["metrics"]["t0"], 0.5
+        exact = -2.0 * math.exp(-t0 * t0 - c * t0 * t0) * math.sqrt(math.pi / c) / (2.0 * c)
+        assert record["witness"]["value"] == pytest.approx(exact, rel=1e-6)
+        assert record["metrics"]["parallel_verdict"] == "unstable"
+        assert (code, record["status"]) == (0, "verified")
+
+    def test_a_slab_too_wide_for_the_engine_exits_1_at_load(self, tmp_path, capsys):
+        """Zero weight, c = 1: on (-1e4, 1e4) a panel spans 47 Gaussian widths.
+        The run exited 2 with profile, transport and optimize violated and
+        spectrum in error; it is now refused before anything is written.  On
+        (-600, 600), 2.8 widths, it loads."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 1\nslab = -1e4, 1e4\n")
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "too wide" in err and "infinite" in err
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 1\nslab = -600, 600\n", "wide.cfg")
+        assert load_config(cfg).density.slab == (-600.0, 600.0)
+
+    def test_a_slab_whose_mass_underflows_exits_1_at_load(self, tmp_path, capsys):
+        """Zero weight, c = 1/2 on (40, inf): the slab factor underflows to 0.
+        The run ended in a ZeroDivisionError traceback."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = 40, inf\n")
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "slab mass 0.0: " in capsys.readouterr().err
 
 
 class TestJacobiWallLanding:

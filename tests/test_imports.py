@@ -13,8 +13,8 @@ its module is imported, so isoflow's records are plain immutable classes.
 
 The guard imports every isoflow module and runs a full `isoflow all` on
 both bundled configs, then reads sys.modules.  A second guard reads the
-source: every field of isoflow's NamedTuple reports has a reader outside
-the tests.
+source: every field of isoflow's NamedTuple reports and _Frozen records
+has a reader outside the tests.
 """
 
 import ast
@@ -61,7 +61,7 @@ def test_cli_all_loads_no_heavy_scipy_subpackage(tmp_path):
     assert report["dataclasses"] is False
 
 
-# NamedTuple fields that no program reads yet, each with the ROADMAP item
+# record fields that no program reads yet, each with the ROADMAP item
 # whose check will read it
 AWAITING_A_READER = {
     ("PerimeterBoundReport", "weighted_perimeter"): "item 3, the transport theorem as a verdict",
@@ -73,22 +73,46 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _stored_fields(record: ast.ClassDef) -> set[str]:
+    """The fields a _Frozen record stores: the keywords of its
+    vars(self).update(...) and _float_arrays(self, ...) calls."""
+    names = set()
+    for call in ast.walk(record):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        update = (isinstance(func, ast.Attribute) and func.attr == "update" and isinstance(func.value, ast.Call)
+                  and isinstance(func.value.func, ast.Name) and func.value.func.id == "vars"
+                  and len(func.value.args) == 1 and _is_self(func.value.args[0]))
+        arrays = (isinstance(func, ast.Name) and func.id == "_float_arrays" and call.args
+                  and _is_self(call.args[0]))
+        if update or arrays:
+            names |= {keyword.arg for keyword in call.keywords}
+    return names
+
+
 def test_every_report_field_is_read_outside_the_tests():
     """A report field that only tests read is a number no check, record or
-    benchmark uses.  Every field of every NamedTuple in src/isoflow must be
-    read as an attribute in src/, scripts/ or benchmark/.  The scan matches
-    attribute names only, so it misses a field whose name another object's
-    attribute shares."""
+    benchmark uses.  Every field of every NamedTuple in src/isoflow, and
+    every field a _Frozen record stores, must be read as an attribute in
+    src/, scripts/ or benchmark/.  The scan matches attribute names only,
+    so it misses a field whose name another object's attribute shares."""
     fields = set()
     for path in sorted((ROOT / "src" / "isoflow").glob("*.py")):
         for node in _parse(path).body:
-            if isinstance(node, ast.ClassDef) and any(
-                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
-            ):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
                 fields |= {(node.name, stmt.target.id) for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign)}
+            fields |= {(node.name, name) for name in _stored_fields(node)}
     read = {node.attr for folder in ("src", "scripts", "benchmark")
             for path in sorted((ROOT / folder).rglob("*.py")) for node in ast.walk(_parse(path))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert ("PoincareCertificate", "lambda_value") in fields
+    assert {("SpectralProblem", "masses"), ("Profile", "v_total"), ("DiscreteCurve", "curvature")} <= fields
     assert {field for field in fields if field[1] not in read} == set(AWAITING_A_READER)

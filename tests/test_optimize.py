@@ -388,7 +388,7 @@ class TestSplineOperators:
             (d2x, ch.control_x, 2, op.d2, op.theta),
             (op.ends @ ch.control_x, ch.control_x, 1, op.ends, [0.0, 1.0]),
         ]:
-            want = CubicSpline(ch.knots, controls)(theta, nu)
+            want = CubicSpline(np.linspace(0.0, 1.0, m), controls)(theta, nu)
             scale = 1.0 + np.abs(basis) @ np.abs(controls)
             assert np.max(np.abs(got - want) / scale) <= 1e-13
 
@@ -404,7 +404,7 @@ class TestSplineOperators:
         a, b = make_straight_chord(density).span
         chord = ChordSpline(0.3 * rng.standard_normal(m), (a, b))
         op = opt._operator(m)
-        controls = np.column_stack([chord.control_x, a + (b - a) * chord.knots])
+        controls = np.column_stack([chord.control_x, a + (b - a) * np.linspace(0.0, 1.0, m)])
         bases = (op.value, op.d1, op.d2, op.ends)
         (x, t), (dx, dt), (d2x, d2t), ends = ((basis @ controls).T for basis in bases)
         (sx, st), (sdx, sdt), (sd2x, sd2t), s_ends = ((1.0 + np.abs(basis) @ np.abs(controls)).T

@@ -64,12 +64,14 @@ class TestBuildSpectralProblem:
         assert np.all(p.masses > 0.0)
         assert np.all(p.conductances > 0.0)
         assert np.all(np.diff(p.nodes) > 0.0)
-        assert p.interval[0] == 0.0 and math.isfinite(p.interval[1])
+        # the first cell starts at the wall t = 0, the last ends at a finite cut
+        assert_allclose(p.nodes[0], 0.5 * (p.nodes[1] - p.nodes[0]), rtol=1e-9)
+        assert math.isfinite(p.nodes[-1])
 
     def test_bounded_slab_not_truncated(self):
         d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
         p = build_spectral_problem(d, n_cells=100)
-        assert p.interval == (0.0, 1.0)
+        assert_allclose(p.nodes[[0, -1]], [0.005, 0.995], rtol=1e-12)
 
     def test_minimum_size(self):
         d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
@@ -169,7 +171,7 @@ class TestLanczosGap:
         want, ref = reference_gap(problem)
         assert type(lam) is float
         assert_allclose(lam, want, rtol=1e-9)
-        if all(map(math.isfinite, density.slab)):  # LAPACK loses the e^{-32} tails
+        if all(map(math.isfinite, density.slab)):  # LAPACK loses the cells in the truncated tails
             assert np.max(np.abs(u - ref)) <= 1e-9
 
     def test_small_pencil_is_exhausted_exactly(self):
@@ -186,7 +188,7 @@ class TestLanczosGap:
         p = build_spectral_problem(Density(ZeroWeight(), 0.5, 2, (0.0, 1.0)), n_cells=64)
         masses = p.masses.copy()
         masses[10] = np.nan
-        broken = SpectralProblem(p.density, p.interval, p.nodes, masses, p.conductances)
+        broken = SpectralProblem(p.nodes, masses, p.conductances)
         with pytest.raises(ConsistencyError, match="did not converge"):
             spectral_gap_1d(broken)
 
@@ -319,13 +321,13 @@ class TestLanczosWork:
             for pad in (1.0, 1.25) if infinite else (1.0,):
                 steps.append(0)
                 spectral_gap_1d(build_spectral_problem(density, n_cells=2000, pad=pad))
-        assert steps == [9, 7, 13, 13, 6, 4, 9, 9, 12, 12, 5, 4, 9, 8, 13, 13, 6, 4, 10, 12, 12]
+        assert steps == [9, 7, 13, 13, 5, 3, 9, 9, 12, 12, 5, 3, 9, 8, 13, 13, 5, 3, 10, 12, 12]
 
     def test_the_problem_owns_its_arrays(self):
         p = build_spectral_problem(SWEEP[0], n_cells=64)
         nodes = p.nodes.copy()
         masses = np.array(p.masses)
-        q = SpectralProblem(p.density, p.interval, nodes, masses, p.conductances)
+        q = SpectralProblem(nodes, masses, p.conductances)
         nodes[0], masses[0] = -9.0, -1.0
         assert q.nodes[0] == p.nodes[0] and q.masses[0] == p.masses[0]
         for name in ("nodes", "masses", "conductances"):

@@ -42,6 +42,7 @@ from isoflow import (
 )
 from isoflow.spectrum import build_spectral_problem
 from isoflow.weights import (
+    _TAIL_MASS,
     _erfc,
     _gauss_legendre,
     _one_sided_cutoff,
@@ -259,6 +260,20 @@ class TestCheckConcavity:
         assert not check_concavity(LogPowerWeight(-0.5)).concave
 
 
+def weight_id(value) -> str:
+    """A test id for a weight (its class and parameters) or another parameter."""
+    return f"{type(value).__name__}{value._key()}" if isinstance(value, Weight1D) else repr(value)
+
+
+# one weight of each family with an infinite side, log-power on both sides of m = 0
+TAIL_WEIGHTS = [
+    ZeroWeight(),
+    *(AffineWeight(a0, b0) for a0, b0 in [(0.7, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.3), (-2.0, 0.0)]),
+    QuadraticWeight(1.0), QuadraticWeight(0.5, 0.2, 0.0), QuadraticWeight(-0.2, 0.3, 0.1),
+    *(LogPowerWeight(m) for m in (-0.9, -0.5, 0.5, 2.0, 20.0)),
+]
+
+
 class TestIntegrateWeighted:
     """Slab masses from total_weighted_volume, against closed forms and QUADPACK."""
 
@@ -348,23 +363,78 @@ class TestIntegrateWeighted:
             wide = CumulativeDensity1D(Density(weight, d.c, 2, (lo_w, hi_w))).total
             assert abs(wide - tight) <= 1e-14 * tight, (weight, slab, wide, tight)
 
-    @pytest.mark.parametrize("eps", [1e-15, math.exp(-32.0)], ids=["tail_mass", "spectral"])
-    @pytest.mark.parametrize("a0, b0", [(0.7, 0.0), (1.0, 0.0), (2.0, 0.0), (-1.0, 0.3), (-2.0, 0.0)])
-    def test_each_tangent_tail_carries_at_most_eps(self, a0, b0, eps):
-        """The tangent bound is exact for an affine weight, so each side's
-        cut leaves a tail of at most eps, by the closed form
-            int_T^inf e^{b0 + a0 t - c t^2} dt
-                = e^{b0 + a0^2/(4c)} sqrt(pi/c)/2 erfc(sqrt(c) (T - a0/(2c))),
-        reflected on the left.  The left side's tail was 7 to 286 eps."""
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("weight", TAIL_WEIGHTS, ids=weight_id)
+    def test_each_unpadded_cut_leaves_at_most_the_tail_mass(self, weight, c):
+        """Beyond each infinite side's cut at pad 0 (the spectral pencil's)
+        the slab factor carries at most _TAIL_MASS, by mpmath closed forms:
+            int_T^inf e^{b0 + a0 t - c_eff t^2} dt
+                = e^{b0 + a0^2/(4 c_eff)} sqrt(pi/c_eff)/2 erfc(sqrt(c_eff) (T - a0/(2 c_eff))),
+        reflected on the left, for zero, affine and quadratic weights
+        (c_eff = c + kappa), and
+            int_T^inf t^m e^{-c t^2} dt = Gamma((m+1)/2, c T^2) / (2 c^((m+1)/2))
+        for log-power, on (0, inf) and (3, inf).  Before one tail rule the
+        affine left tail was 7 to 286 times the level, and a log-power
+        m < 0 tail, whose tangent is no bound, 2.2 to 11.5 times."""
         import mpmath as mp
 
-        c = 0.5
-        d = Density(AffineWeight(a0, b0), c, 2, (-INF, INF))
-        mu, scale = a0 / (2.0 * c), mp.e ** (b0 + a0 * a0 / (4.0 * c)) * mp.sqrt(mp.pi / c) / 2
+        mp.mp.dps = 30
+        if isinstance(weight, LogPowerWeight):
+            m, z = weight.m, (weight.m + 1.0) / 2.0
+            for a in (0.0, 3.0):
+                cut = _one_sided_cutoff(Density(weight, c, 2, (a, INF)), True, 0.0)
+                tail = mp.gammainc(z, c * mp.mpf(cut) ** 2, mp.inf) / (2 * mp.mpf(c) ** z)
+                assert tail <= _TAIL_MASS * (1.0 + 1e-9), (a, float(tail / _TAIL_MASS))
+            return
+        kappa, a0, b0 = (weight.kappa, weight.a0, weight.b0) if isinstance(weight, QuadraticWeight) else (
+            (0.0, weight.a0, weight.b0) if isinstance(weight, AffineWeight) else (0.0, 0.0, 0.0))
+        c_eff = c + kappa
+        d = Density(weight, c, 2, (-INF, INF))
+        mu = mp.mpf(a0) / (2 * c_eff)
+        scale = mp.e ** (b0 + mp.mpf(a0) ** 2 / (4 * c_eff)) * mp.sqrt(mp.pi / c_eff) / 2
         for right in (True, False):
-            cut = _one_sided_cutoff(d, right, eps, 0.0)
-            tail = scale * mp.erfc(mp.sqrt(c) * ((cut - mu) if right else (mu - cut)))
-            assert tail <= eps * (1.0 + 1e-9), (right, float(tail / eps))
+            cut = _one_sided_cutoff(d, right, 0.0)
+            tail = scale * mp.erfc(mp.sqrt(c_eff) * ((cut - mu) if right else (mu - cut)))
+            assert tail <= _TAIL_MASS * (1.0 + 1e-9), (right, float(tail / _TAIL_MASS))
+
+    @pytest.mark.parametrize("a", [5.0, 6.0, 7.0])
+    def test_far_one_sided_quadratic_slabs_match_the_closed_form(self, a):
+        """kappa = 1, c = 1/2 on (a, inf) and (-inf, -a): the exact square
+        cut the slab short of its mass, off by 6.2e-10 on (5, inf) and 1.1e-2
+        on (6, inf), and refused (7, inf), before its cut was kept beyond a
+        point inside the slab like every other weight's."""
+        c_eff = 1.5
+        exact = math.sqrt(math.pi / c_eff) / 2.0 * math.erfc(math.sqrt(c_eff) * a)
+        for slab in ((a, INF), (-INF, -a)):
+            total = CumulativeDensity1D(Density(QuadraticWeight(1.0), 0.5, 2, slab)).total
+            assert abs(total / exact - 1.0) <= 1e-13, (slab, total / exact - 1.0)
+
+    def test_a_far_finite_end_does_not_move_the_other_cut(self):
+        """Zero weight, c = 1/2: the left cut of (-inf, 20) is the left cut of
+        R, -10.88, not -20 as when the guard was taken about |ref|."""
+        lo, hi = tail_interval(Density(ZeroWeight(), 0.5, 2, (-INF, 20.0)))
+        assert hi == 20.0
+        assert lo == tail_interval(Density(ZeroWeight(), 0.5, 2, (-INF, INF)))[0]
+        assert lo == pytest.approx(-10.883, abs=1e-3)
+
+    @pytest.mark.parametrize("weight, slab", [
+        (AffineWeight(30.0), (-INF, 20.0)), (AffineWeight(-30.0), (-20.0, INF)),
+        (QuadraticWeight(1.0, 16.0), (-INF, 3.0)), (QuadraticWeight(1.0, 60.0, -600.0), (-INF, 15.0)),
+        (LogPowerWeight(-0.5), (20.0, INF)),
+    ], ids=weight_id)
+    def test_every_cut_lies_inside_the_slab(self, weight, slab):
+        """Each cut lies past a point max(1, 1/sqrt(c_eff)) inside the slab's
+        finite end, so neither the engine's interval nor the pencil's, at pad
+        1 or stretched 1.25 times, can be empty or cross that end.  The
+        quadratic on (-inf, 15) has its left cut at 13.2: 1.25 times it, the
+        old stretch about 0, lies past 15 ("empty computational interval")."""
+        d = Density(weight, 0.5, 2, slab)
+        a, b = slab
+        lo, hi = tail_interval(d)
+        assert a <= lo < hi <= b
+        for pad in (1.0, 1.25):
+            nodes = build_spectral_problem(d, n_cells=64, pad=pad).nodes
+            assert a < nodes[0] and nodes[-1] < b
 
 
 class TestNormalizers:
@@ -461,16 +531,45 @@ class TestDensityValidation:
         d = Density(QuadraticWeight(-0.8, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
         assert quadpack_mass(d) > 0.0
 
-    def test_slab_mass_below_tail_tolerance_rejected(self):
-        # the whole slab lies beyond the tail cutoff, so truncating its
-        # infinite side leaves no interval (not lo > hi and zero mass)
-        d = Density(QuadraticWeight(1.5498, 2.5101, -0.3587), 3.928, 2, (-INF, -3.2026))
-        with pytest.raises(DomainError, match="tail tolerance"):
-            tail_interval(d)
-        with pytest.raises(DomainError, match="tail tolerance"):
-            total_weighted_volume(d)
-        with pytest.raises(DomainError, match="tail tolerance"):
-            CumulativeDensity1D(d)
+    def test_a_slab_beyond_the_gaussian_cutoff_integrates(self):
+        """The whole slab lies beyond the exact square's Gaussian cutoff.  It
+        was refused as "slab mass below the tail tolerance"; its cut now lies
+        inside it, and its mass matches the closed form
+            e^{b0 + a0^2/(4 c_eff)} sqrt(pi/c_eff)/2 erfc(sqrt(c_eff) (a0/(2 c_eff) - b))."""
+        import mpmath as mp
+
+        mp.mp.dps = 30
+        kappa, a0, b0, c, b = 1.5498, 2.5101, -0.3587, 3.928, -3.2026
+        d = Density(QuadraticWeight(kappa, a0, b0), c, 2, (-INF, b))
+        c_eff = mp.mpf(c) + kappa
+        exact = (mp.e ** (b0 + mp.mpf(a0) ** 2 / (4 * c_eff)) * mp.sqrt(mp.pi / c_eff) / 2
+                 * mp.erfc(mp.sqrt(c_eff) * (a0 / (2 * c_eff) - b)))
+        assert abs(total_weighted_volume(d) / gaussian_factor(c) / float(exact) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("weight, slab", [(ZeroWeight(), (40.0, INF)), (QuadraticWeight(1.0), (-INF, -30.0))],
+                             ids=weight_id)
+    def test_a_slab_whose_mass_underflows_is_refused(self, weight, slab):
+        """e^{omega - c t^2} underflows to 0 all over the slab, so its engine
+        is refused.  The transport map divided by the zero total, and the
+        quadratic slab was refused only by the deleted tail-tolerance check."""
+        with pytest.raises(DomainError, match="slab mass 0.0: .* under- or overflows"):
+            Density(weight, 0.5, 2, slab).cumulative
+
+    @pytest.mark.parametrize("weight, c", [(ZeroWeight(), 1.0), (QuadraticWeight(1.5), 0.5)], ids=weight_id)
+    def test_a_slab_too_wide_for_the_engine_is_refused(self, weight, c):
+        """A finite slab is refused when its 600 panels are each wider than 4
+        Gaussian widths 1/sqrt(2 c_eff), c_eff = c + kappa for kappa > 0:
+        the engine's relative error grows from 3.9e-13 there to 3.6e-2 at 47
+        widths.  At 2.8 widths the engine is exact to rounding."""
+        c_eff = c + getattr(weight, "kappa", 0.0)
+        limit = 300.0 * 4.0 / math.sqrt(2.0 * c_eff)  # half the widest slab
+        with pytest.raises(DomainError, match="too wide.*infinite"):
+            Density(weight, c, 2, (-limit * 1.01, limit * 1.01))
+        with pytest.raises(DomainError, match="too wide"):
+            Density(weight, c, 2, (-1e4, 1e4))
+        d = Density(weight, c, 2, (-0.7 * limit, 0.7 * limit))
+        exact = math.sqrt(math.pi / c_eff) * math.erf(math.sqrt(c_eff) * 0.7 * limit)
+        assert abs(slab_mass(d) / exact - 1.0) <= 1e-15
 
 
 # one instance's parameters per weight kind, on a domain holding the slab (0.25, 1)
@@ -666,7 +765,8 @@ class TestOneDensityFormula:
             cum = d.cumulative
             assert cum._at_breaks.tobytes() == d.slab_factor(cum.breaks).tobytes()
             pencil = build_spectral_problem(d, n_cells=200)
-            lo, hi = pencil.interval
+            (a, b), cut = d.slab, _one_sided_cutoff
+            lo, hi = cut(d, False, 0.0) if math.isinf(a) else a, cut(d, True, 0.0) if math.isinf(b) else b
             want = d.slab_factor(pencil.nodes) * ((hi - lo) / 200)
             assert pencil.masses.tobytes() == want.tobytes()
             profile = build_profile(d, "parallel", grid_size=33)
