@@ -78,14 +78,15 @@ class DiscreteCurve(_Frozen):
     curvature: (m,) signed curvature k_i with respect to the stored
                normal (k = dθ/ds when N is the left normal).
     closed:    the last node connects back to the first.
-    boundary_start / boundary_end: endpoint sits on a slab wall.
+
+    Whether an end sits on a slab wall is a fact of the slab, not of the
+    curve: jacobi_residual reads it from the density.
     """
 
-    def __init__(self, points, normals, curvature, closed: bool = False,
-                 boundary_start: bool = False, boundary_end: bool = False):
+    def __init__(self, points, normals, curvature, closed: bool = False):
         pts, nrm = _float_arrays(self, np.atleast_2d, points=points, normals=normals)
         (cur,) = _float_arrays(self, np.atleast_1d, curvature=curvature)
-        vars(self).update(closed=closed, boundary_start=boundary_start, boundary_end=boundary_end)
+        vars(self).update(closed=closed)
         m = pts.shape[0]
         if m < 3:
             raise GeometryError("curve needs at least 3 nodes")
@@ -177,18 +178,6 @@ def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
     return k
 
 
-def _boundary_flags(density: Density, points: np.ndarray) -> tuple[bool, bool]:
-    a, b = density.slab
-    scale = 1.0 + abs(points[0, 1]) + abs(points[-1, 1])
-
-    def on_wall(t: float) -> bool:
-        return (math.isfinite(a) and abs(t - a) <= _BOUNDARY_TOL * scale) or (
-            math.isfinite(b) and abs(t - b) <= _BOUNDARY_TOL * scale
-        )
-
-    return on_wall(points[0, 1]), on_wall(points[-1, 1])
-
-
 def _check_in_slab(density: Density, points: np.ndarray) -> None:
     a, b = density.slab
     lowest, highest = points[:, 1].min(), points[:, 1].max()
@@ -219,14 +208,7 @@ def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
         raise GeometryError("segment endpoints coincide")
     tangent = chord / length
     normal = _rot90(tangent)
-    flags = _boundary_flags(density, points)
-    return DiscreteCurve(
-        points=points,
-        normals=np.tile(normal, (n, 1)),
-        curvature=np.zeros(n),
-        boundary_start=flags[0],
-        boundary_end=flags[1],
-    )
+    return DiscreteCurve(points=points, normals=np.tile(normal, (n, 1)), curvature=np.zeros(n))
 
 
 def vertical_segment(density: Density, x0: float, n: int = 201) -> DiscreteCurve:
@@ -274,15 +256,7 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     else:
         theta = np.unwrap(theta)
     k = _slope(theta, s)[1:-1] if closed else _slope(theta, s)
-    flags = (False, False) if closed else _boundary_flags(density, points)
-    return DiscreteCurve(
-        points=points,
-        normals=normals,
-        curvature=k,
-        closed=closed,
-        boundary_start=flags[0],
-        boundary_end=flags[1],
-    )
+    return DiscreteCurve(points=points, normals=normals, curvature=k, closed=closed)
 
 
 def f_mean_curvature(density: Density, curve: DiscreteCurve) -> np.ndarray:
@@ -363,8 +337,8 @@ def cmc_shoot(
     The tangent angle obeys θ′ = k(p, θ) = target + ⟨∇ψ(p), N(θ)⟩ with
     N(θ) = (−sin θ, cos θ), integrated by classical RK4 at fixed
     arclength step.  The march stops at max_length or on reaching a slab
-    wall, in which case the final step is shortened by bisection to land
-    on the wall and the endpoint is flagged.
+    wall, in which case the final step is shortened by bisection so that
+    the last node's height is the wall's, exactly.
     """
     a, b = density.slab
     x0, t0 = float(start[0]), float(start[1])
@@ -379,7 +353,6 @@ def cmc_shoot(
     deriv, c2, target = density.weight.deriv, 2.0 * density.c, float(target)
     domain = density.weight.domain
     states = [(x0, t0, float(angle))]
-    hit_wall = False
     for _ in range(n_steps):
         nxt = _rk4_step(deriv, c2, target, states[-1], step, domain)
         if a < nxt[1] < b:
@@ -411,7 +384,6 @@ def cmc_shoot(
             frac = landing(base, 1.0, 2.0)
         landed = _rk4_step(deriv, c2, target, base, frac * step, domain)
         states.append((landed[0], wall, landed[2]))
-        hit_wall = True
         break
 
     if len(states) < 3:
@@ -421,13 +393,7 @@ def cmc_shoot(
     normals = np.stack((-np.sin(theta), np.cos(theta)), axis=-1)
     grad = log_density_gradient(density, points)
     k = target + np.sum(grad * normals, axis=-1)
-    return DiscreteCurve(
-        points=points,
-        normals=normals,
-        curvature=k,
-        boundary_start=False,
-        boundary_end=hit_wall,
-    )
+    return DiscreteCurve(points=points, normals=normals, curvature=k)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +442,9 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     to an end on a wall, where shooting shortens the last segment, those
     differences and the centered tangent are only O(h) on the uneven
     spacing; there the derivatives come from the Frenet relation instead
-    (_frenet_derivatives), third order in the spacing.
+    (_frenet_derivatives), third order in the spacing.  An end is on a
+    wall when its height equals a finite slab end exactly, the height
+    cmc_shoot lands on.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (2,) or abs(math.hypot(eta[0], eta[1]) - 1.0) > 1e-12 or abs(eta[1]) > 1e-12:
@@ -497,9 +465,8 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     d2h = 2.0 * ((h2 - h1) / dr - (h1 - h0) / dl) / (dl + dr)
     psi_t = _tangential_gradient_log_density(density, curve)[1:-1]
     n = curve.n_nodes
-    for on_wall, node, window in ((curve.boundary_start, 1, slice(0, 4)),
-                                  (curve.boundary_end, n - 2, slice(n - 4, n))):
-        if on_wall and n >= 4:
+    for end, node, window in ((0, 1, slice(0, 4)), (n - 1, n - 2, slice(n - 4, n))):
+        if curve.points[end, 1] in density.slab and n >= 4:
             dh[node - 1], d2h[node - 1], psi_t[node - 1] = _frenet_derivatives(
                 density, curve, s, eta, node, window)
     ric = bakry_emery_curvature(density, curve.points[1:-1], curve.normals[1:-1])

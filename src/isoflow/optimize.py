@@ -30,11 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .geometry import DiscreteCurve, _boundary_flags
+from .geometry import DiscreteCurve
 from .profiles import _perpendicular_lines
 from .weights import Density, _csv_table, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, log_density, log_density_gradient
-from .weights import tail_interval, total_weighted_volume
+from .weights import total_weighted_volume
 
 __all__ = [
     "ChordSpline",
@@ -196,7 +196,7 @@ def make_straight_chord(
     Infinite slab sides are replaced by the weighted tail cutoff, beyond
     which the discarded mass is negligible at working tolerances.
     """
-    lo, hi = tail_interval(density)
+    lo, hi = density.cut
     x_top = x_bottom if x_top is None else x_top
     if not (math.isfinite(x_bottom) and math.isfinite(x_top)):  # before the ramp, where inf * 0 warns
         raise GeometryError("control abscissas must be finite")
@@ -517,11 +517,4 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     points = np.stack((x, np.clip(t, a, b)), axis=-1)
     normals = np.stack((-dt / speed, dx / speed), axis=-1)
     curvature = -dt * d2x / speed**3
-    flags = _boundary_flags(density, points)
-    return DiscreteCurve(
-        points=points,
-        normals=normals,
-        curvature=curvature,
-        boundary_start=flags[0],
-        boundary_end=flags[1],
-    )
+    return DiscreteCurve(points=points, normals=normals, curvature=curvature)

@@ -116,7 +116,8 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
     started from the linear function (which overlaps the monotone gap
     eigenvector).  Its largest Ritz value is 1/λ.  The face fluxes
     g_i (u_{i+1} − u_i) = −Σ_{j≤i} w_j v_j are summed from whichever end
-    carries less mass, so tails do not cancel.  The returned eigenvector
+    carries less mass, and u outward from the median cell, where it is
+    pinned to 0, so tails do not cancel.  The returned eigenvector
     is mean-zero, mass-normalized and increasing; a run that does not
     converge raises ConsistencyError with the pencil's conditioning.
     """
@@ -129,7 +130,8 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
     def green(v: np.ndarray) -> np.ndarray:
         f = w * v
         flux = np.concatenate((-f[:median].cumsum(), f[:median:-1].cumsum()[::-1]))
-        u = np.concatenate(([0.0], (flux / g).cumsum()))
+        d = flux / g
+        u = np.concatenate((-d[:median][::-1].cumsum()[::-1], [0.0], d[median:].cumsum()))
         return u - float(u @ w) / total
 
     q = t - float(t @ w) / total

@@ -15,6 +15,7 @@ least β/α, the mechanism behind the perpendicular comparison bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -53,6 +54,13 @@ QUANTILE_CLIP = 1e-14
 _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
+@functools.lru_cache(maxsize=8)
+def _gaussian_line(c: float) -> Density:
+    """The source e^{−cs²} on ℝ, built once per c: a Density computes its
+    engine's cut interval when it is built."""
+    return Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
+
+
 class TransportMap(_Frozen):
     """Monotone rearrangement ρ = CDF₂⁻¹ ∘ CDF₁ of the Gaussian onto target,
     sampled on a strictly increasing grid s of the source line.
@@ -80,7 +88,7 @@ class TransportMap(_Frozen):
         if np.any(np.diff(s) <= 0.0):
             raise ConsistencyError("sample grid must be strictly increasing")
         c, cum = target.c, target.cumulative
-        source = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
+        source = _gaussian_line(c)
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
         q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and 1 - CDF, each exact in its own tail
@@ -95,15 +103,10 @@ class TransportMap(_Frozen):
                           alpha=alpha, beta=beta, n_clipped=n_clipped)
 
 
-def build_transport(
-    density: Density,
-    s_grid=None,
-    grid_size: int = 2001,
-    require_concave: bool = True,
-) -> TransportMap:
-    """The TransportMap onto density, on s_grid sorted or by default on
-    grid_size points spanning source quantiles 1e−13 to 1 − 1e−13; a
-    non-concave weight is refused unless require_concave is false.
+def build_transport(density: Density, require_concave: bool = True) -> TransportMap:
+    """The TransportMap onto density on 2001 points spanning source
+    quantiles 1e−13 to 1 − 1e−13; a non-concave weight is refused unless
+    require_concave is false.  A map on another grid s is TransportMap(density, s).
     """
     if require_concave:
         report = check_concavity(density.weight)
@@ -111,12 +114,8 @@ def build_transport(
             raise ConsistencyError(
                 f"transport source requires a concave weight: {report.detail}"
             )
-    if s_grid is None:
-        span = _Z_GRID / math.sqrt(2.0 * density.c)
-        s = np.linspace(-span, span, grid_size)
-    else:
-        s = np.sort(np.asarray(s_grid, dtype=float))
-    return TransportMap(density, s)
+    span = _Z_GRID / math.sqrt(2.0 * density.c)
+    return TransportMap(density, np.linspace(-span, span, 2001))
 
 
 class ContractionReport(NamedTuple):

@@ -30,7 +30,8 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     by one tail rule, shared with the spectral pencil: beyond a cut inside
     the slab a Gaussian-type dominating bound (the exact square of a
     quadratic weight, else a tangent or constant) has mass below 1e-15.
-    A finite slab too wide for the engine's panels is refused,
+    A slab whose cut interval (Density.cut) is too wide for the engine's
+    panels is refused when its Density is built,
   * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
     on a numpy erfc and Wichura's AS241 normal quantile.
 """
@@ -339,15 +340,22 @@ class Density(_Value):
         if isinstance(weight, LogPowerWeight) and a == 0.0 and weight.m <= -1.0:
             raise DomainError("density is not integrable: log-power m <= -1 at t = 0")
         quadratic = isinstance(weight, QuadraticWeight)
-        if math.isfinite(a) and math.isfinite(b):
-            # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
-            c_eff = c + max(weight.kappa, 0.0) if quadratic else c
-            if (b - a) / _N_PANELS > 4.0 / math.sqrt(2.0 * c_eff):
-                raise DomainError(f"slab ({a!r}, {b!r}) is too wide for the engine: each of its {_N_PANELS} "
-                                  "panels would span over 4 Gaussian widths; make a far side infinite")
-        elif quadratic and c + weight.kappa <= 0.0:
+        finite = math.isfinite(a) and math.isfinite(b)
+        if quadratic and not finite and c + weight.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
         vars(self).update(weight=weight, c=c, slab=(a, b))
+        # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
+        lo, hi = self.cut
+        c_eff = c + max(weight.kappa, 0.0) if quadratic else c
+        if (hi - lo) / _N_PANELS > 4.0 / math.sqrt(2.0 * c_eff):
+            cut, cure = ("", "; make a far side infinite") if finite else (f", cut to ({lo!r}, {hi!r}),", "")
+            raise DomainError(f"slab ({a!r}, {b!r}){cut} is too wide for the engine: each of its "
+                              f"{_N_PANELS} panels would span over 4 Gaussian widths{cure}")
+
+    @functools.cached_property
+    def cut(self) -> tuple[float, float]:
+        """tail_interval(self), the interval the engine integrates, computed once per Density."""
+        return tail_interval(self)
 
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
@@ -695,7 +703,7 @@ class CumulativeDensity1D:
 
     def __init__(self, density: Density):
         w, c, self._fn = density.weight, density.c, density.slab_factor
-        lo, hi = tail_interval(density)
+        lo, hi = density.cut
         m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         self.breaks = breaks = np.linspace(lo, hi, _N_PANELS + 1)
         self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)

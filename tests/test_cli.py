@@ -228,7 +228,7 @@ GOLDEN_CSV_SHA256 = {
         "optimize_trace.csv": "c507f526bdf1dfa158e458d9f89d35dcd1ab8fc107d07bf04f316d4d46b3900e",
         "profile_parallel.csv": "8901e38966bfa5831a58484a036542af699673ec8c45bc302d9f89bd634a9ed7",
         "profile_perp.csv": "5df770e52de16a0a6105106fc95e3dba2a69179f0a38d4a564a47273a671eb2e",
-        "spectrum.csv": "cf1414aa9e907970092b80c567e246701534e1ed39889bd790707426f5ae30d4",
+        "spectrum.csv": "0a18509d4b515c483d9709b522fe293db08ec25dc75e0b451fb5c631d2857758",
         "transport.csv": "15e3b3bf613b6d10e760ae6522e578c1ed0bfa0d357c5ede8123397d04aede21",
     },
     "quadratic": {
@@ -238,7 +238,7 @@ GOLDEN_CSV_SHA256 = {
         "optimize_trace.csv": "4726869db1fa7e763fd619a98bedb911730c500d781f72667f49feca1b1bcea0",
         "profile_parallel.csv": "d8001fd39161787b99f6ac54fc6749eb25972ad18f122b34a06c29a860c9d6a0",
         "profile_perp.csv": "57e761d38fb316dfcc9583978ff145cce0584d6d08c934c5e25d79e4f015b63c",
-        "spectrum.csv": "f1fd66a8ee4fa13a5107c0787adca30ef318d2dd41f75e1d23cdd4c2f46fc077",
+        "spectrum.csv": "79aa2a2b988beef16550c786630e25fe6dea6e6521efdffbad2e20c1d7042774",
         "transport.csv": "39cd0bebd96e126c99fbe2032b5b60806131e7fbebbf09ebfd4eee24e4b7f6ff",
     },
 }
@@ -252,18 +252,18 @@ GOLDEN_JSON_SHA256 = {
         "compare.json": "634874ba7e4127b93782d167bd08fa941a0fb2f75d8b73f55f8d6bc9d4b1cf3e",
         "jacobi.json": "765c06a980a4f3ba35cc4883ec9b6c08e6d9435e87125f24f80ae11b2b854428",
         "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
-        "spectrum.json": "5d6e8242c87bf645007b3d0df403240aec3593bcccf3de6c494e214ddf2e2b0e",
+        "spectrum.json": "adaf8a3eccff557580492a0b3cc8397c92edbbd2363d88f9d4da45c87e456246",
         "stability.json": "7ac3e75ff568236ac163da259d0ea2c33451908bf5207e17399d8335e2913831",
-        "summary.json": "1b76644dadf2049574c70acc9f5e87081782668d6ec42c7600268a9c96bf2f4e",
+        "summary.json": "11a2f0dcbffdb2c29f219c0ec7e8966636ae1f6d2a4d80818d1237d2b758e210",
         "transport.json": "ce530472669e6f38232d75e80b0d186c14bcb1422d0f38ddf607da01ccfec50b",
     },
     "quadratic": {
         "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
         "jacobi.json": "3b4453170dcefad1b38fdb69d310bbb5eb76ff30f568655a03f2906ac8f88148",
         "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
-        "spectrum.json": "d38ae8c33c66368d88adc0930be6cef023195323c439388bb45ddb27c2803cd6",
+        "spectrum.json": "fef21417fe871a54a13c2d1748256caf8ec87b1814834652fd63d0957f63b2ca",
         "stability.json": "5dc91ccdaa5d8f8edb3b3c20ed3359a799efb9f5105605a85c4b761737061c98",
-        "summary.json": "4ef5c256de34ef73279e81a861a9f971994357016cdf8825fae027c60fdf553b",
+        "summary.json": "0aea214df99bb4de95a00fdabaa7dfe79139432dac90ad84703463cf78429ea4",
         "transport.json": "f3ccdf47b5c907f8dcae3d8c62776e437f461fd2d6a4b84736986b2ab1661261",
     },
 }
@@ -1090,6 +1090,18 @@ class TestOneTailRule:
         cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 1\nslab = -600, 600\n", "wide.cfg")
         assert load_config(cfg).density.slab == (-600.0, 600.0)
 
+    def test_a_half_infinite_slab_too_wide_for_the_engine_exits_1_at_load(self, tmp_path, capsys):
+        """Zero weight, c = 1/2 on (-1e4, inf) is cut to (-1e4, 10.88), so a
+        panel spans 16.7 Gaussian widths and the engine total was off by
+        -9.67e-3 relative.  The refusal names the cut, and asks for no
+        infinite side, which the slab already has."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.5\nslab = -1e4, inf\n")
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "too wide" in err and "cut to (-10000.0, 10.88" in err and "infinite" not in err
+
     def test_a_slab_whose_mass_underflows_exits_1_at_load(self, tmp_path, capsys):
         """Zero weight, c = 1/2 on (40, inf): the slab factor underflows to 0.
         The run ended in a ZeroDivisionError traceback."""
@@ -1098,6 +1110,21 @@ class TestOneTailRule:
         assert main(["all", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert "slab mass 0.0: " in capsys.readouterr().err
+
+
+class TestGapWithTheMassAtTheRightEnd:
+    @pytest.mark.parametrize("weight, params, slab", [("affine", "30, 0", "-inf, 20"),
+                                                      ("quadratic", "1, 60, 0", "-inf, 15")])
+    def test_spectrum_verifies(self, tmp_path, weight, params, slab):
+        """Concave weights whose mass sits at the pencil's right end: the
+        Green's solve pinned u at the left end and read lambda = 0.0740 and
+        0.105, a false violation of lambda >= 2c = 1 (exit 2)."""
+        cfg = write_cfg(tmp_path, f"[density]\nweight = {weight}\nparams = {params}\nc = 0.5\nslab = {slab}\n")
+        out = str(tmp_path / "out")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        record = read_json(out, "spectrum.json")
+        assert record["status"] == "verified"
+        assert record["metrics"]["lambda"] > 30.0
 
 
 class TestJacobiWallLanding:

@@ -114,6 +114,12 @@ def _array_rk4_step(density, target, state, h):
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def on_wall(density, curve) -> tuple[bool, bool]:
+    """Whether each end's height equals a finite slab end exactly, the rule
+    jacobi_residual applies."""
+    return curve.points[0, 1] in density.slab, curve.points[-1, 1] in density.slab
+
+
 def reference_march(advance, slab, start, angle, step, max_length):
     """cmc_shoot's march with a full 80-probe wall-landing bisection.
 
@@ -320,11 +326,11 @@ class TestCmcShoot:
         assert np.max(np.abs(dev)) <= 1e-9
 
     def test_wall_landing_truncates_and_flags(self):
+        """The landing node's height is the wall's exactly, the rule
+        jacobi_residual reads an end on a wall by; the start is inside."""
         curve = cmc_shoot(UNIT_SLAB, 0.0, (0.5, 0.5), angle=math.pi / 3, step=1e-3, max_length=5.0)
-        assert curve.boundary_end
-        assert not curve.boundary_start
-        t_end = curve.points[-1, 1]
-        assert min(abs(t_end - 0.0), abs(t_end - 1.0)) <= 1e-9
+        assert on_wall(UNIT_SLAB, curve) == (False, True)
+        assert curve.points[-1, 1] in (0.0, 1.0)
         assert curve.arclength()[-1] < 5.0
 
     def test_start_outside_slab_rejected(self):
@@ -365,7 +371,7 @@ class TestFloatShooting:
         ref, landed, _ = reference_march(
             lambda s, h: _array_rk4_step(density, target, s, h), slab, start, angle, 2e-3, 2.0
         )
-        assert curve.boundary_end == landed == wall
+        assert on_wall(density, curve)[1] == landed == wall
         assert curve.points.shape == ref[:, :2].shape
         # relative error with a unit floor, since coordinates cross zero
         assert np.max(np.abs(curve.points - ref[:, :2]) / np.maximum(np.abs(ref[:, :2]), 1.0)) <= 1e-13
@@ -412,7 +418,6 @@ class TestFloatShooting:
         # where it is read at the span's end, so the shot lands on t = 1
         density = Density(self.PIECEWISE, 0.5, 2, (-1.0, 1.0))
         curve = cmc_shoot(density, 0.0, (0.3, 0.1), 1.2, step=2e-3, max_length=2.0)
-        assert curve.boundary_end
         assert curve.points[-1, 1] == 1.0
 
     def test_piecewise_knot_raises_smoothness_error(self):
@@ -471,7 +476,7 @@ class TestJacobiResidual:
         errs = []
         for h in (4e-3, 2e-3, 1e-3):
             curve = cmc_shoot(density, target, start, angle=angle, step=h, max_length=8.0)
-            assert curve.boundary_end
+            assert on_wall(density, curve) == (False, True)
             errs.append(jacobi_residual(density, curve, (1.0, 0.0)))
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 

@@ -775,8 +775,9 @@ class TestChordCurve:
         (ZeroWeight(), (-math.inf, math.inf), (False, False)),
     ])
     def test_only_ends_on_a_finite_wall_are_flagged(self, weight, slab, flags):
-        """Both ends were flagged as on a wall, also an end at the tail
-        cutoff of an infinite side, which is not part of the boundary."""
+        """An end on a finite wall sits at the wall's height exactly, the
+        rule jacobi_residual applies; an end at the tail cutoff of an
+        infinite side is not part of the boundary."""
         density = Density(weight, 0.5, 2, slab)
         curve = opt.chord_curve(density, make_straight_chord(density, -0.3, 0.3))
-        assert (curve.boundary_start, curve.boundary_end) == flags
+        assert (curve.points[0, 1] in density.slab, curve.points[-1, 1] in density.slab) == flags

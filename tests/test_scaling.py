@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 from isoflow import (
     Density,
     QuadraticWeight,
+    TransportMap,
     ZeroWeight,
     build_profile,
     build_spectral_problem,
@@ -65,7 +66,7 @@ def test_profiles_scale(name, slab, family):
 def test_transport_scales(name, slab):
     d, scaled = pair(name, slab)
     m = build_transport(d)
-    n = build_transport(scaled, s_grid=L * m.s)
+    n = TransportMap(scaled, L * m.s)
     assert_allclose(n.rho, L * m.rho, rtol=0.0, atol=1e-13)
     assert_allclose(n.drho, m.drho, rtol=0.0, atol=1e-13)
 

@@ -271,6 +271,16 @@ class TestPoincareCertify:
             assert cert.lambda_value - 2.0 * d.c >= -1e-6
             assert cert.truncation_shift == 0.0
 
+    def test_a_mirrored_slab_has_the_same_gap(self):
+        """ω = 30t on (−∞, 20) puts the mass at the pencil's right end.  The
+        Green's solve pinned u at the left end and lost the gap to
+        cancellation there: 0.0740, against 32.586 on the mirror image
+        ω = −30t on (−20, ∞).  Pinned at the median cell both read 32.586."""
+        left = poincare_certify(Density(AffineWeight(30.0, 0.0), 0.5, 2, (-INF, 20.0)))
+        right = poincare_certify(Density(AffineWeight(-30.0, 0.0), 0.5, 2, (-20.0, INF)))
+        assert abs(left.lambda_value / right.lambda_value - 1.0) <= 1e-12
+        assert right.lambda_value > 30.0
+
     def test_nonconcave_diagnostic_violation(self):
         """κ = −0.4 flattens the measure to c′ = 0.1: gap 0.2 < 2c."""
         d = Density(QuadraticWeight(-0.4, 0.0, 0.0), 0.5, 2, (-INF, INF))

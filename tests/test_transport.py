@@ -47,6 +47,12 @@ INF = math.inf
 GAUSS_LINE = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
 
 
+def default_grid(c: float, n: int) -> np.ndarray:
+    """build_transport's span of source quantiles 1e-13 to 1 - 1e-13, on n points."""
+    span = transport._Z_GRID / math.sqrt(2.0 * c)
+    return np.linspace(-span, span, n)
+
+
 def resample_by_arclength(points: np.ndarray, n: int) -> np.ndarray:
     seg = np.hypot(*np.diff(points, axis=0).T)
     s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -102,7 +108,7 @@ class TestBuildTransport:
         grid = np.linspace(-12.0, 12.0, 101)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m = build_transport(GAUSS_LINE, s_grid=grid)
+            m = TransportMap(GAUSS_LINE, grid)
         assert m.n_clipped > 0
         assert np.all(np.isfinite(m.rho))
 
@@ -131,16 +137,6 @@ class TestBuildTransport:
         name the grid."""
         with pytest.raises(ConsistencyError, match="sample grid must be finite"):
             TransportMap(GAUSS_LINE, grid)
-        with pytest.raises(ConsistencyError, match="sample grid must be finite"):
-            build_transport(GAUSS_LINE, s_grid=grid)
-
-    def test_build_transport_is_the_map_on_the_sorted_grid(self):
-        d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
-        g = np.random.default_rng(7).normal(0.0, 3.0, 41)
-        built, direct = build_transport(d, s_grid=g), TransportMap(d, np.sort(g))
-        for name in ("s", "rho", "drho", "alpha", "beta", "n_clipped"):
-            assert np.array_equal(getattr(built, name), getattr(direct, name)), name
-        assert built.target is direct.target and built.source == direct.source
 
 
 class TestCheckContraction:
@@ -176,7 +172,7 @@ class TestCheckContraction:
     )
     def test_concave_weights_always_contract(self, kappa, a0, c):
         d = Density(QuadraticWeight(kappa, a0, 0.0), c, 2, (-INF, INF))
-        rep = check_contraction(build_transport(d, grid_size=501))
+        rep = check_contraction(TransportMap(d, default_grid(c, 501)))
         assert rep.certified
 
 
@@ -485,7 +481,7 @@ class TestOneCallPerBatch:
 
 class TestTransportCsv:
     def test_header_and_roundtrip(self):
-        m = build_transport(GAUSS_LINE, grid_size=9)
+        m = TransportMap(GAUSS_LINE, default_grid(0.5, 9))
         text = transport_csv(m)
         lines = text.strip().split("\n")
         assert lines[0] == "s,rho,drho"

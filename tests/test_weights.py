@@ -25,6 +25,7 @@ from isoflow import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     SmoothnessError,
+    TransportMap,
     Weight1D,
     ZeroWeight,
     bakry_emery_curvature,
@@ -41,6 +42,7 @@ from isoflow import (
     vertical_segment,
 )
 from isoflow.spectrum import build_spectral_problem
+from isoflow.transport import _Z_GRID
 from isoflow.weights import (
     _TAIL_MASS,
     _erfc,
@@ -572,6 +574,22 @@ class TestDensityValidation:
         assert abs(slab_mass(d) / exact - 1.0) <= 1e-15
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["right_infinite", "left_infinite"])
+    def test_a_half_infinite_slab_is_judged_on_its_cut(self, sign):
+        """The panel rule reads the interval the engine integrates: zero
+        weight, c = 1/2 on (-1e4, inf) is cut to (-1e4, 10.88), 16.7 Gaussian
+        widths a panel, and its total was off by -9.67e-3.  (-1e3, inf) and
+        (-2e3, inf), 1.7 and 3.4 widths, load and integrate to sqrt(2 pi)."""
+        def slab(far):
+            return tuple(sorted((sign * far, sign * INF)))
+
+        with pytest.raises(DomainError, match=r"cut to .* too wide"):
+            Density(ZeroWeight(), 0.5, 2, slab(-1e4))
+        for far in (-1e3, -2e3):
+            d = Density(ZeroWeight(), 0.5, 2, slab(far))
+            assert abs(slab_mass(d) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-14
+
+
 # one instance's parameters per weight kind, on a domain holding the slab (0.25, 1)
 WEIGHT_PARAMS = [
     (ZeroWeight, ()),
@@ -600,7 +618,7 @@ def records() -> dict:
     built = {cls.__name__: cls(*params) for cls, params in WEIGHT_PARAMS}
     built.update(
         Density=d,
-        TransportMap=build_transport(d, grid_size=33),
+        TransportMap=TransportMap(d, np.linspace(-_Z_GRID, _Z_GRID, 33)),  # build_transport's span at c = 1/2
         DiscreteCurve=vertical_segment(d, 0.2, n=11),
         Profile=build_profile(d, "parallel", grid_size=9),
         SpectralProblem=build_spectral_problem(d, n_cells=16),
