@@ -61,7 +61,7 @@ def _rot90(v: np.ndarray) -> np.ndarray:
 
 
 def _segment_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
-    d = np.diff(points, axis=0)
+    d = points[1:] - points[:-1]
     ell = np.hypot(d[:, 0], d[:, 1])
     if closed:
         gap = points[0] - points[-1]
@@ -164,7 +164,7 @@ def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
     """np.gradient(theta, s, edge_order=2) by its own operations: second-order
     differences inside and one-sided at the ends, the uniform formulas when
     every step of s is equal."""
-    ds = np.diff(s)
+    ds = s[1:] - s[:-1]
     k = np.empty(theta.shape)
     if (ds == ds[0]).all():
         k[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * ds[0])
@@ -208,7 +208,7 @@ def straight_segment(density: Density, p0, p1, n: int = 201) -> DiscreteCurve:
         raise GeometryError("segment endpoints coincide")
     tangent = chord / length
     normal = _rot90(tangent)
-    return DiscreteCurve(points=points, normals=np.tile(normal, (n, 1)), curvature=np.zeros(n))
+    return DiscreteCurve(points=points, normals=np.broadcast_to(normal, (n, 2)), curvature=np.zeros(n))
 
 
 def vertical_segment(density: Density, x0: float, n: int = 201) -> DiscreteCurve:

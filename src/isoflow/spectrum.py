@@ -69,7 +69,7 @@ class SpectralProblem(_Frozen):
             raise DomainError("spectral problem needs at least 16 cells")
         if w.shape != t.shape or g.shape != (t.size - 1,):
             raise ConsistencyError("inconsistent spectral problem arrays")
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(t[1:] - t[:-1] <= 0.0):
             raise ConsistencyError("nodes must be strictly increasing")
         if np.any(w <= 0.0) or np.any(g <= 0.0):
             raise ConsistencyError("measure weights and conductances must be positive")

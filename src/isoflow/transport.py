@@ -61,6 +61,25 @@ def _gaussian_line(c: float) -> Density:
     return Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
 
 
+def _source_side(c: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The source's CDF and 1 − CDF at s, each exact in its own tail and
+    clipped to [1e−14, 1 − 1e−14], the number of clipped points, and the
+    source factor e^{−cs²}; the arrays are read-only."""
+    q, q_up = gaussian_cdf(c, np.stack((s, -s)))
+    n_clipped = int(np.count_nonzero((q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)))
+    if n_clipped:
+        q, q_up = np.clip(np.stack((q, q_up)), QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
+    return _read_only(q), _read_only(q_up), n_clipped, _read_only(_gaussian_line(c).slab_factor(s))
+
+
+@functools.lru_cache(maxsize=8)
+def _default_source(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """build_transport's 2001-point grid and its _source_side, computed once per c."""
+    span = _Z_GRID / math.sqrt(2.0 * c)
+    s = _read_only(np.linspace(-span, span, 2001))
+    return (s, *_source_side(c, s))
+
+
 class TransportMap(_Frozen):
     """Monotone rearrangement ρ = CDF₂⁻¹ ∘ CDF₁ of the Gaussian onto target,
     sampled on a strictly increasing grid s of the source line.
@@ -69,9 +88,9 @@ class TransportMap(_Frozen):
     target and s:
     source: the Gaussian line e^{−cs²} on ℝ, with the target's c.
     alpha, beta: reciprocal masses of source and target.
-    rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form, then one batched quantile
-           call on the target's engine, resolved to about one ulp and made
-           nondecreasing by a running maximum.
+    rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form (cached per c on build_transport's
+           grid), then one batched quantile call on the target's engine,
+           resolved to about one ulp and made nondecreasing by a running maximum.
     drho:  ρ′(s_i) from the change-of-variables identity, never from
            differences.
     n_clipped: grid points whose source quantile fell outside
@@ -85,20 +104,17 @@ class TransportMap(_Frozen):
             raise ConsistencyError("sample grid must be finite")
         if s.ndim != 1 or s.size < 2:
             raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
-        if np.any(np.diff(s) <= 0.0):
+        if np.any(s[1:] - s[:-1] <= 0.0):
             raise ConsistencyError("sample grid must be strictly increasing")
         c, cum = target.c, target.cumulative
         source = _gaussian_line(c)
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
-        q, q_up = gaussian_cdf(c, np.stack((s, -s)))  # the CDF and 1 - CDF, each exact in its own tail
-        clipped = (q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)
-        n_clipped = int(np.count_nonzero(clipped))
-        if n_clipped:
-            q = np.clip(q, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-            q_up = np.clip(q_up, QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
+        grid, q, q_up, n_clipped, factor = _default_source(c)
+        if not np.array_equal(s, grid):
+            q, q_up, n_clipped, factor = _source_side(c, s)
         rho = np.maximum.accumulate(cum.quantile(q, q_up))
-        drho = alpha * source.slab_factor(s) / (beta * target.slab_factor(rho))
+        drho = alpha * factor / (beta * target.slab_factor(rho))
         vars(self).update(source=source, target=target, rho=_read_only(rho), drho=_read_only(drho),
                           alpha=alpha, beta=beta, n_clipped=n_clipped)
 
@@ -114,8 +130,7 @@ def build_transport(density: Density, require_concave: bool = True) -> Transport
             raise ConsistencyError(
                 f"transport source requires a concave weight: {report.detail}"
             )
-    span = _Z_GRID / math.sqrt(2.0 * density.c)
-    return TransportMap(density, np.linspace(-span, span, 2001))
+    return TransportMap(density, _default_source(density.c)[0])
 
 
 class ContractionReport(NamedTuple):

@@ -358,6 +358,13 @@ class Density(_Value):
         return tail_interval(self)
 
     @functools.cached_property
+    def _reach(self) -> tuple:
+        """_tail_reach of the left and the right side, None for a finite one, computed
+        once per Density: the engine's cut and every spectral pencil derive from it."""
+        return tuple(_tail_reach(self, right) if math.isinf(end) else None
+                     for right, end in zip((False, True), self.slab))
+
+    @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
         """The slab factor's 1-D measure engine, built once per Density.
 
@@ -392,7 +399,7 @@ def gaussian_factor(c: float) -> float:
 
 
 def _horner(coefficients, x: np.ndarray) -> np.ndarray:
-    """Polynomial with the given coefficients (highest power first) at x."""
+    """Polynomial with the given coefficients (highest power first) at x, or one per column."""
     out = coefficients[0] * x
     out += coefficients[1]
     for c in coefficients[2:]:
@@ -451,10 +458,10 @@ def gaussian_cdf(c: float, s):
     return 0.5 * _erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
 
 
-# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard
-# library's statistics.NormalDist: for the central branch and the two tail
-# branches, numerator then denominator, highest power first
-_AS241 = tuple(np.reshape(branch, (2, 8)) for branch in (
+# Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard library's
+# statistics.NormalDist: for the central branch and the two tail branches, numerator
+# then denominator, highest power first, stored as one column each for one Horner pass
+_AS241 = tuple(np.reshape(branch, (2, 8)).T[:, :, None] for branch in (
     (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
      13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665,
      5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
@@ -471,8 +478,8 @@ _AS241 = tuple(np.reshape(branch, (2, 8)) for branch in (
 
 
 def _as241(branch: int, r: np.ndarray) -> np.ndarray:
-    numerator, denominator = _AS241[branch]
-    return _horner(numerator, r) / _horner(denominator, r) if r.size else r
+    numerator, denominator = _horner(_AS241[branch], r) if r.size else (r, 1.0)
+    return numerator / denominator
 
 
 def gaussian_quantile(c: float, q, q_upper):
@@ -484,7 +491,9 @@ def gaussian_quantile(c: float, q, q_upper):
     three branches evaluated on its own elements only.  A probability that
     is nan or outside [0, 1] raises DomainError.
     """
-    q, q_upper = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float))
+    q, q_upper = np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float)
+    if q.shape != q_upper.shape:
+        q, q_upper = np.broadcast_arrays(q, q_upper)
     shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
     if not ((q >= 0.0) & (q <= 1.0) & (q_upper >= 0.0) & (q_upper <= 1.0)).all():
         raise DomainError("gaussian quantile probabilities must lie in [0, 1]")
@@ -567,7 +576,13 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
 def _one_sided_cutoff(density: Density, right: bool, pad: float) -> float:
     """Truncation point for an infinite slab side: the tail beyond it
     carries mass below _TAIL_MASS, and it is padded by pad / sqrt(c_eff).
+    It is derived from the side's _tail_reach, computed once per Density."""
+    x, u_ref, root = density._reach[right]
+    return (1.0 if right else -1.0) * max(x + pad / root, u_ref + 1.0 / root)
 
+
+def _tail_reach(density: Density, right: bool) -> tuple[float, float, float]:
+    """(X, u_ref, sqrt(c_eff)) of a slab side, X the unpadded tail cutoff.
     In u = t (right side) or u = -t (left side) the log slab factor is
     bounded past a reference point u_ref by amp + slope u - c_eff u^2:
     exactly, by (c + kappa, a0, b0), for a quadratic weight; by the tangent
@@ -588,8 +603,7 @@ def _one_sided_cutoff(density: Density, right: bool, pad: float) -> float:
         ref = sign * u_ref
         slope = 0.0 if isinstance(w, LogPowerWeight) and w.m < 0.0 else sign * float(w.deriv(ref))
         amp = float(w.value(ref)) - slope * u_ref
-    cut = _gaussian_tail_cutoff(c_eff, slope, amp, _TAIL_MASS) + pad / root
-    return sign * max(cut, u_ref + 1.0 / root)
+    return _gaussian_tail_cutoff(c_eff, slope, amp, _TAIL_MASS), u_ref, root
 
 
 def tail_interval(density: Density) -> tuple[float, float]:
@@ -641,10 +655,12 @@ def _jacobi_rule(order: int, m: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _node_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k w_k f[k] over the nodes of a nodes-major (order, rows) array, a running
-    sum in node order by elementwise ufuncs: no row's bits depend on the others.
-    The sum accumulates into f."""
+    """sum_k w_k f[k] over the nodes of a nodes-major (order, rows) array, a running sum
+    in node order, so no row's bits depend on the others: numpy reduces axis 0 row
+    after row, but sums a single column pairwise, so that one gets the loop."""
     f *= w[:, None]
+    if f.shape[1] != 1:
+        return np.add.reduce(f, axis=0)
     for k in range(1, len(w)):
         f[0] += f[k]
     return f[0]
@@ -733,11 +749,15 @@ class CumulativeDensity1D:
             if first.any():
                 out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
                 live &= ~first
-        a, b = a[live], b[live]
+        every = live.all()
+        a, b = (a, b) if every else (a[live], b[live])
         half = 0.5 * (b - a)
         t = self._glx[:, None] * half  # the (order, rows) Gauss nodes, built in place
         t += 0.5 * (a + b)
-        out[live] = half * _node_sum(self._fn(t), self._glw)
+        mass = half * _node_sum(self._fn(t), self._glw)
+        if every:
+            return mass
+        out[live] = mass
         return out
 
     def _locate(self, t):
@@ -747,7 +767,7 @@ class CumulativeDensity1D:
         t = np.asarray(t, dtype=float).ravel()
         if np.isnan(t).any():
             raise DomainError("mass abscissa is nan")
-        t = np.clip(t, self.breaks[0], self.breaks[-1])
+        t = np.minimum(np.maximum(t, self.breaks[0]), self.breaks[-1])
         j = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self.breaks.size - 2)
         return t, j, shape
 

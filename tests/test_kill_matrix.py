@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isoflow
@@ -128,6 +129,14 @@ CATCHES = [
 ]
 
 
+def clear_process_caches():
+    """Empty the per-c caches of the transport source (the Gaussian line and
+    build_transport's grid with its CDF sides), so that a run computes them
+    under its own fault and no fault outlives its run in them."""
+    transport._gaussian_line.cache_clear()
+    transport._default_source.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def outcome(tmp_path_factory):
     """(exit code, {stage: status}) of `isoflow all` on a bundled config
@@ -138,8 +147,12 @@ def outcome(tmp_path_factory):
         if (fault, config) not in runs:
             out = tmp_path_factory.mktemp("kill") / "out"
             with pytest.MonkeyPatch.context() as monkeypatch:
+                clear_process_caches()
                 FAULTS[fault](monkeypatch)
-                code = main(["all", "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(out)])
+                try:
+                    code = main(["all", "--config", str(CONFIGS / f"{config}.cfg"), "--out", str(out)])
+                finally:
+                    clear_process_caches()
             verdicts = json.loads((out / "summary.json").read_text(encoding="utf-8"))["verdicts"]
             runs[fault, config] = code, {v["command"]: v["status"] for v in verdicts}
         return runs[fault, config]
@@ -149,6 +162,22 @@ def outcome(tmp_path_factory):
 
 def test_every_fault_has_a_row():
     assert list(TABLE) == list(FAULTS)
+
+
+def test_a_planted_gaussian_cdf_reaches_a_warm_map():
+    """A map built before the plant fills the per-c source cache; with the
+    caches cleared, a map built under a fault in gaussian_cdf reads it."""
+    density = cli.load_config(CONFIGS / "gaussian_slab.cfg").density
+    clean = transport.build_transport(density).rho
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        clear_process_caches()
+        plant("gaussian_cdf", scaled(1.0 - 1e-4), (transport,))(monkeypatch)
+        try:
+            faulty = transport.build_transport(density).rho
+        finally:
+            clear_process_caches()
+    assert not np.array_equal(faulty, clean)
+    assert transport.build_transport(density).rho.tobytes() == clean.tobytes()
 
 
 @pytest.mark.parametrize("config", CONFIG_NAMES)

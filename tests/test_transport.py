@@ -370,6 +370,44 @@ class TestPerimeterBound:
             transported_perimeter_bound(m, bad)
 
 
+class TestSourceSidePerC:
+    """build_transport's grid, its source CDF sides, clip count and source
+    factor are computed once per c and shared, read-only, by every map on
+    that grid; a map on another grid computes its own."""
+
+    def test_the_cached_source_arrays_are_read_only(self):
+        grid, q, q_up, n_clipped, factor = transport._default_source(0.5)
+        assert transport._default_source(0.5)[0] is grid
+        assert n_clipped == 0 and grid.shape == q.shape == q_up.shape == factor.shape == (2001,)
+        for array in (grid, q, q_up, factor):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_a_copy_of_the_default_grid_gives_the_default_map(self, weight, slab):
+        for c in (0.25, 2.0):
+            d = Density(weight, c, 2, slab)
+            want, got = build_transport(d), TransportMap(d, default_grid(c, 2001))
+            for name in ("s", "rho", "drho"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert (got.alpha, got.beta, got.n_clipped) == (want.alpha, want.beta, want.n_clipped)
+
+    def test_another_grid_computes_its_own_levels(self):
+        """Each quantile is batch-independent, so a map on every other node of
+        the default grid, or on the grid with one node moved, agrees with
+        the default map node for node wherever the nodes agree."""
+        d = Density(AffineWeight(0.7, 0.0), 0.5, 2, (0.0, INF))
+        want = build_transport(d)
+        half = TransportMap(d, want.s[::2])
+        assert half.rho.tobytes() == want.rho[::2].tobytes()
+        assert half.drho.tobytes() == want.drho[::2].tobytes()
+        moved = want.s.copy()
+        moved[1000] = 0.5 * (moved[1000] + moved[1001])
+        got, keep = TransportMap(d, moved), np.arange(2001) != 1000
+        assert got.rho[keep].tobytes() == want.rho[keep].tobytes()
+        assert want.rho[1000] < got.rho[1000] < want.rho[1001]
+
+
 @pytest.fixture
 def engine_builds(monkeypatch):
     """Record every CumulativeDensity1D construction."""

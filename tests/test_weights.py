@@ -41,12 +41,15 @@ from isoflow import (
     total_weighted_volume,
     vertical_segment,
 )
-from isoflow.spectrum import build_spectral_problem
+from isoflow import weights
+from isoflow.spectrum import build_spectral_problem, poincare_certify
 from isoflow.transport import _Z_GRID
 from isoflow.weights import (
     _TAIL_MASS,
+    _TAIL_PAD,
     _erfc,
     _gauss_legendre,
+    _node_sum,
     _one_sided_cutoff,
     gaussian_cdf,
     gaussian_quantile,
@@ -794,6 +797,104 @@ class TestOneDensityFormula:
             assert log_density(d, p).tobytes() == d.psi(p[:, 0], p[:, 1]).tobytes()
 
 
+def uncached_cutoff(density, right: bool, pad: float) -> float:
+    """The tail rule computed whole on every call, as _one_sided_cutoff read
+    before each side's unpadded cutoff was cached on its Density."""
+    w, c, sign = density.weight, density.c, 1.0 if right else -1.0
+    quadratic = isinstance(w, QuadraticWeight)
+    c_eff = c + w.kappa if quadratic else c
+    root = math.sqrt(c_eff)
+    end = density.slab[0 if right else 1]
+    u_ref = (sign * end if math.isfinite(end) else 0.0) + max(1.0, 1.0 / root)
+    if quadratic:
+        slope, amp = sign * w.a0, w.b0
+    else:
+        ref = sign * u_ref
+        slope = 0.0 if isinstance(w, LogPowerWeight) and w.m < 0.0 else sign * float(w.deriv(ref))
+        amp = float(w.value(ref)) - slope * u_ref
+    cut = weights._gaussian_tail_cutoff(c_eff, slope, amp, _TAIL_MASS) + pad / root
+    return sign * max(cut, u_ref + 1.0 / root)
+
+
+# the sweeps' weights with an infinite slab side, both affine signs and a
+# convex log-power, on such slabs (pairs outside a weight's domain are skipped)
+CUT_WEIGHTS = [ZeroWeight(), AffineWeight(0.7, 0.0), AffineWeight(-0.7, 0.0), QuadraticWeight(0.5, 0.2, 0.0),
+               QuadraticWeight(1.0), LogPowerWeight(2.0), LogPowerWeight(-0.5)]
+CUT_SLABS = [(0.0, INF), (-INF, 0.0), (-INF, INF), (3.0, INF), (-INF, -3.0)]
+
+
+class TestOneTailCutPerSide:
+    """Each infinite side's unpadded cutoff is computed once per Density; the
+    engine's padded cut and every spectral pencil derive from it, bit for
+    bit as when each call computed the whole rule."""
+
+    def test_derived_cuts_equal_the_whole_rule(self):
+        checked = 0
+        for weight in CUT_WEIGHTS:
+            for slab in CUT_SLABS:
+                if slab[0] < weight.domain[0] or slab[1] > weight.domain[1]:
+                    continue
+                for c in (0.25, 0.5, 2.0):
+                    d = Density(weight, c, 2, slab)
+                    sides = [right for right, end in ((False, slab[0]), (True, slab[1])) if math.isinf(end)]
+                    for right in sides:
+                        for pad in (0.0, _TAIL_PAD):
+                            want = uncached_cutoff(d, right, pad)
+                            assert _one_sided_cutoff(d, right, pad) == want, (weight, slab, c, right, pad)
+                            checked += 1
+                    lo, hi = (uncached_cutoff(d, False, _TAIL_PAD) if math.isinf(slab[0]) else slab[0],
+                              uncached_cutoff(d, True, _TAIL_PAD) if math.isinf(slab[1]) else slab[1])
+                    assert d.cut == (lo, hi)
+                    lo, hi = (uncached_cutoff(d, False, 0.0) if math.isinf(slab[0]) else slab[0],
+                              uncached_cutoff(d, True, 0.0) if math.isinf(slab[1]) else slab[1])
+                    anchor = slab[0] if math.isfinite(slab[0]) else slab[1] if math.isfinite(slab[1]) else 0.0
+                    lo, hi = anchor + 1.0 * (lo - anchor), anchor + 1.0 * (hi - anchor)  # the pencil at pad 1
+                    delta = (hi - lo) / 16
+                    nodes = lo + (np.arange(16) + 0.5) * delta
+                    assert build_spectral_problem(d, n_cells=16).nodes.tobytes() == nodes.tobytes()
+        assert checked == 204
+
+    def test_repeated_certificates_cut_each_side_once(self, monkeypatch):
+        """Two densities on R, three certificates each (two pencils apiece):
+        the tail cutoff is computed once per side per Density."""
+        calls = []
+        cutoff = weights._gaussian_tail_cutoff
+        monkeypatch.setattr(weights, "_gaussian_tail_cutoff", lambda *args: calls.append(args) or cutoff(*args))
+        for _ in range(2):
+            d = Density(AffineWeight(0.7, 0.0), 0.5, 2, (-INF, INF))
+            for _ in range(3):
+                poincare_certify(d, n_cells=64)
+        assert len(calls) == 4
+        assert [args[1] for args in calls[:2]] == [-0.7, 0.7]  # the left side, then the right
+
+    def test_equal_densities_stay_equal_whether_or_not_one_cached_its_cut(self):
+        """A Density caches its sides' cutoffs and its cut when it is built,
+        in its instance dict apart from the compared parameters."""
+        d1, d2 = (Density(AffineWeight(0.7, 0.0), 0.5, 2, (-INF, INF)) for _ in range(2))
+        key = hash(d1)
+        del vars(d2)["_reach"], vars(d2)["cut"]  # d2 as if it had never cut its tails
+        assert d1 == d2 and hash(d1) == hash(d2) == key
+        assert {d1: "cut"}[d2] == "cut"
+        assert d2.cut == d1.cut and d2._reach == d1._reach
+
+
+class TestNodeSum:
+    """Every Gauss rule is a running sum in node order: one axis-0 reduction,
+    which numpy runs row after row, and a loop for a single column, which
+    numpy would sum pairwise.  A numpy that reorders axis-0 reductions fails
+    here."""
+
+    def test_equals_the_sequential_running_sum(self):
+        rng = np.random.default_rng(643)
+        w = _gauss_legendre(12)[1]
+        for columns in (*range(1, 41), 301, 2001, 8193):
+            f = rng.uniform(-1.0, 1.0, (12, columns)) * 10.0 ** rng.uniform(-8.0, 8.0, (12, columns))
+            want = f[0] * w[0]
+            for k in range(1, 12):
+                want = want + f[k] * w[k]
+            assert _node_sum(f.copy(), w).tobytes() == want.tobytes(), columns
+
+
 def floats_below(x: float, n: int) -> np.ndarray:
     """The n floats just below x, nearest first."""
     below = [x]
@@ -1087,6 +1188,10 @@ class TestGaussianQuantile:
         """(nan, nan) read +inf, and (1.5, -0.5) +inf with a RuntimeWarning."""
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
             gaussian_quantile(0.5, q, q_upper)
+
+    def test_a_scalar_broadcasts_against_an_array(self):
+        s = gaussian_quantile(0.3, 0.3, np.array([0.7, 0.7]))
+        assert s.shape == (2,) and s[0] == s[1] == gaussian_quantile(0.3, 0.3, 0.7)
 
     def test_endpoints_and_scalars(self):
         s = gaussian_quantile(0.5, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5])
