@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IsoflowError
+from .errors import ConfigError, ConsistencyError, DomainError, IsoflowError
 from .geometry import curve_csv, cmc_shoot, jacobi_residual, parallel_halfspace_stability
 from .optimize import chord_curve, make_straight_chord, minimize, trace_csv, vertical_chord_length
 from .profiles import build_profile, check_profile_ode, compare_profiles, profile_csv
@@ -42,6 +42,7 @@ from .weights import (
     QuadraticWeight,
     ZeroWeight,
     _Value,
+    check_concavity,
     total_weighted_volume,
 )
 
@@ -53,8 +54,10 @@ __all__ = [
 ]
 
 # the checks' own grids and thresholds, the last five echoed as records' tolerance (spectrum
-# echoes _STABILITY_TOLERANCE * min(1, 2c)); transport also records _PUSHFORWARD_TOLERANCE
+# echoes _STABILITY_TOLERANCE * min(1, 2c)); transport also records _PUSHFORWARD_TOLERANCE and
+# jacobi its arclength steps, coarsest first
 _PROFILE_GRID = 257
+_JACOBI_STEPS = (4e-3, 2e-3, 1e-3)
 _PUSHFORWARD_TOLERANCE = 1e-13
 _JACOBI_EXACT_FLOOR = 1e-9
 _OPTIMIZE_BEATEN_MARGIN = 1e-6
@@ -66,10 +69,11 @@ _OPTIMIZE_RELATIVE_GAP = 5e-3
 
 # section -> key -> (kind, default[, (test, requirement)]); kinds: int, float,
 # bool, str, floats.  A key says what is checked, never how hard: a config
-# that set a check's grid or threshold could make it unable to fail.  A None
-# default is an interior height of the slab, set by load_config.  A range
-# the commands need is checked as its key is read, so a bad setting writes
-# nothing.
+# that set a check's grid, threshold or search space could make it unable to
+# fail or fail on a correct curve.  A None default is an interior height of
+# the slab, set by load_config.  A range the commands need is checked as its
+# key is read, so a bad setting writes nothing; max_length's lets cmc_shoot
+# lay at least two and at most 5e6 of every Jacobi step.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "density": {
         "weight": ("str", "zero"),
@@ -81,9 +85,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "out_dir": ("str", "isoflow_out"),
         "expect_bound": ("bool", False),
     },
-    "transport": {
-        "require_concave": ("bool", True),
-    },
     "stability": {
         "t0": ("float", None),
     },
@@ -92,14 +93,12 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "start_x": ("float", 1.0),
         "start_t": ("float", None),
         "angle": ("float", 1.0),
-        "steps": ("floats", (4e-3, 2e-3, 1e-3),
-                  (lambda h: len(h) >= 2 and len(set(h)) == len(h) and min(h) > 0.0,
-                   "must be at least two distinct step sizes > 0")),
-        "max_length": ("float", 8.0),
+        "max_length": ("float", 8.0,
+                       (lambda v: 2.0 * max(_JACOBI_STEPS) <= v <= 5e6 * min(_JACOBI_STEPS),
+                        f"must lie in [{2.0 * max(_JACOBI_STEPS)}, {5e6 * min(_JACOBI_STEPS)}]")),
     },
     "optimize": {
         "target_fraction": ("float", 0.5, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
-        "n_controls": ("int", 12, (lambda v: 4 <= v <= 64, "must lie in [4, 64]")),
         "x_bottom": ("float", -0.3),
         "x_top": ("float", 0.3),
         "max_iterations": ("int", 400, (lambda v: v >= 1, "must be >= 1")),
@@ -197,11 +196,12 @@ class RunConfig(_Value):
 
 def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
     """Parse an INI file against the schema and build its density; unknown
-    sections and keys (a check's grid or threshold among them), a setting
-    outside its schema row's range (the first in schema order is named), an
-    out_dir that is not UTF-8, an invalid density and a height outside the
-    slab are errors.  out_dir, when given, overrides [run] out_dir;
-    expect_bound, when true, sets [run] expect_bound.
+    sections and keys (a check's grid, threshold or search space among them),
+    a setting outside its schema row's range (the first in schema order is
+    named), an out_dir that is not UTF-8, an invalid density and a height
+    outside the slab are errors.  out_dir, when given, overrides [run]
+    out_dir; expect_bound, when true, sets [run] expect_bound, which admits a
+    non-concave weight to transport and makes spectrum judge its gap.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
     strictly inside the slab, else the slab factor's median.
@@ -344,8 +344,12 @@ def cmd_profile(config: RunConfig) -> _Outcome:
 
 
 def cmd_transport(config: RunConfig) -> _Outcome:
-    require_concave = bool(config.value("transport", "require_concave"))
-    tmap = build_transport(config.density, require_concave=require_concave)
+    # rho' <= 1 is claimed for a concave weight; another one is judged only under expect_bound
+    report = check_concavity(config.density.weight)
+    if not (report.concave or config.value("run", "expect_bound")):
+        raise ConsistencyError(f"transport source requires a concave weight: {report.detail} "
+                               "(set [run] expect_bound or pass --expect-bound to judge it)")
+    tmap = build_transport(config.density)
     _atomic_write(config, "transport.csv", transport_csv(tmap))
     contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
     push = pushforward_check(tmap)
@@ -394,9 +398,8 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
     origin = (float(config.value("jacobi", "start_x")), float(config.value("jacobi", "start_t")))
     angle = float(config.value("jacobi", "angle"))
     max_length = float(config.value("jacobi", "max_length"))
-    steps = sorted(config.value("jacobi", "steps"), reverse=True)
     residuals = []
-    for h in steps:
+    for h in _JACOBI_STEPS:
         finest = cmc_shoot(density, target, origin, angle, step=h, max_length=max_length)
         residuals.append(jacobi_residual(density, finest, (1.0, 0.0)))
     ratios = [
@@ -405,18 +408,18 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
     ]
     ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= _JACOBI_EXACT_FLOOR
     cells = [""] + [repr(float(r)) for r in ratios]
-    rows = [f"{float(h)!r},{float(res)!r},{r}" for h, res, r in zip(steps, residuals, cells)]
+    rows = [f"{h!r},{float(res)!r},{r}" for h, res, r in zip(_JACOBI_STEPS, residuals, cells)]
     _atomic_write(config, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
     _atomic_write(config, "jacobi_curve.csv", curve_csv(finest))
     metrics = {
         "target_hf": target,
-        "steps": list(map(float, steps)),
+        "steps": list(_JACOBI_STEPS),
         "max_residuals": list(map(float, residuals)),
         "ratios": list(map(float, ratios)),
         "n_nodes_finest": finest.n_nodes,
     }
     worst = min(ratios)
-    witness = None if ok else {"location": f"h={steps[ratios.index(worst) + 1]}", "value": worst}
+    witness = None if ok else {"location": f"h={_JACOBI_STEPS[ratios.index(worst) + 1]}", "value": worst}
     return metrics, _JACOBI_MIN_RATIO, witness
 
 
@@ -457,7 +460,6 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
             density,
             x_bottom=float(config.value("optimize", "x_bottom")),
             x_top=float(config.value("optimize", "x_top")),
-            n_controls=int(config.value("optimize", "n_controls")),
         ),
         fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
@@ -541,8 +543,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--expect-bound",
         action="store_true",
-        help="set [run] expect_bound: treat a negative vertical-line index minimum "
-        "lambda_1 - 2c as a violation even for non-concave weights",
+        help="set [run] expect_bound: judge a non-concave weight's transport map and "
+        "treat its negative vertical-line index minimum lambda_1 - 2c as a violation",
     )
     args = parser.parse_args(argv)
     names = tuple(_STAGES) if args.command == "all" else (args.command,)

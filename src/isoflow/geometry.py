@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_PARALLEL_LINE_NODES = 4001
 _QUARTER_TURN = np.array([-1.0, 1.0])
 # the 12-point Gauss-Legendre rule per segment: nodes as fractions of the segment, weights
 _SEGMENT_LAM, _SEGMENT_GL = 0.5 * (_gauss_legendre(12)[0] + 1.0), _gauss_legendre(12)[1]
@@ -503,20 +504,21 @@ class StabilityVerdict(NamedTuple):
     witness_value: float
 
 
-def parallel_halfspace_stability(density: Density, t0: float, n: int = 4001) -> StabilityVerdict:
+def parallel_halfspace_stability(density: Density, t0: float) -> StabilityVerdict:
     """Classify {t < t0} by the sign of ω″(t0), with an index-form witness.
 
     The half-space is weighted stable iff ω″(t0) ≥ 0.  The witness is
     I_f(u,u) for the coordinate function u = x on the horizontal line
-    t = t0, whose exact value is ω″(t0) e^{ω(t0)−c t0²} √(π/c) / (2c):
-    the Gaussian Poincaré part of the form vanishes identically on
-    coordinate functions, leaving the pure ω″ moment.
+    t = t0 of _PARALLEL_LINE_NODES nodes, whose exact value is
+    ω″(t0) e^{ω(t0)−c t0²} √(π/c) / (2c): the Gaussian Poincaré part of
+    the form vanishes identically on coordinate functions, leaving the pure
+    ω″ moment.
     """
     a, b = density.slab
     if not (a < t0 < b):
         raise DomainError("parallel boundary must sit strictly inside the slab")
     d2 = float(np.asarray(density.weight.deriv2(t0)))
-    line = horizontal_segment(density, t0, n=n)
+    line = horizontal_segment(density, t0, n=_PARALLEL_LINE_NODES)
     witness = index_form(density, line, line.points[:, 0])
     return StabilityVerdict(
         verdict="stable" if d2 >= 0.0 else "unstable",

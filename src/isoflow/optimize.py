@@ -54,8 +54,10 @@ __all__ = [
 _QUAD_SUBPANELS = 12
 _QUAD_ORDER = 16
 
-# line search: Armijo sufficient-decrease slope, backtracking factor and
-# budget; Newton step: smallest |eigenvalue| kept, relative to the largest
+# descent: projected-gradient norm that stops it; line search: Armijo
+# sufficient-decrease slope, backtracking factor and budget; Newton step:
+# smallest |eigenvalue| kept, relative to the largest
+_GRADIENT_TOLERANCE = 1e-6
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 40
@@ -111,9 +113,7 @@ class _SplineOperator(NamedTuple):
     coefficients: np.ndarray  # (4, m − 1, m): the basis in power form, from _not_a_knot
 
 
-_OPERATORS: dict[int, _SplineOperator] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _operator(m: int) -> _SplineOperator:
     """Spline operators at Gauss-Legendre nodes aligned with the m knots.
 
@@ -125,18 +125,16 @@ def _operator(m: int) -> _SplineOperator:
     (1 + x'²)^{±3/2} has complex branch points that approach the real
     axis wherever the curve turns steeply.  Built once per m, read-only.
     """
-    if m not in _OPERATORS:
-        x, w = _gauss_legendre(_QUAD_ORDER)
-        edges = np.linspace(0.0, 1.0, (m - 1) * _QUAD_SUBPANELS + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel()
-        coefficients = _not_a_knot(m)
-        fields = [_evaluate_spline(coefficients, theta, nu) for nu in (0, 1, 2)]
-        ends = _evaluate_spline(coefficients, [0.0, 1.0], 1)
-        _OPERATORS[m] = _SplineOperator(*map(_read_only, (theta, weights, *fields, ends, coefficients)))
-    return _OPERATORS[m]
+    x, w = _gauss_legendre(_QUAD_ORDER)
+    edges = np.linspace(0.0, 1.0, (m - 1) * _QUAD_SUBPANELS + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    theta = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    coefficients = _not_a_knot(m)
+    fields = [_evaluate_spline(coefficients, theta, nu) for nu in (0, 1, 2)]
+    ends = _evaluate_spline(coefficients, [0.0, 1.0], 1)
+    return _SplineOperator(*map(_read_only, (theta, weights, *fields, ends, coefficients)))
 
 
 class ChordSpline(_Frozen):
@@ -429,7 +427,6 @@ def _newton_step(hessian: np.ndarray, gradient: np.ndarray, area_gradient: np.nd
 
 def minimize(
     density: Density, chord: ChordSpline, target_area: float, max_iterations: int = 400,
-    gradient_tolerance: float = 1e-6,
 ) -> tuple[ChordSpline, OptimizeTrace]:
     """Modified Newton-KKT descent on the horizontal controls at fixed weighted area.
 
@@ -439,12 +436,11 @@ def minimize(
     and followed by a horizontal-translation area restoration, so the
     constraint holds exactly along the accepted trace; Armijo backtracking
     starts from the full step.  The run terminates on a small projected
-    gradient, the iteration cap, or a failed line search (stalled).
+    gradient (norm below _GRADIENT_TOLERANCE), the iteration cap, or a
+    failed line search (stalled).
     """
     if not target_area > 0.0:
         raise ConfigError("target area must be positive")
-    if not gradient_tolerance > 0.0:
-        raise ConfigError("gradient tolerance must be positive")
     if max_iterations < 1:
         raise ConfigError("iteration budget must be positive")
     chord = _restore_area(density, chord, target_area)
@@ -457,7 +453,7 @@ def minimize(
         length = weighted_length(density, chord)
         area_err = abs(enclosed_area(density, chord) - target_area)
         rows.append((it, length, area_err, gnorm))
-        if gnorm < gradient_tolerance:
+        if gnorm < _GRADIENT_TOLERANCE:
             status = "converged"
             break
         h_length, h_area = _second_variation(density, chord)

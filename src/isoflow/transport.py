@@ -30,7 +30,6 @@ from .weights import (
     _float_arrays,
     _Frozen,
     _read_only,
-    check_concavity,
     gaussian_cdf,
     gaussian_factor,
     gaussian_quantile,
@@ -119,17 +118,11 @@ class TransportMap(_Frozen):
                           alpha=alpha, beta=beta, n_clipped=n_clipped)
 
 
-def build_transport(density: Density, require_concave: bool = True) -> TransportMap:
+def build_transport(density: Density) -> TransportMap:
     """The TransportMap onto density on 2001 points spanning source
-    quantiles 1e−13 to 1 − 1e−13; a non-concave weight is refused unless
-    require_concave is false.  A map on another grid s is TransportMap(density, s).
+    quantiles 1e−13 to 1 − 1e−13, for any weight: ρ′ ≤ 1 is claimed only
+    for a concave one.  A map on another grid s is TransportMap(density, s).
     """
-    if require_concave:
-        report = check_concavity(density.weight)
-        if not report.concave:
-            raise ConsistencyError(
-                f"transport source requires a concave weight: {report.detail}"
-            )
     return TransportMap(density, _default_source(density.c)[0])
 
 

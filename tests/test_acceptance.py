@@ -290,7 +290,7 @@ def test_criterion_07_pushforward_perimeter_bound():
 
 def test_criterion_08_stability_dichotomy():
     density = Density(QuadraticWeight(1.0, 0.0, 0.0), C, 2, (-1.0, 1.0))
-    verdict = parallel_halfspace_stability(density, 0.0, n=4001)
+    verdict = parallel_halfspace_stability(density, 0.0)
     # Gaussian-moment oracle: I_f(x) on the t = t0 line collapses to
     # omega''(t0) e^{omega(t0) - c t0^2} sqrt(pi/c) / (2c), negative here
     t0 = 0.0

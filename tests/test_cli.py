@@ -63,8 +63,8 @@ class TestLoadConfig:
     def test_defaults_fill_missing_sections(self, tmp_path):
         config = load_config(write_cfg(tmp_path, "[density]\nweight = zero\n"))
         assert config.value("run", "expect_bound") is False
-        assert config.value("transport", "require_concave") is True
-        assert config.value("jacobi", "steps") == (0.004, 0.002, 0.001)
+        assert config.value("jacobi", "max_length") == 8.0
+        assert config.value("optimize", "max_iterations") == 400
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -74,8 +74,9 @@ class TestLoadConfig:
         # [run] threads was a knob no code path read; [run] seed drew the
         # pushforward intervals the node check replaced; [stability] line_x and
         # n_random drove a random sweep the spectral pencil replaced; [density]
-        # dim named a dimension every curve check refused unless it was 2; the
-        # rest set a check's own grid or threshold, which no run varied
+        # dim named a dimension every curve check refused unless it was 2;
+        # [transport] require_concave restated [run] expect_bound; the rest set
+        # a check's own grid, threshold or search space, which no run varied
         for text in (
             "[density]\nflavor = spicy\n",
             "[density]\ndim = 2\n",
@@ -93,6 +94,9 @@ class TestLoadConfig:
             "[jacobi]\nmin_ratio = 3.5\n",
             "[spectrum]\nn_cells = 2000\n",
             "[optimize]\ngradient_tolerance = 1e-6\n",
+            "[jacobi]\nsteps = 0.004, 0.002, 0.001\n",
+            "[optimize]\nn_controls = 12\n",
+            "[transport]\nrequire_concave = false\n",
         ):
             with pytest.raises(ConfigError):
                 load_config(write_cfg(tmp_path, text))
@@ -430,8 +434,7 @@ class TestNonStationaryChord:
 
 
 # the convex counterexample ω = 0.2t² on ℝ: its descent stalls, an error
-CONVEX_DENSITY = ("[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\nslab = -inf, inf\n"
-                  "[transport]\nrequire_concave = false\n")
+CONVEX_DENSITY = "[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\nslab = -inf, inf\n"
 
 
 @pytest.fixture(scope="module")
@@ -530,8 +533,7 @@ class TestUnconvergedDescent:
         parallel cut's length but its projected gradient stays above the
         tolerance.  The record names that status, not a failure to resample
         the unconverged chord, and only the trace is written."""
-        cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\n"
-                                  "slab = -inf, inf\n[transport]\nrequire_concave = false\n")
+        cfg = write_cfg(tmp_path, CONVEX_DENSITY)
         out = tmp_path / "out"
         assert main(["optimize", "--config", cfg, "--out", str(out), "--expect-bound"]) == 1
         message = read_json(out, "optimize_error.json")["metrics"]["message"]
@@ -542,8 +544,30 @@ class TestUnconvergedDescent:
 
 
 # the convex omega = 0.2 t^2 on R, checked by transport and stability
-CONVEX_LINE = ("[density]\nweight = quadratic\nparams = -0.2, 0, 0\nslab = -inf, inf\n"
-               "[transport]\nrequire_concave = false\n")
+CONVEX_LINE = "[density]\nweight = quadratic\nparams = -0.2, 0, 0\nslab = -inf, inf\n"
+
+
+class TestNonConcaveTransport:
+    """[run] expect_bound is the one switch that admits a non-concave
+    weight: transport refuses it without the flag, as spectrum reports its
+    gap without judging it."""
+
+    def test_the_convex_weight_is_an_error_without_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["transport", "--config", write_cfg(tmp_path, CONVEX_LINE), "--out", str(out)]) == 1
+        message = read_json(out, "transport_error.json")["metrics"]["message"]
+        assert "requires a concave weight" in message and "--expect-bound" in message
+        assert not (out / "transport.csv").exists()
+        assert "kappa=-0.2 < 0" in capsys.readouterr().err
+
+    def test_the_flag_judges_the_convex_map(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, CONVEX_LINE)
+        assert main(["transport", "--config", cfg, "--out", str(out), "--expect-bound"]) == 2
+        record = read_json(out, "transport.json")
+        assert record["status"] == "violated"
+        assert record["metrics"]["max_derivative"] == pytest.approx(1.0 / math.sqrt(0.6), rel=1e-9)
+        assert (out / "transport.csv").exists()
 
 
 class TestExitCodes:
@@ -557,7 +581,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text, key",
         [
-            ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, nan\n", "[jacobi] steps"),
             ("[density]\nweight = zero\nc = nan\n", "[density] c"),
             ("[density]\nweight = quadratic\nparams = -0.3, nan, 0\n", "[density] params"),
             ("[density]\nweight = zero\n[stability]\nt0 = nan\n", "[stability] t0"),
@@ -571,7 +594,7 @@ class TestExitCodes:
             ("[density]\nweight = zero\n[optimize]\nx_bottom = nan\n", "[optimize] x_bottom"),
             ("[density]\nweight = zero\n[optimize]\nx_top = nan\n", "[optimize] x_top"),
         ],
-        ids=["jacobi_steps", "density_c", "density_params", "stability_t0", "jacobi_target_hf",
+        ids=["density_c", "density_params", "stability_t0", "jacobi_target_hf",
              "jacobi_angle", "jacobi_start_x", "jacobi_start_t", "jacobi_max_length", "optimize_target_fraction",
              "optimize_x_bottom", "optimize_x_top"],
     )
@@ -583,32 +606,50 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
 
     def test_the_first_bad_setting_in_schema_order_is_named(self, tmp_path):
-        """A setting's range is checked as its key is read, so a single
-        jacobi step is named before an unparsable [optimize] n_controls."""
-        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[jacobi]\nsteps = 0.002\n[optimize]\nn_controls = many\n")
-        with pytest.raises(ConfigError, match=r"\[jacobi\] steps = \(0\.002,\) must be at least two"):
+        """A setting's range is checked as its key is read, so a Jacobi
+        max_length below a step is named before an unparsable [optimize]
+        max_iterations."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\n[jacobi]\nmax_length = 0.003\n"
+                                  "[optimize]\nmax_iterations = many\n")
+        with pytest.raises(ConfigError, match=r"\[jacobi\] max_length = 0\.003 must lie in \[0\.008, 5000\.0\]"):
             load_config(cfg)
 
-    @pytest.mark.parametrize("steps", ["0.002, 0.002", "0.002", "0.004, 0.002, 0.004",
-                                       "0.004, 0", "0.004, -0.002", "0.004, inf"])
-    def test_too_few_or_repeated_jacobi_steps_exit_one_at_load(self, tmp_path, capsys, steps):
-        """Repeated steps ran jacobi, wrote ratio 1.0 and exited 2 with a
-        violation witnessed at h=0.002: a config slip read as a refuted
-        O(h²) claim.  A zero, negative or infinite step wrote resolved.cfg
-        and jacobi_error.json before exiting 1."""
+    @pytest.mark.parametrize("max_length", ["-1", "0.003", "0.0041", "1e7"])
+    def test_a_max_length_no_jacobi_step_can_use_exits_one_at_load(self, tmp_path, capsys, max_length):
+        """Each passed load, wrote resolved.cfg and jacobi_error.json, and
+        exited 1 from cmc_shoot: a length not above the coarsest step, one
+        step of it (three nodes are needed), or more than 5e6 of the finest."""
         out = str(tmp_path / "never")
-        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[jacobi]\nsteps = {steps}\n")
-        with pytest.raises(ConfigError, match=r"\[jacobi\] steps"):
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[jacobi]\nmax_length = {max_length}\n")
+        with pytest.raises(ConfigError, match=r"\[jacobi\] max_length"):
             load_config(cfg)
         assert main(["jacobi", "--config", cfg, "--out", out]) == 1
         assert not os.path.exists(out)
-        assert "[jacobi] steps" in capsys.readouterr().err
+        assert "[jacobi] max_length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_length", ["0.008", "5000"])
+    def test_the_ends_of_the_max_length_range_run(self, tmp_path, max_length):
+        """Two coarsest steps and 5e6 finest ones are both shot: the zero
+        weight's line from (1, 0) at 1 rad meets the wall long before 5000."""
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\n[jacobi]\nmax_length = {max_length}\n")
+        assert main(["jacobi", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out, "jacobi.json")["status"] == "verified"
+
+    def test_jacobi_steps_are_not_a_setting(self, tmp_path, capsys):
+        """The gaussian_slab section with steps 1e-4 and 5e-5 read residual
+        ratio 0.265, a false `violated` and exit 2: second differences at
+        rounding.  The steps are the check's own grid."""
+        text = ("[density]\nweight = zero\nc = 0.5\nslab = -1, 1\n[jacobi]\ntarget_hf = 0.0\n"
+                "start_x = 1.0\nstart_t = 0.0\nangle = 1.0\nsteps = 0.0001, 0.00005\nmax_length = 0.9\n")
+        out = str(tmp_path / "never")
+        assert main(["jacobi", "--config", write_cfg(tmp_path, text), "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert "unknown key 'steps' in section [jacobi]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("optimize", "n_controls", "3"),
-            ("optimize", "n_controls", "65"),
             ("optimize", "max_iterations", "0"),
             ("optimize", "target_fraction", "0"),
             ("optimize", "target_fraction", "1"),
@@ -640,19 +681,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("check, loosened, command, flags, named", [
         ("[density]\nweight = quadratic\nparams = -0.3, 0, 0\n", "[profile]\ntolerance = 1e300\n",
          "profile", [], "section [profile]"),
-        (CONVEX_LINE, "tolerance = 1e300\n",
-         "transport", ["--expect-bound"], "'tolerance' in section [transport]"),
+        (CONVEX_LINE, "[transport]\ntolerance = 1e300\n",
+         "transport", ["--expect-bound"], "section [transport]"),
         (CONVEX_LINE, "[spectrum]\ntolerance = 1e300\n",
          "spectrum", ["--expect-bound"], "section [spectrum]"),
-        ("[density]\nweight = zero\n[jacobi]\nsteps = 0.004, 0.0039\n", "min_ratio = 1.01\n",
-         "jacobi", [], "'min_ratio' in section [jacobi]"),
-    ], ids=["profile", "transport", "spectrum", "jacobi"])
+    ], ids=["profile", "transport", "spectrum"])
     def test_a_config_cannot_loosen_a_check(self, tmp_path, capsys, check, loosened, command, flags,
                                             named):
         """Each check fails on its density: omega = 0.3 t^2 on the slab; the
         convex omega = 0.2 t^2 on R, with rho' 1.29 and vertical index minimum
-        -0.4; residual ratio 1.05 between steps 0.004 and 0.0039.  Each
-        loosened setting read verified and exited 0."""
+        -0.4.  Each loosened setting read verified and exited 0."""
         out = str(tmp_path / "out")
         assert main([command, "--config", write_cfg(tmp_path, check), "--out", out, *flags]) == 2
         never = str(tmp_path / "never")
@@ -700,8 +738,7 @@ class TestExitCodes:
     def test_violation_dominates_in_summary(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
-            "[density]\nweight = quadratic\nparams = -4, 0, 0\nc = 0.5\nslab = -1, 1\n"
-            "[transport]\nrequire_concave = false\n",
+            "[density]\nweight = quadratic\nparams = -4, 0, 0\nc = 0.5\nslab = -1, 1\n",
         )
         out = str(tmp_path / "out")
         code = main(["all", "--config", cfg, "--out", out, "--expect-bound"])
@@ -790,15 +827,15 @@ class TestSingleCommand:
             tmp_path,
             "[density]\nweight = quadratic\nparams = 1, 0, 0\nc = 0.5\nslab = -1, 1\n"
             "[jacobi]\ntarget_hf = -0.5\nstart_x = 0.5\nstart_t = 0.0\n"
-            "angle = 1.5707963267948966\nsteps = 0.004, 0.002\nmax_length = 0.9\n",
+            "angle = 1.5707963267948966\nmax_length = 0.9\n",
         )
         out = tmp_path / "out"
         assert main(["jacobi", "--config", cfg, "--out", str(out)]) == 0
         record = read_json(out, "jacobi.json")
         assert max(record["metrics"]["max_residuals"]) <= 1e-9
-        # zero residuals at both steps: the ratio is inf, null in the strict JSON
-        assert record["metrics"]["ratios"] == [None]
-        assert (out / "jacobi.csv").read_text().splitlines()[-1] == "0.002,0.0,inf"
+        # zero residuals at every step: each ratio is inf, null in the strict JSON
+        assert record["metrics"]["ratios"] == [None, None]
+        assert (out / "jacobi.csv").read_text().splitlines()[-1] == "0.001,0.0,inf"
 
     def test_spectrum_solves_the_pencil_once(self, tmp_path, monkeypatch):
         built = []
@@ -978,7 +1015,7 @@ class TestOneOwnerOfTheVerticalLine:
         # kappa = -0.002 flattens c = 1/2 to 0.498: lambda_1 = 0.996, 2c = 1.
         # spectrum read verified against 2c (1 - 5e-3) = 0.995, stability violated
         cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = -0.002, 0, 0\nc = 0.5\n"
-                        "slab = -inf, inf\n[transport]\nrequire_concave = false\n")
+                        "slab = -inf, inf\n")
         out = str(tmp_path / "out")
         assert main(["spectrum", "--config", cfg, "--out", out, "--expect-bound"]) == 2
         record = read_json(out, "spectrum.json")

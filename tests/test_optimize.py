@@ -436,7 +436,7 @@ class TestSplineOperators:
             return real(m)
 
         monkeypatch.setattr(opt, "_not_a_knot", counting)
-        monkeypatch.setattr(opt, "_OPERATORS", {})
+        opt._operator.cache_clear()
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
         chord, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
@@ -541,12 +541,6 @@ class TestMinimizeArguments:
     def test_rejects_nonpositive_area(self, area):
         with pytest.raises(ConfigError, match="target area must be positive"):
             self.descend(target_area=area)
-
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan])
-    def test_rejects_gradient_tolerance_not_positive(self, tolerance):
-        """A descent that can never meet its tolerance would spend every iteration."""
-        with pytest.raises(ConfigError, match="gradient tolerance must be positive"):
-            self.descend(target_area=1.0, gradient_tolerance=tolerance)
 
     def test_rejects_empty_budget(self):
         with pytest.raises(ConfigError, match="iteration budget must be positive"):

@@ -98,11 +98,6 @@ class TestBuildTransport:
             assert_allclose(m.s, -m.s[::-1], rtol=0.0, atol=1e-14)
             assert_allclose(mirror.rho, -m.rho[::-1], rtol=0.0, atol=1e-12)
 
-    def test_nonconcave_weight_rejected(self):
-        d = Density(QuadraticWeight(-0.3, 0.0, 0.0), 0.5, 2, (-INF, INF))
-        with pytest.raises(ConsistencyError):
-            build_transport(d)
-
     def test_extreme_quantiles_clipped_without_warning(self):
         # the clip count is recorded (transport.json n_clipped), not warned
         grid = np.linspace(-12.0, 12.0, 101)
@@ -160,7 +155,7 @@ class TestCheckContraction:
     def test_nonconcave_diagnostic_violation(self):
         """κ < 0 flattens c to c + κ < c, stretching by 1/√(1+κ/c) > 1."""
         d = Density(QuadraticWeight(-0.3, 0.0, 0.0), 0.5, 2, (-INF, INF))
-        rep = check_contraction(build_transport(d, require_concave=False))
+        rep = check_contraction(build_transport(d))
         assert not rep.certified
         assert_allclose(rep.max_derivative, 1.0 / math.sqrt(0.4), rtol=1e-10)
 
