@@ -1,7 +1,7 @@
 """Convergence study of the translational Jacobi identity on shot curves.
 
 Shoots a constant-H_f curve at a sequence of step sizes and reports the
-max residual of L_f<eta, N> = 2c <eta, N> together with the halving
+max residual of L_f<e_x, N> = 2c <e_x, N> together with the halving
 ratio; order-h^2 integration and differencing give ratios near 4.
 """
 
@@ -30,7 +30,7 @@ def main() -> None:
             density, args.target_hf, tuple(args.start), args.angle,
             step=h, max_length=args.max_length,
         )
-        residual = jacobi_residual(density, curve, (1.0, 0.0))
+        residual = jacobi_residual(density, curve)
         ratio = "" if previous is None else f"{previous / residual:8.3f}"
         print(f"{h:10.4g} {residual:14.4e} {ratio:>8s} {curve.n_nodes:7d}")
         previous = residual

@@ -348,8 +348,8 @@ def cmc_shoot(
     if not (math.isfinite(step) and math.isfinite(max_length) and 0.0 < step < max_length):
         raise DomainError("need finite 0 < step < max_length")
     n_steps = int(round(max_length / step))
-    if n_steps > 5_000_000:
-        raise DomainError("step too small for the requested length")
+    if not 2 <= n_steps <= 5_000_000:  # one step lays 2 nodes, and a curve needs 3
+        raise DomainError(f"max_length {max_length!r} must span 2 to 5e6 steps of {step!r}")
 
     deriv, c2, target = density.weight.deriv, 2.0 * density.c, float(target)
     domain = density.weight.domain
@@ -416,10 +416,10 @@ def _cubic_slope(s: np.ndarray, u: np.ndarray, at: int) -> float:
     return float(first[0] + second[0] * (r0 + r1) + third * (r1 * r2 + r0 * r2 + r0 * r1))
 
 
-def _frenet_derivatives(density: Density, curve: DiscreteCurve, s: np.ndarray, eta: np.ndarray,
-                        node: int, window: slice) -> tuple:
-    """(h′, h″, ⟨∇ψ, T⟩) for h = ⟨η, N⟩ at one node from N′ = −kT: h′ = −k⟨η, T⟩
-    and h″ = −k′⟨η, T⟩ − k²h, T the unit tangent of travel (a quarter turn of
+def _frenet_derivatives(density: Density, curve: DiscreteCurve, s: np.ndarray, node: int,
+                        window: slice) -> tuple:
+    """(h′, h″, ⟨∇ψ, T⟩) for h = N_x at one node from N′ = −kT: h′ = −kT_x
+    and h″ = −k′T_x − k²h, T the unit tangent of travel (a quarter turn of
     the stored normal) and k′ the slope of the cubic through the four nodes
     of window."""
     normal, k = curve.normals[node], float(curve.curvature[node])
@@ -427,13 +427,13 @@ def _frenet_derivatives(density: Density, curve: DiscreteCurve, s: np.ndarray, e
     if np.dot(tangent, curve.points[node + 1] - curve.points[node - 1]) < 0.0:
         tangent = -tangent
     dk = _cubic_slope(s[window], curve.curvature[window], node - window.start)
-    eta_t, h = float(eta @ tangent), float(eta @ normal)
+    t_x, h = float(tangent[0]), float(normal[0])
     psi_t = float(log_density_gradient(density, curve.points[node]) @ tangent)
-    return -k * eta_t, -dk * eta_t - k * k * h, psi_t
+    return -k * t_x, -dk * t_x - k * k * h, psi_t
 
 
-def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
-    """Max interior residual of L_f h = 2c h for h = ⟨η, N⟩.
+def jacobi_residual(density: Density, curve: DiscreteCurve) -> float:
+    """Max interior residual of L_f h = 2c h for h = ⟨e_x, N⟩ = N_x.
 
     Horizontal translations preserve the weight up to the Gaussian
     factor, which makes h an eigenfunction of the Jacobi operator
@@ -445,11 +445,8 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     spacing; there the derivatives come from the Frenet relation instead
     (_frenet_derivatives), third order in the spacing.  An end is on a
     wall when its height equals a finite slab end exactly, the height
-    cmc_shoot lands on.
+    cmc_shoot lands on.  In the plane ±e_x give the same |residual|.
     """
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (2,) or abs(math.hypot(eta[0], eta[1]) - 1.0) > 1e-12 or abs(eta[1]) > 1e-12:
-        raise DomainError("eta must be a horizontal unit vector")
     hf = f_mean_curvature(density, curve)
     spread = float(np.max(hf) - np.min(hf))
     if spread > 1e-6 * (1.0 + float(np.max(np.abs(hf)))):
@@ -457,7 +454,7 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
             f"curve does not have constant f-mean curvature (spread {spread:.3e})"
         )
     s = curve.arclength()
-    h = np.sum(eta * curve.normals, axis=-1)
+    h = curve.normals[:, 0]
     # second-order stencils on a possibly nonuniform grid
     s0, s1, s2 = s[:-2], s[1:-1], s[2:]
     h0, h1, h2 = h[:-2], h[1:-1], h[2:]
@@ -469,7 +466,7 @@ def jacobi_residual(density: Density, curve: DiscreteCurve, eta) -> float:
     for end, node, window in ((0, 1, slice(0, 4)), (n - 1, n - 2, slice(n - 4, n))):
         if curve.points[end, 1] in density.slab and n >= 4:
             dh[node - 1], d2h[node - 1], psi_t[node - 1] = _frenet_derivatives(
-                density, curve, s, eta, node, window)
+                density, curve, s, node, window)
     ric = bakry_emery_curvature(density, curve.points[1:-1], curve.normals[1:-1])
     k = curve.curvature[1:-1]
     residual = d2h + psi_t * dh + (ric + k * k) * h1 - 2.0 * density.c * h1

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .weights import Density, _csv_table, _float_arrays, _Frozen, _one_sided_cutoff, check_concavity
+from .weights import Density, _csv_table, _float_arrays, _Frozen, _one_sided_cutoff
 
 __all__ = [
     "PoincareCertificate",
@@ -167,21 +167,19 @@ def spectral_gap_1d(problem: SpectralProblem) -> tuple[float, np.ndarray]:
 
 class PoincareCertificate(NamedTuple):
     """The slab factor's spectral gap, the one number the Bakry-Émery
-    bound λ ≥ 2c is about; the verdict on it is the spectrum stage's.
+    bound λ ≥ 2c is about; the verdict on it, and the concavity check that
+    says whether it must hold, are the spectrum stage's.
 
     lambda_value:     computed gap of the 1-D slab factor.
     truncation_shift: |λ(pad 1.25) − λ| for infinite slabs, the truncated
                       interval stretched 1.25 times (build_spectral_problem);
                       0.0 for bounded ones.
-    concave:          whether the weight passed the concavity check (the
-                      bound is only guaranteed in that case).
     problem:          the pad-1.0 pencil the gap was computed from.
     eigenvector:      its mean-zero, mass-normalized gap eigenvector.
     """
 
     lambda_value: float
     truncation_shift: float
-    concave: bool
     problem: SpectralProblem
     eigenvector: np.ndarray
 
@@ -207,7 +205,6 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
     return PoincareCertificate(
         lambda_value=lam,
         truncation_shift=shift,
-        concave=check_concavity(density.weight).concave,
         problem=problem,
         eigenvector=eigenvector,
     )

@@ -21,13 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .geometry import DiscreteCurve, _check_in_slab, _polyline_weighted_length, curve_weighted_length
 from .weights import (
     Density,
     ZeroWeight,
     _csv_table,
-    _float_arrays,
     _Frozen,
     _read_only,
     gaussian_cdf,
@@ -47,9 +46,8 @@ __all__ = [
     "transported_perimeter_bound",
 ]
 
-QUANTILE_CLIP = 1e-14
 # gaussian_quantile(1/2, 1 - p, p), the standard normal quantile by AS241, at
-# p = QUANTILE_CLIP and at the default grid's 1e-13; over sqrt(2c) for any c
+# the perimeter bound's clip p = 1e-14 and at the grid's 1e-13; over sqrt(2c) for any c
 _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
@@ -60,70 +58,49 @@ def _gaussian_line(c: float) -> Density:
     return Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
 
 
-def _source_side(c: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """The source's CDF and 1 − CDF at s, each exact in its own tail and
-    clipped to [1e−14, 1 − 1e−14], the number of clipped points, and the
-    source factor e^{−cs²}; the arrays are read-only."""
-    q, q_up = gaussian_cdf(c, np.stack((s, -s)))
-    n_clipped = int(np.count_nonzero((q < QUANTILE_CLIP) | (q_up < QUANTILE_CLIP)))
-    if n_clipped:
-        q, q_up = np.clip(np.stack((q, q_up)), QUANTILE_CLIP, 1.0 - QUANTILE_CLIP)
-    return _read_only(q), _read_only(q_up), n_clipped, _read_only(_gaussian_line(c).slab_factor(s))
-
-
 @functools.lru_cache(maxsize=8)
-def _default_source(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
-    """build_transport's 2001-point grid and its _source_side, computed once per c."""
+def _source_grid(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The map's 2001-point grid s, the source's CDF and 1 − CDF at s, each
+    exact in its own tail (near 1e−13 at the ends for any c, so none is
+    clipped), and the source factor e^{−cs²}; read-only, computed once per c."""
     span = _Z_GRID / math.sqrt(2.0 * c)
-    s = _read_only(np.linspace(-span, span, 2001))
-    return (s, *_source_side(c, s))
+    s = np.linspace(-span, span, 2001)
+    q, q_up = gaussian_cdf(c, np.stack((s, -s)))
+    return _read_only(s), _read_only(q), _read_only(q_up), _read_only(_gaussian_line(c).slab_factor(s))
 
 
 class TransportMap(_Frozen):
     """Monotone rearrangement ρ = CDF₂⁻¹ ∘ CDF₁ of the Gaussian onto target,
-    sampled on a strictly increasing grid s of the source line.
+    sampled on 2001 points of the source line spanning source quantiles
+    1e−13 to 1 − 1e−13.
 
-    The map keeps a read-only copy of s and derives everything else from
-    target and s:
+    Every array is read-only; everything is derived from target:
+    s:     the grid, cached per c and shared by every map with that c.
     source: the Gaussian line e^{−cs²} on ℝ, with the target's c.
     alpha, beta: reciprocal masses of source and target.
-    rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form (cached per c on build_transport's
-           grid), then one batched quantile call on the target's engine,
-           resolved to about one ulp and made nondecreasing by a running maximum.
+    rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form (cached per c with the grid),
+           then one batched quantile call on the target's engine, resolved
+           to about one ulp and made nondecreasing by a running maximum.
     drho:  ρ′(s_i) from the change-of-variables identity, never from
            differences.
-    n_clipped: grid points whose source quantile fell outside
-           [1e−14, 1−1e−14] and were evaluated at the clipped quantile
-           (diagnostic tails, irrelevant at downstream tolerances).
     """
 
-    def __init__(self, target: Density, s):
-        (s,) = _float_arrays(self, np.atleast_1d, s=s)
-        if not np.all(np.isfinite(s)):
-            raise ConsistencyError("sample grid must be finite")
-        if s.ndim != 1 or s.size < 2:
-            raise ConsistencyError("transport arrays must be 1-D of equal length >= 2")
-        if np.any(s[1:] - s[:-1] <= 0.0):
-            raise ConsistencyError("sample grid must be strictly increasing")
+    def __init__(self, target: Density):
         c, cum = target.c, target.cumulative
-        source = _gaussian_line(c)
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
-        grid, q, q_up, n_clipped, factor = _default_source(c)
-        if not np.array_equal(s, grid):
-            q, q_up, n_clipped, factor = _source_side(c, s)
+        s, q, q_up, factor = _source_grid(c)
         rho = np.maximum.accumulate(cum.quantile(q, q_up))
         drho = alpha * factor / (beta * target.slab_factor(rho))
-        vars(self).update(source=source, target=target, rho=_read_only(rho), drho=_read_only(drho),
-                          alpha=alpha, beta=beta, n_clipped=n_clipped)
+        vars(self).update(s=s, source=_gaussian_line(c), target=target, rho=_read_only(rho), drho=_read_only(drho),
+                          alpha=alpha, beta=beta)
 
 
 def build_transport(density: Density) -> TransportMap:
-    """The TransportMap onto density on 2001 points spanning source
-    quantiles 1e−13 to 1 − 1e−13, for any weight: ρ′ ≤ 1 is claimed only
-    for a concave one.  A map on another grid s is TransportMap(density, s).
-    """
-    return TransportMap(density, _default_source(density.c)[0])
+    """TransportMap(density), for any weight: ρ′ ≤ 1 is claimed only for a
+    concave one.  The benchmark calls this name; its tracer times it as
+    transport.build."""
+    return TransportMap(density)
 
 
 class ContractionReport(NamedTuple):

@@ -345,7 +345,7 @@ def test_criterion_09_jacobi_eigen_identity():
         errors = []
         for h in (4e-3, 2e-3, 1e-3):
             curve = cmc_shoot(density, target, start, angle=angle, step=h, max_length=2.0)
-            errors.append(jacobi_residual(density, curve, (1.0, 0.0)))
+            errors.append(jacobi_residual(density, curve))
         ratios = [errors[i - 1] / errors[i] for i in (1, 2)]
         worst_ratio = min(worst_ratio, min(ratios))
         details.append(f"H_f={target}: {ratios[0]:.2f}, {ratios[1]:.2f}")

@@ -258,8 +258,8 @@ GOLDEN_JSON_SHA256 = {
         "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
         "spectrum.json": "adaf8a3eccff557580492a0b3cc8397c92edbbd2363d88f9d4da45c87e456246",
         "stability.json": "7ac3e75ff568236ac163da259d0ea2c33451908bf5207e17399d8335e2913831",
-        "summary.json": "11a2f0dcbffdb2c29f219c0ec7e8966636ae1f6d2a4d80818d1237d2b758e210",
-        "transport.json": "ce530472669e6f38232d75e80b0d186c14bcb1422d0f38ddf607da01ccfec50b",
+        "summary.json": "ef848f19e217e4dbbce8c84670222483b6374165e7f73b88a13ee0b5325a2b28",
+        "transport.json": "1b116f97d8196883f4afed01c403c7e12e7e8f4c37ce6a7d427a2e2d0c9d5ee4",
     },
     "quadratic": {
         "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
@@ -267,8 +267,8 @@ GOLDEN_JSON_SHA256 = {
         "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
         "spectrum.json": "fef21417fe871a54a13c2d1748256caf8ec87b1814834652fd63d0957f63b2ca",
         "stability.json": "5dc91ccdaa5d8f8edb3b3c20ed3359a799efb9f5105605a85c4b761737061c98",
-        "summary.json": "0aea214df99bb4de95a00fdabaa7dfe79139432dac90ad84703463cf78429ea4",
-        "transport.json": "f3ccdf47b5c907f8dcae3d8c62776e437f461fd2d6a4b84736986b2ab1661261",
+        "summary.json": "197f71c1476c36a81acaa51e5a56181884e883056de93b38e4db405cc1521414",
+        "transport.json": "44d91a2d6bfb7b323aa12e2b6d6d4a1ec9cd12749c7d95606f835b004b229b55",
     },
 }
 

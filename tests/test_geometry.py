@@ -337,6 +337,13 @@ class TestCmcShoot:
         with pytest.raises(DomainError):
             cmc_shoot(UNIT_SLAB, 0.0, (0.0, 1.5), angle=0.0, step=1e-3, max_length=1.0)
 
+    def test_a_shot_under_two_steps_is_refused(self):
+        """max_length 0.0041 rounds to one step of 0.004, which lays 2 nodes:
+        the shot was blamed on the slab, although it never reached a wall."""
+        with pytest.raises(DomainError, match=r"max_length 0\.0041 must span 2 to 5e6 steps of 0\.004"):
+            cmc_shoot(Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0)), 0.0, (1.0, 0.0), 1.0, step=0.004,
+                      max_length=0.0041)
+
     @pytest.mark.parametrize("step, max_length", [(1e-3, INF), (1e-3, math.nan), (math.nan, 1.0)])
     def test_non_finite_step_or_length_rejected(self, step, max_length):
         with pytest.raises(DomainError, match="finite"):
@@ -430,12 +437,12 @@ class TestJacobiResidual:
     def test_vertical_line_exact(self):
         d = Density(QuadraticWeight(1.0, 0.4, 0.0), 0.5, 2, (-1.0, 1.0))
         vl = vertical_segment(d, 0.3, n=201)
-        assert jacobi_residual(d, vl, (1.0, 0.0)) <= 1e-12
+        assert jacobi_residual(d, vl) <= 1e-12
 
     def test_straight_line_affine_weight_exact(self):
         d = Density(AffineWeight(0.7, 0.0), 0.5, 2, (-INF, INF))
         line = straight_segment(d, (-1.0, -0.5), (1.0, 0.5), n=201)
-        assert jacobi_residual(d, line, (1.0, 0.0)) <= 1e-10
+        assert jacobi_residual(d, line) <= 1e-10
 
     def test_shrinker_circle_is_discretely_exact(self):
         """H_f = 0 launched from (1,0) at 90° closes the unit circle.
@@ -445,7 +452,7 @@ class TestJacobiResidual:
         roundoff instead of O(h²).
         """
         curve = cmc_shoot(GAUSS_PLANE, 0.0, (1.0, 0.0), angle=math.pi / 2, step=2e-3, max_length=2.0)
-        assert jacobi_residual(GAUSS_PLANE, curve, (1.0, 0.0)) <= 1e-8
+        assert jacobi_residual(GAUSS_PLANE, curve) <= 1e-8
 
     @pytest.mark.parametrize(
         "target,start,angle",
@@ -455,7 +462,7 @@ class TestJacobiResidual:
         errs = []
         for h in (4e-3, 2e-3):
             curve = cmc_shoot(GAUSS_PLANE, target, start, angle=angle, step=h, max_length=2.0)
-            errs.append(jacobi_residual(GAUSS_PLANE, curve, (1.0, 0.0)))
+            errs.append(jacobi_residual(GAUSS_PLANE, curve))
         assert errs[0] / errs[1] >= 3.5
 
     @pytest.mark.parametrize(
@@ -477,18 +484,13 @@ class TestJacobiResidual:
         for h in (4e-3, 2e-3, 1e-3):
             curve = cmc_shoot(density, target, start, angle=angle, step=h, max_length=8.0)
             assert on_wall(density, curve) == (False, True)
-            errs.append(jacobi_residual(density, curve, (1.0, 0.0)))
+            errs.append(jacobi_residual(density, curve))
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
     def test_nonconstant_curvature_rejected(self):
         line = straight_segment(QUAD_SLAB, (-0.7, -0.7), (0.7, 0.7), n=301)
         with pytest.raises(ConsistencyError):
-            jacobi_residual(QUAD_SLAB, line, (1.0, 0.0))
-
-    def test_bad_direction_rejected(self):
-        vl = vertical_segment(UNIT_SLAB, 0.5, n=101)
-        with pytest.raises(DomainError):
-            jacobi_residual(UNIT_SLAB, vl, (0.0, 1.0))
+            jacobi_residual(QUAD_SLAB, line)
 
 
 class TestIndexForm:

@@ -92,6 +92,9 @@ FAULTS = {
     "gaussian_quantile+1e-4_elsewhere": plant(
         "gaussian_quantile", shifted(1e-4), tuple(m for m in MODULES if m is not transport)),
     "engine_quantile*(1+1e-6)": engine_quantile_scaled,
+    # about 10x each config's finest residual at h = 1e-3: gaussian 5.36e-7, quadratic 6.69e-6
+    "jacobi_residual+5e-6": plant("jacobi_residual", shifted(5e-6)),
+    "jacobi_residual+7e-5": plant("jacobi_residual", shifted(7e-5)),
 }
 
 # fault -> (gaussian_slab, quadratic_slab), each the exit code and the stages
@@ -108,6 +111,8 @@ TABLE = {
     "gaussian_quantile+1e-4_in_transport": ((0, ()), (0, ())),
     "gaussian_quantile+1e-4_elsewhere": ((0, ()), (0, ())),
     "engine_quantile*(1+1e-6)": ((2, ("transport",)), (2, ("transport",))),
+    "jacobi_residual+5e-6": ((2, ("jacobi",)), (2, ("jacobi",))),
+    "jacobi_residual+7e-5": ((2, ("jacobi",)), (2, ("jacobi",))),
 }
 CONFIG_NAMES = ("gaussian_slab", "quadratic_slab")
 
@@ -130,11 +135,14 @@ CATCHES = [
 
 
 def clear_process_caches():
-    """Empty the per-c caches of the transport source (the Gaussian line and
-    build_transport's grid with its CDF sides), so that a run computes them
-    under its own fault and no fault outlives its run in them."""
-    transport._gaussian_line.cache_clear()
-    transport._default_source.cache_clear()
+    """Empty every cache that a module of MODULES binds (the transport
+    source's per-c Gaussian line and grid, the optimizer's operators, the
+    quadrature rules), so that a run computes them under its own fault and
+    no fault outlives its run in them."""
+    for module in MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 @pytest.fixture(scope="module")

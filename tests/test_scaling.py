@@ -18,7 +18,6 @@ from numpy.testing import assert_allclose
 from isoflow import (
     Density,
     QuadraticWeight,
-    TransportMap,
     ZeroWeight,
     build_profile,
     build_spectral_problem,
@@ -65,8 +64,8 @@ def test_profiles_scale(name, slab, family):
 @pytest.mark.parametrize("name, slab", CASES)
 def test_transport_scales(name, slab):
     d, scaled = pair(name, slab)
-    m = build_transport(d)
-    n = TransportMap(scaled, L * m.s)
+    m, n = build_transport(d), build_transport(scaled)
+    assert_allclose(n.s, L * m.s, rtol=0.0, atol=1e-13)
     assert_allclose(n.rho, L * m.rho, rtol=0.0, atol=1e-13)
     assert_allclose(n.drho, m.drho, rtol=0.0, atol=1e-13)
 

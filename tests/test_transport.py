@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from scipy.interpolate import CubicSpline
 
 from isoflow import (
     AffineWeight,
-    ConsistencyError,
     CumulativeDensity1D,
     Density,
     DomainError,
@@ -32,7 +30,6 @@ from isoflow.geometry import (
 import isoflow.transport as transport
 from isoflow.profiles import build_profile, compare_profiles
 from isoflow.transport import (
-    TransportMap,
     build_transport,
     check_contraction,
     pushforward_check,
@@ -45,12 +42,6 @@ from test_weights import SIDE_DENSITIES
 INF = math.inf
 
 GAUSS_LINE = Density(ZeroWeight(), 0.5, 2, (-INF, INF))
-
-
-def default_grid(c: float, n: int) -> np.ndarray:
-    """build_transport's span of source quantiles 1e-13 to 1 - 1e-13, on n points."""
-    span = transport._Z_GRID / math.sqrt(2.0 * c)
-    return np.linspace(-span, span, n)
 
 
 def resample_by_arclength(points: np.ndarray, n: int) -> np.ndarray:
@@ -98,40 +89,13 @@ class TestBuildTransport:
             assert_allclose(m.s, -m.s[::-1], rtol=0.0, atol=1e-14)
             assert_allclose(mirror.rho, -m.rho[::-1], rtol=0.0, atol=1e-12)
 
-    def test_extreme_quantiles_clipped_without_warning(self):
-        # the clip count is recorded (transport.json n_clipped), not warned
-        grid = np.linspace(-12.0, 12.0, 101)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            m = TransportMap(GAUSS_LINE, grid)
-        assert m.n_clipped > 0
-        assert np.all(np.isfinite(m.rho))
-
     def test_the_map_owns_its_arrays(self):
-        s = np.linspace(-1.0, 1.0, 9)
-        m = TransportMap(GAUSS_LINE, s)
-        s += 1.0
-        assert m.s[0] == -1.0 and np.max(np.abs(m.rho - m.s)) <= 1e-12
+        """No caller can write to them: s is the per-c cached grid, rho and drho the map's own."""
+        m = build_transport(GAUSS_LINE)
+        assert np.max(np.abs(m.rho - m.s)) <= 1e-12
         for name in ("s", "rho", "drho"):
             with pytest.raises(ValueError):
                 getattr(m, name)[0] = 0.0
-
-    @pytest.mark.parametrize("grid, message", [
-        ([0.5], "1-D of equal length >= 2"),
-        ([-1.0, 0.0, 0.0, 1.0], "strictly increasing"),
-        ([1.0, 0.0, -1.0], "strictly increasing"),
-    ], ids=["one_point", "repeated", "decreasing"])
-    def test_the_map_refuses_an_unusable_grid(self, grid, message):
-        with pytest.raises(ConsistencyError, match=message):
-            TransportMap(GAUSS_LINE, grid)
-
-    @pytest.mark.parametrize("grid", [[0.0, INF], [-INF, 0.0], [0.0, math.nan, 1.0]],
-                             ids=["inf", "minus_inf", "nan"])
-    def test_a_non_finite_grid_is_refused(self, grid):
-        """[0, inf] gave a map, and [0, nan, 1] a DomainError that did not
-        name the grid."""
-        with pytest.raises(ConsistencyError, match="sample grid must be finite"):
-            TransportMap(GAUSS_LINE, grid)
 
 
 class TestCheckContraction:
@@ -167,7 +131,7 @@ class TestCheckContraction:
     )
     def test_concave_weights_always_contract(self, kappa, a0, c):
         d = Density(QuadraticWeight(kappa, a0, 0.0), c, 2, (-INF, INF))
-        rep = check_contraction(TransportMap(d, default_grid(c, 501)))
+        rep = check_contraction(build_transport(d))
         assert rep.certified
 
 
@@ -349,7 +313,7 @@ class TestPerimeterBound:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
     def test_span_constants_are_the_scalar_quantiles(self, c):
-        clip = float(gaussian_quantile(c, 1.0 - transport.QUANTILE_CLIP, transport.QUANTILE_CLIP))
+        clip = float(gaussian_quantile(c, 1.0 - 1e-14, 1e-14))
         assert transport._Z_CLIP / math.sqrt(2.0 * c) == clip
         grid = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
         assert transport._Z_GRID / math.sqrt(2.0 * c) == grid
@@ -366,41 +330,24 @@ class TestPerimeterBound:
 
 
 class TestSourceSidePerC:
-    """build_transport's grid, its source CDF sides, clip count and source
-    factor are computed once per c and shared, read-only, by every map on
-    that grid; a map on another grid computes its own."""
+    """The map's grid, its source CDF sides and source factor are computed
+    once per c and shared, read-only, by every map with that c."""
 
     def test_the_cached_source_arrays_are_read_only(self):
-        grid, q, q_up, n_clipped, factor = transport._default_source(0.5)
-        assert transport._default_source(0.5)[0] is grid
-        assert n_clipped == 0 and grid.shape == q.shape == q_up.shape == factor.shape == (2001,)
+        grid, q, q_up, factor = transport._source_grid(0.5)
+        assert transport._source_grid(0.5)[0] is grid
+        assert build_transport(GAUSS_LINE).s is grid
+        assert grid.shape == q.shape == q_up.shape == factor.shape == (2001,)
         for array in (grid, q, q_up, factor):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
-    def test_a_copy_of_the_default_grid_gives_the_default_map(self, weight, slab):
-        for c in (0.25, 2.0):
-            d = Density(weight, c, 2, slab)
-            want, got = build_transport(d), TransportMap(d, default_grid(c, 2001))
-            for name in ("s", "rho", "drho"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert (got.alpha, got.beta, got.n_clipped) == (want.alpha, want.beta, want.n_clipped)
-
-    def test_another_grid_computes_its_own_levels(self):
-        """Each quantile is batch-independent, so a map on every other node of
-        the default grid, or on the grid with one node moved, agrees with
-        the default map node for node wherever the nodes agree."""
-        d = Density(AffineWeight(0.7, 0.0), 0.5, 2, (0.0, INF))
-        want = build_transport(d)
-        half = TransportMap(d, want.s[::2])
-        assert half.rho.tobytes() == want.rho[::2].tobytes()
-        assert half.drho.tobytes() == want.drho[::2].tobytes()
-        moved = want.s.copy()
-        moved[1000] = 0.5 * (moved[1000] + moved[1001])
-        got, keep = TransportMap(d, moved), np.arange(2001) != 1000
-        assert got.rho[keep].tobytes() == want.rho[keep].tobytes()
-        assert want.rho[1000] < got.rho[1000] < want.rho[1001]
+    def test_no_source_quantile_needs_a_clip(self):
+        """The grid spans source quantiles 1e-13 to 1 - 1e-13 at every c, so
+        its smaller CDF side stays above 1e-14, where a clip would act."""
+        for c in np.logspace(-4.0, 4.0, 33):
+            _, q, q_up, _ = transport._source_grid(float(c))
+            assert min(q.min(), q_up.min()) > 1e-14
 
 
 @pytest.fixture
@@ -514,11 +461,11 @@ class TestOneCallPerBatch:
 
 class TestTransportCsv:
     def test_header_and_roundtrip(self):
-        m = TransportMap(GAUSS_LINE, default_grid(0.5, 9))
+        m = build_transport(GAUSS_LINE)
         text = transport_csv(m)
         lines = text.strip().split("\n")
         assert lines[0] == "s,rho,drho"
-        assert len(lines) == 10
+        assert len(lines) == 2002
         row = [float(x) for x in lines[1].split(",")]
         assert_allclose(row[0], m.s[0], rtol=0, atol=0)
         assert_allclose(row[1], m.rho[0], rtol=0, atol=0)

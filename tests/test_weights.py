@@ -25,7 +25,6 @@ from isoflow import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     SmoothnessError,
-    TransportMap,
     Weight1D,
     ZeroWeight,
     bakry_emery_curvature,
@@ -43,7 +42,6 @@ from isoflow import (
 )
 from isoflow import weights
 from isoflow.spectrum import build_spectral_problem, poincare_certify
-from isoflow.transport import _Z_GRID
 from isoflow.weights import (
     _TAIL_MASS,
     _TAIL_PAD,
@@ -621,7 +619,7 @@ def records() -> dict:
     built = {cls.__name__: cls(*params) for cls, params in WEIGHT_PARAMS}
     built.update(
         Density=d,
-        TransportMap=TransportMap(d, np.linspace(-_Z_GRID, _Z_GRID, 33)),  # build_transport's span at c = 1/2
+        TransportMap=build_transport(d),
         DiscreteCurve=vertical_segment(d, 0.2, n=11),
         Profile=build_profile(d, "parallel", grid_size=9),
         SpectralProblem=build_spectral_problem(d, n_cells=16),
