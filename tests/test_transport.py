@@ -36,7 +36,7 @@ from isoflow.transport import (
     transport_csv,
     transported_perimeter_bound,
 )
-from isoflow.weights import gaussian_cdf, gaussian_quantile
+from isoflow.weights import gaussian_cdf, gaussian_factor, gaussian_quantile
 from test_weights import SIDE_DENSITIES
 
 INF = math.inf
@@ -341,6 +341,26 @@ class TestSourceSidePerC:
         for array in (grid, q, q_up, factor):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_the_cached_source_gives_the_reference_map(self, weight, slab):
+        """Bit for bit, the map equals one built from a fresh source line,
+        grid and CDF sides, with no cache, and a rebuild after the cache is
+        cleared gives the same map."""
+        for c in (0.25, 2.0):
+            d = Density(weight, c, 2, slab)
+            span = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
+            s = np.linspace(-span, span, 2001)
+            line = Density(ZeroWeight(), c, 2, (-INF, INF))
+            alpha, beta = 1.0 / gaussian_factor(c), 1.0 / d.cumulative.total
+            rho = np.maximum.accumulate(d.cumulative.quantile(gaussian_cdf(c, s), gaussian_cdf(c, -s)))
+            drho = alpha * line.slab_factor(s) / (beta * d.slab_factor(rho))
+            want = build_transport(d)
+            transport._source_grid.cache_clear()
+            again = build_transport(d)
+            for got in (want, again):
+                assert (got.s.tobytes(), got.rho.tobytes(), got.drho.tobytes()) == (s.tobytes(), rho.tobytes(), drho.tobytes())
+                assert (got.alpha, got.beta) == (alpha, beta)
 
     def test_no_source_quantile_needs_a_clip(self):
         """The grid spans source quantiles 1e-13 to 1 - 1e-13 at every c, so
