@@ -15,7 +15,6 @@ from isoflow import (
     ChordSpline,
     Density,
     QuadraticWeight,
-    ZeroWeight,
     minimize,
     total_weighted_volume,
     vertical_chord_length,
@@ -34,8 +33,7 @@ def main() -> None:
     parser.add_argument("--noise", type=float, default=0.2, help="initial chord roughness")
     args = parser.parse_args()
 
-    weight = ZeroWeight() if args.kappa == 0.0 else QuadraticWeight(args.kappa, 0.0, 0.0)
-    density = Density(weight, args.c, 2, tuple(args.slab))
+    density = Density(QuadraticWeight(args.kappa), args.c, 2, tuple(args.slab))
     v_total = total_weighted_volume(density)
     target = args.fraction * v_total
 

@@ -9,8 +9,8 @@ error (malformed config, IO failure, or a run that did not finish).
 Malformed input never produces a traceback.
 
 Determinism: no stage draws a random number, and every CSV cell is
-written as the shortest round-trip decimal, so identical configs give
-byte-identical CSV outputs.
+written as the shortest round-trip decimal by _csv_table, the one writer
+of every table, so identical configs give byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, DomainError, IsoflowError
-from .geometry import curve_csv, cmc_shoot, jacobi_residual, parallel_halfspace_stability
-from .optimize import chord_curve, make_straight_chord, minimize, trace_csv, vertical_chord_length
-from .profiles import build_profile, check_profile_ode, compare_profiles, profile_csv
-from .spectrum import poincare_certify, spectrum_csv
-from .transport import build_transport, check_contraction, pushforward_check, transport_csv
+from .geometry import cmc_shoot, jacobi_residual, parallel_halfspace_stability
+from .optimize import chord_curve, make_straight_chord, minimize, vertical_chord_length
+from .profiles import build_profile, check_profile_ode, compare_profiles
+from .spectrum import poincare_certify
+from .transport import build_transport, check_contraction, pushforward_check
 from .weights import (
     AffineWeight,
     Density,
@@ -305,12 +305,25 @@ def _write_json(config: RunConfig, filename: str, data: dict) -> None:
     _atomic_write(config, filename, text + "\n")
 
 
+def _csv_table(header: str, *columns) -> str:
+    """CSV text under the header, a row per entry of the columns: every number
+    as its shortest round-trip repr (str of a Python float), a string as itself."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def _curve_table(curve) -> str:
+    """A discrete curve's nodes as CSV: position, unit normal and curvature."""
+    (x, t), (nx, nt) = curve.points.T, curve.normals.T
+    return _csv_table("x,t,Nx,Nt,k", x, t, nx, nt, curve.curvature)
+
+
 def cmd_profile(config: RunConfig) -> _Outcome:
     density = config.density
     parallel = build_profile(density, "parallel", grid_size=_PROFILE_GRID)
     perpendicular = build_profile(density, "perpendicular", grid_size=_PROFILE_GRID)
-    _atomic_write(config, "profile_parallel.csv", profile_csv(parallel))
-    _atomic_write(config, "profile_perp.csv", profile_csv(perpendicular))
+    for filename, p in (("profile_parallel.csv", parallel), ("profile_perp.csv", perpendicular)):
+        _atomic_write(config, filename, _csv_table("s,V,A,v,F,dF,ddF", p.s, p.V, p.A, p.v, p.F, p.dF, p.ddF))
     comparison = compare_profiles(parallel, perpendicular, tie_tol=_PROFILE_TOLERANCE)
     ode_par = check_profile_ode(parallel, density.c, tol=_PROFILE_TOLERANCE)
     ode_perp = check_profile_ode(perpendicular, density.c, tol=_PROFILE_TOLERANCE)
@@ -350,7 +363,7 @@ def cmd_transport(config: RunConfig) -> _Outcome:
         raise ConsistencyError(f"transport source requires a concave weight: {report.detail} "
                                "(set [run] expect_bound or pass --expect-bound to judge it)")
     tmap = build_transport(config.density)
-    _atomic_write(config, "transport.csv", transport_csv(tmap))
+    _atomic_write(config, "transport.csv", _csv_table("s,rho,drho", tmap.s, tmap.rho, tmap.drho))
     contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
     push = pushforward_check(tmap)
     witness = None
@@ -406,10 +419,10 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
         for i in range(1, len(residuals))
     ]
     ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= _JACOBI_EXACT_FLOOR
-    cells = [""] + [repr(float(r)) for r in ratios]
-    rows = [f"{h!r},{float(res)!r},{r}" for h, res, r in zip(_JACOBI_STEPS, residuals, cells)]
-    _atomic_write(config, "jacobi.csv", "\n".join(["h,max_residual,ratio", *rows]) + "\n")
-    _atomic_write(config, "jacobi_curve.csv", curve_csv(finest))
+    # the coarsest step has no ratio: its cell is empty
+    _atomic_write(config, "jacobi.csv", _csv_table(
+        "h,max_residual,ratio", _JACOBI_STEPS, residuals, ["", *ratios]))
+    _atomic_write(config, "jacobi_curve.csv", _curve_table(finest))
     metrics = {
         "target_hf": target,
         "steps": list(_JACOBI_STEPS),
@@ -424,7 +437,8 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
 
 def cmd_spectrum(config: RunConfig) -> _Outcome:
     certificate = poincare_certify(config.density)
-    _atomic_write(config, "spectrum.csv", spectrum_csv(certificate.problem, certificate.eigenvector))
+    problem, u1 = certificate.problem, certificate.eigenvector
+    _atomic_write(config, "spectrum.csv", _csv_table("t,w,u1", problem.nodes, problem.masses, u1))
     # on a vertical line k = 0 and Ric_f(N,N) = 2c, so the minimum of
     # I_f(u,u)/||u||^2 over mean-zero u is the slab-factor gap minus 2c.
     # Bakry-Emery guarantees it for a concave weight, so failing it is a
@@ -442,7 +456,7 @@ def cmd_spectrum(config: RunConfig) -> _Outcome:
         "vertical_index_min": vertical_min,
         "concave": concave,
         "truncation_shift": certificate.truncation_shift,
-        "n_cells": certificate.problem.n_cells,
+        "n_cells": problem.n_cells,
     }
     witness = None
     if not ok:
@@ -464,13 +478,14 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
         fraction * total_weighted_volume(density),
         max_iterations=int(config.value("optimize", "max_iterations")),
     )
-    _atomic_write(config, "optimize_trace.csv", trace_csv(trace))
+    _atomic_write(config, "optimize_trace.csv", _csv_table(
+        "iter,length,area_err,grad_norm", trace.iterations, trace.lengths, trace.area_errors, trace.gradient_norms))
     if trace.status != "converged":
         raise IsoflowError(
             f"optimizer did not converge (status {trace.status!r} after "
             f"{len(trace.iterations)} iterations)"
         )
-    _atomic_write(config, "chord.csv", curve_csv(chord_curve(density, final)))
+    _atomic_write(config, "chord.csv", _curve_table(chord_curve(density, final)))
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark

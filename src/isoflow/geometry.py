@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, GeometryError
 from .weights import (
     Density,
-    _csv_table,
     _float_arrays,
     _Frozen,
     _gauss_legendre,
@@ -37,7 +36,6 @@ __all__ = [
     "DiscreteCurve",
     "StabilityVerdict",
     "cmc_shoot",
-    "curve_csv",
     "curve_weighted_length",
     "f_mean_curvature",
     "horizontal_segment",
@@ -523,9 +521,3 @@ def parallel_halfspace_stability(density: Density, t0: float) -> StabilityVerdic
         weight_second_derivative=d2,
         witness_value=witness,
     )
-
-
-def curve_csv(curve: DiscreteCurve) -> str:
-    """Serialize to CSV with header x,t,Nx,Nt,k (shortest round-trip floats)."""
-    (x, t), (nx, nt) = curve.points.T, curve.normals.T
-    return _csv_table("x,t,Nx,Nt,k", x, t, nx, nt, curve.curvature)

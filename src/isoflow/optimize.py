@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve
 from .profiles import _perpendicular_lines
-from .weights import Density, _csv_table, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
+from .weights import Density, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
 from .weights import gaussian_factor, log_density, log_density_gradient
 from .weights import total_weighted_volume
 
@@ -46,7 +46,6 @@ __all__ = [
     "minimize",
     "shape_gradient",
     "stationarity_report",
-    "trace_csv",
     "vertical_chord_length",
     "weighted_length",
 ]
@@ -402,6 +401,9 @@ def _unpack(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
 def _multiplier(gradient: np.ndarray, area_gradient: np.ndarray) -> tuple[float, float]:
     """Least-squares multiplier μ of the area constraint and the norm of the
     projected gradient ∇L − μ∇V, the stationarity measure of the descent."""
+    bad = np.flatnonzero(~np.isfinite(gradient))
+    if bad.size:  # f is infinite at a wall end, as for a log-power m < 0 at t = 0
+        raise DomainError(f"shape gradient is not finite: dP/dx_{bad[0]} = {float(gradient[bad[0]])!r}")
     gv_norm2 = float(np.dot(area_gradient, area_gradient))
     if gv_norm2 <= 0.0:
         raise DomainError("area gradient vanished; constraint not controllable")
@@ -480,13 +482,6 @@ def minimize(
     arr = np.array(rows, dtype=float).reshape(-1, 4)
     final = stationarity_report(density, chord)
     return chord, OptimizeTrace(arr[:, 0].astype(int), *arr[:, 1:].T, status, final)
-
-
-def trace_csv(trace: OptimizeTrace) -> str:
-    """Serialize to CSV with header iter,length,area_err,grad_norm."""
-    t = trace
-    return _csv_table("iter,length,area_err,grad_norm", t.iterations, t.lengths, t.area_errors,
-                      t.gradient_norms)
 
 
 def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:

@@ -38,7 +38,6 @@ from .errors import ConsistencyError, DomainError, SmoothnessError
 from .weights import (
     Density,
     PiecewiseLinearWeight,
-    _csv_table,
     _Frozen,
     gaussian_cdf,
     gaussian_factor,
@@ -53,7 +52,6 @@ __all__ = [
     "build_profile",
     "check_profile_ode",
     "compare_profiles",
-    "profile_csv",
 ]
 
 GRID_EPS = 1e-3  # relative volume margin kept clear of the degenerate endpoints
@@ -201,9 +199,3 @@ def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e
         violations=tuple(float(v) for v in violations[:32]),
         grid=common,
     )
-
-
-def profile_csv(profile: Profile) -> str:
-    """CSV serialization, shortest round-trip decimals."""
-    p = profile
-    return _csv_table("s,V,A,v,F,dF,ddF", p.s, p.V, p.A, p.v, p.F, p.dF, p.ddF)

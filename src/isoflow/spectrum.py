@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .weights import Density, _csv_table, _float_arrays, _Frozen, _one_sided_cutoff
+from .weights import Density, _float_arrays, _Frozen, _one_sided_cutoff
 
 __all__ = [
     "PoincareCertificate",
@@ -39,7 +39,6 @@ __all__ = [
     "build_spectral_problem",
     "poincare_certify",
     "spectral_gap_1d",
-    "spectrum_csv",
 ]
 
 # Lanczos stops once the gap Ritz pair's residual is _LANCZOS_TOL of its
@@ -208,11 +207,3 @@ def poincare_certify(density: Density, n_cells: int = 2000) -> PoincareCertifica
         problem=problem,
         eigenvector=eigenvector,
     )
-
-
-def spectrum_csv(problem: SpectralProblem, u1) -> str:
-    """Serialize to CSV with header t,w,u1 (shortest round-trip floats)."""
-    u1 = np.asarray(u1, dtype=float)
-    if u1.shape != problem.nodes.shape:
-        raise DomainError("eigenvector must be sampled at the cell centers")
-    return _csv_table("t,w,u1", problem.nodes, problem.masses, u1)

@@ -26,7 +26,6 @@ from .geometry import DiscreteCurve, _check_in_slab, _polyline_weighted_length, 
 from .weights import (
     Density,
     ZeroWeight,
-    _csv_table,
     _Frozen,
     _read_only,
     gaussian_cdf,
@@ -42,7 +41,6 @@ __all__ = [
     "build_transport",
     "check_contraction",
     "pushforward_check",
-    "transport_csv",
     "transported_perimeter_bound",
 ]
 
@@ -196,8 +194,3 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
         gaussian_bound=bound,
         slack=p_f - bound,
     )
-
-
-def transport_csv(tmap: TransportMap) -> str:
-    """Serialize to CSV with header s,rho,drho (shortest round-trip floats)."""
-    return _csv_table("s,rho,drho", tmap.s, tmap.rho, tmap.drho)

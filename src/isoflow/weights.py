@@ -10,8 +10,9 @@ planar because every set the checks compare is a half-space or a chord
 cylinder, a planar set times R^(n-1): on such a set the lateral Gaussian
 factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
 
-  * the weight variants omega (zero, affine, quadratic, log-power,
-    piecewise linear) with their derivative and concavity structure,
+  * the weight variants omega (quadratic, log-power, piecewise linear)
+    with their derivative and concavity structure; zero and affine are
+    the quadratic's kappa = 0 cases, subclasses that only name them,
   * the Density bundle (weight, Gaussian parameter c, slab), the one home
     of the density's formula: psi = omega(t) - c (x^2 + t^2) and the slab
     factor e^{omega(t) - c t^2}, both computed in the new array
@@ -125,43 +126,6 @@ class Weight1D:
         raise NotImplementedError
 
 
-class ZeroWeight(Weight1D, _Value):
-    """omega = 0, the unperturbed Gaussian."""
-
-    def value(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def deriv(self, t):
-        if isinstance(t, float):
-            return 0.0
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-
-class AffineWeight(Weight1D, _Value):
-    """omega(t) = a0 t + b0."""
-
-    _params = ("a0", "b0")
-
-    def __init__(self, a0: float, b0: float = 0.0):
-        if not (math.isfinite(a0) and math.isfinite(b0)):
-            raise ValueError("affine coefficients must be finite")
-        vars(self).update(a0=a0, b0=b0)
-
-    def value(self, t):
-        return self.a0 * np.asarray(t, dtype=float) + self.b0
-
-    def deriv(self, t):
-        if isinstance(t, float):
-            return float(self.a0)
-        return np.full_like(np.asarray(t, dtype=float), self.a0)
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-
 class QuadraticWeight(Weight1D, _Value):
     """omega(t) = -kappa t^2 + a0 t + b0, concave iff kappa >= 0."""
 
@@ -182,7 +146,22 @@ class QuadraticWeight(Weight1D, _Value):
         return -2.0 * self.kappa * t + self.a0
 
     def deriv2(self, t):
-        return np.full_like(np.asarray(t, dtype=float), -2.0 * self.kappa)
+        # 0.0 - 2 kappa, not -2 kappa: +0.0 at kappa = 0, the same bits at any other kappa
+        return np.full_like(np.asarray(t, dtype=float), 0.0 - 2.0 * self.kappa)
+
+
+class ZeroWeight(QuadraticWeight):
+    """omega = 0, the unperturbed Gaussian: the quadratic with kappa = a0 = b0 = 0."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+
+class AffineWeight(QuadraticWeight):
+    """omega(t) = a0 t + b0: the quadratic with kappa = 0."""
+
+    def __init__(self, a0: float, b0: float = 0.0):
+        super().__init__(0.0, a0, b0)
 
 
 class LogPowerWeight(Weight1D, _Value):
@@ -289,11 +268,10 @@ class ConcavityReport(NamedTuple):
 def check_concavity(weight: Weight1D) -> ConcavityReport:
     """Exact concavity check per variant.
 
-    Quadratic: kappa >= 0.  Log-power: m >= 0.  Piecewise linear: chord
-    slopes nonincreasing (the report names the first offending knot).
+    Quadratic, zero and affine among them: kappa >= 0.  Log-power: m >= 0.
+    Piecewise linear: chord slopes nonincreasing (the report names the
+    first offending knot).
     """
-    if isinstance(weight, (ZeroWeight, AffineWeight)):
-        return ConcavityReport(True, "affine weights are concave")
     if isinstance(weight, QuadraticWeight):
         if weight.kappa >= 0.0:
             return ConcavityReport(True, f"kappa={weight.kappa!r} >= 0")
@@ -344,8 +322,11 @@ class Density(_Value):
         if quadratic and not finite and c + weight.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
         vars(self).update(weight=weight, c=c, slab=(a, b))
-        # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
         lo, hi = self.cut
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"slab ({a!r}, {b!r}) is cut to ({lo!r}, {hi!r}): the amplitude of its "
+                              "dominating-Gaussian tail bound overflows")
+        # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
         c_eff = c + max(weight.kappa, 0.0) if quadratic else c
         if (hi - lo) / _N_PANELS > 4.0 / math.sqrt(2.0 * c_eff):
             cut, cure = ("", "; make a far side infinite") if finite else (f", cut to ({lo!r}, {hi!r}),", "")
@@ -692,12 +673,6 @@ def _float_arrays(record: _Frozen, atleast, **fields) -> list[np.ndarray]:
     arrays = [_read_only(atleast(np.array(value, dtype=float))) for value in fields.values()]
     vars(record).update(zip(fields, arrays))
     return arrays
-
-
-def _csv_table(header: str, *columns) -> str:
-    """CSV text under the header, every float as its shortest round-trip repr."""
-    rows = zip(*(np.asarray(column).tolist() for column in columns))
-    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _shaped(values: np.ndarray, shape: tuple):

@@ -17,9 +17,14 @@ import pytest
 
 import isoflow
 import isoflow.cli as cli
-from isoflow.cli import _SCHEMA, RunConfig, load_config, main, resolved_config_text
+from isoflow.cli import _JACOBI_STEPS, _PROFILE_GRID, _SCHEMA, RunConfig, load_config, main, resolved_config_text
 from isoflow.errors import ConfigError
+from isoflow.geometry import cmc_shoot
+from isoflow.optimize import chord_curve, make_straight_chord, minimize
+from isoflow.profiles import build_profile
 from isoflow.spectrum import SpectralProblem, poincare_certify, spectral_gap_1d
+from isoflow.transport import build_transport
+from isoflow.weights import total_weighted_volume
 from isoflow.weights import CumulativeDensity1D
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
@@ -387,6 +392,58 @@ class TestGaussianRun:
         assert resolved == original
 
 
+# the CSVs of the gaussian run that serialize a library object's arrays, each
+# with its header; jacobi.csv, the table of the run's own residuals and their
+# ratios, is pinned by its digest
+TABLES = {
+    "profile_parallel.csv": "s,V,A,v,F,dF,ddF",
+    "profile_perp.csv": "s,V,A,v,F,dF,ddF",
+    "transport.csv": "s,rho,drho",
+    "jacobi_curve.csv": "x,t,Nx,Nt,k",
+    "spectrum.csv": "t,w,u1",
+    "optimize_trace.csv": "iter,length,area_err,grad_norm",
+    "chord.csv": "x,t,Nx,Nt,k",
+}
+
+
+@pytest.fixture(scope="module")
+def gaussian_columns() -> dict:
+    """Each TABLES file's columns, rebuilt from the library for the gaussian config."""
+    config = load_config(GAUSSIAN_CFG)
+    d, value = config.density, config.value
+
+    def curve(c):
+        return (*c.points.T, *c.normals.T, c.curvature)
+
+    profiles = {kind: build_profile(d, kind, grid_size=_PROFILE_GRID) for kind in ("parallel", "perpendicular")}
+    tmap, certificate = build_transport(d), poincare_certify(d)
+    shot = cmc_shoot(d, value("jacobi", "target_hf"), (value("jacobi", "start_x"), value("jacobi", "start_t")),
+                     value("jacobi", "angle"), step=_JACOBI_STEPS[-1], max_length=value("jacobi", "max_length"))
+    final, trace = minimize(d, make_straight_chord(d, value("optimize", "x_bottom"), value("optimize", "x_top")),
+                            value("optimize", "target_fraction") * total_weighted_volume(d),
+                            max_iterations=value("optimize", "max_iterations"))
+    columns = {f"profile_{name}.csv": (p.s, p.V, p.A, p.v, p.F, p.dF, p.ddF)
+               for name, p in (("parallel", profiles["parallel"]), ("perp", profiles["perpendicular"]))}
+    return columns | {
+        "transport.csv": (tmap.s, tmap.rho, tmap.drho),
+        "jacobi_curve.csv": curve(shot),
+        "spectrum.csv": (certificate.problem.nodes, certificate.problem.masses, certificate.eigenvector),
+        "optimize_trace.csv": (trace.iterations, trace.lengths, trace.area_errors, trace.gradient_norms),
+        "chord.csv": curve(chord_curve(d, final)),
+    }
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_a_csv_reads_back_as_its_columns(gaussian_run, gaussian_columns, name):
+    """Its header, a row per entry, and every cell parsing back to its value bit for bit."""
+    header, *rows = Path(gaussian_run[1], name).read_text().splitlines()
+    columns = gaussian_columns[name]
+    assert header == TABLES[name] and len(header.split(",")) == len(columns)
+    assert len(rows) == len(columns[0])
+    cells = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert np.array_equal(cells.view(np.uint64), np.column_stack(columns).astype(float).view(np.uint64))
+
+
 class TestQuadraticRun:
     def test_exit_code_zero(self, quadratic_run):
         code, _ = quadratic_run
@@ -541,6 +598,19 @@ class TestUnconvergedDescent:
         assert "did not converge" in capsys.readouterr().err
         assert (out / "optimize_trace.csv").exists()
         assert not (out / "chord.csv").exists()
+
+    def test_a_non_finite_shape_gradient_is_named_in_the_record(self, tmp_path, capsys):
+        """log_power -0.5 on (0, 3): f is +inf on the wall t = 0, so the shape
+        gradient's first entry is -inf.  The multiplier subtracted it, a
+        RuntimeWarning on stderr, and the record read LAPACK's "Eigenvalues did
+        not converge"; the record now names the gradient."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = log_power\nparams = -0.5\nslab = 0, 3\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 1
+        message = read_json(out, "optimize_error.json")["metrics"]["message"]
+        assert message == "shape gradient is not finite: dP/dx_0 = -inf"
+        assert message in capsys.readouterr().err
+        assert not (out / "optimize_trace.csv").exists()
 
 
 # the convex omega = 0.2 t^2 on R, checked by transport and stability

@@ -26,7 +26,6 @@ import isoflow.geometry as geometry
 from isoflow.geometry import (
     DiscreteCurve,
     cmc_shoot,
-    curve_csv,
     curve_weighted_length,
     f_mean_curvature,
     horizontal_segment,
@@ -677,17 +676,6 @@ class TestCurveWeightedLength:
         circ = unit_circle(GAUSS_PLANE, n=3000, radius=0.8)
         oracle = 2.0 * math.pi * 0.8 * math.exp(-0.5 * 0.64)
         assert_allclose(curve_weighted_length(GAUSS_PLANE, circ), oracle, rtol=1e-6)
-
-
-class TestCurveCsv:
-    def test_header_and_roundtrip(self):
-        vl = vertical_segment(UNIT_SLAB, 0.5, n=5)
-        text = curve_csv(vl)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,t,Nx,Nt,k"
-        assert len(lines) == 6
-        row = [float(x) for x in lines[2].split(",")]
-        assert row[0] == 0.5 and row[2] == -1.0
 
 
 def _graph_points(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:

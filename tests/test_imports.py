@@ -12,14 +12,15 @@ load dataclasses: a frozen dataclass generates its methods by exec when
 its module is imported, so isoflow's records are plain immutable classes.
 
 The guard imports every isoflow module and runs a full `isoflow all` on
-both bundled configs, then reads sys.modules.  A second guard reads the
+both bundled configs, then reads sys.modules.  Two more guards read the
 source: every field of isoflow's NamedTuple reports and _Frozen records
-has a reader outside the tests.
+has a reader outside the tests, and every public function a caller.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,3 +117,30 @@ def test_every_report_field_is_read_outside_the_tests():
     assert ("PoincareCertificate", "lambda_value") in fields
     assert {("SpectralProblem", "masses"), ("Profile", "v_total"), ("DiscreteCurve", "curvature")} <= fields
     assert {field for field in fields if field[1] not in read} == set(AWAITING_A_READER)
+
+
+def _public_names(module: ast.Module) -> set[str]:
+    """The names a module lists in its __all__ (the package's, a union of the others, lists none)."""
+    return {name.value for node in module.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+            for target in node.targets if isinstance(target, ast.Name) and target.id == "__all__"
+            for name in node.value.elts}
+
+
+def test_every_public_function_is_called_outside_the_tests():
+    """A public function that only tests call is code no program runs.
+    Every function in a module's __all__ must be called, by name or as an
+    attribute, in src/, scripts/, benchmark/ or the README's Python example."""
+    functions = set()
+    for path in sorted((ROOT / "src" / "isoflow").glob("*.py")):
+        module = _parse(path)
+        public = _public_names(module)
+        functions |= {(path.stem, node.name) for node in module.body
+                      if isinstance(node, ast.FunctionDef) and node.name in public}
+    trees = [_parse(path) for folder in ("src", "scripts", "benchmark")
+             for path in sorted((ROOT / folder).rglob("*.py"))]
+    examples = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    trees += [ast.parse(example) for example in examples]
+    called = {node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+              for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert examples and {("cli", "main"), ("weights", "check_concavity")} <= functions
+    assert {function for function in functions if function[1] not in called} == set()

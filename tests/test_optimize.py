@@ -24,7 +24,6 @@ from isoflow.optimize import (
     minimize,
     shape_gradient,
     stationarity_report,
-    trace_csv,
     vertical_chord_length,
     weighted_length,
 )
@@ -746,20 +745,6 @@ class TestStationarityReport:
         rep = stationarity_report(density, bent_chord())
         assert rep.hf_spread > 1e-2
         assert not rep.stationary
-
-
-class TestTraceCsv:
-    def test_round_trip(self):
-        density = symmetric_slab()
-        v_tot = total_weighted_volume(density)
-        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3), v_tot / 2.0)
-        text = trace_csv(trace)
-        lines = text.strip().split("\n")
-        assert lines[0] == "iter,length,area_err,grad_norm"
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == len(trace.iterations)
-        assert float(rows[-1][1]) == trace.lengths[-1]
-        assert int(rows[0][0]) == 0
 
 
 class TestChordCurve:

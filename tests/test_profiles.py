@@ -28,7 +28,6 @@ from isoflow.profiles import (
     build_profile,
     check_profile_ode,
     compare_profiles,
-    profile_csv,
 )
 from isoflow.weights import gaussian_cdf, gaussian_factor
 
@@ -272,16 +271,3 @@ class TestCompareProfiles:
         )
         assert cmp.verdict != "violation"
         assert cmp.min_margin >= -1e-8
-
-
-class TestProfileCsv:
-    def test_header_and_roundtrip(self):
-        d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        p = build_profile(d, "perpendicular", grid_size=9)
-        text = profile_csv(p)
-        lines = text.strip().split("\n")
-        assert lines[0] == "s,V,A,v,F,dF,ddF"
-        assert len(lines) == 10
-        row = [float(x) for x in lines[1].split(",")]
-        assert_allclose(row[0], p.s[0], rtol=0, atol=0)
-        assert_allclose(row[4], p.F[0], rtol=0, atol=0)

@@ -26,7 +26,6 @@ from isoflow.spectrum import (
     build_spectral_problem,
     poincare_certify,
     spectral_gap_1d,
-    spectrum_csv,
 )
 
 INF = math.inf
@@ -288,19 +287,6 @@ class TestPoincareCertify:
         cert = poincare_certify(d)
         assert not check_concavity(d.weight).concave
         assert_allclose(cert.lambda_value, 0.2, rtol=1e-6)
-
-
-class TestSpectrumCsv:
-    def test_header_and_roundtrip(self):
-        d = Density(ZeroWeight(), 0.5, 2, (0.0, 1.0))
-        p = build_spectral_problem(d, n_cells=16)
-        _, u = spectral_gap_1d(p)
-        text = spectrum_csv(p, u)
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,w,u1"
-        assert len(lines) == 17
-        row = [float(x) for x in lines[1].split(",")]
-        assert_allclose(row[0], p.nodes[0], rtol=0, atol=0)
 
 
 # the acceptance sweep at c = 1/2: every weight on every slab where it is defined

@@ -33,7 +33,6 @@ from isoflow.transport import (
     build_transport,
     check_contraction,
     pushforward_check,
-    transport_csv,
     transported_perimeter_bound,
 )
 from isoflow.weights import gaussian_cdf, gaussian_factor, gaussian_quantile
@@ -477,15 +476,3 @@ class TestOneCallPerBatch:
             m = build_transport(d)
             for curve in sweep_curves(d, rng):
                 assert transported_perimeter_bound(m, curve).slack == parent_slack(m, curve)
-
-
-class TestTransportCsv:
-    def test_header_and_roundtrip(self):
-        m = build_transport(GAUSS_LINE)
-        text = transport_csv(m)
-        lines = text.strip().split("\n")
-        assert lines[0] == "s,rho,drho"
-        assert len(lines) == 2002
-        row = [float(x) for x in lines[1].split(",")]
-        assert_allclose(row[0], m.s[0], rtol=0, atol=0)
-        assert_allclose(row[1], m.rho[0], rtol=0, atol=0)

@@ -116,8 +116,8 @@ class TestFloatDerivative:
     @pytest.mark.parametrize(
         "weight, points",
         [
-            (ZeroWeight(), (-3.7, -0.0, 0.0, 1e-300, 2.5, INF, math.nan)),
-            (AffineWeight(0.7, -0.2), (-3.7, 0.0, 2.5, -INF, math.nan)),
+            (ZeroWeight(), (-3.7, -0.0, 0.0, 1e-300, 2.5, math.nan)),
+            (AffineWeight(0.7, -0.2), (-3.7, 0.0, 2.5, math.nan)),
             (AffineWeight(2, 1), (0.3,)),  # integer coefficients
             (QuadraticWeight(1.3, 0.4, 0.1), (-3.7, -0.0, 0.1, 2.5, 1e300, INF, math.nan)),
             (LogPowerWeight(2.5), (1e-300, 0.1, 1.0, 7.3, INF, math.nan)),
@@ -263,6 +263,26 @@ class TestCheckConcavity:
         assert not check_concavity(LogPowerWeight(-0.5)).concave
 
 
+class TestKappaZero:
+    """Zero and affine weights are the quadratics with kappa = 0."""
+
+    @pytest.mark.parametrize("weight, a0, b0", [(ZeroWeight(), 0.0, 0.0), (AffineWeight(0.7, -0.2), 0.7, -0.2)],
+                             ids=["zero", "affine"])
+    def test_zero_and_affine_are_kappa_zero_quadratics(self, weight, a0, b0):
+        assert isinstance(weight, QuadraticWeight)
+        assert (weight.kappa, weight.a0, weight.b0) == (0.0, a0, b0)
+        assert check_concavity(weight).concave
+
+    @pytest.mark.parametrize("a0, b0", [(0.0, 0.0), (0.7, 0.3), (-0.7, 1.5)])
+    def test_the_second_derivative_at_kappa_zero_is_plus_zero(self, a0, b0):
+        """omega'' = 0.0 - 2 kappa: +0.0 at kappa = 0, where -2 kappa gives
+        -0.0 and would write a signed zero into stability.json."""
+        t = np.array([-3.7, -0.0, 0.0, 2.5])
+        d2 = QuadraticWeight(0.0, a0, b0).deriv2(t)
+        assert np.array_equal(d2.view(np.uint64), np.zeros(t.shape).view(np.uint64))
+        assert np.array_equal(QuadraticWeight(1.3, a0, b0).deriv2(t), np.full(t.shape, -2.6))
+
+
 def weight_id(value) -> str:
     """A test id for a weight (its class and parameters) or another parameter."""
     return f"{type(value).__name__}{value._key()}" if isinstance(value, Weight1D) else repr(value)
@@ -389,8 +409,7 @@ class TestIntegrateWeighted:
                 tail = mp.gammainc(z, c * mp.mpf(cut) ** 2, mp.inf) / (2 * mp.mpf(c) ** z)
                 assert tail <= _TAIL_MASS * (1.0 + 1e-9), (a, float(tail / _TAIL_MASS))
             return
-        kappa, a0, b0 = (weight.kappa, weight.a0, weight.b0) if isinstance(weight, QuadraticWeight) else (
-            (0.0, weight.a0, weight.b0) if isinstance(weight, AffineWeight) else (0.0, 0.0, 0.0))
+        kappa, a0, b0 = weight.kappa, weight.a0, weight.b0  # zero and affine weights are quadratics
         c_eff = c + kappa
         d = Density(weight, c, 2, (-INF, INF))
         mu = mp.mpf(a0) / (2 * c_eff)
@@ -589,6 +608,16 @@ class TestDensityValidation:
         for far in (-1e3, -2e3):
             d = Density(ZeroWeight(), 0.5, 2, slab(far))
             assert abs(slab_mass(d) / math.sqrt(2.0 * math.pi) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("weight, slab", [(LogPowerWeight(200.0), (0.0, INF)), (AffineWeight(40.0), (-INF, INF))],
+                             ids=weight_id)
+    def test_a_cut_past_the_float_range_is_refused_by_its_tail_bound(self, weight, slab):
+        """The tail bound's amplitude e^{log_k} overflows (log_k = 800 for the
+        affine weight, about 9,869 for the log-power one), so the cut is
+        infinite: the refusal names the bound, not the engine's panel width."""
+        with pytest.raises(DomainError, match=r"cut to .*\binf\).*tail bound overflows") as refused:
+            Density(weight, 0.5, 2, slab)
+        assert "too wide" not in str(refused.value)
 
 
 # one instance's parameters per weight kind, on a domain holding the slab (0.25, 1)
