@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -198,10 +199,11 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
     """Parse an INI file against the schema and build its density; unknown
     sections and keys (a check's grid, threshold or search space among them),
     a setting outside its schema row's range (the first in schema order is
-    named), an out_dir that is not UTF-8, an invalid density and a height
-    outside the slab are errors.  out_dir, when given, overrides [run]
-    out_dir; expect_bound, when true, sets [run] expect_bound, which admits a
-    non-concave weight to transport and makes spectrum judge its gap.
+    named), an out_dir that is not UTF-8 or would not read back from
+    resolved.cfg, an invalid density and a height outside the slab are
+    errors.  out_dir, when given, overrides [run] out_dir; expect_bound,
+    when true, sets [run] expect_bound, which admits a non-concave weight
+    to transport and makes spectrum judge its gap.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
     strictly inside the slab, else the slab factor's median.
@@ -236,10 +238,14 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
         sections["run"]["out_dir"] = out_dir
     if expect_bound:
         sections["run"]["expect_bound"] = True
+    out = sections["run"]["out_dir"]
     try:
-        sections["run"]["out_dir"].encode("utf-8")  # resolved.cfg echoes it as UTF-8
+        out.encode("utf-8")  # resolved.cfg echoes it as UTF-8
     except UnicodeEncodeError as exc:
-        raise ConfigError(f"[run] out_dir = {sections['run']['out_dir']!r} is not valid UTF-8") from exc
+        raise ConfigError(f"[run] out_dir = {out!r} is not valid UTF-8") from exc
+    if out != out.strip() or re.search(r"[\r\n]|(^|\s)[;#]", out):  # as the parser above reads values
+        raise ConfigError(f"[run] out_dir = {out!r} would not read back from resolved.cfg: a line break, "
+                          "an edge space or a ';' or '#' after a space")
     config = RunConfig(sections)
     a, b = config.density.slab
     unset = []
@@ -602,7 +608,3 @@ def main(argv=None) -> int:
             print(f"isoflow: io error: {exc}", file=sys.stderr)
             return 1
     return max(_SEVERITY[r["status"]] for r in records)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -120,10 +120,6 @@ class DiscreteCurve(_Frozen):
         ell = _segment_lengths(self.points, closed=False)
         return np.concatenate(([0.0], np.cumsum(ell)))
 
-    def tangents(self) -> np.ndarray:
-        """Unit tangents in node order, by centered differences, one-sided at open ends."""
-        return _unit_tangents(self.points, self.closed)
-
 
 def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
     """Centered differences, one-sided over chord length at open ends (_end_slopes), normalized."""
@@ -399,11 +395,6 @@ def cmc_shoot(
 # Jacobi identity and index forms
 
 
-def _tangential_gradient_log_density(density: Density, curve: DiscreteCurve) -> np.ndarray:
-    grad = log_density_gradient(density, curve.points)
-    return np.sum(grad * curve.tangents(), axis=-1)
-
-
 def _cubic_slope(s: np.ndarray, u: np.ndarray, at: int) -> float:
     """u′ at s[at] from the cubic through four nodes (s_i, u_i), by Newton's
     divided differences; third order on any spacing."""
@@ -459,7 +450,8 @@ def jacobi_residual(density: Density, curve: DiscreteCurve) -> float:
     dl, dr = s1 - s0, s2 - s1
     dh = (h2 - h1) / dr * (dl / (dl + dr)) + (h1 - h0) / dl * (dr / (dl + dr))
     d2h = 2.0 * ((h2 - h1) / dr - (h1 - h0) / dl) / (dl + dr)
-    psi_t = _tangential_gradient_log_density(density, curve)[1:-1]
+    tangents = _unit_tangents(curve.points, curve.closed)
+    psi_t = np.sum(log_density_gradient(density, curve.points) * tangents, axis=-1)[1:-1]
     n = curve.n_nodes
     for end, node, window in ((0, 1, slice(0, 4)), (n - 1, n - 2, slice(n - 4, n))):
         if curve.points[end, 1] in density.slab and n >= 4:

@@ -169,17 +169,12 @@ class ChordSpline(_Frozen):
         """Quadrature-node fields per density, filled by _chord_fields."""
         return {}
 
-    @functools.cached_property
-    def _coefficients(self) -> np.ndarray:
-        """x(θ) in power form: the basis coefficients times the controls."""
-        return _operator(self.n_controls).coefficients @ self.control_x
-
     def position(self, theta, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """(x, t) at arbitrary parameters θ, or their nu-th θ-derivatives."""
         theta = np.asarray(theta, dtype=float)
         a, b = self.span
         t = a + (b - a) * theta if nu == 0 else np.full_like(theta, b - a if nu == 1 else 0.0)
-        return _evaluate_spline(self._coefficients, theta, nu), t
+        return _evaluate_spline(_operator(self.n_controls).coefficients @ self.control_x, theta, nu), t
 
     def translated(self, tau: float) -> "ChordSpline":
         return ChordSpline(self.control_x + tau, self.span)

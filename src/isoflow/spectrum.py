@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .weights import Density, _float_arrays, _Frozen, _one_sided_cutoff
+from .weights import Density, _float_arrays, _Frozen
 
 __all__ = [
     "PoincareCertificate",
@@ -83,15 +83,14 @@ def build_spectral_problem(
 ) -> SpectralProblem:
     """Assemble the cell-centered problem on the (truncated) slab factor.
 
-    Infinite slab sides are cut by the engine's tail rule unpadded, each
-    beyond a point inside the slab; pad stretches the cut interval away
-    from the slab's finite end (from 0 on R), for truncation sensitivity.
-    Cell centers never touch the interval endpoints, so weights that
-    vanish there (log-power at 0) still produce strictly positive masses.
+    Infinite slab sides are cut by the engine's tail rule unpadded,
+    Density._cut(0.0), each beyond a point inside the slab; pad stretches
+    the cut interval away from the slab's finite end (from 0 on R), for
+    truncation sensitivity.  Cell centers never touch the interval
+    endpoints, so weights that vanish there (log-power at 0) still produce
+    strictly positive masses.
     """
-    a, b = density.slab
-    lo = a if math.isfinite(a) else _one_sided_cutoff(density, False, 0.0)
-    hi = b if math.isfinite(b) else _one_sided_cutoff(density, True, 0.0)
+    (a, b), (lo, hi) = density.slab, density._cut(0.0)
     anchor = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
     lo, hi = anchor + pad * (lo - anchor), anchor + pad * (hi - anchor)
     if n_cells < 16:

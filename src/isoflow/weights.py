@@ -28,9 +28,10 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
-    by one tail rule, shared with the spectral pencil: beyond a cut inside
-    the slab a Gaussian-type dominating bound (the exact square of a
-    quadratic weight, else a tangent or constant) has mass below 1e-15.
+    by one tail rule, Density._cut, shared with the spectral pencil: beyond
+    a cut inside the slab a Gaussian-type dominating bound (the exact
+    square of a quadratic weight, else a tangent or constant) has mass
+    below 1e-15.
     A slab whose cut interval (Density.cut) is too wide for the engine's
     panels is refused when its Density is built,
   * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
@@ -39,7 +40,6 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from typing import NamedTuple
@@ -64,7 +64,6 @@ __all__ = [
     "log_density",
     "log_density_gradient",
     "bakry_emery_curvature",
-    "tail_interval",
     "total_weighted_volume",
     "CumulativeDensity1D",
 ]
@@ -109,7 +108,7 @@ class Weight1D:
 
     deriv maps a Python float to a float, by the same IEEE operations and
     with the same errors as on an array, so the scalar CMC shooting calls
-    it without building arrays.
+    it on floats.
     """
 
     domain: tuple[float, float] = (-math.inf, math.inf)
@@ -236,25 +235,14 @@ class PiecewiseLinearWeight(Weight1D, _Value):
         return np.diff(v) / np.diff(k)
 
     def deriv(self, t):
-        if isinstance(t, float):
-            return self._float_deriv(t)
-        t = np.asarray(t, dtype=float)
+        scalar, t = isinstance(t, float), np.asarray(t, dtype=float)
         self._check_domain(t)
         interior = np.asarray(self.knots[1:-1])
         if interior.size and np.any(np.isin(t, interior)):
             raise SmoothnessError("piecewise linear weight is not differentiable at a knot")
         idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, len(self.knots) - 2)
-        return self.slopes()[idx]
-
-    def _float_deriv(self, t: float) -> float:
-        """deriv at a float: the slope of the segment bisect finds, computed
-        as slopes() computes it."""
-        knots, values = self.knots, self.values
-        self._check_domain(t)
-        if t in knots[1:-1]:
-            raise SmoothnessError("piecewise linear weight is not differentiable at a knot")
-        i = min(max(bisect.bisect_right(knots, t) - 1, 0), len(knots) - 2)
-        return (values[i + 1] - values[i]) / (knots[i + 1] - knots[i])
+        slope = np.where(np.isnan(t), np.nan, self.slopes()[idx])  # searchsorted puts nan last
+        return float(slope) if scalar else slope
 
     def deriv2(self, t):
         raise SmoothnessError("piecewise linear weight has no second derivative")
@@ -335,8 +323,17 @@ class Density(_Value):
 
     @functools.cached_property
     def cut(self) -> tuple[float, float]:
-        """tail_interval(self), the interval the engine integrates, computed once per Density."""
-        return tail_interval(self)
+        """self._cut(_TAIL_PAD), the interval the engine integrates, computed once per Density."""
+        return self._cut(_TAIL_PAD)
+
+    def _cut(self, pad: float) -> tuple[float, float]:
+        """The slab with each infinite side cut where the tail beyond carries
+        weighted mass below _TAIL_MASS by the dominating-Gaussian bound
+        (_reach), padded by pad / sqrt(c_eff).  Each cut lies past a point
+        inside the slab, so the interval is never empty.  The engine pads by
+        _TAIL_PAD, the spectral pencil by nothing."""
+        return tuple(end if reach is None else sign * max(reach[0] + pad / reach[2], reach[1] + 1.0 / reach[2])
+                     for end, reach, sign in zip(self.slab, self._reach, (-1.0, 1.0)))
 
     @functools.cached_property
     def _reach(self) -> tuple:
@@ -531,8 +528,7 @@ def bakry_emery_curvature(density: Density, p, w) -> np.ndarray:
 
 
 # a truncated tail carries weighted mass below _TAIL_MASS by the dominating-
-# Gaussian bound; the engine pads its cut by _TAIL_PAD / sqrt(c_eff), the
-# spectral pencil by nothing
+# Gaussian bound; Density.cut pads it by _TAIL_PAD / sqrt(c_eff)
 _TAIL_MASS = 1e-15
 _TAIL_PAD = 2.0
 
@@ -552,14 +548,6 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     # x = erfcinv(y), the standard normal upper quantile of y/2 over sqrt(2)
     x = -float(gaussian_quantile(1.0, 0.5 * y, 1.0 - 0.5 * y))
     return mu + x / math.sqrt(c_eff)
-
-
-def _one_sided_cutoff(density: Density, right: bool, pad: float) -> float:
-    """Truncation point for an infinite slab side: the tail beyond it
-    carries mass below _TAIL_MASS, and it is padded by pad / sqrt(c_eff).
-    It is derived from the side's _tail_reach, computed once per Density."""
-    x, u_ref, root = density._reach[right]
-    return (1.0 if right else -1.0) * max(x + pad / root, u_ref + 1.0 / root)
 
 
 def _tail_reach(density: Density, right: bool) -> tuple[float, float, float]:
@@ -585,16 +573,6 @@ def _tail_reach(density: Density, right: bool) -> tuple[float, float, float]:
         slope = 0.0 if isinstance(w, LogPowerWeight) and w.m < 0.0 else sign * float(w.deriv(ref))
         amp = float(w.value(ref)) - slope * u_ref
     return _gaussian_tail_cutoff(c_eff, slope, amp, _TAIL_MASS), u_ref, root
-
-
-def tail_interval(density: Density) -> tuple[float, float]:
-    """The slab with each infinite side cut by _one_sided_cutoff at pad
-    _TAIL_PAD: the discarded tail carries weighted mass below _TAIL_MASS by
-    the dominating-Gaussian bound.  Each cut lies past a point inside the
-    slab, so the interval is never empty."""
-    a, b = density.slab
-    return (_one_sided_cutoff(density, False, _TAIL_PAD) if math.isinf(a) else a,
-            _one_sided_cutoff(density, True, _TAIL_PAD) if math.isinf(b) else b)
 
 
 # the positive nodes, then their weights, of np.polynomial.legendre.leggauss (symmetric rules)
@@ -647,12 +625,6 @@ def _node_sum(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     return f[0]
 
 
-def _jacobi_from_zero(m: float, smooth, b: np.ndarray, order: int) -> np.ndarray:
-    """int_0^{b_i} u^m smooth(u) du by Gauss-Jacobi, exact for the power u^m."""
-    (x, w), half = _jacobi_rule(order, m), 0.5 * b
-    return half ** (m + 1.0) * _node_sum(smooth((1.0 + x)[:, None] * half), w)
-
-
 # ---------------------------------------------------------------------------
 # panelized cumulative integral
 
@@ -693,17 +665,15 @@ class CumulativeDensity1D:
     """
 
     def __init__(self, density: Density):
-        w, c, self._fn = density.weight, density.c, density.slab_factor
+        w, self._c, self._fn = density.weight, density.c, density.slab_factor
         lo, hi = density.cut
-        m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
+        self._m = m = w.m if isinstance(w, LogPowerWeight) and w.m != 0.0 and lo == 0.0 else None
         self.breaks = breaks = np.linspace(lo, hi, _N_PANELS + 1)
         self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
         panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
-        self._from_zero = None  # int_0^b of a singular integrand, by Gauss-Jacobi
         self._power = None if m is None else m + 1.0  # the first panel's mass grows like t^power
         if m is not None:
-            self._from_zero = lambda b: _jacobi_from_zero(m, lambda u: np.exp(-c * u * u), b, _GL_ORDER)
             panel[0] = self._from_zero(breaks[1:2])[0]
         self._at_breaks = self._fn(breaks)  # the quantile start's Hermite slopes
         self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
@@ -719,7 +689,7 @@ class CumulativeDensity1D:
         Rows in a log-power first panel integrate by Gauss-Jacobi alone.  Each
         rule is summed in node order, so a row's bits do not depend on the batch."""
         out, live = np.zeros(a.shape), b > a
-        if self._from_zero is not None:
+        if self._power is not None:
             first = live & (b <= self.breaks[1])
             if first.any():
                 out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
@@ -734,6 +704,13 @@ class CumulativeDensity1D:
             return mass
         out[live] = mass
         return out
+
+    def _from_zero(self, b: np.ndarray) -> np.ndarray:
+        """int_0^{b_i} u^m e^{-c u^2} du, the slab factor of a log-power first
+        panel, by Gauss-Jacobi, exact for the power u^m."""
+        (x, w), half = _jacobi_rule(_GL_ORDER, self._m), 0.5 * b
+        u = (1.0 + x)[:, None] * half
+        return half ** self._power * _node_sum(np.exp(-self._c * u * u), w)
 
     def _locate(self, t):
         """Flattened t clamped to the breaks, its panel index, and its shape;

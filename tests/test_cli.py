@@ -158,6 +158,32 @@ class TestLoadConfig:
         assert os.listdir(tmp_path) == []
         assert "out_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, continued", [
+        ("nl\nx = 1", False), ("sp ", False), ("a ;b", False), ("a #b", False), ("cont\n  x", True),
+    ], ids=["newline", "trailing-space", "semicolon", "hash", "continuation-line"])
+    def test_an_out_dir_that_would_not_read_back_is_refused(self, tmp_path, capsys, name, continued):
+        """resolved.cfg echoes out_dir on one `key = value` line, so a line
+        break, an edge space or a ';' or '#' after a space read back as
+        another key or a shorter path ("unknown key 'x'", '.../sp',
+        '.../a').  Each run exited 0 and wrote that resolved.cfg."""
+        out = str(tmp_path / "run" / name)
+        text = "[density]\nweight = zero\n" + (f"[run]\nout_dir = {out}\n" if continued else "")
+        cfg = write_cfg(tmp_path, text)
+        out = None if continued else out
+        with pytest.raises(ConfigError, match=r"\[run\] out_dir .* would not read back from resolved\.cfg"):
+            load_config(cfg, out_dir=out)
+        assert main(["profile", "--config", cfg] + ([] if continued else ["--out", out])) == 1
+        assert os.listdir(tmp_path) == ["run.cfg"]
+        assert "would not read back" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a;b", "a#b", "in side", "tab\tin", "=:[%]"])
+    def test_an_out_dir_that_reads_back_is_kept(self, tmp_path, name):
+        """';' and '#' start a comment only after a space, and inner spaces
+        are kept: resolved.cfg loads back as the same run."""
+        config = load_config(GAUSSIAN_CFG, out_dir=str(tmp_path / name))
+        echoed = write_cfg(tmp_path, resolved_config_text(config), "resolved.cfg")
+        assert load_config(echoed) == config
+
     def test_piecewise_weight_built_from_flat_pairs(self, tmp_path):
         config = load_config(
             write_cfg(

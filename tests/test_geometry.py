@@ -36,7 +36,7 @@ from isoflow.geometry import (
     straight_segment,
     vertical_segment,
 )
-from isoflow.geometry import _tangential_gradient_log_density, _trapezoid_weights
+from isoflow.geometry import _trapezoid_weights, _unit_tangents
 from isoflow.weights import (
     LogPowerWeight,
     _gauss_legendre,
@@ -86,7 +86,8 @@ def q_form(density, curve, u):
     w = half + np.roll(half, 1) if curve.closed else np.append(half, 0.0) + np.insert(half, 0, 0.0)
     w = w * np.exp(log_density(density, curve.points))
     du, d2u = spline(s[:m], 1), spline(s[:m], 2)
-    psi_t = _tangential_gradient_log_density(density, curve)
+    tangents = _unit_tangents(curve.points, curve.closed)
+    psi_t = np.sum(log_density_gradient(density, curve.points) * tangents, axis=-1)
     ric = bakry_emery_curvature(density, curve.points, curve.normals)
     lf_u = d2u + psi_t * du + (ric + curve.curvature**2) * u
     boundary = 0.0
@@ -267,7 +268,7 @@ class TestDiscreteCurve:
     def test_arclength_and_tangents(self):
         seg = straight_segment(GAUSS_PLANE, (0.0, 0.0), (3.0, 4.0), n=11)
         assert_allclose(seg.arclength()[-1], 5.0, rtol=1e-14)
-        assert_allclose(seg.tangents(), np.tile([0.6, 0.8], (11, 1)), atol=1e-14)
+        assert_allclose(_unit_tangents(seg.points, seg.closed), np.tile([0.6, 0.8], (11, 1)), atol=1e-14)
 
 
 class TestFMeanCurvature:

@@ -14,10 +14,13 @@ its module is imported, so isoflow's records are plain immutable classes.
 The guard imports every isoflow module and runs a full `isoflow all` on
 both bundled configs, then reads sys.modules.  Two more guards read the
 source: every field of isoflow's NamedTuple reports and _Frozen records
-has a reader outside the tests, and every public function a caller.
+has a reader outside the tests, and every public function a caller.  A
+last one reads README.md: every code reference there still resolves.
 """
 
 import ast
+import functools
+import importlib
 import json
 import os
 import re
@@ -144,3 +147,27 @@ def test_every_public_function_is_called_outside_the_tests():
               for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert examples and {("cli", "main"), ("weights", "check_concavity")} <= functions
     assert {function for function in functions if function[1] not in called} == set()
+
+
+def test_every_readme_code_reference_resolves():
+    """A README that names a helper the code no longer has sends its reader
+    to nothing.  Every backticked dotted name in README.md, a call's
+    arguments aside, whose head is an isoflow module or a name in
+    isoflow.__all__ must resolve by getattr from that head."""
+    import isoflow
+
+    modules = {path.stem for path in (ROOT / "src" / "isoflow").glob("*.py")}
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    names = {match[1] for span in spans
+             if (match := re.fullmatch(r"(([A-Za-z_]\w*)(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?", span))
+             and (match[2] in modules or match[2] in isoflow.__all__)}
+    stale = []
+    for name in sorted(names):
+        head, *path = name.split(".")
+        target = importlib.import_module(f"isoflow.{head}") if head in modules else getattr(isoflow, head)
+        try:
+            functools.reduce(getattr, path, target)
+        except AttributeError:
+            stale.append(name)
+    assert {"Density.cut", "weights._TAIL_MASS", "cli._SCHEMA"} <= names
+    assert stale == []

@@ -29,7 +29,9 @@ from isoflow.geometry import (
 )
 import isoflow.transport as transport
 from isoflow.profiles import build_profile, compare_profiles
+from isoflow.cli import _PUSHFORWARD_TOLERANCE
 from isoflow.transport import (
+    TransportMap,
     build_transport,
     check_contraction,
     pushforward_check,
@@ -193,6 +195,24 @@ class TestPushforwardCheck:
         assert math.isinf(rep.max_residual) == bool(np.any((m.rho < a) | (m.rho > b)))
         given = np.array([[max(a, -1.0), min(b, 1.0)], [max(a, -0.5), min(b, 0.5)]])
         assert pushforward_check(m, intervals=given).max_residual <= 1e-13
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_the_check_does_not_read_the_cached_source_cdf(self, weight, slab, monkeypatch):
+        """The map reads the source CDF from _source_grid; the check computes
+        Phi(s) itself.  With the cached lower side q scaled by 1 + 1e-10 the
+        map moves and the node residual exceeds the run's tolerance (about
+        5e-11 against 1e-16 clean).  A check that read Phi(s) from the same
+        cache would move with the map: 10 of these 14 cases then read below it."""
+        d = Density(weight, 0.5, 2, slab)
+        assert pushforward_check(TransportMap(d)).max_residual <= _PUSHFORWARD_TOLERANCE
+        source_grid = transport._source_grid
+
+        def scaled_source(c):
+            s, q, q_up, factor = source_grid(c)
+            return s, np.where(q <= 0.5, q * (1.0 + 1e-10), q), q_up, factor
+
+        monkeypatch.setattr(transport, "_source_grid", scaled_source)
+        assert pushforward_check(TransportMap(d)).max_residual > _PUSHFORWARD_TOLERANCE
 
     def test_a_node_outside_the_slab_fails(self, monkeypatch):
         """The last node alone is moved 1e-12 past the wall b = 1."""

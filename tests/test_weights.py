@@ -36,7 +36,6 @@ from isoflow import (
     log_density,
     log_density_gradient,
     make_straight_chord,
-    tail_interval,
     total_weighted_volume,
     vertical_segment,
 )
@@ -48,7 +47,6 @@ from isoflow.weights import (
     _erfc,
     _gauss_legendre,
     _node_sum,
-    _one_sided_cutoff,
     gaussian_cdf,
     gaussian_quantile,
 )
@@ -109,7 +107,8 @@ class TestLogDensity:
 
 class TestFloatDerivative:
     """deriv of a Python float is a float with the bits of the array path,
-    and raises where the array path raises."""
+    and raises where the array path raises.  nan gives nan: the piecewise
+    weight gave its last segment's slope, -1.8 for PIECEWISE, on both paths."""
 
     PIECEWISE = PiecewiseLinearWeight((-1.0, -0.2, 0.5, 1.0), (0.0, 0.4, 0.3, -0.6))
 
@@ -131,6 +130,7 @@ class TestFloatDerivative:
             got = weight.deriv(t)
             want = weight.deriv(np.array([t]))[0]
             assert type(got) is float
+            assert math.isnan(got) == math.isnan(t), (t, got)
             assert np.array_equal(np.array([got]).view(np.uint64), np.array([want]).view(np.uint64)) or (
                 math.isnan(got) and math.isnan(want))
 
@@ -314,7 +314,7 @@ class TestIntegrateWeighted:
         # t^k e^{-c t^2} over the Gaussian's tail interval, by a 600-panel
         # 12-point Gauss-Legendre rule of the test's own
         d = Density(ZeroWeight(), c, 2, (-INF, INF))
-        lo, hi = tail_interval(d)
+        lo, hi = d.cut
         x, w = np.polynomial.legendre.leggauss(12)
         breaks = np.linspace(lo, hi, 601)
         half = 0.5 * np.diff(breaks)[:, None]
@@ -378,7 +378,7 @@ class TestIntegrateWeighted:
         ]:
             d = Density(weight, 0.5, 2, slab)
             tight = CumulativeDensity1D(d).total
-            lo, hi = tail_interval(d)
+            lo, hi = d.cut
             pad = 6.0 / math.sqrt(d.c)
             lo_w = lo - pad if math.isinf(slab[0]) else lo
             hi_w = hi + pad if math.isinf(slab[1]) else hi
@@ -405,7 +405,7 @@ class TestIntegrateWeighted:
         if isinstance(weight, LogPowerWeight):
             m, z = weight.m, (weight.m + 1.0) / 2.0
             for a in (0.0, 3.0):
-                cut = _one_sided_cutoff(Density(weight, c, 2, (a, INF)), True, 0.0)
+                cut = Density(weight, c, 2, (a, INF))._cut(0.0)[1]
                 tail = mp.gammainc(z, c * mp.mpf(cut) ** 2, mp.inf) / (2 * mp.mpf(c) ** z)
                 assert tail <= _TAIL_MASS * (1.0 + 1e-9), (a, float(tail / _TAIL_MASS))
             return
@@ -415,7 +415,7 @@ class TestIntegrateWeighted:
         mu = mp.mpf(a0) / (2 * c_eff)
         scale = mp.e ** (b0 + mp.mpf(a0) ** 2 / (4 * c_eff)) * mp.sqrt(mp.pi / c_eff) / 2
         for right in (True, False):
-            cut = _one_sided_cutoff(d, right, 0.0)
+            cut = d._cut(0.0)[right]
             tail = scale * mp.erfc(mp.sqrt(c_eff) * ((cut - mu) if right else (mu - cut)))
             assert tail <= _TAIL_MASS * (1.0 + 1e-9), (right, float(tail / _TAIL_MASS))
 
@@ -434,9 +434,9 @@ class TestIntegrateWeighted:
     def test_a_far_finite_end_does_not_move_the_other_cut(self):
         """Zero weight, c = 1/2: the left cut of (-inf, 20) is the left cut of
         R, -10.88, not -20 as when the guard was taken about |ref|."""
-        lo, hi = tail_interval(Density(ZeroWeight(), 0.5, 2, (-INF, 20.0)))
+        lo, hi = Density(ZeroWeight(), 0.5, 2, (-INF, 20.0)).cut
         assert hi == 20.0
-        assert lo == tail_interval(Density(ZeroWeight(), 0.5, 2, (-INF, INF)))[0]
+        assert lo == Density(ZeroWeight(), 0.5, 2, (-INF, INF)).cut[0]
         assert lo == pytest.approx(-10.883, abs=1e-3)
 
     @pytest.mark.parametrize("weight, slab", [
@@ -452,7 +452,7 @@ class TestIntegrateWeighted:
         old stretch about 0, lies past 15 ("empty computational interval")."""
         d = Density(weight, 0.5, 2, slab)
         a, b = slab
-        lo, hi = tail_interval(d)
+        lo, hi = d.cut
         assert a <= lo < hi <= b
         for pad in (1.0, 1.25):
             nodes = build_spectral_problem(d, n_cells=64, pad=pad).nodes
@@ -813,8 +813,7 @@ class TestOneDensityFormula:
             cum = d.cumulative
             assert cum._at_breaks.tobytes() == d.slab_factor(cum.breaks).tobytes()
             pencil = build_spectral_problem(d, n_cells=200)
-            (a, b), cut = d.slab, _one_sided_cutoff
-            lo, hi = cut(d, False, 0.0) if math.isinf(a) else a, cut(d, True, 0.0) if math.isinf(b) else b
+            lo, hi = d._cut(0.0)
             want = d.slab_factor(pencil.nodes) * ((hi - lo) / 200)
             assert pencil.masses.tobytes() == want.tobytes()
             profile = build_profile(d, "parallel", grid_size=33)
@@ -825,8 +824,8 @@ class TestOneDensityFormula:
 
 
 def uncached_cutoff(density, right: bool, pad: float) -> float:
-    """The tail rule computed whole on every call, as _one_sided_cutoff read
-    before each side's unpadded cutoff was cached on its Density."""
+    """The tail rule computed whole on every call, as it was before each
+    side's unpadded cutoff was cached on its Density."""
     w, c, sign = density.weight, density.c, 1.0 if right else -1.0
     quadratic = isinstance(w, QuadraticWeight)
     c_eff = c + w.kappa if quadratic else c
@@ -867,7 +866,7 @@ class TestOneTailCutPerSide:
                     for right in sides:
                         for pad in (0.0, _TAIL_PAD):
                             want = uncached_cutoff(d, right, pad)
-                            assert _one_sided_cutoff(d, right, pad) == want, (weight, slab, c, right, pad)
+                            assert d._cut(pad)[right] == want, (weight, slab, c, right, pad)
                             checked += 1
                     lo, hi = (uncached_cutoff(d, False, _TAIL_PAD) if math.isinf(slab[0]) else slab[0],
                               uncached_cutoff(d, True, _TAIL_PAD) if math.isinf(slab[1]) else slab[1])
