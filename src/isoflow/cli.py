@@ -243,9 +243,9 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
         out.encode("utf-8")  # resolved.cfg echoes it as UTF-8
     except UnicodeEncodeError as exc:
         raise ConfigError(f"[run] out_dir = {out!r} is not valid UTF-8") from exc
-    if out != out.strip() or re.search(r"[\r\n]|(^|\s)[;#]", out):  # as the parser above reads values
+    if out != out.strip() or re.search(r"[\r\n\x00]|(^|\s)[;#]", out):  # as the parser above reads values
         raise ConfigError(f"[run] out_dir = {out!r} would not read back from resolved.cfg: a line break, "
-                          "an edge space or a ';' or '#' after a space")
+                          "a NUL byte, an edge space or a ';' or '#' after a space")
     config = RunConfig(sections)
     a, b = config.density.slab
     unset = []
@@ -353,7 +353,7 @@ def cmd_profile(config: RunConfig) -> _Outcome:
         "strict": comparison.verdict == "strict",
         "min_margin": comparison.min_margin,
         "n_ties": comparison.n_ties,
-        "n_grid": int(comparison.grid.size),
+        "n_grid": parallel.v.size,
         "parallel_ode": ode_par.verdict,
         "parallel_max_defect": ode_par.max_defect,
         "perpendicular_ode": ode_perp.verdict,
@@ -390,7 +390,8 @@ def cmd_transport(config: RunConfig) -> _Outcome:
 
 
 def cmd_stability(config: RunConfig) -> _Outcome:
-    verdict = parallel_halfspace_stability(config.density, float(config.value("stability", "t0")))
+    t0 = float(config.value("stability", "t0"))
+    verdict = parallel_halfspace_stability(config.density, t0)
     # the dichotomy is internally consistent when the witness index value
     # has the sign the second derivative of the weight predicts
     witness_consistent = (
@@ -400,10 +401,10 @@ def cmd_stability(config: RunConfig) -> _Outcome:
     )
     witness = None
     if not witness_consistent:
-        witness = {"location": f"t0={verdict.t0}", "value": verdict.witness_value}
+        witness = {"location": f"t0={t0}", "value": verdict.witness_value}
     metrics = {
         "parallel_verdict": verdict.verdict,
-        "t0": verdict.t0,
+        "t0": t0,
         "weight_second_derivative": verdict.weight_second_derivative,
         "witness_index_value": verdict.witness_value,
     }

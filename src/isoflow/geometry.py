@@ -28,7 +28,6 @@ from .weights import (
     _gauss_legendre,
     _gaussian_tail_cutoff,
     bakry_emery_curvature,
-    log_density,
     log_density_gradient,
 )
 
@@ -148,7 +147,7 @@ def _trapezoid_weights(density: Density, curve: DiscreteCurve) -> tuple[np.ndarr
     f at each node times half its adjacent segment lengths, and segment
     conductances ½(f_i + f_{i+1})/ℓ_i, the closing segment of a closed
     curve included."""
-    f = np.exp(log_density(density, curve.points))
+    f = np.exp(density.psi(*curve.points.T))
     ell = _segment_lengths(curve.points, curve.closed)
     half, f_next = 0.5 * ell, np.roll(f, -1)[: ell.size]
     mass = half + np.roll(half, 1) if curve.closed else np.append(half, 0.0) + np.insert(half, 0, 0.0)
@@ -486,7 +485,6 @@ class StabilityVerdict(NamedTuple):
     """Stability of a boundary-parallel half-space at height t0."""
 
     verdict: str
-    t0: float
     weight_second_derivative: float
     witness_value: float
 
@@ -509,7 +507,6 @@ def parallel_halfspace_stability(density: Density, t0: float) -> StabilityVerdic
     witness = index_form(density, line, line.points[:, 0])
     return StabilityVerdict(
         verdict="stable" if d2 >= 0.0 else "unstable",
-        t0=float(t0),
         weight_second_derivative=d2,
         witness_value=witness,
     )

@@ -33,7 +33,7 @@ from .errors import ConfigError, DomainError, GeometryError
 from .geometry import DiscreteCurve
 from .profiles import _perpendicular_lines
 from .weights import Density, _Frozen, _gauss_legendre, _read_only, gaussian_cdf
-from .weights import gaussian_factor, log_density, log_density_gradient
+from .weights import gaussian_factor, log_density_gradient
 from .weights import total_weighted_volume
 
 __all__ = [
@@ -95,9 +95,7 @@ def _evaluate_spline(coefficients: np.ndarray, theta, nu: int) -> np.ndarray:
         return c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
     if nu == 1:
         return c2 + c1 * h * 2.0 + c0 * (h * h) * 3.0
-    if nu == 2:
-        return c1 * 2.0 + c0 * h * 6.0
-    raise ValueError("derivative order must be 0, 1 or 2")
+    return c1 * 2.0 + c0 * h * 6.0
 
 
 class _SplineOperator(NamedTuple):
@@ -168,13 +166,6 @@ class ChordSpline(_Frozen):
     def _fields(self) -> dict:
         """Quadrature-node fields per density, filled by _chord_fields."""
         return {}
-
-    def position(self, theta, nu: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(x, t) at arbitrary parameters θ, or their nu-th θ-derivatives."""
-        theta = np.asarray(theta, dtype=float)
-        a, b = self.span
-        t = a + (b - a) * theta if nu == 0 else np.full_like(theta, b - a if nu == 1 else 0.0)
-        return _evaluate_spline(_operator(self.n_controls).coefficients @ self.control_x, theta, nu), t
 
     def translated(self, tau: float) -> "ChordSpline":
         return ChordSpline(self.control_x + tau, self.span)
@@ -269,7 +260,7 @@ def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np
     dv_x = op.value.T @ (qw * f * dt)
     # wall sliding terms: the endpoint controls move the contact point
     # along the wall, contributing f ⟨T, e_x⟩ with outward sign
-    f_ends = np.exp(log_density(density, np.column_stack((chord.control_x[[0, -1]], chord.span))))
+    f_ends = np.exp(density.psi(chord.control_x[[0, -1]], np.array(chord.span)))
     slopes = op.ends @ chord.control_x  # x′(0), x′(1)
     tang_x = slopes / np.hypot(slopes, dt)
     dp_x[0] -= f_ends[0] * tang_x[0]
@@ -488,19 +479,18 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     spline curvature k = −t′x″/|γ′|³, both evaluated from the spline
     derivatives rather than node differences.
     """
+    coefficients = _operator(chord.n_controls).coefficients @ chord.control_x
+    a, b = chord.span  # the height ramp t = a + (b − a)θ
     theta_dense = np.linspace(0.0, 1.0, 4097)
-    speed_dense = np.hypot(*chord.position(theta_dense, 1))
+    speed_dense = np.hypot(_evaluate_spline(coefficients, theta_dense, 1), b - a)
     s_dense = np.concatenate(
         ([0.0], np.cumsum(0.5 * (speed_dense[1:] + speed_dense[:-1]) * np.diff(theta_dense)))
     )
     theta = np.interp(np.linspace(0.0, s_dense[-1], 401), s_dense, theta_dense)
     theta[0], theta[-1] = 0.0, 1.0
-    x, t = chord.position(theta)
-    dx, dt = chord.position(theta, 1)
-    d2x, _ = chord.position(theta, 2)
-    speed = np.hypot(dx, dt)
-    a, b = density.slab
-    points = np.stack((x, np.clip(t, a, b)), axis=-1)
-    normals = np.stack((-dt / speed, dx / speed), axis=-1)
-    curvature = -dt * d2x / speed**3
+    x, dx, d2x = (_evaluate_spline(coefficients, theta, nu) for nu in (0, 1, 2))
+    speed = np.hypot(dx, b - a)
+    points = np.stack((x, np.clip(a + (b - a) * theta, *density.slab)), axis=-1)
+    normals = np.stack((-(b - a) / speed, dx / speed), axis=-1)
+    curvature = -(b - a) * d2x / speed**3
     return DiscreteCurve(points=points, normals=normals, curvature=curvature)

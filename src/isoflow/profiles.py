@@ -164,7 +164,6 @@ class ComparisonVerdict(NamedTuple):
     min_margin: float
     n_ties: int
     violations: tuple[float, ...]
-    grid: np.ndarray
 
 
 def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e-8) -> ComparisonVerdict:
@@ -197,5 +196,4 @@ def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e
         min_margin=float(np.min(margin)),
         n_ties=n_ties,
         violations=tuple(float(v) for v in violations[:32]),
-        grid=common,
     )

@@ -50,21 +50,16 @@ _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 
 @functools.lru_cache(maxsize=8)
-def _gaussian_line(c: float) -> Density:
-    """The source e^{−cs²} on ℝ, built once per c: a Density computes its
-    engine's cut interval when it is built."""
-    return Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
-
-
-@functools.lru_cache(maxsize=8)
-def _source_grid(c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The map's 2001-point grid s, the source's CDF and 1 − CDF at s, each
-    exact in its own tail (near 1e−13 at the ends for any c, so none is
-    clipped), and the source factor e^{−cs²}; read-only, computed once per c."""
+def _source_grid(c: float) -> tuple[Density, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The source e^{−cs²} on ℝ (a Density computes its engine's cut when it
+    is built), the map's 2001-point grid s, the source's CDF and 1 − CDF at
+    s, each exact in its own tail (near 1e−13 at the ends for any c, so none
+    is clipped), and the source factor e^{−cs²}; read-only, computed once per c."""
+    line = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
     span = _Z_GRID / math.sqrt(2.0 * c)
     s = np.linspace(-span, span, 2001)
     q, q_up = gaussian_cdf(c, np.stack((s, -s)))
-    return _read_only(s), _read_only(q), _read_only(q_up), _read_only(_gaussian_line(c).slab_factor(s))
+    return line, _read_only(s), _read_only(q), _read_only(q_up), _read_only(line.slab_factor(s))
 
 
 class TransportMap(_Frozen):
@@ -73,8 +68,8 @@ class TransportMap(_Frozen):
     1e−13 to 1 − 1e−13.
 
     Every array is read-only; everything is derived from target:
-    s:     the grid, cached per c and shared by every map with that c.
-    source: the Gaussian line e^{−cs²} on ℝ, with the target's c.
+    source: the Gaussian line e^{−cs²} on ℝ, with the target's c, and
+    s:     the grid, both cached per c and shared by every map with that c.
     alpha, beta: reciprocal masses of source and target.
     rho:   ρ(s_i) ∈ [a, b]: CDF₁ in closed form (cached per c with the grid),
            then one batched quantile call on the target's engine, resolved
@@ -87,10 +82,10 @@ class TransportMap(_Frozen):
         c, cum = target.c, target.cumulative
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
-        s, q, q_up, factor = _source_grid(c)
+        line, s, q, q_up, factor = _source_grid(c)
         rho = np.maximum.accumulate(cum.quantile(q, q_up))
         drho = alpha * factor / (beta * target.slab_factor(rho))
-        vars(self).update(s=s, source=_gaussian_line(c), target=target, rho=_read_only(rho), drho=_read_only(drho),
+        vars(self).update(s=s, source=line, target=target, rho=_read_only(rho), drho=_read_only(drho),
                           alpha=alpha, beta=beta)
 
 

@@ -17,7 +17,7 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     of the density's formula: psi = omega(t) - c (x^2 + t^2) and the slab
     factor e^{omega(t) - c t^2}, both computed in the new array
     Weight1D.value returns (Density is the one caller that overwrites it);
-    psi at points, its gradient, the Bakry-Emery curvature
+    the gradient of psi at points, the Bakry-Emery curvature
     -omega''(t) <e_t, w>^2 + 2c |w|^2, and gaussian_factor(c) = sqrt(pi/c),
   * the package's one 1-D measure engine, CumulativeDensity1D: a panelized
     Gauss-Legendre cumulative integral of a Density's slab factor with
@@ -61,7 +61,6 @@ __all__ = [
     "gaussian_factor",
     "gaussian_cdf",
     "gaussian_quantile",
-    "log_density",
     "log_density_gradient",
     "bakry_emery_curvature",
     "total_weighted_volume",
@@ -489,14 +488,6 @@ def gaussian_quantile(c: float, q, q_upper):
     v[near], v[far] = _as241(1, r[near] - 1.6), _as241(2, r[far] - 5.0)
     x[tail] = np.where(lower[tail], -v, v)
     return x.reshape(shape) / math.sqrt(2.0 * c)
-
-
-def log_density(density: Density, p) -> np.ndarray:
-    """psi(p) = omega(t) - c |p|^2 for points p of shape (..., 2)."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != 2:
-        raise DomainError("points must have 2 coordinates")
-    return density.psi(p[..., 0], p[..., 1])
 
 
 def log_density_gradient(density: Density, p) -> np.ndarray:

@@ -35,7 +35,6 @@ from isoflow import (
     compare_profiles,
     index_form,
     jacobi_residual,
-    log_density,
     log_density_gradient,
     minimize,
     parallel_halfspace_stability,
@@ -404,7 +403,7 @@ def test_criterion_11_differential_self_consistency():
         for axis in (0, 1):
             e = np.zeros(2)
             e[axis] = h
-            fd = (log_density(density, pts + e) - log_density(density, pts - e)) / (2.0 * h)
+            fd = (density.psi(*(pts + e).T) - density.psi(*(pts - e).T)) / (2.0 * h)
             scale = np.maximum(np.abs(grad[:, axis]), 1.0)
             worst_psi = max(worst_psi, float(np.max(np.abs(fd - grad[:, axis]) / scale)))
     density = Density(ZeroWeight(), C, 2, (-1.0, 1.0))

@@ -158,21 +158,24 @@ class TestLoadConfig:
         assert os.listdir(tmp_path) == []
         assert "out_dir" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, continued", [
+    @pytest.mark.parametrize("name, in_file", [
         ("nl\nx = 1", False), ("sp ", False), ("a ;b", False), ("a #b", False), ("cont\n  x", True),
-    ], ids=["newline", "trailing-space", "semicolon", "hash", "continuation-line"])
-    def test_an_out_dir_that_would_not_read_back_is_refused(self, tmp_path, capsys, name, continued):
+        ("nul\x00x", False), ("nul\x00x", True),
+    ], ids=["newline", "trailing-space", "semicolon", "hash", "continuation-line", "nul-byte", "nul-byte-in-file"])
+    def test_an_out_dir_that_would_not_read_back_is_refused(self, tmp_path, capsys, name, in_file):
         """resolved.cfg echoes out_dir on one `key = value` line, so a line
         break, an edge space or a ';' or '#' after a space read back as
         another key or a shorter path ("unknown key 'x'", '.../sp',
-        '.../a').  Each run exited 0 and wrote that resolved.cfg."""
+        '.../a').  Each run exited 0 and wrote that resolved.cfg.  No path
+        may hold a NUL byte: that run ended in os.makedirs' ValueError
+        "embedded null byte", with a traceback instead of "isoflow: error"."""
         out = str(tmp_path / "run" / name)
-        text = "[density]\nweight = zero\n" + (f"[run]\nout_dir = {out}\n" if continued else "")
+        text = "[density]\nweight = zero\n" + (f"[run]\nout_dir = {out}\n" if in_file else "")
         cfg = write_cfg(tmp_path, text)
-        out = None if continued else out
+        out = None if in_file else out
         with pytest.raises(ConfigError, match=r"\[run\] out_dir .* would not read back from resolved\.cfg"):
             load_config(cfg, out_dir=out)
-        assert main(["profile", "--config", cfg] + ([] if continued else ["--out", out])) == 1
+        assert main(["profile", "--config", cfg] + ([] if in_file else ["--out", out])) == 1
         assert os.listdir(tmp_path) == ["run.cfg"]
         assert "would not read back" in capsys.readouterr().err
 
@@ -700,6 +703,25 @@ class TestExitCodes:
         assert main(["all", "--config", write_cfg(tmp_path, text), "--out", out]) == 1
         assert not os.path.exists(out)
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[density]\nweight = piecewise_linear\nparams = -1, 0, 0, 1, 1\n", "must be knot/value pairs"),
+            ("[density]\nweight = zero\nslab = 1\n", "slab must be two endpoints"),
+            ("[density]\nweight = zero\nslab = -1, 0, 1\n", "slab must be two endpoints"),
+            ("[density]\nweight = zero\n[density]\nc = 1\n", "section 'density' already exists"),
+            ("weight = zero\n[density]\n", "no section headers"),
+        ],
+        ids=["piecewise_linear_odd_params", "slab_one_end", "slab_three_ends", "repeated_section",
+             "key_before_any_section"],
+    )
+    def test_a_malformed_density_or_file_exits_one_at_load(self, tmp_path, capsys, text, problem):
+        """The run exits 1 at load, names the problem and writes nothing."""
+        out = str(tmp_path / "never")
+        assert main(["all", "--config", write_cfg(tmp_path, text), "--out", out]) == 1
+        assert not os.path.exists(out)
+        assert problem in capsys.readouterr().err
 
     def test_the_first_bad_setting_in_schema_order_is_named(self, tmp_path):
         """A setting's range is checked as its key is read, so a Jacobi

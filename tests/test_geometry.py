@@ -41,7 +41,6 @@ from isoflow.weights import (
     LogPowerWeight,
     _gauss_legendre,
     bakry_emery_curvature,
-    log_density,
     log_density_gradient,
 )
 
@@ -84,7 +83,7 @@ def q_form(density, curve, u):
         spline = CubicSpline(s, u)
     half = 0.5 * np.diff(s)
     w = half + np.roll(half, 1) if curve.closed else np.append(half, 0.0) + np.insert(half, 0, 0.0)
-    w = w * np.exp(log_density(density, curve.points))
+    w = w * np.exp(density.psi(*curve.points.T))
     du, d2u = spline(s[:m], 1), spline(s[:m], 2)
     tangents = _unit_tangents(curve.points, curve.closed)
     psi_t = np.sum(log_density_gradient(density, curve.points) * tangents, axis=-1)
@@ -92,7 +91,7 @@ def q_form(density, curve, u):
     lf_u = d2u + psi_t * du + (ric + curve.curvature**2) * u
     boundary = 0.0
     if not curve.closed:
-        f_ends = np.exp(log_density(density, curve.points[[0, -1]]))
+        f_ends = np.exp(density.psi(*curve.points[[0, -1]].T))
         boundary = -(u[0] * (-du[0]) * f_ends[0] + u[-1] * du[-1] * f_ends[1])
     return -float(np.sum(u * lf_u * w)) + boundary, boundary
 
@@ -487,6 +486,30 @@ class TestJacobiResidual:
             errs.append(jacobi_residual(density, curve))
         assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
+    @pytest.mark.parametrize("h", [4e-3, 2e-3, 1e-3])
+    @pytest.mark.parametrize(
+        "weight, target, start, angle",
+        [(ZeroWeight(), 0.0, (0.3, 0.0), 1.2), (AffineWeight(0.7, 0.0), 0.2, (0.1, -0.2), 1.3)],
+        ids=["zero", "affine"],
+    )
+    def test_a_reversed_wall_landing_reads_the_same_residual(self, monkeypatch, weight, target, start, angle, h):
+        """Traversed from its wall end, a shot keeps its normals, which then
+        point right of travel: the quarter turn of the normal next to the
+        wall points backward, and _frenet_derivatives must flip it.  Without
+        the flip the reversed shots read about 1e-2, against 1e-7 forward."""
+        density = Density(weight, 0.5, 2, (-1.0, 1.0))
+        curve = cmc_shoot(density, target, start, angle=angle, step=h, max_length=3.0)
+        assert on_wall(density, curve) == (False, True)
+        back = DiscreteCurve(curve.points[::-1], curve.normals[::-1], curve.curvature[::-1])
+        n1, (p0, p2) = back.normals[1], back.points[[0, 2]]
+        assert np.dot((n1[1], -n1[0]), p2 - p0) < 0.0
+        nodes, frenet = [], geometry._frenet_derivatives
+        monkeypatch.setattr(geometry, "_frenet_derivatives",
+                            lambda d, c, s, node, window: nodes.append(node) or frenet(d, c, s, node, window))
+        forward = jacobi_residual(density, curve)
+        assert abs(jacobi_residual(density, back) - forward) <= 1e-3 * forward
+        assert nodes == [curve.n_nodes - 2, 1]
+
     def test_nonconstant_curvature_rejected(self):
         line = straight_segment(QUAD_SLAB, (-0.7, -0.7), (0.7, 0.7), n=301)
         with pytest.raises(ConsistencyError):
@@ -631,14 +654,14 @@ def graph_curve(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:
 
 def stacked_weighted_length(density, pts: np.ndarray) -> float:
     """Oracle for _polyline_weighted_length: the (m - 1, 12, 2) quadrature
-    nodes sent through log_density, as the per-axis code replaced."""
+    nodes sent through Density.psi, as the per-axis code replaced."""
     x, w = _gauss_legendre(12)
     lam = 0.5 * (x + 1.0)
     p0 = pts[:-1]
     seg = pts[1:] - p0
     ell = np.hypot(seg[:, 0], seg[:, 1])
     nodes = p0[:, None, :] + lam[None, :, None] * seg[:, None, :]
-    f = np.exp(log_density(density, nodes))
+    f = np.exp(density.psi(nodes[..., 0], nodes[..., 1]))
     return float(np.sum(0.5 * ell * (f @ w)))
 
 

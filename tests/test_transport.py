@@ -208,8 +208,8 @@ class TestPushforwardCheck:
         source_grid = transport._source_grid
 
         def scaled_source(c):
-            s, q, q_up, factor = source_grid(c)
-            return s, np.where(q <= 0.5, q * (1.0 + 1e-10), q), q_up, factor
+            line, s, q, q_up, factor = source_grid(c)
+            return line, s, np.where(q <= 0.5, q * (1.0 + 1e-10), q), q_up, factor
 
         monkeypatch.setattr(transport, "_source_grid", scaled_source)
         assert pushforward_check(TransportMap(d)).max_residual > _PUSHFORWARD_TOLERANCE
@@ -349,13 +349,15 @@ class TestPerimeterBound:
 
 
 class TestSourceSidePerC:
-    """The map's grid, its source CDF sides and source factor are computed
-    once per c and shared, read-only, by every map with that c."""
+    """The map's source line, its grid, its source CDF sides and source
+    factor are computed once per c and shared, read-only, by every map with
+    that c."""
 
     def test_the_cached_source_arrays_are_read_only(self):
-        grid, q, q_up, factor = transport._source_grid(0.5)
-        assert transport._source_grid(0.5)[0] is grid
-        assert build_transport(GAUSS_LINE).s is grid
+        line, grid, q, q_up, factor = transport._source_grid(0.5)
+        assert transport._source_grid(0.5)[1] is grid
+        tmap = build_transport(GAUSS_LINE)
+        assert tmap.source is line and tmap.s is grid
         assert grid.shape == q.shape == q_up.shape == factor.shape == (2001,)
         for array in (grid, q, q_up, factor):
             with pytest.raises(ValueError):
@@ -385,7 +387,7 @@ class TestSourceSidePerC:
         """The grid spans source quantiles 1e-13 to 1 - 1e-13 at every c, so
         its smaller CDF side stays above 1e-14, where a clip would act."""
         for c in np.logspace(-4.0, 4.0, 33):
-            _, q, q_up, _ = transport._source_grid(float(c))
+            _, _, q, q_up, _ = transport._source_grid(float(c))
             assert min(q.min(), q_up.min()) > 1e-14
 
 

@@ -33,7 +33,6 @@ from isoflow import (
     check_concavity,
     gaussian_factor,
     load_config,
-    log_density,
     log_density_gradient,
     make_straight_chord,
     total_weighted_volume,
@@ -78,20 +77,20 @@ def quadpack_mass(density, lo=None, hi=None) -> float:
 class TestLogDensity:
     def test_zero_weight_origin(self):
         d = Density(ZeroWeight(), 1.0, 2, (-INF, INF))
-        assert log_density(d, [0.0, 0.0]) == 0.0
+        assert d.psi(0.0, 0.0) == 0.0
 
     def test_affine_substitution(self):
         d = Density(AffineWeight(3.0, 0.0), 1.0, 2, (-INF, INF))
-        assert_allclose(log_density(d, [1.0, 2.0]), 3.0 * 2.0 - 5.0)
+        assert_allclose(d.psi(1.0, 2.0), 3.0 * 2.0 - 5.0)
 
     def test_log_power_substitution(self):
         d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
-        assert_allclose(log_density(d, [0.0, 1.0]), -0.5)
+        assert_allclose(d.psi(0.0, 1.0), -0.5)
 
     def test_vectorized_points(self):
         d = Density(QuadraticWeight(1.0, 0.5, -0.25), 0.75, 2, (-INF, INF))
         pts = np.array([[0.1, 0.2], [-1.0, 0.5], [2.0, -3.0]])
-        vals = log_density(d, pts)
+        vals = d.psi(pts[:, 0], pts[:, 1])
         for p, v in zip(pts, vals):
             t = p[1]
             expected = -t * t + 0.5 * t - 0.25 - 0.75 * (p @ p)
@@ -102,7 +101,7 @@ class TestLogDensity:
         d = Density(QuadraticWeight(1.0, 0.3, 0.1), 0.7, 2, (-INF, INF))
         pts = 3.0 * np.random.default_rng(2).standard_normal((40, 12, 2))
         want = d.weight.value(pts[..., -1]) - d.c * np.sum(pts * pts, axis=-1)
-        assert np.array_equal(log_density(d, pts), want)
+        assert np.array_equal(d.psi(pts[..., 0], pts[..., 1]), want)
 
 
 class TestFloatDerivative:
@@ -192,7 +191,7 @@ class TestLogDensityGradient:
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd[i] = (log_density(d, p + e) - log_density(d, p - e)) / (2 * h)
+                fd[i] = (d.psi(*(p + e)) - d.psi(*(p - e))) / (2 * h)
             errs.append(np.max(np.abs(fd - grad)))
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
@@ -525,7 +524,7 @@ class TestDensityValidation:
     def test_log_power_outside_domain(self):
         d = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
         with pytest.raises(DomainError):
-            log_density(d, [0.0, -1.0])
+            d.psi(0.0, -1.0)
 
     @pytest.mark.parametrize("m", [-1.0, -1.5, -3.0])
     def test_non_integrable_log_power_rejected(self, m):
@@ -801,13 +800,11 @@ SIDE_DENSITIES = [
 
 
 class TestOneDensityFormula:
-    """The engine, the spectral pencil, the parallel profile and log_density
-    each read the density's formula from Density.slab_factor and
-    Density.psi, bit for bit."""
+    """The engine, the spectral pencil and the parallel profile each read
+    the density's formula from Density.slab_factor, bit for bit."""
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_every_reader_takes_the_density_formula(self, weight, slab):
-        rng = np.random.default_rng(2701)
         for c in (0.5, 2.0):
             d = Density(weight, c, 2, slab)
             cum = d.cumulative
@@ -819,8 +816,6 @@ class TestOneDensityFormula:
             profile = build_profile(d, "parallel", grid_size=33)
             want = gaussian_factor(c) * d.slab_factor(profile.s)
             assert profile.A.tobytes() == want.tobytes()
-            p = np.stack((rng.uniform(-3.0, 3.0, 100), rng.uniform(*cum.breaks[[0, -1]], 100)), axis=-1)
-            assert log_density(d, p).tobytes() == d.psi(p[:, 0], p[:, 1]).tobytes()
 
 
 def uncached_cutoff(density, right: bool, pad: float) -> float:
