@@ -42,7 +42,7 @@ from .weights import (
     PiecewiseLinearWeight,
     QuadraticWeight,
     ZeroWeight,
-    _Value,
+    _Frozen,
     check_concavity,
     total_weighted_volume,
 )
@@ -68,9 +68,9 @@ _STABILITY_TOLERANCE = 1e-6
 _JACOBI_MIN_RATIO = 3.5
 _OPTIMIZE_RELATIVE_GAP = 5e-3
 
-# section -> key -> (kind, default[, (test, requirement)]); kinds: int, float,
-# bool, str, floats.  A key says what is checked, never how hard: a config
-# that set a check's grid, threshold or search space could make it unable to
+# section -> key -> (kind, default[, (test, requirement)]); kinds: float, bool,
+# str, floats.  A key says what is checked, never how hard: a config that set
+# a check's grid, threshold, search space or budget could make it unable to
 # fail or fail on a correct curve.  A None default is an interior height of
 # the slab, set by load_config.  A range the commands need is checked as its
 # key is read, so a bad setting writes nothing; max_length's lets cmc_shoot
@@ -102,7 +102,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "target_fraction": ("float", 0.5, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
         "x_bottom": ("float", -0.3),
         "x_top": ("float", 0.3),
-        "max_iterations": ("int", 400, (lambda v: v >= 1, "must be >= 1")),
     },
 }
 
@@ -126,8 +125,6 @@ _WEIGHTS = {
 def _parse_value(kind: str, raw: str, section: str, key: str):
     raw, where = raw.strip(), f"[{section}] {key}"
     try:
-        if kind == "int":
-            return int(raw)
         if kind == "bool":
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind == "float":
@@ -155,12 +152,9 @@ def _format_value(kind: str, value) -> str:
     return str(value)
 
 
-class RunConfig(_Value):
+class RunConfig(_Frozen):
     """A resolved run: every schema key has a value, and the density its
-    stages share is built from them once, on first use.  Two runs compare
-    equal when their sections do."""
-
-    _params = ("sections",)
+    stages share is built from them once, on first use."""
 
     def __init__(self, sections: dict[str, dict[str, object]] | None = None):
         for section, keys in _SCHEMA.items():
@@ -483,7 +477,6 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
             x_top=float(config.value("optimize", "x_top")),
         ),
         fraction * total_weighted_volume(density),
-        max_iterations=int(config.value("optimize", "max_iterations")),
     )
     _atomic_write(config, "optimize_trace.csv", _csv_table(
         "iter,length,area_err,grad_norm", trace.iterations, trace.lengths, trace.area_errors, trace.gradient_norms))

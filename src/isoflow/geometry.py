@@ -155,20 +155,14 @@ def _trapezoid_weights(density: Density, curve: DiscreteCurve) -> tuple[np.ndarr
 
 
 def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """np.gradient(theta, s, edge_order=2) by its own operations: second-order
-    differences inside and one-sided at the ends, the uniform formulas when
-    every step of s is equal."""
+    """np.gradient(theta, s, edge_order=2) by its own operations for unequal steps:
+    second-order differences inside and one-sided at the ends, on equal steps too."""
     ds = s[1:] - s[:-1]
+    h1, h2 = ds[:-1], ds[1:]
     k = np.empty(theta.shape)
-    if (ds == ds[0]).all():
-        k[1:-1] = (theta[2:] - theta[:-2]) / (2.0 * ds[0])
-        k[0] = -1.5 / ds[0] * theta[0] + 2.0 / ds[0] * theta[1] - 0.5 / ds[0] * theta[2]
-        k[-1] = 0.5 / ds[0] * theta[-3] - 2.0 / ds[0] * theta[-2] + 1.5 / ds[0] * theta[-1]
-    else:
-        h1, h2 = ds[:-1], ds[1:]
-        k[1:-1] = (-h2 / (h1 * (h1 + h2)) * theta[:-2] + (h2 - h1) / (h1 * h2) * theta[1:-1]
-                   + h1 / (h2 * (h1 + h2)) * theta[2:])
-        k[0], k[-1] = _end_slopes(theta, ds)
+    k[1:-1] = (-h2 / (h1 * (h1 + h2)) * theta[:-2] + (h2 - h1) / (h1 * h2) * theta[1:-1]
+               + h1 / (h2 * (h1 + h2)) * theta[2:])
+    k[0], k[-1] = _end_slopes(theta, ds)
     return k
 
 

@@ -53,10 +53,11 @@ __all__ = [
 _QUAD_SUBPANELS = 12
 _QUAD_ORDER = 16
 
-# descent: projected-gradient norm that stops it; line search: Armijo
-# sufficient-decrease slope, backtracking factor and budget; Newton step:
-# smallest |eigenvalue| kept, relative to the largest
+# descent: projected-gradient norm that stops it and iteration budget; line
+# search: Armijo sufficient-decrease slope, backtracking factor and budget;
+# Newton step: smallest |eigenvalue| kept, relative to the largest
 _GRADIENT_TOLERANCE = 1e-6
+_MAX_ITERATIONS = 400
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 40
@@ -331,13 +332,15 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
 
     A doubling search brackets a sign change of the area error in the
     offset τ; Newton steps with the exact derivative, bisecting whenever
-    a step leaves the bracket, then resolve the root to 1e-14.  The area
-    kernel is frozen across the search, so each probe is one Gaussian
-    CDF per node and only the root becomes a new chord; the chord's own
-    area is the first probe.
+    a step leaves the bracket, then resolve the root to 1e-14·L; the
+    bracket reaches at most 1e3·L, with L = max(1, 1/√(2c)) the Gaussian
+    length unit.  The area kernel is frozen across the search, so each
+    probe is one Gaussian CDF per node and only the root becomes a new
+    chord; the chord's own area is the first probe.
     """
     fields = _chord_fields(density, chord)
     kernel, x, c = fields.kernel, fields.x, density.c
+    unit = max(1.0, 1.0 / math.sqrt(2.0 * c))
 
     def offset_error(tau: float) -> float:
         return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
@@ -348,7 +351,7 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     step = 0.25 if err0 < 0.0 else -0.25
     while np.sign(offset_error(step)) == np.sign(err0):
         step *= 2.0
-        if abs(step) > 1e3:
+        if abs(step) > 1e3 * unit:
             too = "large" if step > 0.0 else "small"
             raise DomainError(f"area restoration bracket failed (target too {too})")
     inner = step / 2.0 if abs(step) > 0.25 else 0.0
@@ -361,7 +364,7 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
         slope = float(np.sum(kernel * np.exp(-c * (x + tau) ** 2))) * math.sqrt(c / math.pi)
         newton = tau - err / slope if slope > 0.0 else math.nan
         nxt = newton if lo <= newton <= hi else 0.5 * (lo + hi)
-        if abs(nxt - tau) <= 1e-14 or hi - lo <= 1e-14:
+        if abs(nxt - tau) <= 1e-14 * unit or hi - lo <= 1e-14 * unit:
             return chord.translated(float(nxt))
         tau = nxt
     raise DomainError("area restoration did not converge")
@@ -413,9 +416,7 @@ def _newton_step(hessian: np.ndarray, gradient: np.ndarray, area_gradient: np.nd
     return -basis @ ((basis.T @ gradient) / lam)
 
 
-def minimize(
-    density: Density, chord: ChordSpline, target_area: float, max_iterations: int = 400,
-) -> tuple[ChordSpline, OptimizeTrace]:
+def minimize(density: Density, chord: ChordSpline, target_area: float) -> tuple[ChordSpline, OptimizeTrace]:
     """Modified Newton-KKT descent on the horizontal controls at fixed weighted area.
 
     Each step solves the KKT system of H_L − μH_V, the exact Lagrangian
@@ -424,18 +425,16 @@ def minimize(
     and followed by a horizontal-translation area restoration, so the
     constraint holds exactly along the accepted trace; Armijo backtracking
     starts from the full step.  The run terminates on a small projected
-    gradient (norm below _GRADIENT_TOLERANCE), the iteration cap, or a
-    failed line search (stalled).
+    gradient (norm below _GRADIENT_TOLERANCE), the iteration cap
+    (_MAX_ITERATIONS), or a failed line search (stalled).
     """
     if not target_area > 0.0:
         raise ConfigError("target area must be positive")
-    if max_iterations < 1:
-        raise ConfigError("iteration budget must be positive")
     chord = _restore_area(density, chord, target_area)
     a, b = chord.span
     rows = []
     status = "max_iterations"
-    for it in range(max_iterations):
+    for it in range(_MAX_ITERATIONS):
         gradient, area_gradient = shape_gradient(density, chord)
         mu, gnorm = _multiplier(gradient, area_gradient)
         length = weighted_length(density, chord)

@@ -81,23 +81,6 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _Value(_Frozen):
-    """A _Frozen record that compares and hashes on the fields _params names."""
-
-    _params: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._params)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
 # ---------------------------------------------------------------------------
 # weight variants
 
@@ -124,10 +107,8 @@ class Weight1D:
         raise NotImplementedError
 
 
-class QuadraticWeight(Weight1D, _Value):
+class QuadraticWeight(Weight1D, _Frozen):
     """omega(t) = -kappa t^2 + a0 t + b0, concave iff kappa >= 0."""
-
-    _params = ("kappa", "a0", "b0")
 
     def __init__(self, kappa: float, a0: float = 0.0, b0: float = 0.0):
         if not all(math.isfinite(v) for v in (kappa, a0, b0)):
@@ -162,10 +143,9 @@ class AffineWeight(QuadraticWeight):
         super().__init__(0.0, a0, b0)
 
 
-class LogPowerWeight(Weight1D, _Value):
+class LogPowerWeight(Weight1D, _Frozen):
     """omega(t) = m log t on (0, inf), concave iff m >= 0."""
 
-    _params = ("m",)
     domain = (0.0, math.inf)
 
     def __init__(self, m: float):
@@ -199,14 +179,12 @@ class LogPowerWeight(Weight1D, _Value):
         return -self.m / (t * t)
 
 
-class PiecewiseLinearWeight(Weight1D, _Value):
+class PiecewiseLinearWeight(Weight1D, _Frozen):
     """Piecewise linear omega through (knots[i], values[i]); class C0 only.
 
     The derivative is the segment slope away from knots; probing it at a
     knot raises SmoothnessError, as does any request for omega''.
     """
-
-    _params = ("knots", "values")
 
     def __init__(self, knots, values):
         knots = tuple(float(k) for k in knots)
@@ -283,12 +261,10 @@ def check_concavity(weight: Weight1D) -> ConcavityReport:
 # density bundle
 
 
-class Density(_Value):
+class Density(_Frozen):
     """f = e^{omega(t) - c |p|^2} on the planar slab R x (a, b).  The third
     argument, the dimension, must be 2 and is not stored; it stays only
     because benchmark/inproc.py passes it."""
-
-    _params = ("weight", "c", "slab")
 
     def __init__(self, weight: Weight1D, c: float, dim: int, slab: tuple[float, float]):
         if dim != 2:
@@ -343,11 +319,7 @@ class Density(_Value):
 
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":
-        """The slab factor's 1-D measure engine, built once per Density.
-
-        Kept in the instance dict apart from the compared parameters, so
-        two equal densities compare and hash equal whether or not either
-        has built its engine."""
+        """The slab factor's 1-D measure engine, built once per Density."""
         return CumulativeDensity1D(self)
 
     def slab_factor(self, t: np.ndarray) -> np.ndarray:

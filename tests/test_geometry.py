@@ -775,14 +775,6 @@ class TestPolylineCurveBits:
         r = 0.1 + 0.05 * th
         self._assert_bits(GAUSS_PLANE, np.stack([r * np.cos(th), r * np.sin(th)], axis=-1))
 
-    def test_equal_steps_take_the_uniform_formula(self):
-        # steps of exactly 0.15625 in three directions (3-4-5 triangles), so
-        # np.gradient sees equal arclength steps and takes its uniform formula
-        steps = np.array([[0.15625, 0.0], [0.125, 0.09375], [0.09375, 0.125], [0.125, -0.09375]])
-        points = np.cumsum(np.vstack([[0.0, 0.0], steps[[0, 1, 2, 1, 0, 3, 0, 0, 1]]]), axis=0)
-        assert np.all(np.hypot(*np.diff(points, axis=0).T) == 0.15625)
-        self._assert_bits(GAUSS_PLANE, points)
-
 
 class TestOpenEndsAreSecondOrder:
     def test_half_circle_through_the_wall(self):

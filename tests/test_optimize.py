@@ -506,9 +506,9 @@ class TestFieldsComputedOnce:
         assert len(computed) <= 3 * len(trace.iterations)
 
     def test_cached_arrays_are_read_only(self):
-        chord = bent_chord()
-        fields = opt._chord_fields(unit_slab(), chord)
-        assert opt._chord_fields(unit_slab(), chord) is fields
+        chord, density = bent_chord(), unit_slab()
+        fields = opt._chord_fields(density, chord)
+        assert opt._chord_fields(density, chord) is fields
         assert isinstance(fields.dt, float) and isinstance(fields.area, float)
         for array in (fields.qw, fields.x, fields.t, fields.dx, fields.d2x, fields.speed, fields.f,
                       fields.kernel):
@@ -529,18 +529,14 @@ class TestFieldsComputedOnce:
 
 class TestMinimizeArguments:
     @staticmethod
-    def descend(**settings):
+    def descend(target_area: float):
         density = symmetric_slab()
-        return minimize(density, make_straight_chord(density, 0.0), **settings)
+        return minimize(density, make_straight_chord(density, 0.0), target_area)
 
     @pytest.mark.parametrize("area", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_area(self, area):
         with pytest.raises(ConfigError, match="target area must be positive"):
             self.descend(target_area=area)
-
-    def test_rejects_empty_budget(self):
-        with pytest.raises(ConfigError, match="iteration budget must be positive"):
-            self.descend(target_area=1.0, max_iterations=0)
 
 
 class TestRestoreArea:
@@ -570,6 +566,20 @@ class TestRestoreArea:
             want = brentq(lambda s: enclosed_area(density, chord.translated(s)) - target,
                           -5.0, 5.0, xtol=1e-15)
             assert tau == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.9])
+    def test_a_wide_gaussian_measures_in_its_own_length_unit(self, fraction):
+        """At c = 1e-6 the Gaussian length unit 1/√(2c) is 707.  The area
+        error, rounded at 1e-16 of a target near 1772 and with slope 2 in the
+        offset τ, resolves τ to about 1e-13, so a stop of 1e-14 never held
+        ("did not converge"); at 0.9 the root τ ≈ 906 lay past a bracket
+        reach of 1e3 ("target too large").  Both scale with the unit now,
+        and the descent meets the vertical chord."""
+        density = Density(ZeroWeight(), 1e-6, 2, (-1.0, 1.0))
+        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3),
+                            fraction * total_weighted_volume(density))
+        assert trace.status == "converged"
+        assert trace.final.length == pytest.approx(vertical_chord_length(density, fraction), rel=1e-12)
 
 
 def reference_area_terms(density, chord):

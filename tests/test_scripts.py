@@ -53,3 +53,12 @@ def test_readme_python_example_prints_what_it_says():
     done = run_python("-c", block)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == expected
+
+
+def test_program_lines_lists_unreached_statements_with_defaults():
+    done = run_script("program_lines.py")
+    assert done.returncode == 0, done.stderr
+    *listed, last = done.stdout.splitlines()
+    assert last == f"{len(listed)} statements no run reached"
+    assert listed and all(line.startswith("src/isoflow/") for line in listed)
+    assert not any(line.split(": ", 1)[1].startswith("raise") for line in listed)

@@ -284,7 +284,9 @@ class TestKappaZero:
 
 def weight_id(value) -> str:
     """A test id for a weight (its class and parameters) or another parameter."""
-    return f"{type(value).__name__}{value._key()}" if isinstance(value, Weight1D) else repr(value)
+    if not isinstance(value, Weight1D):
+        return repr(value)
+    return f"{type(value).__name__}{tuple(v for k, v in vars(value).items() if k != 'domain')}"
 
 
 # one weight of each family with an infinite side, log-power on both sides of m = 0
@@ -633,13 +635,6 @@ RECORDS = WEIGHT_IDS + ["Density", "TransportMap", "DiscreteCurve", "Profile", "
                         "ChordSpline", "RunConfig"]
 
 
-def bumped(value):
-    """value moved by 1/4, in its last entry when it is a tuple."""
-    if isinstance(value, tuple):
-        return value[:-1] + (value[-1] + 0.25,)
-    return value + 0.25
-
-
 @pytest.fixture(scope="module")
 def records() -> dict:
     """One instance of each of the package's twelve immutable records."""
@@ -659,37 +654,20 @@ def records() -> dict:
 
 
 class TestRecordContract:
-    """Equal weights and densities compare and hash equal, and no record
+    """Weights and densities compare and hash by identity, and no record
     can be changed once built."""
 
     @pytest.mark.parametrize("cls, params", WEIGHT_PARAMS, ids=WEIGHT_IDS)
-    @pytest.mark.parametrize("built", [False, True], ids=["lazy", "built"])
-    def test_equal_parameters_compare_and_hash_equal(self, cls, params, built):
+    def test_records_compare_and_hash_by_identity(self, cls, params):
         w1, w2 = cls(*params), cls(*params)
-        assert w1 == w2 and hash(w1) == hash(w2)
-        d1, d2 = Density(w1, 0.5, 2, RECORD_SLAB), Density(w2, 0.5, 2, list(RECORD_SLAB))
-        if built:
-            assert d1.cumulative.total > 0.0
-        assert d1 == d2 and hash(d1) == hash(d2)
-        assert {d1: "first"}[d2] == "first"
-
-    @pytest.mark.parametrize("cls, params", WEIGHT_PARAMS, ids=WEIGHT_IDS)
-    def test_one_parameter_apart_differ(self, cls, params):
-        w = cls(*params)
-        for i in range(len(params)):
-            other = cls(*params[:i], bumped(params[i]), *params[i + 1 :])
-            assert w != other and not w == other
-            assert Density(w, 0.5, 2, RECORD_SLAB) != Density(other, 0.5, 2, RECORD_SLAB)
-        d = Density(w, 0.5, 2, RECORD_SLAB)
-        assert d != Density(w, 0.75, 2, RECORD_SLAB)
-        assert d != Density(w, 0.5, 2, (0.25, 0.75))
-        assert (w == ZeroWeight()) == (cls is ZeroWeight)
+        assert w1 == w1 and w1 != w2 and hash(w1) == object.__hash__(w1)
+        d1, d2 = Density(w1, 0.5, 2, RECORD_SLAB), Density(w1, 0.5, 2, RECORD_SLAB)
+        assert d1 == d1 and d1 != d2 and hash(d1) == object.__hash__(d1)
+        assert d2 not in {d1: "first"}
 
     def test_piecewise_lists_equal_tuples(self):
         from_lists = PiecewiseLinearWeight([-1, 0, 1], [0, 1, 0.5])
-        from_tuples = PiecewiseLinearWeight((-1.0, 0.0, 1.0), (0.0, 1.0, 0.5))
-        assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
-        assert from_lists.knots == (-1.0, 0.0, 1.0)
+        assert from_lists.knots == (-1.0, 0.0, 1.0) and from_lists.values == (0.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("name", RECORDS)
     def test_fields_cannot_be_set_or_deleted(self, records, name):
@@ -888,14 +866,12 @@ class TestOneTailCutPerSide:
         assert len(calls) == 4
         assert [args[1] for args in calls[:2]] == [-0.7, 0.7]  # the left side, then the right
 
-    def test_equal_densities_stay_equal_whether_or_not_one_cached_its_cut(self):
-        """A Density caches its sides' cutoffs and its cut when it is built,
-        in its instance dict apart from the compared parameters."""
+    def test_a_density_recuts_its_tails_alike_after_its_cache_is_cleared(self):
+        """A Density caches its sides' cutoffs and its cut, in its instance
+        dict, when it is built."""
         d1, d2 = (Density(AffineWeight(0.7, 0.0), 0.5, 2, (-INF, INF)) for _ in range(2))
-        key = hash(d1)
+        assert "_reach" in vars(d2) and "cut" in vars(d2)
         del vars(d2)["_reach"], vars(d2)["cut"]  # d2 as if it had never cut its tails
-        assert d1 == d2 and hash(d1) == hash(d2) == key
-        assert {d1: "cut"}[d2] == "cut"
         assert d2.cut == d1.cut and d2._reach == d1._reach
 
 
