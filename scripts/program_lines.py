@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # trace this checkout's isoflow
+
 WEIGHTS = {"zero": "", "affine": "0.7, 0", "quadratic": "0.5, 0.2, 0", "log_power": "2",
            "piecewise_linear": "-50, -10, 0, 0, 50, -20"}
 SLABS = ("-1, 1", "0, inf", "-inf, 0", "-inf, inf")

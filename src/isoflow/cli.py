@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
-import functools
 import json
 import math
 import os
@@ -153,24 +152,17 @@ def _format_value(kind: str, value) -> str:
 
 
 class RunConfig(_Frozen):
-    """A resolved run: every schema key has a value, and the density its
-    stages share is built from them once, on first use."""
+    """A resolved run, built whole: every schema key has a value, the unset
+    heights included (load_config says how they are set), and the density
+    its stages share is built with the record.  A weight or density that
+    refuses its settings, or a height outside the slab, raises ConfigError."""
 
-    def __init__(self, sections: dict[str, dict[str, object]] | None = None):
+    def __init__(self, sections: dict[str, dict[str, object]]):
         for section, keys in _SCHEMA.items():
-            got = (sections or {}).get(section)
+            got = sections.get(section)
             if got is None or set(got) != set(keys):
                 raise ConfigError(f"section [{section}] is incomplete")
         vars(self)["sections"] = sections
-
-    def value(self, section: str, key: str):
-        return self.sections[section][key]
-
-    @functools.cached_property
-    def density(self) -> Density:
-        """The [density] section's Density: the run's one slab-factor engine
-        (Density.cumulative).  A weight or density that refuses its
-        settings raises ConfigError."""
         name = self.value("density", "weight")
         params = self.value("density", "params")
         if name not in _WEIGHTS:
@@ -184,9 +176,26 @@ class RunConfig(_Frozen):
         if len(slab) != 2:
             raise ConfigError("slab must be two endpoints: a, b")
         try:
-            return Density(make(*params), self.value("density", "c"), 2, tuple(slab))
+            # the run's one slab-factor engine (Density.cumulative)
+            density = Density(make(*params), self.value("density", "c"), 2, tuple(slab))
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"[density] {exc}") from exc
+        a, b = density.slab
+        unset = []
+        for section, key in (("stability", "t0"), ("jacobi", "start_t")):
+            height = sections[section][key]
+            if height is None:
+                unset.append((section, key))
+            elif not a < height < b:
+                raise ConfigError(f"[{section}] {key} = {height} must lie strictly inside the slab ({a}, {b})")
+        if unset:
+            height = 0.0 if a < 0.0 < b else float(density.cumulative.quantile(0.5))
+            for section, key in unset:
+                sections[section][key] = height
+        vars(self)["density"] = density
+
+    def value(self, section: str, key: str):
+        return self.sections[section][key]
 
 
 def load_config(path: str, out_dir: str | None = None, expect_bound: bool = False) -> RunConfig:
@@ -240,20 +249,7 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
     if out != out.strip() or re.search(r"[\r\n\x00]|(^|\s)[;#]", out):  # as the parser above reads values
         raise ConfigError(f"[run] out_dir = {out!r} would not read back from resolved.cfg: a line break, "
                           "a NUL byte, an edge space or a ';' or '#' after a space")
-    config = RunConfig(sections)
-    a, b = config.density.slab
-    unset = []
-    for section, key in (("stability", "t0"), ("jacobi", "start_t")):
-        height = sections[section][key]
-        if height is None:
-            unset.append((section, key))
-        elif not a < height < b:
-            raise ConfigError(f"[{section}] {key} = {height} must lie strictly inside the slab ({a}, {b})")
-    if unset:
-        height = 0.0 if a < 0.0 < b else float(config.density.cumulative.quantile(0.5))
-        for section, key in unset:
-            sections[section][key] = height  # config's own sections: it keeps its Density
-    return config
+    return RunConfig(sections)
 
 
 def resolved_config_text(config: RunConfig) -> str:
@@ -327,21 +323,16 @@ def cmd_profile(config: RunConfig) -> _Outcome:
     comparison = compare_profiles(parallel, perpendicular, tie_tol=_PROFILE_TOLERANCE)
     ode_par = check_profile_ode(parallel, density.c, tol=_PROFILE_TOLERANCE)
     ode_perp = check_profile_ode(perpendicular, density.c, tol=_PROFILE_TOLERANCE)
-    ok = (
-        comparison.verdict in ("strict", "ge_with_ties")
-        and ode_perp.verdict == "equality"
-        and ode_par.verdict in ("equality", "inequality")
-    )
+    # the witness of the first failing check: comparison, perpendicular equality, parallel inequality
     witness = None
-    if not ok:
-        if comparison.verdict == "violation":
-            witness = {"location": comparison.violations[0], "value": comparison.min_margin}
-        else:
-            report = ode_perp if ode_perp.verdict == "violation" else ode_par
-            witness = {
-                "location": report.counterexamples[0] if report.counterexamples else None,
-                "value": report.max_defect,
-            }
+    if comparison.verdict == "violation":
+        witness = {"location": comparison.violations[0], "value": comparison.min_margin}
+    elif ode_perp.verdict != "equality" or ode_par.verdict == "violation":
+        report = ode_par if ode_perp.verdict == "equality" else ode_perp
+        witness = {
+            "location": report.counterexamples[0] if report.counterexamples else None,
+            "value": report.max_defect,
+        }
     metrics = {
         "comparison": comparison.verdict,
         "strict": comparison.verdict == "strict",
@@ -563,6 +554,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     names = tuple(_STAGES) if args.command == "all" else (args.command,)
+    where = ""  # the stage running, which an io error names
     try:
         config = load_config(args.config, out_dir=args.out, expect_bound=args.expect_bound)
         out_dir = str(config.value("run", "out_dir"))
@@ -577,28 +569,21 @@ def main(argv=None) -> int:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, filename))
         _atomic_write(config, "resolved.cfg", resolved)
+        records = []
+        for name in names:
+            where = f"{name}: "
+            records.append(_run_stage(name, config))
+        where = ""
+        if args.command == "all":
+            summary = {
+                "status": max((r["status"] for r in records), key=lambda s: _SEVERITY[s]),
+                "verdicts": records,
+            }
+            _write_json(config, "summary.json", summary)
     except IsoflowError as exc:
         print(f"isoflow: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"isoflow: io error: {exc}", file=sys.stderr)
+        print(f"isoflow: {where}io error: {exc}", file=sys.stderr)
         return 1
-
-    records = []
-    for name in names:
-        try:
-            records.append(_run_stage(name, config))
-        except OSError as exc:
-            print(f"isoflow: {name}: io error: {exc}", file=sys.stderr)
-            return 1
-    if args.command == "all":
-        summary = {
-            "status": max((r["status"] for r in records), key=lambda s: _SEVERITY[s]),
-            "verdicts": records,
-        }
-        try:
-            _write_json(config, "summary.json", summary)
-        except OSError as exc:
-            print(f"isoflow: io error: {exc}", file=sys.stderr)
-            return 1
     return max(_SEVERITY[r["status"]] for r in records)

@@ -146,7 +146,8 @@ class ChordSpline(_Frozen):
 
     def __init__(self, control_x, span: tuple[float, float]):
         cx = _read_only(np.array(control_x, dtype=float, ndmin=1))
-        vars(self).update(control_x=cx, span=(float(span[0]), float(span[1])))
+        # _fields: quadrature-node fields per density, filled by _chord_fields
+        vars(self).update(control_x=cx, span=(float(span[0]), float(span[1])), _fields={})
         self.__post_init__()
 
     def __post_init__(self):
@@ -162,11 +163,6 @@ class ChordSpline(_Frozen):
     @property
     def n_controls(self) -> int:
         return self.control_x.size
-
-    @functools.cached_property
-    def _fields(self) -> dict:
-        """Quadrature-node fields per density, filled by _chord_fields."""
-        return {}
 
     def translated(self, tau: float) -> "ChordSpline":
         return ChordSpline(self.control_x + tau, self.span)

@@ -58,12 +58,7 @@ class SpectralProblem(_Frozen):
     """
 
     def __init__(self, nodes, masses, conductances):
-        _float_arrays(self, np.atleast_1d, nodes=nodes, masses=masses, conductances=conductances)
-        self.__post_init__()
-
-    def __post_init__(self):
-        """The arrays' checks, the validation step of __init__."""
-        t, w, g = self.nodes, self.masses, self.conductances
+        t, w, g = _float_arrays(self, np.atleast_1d, nodes=nodes, masses=masses, conductances=conductances)
         if t.size < 16:
             raise DomainError("spectral problem needs at least 16 cells")
         if w.shape != t.shape or g.shape != (t.size - 1,):

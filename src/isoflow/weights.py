@@ -70,9 +70,9 @@ __all__ = [
 
 class _Frozen:
     """An immutable record.  Its __init__ writes the fields through
-    self.__dict__, where functools.cached_property also writes; assigning
-    or deleting an attribute raises AttributeError.  It compares and
-    hashes by identity."""
+    self.__dict__, where only Density.cumulative's functools.cached_property
+    also writes; assigning or deleting an attribute raises AttributeError.
+    It compares and hashes by identity."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -285,7 +285,10 @@ class Density(_Frozen):
         if quadratic and not finite and c + weight.kappa <= 0.0:
             raise DomainError("density is not integrable: c + kappa <= 0")
         vars(self).update(weight=weight, c=c, slab=(a, b))
-        lo, hi = self.cut
+        # _tail_reach of each side, None for a finite one: the engine's cut and every pencil's derive from it
+        vars(self)["_reach"] = tuple(_tail_reach(self, right) if math.isinf(end) else None
+                                     for right, end in zip((False, True), (a, b)))
+        vars(self)["cut"] = lo, hi = self._cut(_TAIL_PAD)  # the interval the engine integrates
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError(f"slab ({a!r}, {b!r}) is cut to ({lo!r}, {hi!r}): the amplitude of its "
                               "dominating-Gaussian tail bound overflows")
@@ -296,11 +299,6 @@ class Density(_Frozen):
             raise DomainError(f"slab ({a!r}, {b!r}){cut} is too wide for the engine: each of its "
                               f"{_N_PANELS} panels would span over 4 Gaussian widths{cure}")
 
-    @functools.cached_property
-    def cut(self) -> tuple[float, float]:
-        """self._cut(_TAIL_PAD), the interval the engine integrates, computed once per Density."""
-        return self._cut(_TAIL_PAD)
-
     def _cut(self, pad: float) -> tuple[float, float]:
         """The slab with each infinite side cut where the tail beyond carries
         weighted mass below _TAIL_MASS by the dominating-Gaussian bound
@@ -309,13 +307,6 @@ class Density(_Frozen):
         _TAIL_PAD, the spectral pencil by nothing."""
         return tuple(end if reach is None else sign * max(reach[0] + pad / reach[2], reach[1] + 1.0 / reach[2])
                      for end, reach, sign in zip(self.slab, self._reach, (-1.0, 1.0)))
-
-    @functools.cached_property
-    def _reach(self) -> tuple:
-        """_tail_reach of the left and the right side, None for a finite one, computed
-        once per Density: the engine's cut and every spectral pencil derive from it."""
-        return tuple(_tail_reach(self, right) if math.isinf(end) else None
-                     for right, end in zip((False, True), self.slab))
 
     @functools.cached_property
     def cumulative(self) -> "CumulativeDensity1D":

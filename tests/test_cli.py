@@ -17,12 +17,15 @@ import pytest
 
 import isoflow
 import isoflow.cli as cli
-from isoflow.cli import _JACOBI_STEPS, _PROFILE_GRID, _SCHEMA, RunConfig, load_config, main, resolved_config_text
+import isoflow.spectrum as spectrum
+from isoflow.cli import (
+    _JACOBI_STEPS, _PROFILE_GRID, _PROFILE_TOLERANCE, _SCHEMA, RunConfig, load_config, main, resolved_config_text,
+)
 from isoflow.errors import ConfigError
 from isoflow.geometry import cmc_shoot
 from isoflow.optimize import chord_curve, make_straight_chord, minimize
-from isoflow.profiles import build_profile
-from isoflow.spectrum import SpectralProblem, poincare_certify, spectral_gap_1d
+from isoflow.profiles import Profile, build_profile
+from isoflow.spectrum import poincare_certify, spectral_gap_1d
 from isoflow.transport import build_transport
 from isoflow.weights import total_weighted_volume
 from isoflow.weights import CumulativeDensity1D
@@ -55,6 +58,14 @@ def record_file(verdict):
     if verdict["status"] == "error":
         return f"{verdict['command']}_error.json"
     return "compare.json" if verdict["command"] == "profile" else f"{verdict['command']}.json"
+
+
+def count_pencils(monkeypatch) -> list:
+    """The arguments of every spectrum.build_spectral_problem call from now on, one tuple a pencil."""
+    built, build = [], spectrum.build_spectral_problem
+    monkeypatch.setattr(spectrum, "build_spectral_problem",
+                        lambda *args, **kwargs: built.append(args) or build(*args, **kwargs))
+    return built
 
 
 class TestLoadConfig:
@@ -907,6 +918,21 @@ class TestAtomicWrite:
         assert not (out / "summary.json").exists()
         assert (out / "optimize.json").exists()
 
+    def test_a_failed_stage_write_is_an_io_error_that_names_its_stage(self, tmp_path, monkeypatch, capsys):
+        write = cli._atomic_write
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_at_transport(config, filename, text):
+            if filename == "transport.csv":
+                raise full
+            write(config, filename, text)
+
+        monkeypatch.setattr(cli, "_atomic_write", full_at_transport)
+        out = tmp_path / "out"
+        assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"isoflow: transport: io error: {full}\n"
+        assert (out / "compare.json").exists()
+
 
 class TestSingleCommand:
     def test_affine_whole_space_ties_everywhere(self, tmp_path):
@@ -954,16 +980,32 @@ class TestSingleCommand:
         assert (out / "jacobi.csv").read_text().splitlines()[-1] == "0.001,0.0,inf"
 
     def test_spectrum_solves_the_pencil_once(self, tmp_path, monkeypatch):
-        built = []
-        check = SpectralProblem.__post_init__
-
-        def counting(self):
-            built.append(self.n_cells)
-            check(self)
-
-        monkeypatch.setattr(SpectralProblem, "__post_init__", counting)
+        built = count_pencils(monkeypatch)
         assert main(["spectrum", "--config", GAUSSIAN_CFG, "--out", str(tmp_path)]) == 0
         assert len(built) == 1
+
+
+class TestProfileWitness:
+    def test_a_failed_perpendicular_equality_is_its_own_witness(self, tmp_path, monkeypatch):
+        """The witness of a perpendicular ODE defect below -tol was the
+        parallel family's defect, which passed."""
+        build = cli.build_profile
+
+        def perpendicular_f_scaled(density, family, *args, **kwargs):
+            p = build(density, family, *args, **kwargs)
+            if family != "perpendicular":
+                return p
+            return Profile(p.s, p.V, p.A, p.v, p.F * (1.0 + 1e-3), p.dF, p.ddF, p.v_total)
+
+        monkeypatch.setattr(cli, "build_profile", perpendicular_f_scaled)
+        out = str(tmp_path / "out")
+        assert main(["profile", "--config", GAUSSIAN_CFG, "--out", out]) == 2
+        record = read_json(out, "compare.json")
+        metrics = record["metrics"]
+        assert (record["status"], metrics["perpendicular_ode"], metrics["parallel_ode"]) == (
+            "violated", "inequality", "equality")
+        assert metrics["perpendicular_max_defect"] < -_PROFILE_TOLERANCE
+        assert record["witness"] == {"location": None, "value": metrics["perpendicular_max_defect"]}
 
 
 class TestOnePencilPerRun:
@@ -978,14 +1020,7 @@ class TestOnePencilPerRun:
     def test_only_spectrum_solves_the_pencil(self, tmp_path, monkeypatch, text, pencils):
         # an infinite slab adds the 1.25x wider truncation check, once;
         # stability judges the parallel half-space alone and solves none
-        built = []
-        check = SpectralProblem.__post_init__
-
-        def counting(self):
-            built.append(self.n_cells)
-            check(self)
-
-        monkeypatch.setattr(SpectralProblem, "__post_init__", counting)
+        built = count_pencils(monkeypatch)
         cfg = GAUSSIAN_CFG if text is None else write_cfg(tmp_path, text)
         main(["all", "--config", cfg, "--out", str(tmp_path / "out")])
         assert len(built) == pencils

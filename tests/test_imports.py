@@ -169,5 +169,5 @@ def test_every_readme_code_reference_resolves():
             functools.reduce(getattr, path, target)
         except AttributeError:
             stale.append(name)
-    assert {"Density.cut", "weights._TAIL_MASS", "cli._SCHEMA"} <= names
+    assert {"Density._cut", "weights._TAIL_MASS", "cli._SCHEMA"} <= names
     assert stale == []

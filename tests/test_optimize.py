@@ -715,6 +715,25 @@ class TestMinimize:
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(want, rel=5e-3)
 
+    def test_the_descent_backtracks_past_a_trial_that_raises(self, monkeypatch):
+        """A trial whose area restoration raises is backtracked, not fatal:
+        the second restoration, the first trial's, raises DomainError."""
+        restore, calls = opt._restore_area, []
+
+        def failing_first_trial(density, chord, target):
+            calls.append(chord)
+            if len(calls) == 2:
+                raise DomainError("planted restoration failure")
+            return restore(density, chord, target)
+
+        monkeypatch.setattr(opt, "_restore_area", failing_first_trial)
+        density = symmetric_slab()
+        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3), 0.5 * total_weighted_volume(density))
+        assert len(calls) > 2  # the planted raise happened, and the descent went on
+        benchmark = vertical_chord_length(density, 0.5)
+        assert trace.status == "converged"
+        assert abs(trace.final.length - benchmark) <= 5e-3 * benchmark
+
 
 class TestStationarityReport:
     def test_vertical_chord_is_stationary(self):

@@ -34,8 +34,11 @@ from isoflow import (
     gaussian_factor,
     horizontal_segment,
     log_density_gradient,
+    make_straight_chord,
+    minimize,
     polyline_curve,
     straight_segment,
+    total_weighted_volume,
     vertical_segment,
 )
 
@@ -100,6 +103,10 @@ REFUSALS = {
                                "profile volumes must be strictly increasing"),
     "profile value zero": (lambda: profile(F=(1.0, 0.0, 1.0)), ConsistencyError,
                            "profile values must be positive on the open range"),
+    # the descent
+    "area above the total mass": (
+        lambda: minimize(SLAB, make_straight_chord(SLAB), 1.5 * total_weighted_volume(SLAB)),
+        DomainError, "area restoration bracket failed (target too large)"),
     # spectral problems
     "15 cells": (lambda: SpectralProblem(GRID[:15], np.ones(15), np.ones(14)), DomainError,
                  "spectral problem needs at least 16 cells"),

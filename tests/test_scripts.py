@@ -62,3 +62,12 @@ def test_program_lines_lists_unreached_statements_with_defaults():
     assert last == f"{len(listed)} statements no run reached"
     assert listed and all(line.startswith("src/isoflow/") for line in listed)
     assert not any(line.split(": ", 1)[1].startswith("raise") for line in listed)
+
+
+def test_program_lines_traces_its_own_checkout_without_pythonpath():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "program_lines.py")],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stderr
+    *listed, last = done.stdout.splitlines()
+    assert last == f"{len(listed)} statements no run reached"
