@@ -181,17 +181,17 @@ class RunConfig(_Frozen):
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"[density] {exc}") from exc
         a, b = density.slab
-        unset = []
+        median = None  # the slab factor's median, computed once an unset height needs it
         for section, key in (("stability", "t0"), ("jacobi", "start_t")):
-            height = sections[section][key]
-            if height is None:
-                unset.append((section, key))
-            elif not a < height < b:
-                raise ConfigError(f"[{section}] {key} = {height} must lie strictly inside the slab ({a}, {b})")
-        if unset:
-            height = 0.0 if a < 0.0 < b else float(density.cumulative.quantile(0.5))
-            for section, key in unset:
-                sections[section][key] = height
+            height, named = sections[section][key], ""
+            if height is None and a < 0.0 < b:
+                height = 0.0
+            elif height is None:
+                median = height = float(density.cumulative.quantile(0.5)) if median is None else median
+                named = " (unset, so the slab factor's median)"
+            if not a < height < b:
+                raise ConfigError(f"[{section}] {key} = {height}{named} must lie strictly inside the slab ({a}, {b})")
+            sections[section][key] = height
         vars(self)["density"] = density
 
     def value(self, section: str, key: str):
@@ -209,7 +209,8 @@ def load_config(path: str, out_dir: str | None = None, expect_bound: bool = Fals
     to transport and makes spectrum judge its gap.
 
     Unset heights ([stability] t0, [jacobi] start_t) become 0.0 when it lies
-    strictly inside the slab, else the slab factor's median.
+    strictly inside the slab, else the slab factor's median, which is held
+    to the slab as a set height is.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     try:

@@ -303,7 +303,6 @@ class StationarityReport(NamedTuple):
     """
 
     stationary: bool
-    hf_mean: float
     hf_spread: float
     angle_bottom_deg: float
     angle_top_deg: float
@@ -313,14 +312,13 @@ class StationarityReport(NamedTuple):
 def stationarity_report(density: Density, chord: ChordSpline) -> StationarityReport:
     hf = _f_mean_curvature(density, chord)
     spread = float(np.max(hf) - np.min(hf))
-    mean = float(np.mean(hf))
     a, b = chord.span
     slopes = _operator(chord.n_controls).ends @ chord.control_x
     angles = [math.degrees(math.atan2(abs(slope), b - a)) for slope in slopes]
     at_wall = [end == wall for end, wall in zip(chord.span, density.slab)]
     orthogonal = all(angle <= 0.5 for angle, wall in zip(angles, at_wall) if wall)
-    stationary = spread <= 1e-3 * (1.0 + abs(mean)) and orthogonal
-    return StationarityReport(stationary, mean, spread, *angles, weighted_length(density, chord))
+    stationary = spread <= 1e-3 * (1.0 + abs(float(np.mean(hf)))) and orthogonal
+    return StationarityReport(stationary, spread, *angles, weighted_length(density, chord))
 
 
 def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordSpline:

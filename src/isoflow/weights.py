@@ -289,9 +289,9 @@ class Density(_Frozen):
         vars(self)["_reach"] = tuple(_tail_reach(self, right) if math.isinf(end) else None
                                      for right, end in zip((False, True), (a, b)))
         vars(self)["cut"] = lo, hi = self._cut(_TAIL_PAD)  # the interval the engine integrates
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise DomainError(f"slab ({a!r}, {b!r}) is cut to ({lo!r}, {hi!r}): the amplitude of its "
-                              "dominating-Gaussian tail bound overflows")
+                              "dominating-Gaussian tail bound overflows, or the cut rounds onto the finite end")
         # the engine's relative error grows with h / sigma, sigma = 1/sqrt(2 c_eff): 3.9e-13 at 4
         c_eff = c + max(weight.kappa, 0.0) if quadratic else c
         if (hi - lo) / _N_PANELS > 4.0 / math.sqrt(2.0 * c_eff):
@@ -303,7 +303,8 @@ class Density(_Frozen):
         """The slab with each infinite side cut where the tail beyond carries
         weighted mass below _TAIL_MASS by the dominating-Gaussian bound
         (_reach), padded by pad / sqrt(c_eff).  Each cut lies past a point
-        inside the slab, so the interval is never empty.  The engine pads by
+        inside the slab (__init__ refuses a cut that rounds onto the slab's
+        finite end), so the interval is never empty.  The engine pads by
         _TAIL_PAD, the spectral pencil by nothing."""
         return tuple(end if reach is None else sign * max(reach[0] + pad / reach[2], reach[1] + 1.0 / reach[2])
                      for end, reach, sign in zip(self.slab, self._reach, (-1.0, 1.0)))

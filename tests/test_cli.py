@@ -1110,6 +1110,19 @@ class TestInteriorDefaults:
         assert config.value("stability", "t0") == 0.25
         assert config.value("jacobi", "start_t") == 0.0
 
+    def test_a_median_that_rounds_onto_a_wall_is_refused_at_load(self, tmp_path, capsys):
+        """log_power -0.9999, c = 1/2 on (0, 1): the slab factor's mass up to t
+        grows as t^1e-4, so its median 2^-10000 underflows to exactly 0.0.  The
+        run wrote t0 = start_t = 0.0 into resolved.cfg, which did not read back."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = log_power\nparams = -0.9999\nc = 0.5\nslab = 0, 1\n")
+        with pytest.raises(ConfigError, match=r"\[stability\] t0 = 0\.0 \(unset, so the slab factor's median\) "
+                                              r"must lie strictly inside the slab \(0\.0, 1\.0\)"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count("isoflow: error:") == 1
+
 
 class TestStability:
     """stability judges the parallel half-space; spectrum judges vertical
@@ -1264,6 +1277,21 @@ class TestOneTailRule:
         assert record["metrics"]["parallel_verdict"] == "unstable"
         assert (code, record["status"]) == (0, "verified")
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: stability gates its witness at an absolute "
+                       "-1e-6, below a barely concave weight's witness")
+    def test_stability_on_a_barely_concave_weight_reads_its_exact_witness(self, tmp_path):
+        """omega = -1e-7 t^2, c = 1/2 on (-1, 1) is concave.  Its witness at
+        t0 = 0 equals its closed form omega'' sqrt(pi/c) / (2c) = -2e-7 sqrt(2 pi),
+        -5.01e-7, and is judged unstable; the absolute tolerance reads it as
+        violated, and the run exits 2."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = 1e-7, 0, 0\nc = 0.5\nslab = -1, 1\n")
+        out = str(tmp_path / "out")
+        code = main(["stability", "--config", cfg, "--out", out])
+        record = read_json(out, "stability.json")
+        assert record["metrics"]["witness_index_value"] == pytest.approx(-2e-7 * math.sqrt(2.0 * math.pi), rel=1e-6)
+        assert record["metrics"]["parallel_verdict"] == "unstable"
+        assert (code, record["status"]) == (0, "verified")
+
     def test_a_slab_too_wide_for_the_engine_exits_1_at_load(self, tmp_path, capsys):
         """Zero weight, c = 1: on (-1e4, 1e4) a panel spans 47 Gaussian widths.
         The run exited 2 with profile, transport and optimize violated and
@@ -1298,6 +1326,18 @@ class TestOneTailRule:
         assert main(["all", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert "slab mass 0.0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", ["1e17", "1e300"])
+    def test_a_slab_cut_to_nothing_exits_1_at_load(self, tmp_path, capsys, a):
+        """Zero weight, c = 1/2 on (a, inf): the cut's step past a rounds away.
+        (1e17, inf) was cut to an empty interval; (1e300, inf) printed an
+        overflow RuntimeWarning before its "slab mass 0.0" refusal."""
+        cfg = write_cfg(tmp_path, f"[density]\nweight = zero\nc = 0.5\nslab = {a}, inf\n")
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("isoflow: error: ") and "rounds onto the finite end" in err[0]
 
 
 class TestGapWithTheMassAtTheRightEnd:

@@ -702,18 +702,6 @@ class TestCurveWeightedLength:
         assert_allclose(curve_weighted_length(GAUSS_PLANE, circ), oracle, rtol=1e-6)
 
 
-def _graph_points(rng, lo: float, hi: float, n_nodes: int = 301) -> np.ndarray:
-    """A random graph x = g(t) through 6 knots, resampled at uniform arclength."""
-    pad = 0.025 * (hi - lo)
-    knots_t = np.linspace(lo + pad, hi - pad, 6)
-    sp = CubicSpline(knots_t, rng.uniform(-1.5, 1.5, 6))
-    dense_t = np.linspace(knots_t[0], knots_t[-1], 2000)
-    pts = np.stack([sp(dense_t), dense_t], axis=-1)
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
-    su = np.linspace(0.0, s[-1], n_nodes)
-    return np.stack([np.interp(su, s, pts[:, 0]), np.interp(su, s, pts[:, 1])], axis=-1)
-
-
 def _reference_curvature(points, closed):
     """polyline_curve's curvature by np.unwrap and np.gradient with
     second-order ends; a closed curve is unwrapped and differenced
@@ -746,7 +734,7 @@ class TestPolylineCurveBits:
         lo, hi = (a if math.isfinite(a) else -2.0), (b if math.isfinite(b) else 2.0)
         rng = np.random.default_rng(1811)
         for _ in range(8):
-            self._assert_bits(density, _graph_points(rng, lo, hi))
+            self._assert_bits(density, graph_curve(rng, lo, hi))
 
     def test_closed_circle_wraps_past_pi(self):
         th = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)

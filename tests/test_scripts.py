@@ -1,4 +1,4 @@
-"""Smoke tests for the study scripts under scripts/ and the README's Python example."""
+"""Smoke tests for scripts/program_lines.py and the README's Python example."""
 
 import os
 import subprocess
@@ -17,33 +17,6 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
-    return run_python(str(ROOT / "scripts" / name))
-
-
-def test_optimize_demo_converges_with_defaults():
-    done = run_script("optimize_demo.py")
-    assert done.returncode == 0, done.stderr
-    assert "status converged" in done.stdout
-
-
-def test_jacobi_convergence_halves_at_second_order():
-    done = run_script("jacobi_convergence.py")
-    assert done.returncode == 0, done.stderr
-    # rows: h, max residual, ratio (absent on the first row), nodes
-    rows = [line.split() for line in done.stdout.splitlines()[1:]]
-    ratios = [float(row[2]) for row in rows if len(row) == 4]
-    assert len(rows) == 3 and len(ratios) == 2
-    assert all(ratio >= 3.5 for ratio in ratios)
-
-
-def test_profile_sweep_runs_with_defaults():
-    done = run_script("profile_sweep.py")
-    assert done.returncode == 0, done.stderr
-    # header, rule, and one row per (weight, slab): 4 + 4 + 4 + 2
-    assert len(done.stdout.splitlines()) == 2 + 14
-
-
 def test_readme_python_example_prints_what_it_says():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
@@ -56,7 +29,7 @@ def test_readme_python_example_prints_what_it_says():
 
 
 def test_program_lines_lists_unreached_statements_with_defaults():
-    done = run_script("program_lines.py")
+    done = run_python(str(ROOT / "scripts" / "program_lines.py"))
     assert done.returncode == 0, done.stderr
     *listed, last = done.stdout.splitlines()
     assert last == f"{len(listed)} statements no run reached"

@@ -316,19 +316,6 @@ class TestPoincareCertify:
         assert_allclose(cert.lambda_value, 0.2, rtol=1e-6)
 
 
-# the acceptance sweep at c = 1/2: every weight on every slab where it is defined
-SWEEP = tuple(
-    Density(weight, 0.5, 2, slab)
-    for weight, slabs in (
-        (ZeroWeight(), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
-        (AffineWeight(1.0, 0.0), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
-        (QuadraticWeight(1.0, 0.0, 0.0), ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))),
-        (LogPowerWeight(2.0), ((0.0, 1.0), (0.0, INF))),
-    )
-    for slab in slabs
-)
-
-
 class TestLanczosWork:
     def test_step_counts_on_the_sweep_pencils(self, monkeypatch):
         """One Ritz solve per Lanczos step, on the 21 pencils poincare_certify

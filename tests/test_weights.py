@@ -620,6 +620,14 @@ class TestDensityValidation:
             Density(weight, 0.5, 2, slab)
         assert "too wide" not in str(refused.value)
 
+    @pytest.mark.parametrize("slab", [(1e17, INF), (1e300, INF), (-INF, -1e17)])
+    def test_a_cut_that_rounds_onto_the_finite_end_is_refused(self, slab):
+        """The cut lies a few Gaussian widths past the finite end, a step that
+        rounds away there: (1e17, inf) was cut to the empty (1e17, 1e17), and
+        on (1e300, inf) the engine's build raised an overflow RuntimeWarning."""
+        with pytest.raises(DomainError, match=r"is cut to \((-?1e\+\d+), \1\): .*rounds onto the finite end"):
+            Density(ZeroWeight(), 0.5, 2, slab)
+
 
 # one instance's parameters per weight kind, on a domain holding the slab (0.25, 1)
 WEIGHT_PARAMS = [
