@@ -460,9 +460,8 @@ def cmd_spectrum(config: RunConfig) -> _Outcome:
 def cmd_optimize(config: RunConfig) -> _Outcome:
     density = config.density
     fraction = float(config.value("optimize", "target_fraction"))
-    # passed unnamed, so the start chord's cached fields are freed once the descent leaves it
+    # passed unnamed, so the start chord's fields are freed once the descent leaves it
     final, trace = minimize(
-        density,
         make_straight_chord(
             density,
             x_bottom=float(config.value("optimize", "x_bottom")),
@@ -477,7 +476,7 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
             f"optimizer did not converge (status {trace.status!r} after "
             f"{len(trace.iterations)} iterations)"
         )
-    _atomic_write(config, "chord.csv", _curve_table(chord_curve(density, final)))
+    _atomic_write(config, "chord.csv", _curve_table(chord_curve(final)))
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark

@@ -136,27 +136,26 @@ def _operator(m: int) -> _SplineOperator:
 
 
 class ChordSpline(_Frozen):
-    """Cubic-spline graph chord x(t) from the bottom wall to the top wall.
+    """Cubic-spline graph chord x(t) across one density's slab, bottom wall to top.
 
+    density: the density the chord lives in; it spans density.cut = (a, b).
     control_x: abscissas at uniform parameter knots in [0, 1], kept as a
-    read-only copy.  The height is the linear ramp t = a + (b − a)θ over
-    span = (a, b), so t′ = b − a, t″ = 0 and only the abscissas move.
+    read-only copy.  The height is the linear ramp t = a + (b − a)θ, so
+    t′ = b − a, t″ = 0 and only the abscissas move.
+    fields: the read-only node fields of _evaluate_fields, computed once here.
     The enclosed region E is the part of the slab left of the curve.
     """
 
-    def __init__(self, control_x, span: tuple[float, float]):
-        cx = _read_only(np.array(control_x, dtype=float, ndmin=1))
-        # _fields: quadrature-node fields per density, filled by _chord_fields
-        vars(self).update(control_x=cx, span=(float(span[0]), float(span[1])), _fields={})
+    def __init__(self, density: Density, control_x):
+        vars(self).update(density=density, control_x=_read_only(np.array(control_x, dtype=float, ndmin=1)))
         self.__post_init__()
+        vars(self).update(fields=_evaluate_fields(self))
 
     def __post_init__(self):
-        """The controls' and span's checks, the validation step of __init__."""
-        cx, (a, b) = self.control_x, self.span
+        """The controls' checks, the validation step of __init__."""
+        cx = self.control_x
         if cx.size < 4 or cx.size > 64:
             raise GeometryError("chord needs between 4 and 64 control points")
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise DomainError("chord span must be a bounded interval")
         if not np.all(np.isfinite(cx)):
             raise GeometryError("control abscissas must be finite")
 
@@ -165,7 +164,7 @@ class ChordSpline(_Frozen):
         return self.control_x.size
 
     def translated(self, tau: float) -> "ChordSpline":
-        return ChordSpline(self.control_x + tau, self.span)
+        return ChordSpline(self.density, self.control_x + tau)
 
 
 def make_straight_chord(
@@ -176,12 +175,11 @@ def make_straight_chord(
     Infinite slab sides are replaced by the weighted tail cutoff, beyond
     which the discarded mass is negligible at working tolerances.
     """
-    lo, hi = density.cut
     x_top = x_bottom if x_top is None else x_top
     if not (math.isfinite(x_bottom) and math.isfinite(x_top)):  # before the ramp, where inf * 0 warns
         raise GeometryError("control abscissas must be finite")
     knots = np.linspace(0.0, 1.0, n_controls)
-    return ChordSpline(x_bottom + (x_top - x_bottom) * knots, (lo, hi))
+    return ChordSpline(density, x_bottom + (x_top - x_bottom) * knots)
 
 
 def vertical_chord_length(density: Density, fraction: float) -> float:
@@ -191,29 +189,21 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     return float(_perpendicular_lines(density.c, total_weighted_volume(density), fraction)[1])
 
 
-# one chord's fields at the quadrature nodes under one density: weights qw,
-# x and its θ-derivatives, the ramp t and its constant slope dt = b − a,
-# speed |γ′|, f = e^ψ, the area kernel with V_f(E) = Σ kernel·Φ_c(x), and
-# that area itself
+# one chord's fields at the quadrature nodes: weights qw, x and its
+# θ-derivatives, the ramp t and its constant slope dt = b − a, speed |γ′|,
+# f = e^ψ, the area kernel with V_f(E) = Σ kernel·Φ_c(x), and that area itself
 _Fields = collections.namedtuple("_Fields", "qw x t dx dt d2x speed f kernel area")
 
 
-def _chord_fields(density: Density, chord: ChordSpline) -> _Fields:
+def _evaluate_fields(chord: ChordSpline) -> _Fields:
     """Spline geometry, density values and enclosed area at the quadrature
-    nodes, computed once per chord and density and kept read-only on the chord."""
-    if density not in chord._fields:
-        chord._fields[density] = _evaluate_fields(density, chord)
-    return chord._fields[density]
-
-
-def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
-    """The area kernel is qw·e^{ω(t)−ct²}·t′·√(π/c): the horizontal
-    antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ turns the
-    weighted area into the line integral ∫ G t′ dθ along the chord, and
-    only x enters Φ_c, so a translation leaves the kernel fixed."""
-    op = _operator(chord.n_controls)
+    nodes, read-only.  The area kernel is qw·e^{ω(t)−ct²}·t′·√(π/c): the
+    horizontal antiderivative G(x,t) = e^{ω(t)−ct²} ∫_{−∞}^x e^{−cξ²}dξ
+    turns the weighted area into the line integral ∫ G t′ dθ along the
+    chord, and only x enters Φ_c, so a translation leaves the kernel fixed."""
+    density, op = chord.density, _operator(chord.n_controls)
     x, dx, d2x = (_read_only(basis @ chord.control_x) for basis in (op.value, op.d1, op.d2))
-    (a, b), c = chord.span, density.c
+    (a, b), c = density.cut, density.c
     t, dt = _read_only(a + (b - a) * op.theta), b - a
     kernel = _read_only(op.weights * density.slab_factor(t) * dt * gaussian_factor(c))
     f = _read_only(np.exp(density.psi(x, t)))
@@ -221,25 +211,25 @@ def _evaluate_fields(density: Density, chord: ChordSpline) -> _Fields:
     return _Fields(op.weights, x, t, dx, dt, d2x, _read_only(np.hypot(dx, dt)), f, kernel, area)
 
 
-def _f_mean_curvature(density: Density, chord: ChordSpline) -> np.ndarray:
+def _f_mean_curvature(chord: ChordSpline) -> np.ndarray:
     """H_f = k − ⟨∇ψ, N⟩, k = −t′x″/|γ′|³, N = (−t′, x′)/|γ′| at the nodes."""
-    _, x, t, dx, dt, d2x, speed, *_ = _chord_fields(density, chord)
-    grad_x, grad_t = log_density_gradient(density, np.stack((x, t), axis=-1)).T
+    _, x, t, dx, dt, d2x, speed, *_ = chord.fields
+    grad_x, grad_t = log_density_gradient(chord.density, np.stack((x, t), axis=-1)).T
     return -dt * d2x / speed**3 - (grad_x * (-dt / speed) + grad_t * (dx / speed))
 
 
-def weighted_length(density: Density, chord: ChordSpline) -> float:
+def weighted_length(chord: ChordSpline) -> float:
     """P_f(chord) = ∫ f dℓ by knot-aligned composite Gauss-Legendre."""
-    fields = _chord_fields(density, chord)
+    fields = chord.fields
     return float(np.sum(fields.qw * fields.f * fields.speed))
 
 
-def enclosed_area(density: Density, chord: ChordSpline) -> float:
+def enclosed_area(chord: ChordSpline) -> float:
     """V_f(E) for E left of the chord, by the flux form of the area."""
-    return _chord_fields(density, chord).area
+    return chord.fields.area
 
 
-def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
+def shape_gradient(chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
     """(dP/dx_j, dV/dx_j) from the first variation.
 
     Moving control j horizontally deforms the chord by W = B_j e_x, so
@@ -249,15 +239,15 @@ def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np
 
     with H_f = k − ⟨∇ψ, N⟩ evaluated analytically from the spline.
     """
-    fields = _chord_fields(density, chord)
+    fields = chord.fields
     qw, dt, f = fields.qw, fields.dt, fields.f
-    hf = _f_mean_curvature(density, chord)
+    hf = _f_mean_curvature(chord)
     op = _operator(chord.n_controls)
     dp_x = op.value.T @ (qw * hf * f * dt)
     dv_x = op.value.T @ (qw * f * dt)
     # wall sliding terms: the endpoint controls move the contact point
     # along the wall, contributing f ⟨T, e_x⟩ with outward sign
-    f_ends = np.exp(density.psi(chord.control_x[[0, -1]], np.array(chord.span)))
+    f_ends = np.exp(chord.density.psi(chord.control_x[[0, -1]], np.array(chord.density.cut)))
     slopes = op.ends @ chord.control_x  # x′(0), x′(1)
     tang_x = slopes / np.hypot(slopes, dt)
     dp_x[0] -= f_ends[0] * tang_x[0]
@@ -265,7 +255,7 @@ def shape_gradient(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np
     return dp_x, dv_x
 
 
-def _second_variation(density: Density, chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
+def _second_variation(chord: ChordSpline) -> tuple[np.ndarray, np.ndarray]:
     """Exact Hessians (H_L, H_V) of weighted length and enclosed area in
     the horizontal controls.
 
@@ -278,9 +268,9 @@ def _second_variation(density: Density, chord: ChordSpline) -> tuple[np.ndarray,
 
     [·] the diagonal of node values and φ = Φ_c′.
     """
-    fields = _chord_fields(density, chord)
+    fields = chord.fields
     x, dx, dt, speed = fields.x, fields.dx, fields.dt, fields.speed
-    c = density.c
+    c = chord.density.c
     op = _operator(chord.n_controls)
     mass = fields.qw * fields.f
     mass_x = -2.0 * c * x * mass  # qw·f_x
@@ -309,19 +299,19 @@ class StationarityReport(NamedTuple):
     length: float
 
 
-def stationarity_report(density: Density, chord: ChordSpline) -> StationarityReport:
-    hf = _f_mean_curvature(density, chord)
+def stationarity_report(chord: ChordSpline) -> StationarityReport:
+    hf = _f_mean_curvature(chord)
     spread = float(np.max(hf) - np.min(hf))
-    a, b = chord.span
+    (a, b), slab = chord.density.cut, chord.density.slab
     slopes = _operator(chord.n_controls).ends @ chord.control_x
     angles = [math.degrees(math.atan2(abs(slope), b - a)) for slope in slopes]
-    at_wall = [end == wall for end, wall in zip(chord.span, density.slab)]
+    at_wall = [end == wall for end, wall in zip((a, b), slab)]
     orthogonal = all(angle <= 0.5 for angle, wall in zip(angles, at_wall) if wall)
     stationary = spread <= 1e-3 * (1.0 + abs(float(np.mean(hf)))) and orthogonal
-    return StationarityReport(stationary, spread, *angles, weighted_length(density, chord))
+    return StationarityReport(stationary, spread, *angles, weighted_length(chord))
 
 
-def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordSpline:
+def _restore_area(chord: ChordSpline, target: float) -> ChordSpline:
     """Translate horizontally until the enclosed area matches the target.
 
     A doubling search brackets a sign change of the area error in the
@@ -332,8 +322,8 @@ def _restore_area(density: Density, chord: ChordSpline, target: float) -> ChordS
     probe is one Gaussian CDF per node and only the root becomes a new
     chord; the chord's own area is the first probe.
     """
-    fields = _chord_fields(density, chord)
-    kernel, x, c = fields.kernel, fields.x, density.c
+    fields = chord.fields
+    kernel, x, c = fields.kernel, fields.x, chord.density.c
     unit = max(1.0, 1.0 / math.sqrt(2.0 * c))
 
     def offset_error(tau: float) -> float:
@@ -378,7 +368,7 @@ class OptimizeTrace(NamedTuple):
 def _unpack(chord: ChordSpline, control_x: np.ndarray) -> ChordSpline:
     """The trial chord with new horizontal controls; one call per
     line-search trial, which benchmark/tracer.py counts."""
-    return ChordSpline(control_x, chord.span)
+    return ChordSpline(chord.density, control_x)
 
 
 def _multiplier(gradient: np.ndarray, area_gradient: np.ndarray) -> tuple[float, float]:
@@ -410,7 +400,7 @@ def _newton_step(hessian: np.ndarray, gradient: np.ndarray, area_gradient: np.nd
     return -basis @ ((basis.T @ gradient) / lam)
 
 
-def minimize(density: Density, chord: ChordSpline, target_area: float) -> tuple[ChordSpline, OptimizeTrace]:
+def minimize(chord: ChordSpline, target_area: float) -> tuple[ChordSpline, OptimizeTrace]:
     """Modified Newton-KKT descent on the horizontal controls at fixed weighted area.
 
     Each step solves the KKT system of H_L − μH_V, the exact Lagrangian
@@ -424,20 +414,20 @@ def minimize(density: Density, chord: ChordSpline, target_area: float) -> tuple[
     """
     if not target_area > 0.0:
         raise ConfigError("target area must be positive")
-    chord = _restore_area(density, chord, target_area)
-    a, b = chord.span
+    chord = _restore_area(chord, target_area)
+    a, b = chord.density.cut
     rows = []
     status = "max_iterations"
     for it in range(_MAX_ITERATIONS):
-        gradient, area_gradient = shape_gradient(density, chord)
+        gradient, area_gradient = shape_gradient(chord)
         mu, gnorm = _multiplier(gradient, area_gradient)
-        length = weighted_length(density, chord)
-        area_err = abs(enclosed_area(density, chord) - target_area)
+        length = weighted_length(chord)
+        area_err = abs(enclosed_area(chord) - target_area)
         rows.append((it, length, area_err, gnorm))
         if gnorm < _GRADIENT_TOLERANCE:
             status = "converged"
             break
-        h_length, h_area = _second_variation(density, chord)
+        h_length, h_area = _second_variation(chord)
         step = _newton_step(h_length - mu * h_area, gradient, area_gradient)
         slope = float(np.dot(gradient, step))
         # per-step displacement cap: keeps the spline from folding
@@ -446,11 +436,11 @@ def minimize(density: Density, chord: ChordSpline, target_area: float) -> tuple[
         for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _unpack(chord, chord.control_x + alpha * step)
-                trial = _restore_area(density, trial, target_area)
+                trial = _restore_area(trial, target_area)
             except (GeometryError, DomainError):
                 alpha *= _BACKTRACK
                 continue
-            if weighted_length(density, trial) <= length + _ARMIJO_SLOPE * alpha * slope:
+            if weighted_length(trial) <= length + _ARMIJO_SLOPE * alpha * slope:
                 chord = trial
                 accepted = True
                 break
@@ -459,11 +449,11 @@ def minimize(density: Density, chord: ChordSpline, target_area: float) -> tuple[
             status = "stalled"
             break
     arr = np.array(rows, dtype=float).reshape(-1, 4)
-    final = stationarity_report(density, chord)
+    final = stationarity_report(chord)
     return chord, OptimizeTrace(arr[:, 0].astype(int), *arr[:, 1:].T, status, final)
 
 
-def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
+def chord_curve(chord: ChordSpline) -> DiscreteCurve:
     """Resample a spline chord as a 401-node discrete curve with analytic fields.
 
     Nodes sit at uniform arclength, so the spacing contract of
@@ -473,7 +463,7 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     derivatives rather than node differences.
     """
     coefficients = _operator(chord.n_controls).coefficients @ chord.control_x
-    a, b = chord.span  # the height ramp t = a + (b − a)θ
+    (a, b), slab = chord.density.cut, chord.density.slab  # the height ramp t = a + (b − a)θ
     theta_dense = np.linspace(0.0, 1.0, 4097)
     speed_dense = np.hypot(_evaluate_spline(coefficients, theta_dense, 1), b - a)
     s_dense = np.concatenate(
@@ -483,7 +473,7 @@ def chord_curve(density: Density, chord: ChordSpline) -> DiscreteCurve:
     theta[0], theta[-1] = 0.0, 1.0
     x, dx, d2x = (_evaluate_spline(coefficients, theta, nu) for nu in (0, 1, 2))
     speed = np.hypot(dx, b - a)
-    points = np.stack((x, np.clip(a + (b - a) * theta, *density.slab)), axis=-1)
+    points = np.stack((x, np.clip(a + (b - a) * theta, *slab)), axis=-1)
     normals = np.stack((-(b - a) / speed, dx / speed), axis=-1)
     curvature = -(b - a) * d2x / speed**3
     return DiscreteCurve(points=points, normals=normals, curvature=curvature)

@@ -38,6 +38,7 @@ from .errors import ConsistencyError, DomainError, SmoothnessError
 from .weights import (
     Density,
     PiecewiseLinearWeight,
+    _float_arrays,
     _Frozen,
     gaussian_cdf,
     gaussian_factor,
@@ -66,15 +67,16 @@ def _perpendicular_lines(c: float, v_total: float, q):
 
 
 class Profile(_Frozen):
-    """Sampled profile F(v) = A(V^{-1}(v)) of a half-space family."""
+    """Sampled profile F(v) = A(V^{-1}(v)) of a half-space family, in read-only copies."""
 
     def __init__(self, s: np.ndarray, V: np.ndarray, A: np.ndarray, v: np.ndarray,
                  F: np.ndarray, dF: np.ndarray, ddF: np.ndarray, v_total: float):
-        if np.any(np.diff(V) <= 0.0):
+        _float_arrays(self, np.atleast_1d, s=s, V=V, A=A, v=v, F=F, dF=dF, ddF=ddF)
+        vars(self).update(v_total=v_total)
+        if np.any(np.diff(self.V) <= 0.0):
             raise ConsistencyError("profile volumes must be strictly increasing")
-        if np.any(F <= 0.0):
+        if np.any(self.F <= 0.0):
             raise ConsistencyError("profile values must be positive on the open range")
-        vars(self).update(s=s, V=V, A=A, v=v, F=F, dF=dF, ddF=ddF, v_total=v_total)
 
 
 def _chebyshev_grid(lo: float, hi: float, size: int) -> np.ndarray:

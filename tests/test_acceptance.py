@@ -369,8 +369,8 @@ def test_criterion_10_optimizer_benchmark():
         ends = rng.uniform(-0.6, 0.6, 2)
         control_x = np.linspace(ends[0], ends[1], m)
         control_x[1:-1] += rng.normal(0.0, 0.15, m - 2)
-        chord = ChordSpline(control_x, (-1.0, 1.0))
-        final, trace = minimize(density, chord, target)
+        chord = ChordSpline(density, control_x)
+        final, trace = minimize(chord, target)
         assert trace.status == "converged"
         assert trace.final.stationary
         assert np.all(np.diff(trace.lengths) <= 0.0)
@@ -407,8 +407,8 @@ def test_criterion_11_differential_self_consistency():
             scale = np.maximum(np.abs(grad[:, axis]), 1.0)
             worst_psi = max(worst_psi, float(np.max(np.abs(fd - grad[:, axis]) / scale)))
     density = Density(ZeroWeight(), C, 2, (-1.0, 1.0))
-    chord = ChordSpline(0.2 * rng.standard_normal(8), (-1.0, 1.0))
-    dp, dv = shape_gradient(density, chord)
+    chord = ChordSpline(density, 0.2 * rng.standard_normal(8))
+    dp, dv = shape_gradient(chord)
     from isoflow import enclosed_area, weighted_length
 
     worst_shape = 0.0
@@ -418,10 +418,10 @@ def test_criterion_11_differential_self_consistency():
         minus = np.array(chord.control_x)
         plus[j] += step
         minus[j] -= step
-        up = ChordSpline(plus, chord.span)
-        down = ChordSpline(minus, chord.span)
-        fd_p = (weighted_length(density, up) - weighted_length(density, down)) / (2.0 * step)
-        fd_v = (enclosed_area(density, up) - enclosed_area(density, down)) / (2.0 * step)
+        up = ChordSpline(density, plus)
+        down = ChordSpline(density, minus)
+        fd_p = (weighted_length(up) - weighted_length(down)) / (2.0 * step)
+        fd_v = (enclosed_area(up) - enclosed_area(down)) / (2.0 * step)
         scale_p = max(abs(dp[j]), 1e-2)
         scale_v = max(abs(dv[j]), 1e-2)
         worst_shape = max(

@@ -459,7 +459,7 @@ def gaussian_columns() -> dict:
     tmap, certificate = build_transport(d), poincare_certify(d)
     shot = cmc_shoot(d, value("jacobi", "target_hf"), (value("jacobi", "start_x"), value("jacobi", "start_t")),
                      value("jacobi", "angle"), step=_JACOBI_STEPS[-1], max_length=value("jacobi", "max_length"))
-    final, trace = minimize(d, make_straight_chord(d, value("optimize", "x_bottom"), value("optimize", "x_top")),
+    final, trace = minimize(make_straight_chord(d, value("optimize", "x_bottom"), value("optimize", "x_top")),
                             value("optimize", "target_fraction") * total_weighted_volume(d))
     columns = {f"profile_{name}.csv": (p.s, p.V, p.A, p.v, p.F, p.dF, p.ddF)
                for name, p in (("parallel", profiles["parallel"]), ("perp", profiles["perpendicular"]))}
@@ -468,7 +468,7 @@ def gaussian_columns() -> dict:
         "jacobi_curve.csv": curve(shot),
         "spectrum.csv": (certificate.problem.nodes, certificate.problem.masses, certificate.eigenvector),
         "optimize_trace.csv": (trace.iterations, trace.lengths, trace.area_errors, trace.gradient_norms),
-        "chord.csv": curve(chord_curve(d, final)),
+        "chord.csv": curve(chord_curve(final)),
     }
 
 
@@ -1289,6 +1289,23 @@ class TestOneTailRule:
         code = main(["stability", "--config", cfg, "--out", out])
         record = read_json(out, "stability.json")
         assert record["metrics"]["witness_index_value"] == pytest.approx(-2e-7 * math.sqrt(2.0 * math.pi), rel=1e-6)
+        assert record["metrics"]["parallel_verdict"] == "unstable"
+        assert (code, record["status"]) == (0, "verified")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: stability reads the sign of a rounding-level "
+                       "witness, not its closed form")
+    def test_stability_on_a_rounding_level_weight_reads_its_exact_witness(self, tmp_path):
+        """omega = 1e-300 log t, c = 1/2 on (0, 1) is concave, with
+        omega''(t0) = -5.1e-300 at t0 = 0.4418.  Its witness should equal the
+        closed form omega''(t0) e^{omega(t0) - c t0^2} sqrt(pi/c) / (2c); it
+        reads +4.4e-16, rounding noise of the wrong sign, and the run exits 2."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = log_power\nparams = 1e-300\nc = 0.5\nslab = 0, 1\n")
+        out = str(tmp_path / "out")
+        code = main(["stability", "--config", cfg, "--out", out])
+        record = read_json(out, "stability.json")
+        t0, m, c = record["metrics"]["t0"], 1e-300, 0.5
+        exact = -m / (t0 * t0) * math.exp(m * math.log(t0) - c * t0 * t0) * math.sqrt(math.pi / c) / (2.0 * c)
+        assert record["metrics"]["witness_index_value"] == pytest.approx(exact, rel=1e-6, abs=0.0)  # the witness is of order 1e-299
         assert record["metrics"]["parallel_verdict"] == "unstable"
         assert (code, record["status"]) == (0, "verified")
 

@@ -57,28 +57,24 @@ def symmetric_slab() -> Density:
     return Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
 
 
-def bent_chord(seed: int = 7, scale: float = 0.2, m: int = 10, span=(0.0, 1.0)) -> ChordSpline:
+def bent_chord(seed: int = 7, scale: float = 0.2, m: int = 10, density=None) -> ChordSpline:
     rng = np.random.default_rng(seed)
-    return ChordSpline(scale * rng.standard_normal(m), span)
+    return ChordSpline(density or unit_slab(), scale * rng.standard_normal(m))
 
 
 class TestChordSpline:
     def test_vertical_chord_builds(self):
         ch = make_straight_chord(unit_slab(), 0.3)
-        assert ch.span == (0.0, 1.0)
-        points = opt.chord_curve(unit_slab(), ch).points
+        assert ch.density.cut == (0.0, 1.0)
+        points = opt.chord_curve(ch).points
         assert np.allclose(points[:, 0], 0.3)
         assert np.allclose(points[[0, 200, 400], 1], [0.0, 0.5, 1.0])
-
-    def test_infinite_span_rejected(self):
-        with pytest.raises(DomainError, match="bounded"):
-            ChordSpline(np.zeros(6), (0.0, math.inf))
 
     def test_nonfinite_controls_rejected(self):
         cx = np.zeros(6)
         cx[3] = math.nan
         with pytest.raises(GeometryError, match="finite"):
-            ChordSpline(cx, (0.0, 1.0))
+            ChordSpline(unit_slab(), cx)
 
     @pytest.mark.parametrize("ends", [(12.0, math.inf), (math.inf, None), (0.0, -math.inf), (math.nan, 0.0)])
     def test_nonfinite_straight_chord_refused_without_a_warning(self, ends):
@@ -91,19 +87,18 @@ class TestChordSpline:
 
     def test_too_few_controls_rejected(self):
         with pytest.raises(GeometryError, match="control"):
-            ChordSpline(np.zeros(3), (0.0, 1.0))
+            ChordSpline(unit_slab(), np.zeros(3))
 
     def test_chord_owns_its_abscissas(self):
-        # the chord memoizes its fields, so a caller's later write to the
+        # the chord holds its fields, so a caller's later write to the
         # array it passed in must change neither the controls nor the length
-        density = Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
         cx = np.zeros(6)
-        ch = ChordSpline(cx, (-1.0, 1.0))
-        before = weighted_length(density, ch)
+        ch = ChordSpline(symmetric_slab(), cx)
+        before = weighted_length(ch)
         cx += 1.0
         assert np.all(ch.control_x == 0.0)
-        assert weighted_length(density, ch) == before
-        assert weighted_length(density, ChordSpline(ch.control_x, ch.span)) == before
+        assert weighted_length(ch) == before
+        assert weighted_length(ChordSpline(ch.density, ch.control_x)) == before
         assert not ch.control_x.flags.writeable
         with pytest.raises(ValueError):
             ch.control_x[0] = 1.0
@@ -112,29 +107,29 @@ class TestChordSpline:
         ch = bent_chord()
         shifted = ch.translated(0.7)
         assert np.allclose(shifted.control_x, ch.control_x + 0.7)
-        assert shifted.span == ch.span
+        assert shifted.density is ch.density
 
     def test_infinite_slab_truncated_by_tail_rule(self):
         density = Density(QuadraticWeight(2.0, 0.0, 0.0), 0.5, 2, (0.0, math.inf))
         ch = make_straight_chord(density, 0.0)
-        assert ch.span[0] == 0.0
-        assert 3.0 < ch.span[1] < 20.0
+        assert ch.density.cut[0] == 0.0
+        assert 3.0 < ch.density.cut[1] < 20.0
 
 
 class TestWeightedLength:
     @pytest.mark.parametrize("s", [0.0, 0.7, -1.3])
     def test_vertical_chord_closed_form(self, s):
-        got = weighted_length(unit_slab(), make_straight_chord(unit_slab(), s))
+        got = weighted_length(make_straight_chord(unit_slab(), s))
         want = math.exp(-0.5 * s * s) * UNIT_SLAB_MASS
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_symmetric_slab_vertical(self):
-        got = weighted_length(symmetric_slab(), make_straight_chord(symmetric_slab(), 0.0))
+        got = weighted_length(make_straight_chord(symmetric_slab(), 0.0))
         assert got == pytest.approx(SYM_SLAB_MASS, rel=1e-12)
 
     def test_half_space_log_power_weight(self):
         density = Density(LogPowerWeight(2), 0.5, 2, (0.0, math.inf))
-        got = weighted_length(density, make_straight_chord(density, 0.0))
+        got = weighted_length(make_straight_chord(density, 0.0))
         assert got == pytest.approx(LOG_POWER_MASS, rel=1e-9)
 
     def test_tilted_chord_matches_parametric_quadrature(self):
@@ -150,11 +145,11 @@ class TestWeightedLength:
             epsabs=1e-14,
             epsrel=1e-13,
         )[0]
-        assert weighted_length(density, ch) == pytest.approx(want, rel=1e-11)
+        assert weighted_length(ch) == pytest.approx(want, rel=1e-11)
 
     def test_vanishing_slab_height_limit(self):
         density = Density(ZeroWeight(), 0.5, 2, (0.0, 1e-6))
-        got = weighted_length(density, make_straight_chord(density, 0.0, n_controls=4))
+        got = weighted_length(make_straight_chord(density, 0.0, n_controls=4))
         assert 0.0 < got < 2e-6
 
     @pytest.mark.parametrize("fraction", [0.5, 0.3, 0.07])
@@ -164,8 +159,8 @@ class TestWeightedLength:
         v_tot = total_weighted_volume(density)
         s = float(gaussian_quantile(0.5, fraction, 1.0 - fraction))
         chord = make_straight_chord(density, s)
-        assert enclosed_area(density, chord) == pytest.approx(fraction * v_tot, rel=1e-12)
-        want = weighted_length(density, chord)
+        assert enclosed_area(chord) == pytest.approx(fraction * v_tot, rel=1e-12)
+        want = weighted_length(chord)
         assert vertical_chord_length(density, fraction) == pytest.approx(want, rel=1e-12)
         if fraction == 0.5:
             assert want == pytest.approx(QUAD_SLAB_MASS, rel=1e-14)
@@ -175,19 +170,19 @@ class TestEnclosedArea:
     def test_median_vertical_chord_halves_the_mass(self):
         density = unit_slab()
         v_tot = total_weighted_volume(density)
-        got = enclosed_area(density, make_straight_chord(density, 0.0))
+        got = enclosed_area(make_straight_chord(density, 0.0))
         assert got == pytest.approx(v_tot / 2.0, rel=1e-13)
 
     def test_far_left_and_far_right_limits(self):
         density = unit_slab()
         v_tot = total_weighted_volume(density)
-        assert abs(enclosed_area(density, make_straight_chord(density, -8.0))) < 1e-12
-        assert enclosed_area(density, make_straight_chord(density, 8.0)) == pytest.approx(
+        assert abs(enclosed_area(make_straight_chord(density, -8.0))) < 1e-12
+        assert enclosed_area(make_straight_chord(density, 8.0)) == pytest.approx(
             v_tot, rel=1e-12
         )
 
     def test_tilted_chord_against_2d_quadrature(self):
-        got = enclosed_area(unit_slab(), make_straight_chord(unit_slab(), -0.3, 0.5))
+        got = enclosed_area(make_straight_chord(unit_slab(), -0.3, 0.5))
         assert got == pytest.approx(TILTED_AREA, rel=1e-8)
 
     def test_bent_chord_against_2d_quadrature(self):
@@ -200,27 +195,37 @@ class TestEnclosedArea:
             0.0,
             1.0,
             lambda t: -12.0,
-            lambda t: float(opt._evaluate_spline(coefficients, t, 0)),  # θ = t on the span (0, 1)
+            lambda t: float(opt._evaluate_spline(coefficients, t, 0)),  # θ = t on the cut (0, 1)
         )[0]
-        assert enclosed_area(unit_slab(), ch) == pytest.approx(want, rel=1e-8)
+        assert enclosed_area(ch) == pytest.approx(want, rel=1e-8)
 
     def test_translation_derivative_matches_gradient_sum(self):
         # moving every control together is a rigid horizontal translation,
         # so the area gradient entries must sum to the translation rate
-        density = unit_slab()
         ch = bent_chord(seed=11)
-        _, dv_x = shape_gradient(density, ch)
+        _, dv_x = shape_gradient(ch)
         h = 1e-6
         fd = (
-            enclosed_area(density, ch.translated(h))
-            - enclosed_area(density, ch.translated(-h))
+            enclosed_area(ch.translated(h))
+            - enclosed_area(ch.translated(-h))
         ) / (2.0 * h)
         assert float(np.sum(dv_x)) == pytest.approx(fd, rel=1e-8)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 18 and 26: the area kernel misses the mass "
+                       "at a singular wall")
+    def test_kernel_holds_the_mass_at_a_singular_wall(self):
+        """The kernel sums to the chord's enclosed area as its offset goes to
+        +inf, the slab's whole mass.  On log_power m, c = 1/2 on (0, 1) the
+        slab factor t^m is unbounded at the wall t = 0, and the plain
+        Gauss-Legendre nodes miss mass: 16.773 against 24.538 at m = -0.9,
+        4.5627 against 4.5742 at m = -0.5."""
+        density = Density(LogPowerWeight(-0.9), 0.5, 2, (0.0, 1.0))
+        got = float(np.sum(make_straight_chord(density).fields.kernel))
+        assert got == pytest.approx(total_weighted_volume(density), rel=1e-6)
+
     def test_monotone_in_translation(self):
-        density = unit_slab()
         ch = bent_chord(seed=2)
-        areas = [enclosed_area(density, ch.translated(tau)) for tau in (-1.0, 0.0, 1.0)]
+        areas = [enclosed_area(ch.translated(tau)) for tau in (-1.0, 0.0, 1.0)]
         assert areas[0] < areas[1] < areas[2]
 
 
@@ -231,18 +236,18 @@ class TestShapeGradient:
         rng = np.random.default_rng(seed)
         m = 10
         cx = 0.3 * rng.standard_normal(m)
-        ch = ChordSpline(cx, (0.0, 1.0))
-        dp_x, dv_x = shape_gradient(density, ch)
+        ch = ChordSpline(density, cx)
+        dp_x, dv_x = shape_gradient(ch)
         h = 1e-5
         for j in range(m):
             cxp = cx.copy()
             cxm = cx.copy()
             cxp[j] += h
             cxm[j] -= h
-            chp = ChordSpline(cxp, (0.0, 1.0))
-            chm = ChordSpline(cxm, (0.0, 1.0))
-            fd_p = (weighted_length(density, chp) - weighted_length(density, chm)) / (2 * h)
-            fd_v = (enclosed_area(density, chp) - enclosed_area(density, chm)) / (2 * h)
+            chp = ChordSpline(density, cxp)
+            chm = ChordSpline(density, cxm)
+            fd_p = (weighted_length(chp) - weighted_length(chm)) / (2 * h)
+            fd_v = (enclosed_area(chp) - enclosed_area(chm)) / (2 * h)
             assert dp_x[j] == pytest.approx(fd_p, rel=1e-4, abs=1e-9)
             assert dv_x[j] == pytest.approx(fd_v, rel=1e-4, abs=1e-9)
 
@@ -251,7 +256,7 @@ class TestShapeGradient:
         # differences see it automatically, so agreement there validates it
         density = symmetric_slab()
         ch = make_straight_chord(density, -0.4, 0.6)
-        dp_x, _ = shape_gradient(density, ch)
+        dp_x, _ = shape_gradient(ch)
         h = 1e-5
         for j in (0, ch.n_controls - 1):
             cxp = ch.control_x.copy()
@@ -259,8 +264,8 @@ class TestShapeGradient:
             cxp[j] += h
             cxm[j] -= h
             fd = (
-                weighted_length(density, ChordSpline(cxp, ch.span))
-                - weighted_length(density, ChordSpline(cxm, ch.span))
+                weighted_length(ChordSpline(density, cxp))
+                - weighted_length(ChordSpline(density, cxm))
             ) / (2 * h)
             assert dp_x[j] == pytest.approx(fd, rel=1e-4)
 
@@ -277,8 +282,8 @@ class TestSecondVariation:
 
     @pytest.mark.parametrize("density", HESSIAN_DENSITIES, ids=["gaussian", "quadratic", "log_power_half"])
     def test_hessians_match_second_differences(self, density):
-        chord = bent_chord(seed=3, scale=0.3, span=make_straight_chord(density).span)
-        h_length, h_area = opt._second_variation(density, chord)
+        chord = bent_chord(seed=3, scale=0.3, density=density)
+        h_length, h_area = opt._second_variation(chord)
         m, h = chord.n_controls, 1e-4
         assert np.allclose(h_length, h_length.T, rtol=0.0, atol=1e-14 * np.max(np.abs(h_length)))
         for measure, hessian in ((weighted_length, h_length), (enclosed_area, h_area)):
@@ -286,7 +291,7 @@ class TestSecondVariation:
                 control_x = chord.control_x.copy()
                 for j, sign in moves:
                     control_x[j] += sign * h
-                return measure(density, ChordSpline(control_x, chord.span))
+                return measure(ChordSpline(density, control_x))
 
             fd = np.array([[(value((i, 1), (j, 1)) - value((i, 1), (j, -1))
                              - value((i, -1), (j, 1)) + value((i, -1), (j, -1))) / (4.0 * h * h)
@@ -297,13 +302,13 @@ class TestSecondVariation:
     def test_direct_gradient_matches_the_first_variation(self, density):
         # L = Σ qw·f·|γ′| differentiated node by node, against the integrated-by-
         # parts form ∫ H_f B_j f t′ dθ plus the wall terms
-        chord = bent_chord(seed=5, scale=0.3, span=make_straight_chord(density).span)
-        fields = opt._chord_fields(density, chord)
+        chord = bent_chord(seed=5, scale=0.3, density=density)
+        fields = chord.fields
         op = opt._operator(chord.n_controls)
         mass = fields.qw * fields.f
         direct = (op.value.T @ (-2.0 * density.c * fields.x * mass * fields.speed)
                   + op.d1.T @ (mass * fields.dx / fields.speed))
-        dp_x, _ = shape_gradient(density, chord)
+        dp_x, _ = shape_gradient(chord)
         assert np.max(np.abs(direct - dp_x)) <= 1e-12 * np.max(np.abs(dp_x))
 
     @pytest.mark.parametrize("shift", [0.0, 0.6])
@@ -322,14 +327,14 @@ class TestSecondVariation:
         from isoflow.spectrum import poincare_certify
 
         chord = make_straight_chord(density, shift)
-        gradient, area_gradient = shape_gradient(density, chord)
+        gradient, area_gradient = shape_gradient(chord)
         mu, gnorm = opt._multiplier(gradient, area_gradient)
         assert mu == pytest.approx(-2.0 * density.c * shift, abs=1e-12)
         assert gnorm < 1e-12
-        h_length, h_area = opt._second_variation(density, chord)
+        h_length, h_area = opt._second_variation(chord)
         tangent = np.linalg.qr(area_gradient[:, None], mode="complete")[0][:, 1:]
         reduced = tangent.T @ (h_length - mu * h_area) @ tangent
-        fields = opt._chord_fields(density, chord)
+        fields = chord.fields
         op = opt._operator(chord.n_controls)
         mass = fields.qw * fields.f
         stiffness = op.d1.T @ ((mass / fields.dt)[:, None] * op.d1)
@@ -374,12 +379,11 @@ class TestSplineOperators:
         # written out from its own nodes.
         rng = np.random.default_rng(m)
         density = symmetric_slab()
-        ch = ChordSpline(0.3 * rng.standard_normal(m), (-1.0, 1.0))
+        ch = ChordSpline(density, 0.3 * rng.standard_normal(m))
         if translated:
-            opt._chord_fields(density, ch)
             ch = ch.translated(0.37)
-        _, x, t, dx, dt, d2x, _, _, kernel, _ = opt._chord_fields(density, ch)
-        assert np.array_equal(kernel, reference_area_terms(density, ch)[0])
+        _, x, t, dx, dt, d2x, _, _, kernel, _ = ch.fields
+        assert np.array_equal(kernel, reference_area_terms(ch)[0])
         op = opt._operator(m)
         ramp = np.linspace(-1.0, 1.0, m)
         for got, controls, nu, basis, theta in [
@@ -401,8 +405,8 @@ class TestSplineOperators:
         # 1 + Σ_j |B_ij y_j|; a field formed from products is held to those
         # errors carried through its first-order sensitivities.
         rng = np.random.default_rng(m)
-        a, b = make_straight_chord(density).span
-        chord = ChordSpline(0.3 * rng.standard_normal(m), (a, b))
+        a, b = density.cut
+        chord = ChordSpline(density, 0.3 * rng.standard_normal(m))
         op = opt._operator(m)
         controls = np.column_stack([chord.control_x, a + (b - a) * np.linspace(0.0, 1.0, m)])
         bases = (op.value, op.d1, op.d2, op.ends)
@@ -414,7 +418,7 @@ class TestSplineOperators:
         kernel = op.weights * np.exp(omega - c * t * t) * dt * math.sqrt(math.pi / c)
         log_t = np.abs(density.weight.deriv(t) - 2.0 * c * t)  # |∂ log f/∂t|
         kernel_scale = np.abs(kernel) * (1.0 + log_t * st + sdt / dt)
-        got = opt._chord_fields(density, chord)
+        got = chord.fields
         for new, old, scale in [
             (got.x, x, sx), (got.t, t, st), (got.dx, dx, sdx), (got.dt, dt, sdt), (got.d2x, d2x, sd2x),
             (0.0, d2t, sd2t), (got.speed, np.hypot(dx, dt), sdx + sdt),
@@ -439,13 +443,13 @@ class TestSplineOperators:
         opt._operator.cache_clear()
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
-        chord, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
+        chord, trace = minimize(make_straight_chord(density, -0.3, 0.4), target)
         assert trace.status == "converged"
-        opt.chord_curve(density, chord)
+        opt.chord_curve(chord)
         assert builds == [12]
         other = make_straight_chord(density, -0.3, 0.4, n_controls=6)
-        opt.chord_curve(density, other)
-        weighted_length(density, other)
+        opt.chord_curve(other)
+        weighted_length(other)
         assert builds == [12, 6]
 
 
@@ -486,52 +490,52 @@ class TestNotAKnotBasis:
 
 
 class TestFieldsComputedOnce:
-    """Node fields are computed once per chord and density, stored read-only."""
+    """Node fields are computed once, when the chord is built, and stored read-only."""
 
     def test_minimize_computes_each_chords_fields_once(self, monkeypatch):
         computed = []
         real = opt._evaluate_fields
 
-        def counting(density, chord):
+        def counting(chord):
             computed.append(chord)  # keeps every chord alive, so ids stay distinct
-            return real(density, chord)
+            return real(chord)
 
         monkeypatch.setattr(opt, "_evaluate_fields", counting)
         density = symmetric_slab()
         target = 0.5 * total_weighted_volume(density)
-        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.4), target)
+        _, trace = minimize(make_straight_chord(density, -0.3, 0.4), target)
         assert trace.status == "converged"
         assert len({id(chord) for chord in computed}) == len(computed)
         # about two chords per iteration: the trial step and its area restoration
         assert len(computed) <= 3 * len(trace.iterations)
 
     def test_cached_arrays_are_read_only(self):
-        chord, density = bent_chord(), unit_slab()
-        fields = opt._chord_fields(density, chord)
-        assert opt._chord_fields(density, chord) is fields
+        chord = bent_chord()
+        fields = chord.fields
+        with pytest.raises(AttributeError):
+            chord.fields = None
         assert isinstance(fields.dt, float) and isinstance(fields.area, float)
         for array in (fields.qw, fields.x, fields.t, fields.dx, fields.d2x, fields.speed, fields.f,
                       fields.kernel):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
-    def test_each_density_gets_its_own_fields(self):
+    def test_a_chord_reads_its_own_density(self):
         flat, tilted = symmetric_slab(), Density(QuadraticWeight(1.0, 0.5), 0.5, 2, (-1.0, 1.0))
         chord = make_straight_chord(flat, 0.2)
-        fresh = lambda: make_straight_chord(flat, 0.2)  # noqa: E731
-        for density in (flat, tilted, flat):  # one chord, alternating densities
-            assert weighted_length(density, chord) == weighted_length(density, fresh())
-            assert enclosed_area(density, chord) == enclosed_area(density, fresh())
+        for _ in range(2):  # a re-used chord reads what a fresh one reads
+            assert weighted_length(chord) == weighted_length(make_straight_chord(flat, 0.2))
+            assert enclosed_area(chord) == enclosed_area(make_straight_chord(flat, 0.2))
         flat_length = SYM_SLAB_MASS * math.exp(-0.02)  # e^{-c x^2} at x = 0.2
-        assert weighted_length(flat, chord) == pytest.approx(flat_length, rel=1e-12)
-        assert weighted_length(tilted, chord) < 0.9 * flat_length
+        assert weighted_length(chord) == pytest.approx(flat_length, rel=1e-12)
+        assert weighted_length(make_straight_chord(tilted, 0.2)) < 0.9 * flat_length
 
 
 class TestMinimizeArguments:
     @staticmethod
     def descend(target_area: float):
         density = symmetric_slab()
-        return minimize(density, make_straight_chord(density, 0.0), target_area)
+        return minimize(make_straight_chord(density, 0.0), target_area)
 
     @pytest.mark.parametrize("area", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_area(self, area):
@@ -547,8 +551,8 @@ class TestRestoreArea:
         rng = np.random.default_rng(5)
         m = 10
         yield make_straight_chord(density, -0.4, 0.1, n_controls=m)
-        yield ChordSpline(0.15 * rng.standard_normal(m) + 0.3, (-1.0, 1.0))
-        yield ChordSpline(0.4 * rng.standard_normal(m) - 0.2, (-1.0, 1.0))
+        yield ChordSpline(density, 0.15 * rng.standard_normal(m) + 0.3)
+        yield ChordSpline(density, 0.4 * rng.standard_normal(m) - 0.2)
 
     @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.83])
     @pytest.mark.parametrize("weight", [ZeroWeight(), QuadraticWeight(1.0, 0.4, 0.0)])
@@ -558,12 +562,12 @@ class TestRestoreArea:
         density = Density(weight, 0.5, 2, (-1.0, 1.0))
         target = fraction * total_weighted_volume(density)
         for chord in self.chords(density):
-            err0 = enclosed_area(density, chord) - target
+            err0 = enclosed_area(chord) - target
             assert abs(err0) > 1e-3  # starts off target, so the polish runs
-            restored = opt._restore_area(density, chord, target)
-            assert abs(enclosed_area(density, restored) - target) <= 1e-14 * (1.0 + target)
+            restored = opt._restore_area(chord, target)
+            assert abs(enclosed_area(restored) - target) <= 1e-14 * (1.0 + target)
             tau = float(np.mean(restored.control_x - chord.control_x))
-            want = brentq(lambda s: enclosed_area(density, chord.translated(s)) - target,
+            want = brentq(lambda s: enclosed_area(chord.translated(s)) - target,
                           -5.0, 5.0, xtol=1e-15)
             assert tau == pytest.approx(want, abs=1e-12)
 
@@ -576,34 +580,46 @@ class TestRestoreArea:
         reach of 1e3 ("target too large").  Both scale with the unit now,
         and the descent meets the vertical chord."""
         density = Density(ZeroWeight(), 1e-6, 2, (-1.0, 1.0))
-        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3),
+        _, trace = minimize(make_straight_chord(density, -0.3, 0.3),
                             fraction * total_weighted_volume(density))
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(vertical_chord_length(density, fraction), rel=1e-12)
 
 
-def reference_area_terms(density, chord):
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason="ROADMAP item 19: the root loop runs "
+                       "near the subnormal range and misses its absolute stop")
+    def test_a_tiny_target_converges(self):
+        """A target of 1e-300 on gaussian_slab ends in "area restoration did
+        not converge"; 1e-30 converges."""
+        density = symmetric_slab()
+        chord, trace = minimize(make_straight_chord(density, -0.3, 0.3), 1e-300)
+        assert trace.status == "converged"
+        assert abs(enclosed_area(chord) - 1e-300) <= 1e-12 * 1e-300
+
+
+def reference_area_terms(chord):
     """(kernel, x) with V_f(E) = Σ kernel·Φ_c(x), written out from the spline
     operators and the ramp t = a + (b − a)θ: kernel = qw·e^{ω(t)−ct²}·t′·√(π/c)
     at the quadrature nodes."""
     op = opt._operator(chord.n_controls)
-    (a, b), c = chord.span, density.c
+    density = chord.density
+    (a, b), c = density.cut, density.c
     t = a + (b - a) * op.theta
     kernel = op.weights * np.exp(density.weight.value(t) - c * t * t) * (b - a) * math.sqrt(math.pi / c)
     return kernel, op.value @ chord.control_x
 
 
-def reference_area(density, chord):
-    kernel, x = reference_area_terms(density, chord)
-    return float(np.sum(kernel * gaussian_cdf(density.c, x)))
+def reference_area(chord):
+    kernel, x = reference_area_terms(chord)
+    return float(np.sum(kernel * gaussian_cdf(chord.density.c, x)))
 
 
-def reference_restore(density, chord, target):
+def reference_restore(chord, target):
     """The area restoration with every probe, the first included, evaluated
     as Σ kernel·Φ_c(x + τ) − target.  Returns the chord and the number of
     Newton steps taken."""
-    kernel, x = reference_area_terms(density, chord)
-    c = density.c
+    kernel, x = reference_area_terms(chord)
+    c = chord.density.c
 
     def offset_error(tau):
         return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
@@ -641,17 +657,17 @@ class TestRestorationIterates:
         newton_steps = []
         real = opt._restore_area
 
-        def checked(density, chord, target):
-            restored = real(density, chord, target)
-            want, steps = reference_restore(density, chord, target)
+        def checked(chord, target):
+            restored = real(chord, target)
+            want, steps = reference_restore(chord, target)
             assert np.array_equal(restored.control_x, want.control_x)
-            assert restored.span == want.span
-            assert enclosed_area(density, restored) == reference_area(density, restored)
+            assert restored.density is want.density is density
+            assert enclosed_area(restored) == reference_area(restored)
             newton_steps.append(steps)
             return restored
 
         monkeypatch.setattr(opt, "_restore_area", checked)
-        _, trace = minimize(density, start, target)
+        _, trace = minimize(start, target)
         assert trace.status == "converged"
         # the start and every trial step leave the target area
         assert newton_steps and all(steps > 0 for steps in newton_steps)
@@ -664,7 +680,7 @@ class TestMinimize:
         v_tot = total_weighted_volume(density)
         shift = math.tan(math.radians(30.0))
         init = make_straight_chord(density, -shift, shift)
-        final, trace = minimize(density, init, v_tot / 2.0)
+        final, trace = minimize(init, v_tot / 2.0)
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(SYM_SLAB_MASS, rel=5e-3)
         assert trace.final.stationary
@@ -674,7 +690,7 @@ class TestMinimize:
     def test_vertical_chord_is_immediately_stationary(self):
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
-        _, trace = minimize(density, make_straight_chord(density, 0.0), v_tot / 2.0)
+        _, trace = minimize(make_straight_chord(density, 0.0), v_tot / 2.0)
         assert trace.status == "converged"
         assert len(trace.iterations) == 1
         assert trace.gradient_norms[0] < 1e-8
@@ -683,7 +699,7 @@ class TestMinimize:
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
         init = make_straight_chord(density, -0.8, 0.5)
-        _, trace = minimize(density, init, 0.4 * v_tot)
+        _, trace = minimize(init, 0.4 * v_tot)
         assert np.all(np.diff(trace.lengths) <= 1e-12)
         assert np.max(trace.area_errors) <= 1e-8 * v_tot
 
@@ -692,8 +708,8 @@ class TestMinimize:
         density = symmetric_slab()
         v_tot = total_weighted_volume(density)
         rng = np.random.default_rng(seed)
-        init = ChordSpline(0.6 * rng.standard_normal(12), (-1.0, 1.0))
-        _, trace = minimize(density, init, v_tot / 2.0)
+        init = ChordSpline(density, 0.6 * rng.standard_normal(12))
+        _, trace = minimize(init, v_tot / 2.0)
         assert trace.status == "converged"
         assert trace.final.stationary
         assert len(trace.iterations) <= 20
@@ -711,7 +727,7 @@ class TestMinimize:
         s_star = -erfcinv(2.0 * frac) / math.sqrt(0.5)
         want = math.exp(-0.5 * s_star * s_star) * SYM_SLAB_MASS
         init = make_straight_chord(density, -1.2, 0.1)
-        _, trace = minimize(density, init, frac * v_tot)
+        _, trace = minimize(init, frac * v_tot)
         assert trace.status == "converged"
         assert trace.final.length == pytest.approx(want, rel=5e-3)
 
@@ -720,15 +736,15 @@ class TestMinimize:
         the second restoration, the first trial's, raises DomainError."""
         restore, calls = opt._restore_area, []
 
-        def failing_first_trial(density, chord, target):
+        def failing_first_trial(chord, target):
             calls.append(chord)
             if len(calls) == 2:
                 raise DomainError("planted restoration failure")
-            return restore(density, chord, target)
+            return restore(chord, target)
 
         monkeypatch.setattr(opt, "_restore_area", failing_first_trial)
         density = symmetric_slab()
-        _, trace = minimize(density, make_straight_chord(density, -0.3, 0.3), 0.5 * total_weighted_volume(density))
+        _, trace = minimize(make_straight_chord(density, -0.3, 0.3), 0.5 * total_weighted_volume(density))
         assert len(calls) > 2  # the planted raise happened, and the descent went on
         benchmark = vertical_chord_length(density, 0.5)
         assert trace.status == "converged"
@@ -739,11 +755,11 @@ class TestStationarityReport:
     def test_vertical_chord_is_stationary(self):
         density = symmetric_slab()
         chord = make_straight_chord(density, 0.6)
-        rep = stationarity_report(density, chord)
+        rep = stationarity_report(chord)
         assert rep.stationary
         assert rep.hf_spread < 1e-10
         # H_f = -2 c x0 at every node
-        np.testing.assert_allclose(opt._f_mean_curvature(density, chord), -2 * density.c * 0.6, rtol=1e-12)
+        np.testing.assert_allclose(opt._f_mean_curvature(chord), -2 * density.c * 0.6, rtol=1e-12)
         assert rep.angle_bottom_deg < 1e-9
         assert rep.angle_top_deg < 1e-9
 
@@ -751,7 +767,7 @@ class TestStationarityReport:
         # constant H_f along a straight line through the Gaussian, but
         # the wall angles are off, so it is not stationary
         density = symmetric_slab()
-        rep = stationarity_report(density, make_straight_chord(density, -0.5, 0.5))
+        rep = stationarity_report(make_straight_chord(density, -0.5, 0.5))
         assert rep.hf_spread < 1e-10
         assert not rep.stationary
         assert rep.angle_bottom_deg > 10.0
@@ -760,17 +776,16 @@ class TestStationarityReport:
         # the same tilted straight chord on R ends at tail cutoffs, which are
         # not walls: both angles are recorded, neither fails the check
         density = Density(ZeroWeight(), 0.5, 2, (-math.inf, math.inf))
-        rep = stationarity_report(density, make_straight_chord(density, -0.5, 0.5))
+        rep = stationarity_report(make_straight_chord(density, -0.5, 0.5))
         assert rep.hf_spread < 1e-10
         assert rep.angle_bottom_deg > 1.0 and rep.angle_top_deg > 1.0
         assert rep.stationary
         # one finite wall: only the end on it is held to 0.5 degrees
         half = Density(ZeroWeight(), 0.5, 2, (-1.0, math.inf))
-        assert not stationarity_report(half, make_straight_chord(half, -0.5, 0.5)).stationary
+        assert not stationarity_report(make_straight_chord(half, -0.5, 0.5)).stationary
 
     def test_bent_chord_has_varying_curvature(self):
-        density = unit_slab()
-        rep = stationarity_report(density, bent_chord())
+        rep = stationarity_report(bent_chord())
         assert rep.hf_spread > 1e-2
         assert not rep.stationary
 
@@ -786,5 +801,5 @@ class TestChordCurve:
         rule jacobi_residual applies; an end at the tail cutoff of an
         infinite side is not part of the boundary."""
         density = Density(weight, 0.5, 2, slab)
-        curve = opt.chord_curve(density, make_straight_chord(density, -0.3, 0.3))
+        curve = opt.chord_curve(make_straight_chord(density, -0.3, 0.3))
         assert (curve.points[0, 1] in density.slab, curve.points[-1, 1] in density.slab) == flags

@@ -105,7 +105,7 @@ REFUSALS = {
                            "profile values must be positive on the open range"),
     # the descent
     "area above the total mass": (
-        lambda: minimize(SLAB, make_straight_chord(SLAB), 1.5 * total_weighted_volume(SLAB)),
+        lambda: minimize(make_straight_chord(SLAB), 1.5 * total_weighted_volume(SLAB)),
         DomainError, "area restoration bracket failed (target too large)"),
     # spectral problems
     "15 cells": (lambda: SpectralProblem(GRID[:15], np.ones(15), np.ones(14)), DomainError,

@@ -688,6 +688,21 @@ class TestRecordContract:
                 delattr(record, attribute)
         assert list(vars(record)) == fields
 
+    def test_array_fields_are_read_only(self, records):
+        """Every array a record holds, a chord's node fields among them, is
+        read-only.  Profile's were writable, and its A and F were one array,
+        so a write to F[0] also changed A[0]."""
+        arrays = {f"{name}.{field}": value for name, record in records.items()
+                  for field, value in vars(record).items() if isinstance(value, np.ndarray)}
+        arrays |= {f"ChordSpline.fields.{field}": value
+                   for field, value in records["ChordSpline"].fields._asdict().items()
+                   if isinstance(value, np.ndarray)}
+        holders = {name.split(".")[0] for name in arrays}
+        assert {"Profile", "DiscreteCurve", "SpectralProblem", "TransportMap", "ChordSpline"} <= holders
+        assert [name for name, array in arrays.items() if array.flags.writeable] == []
+        profile = records["Profile"]
+        assert not np.shares_memory(profile.A, profile.F)
+
 
 class TestCumulativeDensity:
     def test_total_matches_adaptive_quadrature(self):
