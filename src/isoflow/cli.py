@@ -187,7 +187,7 @@ class RunConfig(_Frozen):
             if height is None and a < 0.0 < b:
                 height = 0.0
             elif height is None:
-                median = height = float(density.cumulative.quantile(0.5)) if median is None else median
+                median = height = float(density.cumulative.quantile(0.5, True)) if median is None else median
                 named = " (unset, so the slab factor's median)"
             if not a < height < b:
                 raise ConfigError(f"[{section}] {key} = {height}{named} must lie strictly inside the slab ({a}, {b})")

@@ -186,7 +186,8 @@ def vertical_chord_length(density: Density, fraction: float) -> float:
     """Weighted length of the vertical chord left of which lies `fraction`
     of the mass: the perpendicular profile value V_tot·√(c/π)·e^{−cs²},
     s the Gaussian quantile of the fraction."""
-    return float(_perpendicular_lines(density.c, total_weighted_volume(density), fraction)[1])
+    p, lower = min(fraction, 1.0 - fraction), fraction <= 0.5
+    return float(_perpendicular_lines(density.c, total_weighted_volume(density), p, lower)[1])
 
 
 # one chord's fields at the quadrature nodes: weights qw, x and its
@@ -320,7 +321,8 @@ def _restore_area(chord: ChordSpline, target: float) -> ChordSpline:
     bracket reaches at most 1e3·L, with L = max(1, 1/√(2c)) the Gaussian
     length unit.  The area kernel is frozen across the search, so each
     probe is one Gaussian CDF per node and only the root becomes a new
-    chord; the chord's own area is the first probe.
+    chord; the chord's own area is the first probe, and a chord within
+    1e-12·target and 1e-15·(1 + target) of the target is kept as it is.
     """
     fields = chord.fields
     kernel, x, c = fields.kernel, fields.x, chord.density.c
@@ -330,7 +332,7 @@ def _restore_area(chord: ChordSpline, target: float) -> ChordSpline:
         return float(np.sum(kernel * gaussian_cdf(c, x + tau))) - target
 
     err0 = fields.area - target
-    if abs(err0) <= 1e-15 * (1.0 + target):
+    if abs(err0) <= 1e-15 * (1.0 + target) and abs(err0) <= 1e-12 * target:
         return chord
     step = 0.25 if err0 < 0.0 else -0.25
     while np.sign(offset_error(step)) == np.sign(err0):

@@ -58,11 +58,11 @@ __all__ = [
 GRID_EPS = 1e-3  # relative volume margin kept clear of the degenerate endpoints
 
 
-def _perpendicular_lines(c: float, v_total: float, q):
-    """The offsets s of the vertical lines {x = s} with a fraction q of the
-    mass on their left, and their weighted lengths V_tot·√(c/π)·e^{−cs²}:
-    the lateral coordinate is a pure Gaussian."""
-    s = gaussian_quantile(c, q, 1.0 - q)
+def _perpendicular_lines(c: float, v_total: float, p, lower):
+    """The offsets s of the vertical lines {x = s} with a fraction p of the
+    mass on their left (where lower) or right, and their weighted lengths
+    V_tot·√(c/π)·e^{−cs²}: the lateral coordinate is a pure Gaussian."""
+    s = gaussian_quantile(c, p, lower)
     return s, v_total / gaussian_factor(c) * np.exp(-c * s * s)
 
 
@@ -107,16 +107,18 @@ def build_profile(
         raise SmoothnessError("parallel profiles record omega' and omega''; need a C-inf weight")
     v_total = total_weighted_volume(density)
     v_grid = _chebyshev_grid(GRID_EPS * v_total, (1.0 - GRID_EPS) * v_total, grid_size)
+    q = v_grid / v_total
+    p, lower = np.minimum(q, 1.0 - q), q <= 0.5  # each level's smaller tail
 
     if family == "parallel":
         gf, cum = gaussian_factor(c), density.cumulative
-        s_grid = cum.quantile(v_grid / v_total)
+        s_grid = cum.quantile(p, lower)
         V_grid = gf * cum.mass_below(s_grid)
         A_grid = gf * density.slab_factor(s_grid)
         dF = np.asarray(w.deriv(s_grid), dtype=float) - 2.0 * c * s_grid
         ddF = (np.asarray(w.deriv2(s_grid), dtype=float) - 2.0 * c) / A_grid
     else:
-        s_grid, A_grid = _perpendicular_lines(c, v_total, v_grid / v_total)
+        s_grid, A_grid = _perpendicular_lines(c, v_total, p, lower)
         V_grid = v_total * gaussian_cdf(c, s_grid)
         dF = -2.0 * c * s_grid
         ddF = np.full_like(s_grid, -2.0 * c) / A_grid

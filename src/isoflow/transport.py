@@ -44,7 +44,7 @@ __all__ = [
     "transported_perimeter_bound",
 ]
 
-# gaussian_quantile(1/2, 1 - p, p), the standard normal quantile by AS241, at
+# gaussian_quantile(1/2, p, False), the standard normal quantile by AS241, at
 # the perimeter bound's clip p = 1e-14 and at the grid's 1e-13; over sqrt(2c) for any c
 _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
@@ -52,14 +52,14 @@ _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 @functools.lru_cache(maxsize=8)
 def _source_grid(c: float) -> tuple[Density, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The source e^{−cs²} on ℝ (a Density computes its engine's cut when it
-    is built), the map's 2001-point grid s, the source's CDF and 1 − CDF at
-    s, each exact in its own tail (near 1e−13 at the ends for any c, so none
-    is clipped), and the source factor e^{−cs²}; read-only, computed once per c."""
+    is built), the map's 2001-point grid s, its tail sides Φ_c(−|s|) and
+    s ≤ 0 (near 1e−13 at the ends for any c, so none is clipped), and the
+    source factor e^{−cs²}; read-only, computed once per c."""
     line = Density(ZeroWeight(), c, 2, (-math.inf, math.inf))
     span = _Z_GRID / math.sqrt(2.0 * c)
     s = np.linspace(-span, span, 2001)
-    q, q_up = gaussian_cdf(c, np.stack((s, -s)))
-    return line, _read_only(s), _read_only(q), _read_only(q_up), _read_only(line.slab_factor(s))
+    p = gaussian_cdf(c, -np.abs(s))
+    return line, _read_only(s), _read_only(p), _read_only(s <= 0.0), _read_only(line.slab_factor(s))
 
 
 class TransportMap(_Frozen):
@@ -82,8 +82,8 @@ class TransportMap(_Frozen):
         c, cum = target.c, target.cumulative
         alpha = 1.0 / gaussian_factor(c)
         beta = 1.0 / cum.total
-        line, s, q, q_up, factor = _source_grid(c)
-        rho = np.maximum.accumulate(cum.quantile(q, q_up))
+        line, s, p, lower, factor = _source_grid(c)
+        rho = np.maximum.accumulate(cum.quantile(p, lower))
         drho = alpha * factor / (beta * target.slab_factor(rho))
         vars(self).update(s=s, source=line, target=target, rho=_read_only(rho), drho=_read_only(drho),
                           alpha=alpha, beta=beta)
@@ -124,7 +124,7 @@ class PushforwardReport(NamedTuple):
 
 def _inverse_map(tmap: TransportMap, d) -> np.ndarray:
     """ρ⁻¹(d) through the CDF relation, accurate in both tails; ∓∞ off (a, b)."""
-    return gaussian_quantile(tmap.source.c, *tmap.target.cumulative.cdf_sides(d))
+    return gaussian_quantile(tmap.source.c, *tmap.target.cumulative.tail_sides(d))
 
 
 def pushforward_check(tmap: TransportMap, intervals=None) -> PushforwardReport:
@@ -138,9 +138,9 @@ def pushforward_check(tmap: TransportMap, intervals=None) -> PushforwardReport:
     if intervals is None:
         s = locations = tmap.s
         inside = (tmap.rho >= a) & (tmap.rho <= b)
-        q, q_up = cum.cdf_sides(np.where(inside, tmap.rho, a))
-        phi, phi_up = gaussian_cdf(tmap.source.c, np.stack((s, -s)))
-        residuals = np.where(inside, np.abs(np.where(q <= 0.5, q - phi, q_up - phi_up)), math.inf)
+        p, lower = cum.tail_sides(np.where(inside, tmap.rho, a))
+        phi = gaussian_cdf(tmap.source.c, np.where(lower, s, -s))
+        residuals = np.where(inside, np.abs(p - phi), math.inf)
     else:
         intervals = np.atleast_2d(np.asarray(intervals, dtype=float))
         if not intervals.size:  # a residual over no interval checks nothing

@@ -23,7 +23,7 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     Gauss-Legendre cumulative integral of a Density's slab factor with
     batched masses and quantiles, each quantile resolved to about one ulp
     of t.  Every Gauss rule is summed in node order, so a height gets the
-    same mass, CDF side and quantile alone or in any batch, and merging
+    same mass, tail side and quantile alone or in any batch, and merging
     two batches into one call is exact.
     A Density builds its engine once, on first use of Density.cumulative;
     the parallel profile, the slab mass, the transport map and its checks
@@ -34,8 +34,8 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     below 1e-15.
     A slab whose cut interval (Density.cut) is too wide for the engine's
     panels is refused when its Density is built,
-  * the closed-form normalized Gaussian CDF, CCDF and two-tailed quantile,
-    on a numpy erfc and Wichura's AS241 normal quantile.
+  * the closed-form normalized Gaussian CDF and its quantile from either
+    tail, on a numpy erfc and Wichura's AS241 normal quantile.
 """
 
 from __future__ import annotations
@@ -423,34 +423,29 @@ def _as241(branch: int, r: np.ndarray) -> np.ndarray:
     return numerator / denominator
 
 
-def gaussian_quantile(c: float, q, q_upper):
-    """s with gaussian_cdf(c, s) = q, from whichever tail avoids cancellation.
-
-    q_upper = 1 - q is passed separately so upper-tail quantiles keep full
-    relative accuracy; q = 0 and q_upper = 0 give -inf and +inf.  The
-    standard normal quantile is AS241 (about 1e-16 relative), each of its
-    three branches evaluated on its own elements only.  A probability that
-    is nan or outside [0, 1] raises DomainError.
+def gaussian_quantile(c: float, p, lower):
+    """s whose tail below (where lower) or above it has the Gaussian mass p;
+    p = 0 gives -inf or +inf.  Passed the smaller tail's mass, deep
+    quantiles keep full relative accuracy on either side.  The standard
+    normal quantile is AS241 (about 1e-16 relative), each of its three
+    branches evaluated on its own elements only.  lower has p's shape; a p
+    that is nan or outside [0, 1] raises DomainError.
     """
-    q, q_upper = np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float)
-    if q.shape != q_upper.shape:
-        q, q_upper = np.broadcast_arrays(q, q_upper)
-    shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
-    if not ((q >= 0.0) & (q <= 1.0) & (q_upper >= 0.0) & (q_upper <= 1.0)).all():
+    shape, p, lower = np.shape(p), np.asarray(p, dtype=float).ravel(), np.ravel(lower)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise DomainError("gaussian quantile probabilities must lie in [0, 1]")
-    lower = q <= 0.5
-    d = np.where(lower, q - 0.5, 0.5 - q_upper)
+    d = np.where(lower, p - 0.5, 0.5 - p)
     x = np.empty(d.shape)
     central = np.abs(d) <= 0.425
     dc = d[central]
     x[central] = dc * _as241(0, 0.180625 - dc * dc)
     tail = ~central
     with np.errstate(divide="ignore"):
-        r = np.sqrt(-np.log(np.where(lower, q, q_upper)[tail]))
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)[tail]))  # the smaller tail, when p is past 1/2
     v = np.full(r.shape, np.inf)  # r = inf at a zero tail probability
     near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
     v[near], v[far] = _as241(1, r[near] - 1.6), _as241(2, r[far] - 5.0)
-    x[tail] = np.where(lower[tail], -v, v)
+    x[tail] = np.where(d[tail] < 0.0, -v, v)
     return x.reshape(shape) / math.sqrt(2.0 * c)
 
 
@@ -500,8 +495,8 @@ def _gaussian_tail_cutoff(c_eff: float, drift: float, log_amp: float, eps: float
     y = 2.0 * eps / gaussian_factor(c_eff) * math.exp(-log_k)
     if y >= 2.0:
         return mu
-    # x = erfcinv(y), the standard normal upper quantile of y/2 over sqrt(2)
-    x = -float(gaussian_quantile(1.0, 0.5 * y, 1.0 - 0.5 * y))
+    # x = erfcinv(y), the standard normal upper quantile of y/2 over sqrt(2), read on its smaller tail
+    x = float(gaussian_quantile(1.0, min(0.5 * y, 1.0 - 0.5 * y), y > 1.0))
     return mu + x / math.sqrt(c_eff)
 
 
@@ -603,8 +598,8 @@ def _float_arrays(record: _Frozen, atleast, **fields) -> list[np.ndarray]:
 
 
 def _shaped(values: np.ndarray, shape: tuple):
-    """Flat per-point results back in the caller's shape; a float for a scalar."""
-    return float(values[0]) if shape == () else values.reshape(shape)
+    """Flat per-point results back in the caller's shape; a float or bool for a scalar."""
+    return values[0].item() if shape == () else values.reshape(shape)
 
 
 class CumulativeDensity1D:
@@ -691,77 +686,77 @@ class CumulativeDensity1D:
     def mass(self, a, b):
         return self.mass_below(b) - self.mass_below(a)
 
-    def cdf_sides(self, t):
-        """(mass_below(t), mass_above(t)) / total, bit for bit where
-        gaussian_quantile reads them (q where q <= 1/2, q_up elsewhere), both
-        sides from one batch of partial masses: the lower side up to the
-        median panel, the upper side from it on.  Unread entries are 1.0."""
+    def _tail(self, t: np.ndarray, j: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """The mass below t (where lower) or above it, for t in panel j."""
+        a, b = self.breaks[j], self.breaks[j + 1]
+        base = np.where(lower, self._cum_left[j], self._cum_right[j + 1])
+        return base + self._partial(np.where(lower, a, t), np.where(lower, t, b))
+
+    def tail_sides(self, t):
+        """(p, lower): the fraction p of the total mass in the tail below t
+        (where lower) or above it, bit for bit mass_below or mass_above over
+        total, one side per height: the lower side up to the median panel,
+        the upper side past it and wherever the lower mass reads past 1/2."""
         t, j, shape = self._locate(t)
-        total, left, right, breaks = self.total, self._cum_left, self._cum_right, self.breaks
-        low, up = j <= self._median_panel, j >= self._median_panel
-        j_low, j_up = j[low], j[up]
-        mass = self._partial(np.concatenate((breaks[j_low], t[up])), np.concatenate((t[low], breaks[j_up + 1])))
-        q, q_up = np.ones(t.size), np.ones(t.size)
-        q[low] = (left[j_low] + mass[: j_low.size]) / total
-        q_up[up] = (right[j_up + 1] + mass[j_low.size :]) / total
-        late = (q > 0.5) & ~up  # q rounded past 1/2 below the median panel
+        lower = j <= self._median_panel
+        both = np.nonzero(j == self._median_panel)[0]  # a median-panel height's upper side rides in the one batch
+        k = np.concatenate((np.arange(t.size), both))
+        mass = self._tail(t[k], j[k], np.concatenate((lower, np.zeros(both.size, dtype=bool)))) / self.total
+        p, past = mass[: t.size], mass[both] > 0.5
+        p[both[past]], lower[both[past]] = mass[t.size :][past], False
+        late = lower & (p > 0.5)  # the lower mass rounded past 1/2 below the median panel
         if late.any():
-            q_up[late] = (right[j[late] + 1] + self._partial(t[late], breaks[j[late] + 1])) / total
-        q_up[q <= 0.5] = 1.0
-        return _shaped(q, shape), _shaped(q_up, shape)
+            lower[late] = False
+            p[late] = self._tail(t[late], j[late], lower[late]) / self.total
+        return _shaped(p, shape), _shaped(lower, shape)
 
-    def quantile(self, q, q_upper=None):
-        """t with mass_below(t) = q * total, for scalar or array q.
-
-        Passing the exactly known complement q_upper = 1 - q keeps
-        upper-tail quantiles accurate; a q or q_upper that is nan or outside
-        [0, 1] raises DomainError.  Each target is bracketed inside its
-        panel by the cumulative sums (from the left for q <= 1/2, from the
-        right otherwise), started from the panel's mass law, then polished by
-        batched Newton steps, bisecting whenever a step leaves the bracket.  The
-        iteration stops on a zero residual, a step of at most one ulp, or a
-        bracket closed to adjacent floats, so the root is resolved to about
-        one ulp of t.  Raises ConsistencyError if the cumulative sums do
-        not bracket a target (a non-positive or non-finite integrand).
+    def quantile(self, p, lower):
+        """t whose tail below (where lower) or above it carries the fraction p
+        of the total mass; lower has p's shape, p = 0 gives the left or right
+        edge, and a p that is nan or outside [0, 1] raises DomainError.  Each
+        target is bracketed inside its panel by the cumulative sums on its
+        side, started from the panel's mass law, then polished by batched
+        Newton steps, bisecting whenever a step leaves the bracket, until a
+        zero residual, a step of at most one ulp or a bracket closed to
+        adjacent floats: the root is resolved to about one ulp of t.  Raises
+        ConsistencyError if the cumulative sums do not bracket a target (a
+        non-positive or non-finite integrand).
         """
-        shape = np.shape(q)
-        q = np.asarray(q, dtype=float).ravel()
-        q_upper = 1.0 - q if q_upper is None else np.broadcast_to(q_upper, shape).astype(float).ravel()
-        if not np.all((q >= 0.0) & (q <= 1.0) & (q_upper >= 0.0) & (q_upper <= 1.0)):
+        shape, p, lower = np.shape(p), np.asarray(p, dtype=float).ravel(), np.ravel(lower)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise DomainError("quantile probabilities must lie in [0, 1]")
-        t = np.where(q_upper <= 0.0, self.breaks[-1], self.breaks[0])
-        live = np.nonzero((q > 0.0) & (q_upper > 0.0))[0]
+        t = np.where(lower, self.breaks[0], self.breaks[-1])
+        live = np.nonzero(p > 0.0)[0]
         if live.size:
-            t[live] = self._solve(q[live], q_upper[live])
+            t[live] = self._solve(p[live], lower[live])
         return _shaped(t, shape)
 
-    def _solve(self, q: np.ndarray, q_upper: np.ndarray) -> np.ndarray:
-        # the lower half is solved on the mass below t, the upper half on
+    def _solve(self, p: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        # the lower tail is solved on the mass below t, the upper tail on
         # the mass above t; r(t) below is increasing in t either way
-        left = q <= 0.5
-        target = np.where(left, q, q_upper) * self.total
+        target = p * self.total
         j_left = np.searchsorted(self._cum_left, target, side="right") - 1
         j_right = np.searchsorted(-self._cum_right, -target, side="right") - 1
-        j = np.clip(np.where(left, j_left, j_right), 0, self.breaks.size - 2)
+        j = np.clip(np.where(lower, j_left, j_right), 0, self.breaks.size - 2)
         # mass on the solved side up to panel j, and through it
-        base = np.where(left, self._cum_left[j], self._cum_right[j + 1])
-        through = np.where(left, self._cum_left[j + 1], self._cum_right[j])
+        base = np.where(lower, self._cum_left[j], self._cum_right[j + 1])
+        through = np.where(lower, self._cum_left[j + 1], self._cum_right[j])
         if not np.all((base <= target) & (target <= through)):
             raise ConsistencyError(
                 "quantile lost its bracket (non-positive or non-finite density?)"
             )
         edge_a, edge_b = self.breaks[j], self.breaks[j + 1]
         # r(t) = offset + sign * (GL mass between t and the panel's base edge)
-        offset = np.where(left, base - target, target - base)
-        sign = np.where(left, 1.0, -1.0)
+        offset = np.where(lower, base - target, target - base)
+        sign = np.where(lower, 1.0, -1.0)
         width = edge_b - edge_a
-        depth = self._start(j, left, target - base, through - base, width)
-        t = np.where(left, edge_a + width * depth, edge_b - width * depth)
+        depth = self._start(j, lower, target - base, through - base, width)
+        t = np.where(lower, edge_a + width * depth, edge_b - width * depth)
         # the bracket, and the rows still iterating: whole arrays until a row
         # is done, then only the rows left, by their places k in the output
         a, b, out, k = edge_a, edge_b, np.empty(t.size), np.arange(t.size)
         for _ in range(_QUANTILE_MAX_STEPS):
-            f = offset + sign * self._partial(np.where(left, edge_a, t), np.where(left, t, edge_b))
+            f = offset + sign * self._partial(np.where(lower, edge_a, t), np.where(lower, t, edge_b))
             a = np.where(f < 0.0, t, a)
             b = np.where(f > 0.0, t, b)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -773,8 +768,8 @@ class CumulativeDensity1D:
             if done.any():
                 out[k[done]] = t[done]
                 keep = ~done
-                k, newton, a, b, edge_a, edge_b, offset, sign, left = (
-                    x[keep] for x in (k, newton, a, b, edge_a, edge_b, offset, sign, left)
+                k, newton, a, b, edge_a, edge_b, offset, sign, lower = (
+                    x[keep] for x in (k, newton, a, b, edge_a, edge_b, offset, sign, lower)
                 )
                 if not k.size:
                     return out
@@ -782,7 +777,7 @@ class CumulativeDensity1D:
         out[k] = t
         return out
 
-    def _start(self, j: np.ndarray, left: np.ndarray, y: np.ndarray, mass: np.ndarray,
+    def _start(self, j: np.ndarray, lower: np.ndarray, y: np.ndarray, mass: np.ndarray,
                width: np.ndarray) -> np.ndarray:
         """First iterate for the mass y of panel j (of total ``mass`` over
         ``width``) from the solved side, as a fraction of the width from that
@@ -794,15 +789,15 @@ class CumulativeDensity1D:
         g_a, g_b = self._at_breaks[j], self._at_breaks[j + 1]
         # the law's slopes at the solved side and at the far side, in units of
         # the panel's width and mass: frac = ((c3 u + c2) u + d0) u
-        d0, d1 = scale * np.where(left, g_a, g_b), scale * np.where(left, g_b, g_a)
+        d0, d1 = scale * np.where(lower, g_a, g_b), scale * np.where(lower, g_b, g_a)
         c3, c2 = d0 + d1 - 2.0, 3.0 - 2.0 * d0 - d1
         u, c3_slope, c2_slope = frac, 3.0 * c3, 2.0 * c2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(3):
                 u = u - (((c3 * u + c2) * u + d0) * u - frac) / ((c3_slope * u + c2_slope) * u + d0)
             if self._power is not None:
-                below = np.where(left, frac, 1.0 - frac) ** (1.0 / self._power)
-                u = np.where(j == 0, np.where(left, below, 1.0 - below), u)
+                below = np.where(lower, frac, 1.0 - frac) ** (1.0 / self._power)
+                u = np.where(j == 0, np.where(lower, below, 1.0 - below), u)
         return np.where((u >= 0.0) & (u <= 1.0), u, frac)
 
 

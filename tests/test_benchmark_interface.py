@@ -3,13 +3,18 @@
 benchmark/ is kept unchanged between measurements, so every name it calls
 or wraps must stay: inproc.py calls `iso.<name>(...)` on the package, and
 tracer.py wraps the methods of CumulativeDensity1D, ChordSpline.__post_init__
-and each weight class.  The benchmark's files are read as source, never
-imported or run, so a deletion that would crash the benchmark fails here.
+and each weight class.  The benchmark's files are read as source, so a
+deletion that would crash the benchmark fails here; one test also runs the
+transport_sweep worker for one cycle of its densities, so a benchmark check
+that fails reads as a failed test.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +101,19 @@ def test_the_traced_weight_classes_exist():
     assert names
     for name in names:
         assert inspect.isclass(getattr(weights, name, None)), f"weights.{name} is gone"
+
+
+def test_one_transport_sweep_cycle_passes_every_check():
+    """`python benchmark/inproc.py --seed 1 --seconds 10.5 --trace 0`, run
+    from the checkout root, times 14 tasks, one per acceptance-sweep density,
+    after one warm-up task; each task checks its density's map, masses,
+    pushforward, perimeter slacks, profiles and spectral gap against closed
+    forms and tolerances."""
+    proc = subprocess.run([sys.executable, "benchmark/inproc.py", "--seed", "1", "--seconds", "10.5",
+                           "--trace", "0"], cwd=BENCHMARK.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("RESULT ")]
+    assert len(lines) == 1, proc.stdout
+    result = json.loads(lines[0][len("RESULT "):])
+    assert result["warmup_failures"] == []
+    assert (result["attempted"], result["failed"]) == (14, 0), result["failures"]

@@ -529,6 +529,37 @@ class TestNonStationaryChord:
         assert "hf_spread" in capsys.readouterr().err
 
 
+class TestLightSlab:
+    """On a slab whose weighted volume is near 1e-15 or below, the start
+    chord's area error fell under the absolute early exit 1e-15·(1 + target)
+    of the area restoration, so the chord was never restored: the descent
+    stopped at iteration 0 with the area 40-64% off, the chord enclosed too
+    little, and optimize read a false `violated`.  The restoration now runs;
+    the absolute gradient stop (ROADMAP item 19) still ends these descents
+    at a non-stationary chord, an error."""
+
+    @pytest.mark.parametrize("density, code", [
+        ("weight = affine\nparams = -0.5486, -2.8073\nc = 4.935\nslab = 2.9498, inf\n", 1),
+        # stability reads a false violated here too (ROADMAP item 10), so only optimize is asserted
+        ("weight = log_power\nparams = 0.0791\nc = 4.863\nslab = 2.4993, 6.8019\n", None),
+    ], ids=["affine_half_line", "log_power_far_slab"])
+    def test_the_start_chord_is_restored_and_optimize_is_not_violated(self, tmp_path, density, code, capsys):
+        cfg = write_cfg(tmp_path, f"[density]\n{density}")
+        out = str(tmp_path / "out")
+        exit_code = main(["all", "--config", cfg, "--out", out])
+        verdicts = read_json(out, "summary.json")["verdicts"]
+        assert [v["status"] for v in verdicts if v["command"] == "optimize"] == ["error"]
+        assert "non-stationary" in read_json(out, "optimize_error.json")["metrics"]["message"]
+        if code is not None:
+            assert exit_code == code
+            assert all(v["status"] != "violated" for v in verdicts)
+        volume = total_weighted_volume(load_config(cfg).density)
+        with open(os.path.join(out, "optimize_trace.csv"), encoding="utf-8") as handle:
+            first = handle.read().splitlines()[1].split(",")
+        assert first[0] == "0" and abs(float(first[2])) <= 1e-12 * volume
+        capsys.readouterr()
+
+
 # the convex counterexample ω = 0.2t² on ℝ: its descent stalls, an error
 CONVEX_DENSITY = "[density]\nweight = quadratic\nparams = -0.2, 0, 0\nc = 0.5\nslab = -inf, inf\n"
 
@@ -1273,7 +1304,7 @@ class TestOneTailRule:
         record = read_json(out, "stability.json")
         t0, c = record["metrics"]["t0"], 0.5
         exact = -2.0 * math.exp(-t0 * t0 - c * t0 * t0) * math.sqrt(math.pi / c) / (2.0 * c)
-        assert record["witness"]["value"] == pytest.approx(exact, rel=1e-6)
+        assert record["witness"]["value"] == pytest.approx(exact, rel=1e-6, abs=0.0)
         assert record["metrics"]["parallel_verdict"] == "unstable"
         assert (code, record["status"]) == (0, "verified")
 
@@ -1288,7 +1319,8 @@ class TestOneTailRule:
         out = str(tmp_path / "out")
         code = main(["stability", "--config", cfg, "--out", out])
         record = read_json(out, "stability.json")
-        assert record["metrics"]["witness_index_value"] == pytest.approx(-2e-7 * math.sqrt(2.0 * math.pi), rel=1e-6)
+        assert record["metrics"]["witness_index_value"] == pytest.approx(-2e-7 * math.sqrt(2.0 * math.pi), rel=1e-6,
+                                                                         abs=0.0)
         assert record["metrics"]["parallel_verdict"] == "unstable"
         assert (code, record["status"]) == (0, "verified")
 

@@ -157,7 +157,7 @@ class TestWeightedLength:
         # against the quadrature of the vertical chord at the same area
         density = Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0))
         v_tot = total_weighted_volume(density)
-        s = float(gaussian_quantile(0.5, fraction, 1.0 - fraction))
+        s = float(gaussian_quantile(0.5, fraction, True))  # every fraction here is at most 1/2
         chord = make_straight_chord(density, s)
         assert enclosed_area(chord) == pytest.approx(fraction * v_tot, rel=1e-12)
         want = weighted_length(chord)

@@ -271,3 +271,38 @@ class TestCompareProfiles:
         )
         assert cmp.verdict != "violation"
         assert cmp.min_margin >= -1e-8
+
+
+# the 60-run sweep's grid (tests/test_sweep.py): five weights x four slabs x three c
+SWEEP_WEIGHTS = (ZeroWeight(), AffineWeight(0.7, 0.0), QuadraticWeight(0.5, 0.2, 0.0), LogPowerWeight(2.0),
+                 PiecewiseLinearWeight((-50.0, 0.0, 50.0), (-10.0, 0.0, -20.0)))
+SWEEP_SLABS = ((-1.0, 1.0), (0.0, INF), (-INF, 0.0), (-INF, INF))
+
+
+def test_the_profile_ratio_is_the_transport_slope_read_in_volume():
+    """F(v)/G(v) = 1/rho'(s) at theta = v/V_tot = Phi_c(s): with T the slab
+    mass and g the slab factor, F = sqrt(pi/c) g(Q(theta)), G = T e^{-cs^2},
+    and the change of variables gives rho'(s) = alpha e^{-cs^2} / (beta
+    g(rho(s))) with rho(s) = Q(theta), the parallel height.  So the profile
+    comparison F >= G and transport's rho' <= 1 are one inequality.  Checked
+    at the run's 257 profile nodes on every density of the sweep grid that
+    loads and has a parallel profile: 39, the piecewise linear weight's
+    three having no omega''."""
+    checked = 0
+    for weight in SWEEP_WEIGHTS:
+        for slab in SWEEP_SLABS:
+            if slab[0] < weight.domain[0] or slab[1] > weight.domain[1]:
+                continue
+            for c in (0.25, 0.5, 2.0):
+                d = Density(weight, c, 2, slab)
+                if isinstance(weight, PiecewiseLinearWeight):
+                    with pytest.raises(SmoothnessError):
+                        build_profile(d, "parallel", grid_size=257)
+                    continue
+                par = build_profile(d, "parallel", grid_size=257)
+                perp = build_profile(d, "perpendicular", grid_size=257)
+                alpha, beta = 1.0 / gaussian_factor(c), 1.0 / d.cumulative.total
+                drho = alpha * np.exp(-c * perp.s * perp.s) / (beta * d.slab_factor(par.s))
+                assert np.max(np.abs(par.F / perp.F * drho - 1.0)) <= 1e-15, (weight, slab, c)
+                checked += 1
+    assert checked == 39

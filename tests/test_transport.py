@@ -208,8 +208,8 @@ class TestPushforwardCheck:
         source_grid = transport._source_grid
 
         def scaled_source(c):
-            line, s, q, q_up, factor = source_grid(c)
-            return line, s, np.where(q <= 0.5, q * (1.0 + 1e-10), q), q_up, factor
+            line, s, p, lower, factor = source_grid(c)
+            return line, s, np.where(lower, p * (1.0 + 1e-10), p), lower, factor
 
         monkeypatch.setattr(transport, "_source_grid", scaled_source)
         assert pushforward_check(TransportMap(d)).max_residual > _PUSHFORWARD_TOLERANCE
@@ -304,10 +304,10 @@ class TestPerimeterBound:
             points.append(np.size(t))
             return fn(t)
 
-        def watched_quantile(c, q, q_upper):
-            if np.ndim(q) == 0:
-                scalar_calls.append(q)
-            return quantile(c, q, q_upper)
+        def watched_quantile(c, p, lower):
+            if np.ndim(p) == 0:
+                scalar_calls.append(p)
+            return quantile(c, p, lower)
 
         monkeypatch.setattr(cum, "_fn", counting_fn)
         monkeypatch.setattr(transport, "gaussian_quantile", watched_quantile)
@@ -320,7 +320,7 @@ class TestPerimeterBound:
         if math.isfinite(a) and math.isfinite(b):
             curves.append(vertical_segment(d, 0.3, n=401))
         breaks = cum.breaks
-        j = int(np.searchsorted(breaks, cum.quantile(0.5), side="right")) - 1
+        j = int(np.searchsorted(breaks, cum.quantile(0.5, True), side="right")) - 1
         for curve in curves:
             points.clear()
             transported_perimeter_bound(m, curve)
@@ -332,9 +332,9 @@ class TestPerimeterBound:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
     def test_span_constants_are_the_scalar_quantiles(self, c):
-        clip = float(gaussian_quantile(c, 1.0 - 1e-14, 1e-14))
+        clip = float(gaussian_quantile(c, 1e-14, False))
         assert transport._Z_CLIP / math.sqrt(2.0 * c) == clip
-        grid = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
+        grid = float(gaussian_quantile(c, 1e-13, False))
         assert transport._Z_GRID / math.sqrt(2.0 * c) == grid
         s = build_transport(Density(QuadraticWeight(1.0, 0.3, 0.0), c, 2, (-1.0, 1.0))).s
         assert s[0] == -grid and s[-1] == grid
@@ -349,32 +349,34 @@ class TestPerimeterBound:
 
 
 class TestSourceSidePerC:
-    """The map's source line, its grid, its source CDF sides and source
+    """The map's source line, its grid, its source tail sides and source
     factor are computed once per c and shared, read-only, by every map with
     that c."""
 
     def test_the_cached_source_arrays_are_read_only(self):
-        line, grid, q, q_up, factor = transport._source_grid(0.5)
+        line, grid, p, lower, factor = transport._source_grid(0.5)
         assert transport._source_grid(0.5)[1] is grid
         tmap = build_transport(GAUSS_LINE)
         assert tmap.source is line and tmap.s is grid
-        assert grid.shape == q.shape == q_up.shape == factor.shape == (2001,)
-        for array in (grid, q, q_up, factor):
+        assert grid.shape == p.shape == lower.shape == factor.shape == (2001,)
+        for array in (grid, p, lower, factor):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_the_cached_source_gives_the_reference_map(self, weight, slab):
         """Bit for bit, the map equals one built from a fresh source line,
-        grid and CDF sides, with no cache, and a rebuild after the cache is
-        cleared gives the same map."""
+        grid and CDF sides, each side computed in full and read where it is
+        at most 1/2, with no cache, and a rebuild after the cache is cleared
+        gives the same map."""
         for c in (0.25, 2.0):
             d = Density(weight, c, 2, slab)
-            span = float(gaussian_quantile(c, 1.0 - 1e-13, 1e-13))
+            span = float(gaussian_quantile(c, 1e-13, False))
             s = np.linspace(-span, span, 2001)
             line = Density(ZeroWeight(), c, 2, (-INF, INF))
             alpha, beta = 1.0 / gaussian_factor(c), 1.0 / d.cumulative.total
-            rho = np.maximum.accumulate(d.cumulative.quantile(gaussian_cdf(c, s), gaussian_cdf(c, -s)))
+            q, q_up = gaussian_cdf(c, s), gaussian_cdf(c, -s)
+            rho = np.maximum.accumulate(d.cumulative.quantile(np.where(q <= 0.5, q, q_up), q <= 0.5))
             drho = alpha * line.slab_factor(s) / (beta * d.slab_factor(rho))
             want = build_transport(d)
             transport._source_grid.cache_clear()
@@ -387,8 +389,8 @@ class TestSourceSidePerC:
         """The grid spans source quantiles 1e-13 to 1 - 1e-13 at every c, so
         its smaller CDF side stays above 1e-14, where a clip would act."""
         for c in np.logspace(-4.0, 4.0, 33):
-            _, _, q, q_up, _ = transport._source_grid(float(c))
-            assert min(q.min(), q_up.min()) > 1e-14
+            _, s, p, lower, _ = transport._source_grid(float(c))
+            assert p.min() > 1e-14 and p.max() <= 0.5 and np.array_equal(lower, s <= 0.0)
 
 
 @pytest.fixture

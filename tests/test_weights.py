@@ -737,20 +737,20 @@ class TestCumulativeDensity:
         d = Density(AffineWeight(1.0, 0.0), 0.5, 2, (-INF, INF))
         cum = CumulativeDensity1D(d)
         for q in (1e-12, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6):
-            t = cum.quantile(q, 1.0 - q)
+            t = cum.quantile(min(q, 1.0 - q), q <= 0.5)
             assert isinstance(t, float)
             assert_allclose(cum.mass_below(t) / cum.total, q, rtol=1e-9, atol=1e-15)
         # the shifted Gaussian has its median at the drift mean
-        assert_allclose(cum.quantile(0.5), 1.0, atol=1e-12)
+        assert_allclose(cum.quantile(0.5, True), 1.0, atol=1e-12)
         # batched round trip on the 14 sweep densities and a singular
         # log-power one, both tails; the log-power lower tail lies in the
         # Gauss-Jacobi first panel (for m = -0.8, at t ~ 1e-60).  Each side is
         # checked on the mass it accumulates, to the quadrature's relative
         # accuracy plus the mass of two ulps of t (roots are resolved to
         # about one ulp).
-        lower = np.logspace(-12.0, math.log10(0.5), 40)
-        q = np.concatenate([lower, 1.0 - lower[-2::-1]])
-        q_up = np.concatenate([1.0 - lower, lower[-2::-1]])
+        tails = np.logspace(-12.0, math.log10(0.5), 40)
+        q = np.concatenate([tails, 1.0 - tails[-2::-1]])
+        p, lower = np.concatenate([tails, tails[-2::-1]]), q <= 0.5
         slabs = ((0.0, 1.0), (-1.0, 1.0), (0.0, INF), (-INF, INF))
         sweep = [
             (w, slab) for w in (ZeroWeight(), AffineWeight(1.0, 0.0), QuadraticWeight(1.0))
@@ -759,11 +759,11 @@ class TestCumulativeDensity:
         for weight, slab in sweep:
             d = Density(weight, 0.5, 2, slab)
             cum = CumulativeDensity1D(d)
-            t = cum.quantile(q, q_up)
+            t = cum.quantile(p, lower)
             assert t.shape == q.shape and np.all(np.diff(t) > 0.0)
             ulp_mass = np.exp(weight.value(t) - 0.5 * t * t) * np.spacing(np.abs(t))
-            got = np.where(q <= 0.5, cum.mass_below(t), cum.mass_above(t))
-            want = np.minimum(q, q_up) * cum.total
+            got = np.where(lower, cum.mass_below(t), cum.mass_above(t))
+            want = p * cum.total
             assert np.all(np.abs(got - want) <= 1e-12 * want + 2.0 * ulp_mass), slab
 
     def test_lost_bracket_raises(self):
@@ -773,23 +773,66 @@ class TestCumulativeDensity:
 
         cum = CumulativeDensity1D(Density(NanLeftOfZero(), 0.5, 2, (-1.0, 1.0)))
         with pytest.raises(ConsistencyError):
-            cum.quantile(np.array([0.25, 0.75]))
+            cum.quantile(np.array([0.25, 0.25]), np.array([True, False]))
 
-    def test_bad_quantile_complement_raises(self):
-        """Only q was checked: quantile(0.3, nan) gave the slab edge -1.0,
-        quantile(0.7, -0.1) the edge 1.0, and quantile(0.7, 1.5) a
-        ConsistencyError that blamed the density."""
+    def test_a_tail_mass_outside_0_1_raises(self):
+        """A nan, negative or above-one tail mass is refused, as it is by
+        gaussian_quantile, on either side and inside a batch."""
         cum = CumulativeDensity1D(Density(QuadraticWeight(1.0), 0.5, 2, (-1.0, 1.0)))
-        for q, q_up in ((0.3, math.nan), (0.7, -0.1), (0.7, 1.5),
-                        (np.array([0.3, 0.7]), np.array([0.7, math.nan]))):
+        for p, lower in ((math.nan, True), (-0.1, False), (1.5, True),
+                         (np.array([0.3, math.nan]), np.array([True, False]))):
             with pytest.raises(DomainError, match=r"\[0, 1\]"):
-                cum.quantile(q, q_up)
+                cum.quantile(p, lower)
 
 
 def two_pass_sides(cum, t):
-    """Oracle for CumulativeDensity1D.cdf_sides: both CDF sides in full, as
-    the transport pull-back computed them before."""
+    """Oracle for CumulativeDensity1D.tail_sides: both CDF sides in full, as
+    the transport pull-back computed them first."""
     return cum.mass_below(t) / cum.total, cum.mass_above(t) / cum.total
+
+
+def two_array_sides(cum, t):
+    """The two-array route that tail_sides replaced, written out as its
+    reference: (q, q_up) = (mass_below(t), mass_above(t)) / total where the
+    normal quantile reads them (q where q <= 1/2, q_up elsewhere), both
+    sides from one batch of partial masses, the lower side up to the median
+    panel and the upper side from it on.  Unread entries are 1.0."""
+    t, j, shape = cum._locate(t)
+    total, left, right, breaks = cum.total, cum._cum_left, cum._cum_right, cum.breaks
+    low, up = j <= cum._median_panel, j >= cum._median_panel
+    j_low, j_up = j[low], j[up]
+    mass = cum._partial(np.concatenate((breaks[j_low], t[up])), np.concatenate((t[low], breaks[j_up + 1])))
+    q, q_up = np.ones(t.size), np.ones(t.size)
+    q[low] = (left[j_low] + mass[: j_low.size]) / total
+    q_up[up] = (right[j_up + 1] + mass[j_low.size :]) / total
+    late = (q > 0.5) & ~up  # q rounded past 1/2 below the median panel
+    if late.any():
+        q_up[late] = (right[j[late] + 1] + cum._partial(t[late], breaks[j[late] + 1])) / total
+    q_up[q <= 0.5] = 1.0
+    return (float(q[0]), float(q_up[0])) if shape == () else (q.reshape(shape), q_up.reshape(shape))
+
+
+def two_array_quantile(c, q, q_upper):
+    """The two-array gaussian_quantile(c, q, q_upper) that the (p, lower)
+    route replaced, written out as its reference: the complement q_upper =
+    1 - q is passed separately, and the side is worked out again from
+    q <= 1/2.  Probabilities are not validated."""
+    q, q_upper = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(q_upper, dtype=float))
+    shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
+    lower = q <= 0.5
+    d = np.where(lower, q - 0.5, 0.5 - q_upper)
+    x = np.empty(d.shape)
+    central = np.abs(d) <= 0.425
+    dc = d[central]
+    x[central] = dc * weights._as241(0, 0.180625 - dc * dc)
+    tail = ~central
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(np.where(lower, q, q_upper)[tail]))
+    v = np.full(r.shape, np.inf)
+    near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
+    v[near], v[far] = weights._as241(1, r[near] - 1.6), weights._as241(2, r[far] - 5.0)
+    x[tail] = np.where(lower[tail], -v, v)
+    return x.reshape(shape) / math.sqrt(2.0 * c)
 
 
 # the 14 acceptance-sweep densities; log-power 2 on (0, inf) has a
@@ -928,7 +971,7 @@ def probe_heights(cum, rng) -> np.ndarray:
     weight on (-1, 1) at c = 1/2 the median sits on a break."""
     breaks = cum.breaks
     every_panel = breaks[:-1] + rng.uniform(0.0, 1.0, breaks.size - 1) * np.diff(breaks)
-    median = cum.quantile(0.5)
+    median = cum.quantile(0.5, True)
     j = int(np.searchsorted(breaks, median, side="right")) - 1
     median_panel = np.concatenate([np.linspace(breaks[j], breaks[j + 1], 61), [median],
                                    np.nextafter(median, [-INF, INF]), floats_below(breaks[j], 64)])
@@ -937,8 +980,9 @@ def probe_heights(cum, rng) -> np.ndarray:
     return rng.permutation(np.concatenate([every_panel, median_panel, first_panel, tails]))
 
 
-class TestCdfSides:
-    """The pull-back's one-sided CDF against both full sides, bit for bit."""
+class TestTailSides:
+    """The pull-back's one-sided tail masses, bit for bit against both full
+    sides and against the two-array route they replaced."""
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_read_side_matches_both_full_passes(self, weight, slab):
@@ -949,15 +993,39 @@ class TestCdfSides:
             # whole batches, and chunks that give each call other rows
             cuts = np.cumsum(rng.integers(1, 40, heights.size))
             for t in [heights, heights.reshape(-1, 1), *np.split(heights, cuts[cuts < heights.size])]:
-                q, q_up = cum.cdf_sides(t)
+                p, lower = cum.tail_sides(t)
                 old_q, old_up = two_pass_sides(cum, t)
-                assert q.shape == t.shape and q_up.shape == t.shape
+                assert p.shape == t.shape and lower.shape == t.shape and lower.dtype == bool
                 read = old_q <= 0.5
-                assert np.array_equal(q <= 0.5, read)
-                assert np.where(read, q, q_up).tobytes() == np.where(read, old_q, old_up).tobytes()
+                assert np.array_equal(lower, read)
+                assert p.tobytes() == np.where(read, old_q, old_up).tobytes()
+                q, q_up = two_array_sides(cum, t)
+                assert np.array_equal(lower, q <= 0.5)
+                assert p.tobytes() == np.where(lower, q, q_up).tobytes()
                 # an unread side of the full passes may pass 1 by an ulp
-                old_s = gaussian_quantile(c, np.minimum(old_q, 1.0), np.minimum(old_up, 1.0))
-                assert gaussian_quantile(c, q, q_up).tobytes() == old_s.tobytes()
+                old_s = two_array_quantile(c, np.minimum(old_q, 1.0), np.minimum(old_up, 1.0))
+                assert gaussian_quantile(c, p, lower).tobytes() == old_s.tobytes()
+                assert gaussian_quantile(c, p, lower).tobytes() == two_array_quantile(c, q, q_up).tobytes()
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_scalars_match_the_two_array_route(self, weight, slab):
+        """Scalar heights at the walls, at +-inf, across the median panel and
+        at 20 random heights give a float and a bool, bit for bit as the
+        two-array route, and so does their normal quantile."""
+        rng = np.random.default_rng(1503)
+        for c in (0.5, 2.0):
+            cum = CumulativeDensity1D(Density(weight, c, 2, slab))
+            breaks, median = cum.breaks, cum.quantile(0.5, True)
+            j = int(np.searchsorted(breaks, median, side="right")) - 1
+            special = [-INF, breaks[0], breaks[j], *np.nextafter(median, [-INF, INF]), median,
+                       breaks[j + 1], breaks[-1], INF]
+            for t in [*special, *probe_heights(cum, rng)[:20]]:
+                p, lower = cum.tail_sides(float(t))
+                assert isinstance(p, float) and isinstance(lower, bool)
+                q, q_up = two_array_sides(cum, float(t))
+                assert (lower, p) == ((True, q) if q <= 0.5 else (False, q_up))
+                got, want = gaussian_quantile(c, p, lower), two_array_quantile(c, q, q_up)
+                assert got.tobytes() == want.tobytes()
 
     def test_lower_side_past_half_in_the_panel_below_a_median_break(self):
         """Here the median sits on break 300 and the lower side of each of
@@ -966,31 +1034,38 @@ class TestCdfSides:
         cum = CumulativeDensity1D(Density(ZeroWeight(), 4.256626920547794, 2, (-3.0, 3.0)))
         assert cum._cum_left[300] / cum.total == 0.5
         t = floats_below(cum.breaks[300], 64)
-        q, q_up = cum.cdf_sides(t)
+        p, lower = cum.tail_sides(t)
         old_q, old_up = two_pass_sides(cum, t)
         assert np.all(old_q > 0.5)
+        assert not lower.any() and p.tobytes() == old_up.tobytes()
+        q, q_up = two_array_sides(cum, t)
         assert q.tobytes() == old_q.tobytes() and q_up.tobytes() == old_up.tobytes()
 
     def test_scalar_heights_give_floats(self):
         cum = CumulativeDensity1D(Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF)))
-        for t in (0.0, 1e-3, float(cum.quantile(0.5)), 3.0, INF):
-            q, q_up = cum.cdf_sides(t)
-            assert isinstance(q, float) and isinstance(q_up, float)
+        for t in (0.0, 1e-3, float(cum.quantile(0.5, True)), 3.0, INF):
+            p, lower = cum.tail_sides(t)
+            assert isinstance(p, float) and isinstance(lower, bool)
             old_q, old_up = two_pass_sides(cum, t)
-            assert (q, q_up)[q > 0.5] == (old_q, old_up)[old_q > 0.5]
+            assert (p, lower) == ((old_q, True) if old_q <= 0.5 else (old_up, False))
+            q, q_up = two_array_sides(cum, t)
+            assert p == (q if lower else q_up)
+            assert gaussian_quantile(0.5, p, lower) == two_array_quantile(0.5, q, q_up)
 
     def test_nan_height_raises_and_infinities_clamp(self):
         """nan was clipped into the last panel: mass_below(nan) read 1.32595
         of a total 1.32670, mass_above(nan) 0.0 and mass(0, nan) 0.6626."""
         cum = CumulativeDensity1D(Density(QuadraticWeight(1.0, 0.0, 0.0), 0.5, 2, (-1.0, 1.0)))
-        queries = (cum.mass_below, cum.mass_above, cum.cdf_sides, lambda t: cum.mass(0.0, t))
+        queries = (cum.mass_below, cum.mass_above, cum.tail_sides, lambda t: cum.mass(0.0, t))
         for query in queries:
             for t in (math.nan, np.array([0.0, math.nan])):
                 with pytest.raises(DomainError, match="nan"):
                     query(t)
         assert cum.mass_below(-INF) == 0.0 and cum.mass_above(INF) == 0.0
         assert cum.mass_below(INF) == cum.mass_below(1.0)
-        assert cum.cdf_sides(-INF)[0] == 0.0 and cum.cdf_sides(INF)[1] == 0.0
+        assert cum.tail_sides(-INF) == (0.0, True) and cum.tail_sides(INF) == (0.0, False)
+        assert two_array_sides(cum, -INF)[0] == 0.0 and two_array_sides(cum, INF)[1] == 0.0
+        assert gaussian_quantile(0.5, *cum.tail_sides(np.array([-INF, INF]))).tolist() == [-INF, INF]
 
 
 def five_forms(query, x, rng) -> list[np.ndarray]:
@@ -1013,7 +1088,7 @@ def five_forms(query, x, rng) -> list[np.ndarray]:
 
 
 class TestBatchIndependence:
-    """A height gets the same mass, CDF sides and quantile, bit for bit,
+    """A height gets the same mass, tail side and quantile, bit for bit,
     whether it is queried alone or in any batch.  A matrix-vector product
     rounded a row by its place in the call: for the zero weight on R at
     c = 1/2, 8 of 301 uniform heights' masses below and 7 of 301 uniform
@@ -1025,14 +1100,15 @@ class TestBatchIndependence:
         for c in (0.5, 2.0):
             cum = CumulativeDensity1D(Density(weight, c, 2, slab))
             heights = probe_heights(cum, rng)[:200]
-            lower = np.concatenate([rng.uniform(0.0, 0.5, 70), np.logspace(-14.0, -1.0, 30)])
-            levels = rng.permutation(np.concatenate([np.stack([lower, 1.0 - lower], axis=1),
-                                                     np.stack([1.0 - lower, lower], axis=1)]))
+            tails = np.concatenate([rng.uniform(0.0, 0.5, 70), np.logspace(-14.0, -1.0, 30)])
+            # (p, lower) pairs, lower stored as 1.0 or 0.0: each tail mass on both sides
+            levels = rng.permutation(np.concatenate([np.stack([tails, np.ones(100)], axis=1),
+                                                     np.stack([tails, np.zeros(100)], axis=1)]))
             queries = (
                 (lambda t: (cum.mass_below(t),), heights),
                 (lambda t: (cum.mass_above(t),), heights),
-                (cum.cdf_sides, heights),
-                (lambda p: (cum.quantile(p[..., 0], p[..., 1]),), levels),
+                (cum.tail_sides, heights),
+                (lambda x: (cum.quantile(x[..., 0], x[..., 1] == 1.0),), levels),
             )
             for query, x in queries:
                 scalar, *batched = five_forms(query, x, rng)
@@ -1056,9 +1132,9 @@ class TestArgumentsStayUnwritten:
             (cum._partial, inside, edge),
             (cum.mass_below, t),
             (cum.mass_above, t.reshape(-1, 1)),
-            (cum.cdf_sides, t),
-            (cum.quantile, q),
-            (cum.quantile, q, 1.0 - q),
+            (cum.tail_sides, t),
+            (cum.quantile, q, q <= 0.5),
+            (cum.quantile, np.minimum(q, 1.0 - q), q <= 0.5),
         ]
         for query, *args in queries:
             before = [arg.copy() for arg in args]
@@ -1084,29 +1160,27 @@ class TestQuantileWork:
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_residual_changes_sign_within_two_ulps(self, weight, slab, monkeypatch):
         """At build_transport's levels and the parallel profile's 257
-        Chebyshev levels, the residual on the solved side (mass below t for
-        q <= 1/2, mass above t otherwise) changes sign within 2 ulps of every
+        Chebyshev levels, the residual on the solved side (mass below t where
+        lower, mass above t otherwise) changes sign within 2 ulps of every
         returned t, the worst the solver gave before its starts changed."""
         d = Density(weight, 0.5, 2, slab)
         cum = d.cumulative
         calls, quantile = [], cum.quantile
 
-        def recording(q, q_upper=None):
-            t = quantile(q, q_upper)
-            q = np.asarray(q, dtype=float)
-            calls.append((q, 1.0 - q if q_upper is None else np.asarray(q_upper, dtype=float), t))
+        def recording(p, lower):
+            t = quantile(p, lower)
+            calls.append((np.asarray(p, dtype=float), np.asarray(lower), t))
             return t
 
         monkeypatch.setattr(cum, "quantile", recording)
         build_transport(d)
         build_profile(d, "parallel", grid_size=257)
         assert [t.size for _, _, t in calls] == [2001, 257]
-        for q, q_up, t in calls:
-            left = q <= 0.5
-            target = np.where(left, q, q_up) * cum.total
+        for p, lower, t in calls:
+            target = p * cum.total
 
             def residual(x):
-                return np.where(left, cum.mass_below(x) - target, target - cum.mass_above(x))
+                return np.where(lower, cum.mass_below(x) - target, target - cum.mass_above(x))
 
             lo, hi, bracketed = t, t, np.zeros(t.size, dtype=bool)
             for _ in range(3):
@@ -1140,7 +1214,7 @@ class TestQuantileWork:
         h = cum.breaks[1]
         first, later = h * np.linspace(0.05, 0.95, 10), h * np.linspace(1.5, 39.5, 7)
         t = np.concatenate([first, later])
-        for query in (cum.mass_below, cum.mass_above, lambda t: cum.cdf_sides(t)[0]):
+        for query in (cum.mass_below, cum.mass_above, lambda t: cum.tail_sides(t)[0]):
             points.clear()
             got = query(t)
             assert sum(points) == 12 * later.size
@@ -1184,8 +1258,8 @@ class TestGaussianQuantile:
     def test_round_trip_in_both_tails(self, c):
         """Phi(s) = q to 2e-15 (1 + 2c s^2) relative, down to q = 1e-300."""
         q = 10.0 ** -np.linspace(0.31, 300.0, 600)
-        lower = gaussian_quantile(c, q, 1.0 - q)
-        upper = gaussian_quantile(c, 1.0 - q, q)
+        lower = gaussian_quantile(c, q, np.full(q.shape, True))
+        upper = gaussian_quantile(c, q, np.full(q.shape, False))
         assert np.array_equal(upper, -lower)
         bound = 2e-15 * q * (1.0 + 2.0 * c * lower**2)
         assert np.all(np.abs(gaussian_cdf(c, lower) - q) <= bound)
@@ -1197,25 +1271,29 @@ class TestGaussianQuantile:
         rng = np.random.default_rng(11)
         q = np.concatenate([rng.uniform(0.0, 1.0, 5000), 10.0 ** -rng.uniform(0.0, 300.0, 2000)])
         want = -erfcinv(2.0 * q) / math.sqrt(0.5)
-        assert_allclose(gaussian_quantile(0.5, q, 1.0 - q), want, rtol=2e-15, atol=1e-16)
+        assert_allclose(gaussian_quantile(0.5, np.minimum(q, 1.0 - q), q <= 0.5), want, rtol=2e-15, atol=1e-16)
+        # a tail mass past 1/2 is read on its own side: (0.95, lower) read 1.64417 for 1.64485,
+        # AS241's tail branch taking 0.95 for the smaller tail; 1 - q costs up to 5e-13 relative here
+        big = rng.uniform(0.5, 1.0 - 1e-4, 2000)
+        for lower, sign in ((True, 1.0), (False, -1.0)):
+            got = gaussian_quantile(0.5, big, np.full(big.shape, lower))
+            assert_allclose(got, sign * -erfcinv(2.0 * big) / math.sqrt(0.5), rtol=1e-11, atol=1e-16)
 
-    @pytest.mark.parametrize("q, q_upper", [
-        (math.nan, math.nan), (1.5, -0.5), (-1e-300, 1.0), (0.3, math.nan),
-        ([0.2, 1.0000000000000002], [0.8, 0.0]),
+    @pytest.mark.parametrize("p, lower", [
+        (math.nan, True), (math.nan, False), (1.5, False), (-1e-300, True),
+        ([0.2, 1.0000000000000002], [True, False]),
     ])
-    def test_nan_or_out_of_range_probability_raises(self, q, q_upper):
-        """(nan, nan) read +inf, and (1.5, -0.5) +inf with a RuntimeWarning."""
+    def test_nan_or_out_of_range_probability_raises(self, p, lower):
+        """The two-array route read (nan, nan) as +inf, and (1.5, -0.5) as
+        +inf with a RuntimeWarning."""
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
-            gaussian_quantile(0.5, q, q_upper)
-
-    def test_a_scalar_broadcasts_against_an_array(self):
-        s = gaussian_quantile(0.3, 0.3, np.array([0.7, 0.7]))
-        assert s.shape == (2,) and s[0] == s[1] == gaussian_quantile(0.3, 0.3, 0.7)
+            gaussian_quantile(0.5, p, lower)
 
     def test_endpoints_and_scalars(self):
-        s = gaussian_quantile(0.5, [0.0, 1.0, 0.5], [1.0, 0.0, 0.5])
-        assert s[0] == -INF and s[1] == INF and s[2] == 0.0
-        assert float(gaussian_quantile(0.5, 0.975, 0.025)) == pytest.approx(1.959963984540054)
+        s = gaussian_quantile(0.5, [0.0, 0.0, 0.5, 0.5], [True, False, True, False])
+        assert s[0] == -INF and s[1] == INF and s[2] == 0.0 and s[3] == 0.0
+        assert float(gaussian_quantile(0.5, 0.025, False)) == pytest.approx(1.959963984540054)
+        assert gaussian_quantile(0.5, 0.025, True) == -gaussian_quantile(0.5, 0.025, False)
 
 
 class TestGaussLegendreCache:
