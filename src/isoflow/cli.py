@@ -176,18 +176,17 @@ class RunConfig(_Frozen):
         if len(slab) != 2:
             raise ConfigError("slab must be two endpoints: a, b")
         try:
-            # the run's one slab-factor engine (Density.cumulative)
+            # the run's one slab-factor engine, density.cumulative, is built (or refused) here
             density = Density(make(*params), self.value("density", "c"), 2, tuple(slab))
         except (ValueError, DomainError) as exc:
             raise ConfigError(f"[density] {exc}") from exc
         a, b = density.slab
-        median = None  # the slab factor's median, computed once an unset height needs it
         for section, key in (("stability", "t0"), ("jacobi", "start_t")):
             height, named = sections[section][key], ""
             if height is None and a < 0.0 < b:
                 height = 0.0
             elif height is None:
-                median = height = float(density.cumulative.quantile(0.5, True)) if median is None else median
+                height = float(density.cumulative.quantile(0.5, True))
                 named = " (unset, so the slab factor's median)"
             if not a < height < b:
                 raise ConfigError(f"[{section}] {key} = {height}{named} must lie strictly inside the slab ({a}, {b})")

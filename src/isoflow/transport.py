@@ -51,7 +51,7 @@ _Z_CLIP, _Z_GRID = 7.650628092935268, 7.3487961028006765
 
 @functools.lru_cache(maxsize=8)
 def _source_grid(c: float) -> tuple[Density, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The source e^{−cs²} on ℝ (a Density computes its engine's cut when it
+    """The source e^{−cs²} on ℝ (a Density builds its cut and engine when it
     is built), the map's 2001-point grid s, its tail sides Φ_c(−|s|) and
     s ≤ 0 (near 1e−13 at the ends for any c, so none is clipped), and the
     source factor e^{−cs²}; read-only, computed once per c."""

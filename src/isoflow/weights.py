@@ -25,15 +25,15 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     of t.  Every Gauss rule is summed in node order, so a height gets the
     same mass, tail side and quantile alone or in any batch, and merging
     two batches into one call is exact.
-    A Density builds its engine once, on first use of Density.cumulative;
+    A Density builds its engine in its __init__, as its field cumulative;
     the parallel profile, the slab mass, the transport map and its checks
     all read that one engine.  An infinite slab side is truncated soundly
     by one tail rule, Density._cut, shared with the spectral pencil: beyond
     a cut inside the slab a Gaussian-type dominating bound (the exact
     square of a quadratic weight, else a tangent or constant) has mass
     below 1e-15.
-    A slab whose cut interval (Density.cut) is too wide for the engine's
-    panels is refused when its Density is built,
+    A slab too wide for the engine's panels, or whose weighted volume under-
+    or overflows, is refused when its Density is built,
   * the closed-form normalized Gaussian CDF and its quantile from either
     tail, on a numpy erfc and Wichura's AS241 normal quantile.
 """
@@ -69,10 +69,9 @@ __all__ = [
 
 
 class _Frozen:
-    """An immutable record.  Its __init__ writes the fields through
-    self.__dict__, where only Density.cumulative's functools.cached_property
-    also writes; assigning or deleting an attribute raises AttributeError.
-    It compares and hashes by identity."""
+    """An immutable record.  Its __init__, and only its __init__, writes the
+    fields through self.__dict__; assigning or deleting an attribute raises
+    AttributeError.  It compares and hashes by identity."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -262,9 +261,9 @@ def check_concavity(weight: Weight1D) -> ConcavityReport:
 
 
 class Density(_Frozen):
-    """f = e^{omega(t) - c |p|^2} on the planar slab R x (a, b).  The third
-    argument, the dimension, must be 2 and is not stored; it stays only
-    because benchmark/inproc.py passes it."""
+    """f = e^{omega(t) - c |p|^2} on the planar slab R x (a, b), built whole.
+    The third argument, the dimension, must be 2 and is not stored; it stays
+    only because benchmark/inproc.py passes it."""
 
     def __init__(self, weight: Weight1D, c: float, dim: int, slab: tuple[float, float]):
         if dim != 2:
@@ -298,6 +297,7 @@ class Density(_Frozen):
             cut, cure = ("", "; make a far side infinite") if finite else (f", cut to ({lo!r}, {hi!r}),", "")
             raise DomainError(f"slab ({a!r}, {b!r}){cut} is too wide for the engine: each of its "
                               f"{_N_PANELS} panels would span over 4 Gaussian widths{cure}")
+        vars(self)["cumulative"] = CumulativeDensity1D(self)  # the slab factor's one 1-D measure engine
 
     def _cut(self, pad: float) -> tuple[float, float]:
         """The slab with each infinite side cut where the tail beyond carries
@@ -308,11 +308,6 @@ class Density(_Frozen):
         _TAIL_PAD, the spectral pencil by nothing."""
         return tuple(end if reach is None else sign * max(reach[0] + pad / reach[2], reach[1] + 1.0 / reach[2])
                      for end, reach, sign in zip(self.slab, self._reach, (-1.0, 1.0)))
-
-    @functools.cached_property
-    def cumulative(self) -> "CumulativeDensity1D":
-        """The slab factor's 1-D measure engine, built once per Density."""
-        return CumulativeDensity1D(self)
 
     def slab_factor(self, t: np.ndarray) -> np.ndarray:
         """e^{omega(t) - c t^2} at the float array t, computed in the array
@@ -423,17 +418,28 @@ def _as241(branch: int, r: np.ndarray) -> np.ndarray:
     return numerator / denominator
 
 
+def _tail_masses(p, lower, name: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """p's shape, then p and lower flattened; a lower that is not a boolean of
+    p's shape, or a p that is nan or outside [0, 1], raises DomainError."""
+    shape, lower = np.shape(p), np.asarray(lower)
+    if lower.dtype != bool or lower.shape != shape:
+        raise DomainError(f"{name} sides must be booleans of the probabilities' shape {shape}, got {lower!r}")
+    p = np.asarray(p, dtype=float).ravel()
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise DomainError(f"{name} probabilities must lie in [0, 1]")
+    return shape, p, lower.ravel()
+
+
 def gaussian_quantile(c: float, p, lower):
     """s whose tail below (where lower) or above it has the Gaussian mass p;
     p = 0 gives -inf or +inf.  Passed the smaller tail's mass, deep
     quantiles keep full relative accuracy on either side.  The standard
     normal quantile is AS241 (about 1e-16 relative), each of its three
-    branches evaluated on its own elements only.  lower has p's shape; a p
-    that is nan or outside [0, 1] raises DomainError.
+    branches evaluated on its own elements only.  lower is a boolean of p's
+    shape; another lower, or a p that is nan or outside [0, 1], raises
+    DomainError.
     """
-    shape, p, lower = np.shape(p), np.asarray(p, dtype=float).ravel(), np.ravel(lower)
-    if not ((p >= 0.0) & (p <= 1.0)).all():
-        raise DomainError("gaussian quantile probabilities must lie in [0, 1]")
+    shape, p, lower = _tail_masses(p, lower, "gaussian quantile")
     d = np.where(lower, p - 0.5, 0.5 - p)
     x = np.empty(d.shape)
     central = np.abs(d) <= 0.425
@@ -611,7 +617,7 @@ class CumulativeDensity1D:
     Partial masses accumulate from the left for the lower tail and from
     the right for the upper tail, so quantiles stay accurate in both
     tails.  Every query takes a scalar (and returns a float) or an array
-    of any shape.
+    of any shape.  A volume sqrt(pi/c) * total past a float raises DomainError.
     """
 
     def __init__(self, density: Density):
@@ -621,16 +627,19 @@ class CumulativeDensity1D:
         self.breaks = breaks = np.linspace(lo, hi, _N_PANELS + 1)
         self._glx, self._glw = x, gw = _gauss_legendre(_GL_ORDER)
         mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-        panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
         self._power = None if m is None else m + 1.0  # the first panel's mass grows like t^power
-        if m is not None:
-            panel[0] = self._from_zero(breaks[1:2])[0]
-        self._at_breaks = self._fn(breaks)  # the quantile start's Hermite slopes
-        self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
-        self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
+        with np.errstate(over="ignore"):  # refused below, by the volume it leaves
+            panel = np.sum(self._fn(mid[:, None] + half[:, None] * x) * (half[:, None] * gw), axis=1)
+            if m is not None:
+                panel[0] = self._from_zero(breaks[1:2])[0]
+            self._at_breaks = self._fn(breaks)  # the quantile start's Hermite slopes
+            self._cum_left = np.concatenate(([0.0], np.cumsum(panel)))
+            self._cum_right = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
         self.total = float(self._cum_left[-1])
-        if self.total in (0.0, math.inf):
-            raise DomainError(f"slab mass {self.total!r}: e^(omega - c t^2) under- or overflows on the slab")
+        volume = gaussian_factor(self._c) * self.total  # V_f: the profile grid, the optimizer's target, G(v)
+        if not 0.0 < volume < math.inf:
+            raise DomainError(f"slab mass {self.total!r}: e^(omega - c t^2) or its weighted volume "
+                              f"sqrt(pi/c) * mass = {volume!r} under- or overflows on the slab")
         # the median panel, the last whose lower side starts at most half way
         self._median_panel = int(np.count_nonzero(self._cum_left / self.total <= 0.5)) - 1
 
@@ -712,19 +721,17 @@ class CumulativeDensity1D:
 
     def quantile(self, p, lower):
         """t whose tail below (where lower) or above it carries the fraction p
-        of the total mass; lower has p's shape, p = 0 gives the left or right
-        edge, and a p that is nan or outside [0, 1] raises DomainError.  Each
-        target is bracketed inside its panel by the cumulative sums on its
-        side, started from the panel's mass law, then polished by batched
-        Newton steps, bisecting whenever a step leaves the bracket, until a
-        zero residual, a step of at most one ulp or a bracket closed to
-        adjacent floats: the root is resolved to about one ulp of t.  Raises
-        ConsistencyError if the cumulative sums do not bracket a target (a
-        non-positive or non-finite integrand).
+        of the total mass; lower is a boolean of p's shape, p = 0 gives the
+        left or right edge, and another lower, or a p that is nan or outside
+        [0, 1], raises DomainError.  Each target is bracketed inside its
+        panel by the cumulative sums on its side, started from the panel's
+        mass law, then polished by batched Newton steps, bisecting whenever a
+        step leaves the bracket, until a zero residual, a step of at most one
+        ulp or a bracket closed to adjacent floats: the root is resolved to
+        about one ulp of t.  Raises ConsistencyError if the cumulative sums
+        do not bracket a target (a non-positive or non-finite integrand).
         """
-        shape, p, lower = np.shape(p), np.asarray(p, dtype=float).ravel(), np.ravel(lower)
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise DomainError("quantile probabilities must lie in [0, 1]")
+        shape, p, lower = _tail_masses(p, lower, "quantile")
         t = np.where(lower, self.breaks[0], self.breaks[-1])
         live = np.nonzero(p > 0.0)[0]
         if live.size:

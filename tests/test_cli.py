@@ -18,6 +18,7 @@ import pytest
 import isoflow
 import isoflow.cli as cli
 import isoflow.spectrum as spectrum
+import isoflow.transport as transport
 from isoflow.cli import (
     _JACOBI_STEPS, _PROFILE_GRID, _PROFILE_TOLERANCE, _SCHEMA, RunConfig, load_config, main, resolved_config_text,
 )
@@ -29,6 +30,7 @@ from isoflow.spectrum import poincare_certify, spectral_gap_1d
 from isoflow.transport import build_transport
 from isoflow.weights import total_weighted_volume
 from isoflow.weights import CumulativeDensity1D
+from test_transport import engine_builds  # noqa: F401 (a fixture)
 
 CONFIG_DIR = Path(isoflow.__file__).parent / "configs"
 GAUSSIAN_CFG = str(CONFIG_DIR / "gaussian_slab.cfg")
@@ -1078,34 +1080,21 @@ class TestRunContext:
 
 
 class TestOneEnginePerRun:
-    def test_all_builds_the_slab_factor_engine_once(self, tmp_path, monkeypatch):
-        """Profiles, transport and the optimizer's target area share Density.cumulative."""
-        builds = []
-        init = CumulativeDensity1D.__init__
-
-        def counting_init(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
+    def test_all_builds_the_slab_factor_engine_once(self, tmp_path, engine_builds):
+        """Profiles, transport and the optimizer's target area share the run
+        density's one engine; the other build is the transport source line's."""
         assert main(["all", "--config", GAUSSIAN_CFG, "--out", str(tmp_path / "out")]) == 0
-        assert len(builds) == 1
+        assert len(engine_builds) == 2
+        assert engine_builds[0].slab == (-1.0, 1.0) and engine_builds[1] is transport._source_grid(0.5)[0]
 
-    def test_an_unset_height_reuses_the_run_density(self, tmp_path, monkeypatch):
+    def test_an_unset_height_reuses_the_run_density(self, tmp_path, engine_builds):
         """The slab-factor median that fills an unset height comes from the
         run's one Density, so its engine is built once, not twice."""
-        builds = []
-        init = CumulativeDensity1D.__init__
-
-        def counting_init(self, *args, **kwargs):
-            builds.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(CumulativeDensity1D, "__init__", counting_init)
         cfg = write_cfg(tmp_path, "[density]\nweight = log_power\nparams = 2\nc = 0.5\nslab = 0, inf\n"
                         "[jacobi]\nmax_length = 0.9\n")
         main(["all", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert len(builds) == 1
+        assert len(engine_builds) == 2
+        assert engine_builds[0].slab == (0.0, math.inf) and engine_builds[1] is transport._source_grid(0.5)[0]
         verdicts = read_json(str(tmp_path / "out"), "summary.json")["verdicts"]
         assert [v["command"] for v in verdicts] == list(ALL_COMMANDS)
         assert read_json(str(tmp_path / "out"), "stability.json")["metrics"]["t0"] > 0.0
@@ -1375,6 +1364,28 @@ class TestOneTailRule:
         assert main(["all", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
         assert "slab mass 0.0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("density", [
+        "weight = affine\nparams = 0, 800\nslab = -1, 1\n",
+        "weight = affine\nparams = 0, 709\nslab = -1, 1\n",
+        "weight = affine\nparams = 1e10\nslab = -1, 1\n",
+        "weight = quadratic\nparams = 0, 0, -800\nslab = -1, 1\n",
+        "weight = zero\nslab = 40, 41\n[stability]\nt0 = 40.5\n[jacobi]\nstart_t = 40.5\n",
+    ], ids=["affine-0-800", "affine-0-709", "affine-1e10", "quadratic-0-0--800", "zero-40-41"])
+    def test_a_slab_mass_that_under_or_overflows_exits_1_at_load(self, tmp_path, capsys, density):
+        """c = 1/2: the slab factor overflows (b0 = 800, a0 = 1e10), its
+        mass is finite but its weighted volume overflows (b0 = 709), or it
+        underflows to 0 (b0 = -800; the zero weight on (40, 41)).  The engine
+        was built on first use, so with heights that need no median every
+        stage ran: the first two exited 2 on a stability "violated" with a
+        nan witness, the overflows printed RuntimeWarnings, and the rest
+        read "verified" on a zero mass."""
+        cfg = write_cfg(tmp_path, f"[density]\nc = 0.5\n{density}")
+        out = tmp_path / "out"
+        assert main(["all", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("isoflow: error: [density] slab mass ")
 
     @pytest.mark.parametrize("a", ["1e17", "1e300"])
     def test_a_slab_cut_to_nothing_exits_1_at_load(self, tmp_path, capsys, a):

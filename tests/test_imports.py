@@ -14,8 +14,9 @@ its module is imported, so isoflow's records are plain immutable classes.
 The guard imports every isoflow module and runs a full `isoflow all` on
 both bundled configs, then reads sys.modules.  Two more guards read the
 source: every field of isoflow's NamedTuple reports and _Frozen records
-has a reader outside the tests, and every public function a caller.  A
-last one reads README.md: every code reference there still resolves.
+has a reader outside the tests, and every public function a caller.  One
+more reads it for records built whole: no field is filled after __init__.
+A last one reads README.md: every code reference there still resolves.
 """
 
 import ast
@@ -81,11 +82,23 @@ def _is_self(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
+def _writes_fields(node: ast.AST) -> bool:
+    """vars(self), self.__dict__ or a _float_arrays(self, ...) call: the
+    routes by which a _Frozen record's fields are written."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in ("vars", "_float_arrays")
+                and bool(node.args) and _is_self(node.args[0]))
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__" and _is_self(node.value)
+
+
 def _stored_fields(record: ast.ClassDef) -> set[str]:
     """The fields a _Frozen record stores: the keywords of its
-    vars(self).update(...) and _float_arrays(self, ...) calls."""
+    vars(self).update(...) and _float_arrays(self, ...) calls, and the
+    names of its vars(self)["name"] = ... stores."""
     names = set()
     for call in ast.walk(record):
+        if isinstance(call, ast.Subscript) and isinstance(call.ctx, ast.Store) and _writes_fields(call.value):
+            names.add(call.slice.value)
         if not isinstance(call, ast.Call):
             continue
         func = call.func
@@ -120,6 +133,25 @@ def test_every_report_field_is_read_outside_the_tests():
     assert ("PoincareCertificate", "lambda_value") in fields
     assert {("SpectralProblem", "masses"), ("Profile", "v_total"), ("DiscreteCurve", "curvature")} <= fields
     assert {field for field in fields if field[1] not in read} == set(AWAITING_A_READER)
+
+
+def test_every_record_is_built_whole():
+    """A field filled after __init__, by a functools.cached_property or a
+    write on first use, waits for its first read to run its refusals, so a
+    record can be built from inputs its numerics cannot carry.  No
+    src/isoflow module uses cached_property, and the routes that write a
+    record's fields (vars(self), self.__dict__, _float_arrays(self, ...))
+    appear only inside an __init__."""
+    lazy, late = [], []
+    for path in sorted((ROOT / "src" / "isoflow").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lazy += [path.name] if "cached_property" in source else []
+        for function in ast.walk(ast.parse(source)):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) and function.name != "__init__":
+                late += [f"{path.name}:{node.lineno} in {function.name}" for node in ast.walk(function)
+                         if _writes_fields(node)]
+    assert lazy == []
+    assert late == []
 
 
 def _public_names(module: ast.Module) -> set[str]:

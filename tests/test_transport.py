@@ -395,7 +395,9 @@ class TestSourceSidePerC:
 
 @pytest.fixture
 def engine_builds(monkeypatch):
-    """Record every CumulativeDensity1D construction."""
+    """Record the density of every CumulativeDensity1D construction, from a
+    cold transport source grid, so the record does not depend on test order."""
+    transport._source_grid.cache_clear()
     builds = []
     init = CumulativeDensity1D.__init__
 
@@ -409,23 +411,31 @@ def engine_builds(monkeypatch):
 
 class TestOneEnginePerDensity:
     def test_a_full_density_check_builds_one_engine(self, engine_builds):
-        """Both profiles, the transport map and its checks read the density's one engine."""
+        """A Density builds its engine when it is built; both profiles, the
+        transport map and its checks read it, and a cold source grid builds
+        the source line's.  Nothing else builds one."""
         d = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
+        assert engine_builds == [d]
         compare_profiles(build_profile(d, "parallel", grid_size=33), build_profile(d, "perpendicular", grid_size=33))
         m = build_transport(d)
         pushforward_check(m)
         transported_perimeter_bound(m, vertical_segment(d, 0.2, n=51))
         pts = np.stack([0.1 * np.sin(np.linspace(-0.9, 0.9, 60)), np.linspace(-0.9, 0.9, 60)], axis=-1)
         transported_perimeter_bound(m, polyline_curve(d, pts))
-        build_transport(d)  # a second map on the same density reuses the engine
-        assert engine_builds == [d]
+        build_transport(d)  # a second map on the same density reuses the engine, and the source line's
+        assert engine_builds == [d, m.source]
 
-    def test_a_density_builds_its_engine_once_on_first_use(self, engine_builds):
+    def test_a_density_holds_its_engine_once_built(self, engine_builds):
+        """The engine is a field written in Density.__init__, not a lazy
+        property: it is in vars() before any read, and cannot be replaced."""
         d1 = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
         d2 = Density(LogPowerWeight(2.0), 0.5, 2, (0.0, INF))
-        assert d1.cumulative is d1.cumulative
-        assert "cumulative" in vars(d1) and "cumulative" not in vars(d2)
-        assert len(engine_builds) == 1
+        assert "cumulative" in vars(d1) and "cumulative" in vars(d2)
+        assert engine_builds == [d1, d2]
+        assert d1.cumulative is d1.cumulative and d1.cumulative is not d2.cumulative
+        with pytest.raises(AttributeError):
+            d1.cumulative = d2.cumulative
+        assert len(engine_builds) == 2
 
 
 def parent_slack(tmap, curve) -> float:

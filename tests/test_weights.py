@@ -282,6 +282,13 @@ class TestKappaZero:
         assert np.array_equal(QuadraticWeight(1.3, a0, b0).deriv2(t), np.full(t.shape, -2.6))
 
 
+class NanLeftOfZero(Weight1D):
+    """A weight that is nan left of zero and 0 right of it."""
+
+    def value(self, t):
+        return np.where(t < 0.0, np.nan, 0.0)
+
+
 def weight_id(value) -> str:
     """A test id for a weight (its class and parameters) or another parameter."""
     if not isinstance(value, Weight1D):
@@ -569,14 +576,22 @@ class TestDensityValidation:
                  * mp.erfc(mp.sqrt(c_eff) * (a0 / (2 * c_eff) - b)))
         assert abs(total_weighted_volume(d) / gaussian_factor(c) / float(exact) - 1.0) <= 1e-13
 
-    @pytest.mark.parametrize("weight, slab", [(ZeroWeight(), (40.0, INF)), (QuadraticWeight(1.0), (-INF, -30.0))],
-                             ids=weight_id)
+    @pytest.mark.parametrize("weight, slab", [
+        (ZeroWeight(), (40.0, INF)), (QuadraticWeight(1.0), (-INF, -30.0)),
+        (QuadraticWeight(0.0, 0.0, -800.0), (-1.0, 1.0)), (AffineWeight(0.0, 800.0), (-1.0, 1.0)),
+        (AffineWeight(0.0, 709.0), (-1.0, 1.0)), (NanLeftOfZero(), (-1.0, 1.0)),
+    ], ids=weight_id)
     def test_a_slab_whose_mass_underflows_is_refused(self, weight, slab):
-        """e^{omega - c t^2} underflows to 0 all over the slab, so its engine
-        is refused.  The transport map divided by the zero total, and the
-        quadratic slab was refused only by the deleted tail-tolerance check."""
-        with pytest.raises(DomainError, match="slab mass 0.0: .* under- or overflows"):
-            Density(weight, 0.5, 2, slab).cumulative
+        """A Density whose weighted volume sqrt(pi/c) * mass is not a positive
+        finite float is refused when it is built, with no overflow warning:
+        e^{omega - c t^2} underflows to 0 all over the slab, overflows (b0 =
+        800), leaves a finite mass whose volume overflows (b0 = 709) or is
+        nan.  The transport map divided by the zero total, the quadratic
+        slab was refused only by the deleted tail-tolerance check, and a
+        Density was refused only when its engine was first read, which let
+        a nan mass and an overflowing volume through."""
+        with pytest.raises(DomainError, match=r"slab mass (0\.0|inf|1\.40637\d*e\+308|nan): .* under- or overflows"):
+            Density(weight, 0.5, 2, slab)
 
     @pytest.mark.parametrize("weight, c", [(ZeroWeight(), 1.0), (QuadraticWeight(1.5), 0.5)], ids=weight_id)
     def test_a_slab_too_wide_for_the_engine_is_refused(self, weight, c):
@@ -767,11 +782,16 @@ class TestCumulativeDensity:
             assert np.all(np.abs(got - want) <= 1e-12 * want + 2.0 * ulp_mass), slab
 
     def test_lost_bracket_raises(self):
-        class NanLeftOfZero(Weight1D):
-            def value(self, t):
-                return np.where(t < 0.0, np.nan, 0.0)
-
-        cum = CumulativeDensity1D(Density(NanLeftOfZero(), 0.5, 2, (-1.0, 1.0)))
+        """Cumulative sums that bracket no target raise ConsistencyError.  A
+        Density refuses a nan integrand when it is built, so the engine of a
+        good density is given an integrand made nan left of zero and the
+        sums and total that integrand leaves."""
+        d = Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
+        cum, left = d.cumulative, d.cumulative.breaks < 0.0
+        cum._fn = lambda t: np.where(t < 0.0, np.nan, d.slab_factor(t))
+        cum._cum_left = np.where(np.arange(left.size) > 0, np.nan, 0.0)
+        cum._cum_right = np.where(left, np.nan, cum._cum_right)
+        cum.total = math.nan
         with pytest.raises(ConsistencyError):
             cum.quantile(np.array([0.25, 0.25]), np.array([True, False]))
 
@@ -783,6 +803,24 @@ class TestCumulativeDensity:
                          (np.array([0.3, math.nan]), np.array([True, False]))):
             with pytest.raises(DomainError, match=r"\[0, 1\]"):
                 cum.quantile(p, lower)
+
+    @pytest.mark.parametrize("p, lower", [
+        (0.3, 0.7), (0.7, 0.3), (np.array([0.2, 0.3]), np.array([1, 0])),
+        (np.array([0.2, 0.3]), np.array([True])), (np.array([0.2, 0.3]), True), (0.2, [True]),
+    ], ids=["float", "float-swapped", "int-array", "bool-of-another-shape", "scalar-bool", "list-of-one"])
+    def test_a_side_that_is_not_a_boolean_of_p_s_shape_raises(self, p, lower):
+        """Either quantile read any lower as truthy, so a call left in the
+        two-array form answered another question: gaussian_quantile(0.5,
+        0.3, 0.7) returned -0.5244, the lower quantile of 0.3, and
+        quantile(0.7, 0.3) solved for mass 0.7 below.  A bool and a list of
+        bools of p's shape still pass, as their arrays do."""
+        cum = Density(QuadraticWeight(1.0), 0.5, 2, (-1.0, 1.0)).cumulative
+        for quantile in (lambda p, lower: gaussian_quantile(0.5, p, lower), cum.quantile):
+            with pytest.raises(DomainError, match="sides must be booleans of the probabilities' shape"):
+                quantile(p, lower)
+            assert quantile(0.3, True) == quantile(np.array(0.3), np.array(True))
+            assert quantile([0.2, 0.3], [True, False]).tolist() == quantile(
+                np.array([0.2, 0.3]), np.array([True, False])).tolist()
 
 
 def two_pass_sides(cum, t):
