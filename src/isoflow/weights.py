@@ -35,7 +35,7 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     A slab too wide for the engine's panels, or whose weighted volume under-
     or overflows, is refused when its Density is built,
   * the closed-form normalized Gaussian CDF and its quantile from either
-    tail, on a numpy erfc and Wichura's AS241 normal quantile.
+    tail, on the standard library's erfc and Wichura's AS241 normal quantile.
 """
 
 from __future__ import annotations
@@ -327,11 +327,16 @@ class Density(_Frozen):
         return f
 
 
+def _gaussian_c(c: float) -> float:
+    """c, the Gaussian helpers' parameter; any c but a finite number > 0 raises ValueError."""
+    if not 0.0 < c < math.inf:
+        raise ValueError("need c > 0")
+    return c
+
+
 def gaussian_factor(c: float) -> float:
     """sqrt(pi/c), the mass of e^{-c x^2} over R."""
-    if not c > 0.0:
-        raise ValueError("need c > 0")
-    return math.sqrt(math.pi / c)
+    return math.sqrt(math.pi / _gaussian_c(c))
 
 
 def _horner(coefficients, x: np.ndarray) -> np.ndarray:
@@ -344,54 +349,16 @@ def _horner(coefficients, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# Both erfc polynomials are Chebyshev interpolants at 80 nodes, computed
-# with mpmath 1.3 at 50 digits, truncated and expanded in powers of their
-# variable: erf(x)/x in z = x^2 on [0, 1/4] (ten terms), and erfcx(a)/t in
-# y = (t - _T_MID)/_T_HALF, t = 3/(3 + a), over a in [0.5, 28] (21 terms).
-# erfc is then within 8 ulp of mpmath on [-6, 26.5] (tests/test_weights.py).
-_ERF_NEAR = (
-    -1.4621341491012844e-07, 1.6371282597755977e-06, -1.4923005626894849e-05, 0.00012055286259121393,
-    -0.0008548326511566567, 0.005223977622024224, -0.026866170645000076, 0.1128379167095487,
-    -0.3761263890318375, 1.1283791670955126,
-)
-_ERFCX_FAR = (
-    -1.2622988005600178e-11, -4.332182216273873e-11, 2.1271171991264907e-10, 4.761451721521797e-10,
-    -2.3761577663560837e-09, -3.37383467276882e-09, 2.4020677408829253e-08, 2.611794612144443e-08,
-    -2.457690926345363e-07, -3.2832957782289095e-07, 2.5927174627813784e-06, 6.345136857499625e-06,
-    -2.4297870490308983e-05, -0.00013774431185290786, -1.7294395098689064e-05, 0.0022900811676417263,
-    0.012626248777086032, 0.04235048607461778, 0.10576546334725044, 0.21060369438281187,
-    0.34484035560925447,
-)
-_T_MID, _T_HALF = 0.4769585253456221, 0.380184331797235
-
-
 def _erfc(x) -> np.ndarray:
-    """Complementary error function, elementwise, for any float array.
-
-    |x| < 1/2: 1 - x P(x^2).  Otherwise e^{-a^2} erfcx(a) with a = |x|
-    capped at 28 (where erfc underflows), e^{-a^2} taken as
-    e^{-h^2} e^{-(a - h)(a + h)} with h = a cut to 26 mantissa bits so
-    that h^2 is exact, and erfc(-a) = 2 - erfc(a).  inf gives 0 and 2,
-    nan gives nan.
-    """
+    """math.erfc applied to each element of a float array, in its shape (0-d for a
+    scalar): inf gives 0 and 2, nan gives nan."""
     x = np.asarray(x, dtype=float)
-    shape, x = x.shape, x.ravel()
-    out = 1.0 - x * _horner(_ERF_NEAR, x * x)
-    far = np.abs(x) >= 0.5
-    if far.any():
-        xf = x[far]
-        a = np.minimum(np.abs(xf), 28.0)
-        h = (a.view(np.int64) & ~0x7FFFFFF).view(float)
-        t = 3.0 / (3.0 + a)
-        erfcx = _horner(_ERFCX_FAR, (t - _T_MID) / _T_HALF) * t
-        tail = erfcx * np.exp(-h * h) * np.exp((h - a) * (a + h))
-        out[far] = np.where(xf < 0.0, 2.0 - tail, tail)
-    return out.reshape(shape)[()]
+    return np.fromiter(map(math.erfc, memoryview(x.ravel())), float, x.size).reshape(x.shape)[()]
 
 
 def gaussian_cdf(c: float, s):
     """CDF of the normalized Gaussian sqrt(c/pi) e^{-c s^2}, exact in the lower tail."""
-    return 0.5 * _erfc(-math.sqrt(c) * np.asarray(s, dtype=float))
+    return 0.5 * _erfc(-math.sqrt(_gaussian_c(c)) * np.asarray(s, dtype=float))
 
 
 # Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard library's
@@ -437,8 +404,9 @@ def gaussian_quantile(c: float, p, lower):
     normal quantile is AS241 (about 1e-16 relative), each of its three
     branches evaluated on its own elements only.  lower is a boolean of p's
     shape; another lower, or a p that is nan or outside [0, 1], raises
-    DomainError.
+    DomainError, and a c that is not a finite number > 0 ValueError.
     """
+    _gaussian_c(c)
     shape, p, lower = _tail_masses(p, lower, "gaussian quantile")
     d = np.where(lower, p - 0.5, 0.5 - p)
     x = np.empty(d.shape)

@@ -1,10 +1,11 @@
 """Import guard: isoflow runs on numpy alone and imports no part of scipy.
 
 Importing scipy.special or scipy.linalg alone costs more than the rest of a
-cold run, so the runtime computes its Gaussian CDF and quantile (a numpy
-erfc and Wichura's AS241), the chords' spline basis (one dense slope
-solve per control count) and the spectral gap (Lanczos on the pencil's
-Green's operator) in numpy.
+cold run, so the runtime computes its Gaussian CDF and quantile (the
+standard library's math.erfc, applied to each element, and Wichura's
+AS241), the chords' spline basis (one dense slope solve per control
+count) and the spectral gap (Lanczos on the pencil's Green's operator)
+in numpy and the standard library.
 
 isoflow also loads neither numpy.random nor numpy.polynomial: it draws
 no random number, and its Gauss-Legendre rules are tabulated.  Nor does it

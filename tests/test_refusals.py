@@ -41,6 +41,7 @@ from isoflow import (
     total_weighted_volume,
     vertical_segment,
 )
+from isoflow.weights import gaussian_cdf, gaussian_quantile
 
 INF = math.inf
 SLAB = Density(ZeroWeight(), 0.5, 2, (-1.0, 1.0))
@@ -66,6 +67,13 @@ REFUSALS = {
     "log-power deriv2 at 0": (lambda: LogPowerWeight(2.0).deriv2(np.array([0.0, 1.0])), DomainError,
                               "log-power derivative needs t > 0"),
     "gaussian factor c = 0": (lambda: gaussian_factor(0.0), ValueError, "need c > 0"),
+    "gaussian factor c = inf": (lambda: gaussian_factor(INF), ValueError, "need c > 0"),
+    "gaussian cdf c = 0": (lambda: gaussian_cdf(0.0, GRID), ValueError, "need c > 0"),
+    "gaussian cdf c = inf": (lambda: gaussian_cdf(INF, GRID), ValueError, "need c > 0"),
+    "gaussian cdf c = nan": (lambda: gaussian_cdf(math.nan, GRID), ValueError, "need c > 0"),
+    "gaussian cdf c = -1": (lambda: gaussian_cdf(-1.0, GRID), ValueError, "need c > 0"),
+    "gaussian quantile c = 0": (lambda: gaussian_quantile(0.0, 0.3, True), ValueError, "need c > 0"),
+    "gaussian quantile c = inf": (lambda: gaussian_quantile(INF, 0.3, True), ValueError, "need c > 0"),
     "gradient in 3-d": (lambda: log_density_gradient(SLAB, [0.0, 0.0, 0.0]), DomainError,
                         "points must have 2 coordinates"),
     "curvature in 3-d": (lambda: bakry_emery_curvature(SLAB, [0.0, 0.0, 0.0], [1.0, 0.0]), DomainError,

@@ -1260,7 +1260,8 @@ class TestQuantileWork:
 
 
 class TestErfc:
-    """The numpy erfc under gaussian_cdf, against mpmath and scipy."""
+    """The erfc under gaussian_cdf, the standard library's math.erfc applied
+    to each element, against mpmath, scipy and math.erfc itself."""
 
     def test_within_eight_ulp_of_mpmath(self):
         import mpmath as mp
@@ -1289,6 +1290,25 @@ class TestErfc:
         assert got[3] == 1.0 and got[4] == 1.0 and got[5] == 0.0 and got[6] == 2.0
         assert np.ndim(_erfc(0.7)) == 0
         assert _erfc(np.zeros((3, 2))).shape == (3, 2)
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+    def test_gaussian_cdf_is_math_erfc_bit_for_bit(self, c):
+        """gaussian_cdf(c, s) is 0.5 math.erfc(-sqrt(c) s) to the last bit, the
+        sign of a zero included, with nan where it is nan, in any shape."""
+        s = np.concatenate([np.linspace(-40.0, 40.0, 1998), [0.0, -0.0, INF, -INF, math.nan]])
+
+        def same(got, s):
+            want = np.array([0.5 * math.erfc(-math.sqrt(c) * x) for x in np.ravel(s).tolist()]).reshape(np.shape(s))
+            nan = np.isnan(want)
+            assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+        same(gaussian_cdf(c, s), s)
+        assert np.ndim(gaussian_cdf(c, 0.7)) == 0
+        same(np.asarray(gaussian_cdf(c, 0.7)), np.float64(0.7))
+        block = s[996:1002].reshape(3, 2)
+        same(gaussian_cdf(c, block), block)
+        same(gaussian_cdf(c, block.T), block.T)
 
 
 class TestGaussianQuantile:
