@@ -1,12 +1,20 @@
 """Batch front-end: INI config in, CSV tables and JSON verdicts out.
 
 Each subcommand drives one computational module, writes its CSV tables
-and returns its outcome; one stage runner times it and writes its verdict
-record, errors included; `all` runs every subcommand and aggregates.  Exit
-codes follow a strict contract: 0 every verdict verified, 2 at least one
-violation (a quantitative claim failed with a witness), 1 operational
-error (malformed config, IO failure, or a run that did not finish).
-Malformed input never produces a traceback.
+and returns its metrics, tolerance and checks; one stage runner times it,
+decides its verdict and writes its record, errors included; `all` runs
+every subcommand and aggregates.  Exit codes follow a strict contract: 0
+every verdict verified, 2 at least one violation (a quantitative claim
+failed with a witness), 1 operational error (malformed config, IO failure,
+or a run that did not finish).  Malformed input never produces a traceback.
+
+One rule decides every verdict: a check (name, margin, location, value)
+holds exactly when its margin, the allowance minus what was measured, is
+>= 0, so a nan margin fails, and the first failing check is the witness.
+The checks, in order: profile comparison, perpendicular_equality,
+parallel_inequality; transport contraction, pushforward; stability
+witness_sign; jacobi halving_ratio; spectrum vertical_gap (when its gap is
+judged); optimize relative_gap, unbeaten.
 
 Determinism: no stage draws a random number, and every CSV cell is
 written as the shortest round-trip decimal by _csv_table, the one writer
@@ -266,8 +274,8 @@ def resolved_config_text(config: RunConfig) -> str:
 _SEVERITY = {"verified": 0, "error": 1, "violated": 2}
 
 
-# a command's metrics, tolerance and witness: verified exactly when the witness is None
-_Outcome = tuple[dict, float, dict | None]
+# a command's metrics, tolerance and checks (name, margin, location, value), which _run_stage judges
+_Outcome = tuple[dict, float, tuple[tuple[str, float, object, float], ...]]
 
 
 def _atomic_write(config: RunConfig, filename: str, text: str) -> None:
@@ -323,16 +331,6 @@ def cmd_profile(config: RunConfig) -> _Outcome:
     comparison = compare_profiles(parallel, perpendicular, tie_tol=_PROFILE_TOLERANCE)
     ode_par = check_profile_ode(parallel, density.c, tol=_PROFILE_TOLERANCE)
     ode_perp = check_profile_ode(perpendicular, density.c, tol=_PROFILE_TOLERANCE)
-    # the witness of the first failing check: comparison, perpendicular equality, parallel inequality
-    witness = None
-    if comparison.verdict == "violation":
-        witness = {"location": comparison.violations[0], "value": comparison.min_margin}
-    elif ode_perp.verdict != "equality" or ode_par.verdict == "violation":
-        report = ode_par if ode_perp.verdict == "equality" else ode_perp
-        witness = {
-            "location": report.counterexamples[0] if report.counterexamples else None,
-            "value": report.max_defect,
-        }
     metrics = {
         "comparison": comparison.verdict,
         "strict": comparison.verdict == "strict",
@@ -344,7 +342,14 @@ def cmd_profile(config: RunConfig) -> _Outcome:
         "perpendicular_ode": ode_perp.verdict,
         "perpendicular_max_defect": ode_perp.max_defect,
     }
-    return metrics, _PROFILE_TOLERANCE, witness
+    perp_defect = np.maximum(ode_perp.max_defect, -ode_perp.min_defect)
+    return metrics, _PROFILE_TOLERANCE, (
+        ("comparison", comparison.banded_margin, (*comparison.violations, None)[0], comparison.min_margin),
+        ("perpendicular_equality", _PROFILE_TOLERANCE - perp_defect,
+         (*ode_perp.counterexamples, None)[0], ode_perp.max_defect),
+        ("parallel_inequality", _PROFILE_TOLERANCE - ode_par.max_defect,
+         (*ode_par.counterexamples, None)[0], ode_par.max_defect),
+    )
 
 
 def cmd_transport(config: RunConfig) -> _Outcome:
@@ -357,43 +362,35 @@ def cmd_transport(config: RunConfig) -> _Outcome:
     _atomic_write(config, "transport.csv", _csv_table("s,rho,drho", tmap.s, tmap.rho, tmap.drho))
     contraction = check_contraction(tmap, tol=_TRANSPORT_TOLERANCE)
     push = pushforward_check(tmap)
-    witness = None
-    if not contraction.certified:
-        witness = {"location": contraction.max_location, "value": contraction.max_derivative}
-    elif not push.max_residual <= _PUSHFORWARD_TOLERANCE:  # nan fails too
-        witness = {"location": push.max_location, "value": push.max_residual}
     metrics = {
         "max_derivative": contraction.max_derivative,
         "max_location": contraction.max_location,
-        "contraction_certified": contraction.certified,
         "pushforward_max_residual": push.max_residual,
         "pushforward_tolerance": _PUSHFORWARD_TOLERANCE,
         "alpha": tmap.alpha,
         "beta": tmap.beta,
     }
-    return metrics, _TRANSPORT_TOLERANCE, witness
+    return metrics, _TRANSPORT_TOLERANCE, (
+        ("contraction", 1.0 + _TRANSPORT_TOLERANCE - contraction.max_derivative,
+         contraction.max_location, contraction.max_derivative),
+        ("pushforward", _PUSHFORWARD_TOLERANCE - push.max_residual, push.max_location, push.max_residual),
+    )
 
 
 def cmd_stability(config: RunConfig) -> _Outcome:
     t0 = float(config.value("stability", "t0"))
     verdict = parallel_halfspace_stability(config.density, t0)
-    # the dichotomy is internally consistent when the witness index value
-    # has the sign the second derivative of the weight predicts
-    witness_consistent = (
-        verdict.witness_value < -_STABILITY_TOLERANCE
-        if verdict.verdict == "unstable"
-        else verdict.witness_value >= -_STABILITY_TOLERANCE
-    )
-    witness = None
-    if not witness_consistent:
-        witness = {"location": f"t0={t0}", "value": verdict.witness_value}
     metrics = {
         "parallel_verdict": verdict.verdict,
         "t0": t0,
         "weight_second_derivative": verdict.weight_second_derivative,
         "witness_index_value": verdict.witness_value,
     }
-    return metrics, _STABILITY_TOLERANCE, witness
+    # the dichotomy is internally consistent when the witness index value
+    # has the sign the second derivative of the weight predicts
+    sign = 1.0 if verdict.verdict == "stable" else -1.0
+    margin = sign * (verdict.witness_value + _STABILITY_TOLERANCE)
+    return metrics, _STABILITY_TOLERANCE, (("witness_sign", margin, f"t0={t0}", verdict.witness_value),)
 
 
 def cmd_jacobi(config: RunConfig) -> _Outcome:
@@ -410,7 +407,6 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
         math.inf if residuals[i] == 0.0 else residuals[i - 1] / residuals[i]
         for i in range(1, len(residuals))
     ]
-    ok = all(r >= _JACOBI_MIN_RATIO for r in ratios) or max(residuals) <= _JACOBI_EXACT_FLOOR
     # the coarsest step has no ratio: its cell is empty
     _atomic_write(config, "jacobi.csv", _csv_table(
         "h,max_residual,ratio", _JACOBI_STEPS, residuals, ["", *ratios]))
@@ -422,9 +418,10 @@ def cmd_jacobi(config: RunConfig) -> _Outcome:
         "ratios": list(map(float, ratios)),
         "n_nodes_finest": finest.n_nodes,
     }
-    worst = min(ratios)
-    witness = None if ok else {"location": f"h={_JACOBI_STEPS[ratios.index(worst) + 1]}", "value": worst}
-    return metrics, _JACOBI_MIN_RATIO, witness
+    # every ratio at least 3.5, or an exact shot; numpy's reductions carry a nan to the margin
+    worst = int(np.argmin(ratios))
+    margin = np.maximum(ratios[worst] - _JACOBI_MIN_RATIO, _JACOBI_EXACT_FLOOR - np.max(residuals))
+    return metrics, _JACOBI_MIN_RATIO, (("halving_ratio", margin, f"h={_JACOBI_STEPS[worst + 1]}", ratios[worst]),)
 
 
 def cmd_spectrum(config: RunConfig) -> _Outcome:
@@ -440,8 +437,6 @@ def cmd_spectrum(config: RunConfig) -> _Outcome:
     vertical_min = lam - two_c
     tolerance = _STABILITY_TOLERANCE * min(1.0, two_c)
     concave = check_concavity(config.density.weight).concave
-    must_hold = bool(config.value("run", "expect_bound")) or concave
-    ok = vertical_min >= -tolerance or not must_hold
     metrics = {
         "lambda": lam,
         "hyperplane_gap": min(two_c, lam),  # each Gaussian factor's gap is exactly 2c
@@ -450,10 +445,8 @@ def cmd_spectrum(config: RunConfig) -> _Outcome:
         "truncation_shift": certificate.truncation_shift,
         "n_cells": problem.n_cells,
     }
-    witness = None
-    if not ok:
-        witness = {"location": "vertical line, slab-factor eigenfunction", "value": vertical_min}
-    return metrics, tolerance, witness
+    gap = ("vertical_gap", vertical_min + tolerance, "vertical line, slab-factor eigenfunction", vertical_min)
+    return metrics, tolerance, (gap,) if config.value("run", "expect_bound") or concave else ()
 
 
 def cmd_optimize(config: RunConfig) -> _Outcome:
@@ -479,15 +472,14 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
     benchmark = vertical_chord_length(density, fraction)
     report = trace.final
     rel_gap = abs(report.length - benchmark) / benchmark
-    beaten = report.length < benchmark * (1.0 - _OPTIMIZE_BEATEN_MARGIN)
+    unbeaten = report.length - benchmark * (1.0 - _OPTIMIZE_BEATEN_MARGIN)
     # a converged chord that is not stationary and does not beat the
     # benchmark shows only that the descent stopped short, not a violation
-    if not (report.stationary or beaten):
+    if not (report.stationary or unbeaten < 0.0):
         raise IsoflowError(
             f"optimizer converged to a non-stationary chord (hf_spread {report.hf_spread:.3g}, "
             f"wall angles {report.angle_bottom_deg:.3g} and {report.angle_top_deg:.3g} deg)"
         )
-    ok = rel_gap <= _OPTIMIZE_RELATIVE_GAP and not beaten
     metrics = {
         "final_length": report.length,
         "benchmark": benchmark,
@@ -499,8 +491,10 @@ def cmd_optimize(config: RunConfig) -> _Outcome:
         "area_error_max": float(np.max(trace.area_errors)),
         "status": trace.status,
     }
-    witness = None if ok else {"location": "final chord length", "value": report.length}
-    return metrics, _OPTIMIZE_RELATIVE_GAP, witness
+    return metrics, _OPTIMIZE_RELATIVE_GAP, (
+        ("relative_gap", _OPTIMIZE_RELATIVE_GAP - rel_gap, "final chord length", report.length),
+        ("unbeaten", unbeaten, "final chord length", report.length),
+    )
 
 
 # each stage's command, and every file it may write: record, error record, CSVs
@@ -516,20 +510,22 @@ _STAGES = {
 
 
 def _run_stage(name: str, config: RunConfig) -> dict:
-    """Time one command and write its record, the command's own error
-    included.  An OSError propagates."""
+    """Time one command, decide its verdict by the one rule and write its
+    record, the command's own error included.  An OSError propagates."""
     command, (done, failed, *_) = _STAGES[name]
-    start = time.perf_counter()
+    start, status = time.perf_counter(), "verified"
     try:
-        metrics, tolerance, witness = command(config)
-        status = "verified" if witness is None else "violated"
+        metrics, tolerance, checks = command(config)
     except (IsoflowError, ValueError) as exc:
-        status, metrics, tolerance, witness = "error", {"message": str(exc)}, None, None
+        status, metrics, tolerance, checks = "error", {"message": str(exc)}, None, ()
         print(f"isoflow: {name}: error: {exc}", file=sys.stderr)
-    record = {"command": name, "status": status, "metrics": metrics, "tolerance": tolerance,
+    failing = [{"location": location, "value": value}
+               for _, margin, location, value in checks if not margin >= 0.0]  # a nan margin fails too
+    record = {"command": name, "status": "violated" if failing else status, "metrics": metrics,
+              "tolerance": tolerance, "checks": [{"name": n, "margin": float(m)} for n, m, *_ in checks],
               "wall_time_s": time.perf_counter() - start}
-    if witness is not None:
-        record["witness"] = witness
+    if failing:
+        record["witness"] = failing[0]
     _write_json(config, failed if status == "error" else done, record)
     return record
 

@@ -142,6 +142,7 @@ class ProfileOdeReport(NamedTuple):
 
     verdict: str  # 'equality' | 'inequality' | 'violation'
     max_defect: float
+    min_defect: float
     counterexamples: tuple[float, ...]
 
 
@@ -157,6 +158,7 @@ def check_profile_ode(profile: Profile, c: float, tol: float = 1e-8) -> ProfileO
     return ProfileOdeReport(
         verdict=verdict,
         max_defect=float(np.max(defect)),
+        min_defect=float(np.min(defect)),
         counterexamples=tuple(float(v) for v in bad[:16]),
     )
 
@@ -166,6 +168,7 @@ class ComparisonVerdict(NamedTuple):
 
     verdict: str  # 'strict' | 'ge_with_ties' | 'violation'
     min_margin: float
+    banded_margin: float  # the least F - G + tie_tol * max(F, G): F >= G within the band iff it is >= 0
     n_ties: int
     violations: tuple[float, ...]
 
@@ -198,6 +201,7 @@ def compare_profiles(f_profile: Profile, g_profile: Profile, tie_tol: float = 1e
     return ComparisonVerdict(
         verdict=verdict,
         min_margin=float(np.min(margin)),
+        banded_margin=float(np.min(margin + tie_band)),
         n_ties=n_ties,
         violations=tuple(float(v) for v in violations[:32]),
     )

@@ -21,9 +21,10 @@ import isoflow.spectrum as spectrum
 import isoflow.transport as transport
 import isoflow.weights as weights
 from isoflow.cli import (
-    _JACOBI_STEPS, _PROFILE_GRID, _PROFILE_TOLERANCE, _SCHEMA, RunConfig, load_config, main, resolved_config_text,
+    _JACOBI_STEPS, _PROFILE_GRID, _PROFILE_TOLERANCE, _SCHEMA, _SEVERITY, RunConfig, load_config, main,
+    resolved_config_text,
 )
-from isoflow.errors import ConfigError
+from isoflow.errors import ConfigError, IsoflowError
 from isoflow.geometry import cmc_shoot
 from isoflow.optimize import chord_curve, make_straight_chord, minimize
 from isoflow.profiles import Profile, build_profile
@@ -302,22 +303,22 @@ GOLDEN_CSV_SHA256 = {
 # moved value, a changed key or a flipped sign of zero moves a digest
 GOLDEN_JSON_SHA256 = {
     "gaussian": {
-        "compare.json": "634874ba7e4127b93782d167bd08fa941a0fb2f75d8b73f55f8d6bc9d4b1cf3e",
-        "jacobi.json": "765c06a980a4f3ba35cc4883ec9b6c08e6d9435e87125f24f80ae11b2b854428",
-        "optimize.json": "e5c0f2b3c1f24f4e6b30346742078b51aaadcafe8df66331a7265939539d8b29",
-        "spectrum.json": "adaf8a3eccff557580492a0b3cc8397c92edbbd2363d88f9d4da45c87e456246",
-        "stability.json": "7ac3e75ff568236ac163da259d0ea2c33451908bf5207e17399d8335e2913831",
-        "summary.json": "ef848f19e217e4dbbce8c84670222483b6374165e7f73b88a13ee0b5325a2b28",
-        "transport.json": "1b116f97d8196883f4afed01c403c7e12e7e8f4c37ce6a7d427a2e2d0c9d5ee4",
+        "compare.json": "3b06c236976f00d5f9ea154e62680be5a7cd0c9ca57dc5c344c8f2380dd130a8",
+        "jacobi.json": "d357021d239a1164708cc77f87eea8571e401cd115614b8dc95228b19b433a18",
+        "optimize.json": "b4b40c1f5d47cd66c0c5f969d0773b0bf093d5c3cd24d376fccf759c54d4b466",
+        "spectrum.json": "65e8c181432624e4532c3bd7a57b60b839896934181cdb5816f95204353bfa78",
+        "stability.json": "e3d78861925c3e04d4f527969d8a0f7dc3dcff61ce13304c553b957a9c5b3fe7",
+        "summary.json": "2f0db8c9dd8ba2eb868a68cab220cf55dfd02917116aa6afc0eafca330e982cd",
+        "transport.json": "fd7e004041b3722b472d0ec2d1705bd42e9780cf1a898da7755d2b8c14b4cdf1",
     },
     "quadratic": {
-        "compare.json": "907f33fc3ca694c28f188fb68e4ecb5492434c678cd2190ba10eeca28f18658b",
-        "jacobi.json": "3b4453170dcefad1b38fdb69d310bbb5eb76ff30f568655a03f2906ac8f88148",
-        "optimize.json": "e56d897073e0df5ec926baa751fccccc5c039d10784983ad10bc780b8b4e7007",
-        "spectrum.json": "fef21417fe871a54a13c2d1748256caf8ec87b1814834652fd63d0957f63b2ca",
-        "stability.json": "5dc91ccdaa5d8f8edb3b3c20ed3359a799efb9f5105605a85c4b761737061c98",
-        "summary.json": "197f71c1476c36a81acaa51e5a56181884e883056de93b38e4db405cc1521414",
-        "transport.json": "44d91a2d6bfb7b323aa12e2b6d6d4a1ec9cd12749c7d95606f835b004b229b55",
+        "compare.json": "b3388e5d51b5a95a9fc65eb260599e0b0269a8de1b7f2ccc18a1df1f5de9ee8e",
+        "jacobi.json": "921062bc83065aa0f058fe70fe1510b0d7e8b6cab1f7948ede1d3e419692c7fb",
+        "optimize.json": "0eba1ce66b22b9e9412fc14b14e519f00cb3c749803378ac15e7d0d8d1ecf8b1",
+        "spectrum.json": "05a25166fdcd62c4882fddac98406871eb38079b787fb120b14a797db1c4453c",
+        "stability.json": "a786872149f5e843aff9869b417b152a379cbafe15ca174ba6744b44a14944cb",
+        "summary.json": "9dc1d2dfa9e452c3b0281892da4ba2d548cea08926d7256a3bcfb8027a1d606c",
+        "transport.json": "ac39d70fb8c394ee8b340ebda18ee256a2535af55f2c042e66fa471e4894ea6b",
     },
 }
 
@@ -1262,9 +1263,147 @@ class TestTransportReadsItsMap:
         statuses = {v["command"]: v["status"] for v in read_json(out, "summary.json")["verdicts"]}
         assert statuses == {**dict.fromkeys(ALL_COMMANDS, "verified"), "transport": "violated"}
         record = read_json(out, "transport.json")
-        assert record["metrics"]["contraction_certified"] is True
+        assert record["checks"][0]["name"] == "contraction" and record["checks"][0]["margin"] >= 0.0
         s = np.loadtxt(os.path.join(out, "transport.csv"), delimiter=",", skiprows=1)[:, 0]
         assert record["witness"]["location"] in s
+
+
+class TestOneDecisionRule:
+    """_run_stage alone decides a verdict: a check (name, margin, location,
+    value) holds exactly when margin >= 0, so a nan margin fails, and the
+    first failing check is the witness.  Each case plants a command."""
+
+    def run_planted(self, tmp_path, monkeypatch, command) -> tuple[int, dict]:
+        monkeypatch.setitem(cli._STAGES, "planted", (command, ("planted.json", "planted_error.json")))
+        out = tmp_path / "out"
+        code = main(["planted", "--config", GAUSSIAN_CFG, "--out", str(out)])
+        (record,) = [read_json(out, p.name) for p in out.glob("planted*.json")]
+        return code, record
+
+    @pytest.mark.parametrize("margin, status", [
+        (1.0, "verified"), (0.0, "verified"), (-0.0, "verified"), (math.inf, "verified"),
+        (-5e-324, "violated"), (-math.inf, "violated"), (math.nan, "violated"),
+    ], ids=["one", "zero", "negative-zero", "inf", "least-negative", "-inf", "nan"])
+    def test_a_check_holds_exactly_when_its_margin_is_at_least_zero(self, tmp_path, monkeypatch, margin, status):
+        code, record = self.run_planted(
+            tmp_path, monkeypatch, lambda config: ({"m": 1}, 0.5, (("only", margin, "here", 1.5),)))
+        assert (code, record["status"], record["tolerance"]) == (_SEVERITY[status], status, 0.5)
+        # strict JSON writes a non-finite margin as null, and a -0.0 as itself
+        assert record["checks"] == [{"name": "only", "margin": margin if math.isfinite(margin) else None}]
+        assert str(record["checks"][0]["margin"]) == str(margin if math.isfinite(margin) else None)
+        assert record.get("witness") == (None if status == "verified" else {"location": "here", "value": 1.5})
+
+    def test_the_first_failing_check_is_the_witness(self, tmp_path, monkeypatch):
+        checks = (("holds", 2.0, "a", 1.0), ("fails", -1.0, "b", 2.0), ("nan", math.nan, "c", 3.0))
+        code, record = self.run_planted(tmp_path, monkeypatch, lambda config: ({}, 1e-6, checks))
+        assert (code, record["status"], record["witness"]) == (2, "violated", {"location": "b", "value": 2.0})
+        assert record["checks"] == [{"name": "holds", "margin": 2.0}, {"name": "fails", "margin": -1.0},
+                                    {"name": "nan", "margin": None}]
+
+    def test_no_check_is_verified(self, tmp_path, monkeypatch):
+        code, record = self.run_planted(tmp_path, monkeypatch, lambda config: ({}, 1e-6, ()))
+        assert (code, record["status"], record["checks"]) == (0, "verified", [])
+        assert "witness" not in record
+
+    def test_an_error_record_has_no_checks_and_a_null_tolerance(self, tmp_path, monkeypatch, capsys):
+        def failing(config):
+            raise IsoflowError("planted failure")
+
+        code, record = self.run_planted(tmp_path, monkeypatch, failing)
+        assert (code, record["status"], record["checks"], record["tolerance"]) == (1, "error", [], None)
+        assert record["metrics"] == {"message": "planted failure"} and "witness" not in record
+        assert "planted failure" in capsys.readouterr().err
+
+
+class TestFoldedGatesAreExact:
+    """Each stage's margin decides as its old comparison did, to the last
+    float: a value planted on the boundary reads verified, and the next
+    float past it reads violated."""
+
+    def test_the_contraction_bound_is_one_plus_tolerance(self, tmp_path, monkeypatch):
+        check = cli.check_contraction
+        bound = 1.0 + cli._TRANSPORT_TOLERANCE
+        for drho, code in ((bound, 0), (np.nextafter(bound, 2.0), 2)):
+            monkeypatch.setattr(cli, "check_contraction",
+                                lambda tmap, tol: check(tmap, tol)._replace(max_derivative=float(drho)))
+            out = str(tmp_path / f"out{code}")
+            assert main(["transport", "--config", GAUSSIAN_CFG, "--out", out]) == code
+            record = read_json(out, "transport.json")
+            assert record["checks"][0] == {"name": "contraction", "margin": bound - drho}
+            if code:
+                assert record["witness"]["value"] == drho
+
+    def test_a_halving_ratio_of_exactly_three_and_a_half_holds(self, tmp_path, monkeypatch):
+        for last, code in ((1.0, 0), (np.nextafter(1.0, 2.0), 2)):
+            residuals = iter((12.25, 3.5, float(last)))
+            monkeypatch.setattr(cli, "jacobi_residual", lambda density, curve: next(residuals))
+            out = str(tmp_path / f"out{code}")
+            assert main(["jacobi", "--config", GAUSSIAN_CFG, "--out", out]) == code
+            record = read_json(out, "jacobi.json")
+            assert record["metrics"]["ratios"][0] == 3.5
+            assert record["checks"][0]["name"] == "halving_ratio"
+            assert record.get("witness") == (None if code == 0 else {"location": f"h={_JACOBI_STEPS[2]}",
+                                                                    "value": 3.5 / last})
+
+    @pytest.mark.parametrize("step", range(3))
+    def test_a_nan_residual_at_any_step_violates(self, tmp_path, monkeypatch, step):
+        """Residuals of 1e-12 pass as an exact shot.  A nan among them
+        passed too at the two finer steps, where Python's max, which keeps
+        its first argument over a nan, read 1e-12."""
+        residuals = iter(math.nan if i == step else 1e-12 for i in range(3))
+        monkeypatch.setattr(cli, "jacobi_residual", lambda density, curve: next(residuals))
+        out = str(tmp_path / "out")
+        assert main(["jacobi", "--config", GAUSSIAN_CFG, "--out", out]) == 2
+        record = read_json(out, "jacobi.json")
+        assert record["status"] == "violated"
+        assert record["checks"] == [{"name": "halving_ratio", "margin": None}]
+        assert record["witness"]["value"] is None
+
+    def test_an_exact_shot_holds_without_ratios(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "jacobi_residual", lambda density, curve: 1e-12)
+        out = str(tmp_path / "out")
+        assert main(["jacobi", "--config", GAUSSIAN_CFG, "--out", out]) == 0
+        assert read_json(out, "jacobi.json")["checks"] == [{"name": "halving_ratio", "margin": 1e-9 - 1e-12}]
+
+    def test_a_vertical_minimum_of_exactly_minus_tolerance_holds(self, tmp_path, monkeypatch):
+        """At c = 0.2500000000349445 the tolerance tau = 1e-6 * 2c is a
+        multiple of 2c's ulp, so a planted gap of 2c - tau puts the vertical
+        minimum at exactly -tau."""
+        cfg = write_cfg(tmp_path, "[density]\nweight = zero\nc = 0.2500000000349445\nslab = -1, 1\n")
+        two_c = 2.0 * load_config(cfg).density.c
+        for lam, code in ((two_c - 1e-6 * two_c, 0), (np.nextafter(two_c - 1e-6 * two_c, 0.0), 2)):
+            monkeypatch.setattr("isoflow.spectrum.spectral_gap_1d",
+                                lambda problem: (float(lam), spectral_gap_1d(problem)[1]))
+            out = str(tmp_path / f"out{code}")
+            assert main(["spectrum", "--config", cfg, "--out", out]) == code
+            record = read_json(out, "spectrum.json")
+            if code == 0:
+                assert record["metrics"]["vertical_index_min"] == -record["tolerance"]
+            assert record["checks"] == [{"name": "vertical_gap",
+                                         "margin": record["metrics"]["vertical_index_min"] + record["tolerance"]}]
+
+    def test_a_non_concave_weight_without_the_flag_has_no_check(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[density]\nweight = quadratic\nparams = -0.4, 0, 0\nc = 0.5\nslab = -5, 5\n")
+        out = str(tmp_path / "out")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+        record = read_json(out, "spectrum.json")
+        assert record["metrics"]["vertical_index_min"] < 0.0 and record["checks"] == []
+
+    @pytest.mark.parametrize("verdict", ["stable", "unstable"])
+    def test_a_witness_of_exactly_minus_tolerance_is_consistent_either_way(self, tmp_path, monkeypatch, verdict):
+        """The unstable side was the one strict gate (w < -tol): a witness of
+        exactly -tol read violated there; it now reads verified on both sides."""
+        real = cli.parallel_halfspace_stability
+        edge = -cli._STABILITY_TOLERANCE
+        past = np.nextafter(edge, 1.0 if verdict == "unstable" else -1.0)
+        for witness, code in ((edge, 0), (float(past), 2)):
+            monkeypatch.setattr(cli, "parallel_halfspace_stability", lambda density, t0: real(density, t0)._replace(
+                verdict=verdict, witness_value=witness))
+            out = str(tmp_path / f"out{code}")
+            assert main(["stability", "--config", GAUSSIAN_CFG, "--out", out]) == code
+            record = read_json(out, "stability.json")
+            assert record["checks"][0]["name"] == "witness_sign"
+            assert record.get("witness") == (None if code == 0 else {"location": "t0=0.0", "value": witness})
 
 
 class TestWholeLineRun:

@@ -17,7 +17,8 @@ both bundled configs, then reads sys.modules.  Two more guards read the
 source: every field of isoflow's NamedTuple reports and _Frozen records
 has a reader outside the tests, and every public function a caller.  One
 more reads it for records built whole: no field is filled after __init__.
-A last one reads README.md: every code reference there still resolves.
+Another reads README.md: every code reference there still resolves.  A
+last one reads cli.py: the stage runner alone decides a verdict.
 """
 
 import ast
@@ -204,3 +205,29 @@ def test_every_readme_code_reference_resolves():
             stale.append(name)
     assert {"Density._cut", "weights._TAIL_MASS", "cli._SCHEMA"} <= names
     assert stale == []
+
+
+def test_run_stage_alone_decides_a_verdict():
+    """A stage that built its own witness decided its own verdict, each by
+    its own comparison.  No cmd_* in cli.py names a witness or builds a
+    "witness" entry, and across src/isoflow only _run_stage writes a
+    record's "witness"."""
+    builders, writers = [], []
+    for path in sorted((ROOT / "src" / "isoflow").glob("*.py")):
+        for function in ast.walk(_parse(path)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.name}:{function.name}"
+            for node in ast.walk(function):
+                named = isinstance(node, ast.Name) and node.id == "witness"
+                keyed = isinstance(node, ast.Constant) and node.value == "witness"
+                if path.name == "cli.py" and function.name.startswith("cmd_") and (named or keyed):
+                    builders.append(f"{where}:{node.lineno}")
+                stored = (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.slice, ast.Constant) and node.slice.value == "witness")
+                entry = isinstance(node, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "witness" for key in node.keys)
+                if stored or entry:
+                    writers.append(where)
+    assert builders == []
+    assert writers == ["cli.py:_run_stage"]
