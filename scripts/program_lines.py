@@ -26,6 +26,12 @@ CS = ("0.25", "0.5", "2")
 SKIPPED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Raise)
 
 
+def sweep_configs() -> list[str]:
+    """The 60-run sweep's config texts: every weight on every slab at every c, default settings."""
+    return [f"[density]\nweight = {weight}\nparams = {WEIGHTS[weight]}\nc = {c}\nslab = {slab}\n"
+            for weight, slab, c in itertools.product(WEIGHTS, SLABS, CS)]
+
+
 def run_all(configs: list[str], out: Path, package: str) -> set:
     """The (file, line) pairs of the package that the runs execute."""
     reached = set()
@@ -65,9 +71,9 @@ def main() -> None:
     package = Path(importlib.util.find_spec("isoflow").submodule_search_locations[0]).resolve()
     with tempfile.TemporaryDirectory() as tmp:
         configs = [str(package / "configs" / name) for name in ("gaussian_slab.cfg", "quadratic_slab.cfg")]
-        for n, (weight, slab, c) in enumerate(itertools.product(WEIGHTS, SLABS, CS) if args.sweep else ()):
+        for n, text in enumerate(sweep_configs() if args.sweep else ()):
             path = Path(tmp) / f"sweep{n}.cfg"
-            path.write_text(f"[density]\nweight = {weight}\nparams = {WEIGHTS[weight]}\nc = {c}\nslab = {slab}\n")
+            path.write_text(text)
             configs.append(str(path))
         reached = run_all(configs, Path(tmp), str(package))
     unreached = []

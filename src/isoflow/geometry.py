@@ -48,14 +48,16 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-9
 _PARALLEL_LINE_NODES = 4001
-_QUARTER_TURN = np.array([-1.0, 1.0])
 # the 12-point Gauss-Legendre rule per segment: nodes as fractions of the segment, weights
 _SEGMENT_LAM, _SEGMENT_GL = 0.5 * (_gauss_legendre(12)[0] + 1.0), _gauss_legendre(12)[1]
 
 
 def _rot90(v: np.ndarray) -> np.ndarray:
-    """Counterclockwise quarter turn, (x, t) ↦ (−t, x), in one product."""
-    return v[..., ::-1] * _QUARTER_TURN
+    """Counterclockwise quarter turn, (x, t) ↦ (−t, x), as a sign flip and a copy."""
+    out = np.empty_like(v)
+    np.negative(v[..., 1], out=out[..., 0])
+    out[..., 1] = v[..., 0]
+    return out
 
 
 def _segment_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -92,22 +94,27 @@ class DiscreteCurve(_Frozen):
             raise GeometryError("points and normals must have shape (m, 2)")
         if cur.shape != (m,):
             raise GeometryError("curvature must have shape (m,)")
-        if not (np.isfinite(pts).all() and np.isfinite(nrm).all()):
+        # ufunc reductions throughout: the ndarray methods add a Python call each
+        if not (np.logical_and.reduce(np.isfinite(pts), axis=None)
+                and np.logical_and.reduce(np.isfinite(nrm), axis=None)):
             raise GeometryError("curve data must be finite")
         norms = np.hypot(nrm[:, 0], nrm[:, 1])
-        if np.abs(norms - 1.0).max() > 1e-9:
+        norms -= 1.0
+        if np.maximum.reduce(np.abs(norms, out=norms)) > 1e-9:
             raise GeometryError("normals must be unit vectors")
         ell = _segment_lengths(pts, closed)
-        shortest, longest = ell.min(), ell.max()
+        shortest, longest = np.minimum.reduce(ell), np.maximum.reduce(ell)
         if shortest <= 0.0:
             raise GeometryError("consecutive nodes must be distinct")
-        nominal = float(ell.mean())
+        nominal = float(np.add.reduce(ell) / ell.size)  # ell.mean()'s bits
         if longest > 2.2 * nominal or shortest < nominal / 2.2:
             raise GeometryError("arclength spacing drifts beyond [h/2.2, 2.2h]")
         # normals orthogonal to the discrete tangent up to O(h²): |chord·N| <= 0.05 |chord|
         chord = pts[2:] - pts[:-2]
-        skew = np.abs(chord[:, 0] * nrm[1:-1, 0] + chord[:, 1] * nrm[1:-1, 1])
-        if (skew > 0.05 * np.hypot(chord[:, 0], chord[:, 1])).any():
+        cx, ct = chord[:, 0], chord[:, 1]
+        skew = cx * nrm[1:-1, 0]
+        skew += ct * nrm[1:-1, 1]
+        if np.logical_or.reduce(np.abs(skew, out=skew) > 0.05 * np.hypot(cx, ct)):
             raise GeometryError("normals are not orthogonal to the curve")
 
     @property
@@ -130,7 +137,8 @@ def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
         x, y = points[[0, 1, 2, -3, -2, -1]].T.tolist()
         h = [math.hypot(x[i + 1] - x[i], y[i + 1] - y[i]) for i in (0, 1, 3, 4)]
         d[0], d[-1] = zip(_end_slopes(x, h), _end_slopes(y, h))
-    return d / np.hypot(d[:, 0], d[:, 1])[:, None]
+    d /= np.hypot(d[:, 0], d[:, 1])[:, None]
+    return d
 
 
 def _end_slopes(f, ds) -> tuple:
@@ -162,17 +170,19 @@ def _slope(theta: np.ndarray, s: np.ndarray) -> np.ndarray:
     k = np.empty(theta.shape)
     k[1:-1] = (-h2 / (h1 * (h1 + h2)) * theta[:-2] + (h2 - h1) / (h1 * h2) * theta[1:-1]
                + h1 / (h2 * (h1 + h2)) * theta[2:])
-    k[0], k[-1] = _end_slopes(theta, ds)
+    # in Python floats: a few scalars, where numpy's per-call cost dominates
+    k[0], k[-1] = _end_slopes(theta[[0, 1, 2, -3, -2, -1]].tolist(), ds[[0, 1, -2, -1]].tolist())
     return k
 
 
 def _check_in_slab(density: Density, points: np.ndarray) -> None:
     a, b = density.slab
-    lowest, highest = points[:, 1].min(), points[:, 1].max()
+    heights = points[:, 1]
+    lowest, highest = float(np.minimum.reduce(heights)), float(np.maximum.reduce(heights))
     # a non-finite height lies in no slab, but would pass the scaled test below
     if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise DomainError("curve exits the slab")
-    if not np.isfinite(points[:, 0]).all():  # refused before the callers' arithmetic warns
+    if not np.logical_and.reduce(np.isfinite(points[:, 0])):  # refused before the callers' arithmetic warns
         raise GeometryError("curve data must be finite")
     scale = 1.0 + max(abs(lowest), abs(highest))
     if lowest < a - _BOUNDARY_TOL * scale or highest > b + _BOUNDARY_TOL * scale:
@@ -230,7 +240,7 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
         raise GeometryError("curve needs at least 3 nodes")
     _check_in_slab(density, points)
     ell = _segment_lengths(points, closed)
-    if ell.min() <= 0.0:  # before the tangents, where 0/0 warns
+    if np.minimum.reduce(ell) <= 0.0:  # before the tangents, where 0/0 warns
         raise GeometryError("consecutive nodes must be distinct")
     tangents = _unit_tangents(points, closed)
     normals = _rot90(tangents)
@@ -239,7 +249,8 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     if closed:  # continue θ and s one node across the closing segment
         theta = np.concatenate((theta[-1:], theta, theta[:1]))
         s = np.concatenate(([-ell[-1]], s, [s[-1] + ell[-1]]))
-    if (np.abs(theta[1:] - theta[:-1]) < math.pi).all():
+    turn = theta[1:] - theta[:-1]
+    if np.logical_and.reduce(np.abs(turn, out=turn) < math.pi):
         theta[1:] += 0.0  # np.unwrap's bits, signed zeros included, when nothing wraps
     else:
         theta = np.unwrap(theta)
@@ -253,19 +264,28 @@ def f_mean_curvature(density: Density, curve: DiscreteCurve) -> np.ndarray:
     return curve.curvature - np.sum(grad * curve.normals, axis=-1)
 
 
+def _segment_nodes(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segment lengths of the polyline through the nodes (x_i, t_i), and
+    the (m - 1, 12) Gauss-Legendre nodes of its segments per axis, one row
+    per segment, each built in place."""
+    dx, dt = x[1:] - x[:-1], t[1:] - t[:-1]
+    px, pt = dx[:, None] * _SEGMENT_LAM, dt[:, None] * _SEGMENT_LAM
+    px += x[:-1, None]
+    pt += t[:-1, None]
+    return np.hypot(dx, dt), px, pt
+
+
+def _segment_sum(ell: np.ndarray, f: np.ndarray) -> float:
+    """∫ f dℓ from f at the segments' Gauss nodes: each segment's rule is a
+    row of the matrix-vector product."""
+    return float(np.add.reduce(0.5 * ell * (f @ _SEGMENT_GL)))
+
+
 def _polyline_weighted_length(density: Density, pts: np.ndarray) -> float:
     """∫ f dℓ along the polyline through pts, 12-point Gauss-Legendre per segment."""
-    p0 = pts[:-1]
-    seg = pts[1:] - p0
-    ell = np.hypot(seg[:, 0], seg[:, 1])
-    # the (12, m - 1) nodes per axis, each built in place along the segments
-    px, pt = _SEGMENT_LAM[:, None] * seg[:, 0], _SEGMENT_LAM[:, None] * seg[:, 1]
-    px += p0[:, 0]
-    pt += p0[:, 1]
+    ell, px, pt = _segment_nodes(pts[:, 0], pts[:, 1])
     f = density.psi(px, pt)
-    np.exp(f, out=f)
-    # each segment's rule as the matrix-vector product of the (m - 1, 12) layout
-    return float((0.5 * ell * (f.T.copy() @ _SEGMENT_GL)).sum())
+    return _segment_sum(ell, np.exp(f, out=f))
 
 
 def curve_weighted_length(density: Density, curve: DiscreteCurve) -> float:

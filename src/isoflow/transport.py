@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .geometry import DiscreteCurve, _check_in_slab, _polyline_weighted_length, curve_weighted_length
+from .geometry import DiscreteCurve, _check_in_slab, _segment_nodes, _segment_sum, curve_weighted_length
 from .weights import (
     Density,
     ZeroWeight,
@@ -174,15 +174,23 @@ def transported_perimeter_bound(tmap: TransportMap, curve: DiscreteCurve) -> Per
     engine (wall nodes land at the clipped quantile) and joined into a
     polyline.
     """
-    density, points, n = tmap.target, curve.points, curve.n_nodes
-    p_f = curve_weighted_length(density, curve)
+    density, points, c = tmap.target, curve.points, tmap.source.c
     _check_in_slab(density, points)
-    clip_span = _Z_CLIP / math.sqrt(2.0 * tmap.source.c)
-    pulled = np.empty((n + curve.closed, 2))  # a closed curve repeats its first node
-    pulled[:n, 0] = points[:, 0]
-    np.clip(_inverse_map(tmap, points[:, 1]), -clip_span, clip_span, out=pulled[:n, 1])
-    pulled[n:] = pulled[:1]
-    p_gauss = _polyline_weighted_length(tmap.source, pulled)
+    p_f = curve_weighted_length(density, curve)
+    clip_span = _Z_CLIP / math.sqrt(2.0 * c)
+    sigma = _inverse_map(tmap, points[:, 1])
+    np.minimum(np.maximum(sigma, -clip_span, out=sigma), clip_span, out=sigma)  # np.clip's bits
+    x = points[:, 0]
+    if curve.closed:  # a closed curve repeats its first node
+        x, sigma = np.append(x, x[0]), np.append(sigma, sigma[0])
+    # e^{-c (x^2 + s^2)} at the segments' nodes: the source's psi is 0.0 - c y,
+    # the same bits as (-c) y wherever y != 0, and e^{+-0} = 1
+    ell, px, pt = _segment_nodes(x, sigma)
+    px *= px
+    pt *= pt
+    px += pt
+    px *= -c
+    p_gauss = _segment_sum(ell, np.exp(px, out=px))
     bound = (tmap.alpha / tmap.beta) * p_gauss
     return PerimeterBoundReport(
         weighted_perimeter=p_f,

@@ -35,7 +35,9 @@ factor (pi/c)^((n-1)/2) multiplies V and P alike.  This module owns
     A slab too wide for the engine's panels, or whose weighted volume under-
     or overflows, is refused when its Density is built,
   * the closed-form normalized Gaussian CDF and its quantile from either
-    tail, on the standard library's erfc and Wichura's AS241 normal quantile.
+    tail, on the standard library's erfc and Wichura's AS241 normal quantile,
+    whose three rational branches run as one Horner pass, each element with
+    its own branch's coefficients.
 """
 
 from __future__ import annotations
@@ -115,8 +117,17 @@ class QuadraticWeight(Weight1D, _Frozen):
         vars(self).update(kappa=kappa, a0=a0, b0=b0)
 
     def value(self, t):
+        """-kappa t t + a0 t + b0 in that order, built in place.  At kappa = +0.0
+        the square term is -0.0 on every finite t and -0.0 + y = y, so it is
+        left out: the same bits, and +-inf instead of nan at t = +-inf."""
         t = np.asarray(t, dtype=float)
-        return -self.kappa * t * t + self.a0 * t + self.b0
+        out = self.a0 * t
+        if self.kappa != 0.0 or math.copysign(1.0, self.kappa) < 0.0:
+            square = -self.kappa * t
+            square *= t
+            out += square
+        out += self.b0
+        return out
 
     def deriv(self, t):
         if not isinstance(t, float):
@@ -362,9 +373,10 @@ def gaussian_cdf(c: float, s):
 
 
 # Wichura's AS241 (PPND16, Appl. Statist. 37, 1988), as in the standard library's
-# statistics.NormalDist: for the central branch and the two tail branches, numerator
-# then denominator, highest power first, stored as one column each for one Horner pass
-_AS241 = tuple(np.reshape(branch, (2, 8)).T[:, :, None] for branch in (
+# statistics.NormalDist: numerator then denominator, highest power first, one column
+# each for the central branch and the two tail branches, so that indexing the last
+# axis by each element's branch gives one Horner pass its coefficients
+_AS241 = np.reshape((
     (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
      13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665,
      5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
@@ -377,12 +389,7 @@ _AS241 = tuple(np.reshape(branch, (2, 8)).T[:, :, None] for branch in (
      0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103,
      2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133,
      0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0),
-))
-
-
-def _as241(branch: int, r: np.ndarray) -> np.ndarray:
-    numerator, denominator = _horner(_AS241[branch], r) if r.size else (r, 1.0)
-    return numerator / denominator
+), (3, 2, 8)).transpose(2, 1, 0)  # (power, numerator | denominator, branch)
 
 
 def _tail_masses(p, lower, name: str) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -401,25 +408,33 @@ def gaussian_quantile(c: float, p, lower):
     """s whose tail below (where lower) or above it has the Gaussian mass p;
     p = 0 gives -inf or +inf.  Passed the smaller tail's mass, deep
     quantiles keep full relative accuracy on either side.  The standard
-    normal quantile is AS241 (about 1e-16 relative), each of its three
-    branches evaluated on its own elements only.  lower is a boolean of p's
+    normal quantile is AS241 (about 1e-16 relative) in one Horner pass:
+    each element reads its own branch's argument and coefficients (central,
+    tail r <= 5 or far tail), and Horner's steps are elementwise, so it gets
+    the bits of its branch evaluated alone.  lower is a boolean of p's
     shape; another lower, or a p that is nan or outside [0, 1], raises
     DomainError, and a c that is not a finite number > 0 ValueError.
     """
     _gaussian_c(c)
     shape, p, lower = _tail_masses(p, lower, "gaussian quantile")
     d = np.where(lower, p - 0.5, 0.5 - p)
-    x = np.empty(d.shape)
     central = np.abs(d) <= 0.425
-    dc = d[central]
-    x[central] = dc * _as241(0, 0.180625 - dc * dc)
-    tail = ~central
-    with np.errstate(divide="ignore"):
-        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)[tail]))  # the smaller tail, when p is past 1/2
-    v = np.full(r.shape, np.inf)  # r = inf at a zero tail probability
-    near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
-    v[near], v[far] = _as241(1, r[near] - 1.6), _as241(2, r[far] - 5.0)
-    x[tail] = np.where(d[tail] < 0.0, -v, v)
+    argument, branch = 0.180625 - d * d, np.zeros(d.shape, dtype=np.intp)
+    tail = not np.logical_and.reduce(central)
+    if tail:
+        with np.errstate(divide="ignore"):
+            r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))  # the smaller tail, when p is past 1/2
+        near = r <= 5.0
+        branch = np.where(central, branch, np.where(near, 1, 2))
+        argument = np.where(central, argument, r - np.where(near, 1.6, 5.0))
+    # numerators then denominators end to end, so the pass runs in 1-D
+    with np.errstate(invalid="ignore"):  # a zero tail reads r = inf, then inf / inf
+        terms = _horner(_AS241[:, :, branch].reshape(8, 2 * d.size), np.concatenate((argument, argument)))
+        ratio = terms[: d.size] / terms[d.size :]
+    x = d * ratio
+    if tail:
+        v = np.where(r == np.inf, np.inf, ratio)  # r = inf at a zero tail probability
+        x = np.where(central, x, np.where(d < 0.0, -v, v))
     return x.reshape(shape) / math.sqrt(2.0 * c)
 
 
@@ -615,14 +630,17 @@ class CumulativeDensity1D:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
         Rows in a log-power first panel integrate by Gauss-Jacobi alone.  Each
         rule is summed in node order, so a row's bits do not depend on the batch."""
-        out, live = np.zeros(a.shape), b > a
+        out, live = None, b > a  # out is allocated only when some row is not a plain GL row
         if self._power is not None:
             first = live & (b <= self.breaks[1])
-            if first.any():
+            if np.logical_or.reduce(first):
+                out = np.zeros(a.shape)
                 out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
                 live &= ~first
-        every = live.all()
-        a, b = (a, b) if every else (a[live], b[live])
+        every = np.logical_and.reduce(live)
+        if not every:
+            out = np.zeros(a.shape) if out is None else out
+            a, b = a[live], b[live]
         half = 0.5 * (b - a)
         t = self._glx[:, None] * half  # the (order, rows) Gauss nodes, built in place
         t += 0.5 * (a + b)
@@ -642,12 +660,15 @@ class CumulativeDensity1D:
     def _locate(self, t):
         """Flattened t clamped to the breaks, its panel index, and its shape;
         nan raises DomainError (+-inf clamps to an edge)."""
-        shape = np.shape(t)
+        shape, breaks = np.shape(t), self.breaks
         t = np.asarray(t, dtype=float).ravel()
-        if np.isnan(t).any():
+        if np.logical_or.reduce(np.isnan(t)):
             raise DomainError("mass abscissa is nan")
-        t = np.minimum(np.maximum(t, self.breaks[0]), self.breaks[-1])
-        j = np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self.breaks.size - 2)
+        t = np.maximum(t, breaks[0])
+        np.minimum(t, breaks[-1], out=t)
+        j = breaks.searchsorted(t, side="right")
+        j -= 1
+        np.minimum(j, breaks.size - 2, out=j)
         return t, j, shape
 
     def mass_below(self, t):
@@ -665,8 +686,9 @@ class CumulativeDensity1D:
 
     def _tail(self, t: np.ndarray, j: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The mass below t (where lower) or above it, for t in panel j."""
-        a, b = self.breaks[j], self.breaks[j + 1]
-        base = np.where(lower, self._cum_left[j], self._cum_right[j + 1])
+        after = j + 1
+        a, b = self.breaks[j], self.breaks[after]
+        base = np.where(lower, self._cum_left[j], self._cum_right[after])
         return base + self._partial(np.where(lower, a, t), np.where(lower, t, b))
 
     def tail_sides(self, t):
@@ -677,12 +699,15 @@ class CumulativeDensity1D:
         t, j, shape = self._locate(t)
         lower = j <= self._median_panel
         both = np.nonzero(j == self._median_panel)[0]  # a median-panel height's upper side rides in the one batch
-        k = np.concatenate((np.arange(t.size), both))
-        mass = self._tail(t[k], j[k], np.concatenate((lower, np.zeros(both.size, dtype=bool)))) / self.total
-        p, past = mass[: t.size], mass[both] > 0.5
-        p[both[past]], lower[both[past]] = mass[t.size :][past], False
+        if both.size:
+            k = np.concatenate((np.arange(t.size), both))
+            mass = self._tail(t[k], j[k], np.concatenate((lower, np.zeros(both.size, dtype=bool)))) / self.total
+            p, past = mass[: t.size], mass[both] > 0.5
+            p[both[past]], lower[both[past]] = mass[t.size :][past], False
+        else:
+            p = self._tail(t, j, lower) / self.total
         late = lower & (p > 0.5)  # the lower mass rounded past 1/2 below the median panel
-        if late.any():
+        if np.logical_or.reduce(late):
             lower[late] = False
             p[late] = self._tail(t[late], j[late], lower[late]) / self.total
         return _shaped(p, shape), _shaped(lower, shape)
@@ -727,11 +752,12 @@ class CumulativeDensity1D:
         width = edge_b - edge_a
         depth = self._start(j, lower, target - base, through - base, width)
         t = np.where(lower, edge_a + width * depth, edge_b - width * depth)
+        edge = np.where(lower, edge_a, edge_b)  # the solved side's edge
         # the bracket, and the rows still iterating: whole arrays until a row
         # is done, then only the rows left, by their places k in the output
         a, b, out, k = edge_a, edge_b, np.empty(t.size), np.arange(t.size)
         for _ in range(_QUANTILE_MAX_STEPS):
-            f = offset + sign * self._partial(np.where(lower, edge_a, t), np.where(lower, t, edge_b))
+            f = offset + sign * self._partial(np.where(lower, edge, t), np.where(lower, t, edge))
             a = np.where(f < 0.0, t, a)
             b = np.where(f > 0.0, t, b)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -740,11 +766,11 @@ class CumulativeDensity1D:
             done = (f == 0.0) | (np.abs(step) <= np.spacing(np.abs(t))) | (
                 b <= np.nextafter(a, np.inf)
             )
-            if done.any():
+            if np.logical_or.reduce(done):
                 out[k[done]] = t[done]
                 keep = ~done
-                k, newton, a, b, edge_a, edge_b, offset, sign, lower = (
-                    x[keep] for x in (k, newton, a, b, edge_a, edge_b, offset, sign, lower)
+                k, newton, a, b, edge, offset, sign, lower = (
+                    x[keep] for x in (k, newton, a, b, edge, offset, sign, lower)
                 )
                 if not k.size:
                     return out

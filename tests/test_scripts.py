@@ -1,6 +1,8 @@
-"""Smoke tests for scripts/program_lines.py and the README's Python example."""
+"""Smoke tests for scripts/program_lines.py, scripts/drift.py and the README's Python example."""
 
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,26 @@ def test_program_lines_traces_its_own_checkout_without_pythonpath():
     assert done.returncode == 0, done.stderr
     *listed, last = done.stdout.splitlines()
     assert last == f"{len(listed)} statements no run reached"
+
+
+def test_drift_reads_no_move_against_itself_and_a_planted_ulp(tmp_path):
+    """The checkout against itself drifts nowhere; one ulp planted in the
+    transport grid's span moves transport.csv and the pushforward residual,
+    and the script says so and exits 1."""
+    drift, config = str(ROOT / "scripts" / "drift.py"), str(ROOT / "src" / "isoflow" / "configs" / "gaussian_slab.cfg")
+    same = run_python(drift, str(ROOT), "--config", config)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.splitlines() == ["0 of 1 runs drift; 16 files compared"]
+
+    shutil.copytree(ROOT / "src" / "isoflow", tmp_path / "src" / "isoflow", ignore=shutil.ignore_patterns("__pycache__"))
+    transport = tmp_path / "src" / "isoflow" / "transport.py"
+    span = "7.3487961028006765"
+    text = transport.read_text(encoding="utf-8")
+    assert text.count(span) == 1
+    transport.write_text(text.replace(span, repr(math.nextafter(float(span), 8.0))), encoding="utf-8")
+    moved = run_python(drift, str(tmp_path), "--config", config)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    lines = moved.stdout.splitlines()
+    assert lines[0] == "00_gaussian_slab.cfg:" and lines[-1] == "1 of 1 runs drift; 16 files compared"
+    assert any(line.startswith("  transport.csv s: max abs ") for line in lines)
+    assert any("/metrics/pushforward_max_residual: max abs" in line for line in lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from isoflow import (
     ZeroWeight,
 )
 from isoflow.geometry import (
+    DiscreteCurve,
     _polyline_weighted_length,
     curve_weighted_length,
     polyline_curve,
@@ -30,6 +32,7 @@ from isoflow.geometry import (
 import isoflow.transport as transport
 from isoflow.profiles import build_profile, compare_profiles
 from isoflow.cli import _PUSHFORWARD_TOLERANCE
+from isoflow.spectrum import poincare_certify
 from isoflow.transport import (
     TransportMap,
     build_transport,
@@ -231,6 +234,18 @@ class TestPushforwardCheck:
 
 
 class TestPerimeterBound:
+    @pytest.mark.parametrize("weight", [LogPowerWeight(2.0), ZeroWeight()])
+    def test_a_curve_below_the_slab_is_refused_before_it_is_integrated(self, weight):
+        """A curve that dips below t = 0 on (0, 1) exits the slab.  The bound
+        integrated it first, so on the log-power slab the weight refused it
+        as "log-power weight is defined on (0, inf)" instead."""
+        d = Density(weight, 0.5, 2, (0.0, 1.0))
+        t = np.linspace(-0.1, 0.9, 101)
+        curve = DiscreteCurve(np.stack([np.zeros_like(t), t], axis=-1), np.tile([-1.0, 0.0], (101, 1)),
+                              np.zeros(101))
+        with pytest.raises(DomainError, match="curve exits the slab"):
+            transported_perimeter_bound(build_transport(d), curve)
+
     def test_vertical_chord_is_equality(self):
         d = Density(QuadraticWeight(1.0, 0.3, 0.0), 0.5, 2, (-1.0, 1.0))
         m = build_transport(d)
@@ -508,3 +523,47 @@ class TestOneCallPerBatch:
             m = build_transport(d)
             for curve in sweep_curves(d, rng):
                 assert transported_perimeter_bound(m, curve).slack == parent_slack(m, curve)
+
+
+def bound_path_digest() -> str:
+    """sha256 over every output of the perimeter-bound path on the 14 sweep
+    densities at c = 1/2: both profiles, rho and rho', both pushforward
+    residuals, each curve's points, normals and curvature with its P_f,
+    bound and slack (sweep_curves, then three vertical lines on a bounded
+    slab), and the spectral gap with its eigenvector."""
+    rng = np.random.default_rng(2406)
+    digest = hashlib.sha256()
+
+    def put(*values):
+        for value in values:
+            value = np.ascontiguousarray(value, dtype=float)
+            digest.update(repr(value.shape).encode())
+            digest.update(value.tobytes())
+
+    for weight, slab in SIDE_DENSITIES:
+        d = Density(weight, 0.5, 2, slab)
+        a, b = slab
+        for family in ("parallel", "perpendicular"):
+            prof = build_profile(d, family, grid_size=257)
+            put(prof.s, prof.V, prof.A, prof.v, prof.F, prof.dF, prof.ddF, prof.v_total)
+        m = build_transport(d)
+        put(m.s, m.rho, m.drho, m.alpha, m.beta)
+        intervals = np.sort(rng.uniform(max(a, -4.0), min(b, 4.0), (50, 2)), axis=1)
+        put(*pushforward_check(m, intervals=intervals), *pushforward_check(m))
+        curves = sweep_curves(d, rng)
+        if math.isfinite(a) and math.isfinite(b):
+            curves += [vertical_segment(d, x0, n=401) for x0 in rng.uniform(-1.0, 1.0, 3)]
+        for curve in curves:
+            put(curve.points, curve.normals, curve.curvature, *transported_perimeter_bound(m, curve))
+        cert = poincare_certify(d, n_cells=2000)
+        put(cert.lambda_value, cert.truncation_shift, cert.eigenvector)
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6", reason="recorded with numpy 2.4.6: the gap passes "
+                    "through BLAS products, and the Gaussian CDF through libm's erfc")
+def test_bound_path_digest():
+    """No CLI golden reads the perimeter bound, polyline_curve or the
+    interval pushforward, and their oracles above call the same kernels, so
+    this digest pins their bits."""
+    assert bound_path_digest() == "63bdacae6135cf90296382848bceebad4241ee00cf4bcf40beda96fb82e50e13"

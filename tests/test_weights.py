@@ -281,6 +281,36 @@ class TestKappaZero:
         assert np.array_equal(d2.view(np.uint64), np.zeros(t.shape).view(np.uint64))
         assert np.array_equal(QuadraticWeight(1.3, a0, b0).deriv2(t), np.full(t.shape, -2.6))
 
+    @pytest.mark.parametrize("kappa", [0.0, -0.0, 1.5])
+    def test_value_is_the_general_formula_bit_for_bit(self, kappa):
+        """At kappa = +0.0 value forms a0 t + b0 alone: -0.0 t t is -0.0 on a
+        finite t, and -0.0 + y = y, signed zeros and subnormals included.
+        kappa = -0.0 makes +0.0 t t, which would turn a -0.0 into +0.0, so it
+        takes the general form."""
+        tiny = np.array([0.0, 1e-300, 5e-324, 1e308, 1.0, 0.3, 7.25])
+        t = np.concatenate((tiny, -tiny))
+        for a0 in (0.0, -0.0, 0.7, -3.0, 5e-324):
+            for b0 in (0.0, -0.0, 2.0, -1e-300):
+                with np.errstate(over="ignore", invalid="ignore"):  # inf - inf past 1e154 at kappa != 0
+                    want = -kappa * t * t + a0 * t + b0
+                    got = QuadraticWeight(kappa, a0, b0).value(t)
+                assert got.tobytes() == want.tobytes(), (a0, b0)
+                for x, y in zip(t, want):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert QuadraticWeight(kappa, a0, b0).value(x).tobytes() == y.tobytes()
+
+    def test_value_at_an_infinite_height(self):
+        """The kappa = 0 form reads a0 t + b0, so +-inf with a0 != 0 (the
+        general form read inf - inf = nan) and nan with a0 = 0; no program
+        evaluates omega at an infinite height."""
+        t = np.array([INF, -INF])
+        assert QuadraticWeight(0.0, 0.7, 1.0).value(t).tolist() == [INF, -INF]
+        assert AffineWeight(-2.0).value(t).tolist() == [-INF, INF]
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(ZeroWeight().value(t)).all()
+            for kappa in (-0.0, 1.0):  # the general form: inf - inf = nan where the terms' signs differ
+                np.testing.assert_array_equal(QuadraticWeight(kappa, 0.7, 1.0).value(t), -kappa * t * t + 0.7 * t + 1.0)
+
 
 class NanLeftOfZero(Weight1D):
     """A weight that is nan left of zero and 0 right of it."""
@@ -850,6 +880,37 @@ def two_array_sides(cum, t):
     return (float(q[0]), float(q_up[0])) if shape == () else (q.reshape(shape), q_up.reshape(shape))
 
 
+def as241(branch: int, r: np.ndarray) -> np.ndarray:
+    """One AS241 branch's ratio, numerator over denominator, by Horner on
+    the elements of r alone."""
+    if not r.size:
+        return r
+    numerator, denominator = (weights._AS241[0, :, branch, None] * r)
+    numerator, denominator = numerator + weights._AS241[1, 0, branch], denominator + weights._AS241[1, 1, branch]
+    for row in weights._AS241[2:]:
+        numerator, denominator = numerator * r + row[0, branch], denominator * r + row[1, branch]
+    return numerator / denominator
+
+
+def branchwise_quantile(c, d, tail, negative):
+    """The normal quantile with each AS241 branch evaluated on its own
+    elements only, the evaluation gaussian_quantile made before it ran every
+    element through one Horner pass: d is p - 1/2 on the lower side and
+    1/2 - p on the upper, tail the smaller tail's mass and negative the side
+    of a tail element; the result is over sqrt(2c)."""
+    x = np.empty(d.shape)
+    central = np.abs(d) <= 0.425
+    dc = d[central]
+    x[central] = dc * as241(0, 0.180625 - dc * dc)
+    with np.errstate(divide="ignore"):
+        r = np.sqrt(-np.log(tail[~central]))
+    v = np.full(r.shape, np.inf)
+    near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
+    v[near], v[far] = as241(1, r[near] - 1.6), as241(2, r[far] - 5.0)
+    x[~central] = np.where(negative[~central], -v, v)
+    return x / math.sqrt(2.0 * c)
+
+
 def two_array_quantile(c, q, q_upper):
     """The two-array gaussian_quantile(c, q, q_upper) that the (p, lower)
     route replaced, written out as its reference: the complement q_upper =
@@ -859,18 +920,16 @@ def two_array_quantile(c, q, q_upper):
     shape, q, q_upper = q.shape, q.ravel(), q_upper.ravel()
     lower = q <= 0.5
     d = np.where(lower, q - 0.5, 0.5 - q_upper)
-    x = np.empty(d.shape)
-    central = np.abs(d) <= 0.425
-    dc = d[central]
-    x[central] = dc * weights._as241(0, 0.180625 - dc * dc)
-    tail = ~central
-    with np.errstate(divide="ignore"):
-        r = np.sqrt(-np.log(np.where(lower, q, q_upper)[tail]))
-    v = np.full(r.shape, np.inf)
-    near, far = r <= 5.0, np.isfinite(r) & (r > 5.0)
-    v[near], v[far] = weights._as241(1, r[near] - 1.6), weights._as241(2, r[far] - 5.0)
-    x[tail] = np.where(lower[tail], -v, v)
-    return x.reshape(shape) / math.sqrt(2.0 * c)
+    return branchwise_quantile(c, d, np.where(lower, q, q_upper), lower).reshape(shape)
+
+
+def branchwise_side_quantile(c, p, lower):
+    """gaussian_quantile(c, p, lower) with its branches evaluated apart, as
+    it was written before the one-pass form.  Probabilities are not validated."""
+    p, lower = np.asarray(p, dtype=float), np.asarray(lower)
+    shape, p, lower = p.shape, p.ravel(), lower.ravel()
+    d = np.where(lower, p - 0.5, 0.5 - p)
+    return branchwise_quantile(c, d, np.minimum(p, 1.0 - p), d < 0.0).reshape(shape)
 
 
 # the 14 acceptance-sweep densities; log-power 2 on (0, inf) has a
@@ -1044,6 +1103,23 @@ class TestTailSides:
                 old_s = two_array_quantile(c, np.minimum(old_q, 1.0), np.minimum(old_up, 1.0))
                 assert gaussian_quantile(c, p, lower).tobytes() == old_s.tobytes()
                 assert gaussian_quantile(c, p, lower).tobytes() == two_array_quantile(c, q, q_up).tobytes()
+
+    @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
+    def test_batches_with_and_without_a_median_panel_height(self, weight, slab):
+        """A batch with no height in the median panel takes no second batch
+        for the upper side; with or without one, p is mass_below or
+        mass_above over the total, bit for bit, on the side the rule picks."""
+        rng = np.random.default_rng(5302)
+        for c in (0.5, 2.0):
+            cum = CumulativeDensity1D(Density(weight, c, 2, slab))
+            heights = probe_heights(cum, rng)
+            in_median = cum._locate(heights)[1] == cum._median_panel
+            assert in_median.any() and not in_median.all()
+            for t in (heights, heights[~in_median], heights[in_median]):
+                p, lower = cum.tail_sides(t)
+                below, above = two_pass_sides(cum, t)
+                assert np.array_equal(lower, below <= 0.5)
+                assert p.tobytes() == np.where(lower, below, above).tobytes()
 
     @pytest.mark.parametrize("weight, slab", SIDE_DENSITIES)
     def test_scalars_match_the_two_array_route(self, weight, slab):
@@ -1352,6 +1428,30 @@ class TestGaussianQuantile:
         assert s[0] == -INF and s[1] == INF and s[2] == 0.0 and s[3] == 0.0
         assert float(gaussian_quantile(0.5, 0.025, False)) == pytest.approx(1.959963984540054)
         assert gaussian_quantile(0.5, 0.025, True) == -gaussian_quantile(0.5, 0.025, False)
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+    def test_one_pass_equals_the_branchwise_evaluation(self, c):
+        """Bit for bit against each branch evaluated on its own elements:
+        the ends 0 and 1, the least subnormal, e^-25 (r = 5, where the tail
+        branches meet) and its neighbours, the central boundary 0.075 and
+        its neighbours, masses past 1/2, and random masses down to 1e-320;
+        on either side, in whole batches, in chunks that give each call
+        other rows (some wholly central, some with no far tail) and as scalars."""
+        rng = np.random.default_rng(5301)
+        e25 = math.exp(-25.0)
+        marks = [0.0, 1.0, 5e-324, 1e-320, e25, 0.075, 0.5, 0.925, 1.0 - 1e-16]
+        special = np.concatenate([marks, np.nextafter(marks[2:], 0.0), np.nextafter(marks[2:], 1.0)])
+        p = np.concatenate([special, rng.uniform(0.0, 1.0, 3000), 10.0 ** -rng.uniform(0.0, 320.0, 3000),
+                            rng.uniform(0.075, 0.5, 500)])
+        for lower in (np.ones(p.shape, dtype=bool), np.zeros(p.shape, dtype=bool), rng.random(p.size) < 0.5):
+            assert gaussian_quantile(c, p, lower).tobytes() == branchwise_side_quantile(c, p, lower).tobytes()
+            cuts = np.cumsum(rng.integers(1, 60, p.size))
+            cuts = cuts[cuts < p.size]
+            for chunk, side in zip(np.split(p, cuts), np.split(lower, cuts)):
+                assert gaussian_quantile(c, chunk, side).tobytes() == branchwise_side_quantile(c, chunk, side).tobytes()
+            for x, side in zip(special, lower):
+                got = gaussian_quantile(c, x, side)
+                assert np.shape(got) == () and got.tobytes() == branchwise_side_quantile(c, x, side).tobytes()
 
 
 class TestGaussLegendreCache:
