@@ -1,6 +1,6 @@
 """Compare every output of the in-process `isoflow all` runs between a parent and this checkout.
 
-    python scripts/drift.py PARENT [--config PATH ...]
+    python scripts/drift.py PARENT
 
 PARENT is a git revision of this repository, or a directory that holds
 src/isoflow.  Each side's src/isoflow is copied, without __pycache__, into a
@@ -8,8 +8,8 @@ temporary directory, and one child process per side runs `isoflow all` in
 process from that copy on each config, with the same relative config and
 output paths on both sides.  The runs are the 63 of a change's evidence:
 both bundled configs, the 60-run sweep of scripts/program_lines.py and the
-convex counterexample (quadratic -0.2, 0, 0 on R) with expect_bound; each
---config replaces them with that config, read from this checkout.
+convex counterexample (quadratic -0.2, 0, 0 on R) with expect_bound.
+drift(parent, configs) runs any other set, given as config texts by name.
 
 Prints what differs run by run: the exit code, stderr, each record's status
 and each file.  For a CSV or JSON file whose content moved it prints the
@@ -67,7 +67,11 @@ def copy_side(parent: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", parent, "src/isoflow"],
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        for member in tar:  # the archive of src/isoflow: its directories and regular files
+            if member.isfile():
+                path = dest / member.name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(tar.extractfile(member).read())
 
 
 def start_side(work: Path, configs: dict[str, str]) -> subprocess.Popen:
@@ -169,26 +173,24 @@ def compare_file(a: Path, b: Path) -> list[str] | None:
         "rows differ in length"]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="git revision, or a directory holding src/isoflow")
-    parser.add_argument("--config", action="append", default=[], help="run this config instead of the 63")
-    args = parser.parse_args()
-    if args.config:
-        configs = {f"{n:02d}_{Path(p).name}": Path(p).read_text(encoding="utf-8") for n, p in enumerate(args.config)}
-    else:
-        bundled = ROOT / "src" / "isoflow" / "configs"
-        configs = {name: (bundled / name).read_text(encoding="utf-8")
-                   for name in ("gaussian_slab.cfg", "quadratic_slab.cfg")}
-        configs.update({f"sweep{n:02d}.cfg": text for n, text in enumerate(sweep_configs())})
-        configs["convex.cfg"] = CONVEX
+def evidence_configs() -> dict[str, str]:
+    """The 63 runs of a change's evidence, config text by name."""
+    bundled = ROOT / "src" / "isoflow" / "configs"
+    configs = {name: (bundled / name).read_text(encoding="utf-8") for name in ("gaussian_slab.cfg", "quadratic_slab.cfg")}
+    configs.update({f"sweep{n:02d}.cfg": text for n, text in enumerate(sweep_configs())})
+    configs["convex.cfg"] = CONVEX
+    return configs
+
+
+def drift(parent: str, configs: dict[str, str]) -> int:
+    """Run configs on the parent and on this checkout, print what differs; 1 if anything does, else 0."""
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp, "parent"), "here": Path(tmp, "here")}
-        copy_side(args.parent, sides["parent"])
+        copy_side(parent, sides["parent"])
         copy_side(str(ROOT), sides["here"])
         children = {side: start_side(work, configs) for side, work in sides.items()}
         results = {side: finish_side(child) for side, child in children.items()}
-        drift = files = 0
+        drifted = files = 0
         for name in configs:
             a, b = results["parent"][name], results["here"][name]
             out_a, out_b = (sides[side] / "out" / name for side in ("parent", "here"))
@@ -209,10 +211,16 @@ def main() -> int:
                 moved = compare_file(out_a / f, out_b / f)
                 lines += [f"{f} {line}" for line in moved or ()]
             if lines:
-                drift += 1
+                drifted += 1
                 print(f"{name}:", *(f"  {line}" for line in lines), sep="\n")
-    print(f"{drift} of {len(configs)} runs drift; {files} files compared")
-    return 1 if drift else 0
+    print(f"{drifted} of {len(configs)} runs drift; {files} files compared")
+    return 1 if drifted else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="git revision, or a directory holding src/isoflow")
+    return drift(parser.parse_args().parent, evidence_configs())
 
 
 if __name__ == "__main__":

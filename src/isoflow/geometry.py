@@ -48,16 +48,14 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-9
 _PARALLEL_LINE_NODES = 4001
+_QUARTER_TURN = np.array([-1.0, 1.0])
 # the 12-point Gauss-Legendre rule per segment: nodes as fractions of the segment, weights
 _SEGMENT_LAM, _SEGMENT_GL = 0.5 * (_gauss_legendre(12)[0] + 1.0), _gauss_legendre(12)[1]
 
 
 def _rot90(v: np.ndarray) -> np.ndarray:
-    """Counterclockwise quarter turn, (x, t) ↦ (−t, x), as a sign flip and a copy."""
-    out = np.empty_like(v)
-    np.negative(v[..., 1], out=out[..., 0])
-    out[..., 1] = v[..., 0]
-    return out
+    """Counterclockwise quarter turn, (x, t) ↦ (−t, x), in one product."""
+    return v[..., ::-1] * _QUARTER_TURN
 
 
 def _segment_lengths(points: np.ndarray, closed: bool) -> np.ndarray:
@@ -99,8 +97,7 @@ class DiscreteCurve(_Frozen):
                 and np.logical_and.reduce(np.isfinite(nrm), axis=None)):
             raise GeometryError("curve data must be finite")
         norms = np.hypot(nrm[:, 0], nrm[:, 1])
-        norms -= 1.0
-        if np.maximum.reduce(np.abs(norms, out=norms)) > 1e-9:
+        if np.maximum.reduce(np.abs(norms - 1.0)) > 1e-9:
             raise GeometryError("normals must be unit vectors")
         ell = _segment_lengths(pts, closed)
         shortest, longest = np.minimum.reduce(ell), np.maximum.reduce(ell)
@@ -111,10 +108,8 @@ class DiscreteCurve(_Frozen):
             raise GeometryError("arclength spacing drifts beyond [h/2.2, 2.2h]")
         # normals orthogonal to the discrete tangent up to O(h²): |chord·N| <= 0.05 |chord|
         chord = pts[2:] - pts[:-2]
-        cx, ct = chord[:, 0], chord[:, 1]
-        skew = cx * nrm[1:-1, 0]
-        skew += ct * nrm[1:-1, 1]
-        if np.logical_or.reduce(np.abs(skew, out=skew) > 0.05 * np.hypot(cx, ct)):
+        skew = np.abs(chord[:, 0] * nrm[1:-1, 0] + chord[:, 1] * nrm[1:-1, 1])
+        if np.logical_or.reduce(skew > 0.05 * np.hypot(chord[:, 0], chord[:, 1])):
             raise GeometryError("normals are not orthogonal to the curve")
 
     @property
@@ -137,8 +132,7 @@ def _unit_tangents(points: np.ndarray, closed: bool) -> np.ndarray:
         x, y = points[[0, 1, 2, -3, -2, -1]].T.tolist()
         h = [math.hypot(x[i + 1] - x[i], y[i + 1] - y[i]) for i in (0, 1, 3, 4)]
         d[0], d[-1] = zip(_end_slopes(x, h), _end_slopes(y, h))
-    d /= np.hypot(d[:, 0], d[:, 1])[:, None]
-    return d
+    return d / np.hypot(d[:, 0], d[:, 1])[:, None]
 
 
 def _end_slopes(f, ds) -> tuple:
@@ -249,8 +243,7 @@ def polyline_curve(density: Density, points, closed: bool = False) -> DiscreteCu
     if closed:  # continue θ and s one node across the closing segment
         theta = np.concatenate((theta[-1:], theta, theta[:1]))
         s = np.concatenate(([-ell[-1]], s, [s[-1] + ell[-1]]))
-    turn = theta[1:] - theta[:-1]
-    if np.logical_and.reduce(np.abs(turn, out=turn) < math.pi):
+    if np.logical_and.reduce(np.abs(theta[1:] - theta[:-1]) < math.pi):
         theta[1:] += 0.0  # np.unwrap's bits, signed zeros included, when nothing wraps
     else:
         theta = np.unwrap(theta)

@@ -630,17 +630,14 @@ class CumulativeDensity1D:
         """GL integrals over [a_i, b_i], each inside one panel; 0 where b_i <= a_i.
         Rows in a log-power first panel integrate by Gauss-Jacobi alone.  Each
         rule is summed in node order, so a row's bits do not depend on the batch."""
-        out, live = None, b > a  # out is allocated only when some row is not a plain GL row
+        out, live = np.zeros(a.shape), b > a
         if self._power is not None:
             first = live & (b <= self.breaks[1])
             if np.logical_or.reduce(first):
-                out = np.zeros(a.shape)
                 out[first] = self._from_zero(b[first]) - self._from_zero(a[first])
                 live &= ~first
         every = np.logical_and.reduce(live)
-        if not every:
-            out = np.zeros(a.shape) if out is None else out
-            a, b = a[live], b[live]
+        a, b = (a, b) if every else (a[live], b[live])
         half = 0.5 * (b - a)
         t = self._glx[:, None] * half  # the (order, rows) Gauss nodes, built in place
         t += 0.5 * (a + b)
@@ -686,9 +683,8 @@ class CumulativeDensity1D:
 
     def _tail(self, t: np.ndarray, j: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The mass below t (where lower) or above it, for t in panel j."""
-        after = j + 1
-        a, b = self.breaks[j], self.breaks[after]
-        base = np.where(lower, self._cum_left[j], self._cum_right[after])
+        a, b = self.breaks[j], self.breaks[j + 1]
+        base = np.where(lower, self._cum_left[j], self._cum_right[j + 1])
         return base + self._partial(np.where(lower, a, t), np.where(lower, t, b))
 
     def tail_sides(self, t):
@@ -699,13 +695,10 @@ class CumulativeDensity1D:
         t, j, shape = self._locate(t)
         lower = j <= self._median_panel
         both = np.nonzero(j == self._median_panel)[0]  # a median-panel height's upper side rides in the one batch
-        if both.size:
-            k = np.concatenate((np.arange(t.size), both))
-            mass = self._tail(t[k], j[k], np.concatenate((lower, np.zeros(both.size, dtype=bool)))) / self.total
-            p, past = mass[: t.size], mass[both] > 0.5
-            p[both[past]], lower[both[past]] = mass[t.size :][past], False
-        else:
-            p = self._tail(t, j, lower) / self.total
+        k = np.concatenate((np.arange(t.size), both))
+        mass = self._tail(t[k], j[k], np.concatenate((lower, np.zeros(both.size, dtype=bool)))) / self.total
+        p, past = mass[: t.size], mass[both] > 0.5
+        p[both[past]], lower[both[past]] = mass[t.size :][past], False
         late = lower & (p > 0.5)  # the lower mass rounded past 1/2 below the median panel
         if np.logical_or.reduce(late):
             lower[late] = False
